@@ -1,0 +1,52 @@
+"""Golden outputs: fixed ``thermo`` commands must write the committed bytes.
+
+Each command runs in a fresh interpreter, so per-process caches start
+empty as they do for a user.  To regenerate the files after a deliberate
+change of output, run ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "sheet_sweep": ["sheet", "--omega0", "0:0.8:3", "--tmin", "0.5",
+                    "--tmax", "5", "--tpts", "2"],
+    "sheet_parts_TM_sf": ["sheet", "--omega0", "0.8", "--tmin", "1",
+                          "--tmax", "1", "--parts", "TM,sf"],
+    "slab_sweep": ["slab", "--L", "0.5:1:2", "--tmin", "1e-2", "--tmax", "1",
+                   "--tpts", "1"],
+    "slab_parts_L": ["slab", "--L", "1", "--tmin", "1e-1", "--tmax", "1e1",
+                     "--tpts", "1", "--parts", "L"],
+    "slab_parts_s_exp": ["slab", "--L", "1", "--tmin", "1e-2",
+                         "--tmax", "1e-1", "--tpts", "1", "--parts", "s,exp"],
+    "scan_window": ["scan", "--omega0", "0.68:0.74:4", "--tmax", "100",
+                    "--tpts", "4"],
+}
+
+
+def run_thermo(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "artifact.cli", *argv],
+                         cwd=ROOT, env=env, capture_output=True, check=True)
+    return out.stdout
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden(name):
+    expected = (GOLDEN / f"{name}.csv").read_bytes()
+    assert run_thermo(COMMANDS[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, argv in COMMANDS.items():
+        (GOLDEN / f"{name}.csv").write_bytes(run_thermo(argv))

@@ -265,7 +265,8 @@ def h_subtr(ch: str, omega: float, params: SheetParams) -> float:
             return lead + (2.0 * a + O0 * O0) * s5 / (omega * O0 * O0)
         return _h_tm(omega, w0, O0) + O0 / (3.0 * w2)
 
-    x = math.inf if a == 0.0 else a / (O0 * omega)
+    # x = 0 on the resonance shell, where the small-x series of _h_te holds.
+    x = a / (O0 * omega)
     if x >= 10.0:
         v = 1.0 / x
         v2 = v * v

@@ -94,6 +94,20 @@ def test_scan_locates_negative_window(tmp_path):
             assert float(r["c_logT"]) < 0.0
 
 
+def test_scan_row_with_omega0_next_to_a_breakpoint(tmp_path):
+    out = tmp_path / "scan.csv"
+    w0 = 0.9999999999999996
+    rc = cli.main(["scan", "--omega0", repr(w0), "--tmin", "1", "--tmax", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    row = _read_csv(out)[0]
+    assert row["quad_error"] != "failed"
+    assert float(row["c_logT"]) == pytest.approx(
+        (w0 * w0 - 0.5) * (1.0 - (w0 * w0 - 0.5)) / (-4.0 * math.pi),
+        abs=1e-9)
+    assert math.isfinite(float(row["S_total_min"]))
+
+
 def test_verify_json_and_exit_code(capsys):
     rc = cli.main(["verify", "nernst"])
     assert rc == 0

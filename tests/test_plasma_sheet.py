@@ -122,6 +122,28 @@ def test_h_subtr_removes_rational_tail():
         1.0 / 3.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("w0", [0.5, 0.8, 1.3])
+def test_h_subtr_te_on_the_resonance_shell(w0):
+    # omega = omega0 exactly: the subtraction of the tail is all that
+    # changes, and the value joins its neighbours continuously
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    on_shell = ps.h_subtr(Channel.TE, w0, params)
+    assert on_shell == (ps.h(Channel.TE, w0, params)
+                        - 0.5 * math.pi / w0 + 1.0 / (w0 * w0))
+    for side in (1.0, -1.0):
+        near = ps.h_subtr(Channel.TE, w0 * (1.0 + side * 1e-9), params)
+        assert near == pytest.approx(on_shell, rel=1.4e-8)
+
+
+def test_te_sum_rule_with_a_node_on_the_shell():
+    # omega0 a few ulps below the breakpoint Omega0 puts a quadrature
+    # node exactly on the resonance shell
+    params = ps.SheetParams(Omega0=1.0, omega0=0.9999999999999996)
+    w0 = params.omega0
+    assert ps.spectral_sum_rule(Channel.TE, params) == pytest.approx(
+        math.pi * (0.25 - 0.5 * w0 * w0), abs=1e-9)
+
+
 def test_shell_weight():
     assert ps.shell_weight(Channel.TM, P05) == pytest.approx(
         -0.5 * math.pi * 0.25, rel=1e-15)

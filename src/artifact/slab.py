@@ -862,24 +862,23 @@ def _exp_integral(T: float, params: SlabParams, settings: QuadSettings,
 _EXP_VALIDATED: set[tuple[float, float]] = set()
 
 
-def validate_exp_part(params: SlabParams,
-                      settings: QuadSettings | None = None,
-                      rel_tol: float = 1e-6) -> None:
+def validate_exp_part(params: SlabParams, rel_tol: float = 1e-6) -> None:
     """Hard consistency check of the optical-path closed form.
 
     Compares the closed (branch-weight) route against the defining
     double integral at T = omega_p, once per (omega_p, L); raises on
     disagreement.  The defining integral is authoritative on signs.
+    Runs under the default settings, so neither the outcome nor the
+    caller's error tracker depends on which call came first.
     """
     key = (params.omega_p, params.L)
     if key in _EXP_VALIDATED:
         return
-    settings = settings or DEFAULT_SETTINGS
     T = params.omega_p
-    closed = (params.L * T * _exp_integral(T, params, settings, False)
+    closed = (params.L * T * _exp_integral(T, params, DEFAULT_SETTINGS, False)
               / (2.0 * math.pi ** 2)
               + params.omega_p ** 2 * params.L * T * T / 24.0)
-    defining = F_exp_defining(T, params, settings)
+    defining = F_exp_defining(T, params)
     if abs(closed - defining) > rel_tol * max(abs(defining), 1e-12):
         raise QuadratureError(
             "optical-path closed form disagrees with its defining "
@@ -900,7 +899,7 @@ def F_exp_subtr(T: float, params: SlabParams,
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    validate_exp_part(params, settings)
+    validate_exp_part(params)
     return (params.L * T * _exp_integral(T, params, settings, False)
             / (2.0 * math.pi ** 2))
 
@@ -921,7 +920,7 @@ def S_exp_subtr(T: float, params: SlabParams,
     """Subtracted optical-path entropy; -> omega_p^3 L / (12 pi)."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    validate_exp_part(params, settings)
+    validate_exp_part(params)
     return (params.L * _exp_integral(T, params, settings, True)
             / (2.0 * math.pi ** 2))
 

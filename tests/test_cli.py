@@ -48,6 +48,15 @@ def test_jobs_output_is_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(a), "--jobs", "1"]) == 0
     assert cli.main(args + ["--out", str(b), "--jobs", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # The slab memoises per-process validations for each (omega_p, L);
+    # quad_error must not depend on whether they already ran, so this
+    # pair is used by no other test.
+    slab_args = ["slab", "--omegap", "1.25", "--L", "0.75", "--tmin", "1e-2",
+                 "--tmax", "1e-1", "--tpts", "1"]
+    outs = [tmp_path / f"slab{i}.csv" for i in range(3)]
+    for out, jobs in zip(outs, ("1", "1", "2")):
+        assert cli.main(slab_args + ["--out", str(out), "--jobs", jobs]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_sheet_stdout(capsys):

@@ -5,8 +5,9 @@ Subpackages
 numkernel
     Quadrature, root finding, thermal weight functions, asymptotic fits.
 spectral
-    Channel abstraction, defining free-energy/entropy integrals,
-    subtraction bookkeeping and heat-kernel coefficient extraction.
+    Channel abstraction, defining free-energy/entropy integrals, the
+    part records behind each model's ``PARTS`` table and heat-kernel
+    coefficient extraction.
 plasma_sheet
     Thin plasma sheet model (TE/TM phase shifts, surface plasmon,
     spectral sum rules, entropy sign diagnostics).

@@ -36,25 +36,28 @@ import numpy as np
 
 from . import plasma_sheet, slab, verification
 from .numkernel import ErrorTracker, QuadratureError, QuadSettings
+from .spectral import ThermoPoint
 
 __all__ = ["main"]
 
-SHEET_PARTS = ("TE", "TM", "sf")
-SLAB_PARTS = ("s", "L", "exp")
 
-SHEET_HEADER = ("Omega0", "omega0", "T",
-                "F_TE_subtr", "S_TE_subtr", "F_TM_subtr", "S_TM_subtr",
-                "F_sf_subtr", "S_sf_subtr", "F_total", "S_total",
-                "quad_error")
-SLAB_HEADER = ("omega_p", "L", "T",
-               "F_s_TE_subtr", "S_s_TE_subtr", "F_s_TM_subtr", "S_s_TM_subtr",
-               "F_L_TE", "S_L_TE", "F_L_TM", "S_L_TM",
-               "F_exp_subtr", "S_exp_subtr", "F_total", "S_total",
-               "quad_error")
+def _header(params, module):
+    cols = tuple(c for part in module.PARTS for c in part.columns)
+    return (*params, "T", *cols, "F_total", "S_total", "quad_error")
+
+
+SHEET_HEADER = _header(("Omega0", "omega0"), plasma_sheet)
+SLAB_HEADER = _header(("omega_p", "L"), slab)
 SCAN_HEADER = ("Omega0", "omega0", "c_logT", "S_total_min", "T_at_min",
                "quad_error")
 PLASMON_HEADER = ("omega_p", "L", "k", "omega_sf", "residual",
                   "included_in_totals")
+
+# model -> (module with a PARTS table, parameter record, CSV header)
+_MODELS = {
+    "sheet": (plasma_sheet, plasma_sheet.SheetParams, SHEET_HEADER),
+    "slab": (slab, slab.SlabParams, SLAB_HEADER),
+}
 
 
 def _fmt(x):
@@ -100,7 +103,8 @@ def _temperature_grid(args, parser):
     return tuple(np.geomspace(args.tmin, args.tmax, n))
 
 
-def _parse_parts(text, valid, parser):
+def _parse_parts(text, module, parser):
+    valid = tuple(dict.fromkeys(part.group for part in module.PARTS))
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     for p in parts:
         if p not in valid:
@@ -119,76 +123,31 @@ def _settings(rel_tol, abs_tol):
 # row workers (module level so they pickle for --jobs)
 # ---------------------------------------------------------------------------
 
-def _sheet_row(task):
-    Omega0, omega0, T, rel_tol, abs_tol, parts = task
+def _part_row(task):
+    """One CSV row of ``thermo sheet`` or ``thermo slab``.
+
+    Totals are written only when every part is selected; a partial total
+    would be misleading.
+    """
+    model, a, b, T, rel_tol, abs_tol, groups = task
+    module, params_type, header = _MODELS[model]
     settings = _settings(rel_tol, abs_tol)
-    params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
-    vals = {name: float("nan") for name in SHEET_HEADER[3:-1]}
+    params = params_type(a, b)
+    vals = dict.fromkeys(header[3:-1], math.nan)
     try:
-        if set(parts) == set(SHEET_PARTS):
-            bd = plasma_sheet.total(T, params, settings)
-            vals.update(F_TE_subtr=bd.F_TE, S_TE_subtr=bd.S_TE,
-                        F_TM_subtr=bd.F_TM, S_TM_subtr=bd.S_TM,
-                        F_sf_subtr=bd.F_sf, S_sf_subtr=bd.S_sf,
-                        F_total=bd.F_total, S_total=bd.S_total)
+        selected = tuple(p for p in module.PARTS if p.group in groups)
+        if selected == module.PARTS:
+            point = module.total(T, params, settings)
+            vals.update(F_total=point.F_total, S_total=point.S_total)
         else:
-            for p in parts:
-                if p == "sf":
-                    vals["F_sf_subtr"] = plasma_sheet.plasmon_free_energy_subtr(
-                        T, params, settings)
-                    vals["S_sf_subtr"] = plasma_sheet.plasmon_entropy_subtr(
-                        T, params, settings)
-                else:
-                    vals[f"F_{p}_subtr"] = plasma_sheet.free_energy_channel(
-                        p, T, params, settings)
-                    vals[f"S_{p}_subtr"] = plasma_sheet.entropy_channel(
-                        p, T, params, settings)
+            point = ThermoPoint.evaluate(selected, T, params, settings)
+        for part, F, S in zip(selected, point.F, point.S):
+            vals.update(zip(part.columns, (F, S)))
         err = _fmt(settings.error_tracker.worst)
     except QuadratureError:
-        vals = {name: float("nan") for name in SHEET_HEADER[3:-1]}
+        vals = dict.fromkeys(header[3:-1], math.nan)
         err = "failed"
-    row = [_fmt(Omega0), _fmt(omega0), _fmt(T)]
-    row += [_fmt(vals[name]) for name in SHEET_HEADER[3:-1]]
-    row.append(err)
-    return row
-
-
-def _slab_row(task):
-    omega_p, L, T, rel_tol, abs_tol, parts = task
-    settings = _settings(rel_tol, abs_tol)
-    params = slab.SlabParams(omega_p=omega_p, L=L)
-    vals = {name: float("nan") for name in SLAB_HEADER[3:-1]}
-    try:
-        if set(parts) == set(SLAB_PARTS):
-            bd = slab.total(T, params, settings)
-            vals.update(F_s_TE_subtr=bd.F_s_TE, S_s_TE_subtr=bd.S_s_TE,
-                        F_s_TM_subtr=bd.F_s_TM, S_s_TM_subtr=bd.S_s_TM,
-                        F_L_TE=bd.F_L_TE, S_L_TE=bd.S_L_TE,
-                        F_L_TM=bd.F_L_TM, S_L_TM=bd.S_L_TM,
-                        F_exp_subtr=bd.F_exp, S_exp_subtr=bd.S_exp,
-                        F_total=bd.F_total, S_total=bd.S_total)
-        else:
-            if "s" in parts:
-                vals["F_s_TE_subtr"] = slab.F_s_TE_subtr(T, params, settings)
-                vals["S_s_TE_subtr"] = slab.S_s_TE_subtr(T, params, settings)
-                vals["F_s_TM_subtr"] = slab.F_s_TM_subtr(T, params, settings)
-                vals["S_s_TM_subtr"] = slab.S_s_TM_subtr(T, params, settings)
-            if "L" in parts:
-                vals["F_L_TE"] = slab.F_L_TE(T, params, settings)
-                vals["S_L_TE"] = slab.S_L("TE", T, params, settings)
-                vals["F_L_TM"] = slab.F_L_TM(T, params, settings)
-                vals["S_L_TM"] = slab.S_L("TM", T, params, settings)
-            if "exp" in parts:
-                vals["F_exp_subtr"] = slab.F_exp_subtr(T, params, settings)
-                vals["S_exp_subtr"] = slab.S_exp_subtr(T, params, settings)
-        err = _fmt(settings.error_tracker.worst)
-    except QuadratureError:
-        vals = {name: float("nan") for name in SLAB_HEADER[3:-1]}
-        err = "failed"
-    row = [_fmt(omega_p), _fmt(L), _fmt(T)]
-    row += [_fmt(vals[name]) for name in SLAB_HEADER[3:-1]]
-    row.append(err)
-    return row
+    return [_fmt(a), _fmt(b), _fmt(T), *map(_fmt, vals.values()), err]
 
 
 def _scan_row(task):
@@ -247,37 +206,38 @@ def _note(msg):
 # subcommand drivers
 # ---------------------------------------------------------------------------
 
-def _cmd_sheet(args, parser):
+def _sweep(model, args, parser, first, second):
+    """Write the CSV of a sheet or slab sweep; return the parameter grids.
+
+    ``first`` and ``second`` are (flag value, flag name) of the model's
+    two parameters, in the order of its parameter record.
+    """
+    module, _, header = _MODELS[model]
     t_grid = _temperature_grid(args, parser)
-    parts = _parse_parts(args.parts, SHEET_PARTS, parser)
-    omegas0 = _parse_range(args.omega0, "--omega0", parser)
-    Omegas0 = _parse_range(args.Omega0, "--Omega0", parser)
-    tasks = [(O0, w0, T, args.rel_tol, args.abs_tol, parts)
-             for O0 in Omegas0 for w0 in omegas0 for T in t_grid]
-    rows = _run_tasks(_sheet_row, tasks, args.jobs)
-    _write_csv(args.out, SHEET_HEADER, rows)
+    groups = _parse_parts(args.parts, module, parser)
+    firsts = _parse_range(*first, parser)
+    seconds = _parse_range(*second, parser)
+    tasks = [(model, a, b, T, args.rel_tol, args.abs_tol, groups)
+             for a in firsts for b in seconds for T in t_grid]
+    rows = _run_tasks(_part_row, tasks, args.jobs)
+    _write_csv(args.out, header, rows)
     s = args.scale
-    _note(f"sheet sweep: {len(rows)} rows "
-          f"({len(Omegas0)} x {len(omegas0)} parameter points, "
+    _note(f"{model} sweep: {len(rows)} rows "
+          f"({len(firsts)} x {len(seconds)} parameter points, "
           f"{len(t_grid)} temperatures, "
           f"T in [{t_grid[0] * s:g}, {t_grid[-1] * s:g}])")
+    return firsts, seconds
+
+
+def _cmd_sheet(args, parser):
+    _sweep("sheet", args, parser, (args.Omega0, "--Omega0"),
+           (args.omega0, "--omega0"))
     return 0
 
 
 def _cmd_slab(args, parser):
-    t_grid = _temperature_grid(args, parser)
-    parts = _parse_parts(args.parts, SLAB_PARTS, parser)
-    omegas_p = _parse_range(args.omegap, "--omegap", parser)
-    lengths = _parse_range(args.L, "--L", parser)
-    tasks = [(wp, L, T, args.rel_tol, args.abs_tol, parts)
-             for wp in omegas_p for L in lengths for T in t_grid]
-    rows = _run_tasks(_slab_row, tasks, args.jobs)
-    _write_csv(args.out, SLAB_HEADER, rows)
-    s = args.scale
-    _note(f"slab sweep: {len(rows)} rows "
-          f"({len(omegas_p)} x {len(lengths)} parameter points, "
-          f"{len(t_grid)} temperatures, "
-          f"T in [{t_grid[0] * s:g}, {t_grid[-1] * s:g}])")
+    omegas_p, lengths = _sweep("slab", args, parser,
+                               (args.omegap, "--omegap"), (args.L, "--L"))
     if args.plasmon_out:
         if args.kmin <= 0.0 or args.kmax < args.kmin or args.kpts < 1:
             parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")

@@ -50,7 +50,7 @@ class QuadratureError(RuntimeError):
 
 
 class ErrorTracker:
-    """Mutable accumulator for the worst quadrature error seen.
+    """Mutable record of the worst quadrature error seen.
 
     Attach an instance to ``QuadSettings.error_tracker`` to collect the
     largest single error estimate produced while evaluating a composite
@@ -282,6 +282,12 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
     err = res.error_estimate + tail_bound
     settings.report(tail_bound)
     return QuadResult(res.value, err, res.evaluations)
+
+
+def _check_T(T: float) -> None:
+    """Raise ValueError unless the temperature is positive."""
+    if T <= 0.0:
+        raise ValueError(f"temperature must be positive, got {T}")
 
 
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,

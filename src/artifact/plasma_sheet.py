@@ -44,6 +44,7 @@ from . import spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
     QuadSettings,
+    _check_T,
     bose_log,
     find_root_bracketed,
     g,
@@ -52,7 +53,7 @@ from .numkernel import (
 from .spectral import (
     Channel,
     HeatKernelSet,
-    PartThermo,
+    Part,
     ScatteringChannel,
     SubtractionSpec,
     ThermoPoint,
@@ -62,7 +63,7 @@ from .spectral import (
 
 __all__ = [
     "SheetParams",
-    "SheetBreakdown",
+    "PARTS",
     "Omega_of_omega",
     "phase_shift",
     "phase_shift_deriv",
@@ -76,6 +77,7 @@ __all__ = [
     "entropy_channel_raw",
     "spectral_sum_rule",
     "omega_sf",
+    "plasmon_mode_residual",
     "surface_weight",
     "plasmon_raw_coefficients",
     "plasmon_free_energy_raw",
@@ -90,8 +92,6 @@ __all__ = [
     "a_three_half_te_crossing",
     "scattering_channel",
 ]
-
-_PARTS = ("TE", "TM", "sf")
 
 
 @dataclass(frozen=True)
@@ -499,8 +499,7 @@ def plasmon_free_energy_raw(T: float, params: SheetParams,
     sqrt(omega0^2 - Omega0^2/2) when positive, else 0.  Equals
     c3 T^3 + c5 T^5 + subtracted part as an algebraic identity.
     """
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     hi = max(40.0 * T, 50.0 * params.scale())
@@ -510,8 +509,7 @@ def plasmon_free_energy_raw(T: float, params: SheetParams,
 def plasmon_entropy_raw(T: float, params: SheetParams,
                         settings: QuadSettings | None = None) -> float:
     """Raw plasmon entropy, (1/2 pi) Int_max(0, ell) omega X g."""
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     hi = max(40.0 * T, 50.0 * params.scale())
@@ -526,8 +524,7 @@ def plasmon_free_energy_subtr(T: float, params: SheetParams,
     -(T/2 pi) Int_0^ell omega X blog d omega, evaluated directly so no
     cancellation of large terms occurs.
     """
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     if lo == 0.0:
@@ -542,8 +539,7 @@ def plasmon_entropy_subtr(T: float, params: SheetParams,
     Carries the log T growth (x^2 / (4 pi Omega0^2)) log T at high
     temperature for x = omega0^2 - Omega0^2/2 > 0.
     """
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     if lo == 0.0:
@@ -551,69 +547,30 @@ def plasmon_entropy_subtr(T: float, params: SheetParams,
     return -_plasmon_integral(T, params, settings, True, 0.0, lo)
 
 
-@dataclass(frozen=True)
-class SheetBreakdown:
-    """Subtracted per-part thermodynamics of the sheet at one temperature.
-
-    The six named fields are the subtracted free energies and entropies;
-    ``point`` carries the full record (raw values included).
-    """
-
-    F_TE: float
-    F_TM: float
-    F_sf: float
-    S_TE: float
-    S_TM: float
-    S_sf: float
-    point: ThermoPoint
-
-    @property
-    def F_total(self) -> float:
-        return self.F_TE + self.F_TM + self.F_sf
-
-    @property
-    def S_total(self) -> float:
-        return self.S_TE + self.S_TM + self.S_sf
+# Lambdas of (T, params, settings), so every call looks the part's
+# function up in this module.
+PARTS = (
+    Part("TE", "TE", ("F_TE_subtr", "S_TE_subtr"),
+         lambda T, p, s: free_energy_channel(Channel.TE, T, p, s),
+         lambda T, p, s: entropy_channel(Channel.TE, T, p, s)),
+    Part("TM", "TM", ("F_TM_subtr", "S_TM_subtr"),
+         lambda T, p, s: free_energy_channel(Channel.TM, T, p, s),
+         lambda T, p, s: entropy_channel(Channel.TM, T, p, s)),
+    Part("sf", "sf", ("F_sf_subtr", "S_sf_subtr"),
+         lambda T, p, s: plasmon_free_energy_subtr(T, p, s),
+         lambda T, p, s: plasmon_entropy_subtr(T, p, s)),
+)
 
 
 def total(T: float, params: SheetParams,
-          settings: QuadSettings | None = None) -> SheetBreakdown:
-    """All sheet parts at one temperature (TE, TM photonic; sf plasmon).
+          settings: QuadSettings | None = None) -> ThermoPoint:
+    """Subtracted F and S of every sheet part at one temperature.
 
-    Subtracted values are computed from the subtracted densities; the
-    raw entries of the underlying ThermoPoint are reconstructed by
-    adding back the analytic growth terms (exact by construction).
+    Parts, in the order of ``PARTS``: TE and TM photonic channels and the
+    surface plasmon sf.
     """
-    settings = settings or DEFAULT_SETTINGS
-    parts = []
-    for ch in Channel.ALL:
-        spec = subtraction_spec(ch, params)
-        Fs = free_energy_channel(ch, T, params, settings)
-        Ss = entropy_channel(ch, T, params, settings)
-        parts.append(PartThermo(ch,
-                                Fs + spec.c3 * T ** 3 + spec.c2 * T ** 2,
-                                Ss - 3.0 * spec.c3 * T ** 2
-                                - 2.0 * spec.c2 * T,
-                                Fs, Ss))
-    c3, c5 = plasmon_raw_coefficients(params)
-    Fs = plasmon_free_energy_subtr(T, params, settings)
-    Ss = plasmon_entropy_subtr(T, params, settings)
-    parts.append(PartThermo(
-        "sf",
-        Fs + c3 * T ** 3 + c5 * T ** 5,
-        Ss - 3.0 * c3 * T ** 2 - 5.0 * c5 * T ** 4,
-        Fs,
-        Ss,
-    ))
-    point = ThermoPoint(T, tuple(parts))
-    te, tm, sf = (point.part(name) for name in _PARTS)
-    return SheetBreakdown(
-        F_TE=te.free_energy_subtr, F_TM=tm.free_energy_subtr,
-        F_sf=sf.free_energy_subtr,
-        S_TE=te.entropy_subtr, S_TM=tm.entropy_subtr,
-        S_sf=sf.entropy_subtr,
-        point=point,
-    )
+    return ThermoPoint.evaluate(PARTS, T, params,
+                                settings or DEFAULT_SETTINGS)
 
 
 def high_T_log_coefficient_closed(params: SheetParams) -> float:
@@ -776,7 +733,3 @@ def scattering_channel(ch: str, params: SheetParams,
         fd_scale=params.scale(),
     )
 
-
-def _check_T(T: float) -> None:
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")

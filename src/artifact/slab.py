@@ -36,6 +36,7 @@ from .numkernel import (
     DEFAULT_SETTINGS,
     QuadratureError,
     QuadSettings,
+    _check_T,
     bose_kernel,
     bose_log,
     bose_occupation,
@@ -46,7 +47,7 @@ from .numkernel import (
 )
 from .spectral import (
     Channel,
-    PartThermo,
+    Part,
     ScatteringChannel,
     SubtractionSpec,
     ThermoPoint,
@@ -55,7 +56,7 @@ from .spectral import (
 
 __all__ = [
     "SlabParams",
-    "SlabBreakdown",
+    "PARTS",
     "Transmission",
     "epsilon",
     "transmission",
@@ -96,8 +97,6 @@ __all__ = [
     "surface_te_channel",
     "PART_NAMES",
 ]
-
-PART_NAMES = ("s_TE", "s_TM", "L_TE", "L_TM", "exp")
 
 # Constants of the low-temperature series.
 _EULER_GAMMA = 0.5772156649015329
@@ -1063,77 +1062,38 @@ def subtraction_spec(part: str, params: SlabParams) -> SubtractionSpec:
     raise ValueError(f"unknown slab part {part!r}; have {PART_NAMES}")
 
 
-@dataclass(frozen=True)
-class SlabBreakdown:
-    """Per-part slab thermodynamics at one temperature.
-
-    Fields hold the subtracted free energies and entropies where a
-    subtraction applies (surface and optical-path parts) and the plain
-    values for the thickness parts, which need none.  ``point`` carries
-    the full record.  The slab plasmon is intentionally absent.
-    """
-
-    F_s_TE: float
-    F_s_TM: float
-    F_L_TE: float
-    F_L_TM: float
-    F_exp: float
-    S_s_TE: float
-    S_s_TM: float
-    S_L_TE: float
-    S_L_TM: float
-    S_exp: float
-    point: ThermoPoint
-
-    @property
-    def F_total(self) -> float:
-        return (self.F_s_TE + self.F_s_TM + self.F_L_TE + self.F_L_TM
-                + self.F_exp)
-
-    @property
-    def S_total(self) -> float:
-        return (self.S_s_TE + self.S_s_TM + self.S_L_TE + self.S_L_TM
-                + self.S_exp)
+# Lambdas of (T, params, settings), so every call looks the part's
+# function up in this module.
+PARTS = (
+    Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
+         lambda T, p, s: F_s_TE_subtr(T, p, s),
+         lambda T, p, s: S_s_TE_subtr(T, p, s)),
+    Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
+         lambda T, p, s: F_s_TM_subtr(T, p, s),
+         lambda T, p, s: S_s_TM_subtr(T, p, s)),
+    Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
+         lambda T, p, s: F_L_TE(T, p, s),
+         lambda T, p, s: S_L(Channel.TE, T, p, s)),
+    Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
+         lambda T, p, s: F_L_TM(T, p, s),
+         lambda T, p, s: S_L(Channel.TM, T, p, s)),
+    Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
+         lambda T, p, s: F_exp_subtr(T, p, s),
+         lambda T, p, s: S_exp_subtr(T, p, s)),
+)
+PART_NAMES = tuple(part.name for part in PARTS)
 
 
 def total(T: float, params: SlabParams,
-          settings: QuadSettings | None = None) -> SlabBreakdown:
-    """All slab parts at one temperature.
+          settings: QuadSettings | None = None) -> ThermoPoint:
+    """Subtracted F and S of every slab part at one temperature.
 
-    Parts: s_TE, s_TM (surface), L_TE, L_TM (thickness), exp
-    (optical path).  The slab plasmon is intentionally not included.
+    Parts, in the order of ``PARTS``: s_TE, s_TM (surface), L_TE, L_TM
+    (thickness, which need no subtraction), exp (optical path).  The
+    slab plasmon is intentionally not included.
     """
-    settings = settings or DEFAULT_SETTINGS
-    raw = {
-        "s_TE": (F_s_TE(T, params, settings), S_s_TE(T, params, settings)),
-        "s_TM": (F_s_TM(T, params, settings), S_s_TM(T, params, settings)),
-        "L_TE": (F_L_TE(T, params, settings),
-                 S_L(Channel.TE, T, params, settings)),
-        "L_TM": (F_L_TM(T, params, settings),
-                 S_L(Channel.TM, T, params, settings)),
-        "exp": (F_exp(T, params, settings), S_exp(T, params, settings)),
-    }
-    parts = []
-    for name in PART_NAMES:
-        F, S = raw[name]
-        spec = subtraction_spec(name, params)
-        parts.append(PartThermo(name, F, S, spec.free_energy(F, T),
-                                spec.entropy(S, T)))
-    point = ThermoPoint(T, tuple(parts))
-    sub = {name: point.part(name) for name in PART_NAMES}
-    return SlabBreakdown(
-        F_s_TE=sub["s_TE"].free_energy_subtr,
-        F_s_TM=sub["s_TM"].free_energy_subtr,
-        F_L_TE=sub["L_TE"].free_energy_subtr,
-        F_L_TM=sub["L_TM"].free_energy_subtr,
-        F_exp=sub["exp"].free_energy_subtr,
-        S_s_TE=sub["s_TE"].entropy_subtr,
-        S_s_TM=sub["s_TM"].entropy_subtr,
-        S_L_TE=sub["L_TE"].entropy_subtr,
-        S_L_TM=sub["L_TM"].entropy_subtr,
-        S_exp=sub["exp"].entropy_subtr,
-        point=point,
-    )
+    return ThermoPoint.evaluate(PARTS, T, params,
+                                settings or DEFAULT_SETTINGS)
 
 
 def surface_te_channel(params: SlabParams) -> ScatteringChannel:
@@ -1161,7 +1121,3 @@ def surface_te_channel(params: SlabParams) -> ScatteringChannel:
         fd_scale=wp,
     )
 
-
-def _check_T(T: float) -> None:
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")

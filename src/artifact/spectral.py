@@ -10,6 +10,10 @@ two-dimensional integrals directly from that data.  They are deliberately
 slow and assumption-free; the model modules provide reduced one-dimensional
 forms and use these as cross-checks.
 
+Each model lists its additive parts once, in an ordered ``PARTS`` table
+of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
+entropy of every part at one temperature, and their totals.
+
 The high-temperature expansion of a free energy per unit area,
 
     F(T) = c_T3 T^3 + c_T2 T^2 + c_TlogT T log T + c_T T + ...
@@ -27,13 +31,16 @@ underlying spectral problem:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import reduce
+from typing import Any, Callable, Mapping, Sequence
 
 from .numkernel import (
     DEFAULT_SETTINGS,
     AsymptoticFit,
     QuadSettings,
+    _check_T,
     bose_log,
     derivative_fd,
     fit_asymptotic,
@@ -46,13 +53,11 @@ __all__ = [
     "Channel",
     "ScatteringChannel",
     "SubtractionSpec",
-    "PartThermo",
+    "Part",
     "ThermoPoint",
-    "ThermoCurve",
     "HeatKernelSet",
     "free_energy_defining",
     "entropy_defining",
-    "subtract",
     "heat_kernel_from_expansion",
     "expansion_from_heat_kernel",
     "extract_heat_kernel",
@@ -135,74 +140,62 @@ class SubtractionSpec:
         return raw + 3.0 * self.c3 * T ** 2 + 2.0 * self.c2 * T
 
 
-def subtract(raw: float, spec: SubtractionSpec, T: float,
-             entropy: bool = False) -> float:
-    """Remove the subtraction terms of ``spec`` from a raw value."""
-    return spec.entropy(raw, T) if entropy else spec.free_energy(raw, T)
-
-
 @dataclass(frozen=True)
-class PartThermo:
-    """Raw and subtracted thermodynamics of one model part."""
+class Part:
+    """One additive part of a model's free energy and entropy.
+
+    ``F`` and ``S`` are called as ``F(T, params, settings)`` and return
+    the part's subtracted free energy and entropy per unit area.  The
+    models build them as lambdas over their public functions, so each
+    call looks the function up in the model's module at call time.
+    ``group`` is the name that selects the part in ``thermo --parts``;
+    ``columns`` are its F and S columns in the CSV output.
+    """
 
     name: str
-    free_energy: float
-    entropy: float
-    free_energy_subtr: float
-    entropy_subtr: float
+    group: str
+    columns: tuple[str, str]
+    F: Callable[[float, Any, QuadSettings], float]
+    S: Callable[[float, Any, QuadSettings], float]
 
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """All parts of a model at one temperature; totals are exact sums."""
+    """Subtracted F and S of each part of a model at one temperature.
+
+    ``F`` and ``S`` are in the order of ``names``, the model's ``PARTS``;
+    the totals add them left to right.
+    """
 
     T: float
-    parts: tuple[PartThermo, ...]
+    names: tuple[str, ...]
+    F: tuple[float, ...]
+    S: tuple[float, ...]
 
-    def part(self, name: str) -> PartThermo:
-        for p in self.parts:
-            if p.name == name:
-                return p
-        raise KeyError(f"no part named {name!r}; have "
-                       f"{[p.name for p in self.parts]}")
+    @classmethod
+    def evaluate(cls, parts: Sequence[Part], T: float, params: Any,
+                 settings: QuadSettings) -> "ThermoPoint":
+        """Evaluate F then S of each part in turn."""
+        F, S = [], []
+        for part in parts:
+            F.append(part.F(T, params, settings))
+            S.append(part.S(T, params, settings))
+        return cls(T, tuple(p.name for p in parts), tuple(F), tuple(S))
+
+    def part(self, name: str) -> tuple[float, float]:
+        """(F, S) of the named part; KeyError for an unknown name."""
+        if name not in self.names:
+            raise KeyError(f"no part named {name!r}; have {list(self.names)}")
+        i = self.names.index(name)
+        return self.F[i], self.S[i]
 
     @property
-    def free_energy_total(self) -> float:
-        return sum(p.free_energy for p in self.parts)
+    def F_total(self) -> float:
+        return reduce(operator.add, self.F)
 
     @property
-    def entropy_total(self) -> float:
-        return sum(p.entropy for p in self.parts)
-
-    @property
-    def free_energy_subtr_total(self) -> float:
-        return sum(p.free_energy_subtr for p in self.parts)
-
-    @property
-    def entropy_subtr_total(self) -> float:
-        return sum(p.entropy_subtr for p in self.parts)
-
-
-@dataclass(frozen=True)
-class ThermoCurve:
-    """Thermodynamics sampled on a temperature grid."""
-
-    points: tuple[ThermoPoint, ...]
-
-    def temperatures(self) -> tuple[float, ...]:
-        return tuple(pt.T for pt in self.points)
-
-    def part_samples(self, name: str, entropy: bool = False,
-                     subtracted: bool = False) -> list[tuple[float, float]]:
-        out = []
-        for pt in self.points:
-            part = pt.part(name)
-            if entropy:
-                v = part.entropy_subtr if subtracted else part.entropy
-            else:
-                v = part.free_energy_subtr if subtracted else part.free_energy
-            out.append((pt.T, v))
-        return out
+    def S_total(self) -> float:
+        return reduce(operator.add, self.S)
 
 
 def free_energy_defining(ch: ScatteringChannel, T: float,
@@ -231,8 +224,7 @@ def entropy_defining(ch: ScatteringChannel, T: float,
 
 def _defining(ch: ScatteringChannel, T: float,
               settings: QuadSettings | None, entropy: bool) -> float:
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     weight = g if entropy else bose_log
     scale = max(T, ch.fd_scale)

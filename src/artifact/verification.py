@@ -515,60 +515,36 @@ def _suite_constants(settings):
 # thermo-identity and nernst suites
 # ---------------------------------------------------------------------------
 
-def _sheet_part_functions(part, params, settings):
-    if part in ("TE", "TM"):
-        return (lambda T: plasma_sheet.free_energy_channel(
-                    part, T, params, settings),
-                lambda T: plasma_sheet.entropy_channel(
-                    part, T, params, settings))
-    return (lambda T: plasma_sheet.plasmon_free_energy_subtr(
-                T, params, settings),
-            lambda T: plasma_sheet.plasmon_entropy_subtr(T, params, settings))
+# (label format, parts, parameters) of the thermo-identity and nernst
+# suites.  The sheet plasmon vanishes identically at omega0 = 0, so it is
+# checked at omega0 = 0.8 only.
+_IDENTITY_CASES = (
+    ("sheet {}, omega0=0",
+     tuple(p for p in plasma_sheet.PARTS if p.name != "sf"),
+     plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)),
+    ("sheet {}, omega0=0.8", plasma_sheet.PARTS,
+     plasma_sheet.SheetParams(Omega0=1.0, omega0=0.8)),
+    ("slab {}", slab.PARTS, slab.SlabParams(omega_p=1.0, L=1.0)),
+)
 
 
-def _slab_part_functions(part, params, settings):
-    table = {
-        "s_TE": (slab.F_s_TE_subtr, slab.S_s_TE_subtr),
-        "s_TM": (slab.F_s_TM_subtr, slab.S_s_TM_subtr),
-        "exp": (slab.F_exp_subtr, slab.S_exp_subtr),
-    }
-    if part in table:
-        f, s = table[part]
-        return (lambda T: f(T, params, settings),
-                lambda T: s(T, params, settings))
-    ch = part.split("_")[1]
-    f = slab.F_L_TE if ch == "TE" else slab.F_L_TM
-    return (lambda T: f(T, params, settings),
-            lambda T: slab.S_L(ch, T, params, settings))
-
-
-def _identity_parts():
-    settingsless = []
-    sheet0 = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
-    sheet8 = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.8)
-    slab11 = slab.SlabParams(omega_p=1.0, L=1.0)
-    for part in ("TE", "TM"):
-        settingsless.append((f"sheet {part}, omega0=0", _sheet_part_functions,
-                             part, sheet0))
-    for part in ("TE", "TM", "sf"):
-        settingsless.append((f"sheet {part}, omega0=0.8", _sheet_part_functions,
-                             part, sheet8))
-    for part in ("s_TE", "s_TM", "L_TE", "L_TM", "exp"):
-        settingsless.append((f"slab {part}", _slab_part_functions,
-                             part, slab11))
-    return settingsless
+def _identity_checks():
+    """(label, part, params) for every part the two suites check."""
+    for label, parts, params in _IDENTITY_CASES:
+        for part in parts:
+            yield label.format(part.name), part, params
 
 
 def _suite_thermo_identity(settings):
     out = []
     grid = (1e-2, 1e-1, 1.0, 1e1, 1e2)
-    for label, binder, part, params in _identity_parts():
-        f_of, s_of = binder(part, params, settings)
+    for label, part, params in _identity_checks():
         worst = 0.0
         for T in grid:
             h = 1e-4 * T
-            s = s_of(T)
-            s_fd = (f_of(T - h) - f_of(T + h)) / (2.0 * h)
+            s = part.S(T, params, settings)
+            s_fd = (part.F(T - h, params, settings)
+                    - part.F(T + h, params, settings)) / (2.0 * h)
             scale = max(abs(s), abs(s_fd))
             if scale < 1e-13:
                 continue
@@ -581,10 +557,9 @@ def _suite_thermo_identity(settings):
 
 def _suite_nernst(settings):
     out = []
-    for label, binder, part, params in _identity_parts():
-        _, s_of = binder(part, params, settings)
-        s_hi = s_of(1e-2)
-        s_lo = s_of(1e-3)
+    for label, part, params in _identity_checks():
+        s_hi = part.S(1e-2, params, settings)
+        s_lo = part.S(1e-3, params, settings)
         if abs(s_hi) < 1e-13 and abs(s_lo) < 1e-13:
             ratio = 0.0
         else:

@@ -227,15 +227,17 @@ def test_plasmon_subtr_vanishes_below_threshold():
 
 def test_total_breakdown_sums():
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
-    bd = ps.total(1.3, params)
-    assert bd.F_total == pytest.approx(bd.F_TE + bd.F_TM + bd.F_sf,
-                                       rel=1e-15)
-    assert bd.S_total == pytest.approx(bd.S_TE + bd.S_TM + bd.S_sf,
-                                       rel=1e-15)
-    assert bd.F_TE == pytest.approx(
+    point = ps.total(1.3, params)
+    assert point.names == ("TE", "TM", "sf")
+    (F_TE, S_TE), (F_TM, S_TM), (F_sf, S_sf) = map(point.part, point.names)
+    assert point.F_total == pytest.approx(F_TE + F_TM + F_sf, rel=1e-15)
+    assert point.S_total == pytest.approx(S_TE + S_TM + S_sf, rel=1e-15)
+    assert F_TE == pytest.approx(
         ps.free_energy_channel(Channel.TE, 1.3, params), rel=1e-12)
-    assert bd.F_sf == pytest.approx(
+    assert F_sf == pytest.approx(
         ps.plasmon_free_energy_subtr(1.3, params), rel=1e-12)
+    with pytest.raises(KeyError):
+        point.part("s_TE")
 
 
 @pytest.mark.parametrize("w0", [0.0, 0.8, 1.3])

@@ -228,14 +228,18 @@ def test_plasmon_large_L_merges_to_single_surface():
 
 
 def test_total_breakdown_sums():
-    bd = slab.total(1.0, P1)
-    total_F = (bd.F_s_TE + bd.F_s_TM + bd.F_L_TE + bd.F_L_TM + bd.F_exp)
-    assert bd.F_total == pytest.approx(total_F, rel=1e-15)
-    assert bd.F_s_TE == pytest.approx(slab.F_s_TE_subtr(1.0, P1), rel=1e-10)
-    assert bd.F_L_TE == pytest.approx(slab.F_L_TE(1.0, P1), rel=1e-10)
-    assert bd.F_exp == pytest.approx(slab.F_exp_subtr(1.0, P1), rel=1e-10)
-    names = [p.name for p in bd.point.parts]
-    assert names == ["s_TE", "s_TM", "L_TE", "L_TM", "exp"]
+    point = slab.total(1.0, P1)
+    assert point.names == ("s_TE", "s_TM", "L_TE", "L_TM", "exp")
+    assert point.names == slab.PART_NAMES
+    F = {name: point.part(name)[0] for name in point.names}
+    total_F = F["s_TE"] + F["s_TM"] + F["L_TE"] + F["L_TM"] + F["exp"]
+    assert point.F_total == pytest.approx(total_F, rel=1e-15)
+    assert point.S_total == pytest.approx(sum(point.S), rel=1e-15)
+    assert F["s_TE"] == pytest.approx(slab.F_s_TE_subtr(1.0, P1), rel=1e-10)
+    assert F["L_TE"] == pytest.approx(slab.F_L_TE(1.0, P1), rel=1e-10)
+    assert F["exp"] == pytest.approx(slab.F_exp_subtr(1.0, P1), rel=1e-10)
+    with pytest.raises(KeyError):
+        point.part("sf")
 
 
 def test_invalid_temperature_rejected():

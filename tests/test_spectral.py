@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import plasma_sheet, spectral
+import artifact
+from artifact import cli, numkernel, plasma_sheet, slab, spectral, verification
 from artifact.numkernel import DEFAULT_SETTINGS, derivative_fd
 from artifact.spectral import (
     Channel,
@@ -15,7 +16,6 @@ from artifact.spectral import (
     expansion_from_heat_kernel,
     extract_heat_kernel,
     heat_kernel_from_expansion,
-    subtract,
     validate_channel_derivative,
 )
 
@@ -35,10 +35,10 @@ def test_channel_names():
 def test_subtraction_is_affine_in_raw(c3, c2, T):
     spec = SubtractionSpec(c3=c3, c2=c2)
     raw = 0.37
-    assert subtract(raw, spec, T) == pytest.approx(
+    assert spec.free_energy(raw, T) == pytest.approx(
         raw - c3 * T ** 3 - c2 * T ** 2, rel=1e-12, abs=1e-12)
     # removing the subtraction from a raw entropy adds the -dF/dT terms
-    assert subtract(raw, spec, T, entropy=True) == pytest.approx(
+    assert spec.entropy(raw, T) == pytest.approx(
         raw + 3.0 * c3 * T ** 2 + 2.0 * c2 * T, rel=1e-12, abs=1e-12)
 
 
@@ -150,13 +150,47 @@ def test_entropy_defining_is_minus_dF_dT():
 
 
 def test_thermo_point_parts():
-    bd = plasma_sheet.total(1.0, plasma_sheet.SheetParams(Omega0=1.0,
-                                                          omega0=0.8))
-    point = bd.point
+    params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.8)
+    point = plasma_sheet.total(1.0, params)
     assert point.T == 1.0
-    names = [p.name for p in point.parts]
-    assert names == ["TE", "TM", "sf"]
-    te = point.part("TE")
-    assert te.free_energy_subtr == bd.F_TE
+    assert point.names == ("TE", "TM", "sf")
+    assert point.names == tuple(p.name for p in plasma_sheet.PARTS)
+    assert point.part("TE") == (point.F[0], point.S[0])
+    assert point.part("sf") == (
+        plasma_sheet.plasmon_free_energy_subtr(1.0, params),
+        plasma_sheet.plasmon_entropy_subtr(1.0, params))
     with pytest.raises(KeyError):
         point.part("nope")
+    assert point.F_total == point.F[0] + point.F[1] + point.F[2]
+    assert point.S_total == point.S[0] + point.S[1] + point.S[2]
+
+
+def test_thermo_point_evaluates_parts_in_order():
+    calls = []
+
+    def part(name, F, S):
+        def record(q, value):
+            def f(T, params, settings):
+                calls.append((name, q, T, params, settings))
+                return value
+            return f
+        return spectral.Part(name, name, (f"F_{name}", f"S_{name}"),
+                             record("F", F), record("S", S))
+
+    parts = (part("a", 1.0, -2.0), part("b", 0.25, 0.5))
+    point = spectral.ThermoPoint.evaluate(parts, 3.0, "p", DEFAULT_SETTINGS)
+    assert calls == [("a", "F", 3.0, "p", DEFAULT_SETTINGS),
+                     ("a", "S", 3.0, "p", DEFAULT_SETTINGS),
+                     ("b", "F", 3.0, "p", DEFAULT_SETTINGS),
+                     ("b", "S", 3.0, "p", DEFAULT_SETTINGS)]
+    assert point.names == ("a", "b")
+    assert point.part("b") == (0.25, 0.5)
+    assert (point.F_total, point.S_total) == (1.25, -1.5)
+
+
+@pytest.mark.parametrize("module", [artifact, numkernel, spectral,
+                                    plasma_sheet, slab, verification, cli],
+                         ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

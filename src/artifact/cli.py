@@ -114,6 +114,15 @@ def _parse_parts(text, module, parser):
     return parts
 
 
+def _check_params(make, pairs, parser):
+    """Build every parameter record before any work; bad values exit 2."""
+    try:
+        for a, b in pairs:
+            make(a, b)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _settings(rel_tol, abs_tol):
     return QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol,
                         error_tracker=ErrorTracker())
@@ -212,11 +221,13 @@ def _sweep(model, args, parser, first, second):
     ``first`` and ``second`` are (flag value, flag name) of the model's
     two parameters, in the order of its parameter record.
     """
-    module, _, header = _MODELS[model]
+    module, params_type, header = _MODELS[model]
     t_grid = _temperature_grid(args, parser)
     groups = _parse_parts(args.parts, module, parser)
     firsts = _parse_range(*first, parser)
     seconds = _parse_range(*second, parser)
+    _check_params(params_type, [(a, b) for a in firsts for b in seconds],
+                  parser)
     tasks = [(model, a, b, T, args.rel_tol, args.abs_tol, groups)
              for a in firsts for b in seconds for T in t_grid]
     rows = _run_tasks(_part_row, tasks, args.jobs)
@@ -236,11 +247,12 @@ def _cmd_sheet(args, parser):
 
 
 def _cmd_slab(args, parser):
+    if args.plasmon_out and (args.kmin <= 0.0 or args.kmax < args.kmin
+                             or args.kpts < 1):
+        parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")
     omegas_p, lengths = _sweep("slab", args, parser,
                                (args.omegap, "--omegap"), (args.L, "--L"))
     if args.plasmon_out:
-        if args.kmin <= 0.0 or args.kmax < args.kmin or args.kpts < 1:
-            parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")
         k_grid = (np.geomspace(args.kmin, args.kmax, args.kpts)
                   if args.kpts > 1 else np.array([args.kmin]))
         ptasks = [(wp, L, float(k))
@@ -256,6 +268,8 @@ def _cmd_scan(args, parser):
     t_grid = _temperature_grid(args, parser)
     omegas0 = _parse_range(args.omega0, "--omega0", parser)
     Omega0 = args.Omega0
+    _check_params(plasma_sheet.SheetParams, [(Omega0, w) for w in omegas0],
+                  parser)
     tasks = [(Omega0, w0, t_grid, args.rel_tol, args.abs_tol)
              for w0 in omegas0]
     rows = _run_tasks(_scan_row, tasks, args.jobs)

@@ -17,7 +17,7 @@ both evaluated in cancellation-free form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,16 +99,6 @@ class QuadSettings:
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
-    def with_tols(self, rel_tol: float | None = None,
-                  abs_tol: float | None = None) -> "QuadSettings":
-        """Copy with adjusted tolerances, keeping the error tracker."""
-        out = self
-        if rel_tol is not None:
-            out = replace(out, rel_tol=rel_tol)
-        if abs_tol is not None:
-            out = replace(out, abs_tol=abs_tol)
-        return out
-
     def report(self, err: float) -> None:
         if self.error_tracker is not None:
             self.error_tracker.update(err)
@@ -182,6 +172,10 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     QuadratureError
         If the adaptive scheme cannot reach the requested tolerance
         within ``max_subdivisions`` or the integrand misbehaves.
+
+    When the call with breakpoints fails, each piece between them is
+    integrated on its own at the same tolerances, and the sum is kept
+    if its summed error estimate meets the tolerance.
     """
     settings = settings or DEFAULT_SETTINGS
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -191,22 +185,33 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 
-    out = quad(
-        _checked(f), a, b,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
-        points=_inner_points(a, b, breakpoints),
-        full_output=1,
-    )
-    value, err, info = out[0], out[1], out[2]
-    if len(out) > 3 and err > settings.tolerance(value):
+    fc = _checked(f)
+    pts = _inner_points(a, b, breakpoints)
+
+    def run(lo: float, hi: float, points: list[float] | None = None):
+        return quad(fc, lo, hi, epsabs=settings.abs_tol,
+                    epsrel=settings.rel_tol,
+                    limit=settings.max_subdivisions, points=points,
+                    full_output=1)
+
+    out = run(a, b, pts)
+    value, err, evals = out[0], out[1], int(out[2]["neval"])
+    failed = len(out) > 3 and err > settings.tolerance(value)
+    if failed and pts:
+        # QUADPACK's breakpoint routine extrapolates over all pieces at
+        # once and can stall on roundoff that no single piece has.
+        pieces = [run(lo, hi) for lo, hi in zip([a, *pts], [*pts, b])]
+        value = math.fsum(p[0] for p in pieces)
+        err = math.fsum(p[1] for p in pieces)
+        evals += sum(int(p[2]["neval"]) for p in pieces)
+        failed = err > settings.tolerance(value)
+    if failed:
         raise QuadratureError(
             f"quadrature on [{a}, {b}] did not converge: {out[3]} "
             f"(value={value:.6e}, error={err:.3e})"
         )
     settings.report(err)
-    return QuadResult(value, err, int(info["neval"]))
+    return QuadResult(value, err, evals)
 
 
 def integrate_semiinf(f: Callable[[float], float], a: float,

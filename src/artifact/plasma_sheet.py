@@ -70,18 +70,14 @@ __all__ = [
     "h",
     "h_subtr",
     "shell_weight",
-    "subtraction_spec",
     "free_energy_channel",
     "entropy_channel",
     "free_energy_channel_raw",
-    "entropy_channel_raw",
     "spectral_sum_rule",
     "omega_sf",
     "plasmon_mode_residual",
     "surface_weight",
-    "plasmon_raw_coefficients",
     "plasmon_free_energy_raw",
-    "plasmon_entropy_raw",
     "plasmon_free_energy_subtr",
     "plasmon_entropy_subtr",
     "total",
@@ -295,15 +291,6 @@ def shell_weight(ch: str, params: SheetParams) -> float:
     return -0.5 * math.pi * params.omega0 ** 2
 
 
-def subtraction_spec(ch: str, params: SheetParams) -> SubtractionSpec:
-    """High-temperature terms removable from the raw channel free energy."""
-    Channel.validate(ch)
-    if ch == Channel.TE:
-        return SubtractionSpec(c3=-ZETA3 / (4.0 * math.pi),
-                               c2=params.Omega0 / 12.0)
-    return SubtractionSpec(c3=0.0, c2=params.Omega0 / 36.0)
-
-
 def _channel_integral(ch: str, T: float, params: SheetParams,
                       settings: QuadSettings, entropy: bool,
                       subtracted: bool, include_shell: bool) -> float:
@@ -323,28 +310,23 @@ def _channel_integral(ch: str, T: float, params: SheetParams,
 
 
 def free_energy_channel(ch: str, T: float, params: SheetParams,
-                        settings: QuadSettings | None = None,
-                        include_shell: bool = True) -> float:
+                        settings: QuadSettings | None = None) -> float:
     """Subtracted photonic free energy per unit area of one channel.
 
     F = (T / 2 pi^2) [ Int_0^inf omega^2 blog(omega/T) h_subtr d omega
         + shell_weight * blog(omega0/T) ].
 
     The shell point mass belongs to the channel's spectral measure but
-    not to the smooth derivative density; pass ``include_shell=False``
-    to get the bare continuum (what the defining (p, k) representation
-    integrates to).
+    not to the smooth derivative density.
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     return T * _channel_integral(ch, T, params, settings, entropy=False,
-                                 subtracted=True,
-                                 include_shell=include_shell)
+                                 subtracted=True, include_shell=True)
 
 
 def entropy_channel(ch: str, T: float, params: SheetParams,
-                    settings: QuadSettings | None = None,
-                    include_shell: bool = True) -> float:
+                    settings: QuadSettings | None = None) -> float:
     """Subtracted photonic entropy per unit area of one channel (-dF/dT).
 
     S = (1 / 2 pi^2) [ Int omega^2 g(omega/T) h_subtr d omega
@@ -355,7 +337,7 @@ def entropy_channel(ch: str, T: float, params: SheetParams,
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     return _channel_integral(ch, T, params, settings, entropy=True,
-                             subtracted=True, include_shell=include_shell)
+                             subtracted=True, include_shell=True)
 
 
 def free_energy_channel_raw(ch: str, T: float, params: SheetParams,
@@ -363,25 +345,17 @@ def free_energy_channel_raw(ch: str, T: float, params: SheetParams,
                             include_shell: bool = True) -> float:
     """Unsubtracted channel free energy, from the unsubtracted density.
 
-    Differs from the subtracted form by c3 T^3 + c2 T^2 with the
-    coefficients of ``subtraction_spec``; evaluated independently so the
+    Differs from the subtracted form by the growth c3 T^3 + c2 T^2 of
+    the channel's record in ``PARTS``; evaluated independently so the
     coefficients can be recovered by fitting rather than assumed.
+    Pass ``include_shell=False`` to get the bare continuum (what the
+    defining (p, k) representation integrates to).
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     return T * _channel_integral(ch, T, params, settings, entropy=False,
                                  subtracted=False,
                                  include_shell=include_shell)
-
-
-def entropy_channel_raw(ch: str, T: float, params: SheetParams,
-                        settings: QuadSettings | None = None,
-                        include_shell: bool = True) -> float:
-    """Unsubtracted channel entropy (-dF_raw/dT)."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return _channel_integral(ch, T, params, settings, entropy=True,
-                             subtracted=False, include_shell=include_shell)
 
 
 def _tail_coefficients(ch: str, params: SheetParams) -> tuple[float, float]:
@@ -463,14 +437,6 @@ def surface_weight(omega: float, params: SheetParams) -> float:
     return 2.0 * (omega * omega - params.ell2) / params.Omega0 ** 2
 
 
-def plasmon_raw_coefficients(params: SheetParams) -> tuple[float, float]:
-    """(c3, c5) of the raw plasmon free energy c3 T^3 + c5 T^5."""
-    w0, O0 = params.omega0, params.Omega0
-    c3 = -(1.0 - 2.0 * w0 * w0 / (O0 * O0)) * ZETA3 / (2.0 * math.pi)
-    c5 = -6.0 * ZETA5 / (math.pi * O0 * O0)
-    return c3, c5
-
-
 def _plasmon_integral(T: float, params: SheetParams,
                       settings: QuadSettings, entropy: bool,
                       lo: float, hi: float) -> float:
@@ -497,23 +463,14 @@ def plasmon_free_energy_raw(T: float, params: SheetParams,
 
     The lower limit is the band edge in frequency: ell =
     sqrt(omega0^2 - Omega0^2/2) when positive, else 0.  Equals
-    c3 T^3 + c5 T^5 + subtracted part as an algebraic identity.
+    the sf record's growth c3 T^3 + c5 T^5 plus the subtracted part as
+    an algebraic identity.
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     hi = max(40.0 * T, 50.0 * params.scale())
     return T * _plasmon_integral(T, params, settings, False, lo, hi)
-
-
-def plasmon_entropy_raw(T: float, params: SheetParams,
-                        settings: QuadSettings | None = None) -> float:
-    """Raw plasmon entropy, (1/2 pi) Int_max(0, ell) omega X g."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    lo = _band_edge(params)
-    hi = max(40.0 * T, 50.0 * params.scale())
-    return _plasmon_integral(T, params, settings, True, lo, hi)
 
 
 def plasmon_free_energy_subtr(T: float, params: SheetParams,
@@ -548,17 +505,25 @@ def plasmon_entropy_subtr(T: float, params: SheetParams,
 
 
 # Lambdas of (T, params, settings), so every call looks the part's
-# function up in this module.
+# function up in this module.  The growth of the photonic channels is
+# what h - h_subtr integrates to; the plasmon's is the full-band integral.
 PARTS = (
     Part("TE", "TE", ("F_TE_subtr", "S_TE_subtr"),
          lambda T, p, s: free_energy_channel(Channel.TE, T, p, s),
-         lambda T, p, s: entropy_channel(Channel.TE, T, p, s)),
+         lambda T, p, s: entropy_channel(Channel.TE, T, p, s),
+         lambda p: SubtractionSpec(c3=-ZETA3 / (4.0 * math.pi),
+                                   c2=p.Omega0 / 12.0)),
     Part("TM", "TM", ("F_TM_subtr", "S_TM_subtr"),
          lambda T, p, s: free_energy_channel(Channel.TM, T, p, s),
-         lambda T, p, s: entropy_channel(Channel.TM, T, p, s)),
+         lambda T, p, s: entropy_channel(Channel.TM, T, p, s),
+         lambda p: SubtractionSpec(c2=p.Omega0 / 36.0)),
     Part("sf", "sf", ("F_sf_subtr", "S_sf_subtr"),
          lambda T, p, s: plasmon_free_energy_subtr(T, p, s),
-         lambda T, p, s: plasmon_entropy_subtr(T, p, s)),
+         lambda T, p, s: plasmon_entropy_subtr(T, p, s),
+         lambda p: SubtractionSpec(
+             c3=(-(1.0 - 2.0 * p.omega0 * p.omega0 / (p.Omega0 * p.Omega0))
+                 * ZETA3 / (2.0 * math.pi)),
+             c5=-6.0 * ZETA5 / (math.pi * p.Omega0 * p.Omega0))),
 )
 
 
@@ -628,7 +593,7 @@ def heat_kernel_coeffs(params: SheetParams) -> HeatKernelSet:
         Channel.TE: rt_pi * (O0 * O0 - 2.0 * w0 * w0),
         Channel.TM: 2.0 * rt_pi * x * x / (O0 * O0) if x > 0.0 else 0.0,
     }
-    return HeatKernelSet(a_half, a_one, a_three_half, {}, {})
+    return HeatKernelSet(a_half, a_one, a_three_half, {})
 
 
 def heat_kernel_fit(params: SheetParams,
@@ -649,7 +614,7 @@ def heat_kernel_fit(params: SheetParams,
     if temperatures is None:
         s = params.scale()
         temperatures = tuple(np.geomspace(100.0 * s, 1000.0 * s, 12))
-    c3_sf, _ = plasmon_raw_coefficients(params)
+    c3_sf = Part.named(PARTS, "sf").growth(params).c3
     samples: dict[str, list[tuple[float, float]]] = {
         Channel.TE: [], Channel.TM: []}
     for T in temperatures:

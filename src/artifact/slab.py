@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .numkernel import (
     DEFAULT_SETTINGS,
@@ -52,6 +52,7 @@ from .spectral import (
     SubtractionSpec,
     ThermoPoint,
     ZETA3,
+    ZETA5,
 )
 
 __all__ = [
@@ -85,22 +86,18 @@ __all__ = [
     "thickness_series",
     "F_exp",
     "F_exp_subtr",
-    "S_exp",
     "S_exp_subtr",
     "F_exp_defining",
     "validate_exp_part",
     "plasmon_dispersion",
     "plasmon_mode_residual",
     "single_surface_mode",
-    "subtraction_spec",
     "total",
     "surface_te_channel",
-    "PART_NAMES",
 ]
 
 # Constants of the low-temperature series.
 _EULER_GAMMA = 0.5772156649015329
-_ZETA5 = 1.0369277551433699
 # zeta'(4) / zeta(4), with zeta'(4) = -sum_{n>=2} log(n) / n^4
 _ZETA4_LOGDERIV = -0.06366976495537113
 
@@ -317,6 +314,19 @@ def validate_surface_weight(params: SlabParams, rel_tol: float = 1e-8) -> None:
     _H_VALIDATED.add(params.omega_p)
 
 
+def _surface_te_integral(T: float, params: SlabParams,
+                         settings: QuadSettings, entropy: bool) -> float:
+    weight = g if entropy else bose_log
+    wp = params.omega_p
+
+    def f(omega: float) -> float:
+        return (omega * weight(omega / T)
+                * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
+
+    return integrate_finite(f, 0.0, wp, settings,
+                            breakpoints=[T] if T < wp else []).value
+
+
 def F_s_TE(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TE surface free energy per unit area.
@@ -327,14 +337,7 @@ def F_s_TE(T: float, params: SlabParams,
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    wp = params.omega_p
-
-    def f(omega: float) -> float:
-        return (omega * bose_log(omega / T)
-                * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
-
-    val = integrate_finite(f, 0.0, wp, settings,
-                           breakpoints=[T] if T < wp else []).value
+    val = _surface_te_integral(T, params, settings, entropy=False)
     return -ZETA3 * T ** 3 / (2.0 * math.pi) - T * val / math.pi ** 2
 
 
@@ -343,14 +346,7 @@ def S_s_TE(T: float, params: SlabParams,
     """TE surface entropy per unit area (-dF/dT)."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    wp = params.omega_p
-
-    def f(omega: float) -> float:
-        return (omega * g(omega / T)
-                * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
-
-    val = integrate_finite(f, 0.0, wp, settings,
-                           breakpoints=[T] if T < wp else []).value
+    val = _surface_te_integral(T, params, settings, entropy=True)
     return 3.0 * ZETA3 * T ** 2 / (2.0 * math.pi) - val / math.pi ** 2
 
 
@@ -362,22 +358,39 @@ def F_s_TE_subtr(T: float, params: SlabParams,
     the corresponding entropy deficit is the slab's negative surface
     entropy.
     """
-    spec = subtraction_spec("s_TE", params)
+    spec = Part.named(PARTS, "s_TE").growth(params)
     return spec.free_energy(F_s_TE(T, params, settings), T)
 
 
 def S_s_TE_subtr(T: float, params: SlabParams,
                  settings: QuadSettings | None = None) -> float:
     """TE surface entropy beyond the T^2 term; -> -(omega_p^2/8 pi) log T."""
-    spec = subtraction_spec("s_TE", params)
+    spec = Part.named(PARTS, "s_TE").growth(params)
     return spec.entropy(S_s_TE(T, params, settings), T)
 
 
-def _s_tm_cut(T: float, params: SlabParams) -> tuple[float, list[float]]:
+def _surface_tm_integrals(T: float, params: SlabParams,
+                          settings: QuadSettings,
+                          entropy: bool) -> tuple[float, float]:
+    """Edge and bulk-moment integrals of the TM surface part."""
+    validate_surface_weight(params)
+    weight = g if entropy else bose_log
     wp = params.omega_p
+    a_int = integrate_finite(
+        lambda w: w * weight(w / T), 0.0, wp, settings,
+        breakpoints=[T] if T < wp else []).value
+
+    if entropy:
+        def f(w: float) -> float:
+            return w * w * bose_kernel(w / T) * h(w, params, settings)
+    else:
+        def f(w: float) -> float:
+            return w * bose_occupation(w / T) * h(w, params, settings)
+
     cut = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < cut]
-    return cut, pts
+    b_int = integrate_finite(f, 0.0, cut, settings, breakpoints=pts).value
+    return a_int, b_int
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -407,17 +420,8 @@ def F_s_TM(T: float, params: SlabParams,
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    validate_surface_weight(params)
-    wp = params.omega_p
-    a_int = integrate_finite(
-        lambda w: w * bose_log(w / T), 0.0, wp, settings,
-        breakpoints=[T] if T < wp else []).value
+    a_int, b_int = _surface_tm_integrals(T, params, settings, entropy=False)
     a_part = -ZETA3 * T ** 3 / (2.0 * math.pi) - T * a_int / (4.0 * math.pi)
-
-    cut, pts = _s_tm_cut(T, params)
-    b_int = integrate_finite(
-        lambda w: w * bose_occupation(w / T) * h(w, params, settings),
-        0.0, cut, settings, breakpoints=pts).value
     return a_part - b_int / (2.0 * math.pi ** 2)
 
 
@@ -426,16 +430,7 @@ def S_s_TM(T: float, params: SlabParams,
     """TM surface entropy per unit area (-dF/dT)."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    validate_surface_weight(params)
-    wp = params.omega_p
-    a_int = integrate_finite(
-        lambda w: w * g(w / T), 0.0, wp, settings,
-        breakpoints=[T] if T < wp else []).value
-
-    cut, pts = _s_tm_cut(T, params)
-    b_int = integrate_finite(
-        lambda w: w * w * bose_kernel(w / T) * h(w, params, settings),
-        0.0, cut, settings, breakpoints=pts).value
+    a_int, b_int = _surface_tm_integrals(T, params, settings, entropy=True)
     return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
             - a_int / (4.0 * math.pi)
             + b_int / (2.0 * math.pi ** 2 * T * T))
@@ -444,14 +439,14 @@ def S_s_TM(T: float, params: SlabParams,
 def F_s_TM_subtr(T: float, params: SlabParams,
                  settings: QuadSettings | None = None) -> float:
     """TM surface free energy minus its T^3 and T^2 growth."""
-    spec = subtraction_spec("s_TM", params)
+    spec = Part.named(PARTS, "s_TM").growth(params)
     return spec.free_energy(F_s_TM(T, params, settings), T)
 
 
 def S_s_TM_subtr(T: float, params: SlabParams,
                  settings: QuadSettings | None = None) -> float:
     """TM surface entropy minus its T^2 and T terms."""
-    spec = subtraction_spec("s_TM", params)
+    spec = Part.named(PARTS, "s_TM").growth(params)
     return spec.entropy(S_s_TM(T, params, settings), T)
 
 
@@ -625,7 +620,7 @@ def h_L(omega: float, params: SlabParams,
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    settings = (settings or DEFAULT_SETTINGS).with_tols(rel_tol=1e-10)
+    settings = replace(settings or DEFAULT_SETTINGS, rel_tol=1e-10)
     wp = params.omega_p
 
     def f(p: float) -> float:
@@ -640,7 +635,7 @@ def h_L(omega: float, params: SlabParams,
 
 def _thickness_tm_integral(T: float, params: SlabParams,
                            settings: QuadSettings, entropy: bool) -> float:
-    outer = settings.with_tols(rel_tol=1e-8)
+    outer = replace(settings, rel_tol=1e-8)
     wp = params.omega_p
     # h_L decays fast enough that frequencies beyond ~60 omega_p are
     # negligible at every temperature; the thermal factor cuts earlier
@@ -720,10 +715,7 @@ def slab_constant_d(settings: QuadSettings | None = None,
         total_val = 0.0
         for lo, hi, lim in ((0.0, 1.0, 2000), (1.0, 10.0, 5000),
                             (10.0, 60.0, 20000)):
-            piece = QuadSettings(abs_tol=settings.abs_tol,
-                                 rel_tol=1e-8,
-                                 max_subdivisions=lim,
-                                 error_tracker=settings.error_tracker)
+            piece = replace(settings, rel_tol=1e-8, max_subdivisions=lim)
             total_val += integrate_finite(f, lo, hi, piece).value
         return -total_val / (2.0 * math.pi ** 2)
     if route != "TE":
@@ -735,10 +727,7 @@ def slab_constant_d(settings: QuadSettings | None = None,
     total_val = 0.0
     for lo, hi, lim in ((0.0, 1.0, 500), (1.0, 50.0, 5000),
                         (50.0, 2000.0, 20000)):
-        piece = QuadSettings(abs_tol=settings.abs_tol,
-                             rel_tol=settings.rel_tol,
-                             max_subdivisions=lim,
-                             error_tracker=settings.error_tracker)
+        piece = replace(settings, max_subdivisions=lim)
         total_val += integrate_finite(f, lo, hi, piece).value
     return total_val / (2.0 * math.pi ** 2)
 
@@ -759,9 +748,7 @@ def thickness_tlogt_coefficient(params: SlabParams,
 
     wp = params.omega_p
     val = integrate_finite(f, 0.0, wp, settings).value
-    big = QuadSettings(abs_tol=settings.abs_tol, rel_tol=settings.rel_tol,
-                       max_subdivisions=20000,
-                       error_tracker=settings.error_tracker)
+    big = replace(settings, max_subdivisions=20000)
     val += integrate_finite(f, wp, 2000.0 * wp, big).value
     return -val / (2.0 * math.pi ** 2)
 
@@ -795,7 +782,7 @@ class ThicknessSeries:
         1 + 360 zeta(5) B / (pi^4 A) T + (40 pi^2 / 21)(C / A) T^2, from
         Int_0^inf omega^n n(omega/T) d omega = n! zeta(n + 1) T^(n+1).
         """
-        return (1.0 + 360.0 * _ZETA5 * self.B / (math.pi ** 4 * self.a1) * T
+        return (1.0 + 360.0 * ZETA5 * self.B / (math.pi ** 4 * self.a1) * T
                 + (40.0 * math.pi ** 2 / 21.0) * (self.C / self.a1) * T * T)
 
 
@@ -876,7 +863,7 @@ def validate_exp_part(params: SlabParams, rel_tol: float = 1e-6) -> None:
     T = params.omega_p
     closed = (params.L * T * _exp_integral(T, params, DEFAULT_SETTINGS, False)
               / (2.0 * math.pi ** 2)
-              + params.omega_p ** 2 * params.L * T * T / 24.0)
+              + Part.named(PARTS, "exp").growth(params).c2 * T ** 2)
     defining = F_exp_defining(T, params)
     if abs(closed - defining) > rel_tol * max(abs(defining), 1e-12):
         raise QuadratureError(
@@ -907,11 +894,12 @@ def F_exp(T: float, params: SlabParams,
           settings: QuadSettings | None = None) -> float:
     """Raw optical-path (exponential-tail) free energy per unit area.
 
-    Equals the subtracted form plus omega_p^2 L T^2 / 24; tends to the
-    black-body-like + (pi^2/90) L T^4 as T -> 0.
+    Equals the subtracted form plus the exp record's growth
+    omega_p^2 L T^2 / 24; tends to the black-body-like + (pi^2/90) L T^4
+    as T -> 0.
     """
     return (F_exp_subtr(T, params, settings)
-            + params.omega_p ** 2 * params.L * T * T / 24.0)
+            + Part.named(PARTS, "exp").growth(params).c2 * T ** 2)
 
 
 def S_exp_subtr(T: float, params: SlabParams,
@@ -922,13 +910,6 @@ def S_exp_subtr(T: float, params: SlabParams,
     validate_exp_part(params)
     return (params.L * _exp_integral(T, params, settings, True)
             / (2.0 * math.pi ** 2))
-
-
-def S_exp(T: float, params: SlabParams,
-          settings: QuadSettings | None = None) -> float:
-    """Raw optical-path entropy (-dF_exp/dT)."""
-    return (S_exp_subtr(T, params, settings)
-            - params.omega_p ** 2 * params.L * T / 12.0)
 
 
 def F_exp_defining(T: float, params: SlabParams,
@@ -1047,30 +1028,18 @@ def plasmon_mode_residual(omega: float, k: float,
     return abs(1.0 - rho * rho * math.exp(-2.0 * gam * params.L))
 
 
-def subtraction_spec(part: str, params: SlabParams) -> SubtractionSpec:
-    """High-temperature terms removable from a raw slab part."""
-    wp, L = params.omega_p, params.L
-    if part == "s_TE":
-        return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi), c2=0.0)
-    if part == "s_TM":
-        return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi),
-                               c2=(4.0 - math.pi) * wp / 24.0)
-    if part in ("L_TE", "L_TM"):
-        return SubtractionSpec()
-    if part == "exp":
-        return SubtractionSpec(c3=0.0, c2=wp * wp * L / 24.0)
-    raise ValueError(f"unknown slab part {part!r}; have {PART_NAMES}")
-
-
 # Lambdas of (T, params, settings), so every call looks the part's
-# function up in this module.
+# function up in this module.  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda T, p, s: F_s_TE_subtr(T, p, s),
-         lambda T, p, s: S_s_TE_subtr(T, p, s)),
+         lambda T, p, s: S_s_TE_subtr(T, p, s),
+         lambda p: SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
          lambda T, p, s: F_s_TM_subtr(T, p, s),
-         lambda T, p, s: S_s_TM_subtr(T, p, s)),
+         lambda T, p, s: S_s_TM_subtr(T, p, s),
+         lambda p: SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi),
+                                   c2=(4.0 - math.pi) * p.omega_p / 24.0)),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
          lambda T, p, s: F_L_TE(T, p, s),
          lambda T, p, s: S_L(Channel.TE, T, p, s)),
@@ -1079,9 +1048,9 @@ PARTS = (
          lambda T, p, s: S_L(Channel.TM, T, p, s)),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
          lambda T, p, s: F_exp_subtr(T, p, s),
-         lambda T, p, s: S_exp_subtr(T, p, s)),
+         lambda T, p, s: S_exp_subtr(T, p, s),
+         lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),
 )
-PART_NAMES = tuple(part.name for part in PARTS)
 
 
 def total(T: float, params: SlabParams,

@@ -38,7 +38,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .numkernel import (
     DEFAULT_SETTINGS,
-    AsymptoticFit,
     QuadSettings,
     _check_T,
     bose_log,
@@ -128,16 +127,23 @@ class ScatteringChannel:
 
 @dataclass(frozen=True)
 class SubtractionSpec:
-    """Removable high-temperature terms c3*T^3 + c2*T^2 of one part."""
+    """Removable high-temperature terms c3*T^3 + c2*T^2 + c5*T^5 of one part.
+
+    Only the sheet plasmon has a T^5 term; a zero c5 is skipped, so it
+    never overflows at large T.
+    """
 
     c3: float = 0.0
     c2: float = 0.0
+    c5: float = 0.0
 
     def free_energy(self, raw: float, T: float) -> float:
-        return raw - self.c3 * T ** 3 - self.c2 * T ** 2
+        out = raw - self.c3 * T ** 3 - self.c2 * T ** 2
+        return out - self.c5 * T ** 5 if self.c5 else out
 
     def entropy(self, raw: float, T: float) -> float:
-        return raw + 3.0 * self.c3 * T ** 2 + 2.0 * self.c2 * T
+        out = raw + 3.0 * self.c3 * T ** 2 + 2.0 * self.c2 * T
+        return out + 5.0 * self.c5 * T ** 4 if self.c5 else out
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,9 @@ class Part:
     models build them as lambdas over their public functions, so each
     call looks the function up in the model's module at call time.
     ``group`` is the name that selects the part in ``thermo --parts``;
-    ``columns`` are its F and S columns in the CSV output.
+    ``columns`` are its F and S columns in the CSV output.  ``growth``
+    maps the model's parameters to the high-temperature polynomial that
+    ``F`` and ``S`` have removed: raw F = F + growth; zero by default.
     """
 
     name: str
@@ -157,6 +165,12 @@ class Part:
     columns: tuple[str, str]
     F: Callable[[float, Any, QuadSettings], float]
     S: Callable[[float, Any, QuadSettings], float]
+    growth: Callable[[Any], SubtractionSpec] = lambda params: SubtractionSpec()
+
+    @staticmethod
+    def named(parts: Sequence["Part"], name: str) -> "Part":
+        """The record called ``name`` in a model's ``PARTS``."""
+        return next(p for p in parts if p.name == name)
 
 
 @dataclass(frozen=True)
@@ -285,13 +299,12 @@ def expansion_from_heat_kernel(a_half: float, a_one: float,
 
 @dataclass(frozen=True)
 class HeatKernelSet:
-    """Heat-kernel coefficients per part, with fit diagnostics."""
+    """Heat-kernel coefficients per part, with fit residuals."""
 
     a_half: dict[str, float]
     a_one: dict[str, float]
     a_three_half: dict[str, float]
     fit_residuals: dict[str, float]
-    fits: dict[str, AsymptoticFit]
 
 
 def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]],
@@ -317,7 +330,6 @@ def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]],
     a_one: dict[str, float] = {}
     a_three_half: dict[str, float] = {}
     resid: dict[str, float] = {}
-    fits: dict[str, AsymptoticFit] = {}
     for name, data in samples.items():
         fit = fit_asymptotic(data, basis)
         ah, a1, a32 = heat_kernel_from_expansion(
@@ -327,8 +339,7 @@ def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]],
         a_one[name] = a1
         a_three_half[name] = a32
         resid[name] = fit.residual_norm
-        fits[name] = fit
-    return HeatKernelSet(a_half, a_one, a_three_half, resid, fits)
+    return HeatKernelSet(a_half, a_one, a_three_half, resid)
 
 
 def validate_channel_derivative(ch: ScatteringChannel,

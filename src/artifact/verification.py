@@ -188,9 +188,9 @@ def _sheet_defining_checks(settings):
     # exact cubic/quintic polynomial in T, so the raw value must equal
     # those closed terms plus the finite subtraction integral.
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=1.0)
-    c3, c5 = plasma_sheet.plasmon_raw_coefficients(params)
+    growth = spectral.Part.named(plasma_sheet.PARTS, "sf").growth(params)
     raw = plasma_sheet.plasmon_free_energy_raw(T, params, settings)
-    ident = (c3 * T ** 3 + c5 * T ** 5
+    ident = (growth.c3 * T ** 3 + growth.c5 * T ** 5
              + plasma_sheet.plasmon_free_energy_subtr(T, params, settings))
     out.append(_below(
         "oracle", "sheet plasmon raw vs polynomial + finite integral",

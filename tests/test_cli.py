@@ -117,6 +117,18 @@ def test_scan_row_with_omega0_next_to_a_breakpoint(tmp_path):
     assert math.isfinite(float(row["S_total_min"]))
 
 
+def test_scan_through_a_breakpoint_roundoff_point(tmp_path):
+    # this grid meets a TM entropy integral on which QUADPACK's
+    # breakpoint routine stalls on roundoff at omega0 = 0.5435...
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["scan", "--omega0",
+                   "0.5435269975350088:1.4435269975350087:10",
+                   "--tmin", "0.0076685312525454396", "--tmax", "1000",
+                   "--tpts", "7.8196968577745585", "--out", str(out)])
+    assert rc == 0
+    assert all(r["quad_error"] != "failed" for r in _read_csv(out))
+
+
 def test_verify_json_and_exit_code(capsys):
     rc = cli.main(["verify", "nernst"])
     assert rc == 0
@@ -165,8 +177,17 @@ def test_config_defaults_and_override(tmp_path):
     ["slab", "--parts", "bulk"],
     ["verify", "bogus"],
     ["sheet", "--omega0", "1:2"],
+    ["sheet", "--Omega0", "0"],
+    ["sheet", "--omega0", "-0.5"],
+    ["slab", "--L", "0"],
+    ["scan", "--omega0", "-1"],
+    ["slab", "--plasmon-out", "x", "--kpts", "0"],
 ])
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a usage error must stop before any work")
+
+    monkeypatch.setattr(cli, "_run_tasks", no_work)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

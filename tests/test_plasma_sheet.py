@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import plasma_sheet as ps
 from artifact.numkernel import DEFAULT_SETTINGS
-from artifact.spectral import Channel
+from artifact.spectral import Channel, Part
 
 ZETA3 = 1.2020569031595943
+ZETA5 = 1.0369277551433699
 
 P05 = ps.SheetParams(Omega0=1.0, omega0=0.5)
 P13 = ps.SheetParams(Omega0=1.0, omega0=1.3)
@@ -150,13 +151,22 @@ def test_shell_weight():
     assert ps.shell_weight(Channel.TE, P00) == 0.0
 
 
-def test_subtraction_coefficients():
-    te = ps.subtraction_spec(Channel.TE, P05)
-    tm = ps.subtraction_spec(Channel.TM, P05)
-    assert te.c3 == pytest.approx(-ZETA3 / (4.0 * math.pi), rel=1e-15)
-    assert te.c2 == pytest.approx(1.0 / 12.0, rel=1e-15)
-    assert tm.c3 == 0.0
-    assert tm.c2 == pytest.approx(1.0 / 36.0, rel=1e-15)
+@pytest.mark.parametrize("params", [P05, ps.SheetParams(Omega0=2.0,
+                                                       omega0=1.3)],
+                         ids=["P05", "P2_13"])
+def test_growth_coefficients(params):
+    # (c3, c2, c5) of each part's record, written out independently
+    O0, w0 = params.Omega0, params.omega0
+    expected = {
+        "TE": (-ZETA3 / (4.0 * math.pi), O0 / 12.0, 0.0),
+        "TM": (0.0, O0 / 36.0, 0.0),
+        "sf": (-(1.0 - 2.0 * (w0 / O0) ** 2) * ZETA3 / (2.0 * math.pi), 0.0,
+               -6.0 * ZETA5 / (math.pi * O0 ** 2)),
+    }
+    for part in ps.PARTS:
+        g = part.growth(params)
+        assert (g.c3, g.c2, g.c5) == pytest.approx(expected[part.name],
+                                                   rel=1e-14)
 
 
 @pytest.mark.parametrize("params", [P00, P05, P13])
@@ -176,14 +186,28 @@ def test_tm_sum_rule_vanishes_with_shell():
     assert cont == pytest.approx(0.5 * math.pi * 0.25, abs=1e-9)
 
 
-def test_raw_minus_subtracted_is_polynomial():
-    T = 0.8
-    for ch in (Channel.TE, Channel.TM):
-        spec = ps.subtraction_spec(ch, P05)
-        raw = ps.free_energy_channel_raw(ch, T, P05)
-        sub = ps.free_energy_channel(ch, T, P05)
-        assert raw - sub == pytest.approx(spec.c3 * T ** 3 + spec.c2 * T ** 2,
-                                          rel=1e-10)
+# Raw free energy of each part by a route independent of its subtracted
+# form (the unsubtracted density, the full plasmon band), and the
+# relative tolerance that route reaches.
+RAW_ROUTES = {
+    "TE": (lambda T, p: ps.free_energy_channel_raw(Channel.TE, T, p), 1e-10),
+    "TM": (lambda T, p: ps.free_energy_channel_raw(Channel.TM, T, p), 1e-10),
+    "sf": (ps.plasmon_free_energy_raw, 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", list(RAW_ROUTES))
+@pytest.mark.parametrize("params", [P05, ps.SheetParams(Omega0=1.0,
+                                                       omega0=1.0)],
+                         ids=["P05", "P10"])
+def test_raw_minus_subtracted_is_growth(name, params):
+    part = Part.named(ps.PARTS, name)
+    raw_F, rel = RAW_ROUTES[name]
+    g = part.growth(params)
+    for T in (0.3, 0.8, 4.0):
+        sub = part.F(T, params, DEFAULT_SETTINGS)
+        assert raw_F(T, params) - sub == pytest.approx(
+            g.c3 * T ** 3 + g.c2 * T ** 2 + g.c5 * T ** 5, rel=rel)
 
 
 def test_omega_sf_band_edge_and_monotonicity():
@@ -205,17 +229,6 @@ def test_omega_sf_solves_mode_equation(w0, dk):
     assert ps.plasmon_mode_residual(w0 + dk, params) < 1e-10 * (1.0 + dk) ** 2
 
 
-def test_plasmon_raw_identity():
-    # raw = c3 T^3 + c5 T^5 + subtracted remainder, exactly
-    params = ps.SheetParams(Omega0=1.0, omega0=1.0)
-    c3, c5 = ps.plasmon_raw_coefficients(params)
-    for T in (0.3, 1.0, 4.0):
-        raw = ps.plasmon_free_energy_raw(T, params)
-        sub = ps.plasmon_free_energy_subtr(T, params)
-        assert raw == pytest.approx(c3 * T ** 3 + c5 * T ** 5 + sub,
-                                    rel=1e-8)
-
-
 def test_plasmon_subtr_vanishes_below_threshold():
     # band bottom at sqrt(omega0^2 - Omega0^2/2) requires
     # omega0 > Omega0/sqrt(2)
@@ -229,6 +242,7 @@ def test_total_breakdown_sums():
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
     point = ps.total(1.3, params)
     assert point.names == ("TE", "TM", "sf")
+    assert point.names == tuple(p.name for p in ps.PARTS)
     (F_TE, S_TE), (F_TM, S_TM), (F_sf, S_sf) = map(point.part, point.names)
     assert point.F_total == pytest.approx(F_TE + F_TM + F_sf, rel=1e-15)
     assert point.S_total == pytest.approx(S_TE + S_TM + S_sf, rel=1e-15)
@@ -279,3 +293,28 @@ def test_invalid_temperature_rejected():
         ps.free_energy_channel(Channel.TE, 0.0, P05)
     with pytest.raises(ValueError):
         ps.entropy_channel(Channel.TM, -1.0, P05)
+
+
+@given(lam=st.floats(min_value=0.3, max_value=3.0),
+       t=st.floats(min_value=0.05, max_value=20.0),
+       w0=st.floats(min_value=0.0, max_value=1.5))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_unit_scaling(lam, t, w0):
+    # T, Omega0, omega0 -> lam *: F scales as lam^3 and S as lam^2.  The
+    # absolute quadrature tolerance does not scale, hence T >= 0.05 scale.
+    base = ps.SheetParams(Omega0=1.0, omega0=w0)
+    scaled = ps.SheetParams(Omega0=lam, omega0=lam * w0)
+    T = t * base.scale()
+    for part in ps.PARTS:
+        assert part.F(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
+            lam ** 3 * part.F(T, base, DEFAULT_SETTINGS), rel=1e-9)
+        assert part.S(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
+            lam ** 2 * part.S(T, base, DEFAULT_SETTINGS), rel=1e-9)
+
+
+def test_tm_entropy_survives_breakpoint_roundoff():
+    # QUADPACK's breakpoint routine stalls on roundoff here; the four
+    # pieces between the breakpoints converge one by one.
+    params = ps.SheetParams(Omega0=1.0, omega0=0.5435269975350088)
+    S = ps.entropy_channel(Channel.TM, 0.013818998899930629, params)
+    assert S == pytest.approx(7.716634706111e-04, rel=1e-12)

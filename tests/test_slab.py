@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from artifact import slab
 from artifact.numkernel import DEFAULT_SETTINGS, QuadSettings
-from artifact.spectral import ZETA3, Channel
+from artifact.spectral import ZETA3, ZETA5, Channel, Part
 
 P1 = slab.SlabParams(omega_p=1.0, L=1.0)
 
@@ -119,7 +119,7 @@ def test_series_constants():
     assert slab._ZETA4_LOGDERIV == pytest.approx(
         zeta4_prime / (math.pi ** 4 / 90.0), rel=1e-10)
     zeta5 = 1.0 + sum(1.0 / k ** 5 for k in n) + 1.0 / (4.0 * 2000 ** 4)
-    assert slab._ZETA5 == pytest.approx(zeta5, rel=1e-12)
+    assert ZETA5 == pytest.approx(zeta5, rel=1e-12)
 
 
 def test_low_T_laws_with_corrections():
@@ -143,6 +143,14 @@ def test_exp_part_scales_linearly_in_L():
     a = slab.S_exp_subtr(3.0, slab.SlabParams(omega_p=1.0, L=1.0))
     b = slab.S_exp_subtr(3.0, slab.SlabParams(omega_p=1.0, L=2.0))
     assert b == pytest.approx(2.0 * a, rel=1e-10)
+
+
+@given(a=st.floats(min_value=0.3, max_value=3.0),
+       T=st.floats(min_value=0.05, max_value=20.0))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_F_exp_subtr_linear_in_L(a, T):
+    b = slab.F_exp_subtr(T, slab.SlabParams(omega_p=1.0, L=a))
+    assert b == pytest.approx(a * slab.F_exp_subtr(T, P1), rel=1e-9)
 
 
 def test_F_exp_offset_identity():
@@ -172,20 +180,45 @@ def test_S_L_plateau():
         5.936265e-4, rel=1e-3)
 
 
-def test_subtraction_specs():
+@pytest.mark.parametrize("params", [P1, slab.SlabParams(omega_p=2.0,
+                                                       L=0.7)],
+                         ids=["P1", "P2_07"])
+def test_growth_coefficients(params):
+    # (c3, c2, c5) of each part's record, written out independently
     zeta3 = 1.2020569031595943
-    s_te = slab.subtraction_spec("s_TE", P1)
-    s_tm = slab.subtraction_spec("s_TM", P1)
-    exp = slab.subtraction_spec("exp", P1)
-    assert s_te.c3 == pytest.approx(-zeta3 / (2.0 * math.pi), rel=1e-15)
-    assert s_te.c2 == 0.0
-    assert s_tm.c3 == s_te.c3
-    assert s_tm.c2 == pytest.approx((4.0 - math.pi) / 24.0, rel=1e-15)
-    assert slab.subtraction_spec("L_TE", P1) == slab.subtraction_spec(
-        "L_TM", P1)
-    assert exp.c2 == pytest.approx(1.0 / 24.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        slab.subtraction_spec("bulk", P1)
+    wp, L = params.omega_p, params.L
+    expected = {
+        "s_TE": (-zeta3 / (2.0 * math.pi), 0.0, 0.0),
+        "s_TM": (-zeta3 / (2.0 * math.pi), (4.0 - math.pi) * wp / 24.0, 0.0),
+        "L_TE": (0.0, 0.0, 0.0),
+        "L_TM": (0.0, 0.0, 0.0),
+        "exp": (0.0, wp * wp * L / 24.0, 0.0),
+    }
+    for part in slab.PARTS:
+        g = part.growth(params)
+        assert (g.c3, g.c2, g.c5) == pytest.approx(expected[part.name],
+                                                   rel=1e-14)
+
+
+# Raw surface parts, with the closed T^3 term of their edge piece.
+RAW_ROUTES = {"s_TE": (slab.F_s_TE, slab.S_s_TE),
+              "s_TM": (slab.F_s_TM, slab.S_s_TM)}
+
+
+@pytest.mark.parametrize("name", list(RAW_ROUTES))
+def test_raw_minus_subtracted_is_growth(name):
+    part = Part.named(slab.PARTS, name)
+    raw_F, raw_S = RAW_ROUTES[name]
+    g = part.growth(P1)
+    for T in (0.5, 4.0):
+        F_sub = part.F(T, P1, DEFAULT_SETTINGS)
+        S_sub = part.S(T, P1, DEFAULT_SETTINGS)
+        assert raw_F(T, P1) - F_sub == pytest.approx(
+            g.c3 * T ** 3 + g.c2 * T ** 2, rel=1e-10)
+        assert raw_S(T, P1) - S_sub == pytest.approx(
+            -3.0 * g.c3 * T ** 2 - 2.0 * g.c2 * T, rel=1e-10)
+    # the growth is all the T^3 and T^2 there is: the rest is T log T
+    assert abs(part.F(1e3, P1, DEFAULT_SETTINGS)) < 1e-3 * 1e3 ** 2
 
 
 def test_single_surface_mode():
@@ -230,7 +263,7 @@ def test_plasmon_large_L_merges_to_single_surface():
 def test_total_breakdown_sums():
     point = slab.total(1.0, P1)
     assert point.names == ("s_TE", "s_TM", "L_TE", "L_TM", "exp")
-    assert point.names == slab.PART_NAMES
+    assert point.names == tuple(p.name for p in slab.PARTS)
     F = {name: point.part(name)[0] for name in point.names}
     total_F = F["s_TE"] + F["s_TM"] + F["L_TE"] + F["L_TM"] + F["exp"]
     assert point.F_total == pytest.approx(total_F, rel=1e-15)
@@ -247,3 +280,27 @@ def test_invalid_temperature_rejected():
         slab.F_s_TE(0.0, P1)
     with pytest.raises(ValueError):
         slab.F_exp(-2.0, P1)
+
+
+def _check_unit_scaling(part, lam, T):
+    # T, omega_p -> lam *, L -> L / lam: F scales as lam^3, S as lam^2
+    scaled = slab.SlabParams(omega_p=lam, L=1.0 / lam)
+    assert part.F(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
+        lam ** 3 * part.F(T, P1, DEFAULT_SETTINGS), rel=1e-9)
+    assert part.S(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
+        lam ** 2 * part.S(T, P1, DEFAULT_SETTINGS), rel=1e-9)
+
+
+@given(lam=st.floats(min_value=0.3, max_value=3.0),
+       T=st.floats(min_value=0.05, max_value=20.0))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_unit_scaling(lam, T):
+    # The absolute quadrature tolerance does not scale, hence T >= 0.05.
+    for part in slab.PARTS:
+        if part.name != "L_TM":
+            _check_unit_scaling(part, lam, T)
+
+
+def test_unit_scaling_thickness_tm():
+    # one point only: the nested quadrature costs about 1.4 s here
+    _check_unit_scaling(Part.named(slab.PARTS, "L_TM"), 2.0, 1.0)

@@ -20,12 +20,15 @@ Subcommands
 
 All numeric output is formatted with 12 significant digits and repeat
 runs with identical flags produce bit-identical files.  A ``--config``
-JSON file may hold any long-flag values; explicit flags win.
+JSON file may hold any long-flag values; explicit flags win.  A config
+file that cannot be read, is not a JSON object or has a key that names no
+long flag is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -196,12 +199,8 @@ def _run_tasks(worker, tasks, jobs):
 
 
 def _write_csv(path, header, rows):
-    if path == "-":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -324,7 +323,16 @@ def _cmd_verify(args, parser):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, defaults):
+def _add_tolerances(sub):
+    sub.add_argument("--rel-tol", type=float, default=1e-9,
+                     dest="rel_tol", help="quadrature relative tolerance")
+    sub.add_argument("--abs-tol", type=float, default=1e-12,
+                     dest="abs_tol", help="quadrature absolute tolerance")
+    sub.add_argument("--config", default=None,
+                     help="JSON file of flag defaults (explicit flags win)")
+
+
+def _add_common(sub):
     sub.add_argument("--tmin", type=float, default=1e-2,
                      help="lowest temperature (default 1e-2)")
     sub.add_argument("--tmax", type=float, default=1e2,
@@ -335,35 +343,14 @@ def _add_common(sub, defaults):
                      help="output CSV path, '-' for stdout")
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes (default 1)")
-    sub.add_argument("--rel-tol", type=float, default=1e-9,
-                     dest="rel_tol", help="quadrature relative tolerance")
-    sub.add_argument("--abs-tol", type=float, default=1e-12,
-                     dest="abs_tol", help="quadrature absolute tolerance")
+    _add_tolerances(sub)
     sub.add_argument("--scale", type=float, default=1.0,
                      help="frequency unit for labels only; never enters "
                           "the computation")
-    sub.add_argument("--config", default=None,
-                     help="JSON file of flag defaults (explicit flags win)")
-    if defaults:
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
 
 
-def _peek_config(argv):
-    cfg = {}
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        else:
-            continue
-        with open(path) as fh:
-            cfg = json.load(fh)
-    return cfg
-
-
-def _build_parser(defaults):
+def _build_parser():
+    """The ``thermo`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="thermo",
         description="Finite-temperature Casimir free energy and entropy "
@@ -377,7 +364,7 @@ def _build_parser(defaults):
                        help="resonance frequency, value or range")
     sheet.add_argument("--parts", default="TE,TM,sf",
                        help="comma list from {TE,TM,sf}")
-    _add_common(sheet, defaults)
+    _add_common(sheet)
     sheet.set_defaults(driver=_cmd_sheet)
 
     slab_p = subs.add_parser("slab", help="sweep the slab model")
@@ -393,7 +380,7 @@ def _build_parser(defaults):
     slab_p.add_argument("--kmin", type=float, default=0.1)
     slab_p.add_argument("--kmax", type=float, default=10.0)
     slab_p.add_argument("--kpts", type=int, default=64)
-    _add_common(slab_p, defaults)
+    _add_common(slab_p)
     slab_p.set_defaults(driver=_cmd_slab)
 
     scan = subs.add_parser("scan",
@@ -401,34 +388,51 @@ def _build_parser(defaults):
     scan.add_argument("--Omega0", type=float, default=1.0)
     scan.add_argument("--omega0", default="0.6:0.95:71",
                       help="omega0 range (default 0.6:0.95:71)")
-    _add_common(scan, defaults)
-    scan.set_defaults(tmax=1e3, tpts=32.0)
-    if defaults:
-        known = {a.dest for a in scan._actions}
-        scan.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    scan.set_defaults(driver=_cmd_scan)
+    _add_common(scan)
+    scan.set_defaults(tmax=1e3, tpts=32.0, driver=_cmd_scan)
 
     verify = subs.add_parser("verify", help="run acceptance-check suites")
     verify.add_argument("suites", nargs="*",
                         help="suites to run from {%s, all} (default: all)"
                              % ", ".join(verification.SUITES))
-    verify.add_argument("--rel-tol", type=float, default=1e-9, dest="rel_tol")
-    verify.add_argument("--abs-tol", type=float, default=1e-12,
-                        dest="abs_tol")
-    verify.add_argument("--config", default=None)
-    if defaults:
-        known = {a.dest for a in verify._actions}
-        verify.set_defaults(**{k: v for k, v in defaults.items()
-                               if k in known})
+    _add_tolerances(verify)
     verify.set_defaults(driver=_cmd_verify)
-    return parser
+    return parser, subs.choices
+
+
+def _apply_config(argv, parser, commands):
+    """Set the ``--config`` file's values as defaults of every subcommand.
+
+    Keys are long-flag destinations (``rel_tol`` for ``--rel-tol``); a
+    missing file, invalid JSON, a non-object or an unknown key exits 2.
+    """
+    pre = argparse.ArgumentParser(prog="thermo", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {path} must hold a JSON object")
+    flags = {cmd: {a.dest for a in sub._actions
+                   if a.option_strings and a.dest != "help"}
+             for cmd, sub in commands.items()}
+    unknown = sorted(set(cfg).difference(*flags.values()))
+    if unknown:
+        parser.error(f"unknown keys in --config {path}: {', '.join(unknown)}")
+    for cmd, sub in commands.items():
+        sub.set_defaults(**{k: v for k, v in cfg.items() if k in flags[cmd]})
 
 
 def main(argv=None):
     """Entry point for the ``thermo`` console script."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = _peek_config(argv)
-    parser = _build_parser(defaults)
+    parser, commands = _build_parser()
+    _apply_config(argv, parser, commands)
     args = parser.parse_args(argv)
     return args.driver(args, parser)
 

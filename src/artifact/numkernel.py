@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Relative integrand size at which the truncation scan of a semi-infinite
+# integral stops doubling the cutoff.
+_SEMIINF_DECAY_CUT = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -81,9 +84,6 @@ class QuadSettings:
         when its error estimate is below ``max(abs_tol, rel_tol*|value|)``.
     max_subdivisions : int
         Adaptive subdivision budget per quadrature call.
-    semiinf_decay_cut : float
-        Relative integrand size at which the truncation scan of a
-        semi-infinite integral stops doubling the cutoff.
     error_tracker : ErrorTracker, optional
         When set, every quadrature reports its error estimate here.
     """
@@ -91,7 +91,6 @@ class QuadSettings:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
     max_subdivisions: int = 2000
-    semiinf_decay_cut: float = 1e-12
     error_tracker: ErrorTracker | None = field(
         default=None, compare=False, repr=False
     )
@@ -221,7 +220,7 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
     """Integrate a decaying ``f`` over [a, infinity).
 
     The cutoff is found by scanning octaves of ``scale`` until the
-    integrand has fallen below ``semiinf_decay_cut`` times its running
+    integrand has fallen below ``_SEMIINF_DECAY_CUT`` times its running
     maximum and keeps at least halving per octave; a geometric bound on
     the discarded tail is added to the error estimate.
 
@@ -268,7 +267,7 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
         far_enough = (x - a) >= 8.0 * s
         if far_enough and fmax == 0.0:
             break
-        small = cur <= settings.semiinf_decay_cut * fmax
+        small = cur <= _SEMIINF_DECAY_CUT * fmax
         ratio = (cur + 1e-300) / (prev + 1e-300)
         if far_enough and small and ratio <= 0.25:
             # |f| <= cur * (u/x2)^(log2 ratio) beyond x2 gives a

@@ -111,6 +111,10 @@ class SheetParams:
     def scale(self) -> float:
         return max(self.Omega0, self.omega0)
 
+    def reduced(self) -> tuple[float, "SheetParams"]:
+        """(Omega0, the same sheet at Omega0 = 1)."""
+        return self.Omega0, SheetParams(1.0, self.omega0 / self.Omega0)
+
 
 def Omega_of_omega(omega: float, params: SheetParams) -> float:
     """Frequency-dependent sheet response Omega0 omega^2 / (omega^2 - omega0^2).
@@ -532,7 +536,8 @@ def total(T: float, params: SheetParams,
     """Subtracted F and S of every sheet part at one temperature.
 
     Parts, in the order of ``PARTS``: TE and TM photonic channels and the
-    surface plasmon sf.
+    surface plasmon sf.  Evaluated at Omega0 = 1 and scaled back
+    (``ThermoPoint.evaluate``).
     """
     return ThermoPoint.evaluate(PARTS, T, params,
                                 settings or DEFAULT_SETTINGS)

@@ -12,7 +12,8 @@ forms and use these as cross-checks.
 
 Each model lists its additive parts once, in an ordered ``PARTS`` table
 of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
-entropy of every part at one temperature, and their totals.
+entropy of every part at one temperature, and their totals, evaluated at
+unit scale: F(T) = s^3 F_1(T/s) and S(T) = s^2 S_1(T/s).
 
 The high-temperature expansion of a free energy per unit area,
 
@@ -189,11 +190,18 @@ class ThermoPoint:
     @classmethod
     def evaluate(cls, parts: Sequence[Part], T: float, params: Any,
                  settings: QuadSettings) -> "ThermoPoint":
-        """Evaluate F then S of each part in turn."""
+        """Evaluate F then S of each part in turn, at unit scale.
+
+        ``params.reduced()`` gives the frequency scale s and the unit-scale
+        parameters; each part runs at T / s, and F and S are scaled back by
+        s^3 and s^2.  Tolerances and error estimates refer to unit scale.
+        """
+        s, unit = params.reduced()
+        t = T / s
         F, S = [], []
         for part in parts:
-            F.append(part.F(T, params, settings))
-            S.append(part.S(T, params, settings))
+            F.append(s ** 3 * part.F(t, unit, settings))
+            S.append(s ** 2 * part.S(t, unit, settings))
         return cls(T, tuple(p.name for p in parts), tuple(F), tuple(S))
 
     def part(self, name: str) -> tuple[float, float]:

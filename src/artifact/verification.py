@@ -277,6 +277,19 @@ def _slab_surface_defining_checks(settings):
         abs(f_def - f_closed) / abs(f_closed), 1e-6, label="<= 1e-06")]
 
 
+def _slab_off_unit_checks(settings):
+    # Model totals run at omega_p = 1, as do the checks above; these cover
+    # direct calls at another scale.
+    params = slab.SlabParams(omega_p=2.5, L=0.4)
+    name = "slab {} closed vs defining, omega_p=2.5, L=0.4"
+    return [_below("oracle", name.format("surface h"),
+                   slab.validate_surface_weight(params, settings), 1e-8,
+                   label="<= 1e-08"),
+            _below("oracle", name.format("F_exp") + ", T=omega_p",
+                   slab.validate_exp_part(params, settings), 1e-6,
+                   label="<= 1e-06")]
+
+
 def _transmission_checks():
     params = slab.SlabParams(omega_p=1.0, L=1.0)
     out = []
@@ -349,6 +362,7 @@ def _suite_oracle(settings):
     out.extend(_slab_h_oracle_checks(settings))
     out.extend(_slab_exp_oracle_checks(settings))
     out.extend(_slab_surface_defining_checks(settings))
+    out.extend(_slab_off_unit_checks(settings))
     out.extend(_transmission_checks())
     out.extend(_plasmon_checks())
     return out
@@ -407,7 +421,7 @@ def _suite_asymptotics(settings):
             out.append(_rel(
                 "asymptotics", f"heat kernel a_1 {ch}, omega0={omega0}",
                 exact.a_one[ch], fitted.a_one[ch], 2e-2))
-    crossing = plasma_sheet.a_three_half_te_crossing(1.0)
+    crossing = plasma_sheet.a_three_half_te_crossing(1.0, settings)
     out.append(_rel(
         "asymptotics", "a_3/2 TE sign change located (reported)",
         1.0 / math.sqrt(2.0), crossing, 1e-6))

@@ -188,3 +188,26 @@ def test_invariant_results_are_json_serializable(suites):
         for r in results:
             assert type(r.passed) is bool, r.check
             json.dumps({"measured": r.measured, "pass": r.passed})
+
+
+def test_asymptotics_suite_passes_its_settings_to_the_te_crossing(
+        monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def crossing(Omega0=1.0, settings=None):
+        seen.append(settings)
+        raise Stop
+
+    # The heat-kernel fits come first and cost seconds; their exact
+    # values are enough to reach the crossing.
+    monkeypatch.setattr(ps, "heat_kernel_fit",
+                        lambda params, settings=None:
+                        ps.heat_kernel_coeffs(params))
+    monkeypatch.setattr(ps, "a_three_half_te_crossing", crossing)
+    settings = QuadSettings(rel_tol=1e-8, abs_tol=1e-11)
+    with pytest.raises(Stop):
+        verification.run_suite("asymptotics", settings)
+    assert seen == [settings]

@@ -48,9 +48,7 @@ def test_jobs_output_is_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(a), "--jobs", "1"]) == 0
     assert cli.main(args + ["--out", str(b), "--jobs", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # The slab memoises per-process validations for each (omega_p, L);
-    # quad_error must not depend on whether they already ran, so this
-    # pair is used by no other test.
+    # quad_error must not depend on what ran before in the process.
     slab_args = ["slab", "--omegap", "1.25", "--L", "0.75", "--tmin", "1e-2",
                  "--tmax", "1e-1", "--tpts", "1"]
     outs = [tmp_path / f"slab{i}.csv" for i in range(3)]
@@ -182,8 +180,13 @@ def test_config_defaults_and_override(tmp_path):
     ["slab", "--L", "0"],
     ["scan", "--omega0", "-1"],
     ["slab", "--plasmon-out", "x", "--kpts", "0"],
+    ["sheet", "--config", "no-such-config.json"],
 ])
 def test_usage_errors_exit_two(argv, monkeypatch):
+    _assert_usage_error(argv, monkeypatch)
+
+
+def _assert_usage_error(argv, monkeypatch):
     def no_work(*args):
         raise AssertionError("a usage error must stop before any work")
 
@@ -191,6 +194,16 @@ def test_usage_errors_exit_two(argv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [
+    "{not json", "[1, 2]", '{"tmni": 1.0}', '{"driver": 1}',
+    '{"command": "slab"}',
+], ids=["invalid-json", "list", "unknown-key", "driver", "command"])
+def test_bad_config_file_exits_two(content, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    _assert_usage_error(["sheet", "--config", str(cfg)], monkeypatch)
 
 
 def test_scale_rescales_stderr_labels_only(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """Golden outputs: fixed ``thermo`` commands must write the committed bytes.
 
-Each command runs in a fresh interpreter, so per-process caches start
-empty as they do for a user.  To regenerate the files after a deliberate
-change of output, run ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+Each command runs in a fresh interpreter, as it does for a user.  To
+regenerate the files after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import os

@@ -254,6 +254,15 @@ def test_total_breakdown_sums():
         point.part("s_TE")
 
 
+def test_total_is_exactly_scale_covariant():
+    # Both run at Omega0 = 1, omega0 = 0.8, T = 1e-3.
+    a = ps.total(2e-3, ps.SheetParams(Omega0=2.0, omega0=1.6))
+    b = ps.total(1e-3, ps.SheetParams(Omega0=1.0, omega0=0.8))
+    assert a.F == tuple(8.0 * F for F in b.F)
+    assert a.S == tuple(4.0 * S for S in b.S)
+    assert (a.F_total, a.S_total) == (8.0 * b.F_total, 4.0 * b.S_total)
+
+
 @pytest.mark.parametrize("w0", [0.0, 0.8, 1.3])
 def test_high_T_log_coefficient_matches_closed_form(w0):
     params = ps.SheetParams(Omega0=1.0, omega0=w0)

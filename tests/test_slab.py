@@ -160,8 +160,10 @@ def test_F_exp_offset_identity():
 
 
 def test_validators_pass():
-    slab.validate_surface_weight(P1)
-    slab.validate_exp_part(P1)
+    # The oracle suite gates the same gaps at (2.5, 0.4).
+    for params in (P1, slab.SlabParams(omega_p=2.5, L=0.4)):
+        assert slab.validate_surface_weight(params) < 1e-8
+        assert slab.validate_exp_part(params) < 1e-6
 
 
 def test_slab_constant_c():
@@ -273,6 +275,16 @@ def test_total_breakdown_sums():
     assert F["exp"] == pytest.approx(slab.F_exp_subtr(1.0, P1), rel=1e-10)
     with pytest.raises(KeyError):
         point.part("sf")
+
+
+def test_total_is_exactly_scale_covariant():
+    # Both run at omega_p = 1, L = 0.5, T = 1e-3, so the scaling is exact
+    # even where the absolute tolerance would otherwise show.
+    a = slab.total(2e-3, slab.SlabParams(omega_p=2.0, L=0.25))
+    b = slab.total(1e-3, slab.SlabParams(omega_p=1.0, L=0.5))
+    assert a.F == tuple(8.0 * F for F in b.F)
+    assert a.S == tuple(4.0 * S for S in b.S)
+    assert (a.F_total, a.S_total) == (8.0 * b.F_total, 4.0 * b.S_total)
 
 
 def test_invalid_temperature_rejected():

@@ -2,6 +2,7 @@
 heat-kernel dictionary."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,14 +179,23 @@ def test_thermo_point_evaluates_parts_in_order():
                              record("F", F), record("S", S))
 
     parts = (part("a", 1.0, -2.0), part("b", 0.25, 0.5))
-    point = spectral.ThermoPoint.evaluate(parts, 3.0, "p", DEFAULT_SETTINGS)
-    assert calls == [("a", "F", 3.0, "p", DEFAULT_SETTINGS),
-                     ("a", "S", 3.0, "p", DEFAULT_SETTINGS),
-                     ("b", "F", 3.0, "p", DEFAULT_SETTINGS),
-                     ("b", "S", 3.0, "p", DEFAULT_SETTINGS)]
-    assert point.names == ("a", "b")
-    assert point.part("b") == (0.25, 0.5)
-    assert (point.F_total, point.S_total) == (1.25, -1.5)
+    # The parts see T / s and the unit-scale parameters; F and S come
+    # back multiplied by s^3 and s^2.
+    for s in (1.0, 2.0):
+        calls.clear()
+        params = SimpleNamespace(reduced=lambda s=s: (s, "p"))
+        point = spectral.ThermoPoint.evaluate(parts, 3.0, params,
+                                              DEFAULT_SETTINGS)
+        t = 3.0 / s
+        assert calls == [("a", "F", t, "p", DEFAULT_SETTINGS),
+                         ("a", "S", t, "p", DEFAULT_SETTINGS),
+                         ("b", "F", t, "p", DEFAULT_SETTINGS),
+                         ("b", "S", t, "p", DEFAULT_SETTINGS)]
+        assert point.T == 3.0
+        assert point.names == ("a", "b")
+        assert point.part("b") == (0.25 * s ** 3, 0.5 * s ** 2)
+        assert (point.F_total, point.S_total) == (1.25 * s ** 3,
+                                                  -1.5 * s ** 2)
 
 
 @pytest.mark.parametrize("module", [artifact, numkernel, spectral,

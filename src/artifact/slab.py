@@ -30,10 +30,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
+
+import numpy as np
 
 from .numkernel import (
     DEFAULT_SETTINGS,
+    ErrorTracker,
+    QuadResult,
     QuadratureError,
     QuadSettings,
     _check_T,
@@ -77,6 +83,7 @@ __all__ = [
     "slab_constant_d",
     "delta_L",
     "h_L",
+    "validate_h_L_table",
     "F_L_TE",
     "F_L_TM",
     "S_L",
@@ -520,10 +527,7 @@ def delta_L(ch: str, p: float, omega: float, params: SlabParams) -> float:
             raise ValueError(f"need omega >= p, got omega={omega}, p={p}")
         eps = epsilon(omega, params)
         if p < wp:
-            gam = _gamma(p, params)
-            z = complex(eps * p, gam)
-            ratio = (z / z.conjugate()) ** 2
-            return cmath.phase(1.0 - ratio * math.exp(-2.0 * gam * L))
+            return _delta_L_tm_evanescent(p, _gamma(p, params), eps, L)
         q = math.sqrt(p * p - wp * wp)
         if eps * p + q == 0.0:
             return 0.0
@@ -538,31 +542,42 @@ def delta_L(ch: str, p: float, omega: float, params: SlabParams) -> float:
     return -cmath.phase(1.0 - rho * rho * cmath.exp(2j * q * L))
 
 
+def _delta_L_tm_evanescent(p: float, gam: float, eps: float,
+                           L: float) -> float:
+    """delta_L_TM below omega_p, from p, gamma and eps = epsilon(omega)."""
+    z = complex(eps * p, gam)
+    ratio = (z / z.conjugate()) ** 2
+    return cmath.phase(1.0 - ratio * math.exp(-2.0 * gam * L))
+
+
 def _osc_block(params: SlabParams) -> float:
     return 40.0 * math.pi / params.L
 
 
 def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
-                      block: float, breakpoints=()) -> float:
+                      block: float, breakpoints=()) -> QuadResult:
     """Sum of adaptive quadratures over blocks of bounded width.
 
     Keeps the per-call subdivision need bounded for integrands that
-    oscillate with a fixed period over a long range.
+    oscillate with a fixed period over a long range.  The error estimate
+    and evaluation count are summed over the blocks.
     """
     if b <= a:
-        return 0.0
+        return QuadResult(0.0, 0.0, 0)
     if b - a <= 1.5 * block:
-        return integrate_finite(f, a, b, settings,
-                                breakpoints=breakpoints).value
-    total_val = 0.0
+        return integrate_finite(f, a, b, settings, breakpoints=breakpoints)
+    value = err = 0.0
+    evals = 0
     lo = a
     while lo < b:
         hi = min(lo + block, b)
         pts = [v for v in breakpoints if lo < v < hi]
-        total_val += integrate_finite(f, lo, hi, settings,
-                                      breakpoints=pts).value
+        res = integrate_finite(f, lo, hi, settings, breakpoints=pts)
+        value += res.value
+        err += res.error_estimate
+        evals += res.evaluations
         lo = hi
-    return total_val
+    return QuadResult(value, err, evals)
 
 
 def _thickness_te_integral(T: float, params: SlabParams,
@@ -578,7 +593,7 @@ def _thickness_te_integral(T: float, params: SlabParams,
     val = integrate_finite(f, 0.0, lowcut, settings,
                            breakpoints=[T] if T < lowcut else []).value
     val += _blocked_integral(f, lowcut, W, settings, _osc_block(params),
-                             breakpoints=[T])
+                             breakpoints=[T]).value
     return val / (2.0 * math.pi ** 2)
 
 
@@ -606,8 +621,12 @@ def h_L(omega: float, params: SlabParams,
     """Momentum moment Int_0^omega p delta_L_TM(p, omega) dp.
 
     Inner integral of the TM thickness part, evaluated with a tightened
-    relative tolerance (1e-10) so the outer frequency integrals can
-    target 1e-8.  Near zero frequency
+    relative tolerance (1e-10); beyond p = omega_p/sqrt(2) it runs in
+    gamma = sqrt(omega_p^2 - p^2).  The TM thickness free energy and
+    entropy do not call it per frequency: they read a piecewise Chebyshev
+    table built from it (``_HLTable``).  h_L vanishes at omega_p, and just
+    above it h_L ~ delta (a log(1/delta) - b) in delta = omega/omega_p - 1.
+    Near zero frequency
 
         h_L(omega) = A omega^3 + B omega^4 + C omega^5 + O(omega^6),
         A = 4 s1 / omega_p,   B = -4 pi s2 / omega_p^2,
@@ -618,16 +637,228 @@ def h_L(omega: float, params: SlabParams,
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     settings = replace(settings or DEFAULT_SETTINGS, rel_tol=1e-10)
-    wp = params.omega_p
+    wp, L = params.omega_p, params.L
+    eps = epsilon(omega, params)
 
     def f(p: float) -> float:
         return p * delta_L(Channel.TM, p, omega, params)
 
-    lowcut = min(omega, wp)
-    val = integrate_finite(f, 0.0, lowcut, settings).value
+    def f_gamma(g: float) -> float:
+        # p dp = -gamma d gamma, with gamma exact rather than recomputed
+        # from a p close to omega_p
+        p = math.sqrt((wp - g) * (wp + g))
+        return g * _delta_L_tm_evanescent(p, g, eps, L)
+
+    # Up to omega_p / sqrt(2) in p; beyond it in gamma, where p -> omega_p
+    # is smooth and, above omega_p, the turn of the phase at gamma = eps p
+    # is ~eps wide rather than ~eps^2 (a breakpoint marks it).
+    half = wp / math.sqrt(2.0)
+    val = integrate_finite(f, 0.0, min(omega, half), settings).value
+    if omega > half:
+        g_lo = math.sqrt((wp - omega) * (wp + omega)) if omega < wp else 0.0
+        pts = [eps * wp / math.sqrt(1.0 + eps * eps)] if eps > 0.0 else []
+        val += integrate_finite(f_gamma, g_lo, half, settings,
+                                breakpoints=pts).value
     if omega > wp:
-        val += _blocked_integral(f, wp, omega, settings, _osc_block(params))
+        val += _blocked_integral(f, wp, omega, settings,
+                                 _osc_block(params)).value
     return val
+
+
+# The TM thickness integrals read h_L(omega) / omega from a table of
+# Chebyshev interpolants on [0, 60 omega_p], the largest frequency cutoff
+# they use.  In units of omega_p the table's segments are graded into the
+# cusp of h_L at omega_p by the ratio 1/4 from both sides, down to
+# 4^-10 ~ 1e-6, and are 8 wide beyond 2.
+_TABLE_TOP = 60.0
+_TABLE_EDGES = tuple(sorted({
+    0.0, 1.0, 2.0, *range(10, 60, 8), _TABLE_TOP,
+    *(1.0 - 4.0 ** -j for j in range(1, 11)),
+    *(1.0 + 4.0 ** -j for j in range(1, 11))}))
+# Each piece is fitted on nested Clenshaw-Curtis nodes of these degrees
+# until its coefficient tail times its width is at most _TABLE_TOL
+# omega_p^2, or the tail is below the error of the h_L values themselves;
+# it is bisected, at most _TABLE_DEPTH times, when the last degree does
+# not suffice.  The table's h_L calls use their own absolute tolerance,
+# _TABLE_ABS_TOL omega_p omega.
+_TABLE_TOL = 1e-14
+_TABLE_ABS_TOL = 1e-12
+_TABLE_DEGREES = (8, 16, 32, 64)
+_TABLE_DEPTH = 12
+
+
+def _cheb_matrix(n: int) -> np.ndarray:
+    """Chebyshev coefficients from values at cos(j pi / n), j = 0..n."""
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1))
+    m = (2.0 / n) * np.cos(jk * math.pi / n)
+    m[:, [0, n]] *= 0.5
+    m[[0, n], :] *= 0.5
+    return m
+
+
+_CHEB_MATRICES = {n: _cheb_matrix(n) for n in _TABLE_DEGREES}
+
+
+def _fit_piece(lo: float, hi: float, params: SlabParams,
+               settings: QuadSettings, depth: int = 0) -> list[tuple]:
+    """Pieces (lo, hi, c0, c_n..c_1, bound) interpolating h_L / omega.
+
+    ``bound`` is a pointwise error bound of the piece: its coefficient
+    tail (the sum of the last quarter of its coefficients) plus the
+    Lebesgue constant of its nodes times the worst inner error estimate
+    of the h_L values it was fitted to.
+    """
+    tracker = ErrorTracker()
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    worst = 0.0
+
+    def k(x: float) -> float:
+        # h_L ~ omega^3 near zero, so its absolute tolerance scales with
+        # omega: h_L / omega then has one absolute tolerance throughout.
+        nonlocal worst
+        w = mid + half * x
+        if w <= 0.0:
+            return 0.0
+        tracker.reset()
+        inner = replace(settings, error_tracker=tracker,
+                        abs_tol=_TABLE_ABS_TOL * params.omega_p * w)
+        value = h_L(w, params, inner) / w
+        worst = max(worst, tracker.worst / w)
+        return value
+
+    n = _TABLE_DEGREES[0]
+    values = [k(math.cos(j * math.pi / n)) for j in range(n + 1)]
+    while True:
+        c = _CHEB_MATRICES[n] @ np.array(values)
+        tail = float(np.sum(np.abs(c[3 * n // 4:])))
+        lebesgue = 1.0 + 2.0 / math.pi * math.log(n + 1)
+        last = n == _TABLE_DEGREES[-1]
+        if (tail * (hi - lo) <= _TABLE_TOL * params.omega_p ** 2
+                or tail <= lebesgue * worst
+                or (last and depth == _TABLE_DEPTH)):
+            break
+        if last:
+            return (_fit_piece(lo, mid, params, settings, depth + 1)
+                    + _fit_piece(mid, hi, params, settings, depth + 1))
+        n *= 2
+        odd = [k(math.cos(j * math.pi / n)) for j in range(1, n, 2)]
+        values = [v for pair in zip(values, odd) for v in pair] + values[-1:]
+    bound = tail + lebesgue * worst
+    return [(lo, hi, float(c[0]), tuple(map(float, c[:0:-1])), bound)]
+
+
+@lru_cache(maxsize=1024)
+def _table_segment(params: SlabParams, settings: QuadSettings,
+                   i: int) -> tuple[tuple, ...]:
+    """Fitted pieces of segment i of the h_L table; a pure function."""
+    wp = params.omega_p
+    return tuple(_fit_piece(wp * _TABLE_EDGES[i], wp * _TABLE_EDGES[i + 1],
+                            params, settings))
+
+
+class _HLTable:
+    """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces.
+
+    The pieces are fitted on first use (``_table_segment``), so the h_L
+    quadratures of a build run under the outer quadrature that first reads
+    the table.  The table holds every segment that starts below ``top``,
+    built without the caller's error tracker; each segment depends on
+    (params, settings, index) alone, so a table reads the same whichever
+    temperature or process asked first.
+    """
+
+    def __init__(self, params: SlabParams, settings: QuadSettings,
+                 top: float) -> None:
+        self._params = params
+        self._settings = replace(settings, error_tracker=None)
+        self._top = top
+        self._pieces: list[tuple] | None = None
+        self._starts: list[float] = []
+
+    @property
+    def pieces(self) -> list[tuple]:
+        if self._pieces is None:
+            wp = self._params.omega_p
+            pieces = []
+            for i, lo in enumerate(_TABLE_EDGES[:-1]):
+                if lo * wp >= self._top:
+                    break
+                pieces.extend(_table_segment(self._params, self._settings,
+                                             i))
+            self._starts = [piece[0] for piece in pieces]
+            self._pieces = pieces
+        return self._pieces
+
+    def _piece(self, w: float) -> tuple:
+        pieces = self.pieces
+        return pieces[max(bisect_right(self._starts, w) - 1, 0)]
+
+    def __call__(self, w: float) -> float:
+        lo, hi, c0, rest, _ = self._piece(w)
+        t = (2.0 * w - lo - hi) / (hi - lo)
+        t2 = 2.0 * t
+        b1 = b2 = 0.0
+        for c in rest:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return c0 + t * b1 - b2
+
+    def bound(self, w: float) -> float:
+        """Pointwise error bound of the table at w."""
+        return self._piece(w)[4]
+
+    def error(self, W: float, weight) -> float:
+        """Bound on |Int_0^W weight(w) (table(w) - h_L(w)/w) dw|.
+
+        ``weight`` must be positive and decreasing, so that its value at
+        the start of a piece bounds it on the piece.
+        """
+        return math.fsum(bound * (min(hi, W) - lo) * weight(lo)
+                         for lo, hi, _, _, bound in self.pieces if lo < W)
+
+    def integral(self) -> QuadResult:
+        """Int h_L(w)/w dw over the table, exact for its interpolants."""
+        value = err = 0.0
+        for lo, hi, c0, rest, bound in self.pieces:
+            coeffs = (c0, *reversed(rest))
+            value += 0.5 * (hi - lo) * sum(
+                2.0 * c / (1.0 - m * m) for m, c in enumerate(coeffs)
+                if m % 2 == 0)
+            err += bound * (hi - lo)
+        return QuadResult(value, err, 0)
+
+
+# Frequencies, in units of omega_p, where ``validate_h_L_table`` compares
+# the table with h_L: into the cusp at omega_p from both sides, and
+# across the table.
+_H_L_VALIDATION_GRID = tuple(sorted(
+    {1.0 + s * 10.0 ** -k for k in range(1, 10) for s in (-1.0, 1.0)}
+    | {0.05, 0.3, 0.6, 0.8, 1.5, 2.7, 4.0, 7.3, 11.0, 17.0, 23.5, 31.0,
+       44.0, 52.5, 59.5}))
+
+
+def validate_h_L_table(params: SlabParams,
+                       settings: QuadSettings | None = None
+                       ) -> tuple[float, float]:
+    """The h_L table against h_L itself, and the table's own error claim.
+
+    Returns the worst ratio, over a fixed grid of frequencies, of the gap
+    between the table and a direct ``h_L`` call to the table's pointwise
+    bound plus the direct call's error estimate (at most 1 when the bound
+    is honest), and the table's bound on Int_0^{60 omega_p} h_L/omega in
+    units of omega_p^2 (the error the table adds to the outer integrals
+    per unit of thermal weight).  The oracle suite gates both.
+    """
+    settings = settings or DEFAULT_SETTINGS
+    wp = params.omega_p
+    table = _HLTable(params, settings, _TABLE_TOP * wp)
+    worst = 0.0
+    for frac in _H_L_VALIDATION_GRID:
+        w = frac * wp
+        tracker = ErrorTracker()
+        direct = h_L(w, params, replace(settings, error_tracker=tracker))
+        claim = w * table.bound(w) + tracker.worst
+        worst = max(worst, abs(w * table(w) - direct) / claim)
+    return worst, table.integral().error_estimate / wp ** 2
 
 
 def _thickness_tm_integral(T: float, params: SlabParams,
@@ -637,30 +868,43 @@ def _thickness_tm_integral(T: float, params: SlabParams,
     # h_L decays fast enough that frequencies beyond ~60 omega_p are
     # negligible at every temperature; the thermal factor cuts earlier
     # when 40 T is smaller.
-    W = min(40.0 * T, 60.0 * wp)
+    W = min(40.0 * T, _TABLE_TOP * wp)
+    table = _HLTable(params, settings, W)
 
+    # The weight of h_L / omega, w n(w/T) <= T or w^2 n'(w/T) <= T^2, is
+    # positive and decreasing, so its value at lo bounds it beyond lo.
     if entropy:
-        def f(w: float) -> float:
-            return w * bose_kernel(w / T) * h_L(w, params, settings)
+        def weight(w: float) -> float:
+            return w * w * bose_kernel(w / T) if w > 0.0 else T * T
     else:
-        def f(w: float) -> float:
-            return bose_occupation(w / T) * h_L(w, params, settings)
+        def weight(w: float) -> float:
+            return w * bose_occupation(w / T) if w > 0.0 else T
+
+    def f(w: float) -> float:
+        return weight(w) * table(w)
 
     lowcut = min(wp, W)
-    val = integrate_finite(f, 0.0, lowcut, outer,
-                           breakpoints=[T] if T < lowcut else []).value
-    val += _blocked_integral(f, lowcut, W, outer, _osc_block(params),
+    low = integrate_finite(f, 0.0, lowcut, outer,
+                           breakpoints=[T] if T < lowcut else [])
+    high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
                              breakpoints=[T])
-    return val
+    settings.report(low.error_estimate + high.error_estimate
+                    + table.error(W, weight))
+    return low.value + high.value
 
 
 def F_L_TM(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TM thickness free energy per unit area.
 
-    F = -(1/2 pi^2) Int_0^inf n(omega/T) h_L(omega) d omega (note: no
-    omega factor; it is consumed by the momentum moment).  At low
-    temperature the series of ``h_L`` gives
+    F = -(1/2 pi^2) Int_0^W n(omega/T) h_L(omega) d omega (note: no
+    omega factor; it is consumed by the momentum moment), with the cutoff
+    W = min(40 T, 60 omega_p).  The integrand reads h_L from a piecewise
+    Chebyshev table built once per (params, settings) and shared by every
+    temperature and by ``S_L``; the error reported for the integral adds
+    the table's pointwise bound times the integral of the thermal weight
+    to the quadrature's own estimate.  At low temperature the series of
+    ``h_L`` gives
 
         F = -2 pi^2 T^4 / (15 omega_p (e^{2 omega_p L} - 1))
             * (1 + b1 T + b2 T^2 + O(T^3)),
@@ -682,7 +926,9 @@ def S_L(ch: str, T: float, params: SlabParams,
     """Thickness entropy of one channel (-dF/dT); no subtraction needed.
 
     The TE part settles on the plateau
-    -slab_constant_d * omega_p^2 > 0 at high temperature.
+    -slab_constant_d * omega_p^2 > 0 at high temperature.  The TM part,
+    (1/2 pi^2 T^2) Int_0^W omega n'(omega/T) h_L(omega) d omega with
+    n' = e^x/(e^x - 1)^2, reads the same h_L table as ``F_L_TM``.
     """
     Channel.validate(ch)
     _check_T(T)
@@ -701,21 +947,16 @@ def slab_constant_d(settings: QuadSettings | None = None,
     omega_p = L = 1, so that F_L_TE -> d T at high temperature (the
     would-be T log T coefficient, -(1/2 pi^2) Int p delta_L_TE dp,
     vanishes).
-    The equivalent TM route integrates the frequency moment:
-    d = -(1/2 pi^2) Int_0^inf h_L(omega)/omega d omega.
+    The equivalent TM route integrates the frequency moment,
+    d = -(1/2 pi^2) Int_0^60 h_L(omega)/omega d omega, exactly over the
+    interpolants of the h_L table.
     """
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
     if route == "TM":
-        def f(w: float) -> float:
-            return h_L(w, params, settings) / w
-
-        total_val = 0.0
-        for lo, hi, lim in ((0.0, 1.0, 2000), (1.0, 10.0, 5000),
-                            (10.0, 60.0, 20000)):
-            piece = replace(settings, rel_tol=1e-8, max_subdivisions=lim)
-            total_val += integrate_finite(f, lo, hi, piece).value
-        return -total_val / (2.0 * math.pi ** 2)
+        res = _HLTable(params, settings, _TABLE_TOP).integral()
+        settings.report(res.error_estimate)
+        return -res.value / (2.0 * math.pi ** 2)
     if route != "TE":
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
 

@@ -290,6 +290,24 @@ def _slab_off_unit_checks(settings):
                    label="<= 1e-06")]
 
 
+def _slab_h_L_table_checks(settings):
+    # F_L_TM and S_L_TM read h_L from a table; compare it with h_L itself
+    # (into the cusp at omega_p and across [0, 60 omega_p]), and gate the
+    # error the table claims for the outer integrals.
+    out = []
+    for omega_p, L in ((1.0, 1.0), (2.5, 0.4)):
+        params = slab.SlabParams(omega_p=omega_p, L=L)
+        ratio, claimed = slab.validate_h_L_table(params, settings)
+        where = f"omega_p={omega_p:g}, L={L:g}"
+        out.append(_below(
+            "oracle", f"slab h_L table vs h_L within its bound, {where}",
+            ratio, 1.0, label="<= 1"))
+        out.append(_below(
+            "oracle", f"slab h_L table error bound / omega_p^2, {where}",
+            claimed, 1e-9, label="<= 1e-09"))
+    return out
+
+
 def _transmission_checks():
     params = slab.SlabParams(omega_p=1.0, L=1.0)
     out = []
@@ -363,6 +381,7 @@ def _suite_oracle(settings):
     out.extend(_slab_exp_oracle_checks(settings))
     out.extend(_slab_surface_defining_checks(settings))
     out.extend(_slab_off_unit_checks(settings))
+    out.extend(_slab_h_L_table_checks(settings))
     out.extend(_transmission_checks())
     out.extend(_plasmon_checks())
     return out

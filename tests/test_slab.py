@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from artifact import slab
-from artifact.numkernel import DEFAULT_SETTINGS, QuadSettings
-from artifact.spectral import ZETA3, ZETA5, Channel, Part
+from artifact.numkernel import DEFAULT_SETTINGS, ErrorTracker, QuadSettings
+from artifact.spectral import ZETA3, ZETA5, Channel, Part, ThermoPoint
 
 P1 = slab.SlabParams(omega_p=1.0, L=1.0)
 
@@ -103,6 +103,43 @@ def test_thickness_series_coefficients(omega_p, L):
     series = c.a1 * p + c.a3 * p ** 3
     assert abs(slab.delta_L(Channel.TE, p, p, params) - series) \
         < 1e-3 * abs(c.a3 * p ** 3)
+
+
+def test_h_L_just_above_omega_p():
+    # The phase below omega_p turns within 5e-10 omega_p of its end here;
+    # without that breakpoint QUADPACK stalled on roundoff.  Reference
+    # value from mpmath at 30 digits.
+    params = slab.SlabParams(omega_p=1.0, L=0.6059292171171541)
+    assert slab.h_L(1.0000152220514424, params) == pytest.approx(
+        4.4039873591615882e-4, rel=1e-10)
+
+
+def test_h_L_table_does_not_depend_on_build_order():
+    params = slab.SlabParams(omega_p=1.0, L=0.8)
+    slab._table_segment.cache_clear()
+    slab.F_L_TM(0.2, params)
+    after_low_T = slab.F_L_TM(100.0, params)
+    pieces = slab._HLTable(params, DEFAULT_SETTINGS, 60.0).pieces
+    slab._table_segment.cache_clear()
+    assert slab.F_L_TM(100.0, params) == after_low_T
+    assert slab._HLTable(params, DEFAULT_SETTINGS, 60.0).pieces == pieces
+
+
+def test_L_TM_quad_error_includes_table_term(monkeypatch):
+    terms = []
+    error = slab._HLTable.error
+
+    def recorded(self, W, weight):
+        terms.append(error(self, W, weight))
+        return terms[-1]
+
+    monkeypatch.setattr(slab._HLTable, "error", recorded)
+    tracker = ErrorTracker()
+    ThermoPoint.evaluate((Part.named(slab.PARTS, "L_TM"),), 2.0,
+                         slab.SlabParams(omega_p=2.0, L=0.5),
+                         QuadSettings(error_tracker=tracker))
+    assert len(terms) == 2 and min(terms) > 0.0
+    assert tracker.worst >= max(terms)
 
 
 def test_h_small_omega_series():
@@ -309,10 +346,4 @@ def _check_unit_scaling(part, lam, T):
 def test_unit_scaling(lam, T):
     # The absolute quadrature tolerance does not scale, hence T >= 0.05.
     for part in slab.PARTS:
-        if part.name != "L_TM":
-            _check_unit_scaling(part, lam, T)
-
-
-def test_unit_scaling_thickness_tm():
-    # one point only: the nested quadrature costs about 1.4 s here
-    _check_unit_scaling(Part.named(slab.PARTS, "L_TM"), 2.0, 1.0)
+        _check_unit_scaling(part, lam, T)

@@ -347,3 +347,8 @@ def test_unit_scaling(lam, T):
     # The absolute quadrature tolerance does not scale, hence T >= 0.05.
     for part in slab.PARTS:
         _check_unit_scaling(part, lam, T)
+
+
+def test_unit_scaling_thickness_tm():
+    # a fixed point on the tabulated h_L path, next to the sampled one above
+    _check_unit_scaling(Part.named(slab.PARTS, "L_TM"), 2.0, 1.0)

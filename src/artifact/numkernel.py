@@ -46,6 +46,8 @@ _LN2 = math.log(2.0)
 # Relative integrand size at which the truncation scan of a semi-infinite
 # integral stops doubling the cutoff.
 _SEMIINF_DECAY_CUT = 1e-12
+# Adaptive subdivision budget of every quadrature call.
+_MAX_SUBDIVISIONS = 2000
 
 
 class QuadratureError(RuntimeError):
@@ -75,22 +77,19 @@ class ErrorTracker:
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Shared tolerances and limits for all quadrature calls.
+    """Shared tolerances for all quadrature calls.
 
     Attributes
     ----------
     abs_tol, rel_tol : float
         Absolute and relative integration targets; a result is accepted
         when its error estimate is below ``max(abs_tol, rel_tol*|value|)``.
-    max_subdivisions : int
-        Adaptive subdivision budget per quadrature call.
     error_tracker : ErrorTracker, optional
         When set, every quadrature reports its error estimate here.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
     error_tracker: ErrorTracker | None = field(
         default=None, compare=False, repr=False
     )
@@ -157,7 +156,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     a, b : float
         Integration limits, ``a <= b``.
     settings : QuadSettings, optional
-        Tolerances and subdivision budget; module defaults when omitted.
+        Tolerances; module defaults when omitted.
     breakpoints : sequence of float, optional
         Abscissae of known kinks, jumps or integrable singularities.
         Points outside (a, b) are ignored.
@@ -170,7 +169,8 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     ------
     QuadratureError
         If the adaptive scheme cannot reach the requested tolerance
-        within ``max_subdivisions`` or the integrand misbehaves.
+        within ``_MAX_SUBDIVISIONS`` subdivisions or the integrand
+        misbehaves.
 
     When the call with breakpoints fails, each piece between them is
     integrated on its own at the same tolerances, and the sum is kept
@@ -190,7 +190,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     def run(lo: float, hi: float, points: list[float] | None = None):
         return quad(fc, lo, hi, epsabs=settings.abs_tol,
                     epsrel=settings.rel_tol,
-                    limit=settings.max_subdivisions, points=points,
+                    limit=_MAX_SUBDIVISIONS, points=points,
                     full_output=1)
 
     out = run(a, b, pts)

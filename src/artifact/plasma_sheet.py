@@ -370,42 +370,38 @@ def _tail_coefficients(ch: str, params: SheetParams) -> tuple[float, float]:
 
 
 def spectral_sum_rule(ch: str, params: SheetParams,
-                      settings: QuadSettings | None = None,
-                      cutoff: float | None = None,
-                      include_shell: bool = True) -> float:
+                      settings: QuadSettings | None = None) -> float:
     """Integrated subtracted spectral weight of one channel.
 
-    J = Int_0^inf omega^2 h_subtr(omega) d omega (+ shell weight).
+    J = Int_0^inf omega^2 h_subtr(omega) d omega + shell weight.
 
     This is the coefficient controlling the T log T term of the channel
     free energy, -J T log T / (2 pi^2).  Closed values: the continuum
-    alone integrates to pi Omega0^2 / 4 (TE) and pi omega0^2 / 2 (TM)
-    exactly; with the shell weight included the TM sum rule vanishes
-    identically and the TE one becomes pi (Omega0^2/4 - omega0^2/2),
-    changing sign at omega0 = Omega0/sqrt(2).
+    alone (J minus ``shell_weight``) integrates to pi Omega0^2 / 4 (TE)
+    and pi omega0^2 / 2 (TM) exactly; with the shell weight the TM sum
+    rule vanishes identically and the TE one becomes
+    pi (Omega0^2/4 - omega0^2/2), changing sign at
+    omega0 = Omega0/sqrt(2).
 
-    The numerical cutoff is extended by the analytic omega^-4 and
-    omega^-5 tails of h_subtr, so the quadrature error is well below
-    1e-9 at the default cutoff.
+    The quadrature runs to W = 2000 max(Omega0, omega0) and adds the
+    analytic omega^-4 and omega^-5 tails of h_subtr beyond it, so its
+    error is well below 1e-9.
     """
     Channel.validate(ch)
     settings = settings or DEFAULT_SETTINGS
     s = params.scale()
-    W = cutoff if cutoff is not None else 2000.0 * s
+    W = 2000.0 * s
 
     def f(omega: float) -> float:
         return omega * omega * h_subtr(ch, omega, params)
 
-    mid = min(5.0 * s, W)
+    mid = 5.0 * s
     pts = [v for v in (params.omega0, params.Omega0) if 0.0 < v < mid]
     val = integrate_finite(f, 0.0, mid, settings, breakpoints=pts).value
-    if W > mid:
-        val += integrate_finite(f, mid, W, settings).value
+    val += integrate_finite(f, mid, W, settings).value
     c4, c5 = _tail_coefficients(ch, params)
     val += c4 / W + 0.5 * c5 / (W * W)
-    if include_shell:
-        val += shell_weight(ch, params)
-    return val
+    return val + shell_weight(ch, params)
 
 
 def omega_sf(k: float, params: SheetParams) -> float:
@@ -602,12 +598,11 @@ def heat_kernel_coeffs(params: SheetParams) -> HeatKernelSet:
 
 
 def heat_kernel_fit(params: SheetParams,
-                    settings: QuadSettings | None = None,
-                    temperatures: tuple[float, ...] | None = None,
-                    ) -> HeatKernelSet:
+                    settings: QuadSettings | None = None) -> HeatKernelSet:
     """Heat-kernel coefficients from high-temperature fits.
 
-    Fits the raw channel free energies on a high-T grid over the basis
+    Fits the raw channel free energies at 12 log-spaced temperatures
+    from 100 to 1000 max(Omega0, omega0) over the basis
     {T^3, T^2, T log T, T}.  The TM samples include the surface mode
     without its T^5 term, which is not in the fit basis; that piece is
     assembled as the analytic T^3 coefficient plus the subtracted
@@ -616,13 +611,11 @@ def heat_kernel_fit(params: SheetParams,
     swamps the T^2-scale content the a_1 fit needs.
     """
     settings = settings or DEFAULT_SETTINGS
-    if temperatures is None:
-        s = params.scale()
-        temperatures = tuple(np.geomspace(100.0 * s, 1000.0 * s, 12))
+    s = params.scale()
     c3_sf = Part.named(PARTS, "sf").growth(params).c3
     samples: dict[str, list[tuple[float, float]]] = {
         Channel.TE: [], Channel.TM: []}
-    for T in temperatures:
+    for T in np.geomspace(100.0 * s, 1000.0 * s, 12):
         samples[Channel.TE].append(
             (T, free_energy_channel_raw(Channel.TE, T, params, settings)))
         tm = (free_energy_channel_raw(Channel.TM, T, params, settings)
@@ -660,9 +653,6 @@ def scattering_channel(ch: str, params: SheetParams,
     Channel.validate(ch)
     w0 = params.omega0
 
-    def delta(p: float, k: float) -> float:
-        return _phase_pw(ch, p, math.hypot(p, k), params)
-
     def ddelta(p: float, k: float) -> float:
         return _phase_deriv_pw(ch, p, math.hypot(p, k), params)
 
@@ -695,11 +685,10 @@ def scattering_channel(ch: str, params: SheetParams,
         k_min = w0
     return ScatteringChannel(
         name=f"sheet-{ch}",
-        phase_shift=delta,
-        phase_shift_deriv=ddelta,
+        deriv=ddelta,
         surface_mode=surface,
         k_min_surface=k_min,
         p_breakpoints=brk,
-        fd_scale=params.scale(),
+        scale=params.scale(),
     )
 

@@ -17,8 +17,9 @@ momentum moment
 
     h(omega) = Int_0^min(omega, omega_p) delta_s_TM(p, omega) dp,
 
-in closed form on both sides of omega_p (complex-log continuation near
-omega_p/sqrt(2), where the real arrangement degenerates).
+in closed form at every frequency (complex-log continuation between
+omega_p/sqrt(2) and omega_p, and a series at omega_p/sqrt(2), where the
+real arrangement degenerates).
 
 The TM channel additionally carries a guided surface mode (slab
 plasmon) below omega_p/sqrt(2).  Its dispersion is solved here but the
@@ -215,6 +216,11 @@ def delta_s(ch: str, p: float, omega: float, params: SlabParams) -> float:
     -pi/2 + 2 atan(eps p / gamma) for p <= omega_p, 0 above; the edge
     values are -pi/2 at p = 0 and -3pi/2 (omega < omega_p) or +pi/2
     (omega > omega_p) as p -> omega_p.
+
+    The phase is arg of the transmission's surface factor t_s, except for
+    TM where eps(omega) < 0: there delta_s stays on the branch that is
+    continuous in omega at p = 0, pi away from arg t_s.  The oracle suite
+    checks both cases on a (p, k) grid.
     """
     Channel.validate(ch)
     if p < 0.0:
@@ -247,12 +253,23 @@ def h_defining(omega: float, params: SlabParams,
 
 
 def _h_below(omega: float, wp: float) -> float:
-    # omega < omega_p, away from omega_p/sqrt(2)
+    # omega < omega_p
     w2 = omega * omega
     D = wp * wp - w2
     S2 = wp * wp - 2.0 * w2
     sD = math.sqrt(D)
     base = -0.5 * math.pi * omega - 2.0 * omega * math.atan(sD / omega)
+    if abs(omega - wp / math.sqrt(2.0)) < 1e-3 * wp:
+        # S -> 0 at omega_p/sqrt(2), where the bracket
+        # (1/S)[atanh(wp S/D) - atanh(S/sD)] is 0/0: sum its series in S^2,
+        # whose terms shrink by about 4 S^2/wp^2 <= 0.012 here.
+        a, b = wp / D, 1.0 / sD
+        ra, rb = a * a * S2, S2 / D
+        bracket = 0.0
+        for n in range(12):
+            bracket += (a - b) / (2 * n + 1)
+            a, b = a * ra, b * rb
+        return base + 2.0 * w2 * bracket
     if S2 > 0.0:
         S = math.sqrt(S2)
         nu = w2 / (D + sD * S)
@@ -273,8 +290,7 @@ def _h_above(omega: float, wp: float) -> float:
             + (2.0 * w2 / r) * math.atan(wp * r / (wp * wp - w2)))
 
 
-def h(omega: float, params: SlabParams,
-      settings: QuadSettings | None = None) -> float:
+def h(omega: float, params: SlabParams) -> float:
     """Closed form of Int_0^min(omega, omega_p) delta_s_TM dp.
 
     Continuous at omega_p with value -pi omega_p / 2 and tending to
@@ -284,14 +300,14 @@ def h(omega: float, params: SlabParams,
         + O(omega^3)
 
     near zero (the source of the T log T correction in ``F_s_TM``).
-    Inside a narrow window around omega_p/sqrt(2) the closed arrangement
-    degenerates (0/0) and the defining quadrature is used instead.
+    Closed at every frequency: within 1e-3 omega_p of omega_p/sqrt(2),
+    where the closed arrangement is 0/0, its bracket is summed as a
+    series in S^2 = omega_p^2 - 2 omega^2.  No quadrature runs;
+    ``h_defining`` is the oracle.
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     wp = params.omega_p
-    if abs(omega - wp / math.sqrt(2.0)) < 1e-3 * wp:
-        return h_defining(omega, params, settings)
     if omega == wp:
         return -0.5 * math.pi * wp
     if omega < wp:
@@ -314,7 +330,7 @@ def validate_surface_weight(params: SlabParams,
     for frac in _H_VALIDATION_GRID:
         omega = frac * params.omega_p
         defining = h_defining(omega, params, settings)
-        gap = abs(h(omega, params, settings) - defining)
+        gap = abs(h(omega, params) - defining)
         worst = max(worst, gap / max(abs(defining), 1e-12))
     return worst
 
@@ -386,10 +402,10 @@ def _surface_tm_integrals(T: float, params: SlabParams,
 
     if entropy:
         def f(w: float) -> float:
-            return w * w * bose_kernel(w / T) * h(w, params, settings)
+            return w * w * bose_kernel(w / T) * h(w, params)
     else:
         def f(w: float) -> float:
-            return w * bose_occupation(w / T) * h(w, params, settings)
+            return w * bose_occupation(w / T) * h(w, params)
 
     cut = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < cut]
@@ -489,7 +505,7 @@ def slab_constant_c(settings: QuadSettings | None = None) -> float:
     W = 200.0
 
     def f(omega: float) -> float:
-        return h_inf - h(omega, params, settings)
+        return h_inf - h(omega, params)
 
     val = integrate_finite(f, 0.0, W, settings,
                            breakpoints=[1.0 / math.sqrt(2.0), 1.0]).value
@@ -946,7 +962,8 @@ def slab_constant_d(settings: QuadSettings | None = None,
     d = (1/2 pi^2) Int_0^inf p log(p) delta_L_TE(p) dp at
     omega_p = L = 1, so that F_L_TE -> d T at high temperature (the
     would-be T log T coefficient, -(1/2 pi^2) Int p delta_L_TE dp,
-    vanishes).
+    vanishes).  The TE route integrates p in [0, 1] at once and [1, 2000]
+    in blocks as wide as the thickness parts use.
     The equivalent TM route integrates the frequency moment,
     d = -(1/2 pi^2) Int_0^60 h_L(omega)/omega d omega, exactly over the
     interpolants of the h_L table.
@@ -963,11 +980,9 @@ def slab_constant_d(settings: QuadSettings | None = None,
     def f(p: float) -> float:
         return p * math.log(p) * delta_L(Channel.TE, p, p, params)
 
-    total_val = 0.0
-    for lo, hi, lim in ((0.0, 1.0, 500), (1.0, 50.0, 5000),
-                        (50.0, 2000.0, 20000)):
-        piece = replace(settings, max_subdivisions=lim)
-        total_val += integrate_finite(f, lo, hi, piece).value
+    total_val = integrate_finite(f, 0.0, 1.0, settings).value
+    total_val += _blocked_integral(f, 1.0, 2000.0, settings,
+                                   _osc_block(params)).value
     return total_val / (2.0 * math.pi ** 2)
 
 
@@ -1164,8 +1179,7 @@ def single_surface_mode(k: float, params: SlabParams) -> float:
     return math.sqrt(w2)
 
 
-def plasmon_dispersion(k: float, params: SlabParams,
-                       x_tol: float = 1e-10) -> float:
+def plasmon_dispersion(k: float, params: SlabParams) -> float:
     """Guided TM surface mode (slab plasmon) frequency at momentum k.
 
     The mode function has exactly two roots on (0, min(k, omega_p/sqrt 2))
@@ -1209,7 +1223,7 @@ def plasmon_dispersion(k: float, params: SlabParams,
             a = 0.5 * w_hat
             for _ in range(400):
                 if fn(a) > 0.0:
-                    return find_root_bracketed(fn, a, w_hat, x_tol=x_tol)
+                    return find_root_bracketed(fn, a, w_hat, x_tol=1e-10)
                 a *= 0.5
     gam_min = math.sqrt(k * k + wp * wp - hi * hi)
     if math.tanh(gam_min * params.L) >= 1.0 - 1e-12:
@@ -1277,9 +1291,6 @@ def surface_te_channel(params: SlabParams) -> ScatteringChannel:
     """
     wp = params.omega_p
 
-    def delta(p: float, k: float) -> float:
-        return delta_s(Channel.TE, p, math.hypot(p, k), params)
-
     def ddelta(p: float, k: float) -> float:
         if p >= wp:
             return 0.0
@@ -1287,9 +1298,8 @@ def surface_te_channel(params: SlabParams) -> ScatteringChannel:
 
     return ScatteringChannel(
         name="slab-s-TE",
-        phase_shift=delta,
-        phase_shift_deriv=ddelta,
+        deriv=ddelta,
         p_breakpoints=lambda k: (wp,),
-        fd_scale=wp,
+        scale=wp,
     )
 

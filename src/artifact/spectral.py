@@ -1,9 +1,9 @@
 """Channel abstraction and thermodynamic bookkeeping.
 
 A scattering geometry enters through one object per polarization
-channel: its phase shift as a function of radial momentum p at fixed
-transverse momentum k, optionally an analytic p-derivative, and
-optionally a discrete surface-mode dispersion below the continuum.
+channel: the analytic p-derivative of its phase shift at radial momentum
+p and fixed transverse momentum k, and optionally a discrete surface-mode
+dispersion below the continuum.
 
 ``free_energy_defining`` and ``entropy_defining`` evaluate the defining
 two-dimensional integrals directly from that data.  They are deliberately
@@ -42,7 +42,6 @@ from .numkernel import (
     QuadSettings,
     _check_T,
     bose_log,
-    derivative_fd,
     fit_asymptotic,
     g,
     integrate_finite,
@@ -61,7 +60,6 @@ __all__ = [
     "heat_kernel_from_expansion",
     "expansion_from_heat_kernel",
     "extract_heat_kernel",
-    "validate_channel_derivative",
     "ZETA3",
     "ZETA5",
 ]
@@ -93,11 +91,9 @@ class ScatteringChannel:
     ----------
     name : str
         Label used in reports ("TE", "TM", ...).
-    phase_shift : callable
-        delta(p, k), radial momentum p >= 0 at transverse momentum k.
-    phase_shift_deriv : callable, optional
-        Analytic d delta/dp; a central finite difference with step
-        1e-6 * max(p, fd_scale) is used when absent.
+    deriv : callable
+        Analytic d delta/dp at radial momentum p >= 0 and transverse
+        momentum k, called as ``deriv(p, k)``.
     surface_mode : callable, optional
         Discrete mode frequency omega(k), defined for k >= k_min_surface.
     k_min_surface : float
@@ -105,25 +101,19 @@ class ScatteringChannel:
     p_breakpoints : callable, optional
         Known non-smooth p values of the phase shift at given k,
         forwarded to the quadrature.
-    fd_scale : float
-        Momentum scale for the fallback finite-difference step.
+    scale : float
+        Momentum scale of the channel; the defining integrals split and
+        seed their quadratures at max(T, scale).
 
     All callables must be safe to call concurrently.
     """
 
     name: str
-    phase_shift: Callable[[float, float], float]
-    phase_shift_deriv: Callable[[float, float], float] | None = None
+    deriv: Callable[[float, float], float]
     surface_mode: Callable[[float], float] | None = None
     k_min_surface: float = 0.0
     p_breakpoints: Callable[[float], tuple[float, ...]] | None = None
-    fd_scale: float = 1.0
-
-    def deriv(self, p: float, k: float) -> float:
-        if self.phase_shift_deriv is not None:
-            return self.phase_shift_deriv(p, k)
-        h = 1e-6 * max(p, self.fd_scale)
-        return derivative_fd(lambda q: self.phase_shift(q, k), p, h)
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -249,7 +239,7 @@ def _defining(ch: ScatteringChannel, T: float,
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     weight = g if entropy else bose_log
-    scale = max(T, ch.fd_scale)
+    scale = max(T, ch.scale)
 
     def continuum(k: float) -> float:
         def f(p: float) -> float:
@@ -315,31 +305,26 @@ class HeatKernelSet:
     fit_residuals: dict[str, float]
 
 
-def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]],
-                        basis: Sequence[str] = ("T3", "T2", "TlogT", "T"),
+def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]]
                         ) -> HeatKernelSet:
     """Fit raw high-T free energies and map them to heat-kernel terms.
 
     Parameters
     ----------
     samples : mapping
-        Part name -> (T, F_raw) samples on a high-temperature grid.
-    basis : sequence of str
-        Fit basis; must contain "T3", "T2" and "TlogT".
+        Part name -> (T, F_raw) samples on a high-temperature grid, fitted
+        over the basis {T^3, T^2, T log T, T}.
 
     Returns
     -------
     HeatKernelSet
     """
-    for required in ("T3", "T2", "TlogT"):
-        if required not in basis:
-            raise ValueError(f"fit basis must contain {required!r}")
     a_half: dict[str, float] = {}
     a_one: dict[str, float] = {}
     a_three_half: dict[str, float] = {}
     resid: dict[str, float] = {}
     for name, data in samples.items():
-        fit = fit_asymptotic(data, basis)
+        fit = fit_asymptotic(data, ("T3", "T2", "TlogT", "T"))
         ah, a1, a32 = heat_kernel_from_expansion(
             fit.coefficient("T3"), fit.coefficient("T2"),
             fit.coefficient("TlogT"))
@@ -349,27 +334,3 @@ def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]],
         resid[name] = fit.residual_norm
     return HeatKernelSet(a_half, a_one, a_three_half, resid)
 
-
-def validate_channel_derivative(ch: ScatteringChannel,
-                                points: Sequence[tuple[float, float]],
-                                tol: float = 1e-5) -> float:
-    """Compare the analytic phase-shift derivative against differences.
-
-    Returns the worst absolute deviation over the sample points; raises
-    if it exceeds ``tol`` scaled by the local derivative size.
-    """
-    if ch.phase_shift_deriv is None:
-        return 0.0
-    worst = 0.0
-    for p, k in points:
-        analytic = ch.phase_shift_deriv(p, k)
-        h = 1e-6 * max(p, ch.fd_scale)
-        fd = derivative_fd(lambda q: ch.phase_shift(q, k), p, h)
-        dev = abs(analytic - fd)
-        worst = max(worst, dev)
-        if dev > tol * max(1.0, abs(analytic)):
-            raise AssertionError(
-                f"phase-shift derivative mismatch at p={p}, k={k}: "
-                f"analytic {analytic:.10e} vs fd {fd:.10e}"
-            )
-    return worst

@@ -6,7 +6,8 @@ grouped into suites:
 
 ``oracle``
     Closed-form scattering quantities against their defining integral
-    representations, transmission factorization, and plasmon dispersions.
+    representations, transmission factorization and factor phases, and
+    plasmon dispersions.
 ``asymptotics``
     Low- and high-temperature laws: Nernst slopes, fitted T^3/T^2
     coefficients, heat-kernel coefficients, slab low-T laws, slab high-T
@@ -28,6 +29,7 @@ tolerances would be spent on known corrections of about -6% and -13%.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,7 +38,6 @@ import numpy as np
 from . import plasma_sheet, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
-    QuadSettings,
     bose_log,
     fit_asymptotic,
     integrate_finite,
@@ -207,7 +208,7 @@ def _slab_h_oracle_checks(settings):
     out = []
     worst = 0.0
     for omega in _SLAB_H_GRID:
-        closed = slab.h(omega, params, settings)
+        closed = slab.h(omega, params)
         quad = slab.h_defining(omega, params, settings)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
     out.append(_below(
@@ -216,7 +217,7 @@ def _slab_h_oracle_checks(settings):
 
     worst = 0.0
     for omega in _SLAB_H2_GRID:
-        closed = slab.h(omega, params, settings)
+        closed = slab.h(omega, params)
         quad = slab.h_defining(omega, params, settings)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
     out.append(_below(
@@ -226,10 +227,10 @@ def _slab_h_oracle_checks(settings):
     # Continuity at the interior breakpoints: one-sided linear extrapolation
     # from each side must give the same limit.
     def gap(x0, delta):
-        lo = 2.0 * slab.h(x0 - delta, params, settings) \
-            - slab.h(x0 - 2.0 * delta, params, settings)
-        hi = 2.0 * slab.h(x0 + delta, params, settings) \
-            - slab.h(x0 + 2.0 * delta, params, settings)
+        lo = 2.0 * slab.h(x0 - delta, params) \
+            - slab.h(x0 - 2.0 * delta, params)
+        hi = 2.0 * slab.h(x0 + delta, params) \
+            - slab.h(x0 + 2.0 * delta, params)
         return abs(hi - lo)
 
     out.append(_below(
@@ -240,7 +241,7 @@ def _slab_h_oracle_checks(settings):
         gap(1.0, 1e-5), 1e-6, label="<= 1e-06"))
     out.append(_abs(
         "oracle", "slab h at omega_p equals -pi*omega_p/2",
-        -math.pi / 2.0, slab.h(1.0, params, settings), 1e-12))
+        -math.pi / 2.0, slab.h(1.0, params), 1e-12))
     return out
 
 
@@ -277,15 +278,20 @@ def _slab_surface_defining_checks(settings):
         abs(f_def - f_closed) / abs(f_closed), 1e-6, label="<= 1e-06")]
 
 
+# Model totals run at omega_p = 1, as do the checks above.  The off-unit
+# rows below cover direct calls at another scale and, with
+# omega_p L = 0.15 against 1, at another shape.
+_OFF_UNIT = (2.5, 0.06)
+
+
 def _slab_off_unit_checks(settings):
-    # Model totals run at omega_p = 1, as do the checks above; these cover
-    # direct calls at another scale.
-    params = slab.SlabParams(omega_p=2.5, L=0.4)
-    name = "slab {} closed vs defining, omega_p=2.5, L=0.4"
-    return [_below("oracle", name.format("surface h"),
+    params = slab.SlabParams(*_OFF_UNIT)
+    where = "omega_p={:g}, L={:g}".format(*_OFF_UNIT)
+    return [_below("oracle", f"slab surface h closed vs defining, {where}",
                    slab.validate_surface_weight(params, settings), 1e-8,
                    label="<= 1e-08"),
-            _below("oracle", name.format("F_exp") + ", T=omega_p",
+            _below("oracle",
+                   f"slab F_exp closed vs defining, {where}, T=omega_p",
                    slab.validate_exp_part(params, settings), 1e-6,
                    label="<= 1e-06")]
 
@@ -295,7 +301,7 @@ def _slab_h_L_table_checks(settings):
     # (into the cusp at omega_p and across [0, 60 omega_p]), and gate the
     # error the table claims for the outer integrals.
     out = []
-    for omega_p, L in ((1.0, 1.0), (2.5, 0.4)):
+    for omega_p, L in ((1.0, 1.0), _OFF_UNIT):
         params = slab.SlabParams(omega_p=omega_p, L=L)
         ratio, claimed = slab.validate_h_L_table(params, settings)
         where = f"omega_p={omega_p:g}, L={L:g}"
@@ -308,26 +314,45 @@ def _slab_h_L_table_checks(settings):
     return out
 
 
+def _transmission_phase_gap(ch, p, k, t, params):
+    """Worst |e^{i phi} - f/|f|| over the phases the parts integrate and
+    the transmission factors f they come from."""
+    omega = math.hypot(p, k)
+    # Where eps < 0, delta_s_TM stays on the branch continuous in omega at
+    # p = 0, which is pi away from arg t_s.
+    flip = ch == "TM" and slab.epsilon(omega, params) < 0.0
+    q_re = math.sqrt(max(p * p - params.omega_p ** 2, 0.0))
+    pairs = ((slab.delta_s(ch, p, omega, params),
+              -t.surface if flip else t.surface),
+             (slab.delta_L(ch, p, omega, params), t.thickness),
+             ((q_re - p) * params.L, t.propagation))
+    return max(abs(cmath.exp(1j * phase) - f / abs(f)) for phase, f in pairs)
+
+
 def _transmission_checks():
     params = slab.SlabParams(omega_p=1.0, L=1.0)
     out = []
     p_grid = (0.3, 0.7, 0.9, 1.1, 1.5, 3.0, 10.0)
     k_grid = (0.0, 0.5, 2.0)
     for ch in ("TE", "TM"):
-        worst = 0.0
-        worst_mod = 0.0
+        worst = worst_mod = worst_phase = 0.0
         for p in p_grid:
             for k in k_grid:
                 t = slab.transmission(ch, p, k, params)
                 worst = max(worst, t.factorization_residual)
                 if p > params.omega_p:
                     worst_mod = max(worst_mod, abs(t.value))
+                worst_phase = max(worst_phase, _transmission_phase_gap(
+                    ch, p, k, t, params))
         out.append(_below(
             "oracle", f"transmission factorization residual, {ch}",
             worst, 1e-12, label="<= 1e-12"))
         out.append(_below(
             "oracle", f"transmission modulus above omega_p, {ch}",
             worst_mod, 1.0 + 1e-12, label="<= 1"))
+        out.append(_below(
+            "oracle", "transmission factor phases vs delta_s, delta_L, "
+            f"(Re q - p) L, {ch}", worst_phase, 1e-12, label="<= 1e-12"))
     return out
 
 

@@ -175,14 +175,15 @@ def test_te_sum_rule_closed_form(params):
     # pi Omega0^2/4
     w0 = params.omega0
     full = ps.spectral_sum_rule(Channel.TE, params)
-    cont = ps.spectral_sum_rule(Channel.TE, params, include_shell=False)
+    cont = full - ps.shell_weight(Channel.TE, params)
     assert cont == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert full == pytest.approx(math.pi * (0.25 - 0.5 * w0 * w0), abs=1e-9)
 
 
 def test_tm_sum_rule_vanishes_with_shell():
-    assert abs(ps.spectral_sum_rule(Channel.TM, P05)) < 1e-9
-    cont = ps.spectral_sum_rule(Channel.TM, P05, include_shell=False)
+    full = ps.spectral_sum_rule(Channel.TM, P05)
+    assert abs(full) < 1e-9
+    cont = full - ps.shell_weight(Channel.TM, P05)
     assert cont == pytest.approx(0.5 * math.pi * 0.25, abs=1e-9)
 
 

@@ -44,6 +44,32 @@ def test_h_special_points():
                                                rel=1e-5)
 
 
+# 41 frequencies across the window |omega - omega_p/sqrt(2)| < 1e-3 omega_p
+# where h sums its bracket as a series.
+WINDOW = tuple(1.0 / math.sqrt(2.0) + 0.999e-3 * (i / 20.0 - 1.0)
+               for i in range(41))
+
+
+@pytest.mark.parametrize("omega_p", [1.0, 2.5])
+def test_h_in_window_matches_defining(omega_p):
+    params = slab.SlabParams(omega_p=omega_p, L=1.0)
+    for frac in WINDOW:
+        w = frac * omega_p
+        assert abs(slab.h(w, params) - slab.h_defining(w, params)) \
+            < 1e-13 * omega_p, f"h({w})"
+
+
+@pytest.mark.parametrize("omega_p", [1.0, 2.5])
+def test_h_runs_no_quadrature(monkeypatch, omega_p):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slab.h ran a quadrature")
+
+    monkeypatch.setattr(slab, "integrate_finite", refuse)
+    params = slab.SlabParams(omega_p=omega_p, L=1.0)
+    for frac in (*WINDOW, 0.3, 0.9, 1.0, 1.5):
+        assert math.isfinite(slab.h(frac * omega_p, params))
+
+
 def test_epsilon():
     assert slab.epsilon(1.0, P1) == 0.0
     assert slab.epsilon(1.0 / math.sqrt(2.0), P1) == pytest.approx(-1.0,
@@ -197,8 +223,9 @@ def test_F_exp_offset_identity():
 
 
 def test_validators_pass():
-    # The oracle suite gates the same gaps at (2.5, 0.4).
-    for params in (P1, slab.SlabParams(omega_p=2.5, L=0.4)):
+    # The oracle suite gates the same gaps at (2.5, 0.06), a point off
+    # unit scale whose shape omega_p L = 0.15 also differs from P1's.
+    for params in (P1, slab.SlabParams(omega_p=2.5, L=0.06)):
         assert slab.validate_surface_weight(params) < 1e-8
         assert slab.validate_exp_part(params) < 1e-6
 
@@ -352,3 +379,21 @@ def test_unit_scaling(lam, T):
 def test_unit_scaling_thickness_tm():
     # a fixed point on the tabulated h_L path, next to the sampled one above
     _check_unit_scaling(Part.named(slab.PARTS, "L_TM"), 2.0, 1.0)
+
+
+def test_thickness_parts_decay_like_exp_minus_2_omega_p_L():
+    # Each thickness part is O(e^{-2 omega_p L}) once omega_p L is of
+    # order one; times e^{2 omega_p L} it stays near its value at L = 1.
+    T = 0.1
+
+    def scaled(L):
+        params = slab.SlabParams(omega_p=1.0, L=L)
+        return [math.exp(2.0 * L) * v for v in (
+            slab.F_L_TE(T, params), slab.S_L(Channel.TE, T, params),
+            slab.F_L_TM(T, params), slab.S_L(Channel.TM, T, params))]
+
+    ref = scaled(1.0)
+    for L in (0.5, 2.0, 3.0):
+        for name, v, r in zip(("F_L_TE", "S_L_TE", "F_L_TM", "S_L_TM"),
+                              scaled(L), ref):
+            assert v == pytest.approx(r, rel=0.2), f"{name}, L={L}"

@@ -1,6 +1,8 @@
 """Channel-level representation: defining integrals, subtractions,
 heat-kernel dictionary."""
 
+import ast
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -12,12 +14,10 @@ from artifact import cli, numkernel, plasma_sheet, slab, spectral, verification
 from artifact.numkernel import DEFAULT_SETTINGS, derivative_fd
 from artifact.spectral import (
     Channel,
-    ScatteringChannel,
     SubtractionSpec,
     expansion_from_heat_kernel,
     extract_heat_kernel,
     heat_kernel_from_expansion,
-    validate_channel_derivative,
 )
 
 
@@ -92,20 +92,24 @@ def test_extract_heat_kernel_recovers_synthetic_coefficients():
         assert hk.fit_residuals[ch] < 1e-9
 
 
-def _atan_channel():
-    return ScatteringChannel(
-        name="atan",
-        phase_shift=lambda p, k: math.atan(p) - 0.3 * math.atan(k * p),
-        phase_shift_deriv=None,
-        fd_scale=1.0,
-    )
+def validate_channel_derivative(phase, deriv, points, scale=1.0, tol=1e-5):
+    """Worst gap between an analytic d delta/dp and central differences.
 
-
-def test_channel_fd_derivative_fallback():
-    ch = _atan_channel()
-    p, k = 0.8, 0.4
-    exact = 1.0 / (1.0 + p * p) - 0.3 * k / (1.0 + (k * p) ** 2)
-    assert ch.deriv(p, k) == pytest.approx(exact, rel=1e-7)
+    ``phase`` and ``deriv`` are called as f(p, k); the step is
+    1e-6 * max(p, scale).  Raises AssertionError where the gap exceeds
+    ``tol`` times max(1, |deriv|).
+    """
+    worst = 0.0
+    for p, k in points:
+        analytic = deriv(p, k)
+        fd = derivative_fd(lambda q: phase(q, k), p, 1e-6 * max(p, scale))
+        dev = abs(analytic - fd)
+        worst = max(worst, dev)
+        if dev > tol * max(1.0, abs(analytic)):
+            raise AssertionError(
+                f"phase-shift derivative mismatch at p={p}, k={k}: "
+                f"analytic {analytic:.10e} vs fd {fd:.10e}")
+    return worst
 
 
 def test_validate_channel_derivative_sheet():
@@ -113,19 +117,21 @@ def test_validate_channel_derivative_sheet():
     pts = [(0.3, 0.5), (1.2, 2.0), (0.05, 0.9), (4.0, 0.1)]
     for name in (Channel.TE, Channel.TM):
         ch = plasma_sheet.scattering_channel(name, params)
-        worst = validate_channel_derivative(ch, pts)
+        for p, k in pts:
+            assert ch.deriv(p, k) == plasma_sheet.phase_shift_deriv(
+                name, p, k, params)
+        worst = validate_channel_derivative(
+            lambda p, k: plasma_sheet.phase_shift(name, p, k, params),
+            lambda p, k: plasma_sheet.phase_shift_deriv(name, p, k, params),
+            pts, scale=ch.scale)
         assert worst < 1e-5
 
 
 def test_validate_channel_derivative_catches_wrong_derivative():
-    ch = ScatteringChannel(
-        name="broken",
-        phase_shift=lambda p, k: math.atan(p),
-        phase_shift_deriv=lambda p, k: 2.0 / (1.0 + p * p),
-        fd_scale=1.0,
-    )
     with pytest.raises(AssertionError):
-        validate_channel_derivative(ch, [(0.5, 0.5)])
+        validate_channel_derivative(lambda p, k: math.atan(p),
+                                    lambda p, k: 2.0 / (1.0 + p * p),
+                                    [(0.5, 0.5)])
 
 
 def test_free_energy_defining_matches_sheet_te():
@@ -204,3 +210,45 @@ def test_thermo_point_evaluates_parts_in_order():
 def test_public_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", [numkernel, spectral, plasma_sheet, slab,
+                                    verification, cli],
+                         ids=lambda m: m.__name__)
+def test_every_import_is_used(module):
+    # An imported name counts as used when the module reads it or lists it
+    # in __all__; deletions elsewhere otherwise leave stale imports behind.
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(getattr(module, "__all__", ()))
+    assert sorted(imported - used) == []
+
+
+# S = -dF/dT is gated at 1e-4 relative to max(|S|, |S_fd|), as in the
+# thermo-identity suite, plus an absolute floor of 1e-9 at unit scale.
+# Near a sign change of S (S_s_TM_subtr crosses zero near T = 0.04, and
+# S_L_TM dips to 7e-6 near T = 0.22) a relative error means nothing,
+# while the difference quotient still carries the quadrature error of F
+# over 2h.  On these draws the worst gap is 0.2% of its gate.
+_IDENTITY_FLOOR = 1e-9
+
+
+@given(T=st.floats(0.0, 1.0).map(lambda u: 0.05 * 400.0 ** u))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_entropy_is_minus_dF_dT_at_drawn_points(T):
+    # Every part of both models at unit scale, as the thermo-identity
+    # suite checks them at fixed temperatures.
+    h = 1e-4 * T
+    for label, part, params in verification._identity_checks():
+        s = part.S(T, params, DEFAULT_SETTINGS)
+        s_fd = (part.F(T - h, params, DEFAULT_SETTINGS)
+                - part.F(T + h, params, DEFAULT_SETTINGS)) / (2.0 * h)
+        gate = 1e-4 * max(abs(s), abs(s_fd)) + _IDENTITY_FLOOR
+        assert abs(s - s_fd) <= gate, f"{label} at T={T!r}"

@@ -168,11 +168,9 @@ def _scan_row(task):
     params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
     try:
         c = plasma_sheet.high_T_log_coefficient(params, settings)
-        s_min, t_at = math.inf, float("nan")
-        for T in t_grid:
-            s = plasma_sheet.total(T, params, settings).S_total
-            if s < s_min:
-                s_min, t_at = s, T
+        S = plasma_sheet.total(np.asarray(t_grid), params, settings).S_total
+        i = int(np.argmin(S))  # the first minimum
+        s_min, t_at = float(S[i]), t_grid[i]
         err = _fmt(settings.error_tracker.worst)
         return [_fmt(Omega0), _fmt(omega0), _fmt(c), _fmt(s_min),
                 _fmt(t_at), err]

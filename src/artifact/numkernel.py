@@ -2,16 +2,21 @@
 
 Everything downstream funnels its numerics through this module so that
 tolerances, truncation of semi-infinite integrals and error accounting
-are handled in one place.  Integration wraps adaptive Gauss-Kronrod
-quadrature (scipy.integrate.quad); known non-smooth points are passed as
-breakpoints so the subdivision never straddles them.
+are handled in one place.  Scalar integration wraps adaptive
+Gauss-Kronrod quadrature (scipy.integrate.quad, QUADPACK); known
+non-smooth points are passed as breakpoints so the subdivision never
+straddles them.  ``integrate_panels`` is a globally adaptive G7-K15 panel
+rule for integrands that map a whole array of nodes to several
+components at once (one per temperature of a grid, say), so each of its
+passes is a single array evaluation.
 
 The two thermal weights used throughout are
 
     bose_log(x) = log(1 - exp(-x))           (free-energy weight)
     g(x)        = x/(e^x - 1) - bose_log(x)   (entropy weight)
 
-both evaluated in cancellation-free form.
+both evaluated in cancellation-free form, as Python floats (``bose_log``,
+``g``) and on numpy arrays (``bose_log_array``, ``g_array``).
 """
 
 from __future__ import annotations
@@ -29,13 +34,17 @@ __all__ = [
     "ErrorTracker",
     "QuadSettings",
     "QuadResult",
+    "PanelResult",
     "AsymptoticFit",
     "DEFAULT_SETTINGS",
     "integrate_finite",
     "integrate_semiinf",
+    "integrate_panels",
     "find_root_bracketed",
     "bose_log",
     "g",
+    "bose_log_array",
+    "g_array",
     "bose_occupation",
     "bose_kernel",
     "fit_asymptotic",
@@ -46,8 +55,41 @@ _LN2 = math.log(2.0)
 # Relative integrand size at which the truncation scan of a semi-infinite
 # integral stops doubling the cutoff.
 _SEMIINF_DECAY_CUT = 1e-12
-# Adaptive subdivision budget of every quadrature call.
+# Adaptive subdivision budget of every quadrature call, and the panel
+# cap of ``integrate_panels``.
 _MAX_SUBDIVISIONS = 2000
+
+# Gauss-Kronrod G7-K15 on [-1, 1] (QUADPACK's qk15; Piessens et al.,
+# QUADPACK, 1983): the 15 Kronrod abscissae, their weights, and the
+# 7-point Gauss weights on the abscissae they share (zero elsewhere).
+_XK = (0.991455371120812639206854697526329,
+       0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926,
+       0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013,
+       0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970,
+       0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518,
+       0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550,
+       0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082,
+       0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG0 = 0.417959183673469387755102040816327
+_GK_NODES = np.array([*(-x for x in _XK), 0.0, *reversed(_XK)])
+# Rows: Kronrod weights, Gauss weights.
+_GK_WEIGHTS = np.array([
+    [*_WK, _WK0, *reversed(_WK)],
+    [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG0,
+     0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0],
+])
+# Roundoff floor of the panel rule, per unit of Int |f|: QUADPACK's.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
@@ -111,6 +153,19 @@ class QuadResult:
 
     value: float
     error_estimate: float
+    evaluations: int
+
+
+@dataclass(frozen=True)
+class PanelResult:
+    """Values, error bounds and evaluation count of an array integral.
+
+    ``value`` and ``error_estimate`` hold one entry per component of the
+    integrand; ``evaluations`` counts nodes (each gives every component).
+    """
+
+    value: np.ndarray
+    error_estimate: np.ndarray
     evaluations: int
 
 
@@ -288,9 +343,129 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
     return QuadResult(res.value, err, res.evaluations)
 
 
-def _check_T(T: float) -> None:
-    """Raise ValueError unless the temperature is positive."""
-    if T <= 0.0:
+def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+          hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod sums, |Kronrod - Gauss| and Kronrod sums of |f| per panel.
+
+    One call of ``f`` on the 15 nodes of every panel [lo_i, hi_i]; each
+    result has shape (panels, components).
+    """
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    y = np.asarray(f(nodes.ravel()), dtype=float)
+    if y.ndim != 2 or y.shape[0] != nodes.size:
+        raise ValueError(f"integrand must map {nodes.size} nodes to a "
+                         f"({nodes.size}, m) array, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        bad = nodes.ravel()[~np.all(np.isfinite(y), axis=1)][0]
+        raise QuadratureError(f"integrand returned a non-finite value at "
+                              f"x={bad!r}")
+    y = y.reshape(len(lo), 15, -1)
+    kg = _GK_WEIGHTS @ y
+    absk = _GK_WEIGHTS[0] @ np.abs(y)
+    h = half[:, None]
+    return h * kg[:, 0], h * np.abs(kg[:, 0] - kg[:, 1]), h * absk
+
+
+def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
+                     edges: Sequence[float],
+                     settings: QuadSettings | None = None) -> PanelResult:
+    """Integrate each component of an array integrand over the edges' span.
+
+    A globally adaptive Gauss-Kronrod (G7-K15) panel rule.  The panels
+    start as the intervals between the sorted ``edges`` (so known kinks,
+    jumps and a grading toward a singular end go there).  Each pass
+    bisects, with one call of ``f`` on the nodes of all new panels, the
+    panels that carry the largest share of the error of any component
+    still open: for each, the fewest panels whose error leaves less than
+    half the component's tolerance outside them.
+
+    Parameters
+    ----------
+    f : callable
+        Maps a 1-D array of n nodes to an (n, m) array, one column per
+        component; a non-finite value aborts the call.
+    edges : sequence of float
+        Panel edges, at least two distinct finite values.
+    settings : QuadSettings, optional
+        Tolerances; component j is accepted when its error is at most
+        ``max(abs_tol, rel_tol * |I_j|)``.  The worst component's error
+        is reported to the tracker.
+
+    Returns
+    -------
+    PanelResult
+        Per component: the sum of the panels' Kronrod values and, as its
+        error, the sum of the panels' |Kronrod - Gauss| plus the roundoff
+        floor 50 eps Int |f|.
+
+    Raises
+    ------
+    QuadratureError
+        When the roundoff floor alone exceeds a tolerance, when reaching
+        the tolerances would take more than ``_MAX_SUBDIVISIONS`` panels,
+        or when the integrand returns a non-finite value.  No unconverged
+        result is ever returned.
+    """
+    settings = settings or DEFAULT_SETTINGS
+    edges = np.unique(np.asarray(edges, dtype=float))
+    if len(edges) < 2 or not np.all(np.isfinite(edges)):
+        raise QuadratureError(f"need two or more finite distinct panel "
+                              f"edges, got {edges}")
+    lo, hi = edges[:-1], edges[1:]
+    K, E, A = _gk15(f, lo, hi)
+    evals = 15 * len(lo)
+    while True:
+        value = K.sum(axis=0)
+        floor = _ROUNDOFF * A.sum(axis=0)
+        raw = E.sum(axis=0)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+        open_ = raw + floor > tol
+        if not open_.any():
+            break
+        if np.any(floor[open_] >= tol[open_]):
+            j = np.flatnonzero(open_ & (floor >= tol))[0]
+            raise QuadratureError(
+                f"panel rule on [{edges[0]}, {edges[-1]}]: roundoff floor "
+                f"{floor[j]:.3e} exceeds the tolerance {tol[j]:.3e} "
+                f"(component {j}, value={value[j]:.6e})")
+        # Per open component, rank the panels by error and mark the
+        # fewest whose error leaves at most half the tolerance margin
+        # outside them.
+        Eo = E[:, open_]
+        order = np.argsort(-Eo, axis=0, kind="stable")
+        cum = np.cumsum(np.take_along_axis(Eo, order, axis=0), axis=0)
+        need = raw[open_] - 0.5 * (tol[open_] - floor[open_])
+        count = (cum < need).sum(axis=0) + 1
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(len(lo))[:, None], axis=0)
+        mark = np.any(ranks < count, axis=1)
+        if len(lo) + mark.sum() > _MAX_SUBDIVISIONS:
+            j = np.flatnonzero(open_)[0]
+            raise QuadratureError(
+                f"panel rule on [{edges[0]}, {edges[-1]}] did not converge "
+                f"within {_MAX_SUBDIVISIONS} panels (component {j}: "
+                f"value={value[j]:.6e}, error={raw[j] + floor[j]:.3e}, "
+                f"tolerance={tol[j]:.3e})")
+        mid = 0.5 * (lo[mark] + hi[mark])
+        new_lo = np.concatenate([lo[mark], mid])
+        new_hi = np.concatenate([mid, hi[mark]])
+        Kn, En, An = _gk15(f, new_lo, new_hi)
+        evals += 15 * len(new_lo)
+        keep = ~mark
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        K = np.concatenate([K[keep], Kn])
+        E = np.concatenate([E[keep], En])
+        A = np.concatenate([A[keep], An])
+    error = raw + floor
+    settings.report(float(error.max()))
+    return PanelResult(value, error, evals)
+
+
+def _check_T(T) -> None:
+    """Raise ValueError unless the temperature (or every one) is positive."""
+    if np.any(np.less_equal(T, 0.0)):
         raise ValueError(f"temperature must be positive, got {T}")
 
 
@@ -343,6 +518,27 @@ def g(x: float) -> float:
     if x < 1e-12:
         return 1.0 - math.log(x)
     return x / math.expm1(x) - bose_log(x)
+
+
+def bose_log_array(x: np.ndarray) -> np.ndarray:
+    """``bose_log`` on an array, with the same branch point."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("bose_log requires x > 0")
+    with np.errstate(divide="ignore"):
+        return np.where(x < _LN2, np.log(-np.expm1(-x)),
+                        np.log1p(-np.exp(-x)))
+
+
+def g_array(x: np.ndarray) -> np.ndarray:
+    """``g`` on an array, with the same branch points."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("g requires x > 0")
+    with np.errstate(over="ignore"):
+        mid = x / np.expm1(x) - bose_log_array(x)
+    return np.where(x > 30.0, (x + 1.0) * np.exp(-x),
+                    np.where(x < 1e-12, 1.0 - np.log(x), mid))
 
 
 def bose_occupation(x: float) -> float:

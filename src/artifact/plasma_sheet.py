@@ -45,10 +45,10 @@ from .numkernel import (
     DEFAULT_SETTINGS,
     QuadSettings,
     _check_T,
-    bose_log,
+    bose_log_array,
     find_root_bracketed,
-    g,
-    integrate_finite,
+    g_array,
+    integrate_panels,
 )
 from .spectral import (
     Channel,
@@ -194,33 +194,132 @@ def phase_shift_deriv(ch: str, p: float, k: float,
     return _phase_deriv_pw(ch, p, omega, params)
 
 
-def _h_te(omega: float, w0: float, O0: float) -> float:
-    a = omega * omega - w0 * w0
-    x = a / (O0 * omega)
-    if abs(x) < 0.1:
+def _pick(cond, if_true, if_false):
+    """Branch on ``cond``: np.where over both thunks' values on arrays,
+    only the chosen thunk on a scalar."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, if_true(), if_false())
+    return if_true() if cond else if_false()
+
+
+# _ATAN_COEFFICIENTS[first][i] = 1 / (first + 2 i).
+_ATAN_COEFFICIENTS = {first: tuple(1.0 / (first + 2 * i) for i in range(30))
+                      for first in (1, 3, 5)}
+
+
+def _atan_series(z2, first: int, terms: int = 9):
+    """Sum over 0 <= i < terms of (-z2)^i / (first + 2 i), by Horner.
+
+    The tails of atan(z) = z * _atan_series(z^2, 1).  Nine terms leave
+    1e-18 of the sum at |z| = 0.1, thirty 1e-19 at |z| = 0.5.
+    """
+    coefficients = _ATAN_COEFFICIENTS[first][:terms]
+    out = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        out = c - z2 * out
+    return out
+
+
+def _h_te(w, w2, a, w0: float, O0: float):
+    # x = 0 on the resonance shell, where the small-x series holds.
+    x = a / (O0 * w)
+    w02 = w0 * w0
+
+    def series():
         x2 = x * x
-        f1 = 1.0 / 3 - x2 / 5 + x2 * x2 / 7 - x2 ** 3 / 9 + x2 ** 4 / 11
-        f2 = 1.0 - x2 / 3 + x2 * x2 / 5 - x2 ** 3 / 7 + x2 ** 4 / 9
-        return (2.0 * w0 * w0 * f1 + a * f2) / (O0 * omega * omega)
-    num = (2.0 * omega * w0 * w0 * O0 * a
-           + (a ** 3 - 2.0 * omega * omega * w0 * w0 * O0 * O0)
-           * math.atan(x))
-    return num / (omega * a ** 3)
+        return ((2.0 * w02 * _atan_series(x2, 3) + a * _atan_series(x2, 1))
+                / (O0 * w2))
+
+    def closed():
+        a3 = a * a * a
+        return (2.0 * w * w02 * O0 * a
+                + (a3 - 2.0 * w2 * w02 * O0 * O0) * np.arctan(x)) / (w * a3)
+
+    return _pick(abs(x) < 0.1, series, closed)
 
 
-def _h_tm(omega: float, w0: float, O0: float) -> float:
-    a = omega * omega - w0 * w0
-    u = math.inf if a == 0.0 else O0 * omega / a
-    if abs(u) < 0.1:
+def _h_te_subtr(w, w2, a, w0: float, O0: float):
+    x = a / (O0 * w)
+    w02 = w0 * w0
+
+    def large():
+        v = 1.0 / x
+        a3 = a * a * a
+        return (2.0 * O0 * w02 / (a * a)
+                - O0 * w02 / (w2 * a)
+                - math.pi * w * w02 * O0 * O0 / a3
+                + v * v * v * _atan_series(v * v, 3, 30) / w
+                + 2.0 * w2 * w02 * O0 * O0 * np.arctan(v) / (w * a3))
+
+    return _pick(x >= 2.0, large,
+                 lambda: _h_te(w, w2, a, w0, O0) - 0.5 * math.pi / w + O0 / w2)
+
+
+def _h_tm(w, a, u, O0: float):
+    def series():
+        s = u * u * u * _atan_series(u * u, 3)
+        return ((2.0 * a + O0 * O0) * s - O0 * O0 * u) / (w * O0 * O0)
+
+    def closed():
+        return ((2.0 * w * O0 - (2.0 * a + O0 * O0) * np.arctan(u))
+                / (w * O0 * O0))
+
+    return _pick(abs(u) < 0.1, series, closed)
+
+
+def _h_tm_subtr(w, w2, a, u, w0: float, O0: float):
+    def series():
         u2 = u * u
-        s = u ** 3 * (1.0 / 3 - u2 / 5 + u2 * u2 / 7
-                      - u2 ** 3 / 9 + u2 ** 4 / 11)
-        return ((2.0 * a + O0 * O0) * s - O0 * O0 * u) / (omega * O0 * O0)
-    return ((2.0 * omega * O0 - (2.0 * a + O0 * O0) * math.atan(u))
-            / (omega * O0 * O0))
+        s5 = -u2 * u2 * u * _atan_series(u2, 5, 30)
+        w02 = w0 * w0
+        lead = (O0 * (w2 * w2 * (w02 + O0 * O0) - w02 * w02 * w02)
+                / (3.0 * w2 * a * a * a))
+        return lead + (2.0 * a + O0 * O0) * s5 / (w * O0 * O0)
+
+    return _pick(abs(u) < 0.5, series,
+                 lambda: _h_tm(w, a, u, O0) + O0 / (3.0 * w2))
 
 
-def h(ch: str, omega: float, params: SheetParams) -> float:
+def _density_at(ch: str, w, params: SheetParams, subtracted: bool):
+    w0, O0 = params.omega0, params.Omega0
+    w2 = w * w
+    a = w2 - w0 * w0
+    if ch == Channel.TE:
+        if subtracted:
+            return _h_te_subtr(w, w2, a, w0, O0)
+        return _h_te(w, w2, a, w0, O0)
+    u = _pick(a == 0.0, lambda: math.inf, lambda: O0 * w / a)
+    if subtracted:
+        return _h_tm_subtr(w, w2, a, u, w0, O0)
+    return _h_tm(w, a, u, O0)
+
+
+def _density(ch: str, omega, params: SheetParams, subtracted: bool):
+    """h or h_subtr on a float or an array of omega > 0.
+
+    One implementation for both: on arrays every branch is evaluated at
+    every point and the switch points pick one; on a float only the
+    chosen branch runs.  With x = (omega^2 - omega0^2)/(Omega0 omega) and
+    u = 1/x (+inf on the shell a = omega^2 - omega0^2 = 0, the limit from
+    above) the switch points are |x| < 0.1 (TE series) and |u| < 0.1 (TM
+    series), and for the subtracted densities x >= 2 (TE) and |u| < 0.5
+    (TM): their closed forms cancel the removed tail to about u^4 of its
+    size, which cost 1e-10 of relative accuracy at |u| = 0.1.
+    """
+    Channel.validate(ch)
+    if isinstance(omega, np.ndarray):
+        w = omega.astype(float, copy=False)
+        if np.any(w <= 0.0):
+            raise ValueError("omega must be positive")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _density_at(ch, w, params, subtracted)
+    w = float(omega)
+    if not w > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    return float(_density_at(ch, w, params, subtracted))
+
+
+def h(ch: str, omega: float | np.ndarray, params: SheetParams):
     """Angular average of d delta/dp along the arc p^2 + k^2 = omega^2.
 
     h(omega) = Int_0^1 d eps d delta/dp(p = eps omega,
@@ -231,55 +330,21 @@ def h(ch: str, omega: float, params: SheetParams) -> float:
 
     Large-frequency behavior: h -> pi/(2 omega) - Omega0/omega^2 + ...
     (TE), h -> -Omega0/(3 omega^2) + ... (TM).
+
+    ``omega`` is a float (float returned) or a numpy array of positive
+    values (array returned).
     """
-    Channel.validate(ch)
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if ch == Channel.TE:
-        return _h_te(omega, params.omega0, params.Omega0)
-    return _h_tm(omega, params.omega0, params.Omega0)
+    return _density(ch, omega, params, subtracted=False)
 
 
-def h_subtr(ch: str, omega: float, params: SheetParams) -> float:
+def h_subtr(ch: str, omega: float | np.ndarray, params: SheetParams):
     """h with its large-frequency tail removed, O(omega^-4) at infinity.
 
     TE: h - pi/(2 omega) + Omega0/omega^2, TM: h + Omega0/(3 omega^2).
     Rearranged forms avoid the large-omega cancellation, so the result
-    stays accurate where it is small.
+    stays accurate where it is small.  Float or array ``omega``, as ``h``.
     """
-    Channel.validate(ch)
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    w0, O0 = params.omega0, params.Omega0
-    w2 = omega * omega
-    a = w2 - w0 * w0
-
-    if ch == Channel.TM:
-        u = math.inf if a == 0.0 else O0 * omega / a
-        if abs(u) < 0.1:
-            u2 = u * u
-            s5 = -u ** 5 * (1.0 / 5 - u2 / 7 + u2 * u2 / 9
-                            - u2 ** 3 / 11 + u2 ** 4 / 13)
-            lead = O0 * (w2 * w2 * (w0 * w0 + O0 * O0) - w0 ** 6) \
-                / (3.0 * w2 * a ** 3)
-            return lead + (2.0 * a + O0 * O0) * s5 / (omega * O0 * O0)
-        return _h_tm(omega, w0, O0) + O0 / (3.0 * w2)
-
-    # x = 0 on the resonance shell, where the small-x series of _h_te holds.
-    x = a / (O0 * omega)
-    if x >= 10.0:
-        v = 1.0 / x
-        v2 = v * v
-        series = v ** 3 * (1.0 / 3 - v2 / 5 + v2 * v2 / 7
-                           - v2 ** 3 / 9 + v2 ** 4 / 11 - v2 ** 5 / 13
-                           + v2 ** 6 / 15)
-        w02 = w0 * w0
-        return (2.0 * O0 * w02 / (a * a)
-                - O0 * w02 / (w2 * a)
-                - math.pi * omega * w02 * O0 * O0 / a ** 3
-                + series / omega
-                + 2.0 * w2 * w02 * O0 * O0 * math.atan(v) / (omega * a ** 3))
-    return (_h_te(omega, w0, O0) - 0.5 * math.pi / omega + O0 / w2)
+    return _density(ch, omega, params, subtracted=True)
 
 
 def shell_weight(ch: str, params: SheetParams) -> float:
@@ -295,33 +360,122 @@ def shell_weight(ch: str, params: SheetParams) -> float:
     return -0.5 * math.pi * params.omega0 ** 2
 
 
-def _channel_integral(ch: str, T: float, params: SheetParams,
+# Geometric grading of the first panels toward omega = 0, where the
+# thermal weights have a log singularity: edges m / 8^k, k = 1..12, below
+# m = min(T, scale).
+_GRADING = 8.0
+_GRADING_DEPTH = 12
+
+
+def _like(T, values):
+    """``values`` for an array T, its only entry as a float for a float T."""
+    return values if np.ndim(T) else float(values[0])
+
+
+def _cutoff(params: SheetParams, Ts: np.ndarray) -> float:
+    """Upper limit of the thermal integrals: 40 T_max or 50 scale."""
+    return max(40.0 * float(Ts.max()), 50.0 * params.scale())
+
+
+def _edges(params: SheetParams, Ts: np.ndarray, lo: float,
+           hi: float) -> list[float]:
+    """Starting panel edges of a thermal integral over [lo, hi].
+
+    {omega0, Omega0, band edge}, the temperatures, and a geometric
+    grading toward omega = 0 when lo = 0.
+    """
+    pts = [params.omega0, params.Omega0, _band_edge(params), *Ts]
+    if lo == 0.0:
+        m = min(float(Ts.min()), params.scale())
+        pts += [m * _GRADING ** -k for k in range(1, _GRADING_DEPTH + 1)]
+    return [lo, *(v for v in pts if lo < v < hi), hi]
+
+
+def _tail_moment(n: int, X: np.ndarray, entropy: bool) -> np.ndarray:
+    """Bound on Int_X^inf x^n |w(x)| dx for the weight w, X >= 40.
+
+    |bose_log(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
+    for x >= X, and Int_X^inf x^m e^-x dx = m! e^-X Sum_{i<=m} X^i / i!.
+    A negative n is bounded by X^n times the n = 0 moment.
+    """
+    def upper_gamma(m: int) -> np.ndarray:
+        terms = sum(X ** i / math.factorial(i) for i in range(m + 1))
+        return math.factorial(m) * np.exp(-X) * terms
+
+    m = max(n, 0)
+    out = upper_gamma(m) + (upper_gamma(m + 1) if entropy else 0.0)
+    if n < 0:
+        out = out * X ** n
+    return out / -np.expm1(-X)
+
+
+def _truncation_bound(Ts: np.ndarray, cut: float, entropy: bool,
+                      A: float, n: int) -> np.ndarray:
+    """Bound on what the cutoff drops, per temperature.
+
+    The density factor f of the integrand f(omega) w(omega/T) obeys
+    |f| <= A omega^n beyond ``cut`` (at least 50 scale); the dropped part
+    is then at most A T^(n+1) Int_(cut/T)^inf x^n |w(x)| dx.
+    """
+    return A * Ts ** (n + 1) * _tail_moment(n, cut / Ts, entropy)
+
+
+def _thermal_integral(density, T, params: SheetParams,
+                      settings: QuadSettings, entropy: bool, lo: float,
+                      hi: float, tail: tuple[float, int] | None = None):
+    """Int_lo^hi density(omega) w(omega/T) d omega for every temperature.
+
+    ``density`` maps an array of omega to an array; w is g (entropy) or
+    bose_log.  All temperatures share one panel rule.  ``tail`` = (A, n)
+    bounds the density beyond ``hi`` by A omega^n; the truncation bound
+    that follows is added to the quadrature error, and their sum is
+    reported to the tracker as well.
+    Returns the values, one per temperature, as an array.
+    """
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    weight = g_array if entropy else bose_log_array
+
+    def f(omega: np.ndarray) -> np.ndarray:
+        return density(omega)[:, None] * weight(omega[:, None] / Ts)
+
+    res = integrate_panels(f, _edges(params, Ts, lo, hi), settings)
+    if tail is not None:
+        err = res.error_estimate + _truncation_bound(Ts, hi, entropy, *tail)
+        settings.report(float(err.max()))
+    return res.value
+
+
+def _channel_integral(ch: str, T, params: SheetParams,
                       settings: QuadSettings, entropy: bool,
-                      subtracted: bool, include_shell: bool) -> float:
-    weight = g if entropy else bose_log
+                      subtracted: bool, include_shell: bool):
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
     dens = h_subtr if subtracted else h
-    cut = max(40.0 * T, 50.0 * params.scale())
-    pts = [v for v in (params.omega0, params.Omega0, T) if 0.0 < v < cut]
-
-    def f(omega: float) -> float:
-        return omega * omega * weight(omega / T) * dens(ch, omega, params)
-
-    val = integrate_finite(f, 0.0, cut, settings, breakpoints=pts).value
+    cut = _cutoff(params, Ts)
+    # Beyond 50 scale, |omega^2 h_subtr| <= 2 scale^3 / omega^2 (its
+    # omega^-2 and omega^-3 terms, with room) and |omega^2 h| <= 2 omega.
+    tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
+    val = _thermal_integral(lambda w: w * w * dens(ch, w, params), Ts,
+                            params, settings, entropy, 0.0, cut, tail)
     w0 = params.omega0
     if include_shell and w0 > 0.0:
-        val += shell_weight(ch, params) * weight(w0 / T)
-    return val / (2.0 * math.pi ** 2)
+        weight = g_array if entropy else bose_log_array
+        val = val + shell_weight(ch, params) * weight(w0 / Ts)
+    return _like(T, val / (2.0 * math.pi ** 2))
 
 
-def free_energy_channel(ch: str, T: float, params: SheetParams,
-                        settings: QuadSettings | None = None) -> float:
+def free_energy_channel(ch: str, T, params: SheetParams,
+                        settings: QuadSettings | None = None):
     """Subtracted photonic free energy per unit area of one channel.
 
     F = (T / 2 pi^2) [ Int_0^inf omega^2 blog(omega/T) h_subtr d omega
         + shell_weight * blog(omega0/T) ].
 
     The shell point mass belongs to the channel's spectral measure but
-    not to the smooth derivative density.
+    not to the smooth derivative density.  Like every thermal function
+    of this module, it takes T as a float (float returned) or a 1-D
+    array (array returned); the temperatures of an array share one panel
+    rule (``numkernel.integrate_panels``) cut off at max(40 max T,
+    50 scale).
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
@@ -329,8 +483,8 @@ def free_energy_channel(ch: str, T: float, params: SheetParams,
                                  subtracted=True, include_shell=True)
 
 
-def entropy_channel(ch: str, T: float, params: SheetParams,
-                    settings: QuadSettings | None = None) -> float:
+def entropy_channel(ch: str, T, params: SheetParams,
+                    settings: QuadSettings | None = None):
     """Subtracted photonic entropy per unit area of one channel (-dF/dT).
 
     S = (1 / 2 pi^2) [ Int omega^2 g(omega/T) h_subtr d omega
@@ -344,9 +498,9 @@ def entropy_channel(ch: str, T: float, params: SheetParams,
                              subtracted=True, include_shell=True)
 
 
-def free_energy_channel_raw(ch: str, T: float, params: SheetParams,
+def free_energy_channel_raw(ch: str, T, params: SheetParams,
                             settings: QuadSettings | None = None,
-                            include_shell: bool = True) -> float:
+                            include_shell: bool = True):
     """Unsubtracted channel free energy, from the unsubtracted density.
 
     Differs from the subtracted form by the growth c3 T^3 + c2 T^2 of
@@ -383,22 +537,23 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     pi (Omega0^2/4 - omega0^2/2), changing sign at
     omega0 = Omega0/sqrt(2).
 
-    The quadrature runs to W = 2000 max(Omega0, omega0) and adds the
-    analytic omega^-4 and omega^-5 tails of h_subtr beyond it, so its
-    error is well below 1e-9.
+    The panel rule runs to W = 2000 max(Omega0, omega0), with edges
+    graded by 4 from 5 max(Omega0, omega0), and adds the analytic
+    omega^-4 and omega^-5 tails of h_subtr beyond W, so its error is well
+    below 1e-9.
     """
     Channel.validate(ch)
     settings = settings or DEFAULT_SETTINGS
     s = params.scale()
     W = 2000.0 * s
 
-    def f(omega: float) -> float:
-        return omega * omega * h_subtr(ch, omega, params)
+    def f(omega: np.ndarray) -> np.ndarray:
+        return (omega * omega * h_subtr(ch, omega, params))[:, None]
 
-    mid = 5.0 * s
-    pts = [v for v in (params.omega0, params.Omega0) if 0.0 < v < mid]
-    val = integrate_finite(f, 0.0, mid, settings, breakpoints=pts).value
-    val += integrate_finite(f, mid, W, settings).value
+    pts = [params.omega0, params.Omega0, _band_edge(params),
+           *(5.0 * s * 4.0 ** k for k in range(5))]
+    edges = [0.0, *(v for v in pts if 0.0 < v < W), W]
+    val = float(integrate_panels(f, edges, settings).value[0])
     c4, c5 = _tail_coefficients(ch, params)
     val += c4 / W + 0.5 * c5 / (W * W)
     return val + shell_weight(ch, params)
@@ -437,19 +592,12 @@ def surface_weight(omega: float, params: SheetParams) -> float:
     return 2.0 * (omega * omega - params.ell2) / params.Omega0 ** 2
 
 
-def _plasmon_integral(T: float, params: SheetParams,
-                      settings: QuadSettings, entropy: bool,
-                      lo: float, hi: float) -> float:
-    weight = g if entropy else bose_log
-
-    def f(omega: float) -> float:
-        return omega * surface_weight(omega, params) * weight(omega / T)
-
-    if hi <= lo:
-        return 0.0
-    pts = [v for v in (params.omega0, T) if lo < v < hi]
-    return integrate_finite(f, lo, hi, settings,
-                            breakpoints=pts).value / (2.0 * math.pi)
+def _plasmon_integral(T, params: SheetParams, settings: QuadSettings,
+                      entropy: bool, lo: float, hi: float,
+                      tail: tuple[float, int] | None = None) -> np.ndarray:
+    val = _thermal_integral(lambda w: w * surface_weight(w, params), T,
+                            params, settings, entropy, lo, hi, tail)
+    return val / (2.0 * math.pi)
 
 
 def _band_edge(params: SheetParams) -> float:
@@ -457,8 +605,12 @@ def _band_edge(params: SheetParams) -> float:
     return math.sqrt(e2) if e2 > 0.0 else 0.0
 
 
-def plasmon_free_energy_raw(T: float, params: SheetParams,
-                            settings: QuadSettings | None = None) -> float:
+def _zeros_like(T):
+    return np.zeros(np.shape(T)) if np.ndim(T) else 0.0
+
+
+def plasmon_free_energy_raw(T, params: SheetParams,
+                            settings: QuadSettings | None = None):
     """Raw plasmon free energy, (T/2 pi) Int_max(0, ell) omega X blog.
 
     The lower limit is the band edge in frequency: ell =
@@ -468,13 +620,16 @@ def plasmon_free_energy_raw(T: float, params: SheetParams,
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    lo = _band_edge(params)
-    hi = max(40.0 * T, 50.0 * params.scale())
-    return T * _plasmon_integral(T, params, settings, False, lo, hi)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    # Beyond 50 scale, |omega X| <= 2 (1 + 1/2500) omega^3 / Omega0^2.
+    tail = (2.001 / params.Omega0 ** 2, 3)
+    val = _plasmon_integral(Ts, params, settings, False, _band_edge(params),
+                            _cutoff(params, Ts), tail)
+    return _like(T, Ts * val)
 
 
-def plasmon_free_energy_subtr(T: float, params: SheetParams,
-                              settings: QuadSettings | None = None) -> float:
+def plasmon_free_energy_subtr(T, params: SheetParams,
+                              settings: QuadSettings | None = None):
     """Plasmon free energy with its c3 T^3 + c5 T^5 part removed.
 
     Vanishes identically for omega0 <= Omega0/sqrt(2); otherwise equals
@@ -485,12 +640,14 @@ def plasmon_free_energy_subtr(T: float, params: SheetParams,
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     if lo == 0.0:
-        return 0.0
-    return -T * _plasmon_integral(T, params, settings, False, 0.0, lo)
+        return _zeros_like(T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    return _like(T, -Ts * _plasmon_integral(Ts, params, settings, False,
+                                            0.0, lo))
 
 
-def plasmon_entropy_subtr(T: float, params: SheetParams,
-                          settings: QuadSettings | None = None) -> float:
+def plasmon_entropy_subtr(T, params: SheetParams,
+                          settings: QuadSettings | None = None):
     """Plasmon entropy beyond the smooth c3/c5 background; >= 0.
 
     Carries the log T growth (x^2 / (4 pi Omega0^2)) log T at high
@@ -500,8 +657,8 @@ def plasmon_entropy_subtr(T: float, params: SheetParams,
     settings = settings or DEFAULT_SETTINGS
     lo = _band_edge(params)
     if lo == 0.0:
-        return 0.0
-    return -_plasmon_integral(T, params, settings, True, 0.0, lo)
+        return _zeros_like(T)
+    return _like(T, -_plasmon_integral(T, params, settings, True, 0.0, lo))
 
 
 # Lambdas of (T, params, settings), so every call looks the part's
@@ -527,13 +684,14 @@ PARTS = (
 )
 
 
-def total(T: float, params: SheetParams,
+def total(T, params: SheetParams,
           settings: QuadSettings | None = None) -> ThermoPoint:
-    """Subtracted F and S of every sheet part at one temperature.
+    """Subtracted F and S of every sheet part at a temperature or a grid.
 
     Parts, in the order of ``PARTS``: TE and TM photonic channels and the
     surface plasmon sf.  Evaluated at Omega0 = 1 and scaled back
-    (``ThermoPoint.evaluate``).
+    (``ThermoPoint.evaluate``).  With a 1-D array of T, each part's F and
+    S are arrays over it, from one panel-rule call per part and quantity.
     """
     return ThermoPoint.evaluate(PARTS, T, params,
                                 settings or DEFAULT_SETTINGS)
@@ -613,16 +771,13 @@ def heat_kernel_fit(params: SheetParams,
     settings = settings or DEFAULT_SETTINGS
     s = params.scale()
     c3_sf = Part.named(PARTS, "sf").growth(params).c3
-    samples: dict[str, list[tuple[float, float]]] = {
-        Channel.TE: [], Channel.TM: []}
-    for T in np.geomspace(100.0 * s, 1000.0 * s, 12):
-        samples[Channel.TE].append(
-            (T, free_energy_channel_raw(Channel.TE, T, params, settings)))
-        tm = (free_energy_channel_raw(Channel.TM, T, params, settings)
-              + c3_sf * T ** 3
-              + plasmon_free_energy_subtr(T, params, settings))
-        samples[Channel.TM].append((T, tm))
-    return spectral.extract_heat_kernel(samples)
+    Ts = np.geomspace(100.0 * s, 1000.0 * s, 12)
+    te = free_energy_channel_raw(Channel.TE, Ts, params, settings)
+    tm = (free_energy_channel_raw(Channel.TM, Ts, params, settings)
+          + c3_sf * Ts ** 3
+          + plasmon_free_energy_subtr(Ts, params, settings))
+    return spectral.extract_heat_kernel({Channel.TE: list(zip(Ts, te)),
+                                         Channel.TM: list(zip(Ts, tm))})
 
 
 def a_three_half_te_crossing(Omega0: float = 1.0,

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .numkernel import (
     DEFAULT_SETTINGS,
     QuadSettings,
@@ -169,24 +171,29 @@ class ThermoPoint:
     """Subtracted F and S of each part of a model at one temperature.
 
     ``F`` and ``S`` are in the order of ``names``, the model's ``PARTS``;
-    the totals add them left to right.
+    the totals add them left to right.  Evaluated at a 1-D array of
+    temperatures (the sheet's parts accept one), ``T`` and every entry
+    of ``F`` and ``S`` are arrays over it, and so are the totals.
     """
 
-    T: float
+    T: float | np.ndarray
     names: tuple[str, ...]
-    F: tuple[float, ...]
-    S: tuple[float, ...]
+    F: tuple[Any, ...]
+    S: tuple[Any, ...]
 
     @classmethod
-    def evaluate(cls, parts: Sequence[Part], T: float, params: Any,
+    def evaluate(cls, parts: Sequence[Part], T, params: Any,
                  settings: QuadSettings) -> "ThermoPoint":
         """Evaluate F then S of each part in turn, at unit scale.
 
         ``params.reduced()`` gives the frequency scale s and the unit-scale
         parameters; each part runs at T / s, and F and S are scaled back by
         s^3 and s^2.  Tolerances and error estimates refer to unit scale.
+        ``T`` is a float or a 1-D array, passed to each part whole.
         """
         s, unit = params.reduced()
+        if np.ndim(T):
+            T = np.asarray(T, dtype=float)
         t = T / s
         F, S = [], []
         for part in parts:

@@ -6,7 +6,8 @@ grouped into suites:
 
 ``oracle``
     Closed-form scattering quantities against their defining integral
-    representations, transmission factorization and factor phases, and
+    representations, the sheet entropies of the panel rule against
+    scalar QUADPACK, transmission factorization and factor phases, and
     plasmon dispersions.
 ``asymptotics``
     Low- and high-temperature laws: Nernst slopes, fitted T^3/T^2
@@ -31,15 +32,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import plasma_sheet, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
+    ErrorTracker,
+    QuadSettings,
     bose_log,
     fit_asymptotic,
+    g,
     integrate_finite,
     integrate_semiinf,
 )
@@ -196,6 +200,51 @@ def _sheet_defining_checks(settings):
     out.append(_below(
         "oracle", "sheet plasmon raw vs polynomial + finite integral",
         abs(raw - ident) / abs(raw), 1e-8, label="<= 1e-08"))
+    return out
+
+
+# The panel rule's sheet entropies against scalar QUADPACK at tight
+# tolerances, below, to omega0 on both sides of the window.
+_PANEL_OMEGA0 = (0.0, 0.7125, 1.4125)
+_PANEL_T = tuple(float(T) for T in np.geomspace(1e-2, 1e3, 5))
+_QUADPACK_TIGHT = QuadSettings(abs_tol=1e-16, rel_tol=1e-13)
+
+
+def _sheet_entropy_quadpack(ch, T, params):
+    """S of one sheet channel by scalar QUADPACK over [0, cut]."""
+    w0 = params.omega0
+    cut = max(40.0 * T, 50.0 * params.scale())
+
+    def f(omega):
+        return omega * omega * g(omega / T) * plasma_sheet.h_subtr(
+            ch, omega, params)
+
+    val = integrate_finite(f, 0.0, cut, _QUADPACK_TIGHT,
+                           breakpoints=(w0, params.Omega0, T)).value
+    if w0 > 0.0:
+        val += plasma_sheet.shell_weight(ch, params) * g(w0 / T)
+    return val / (2.0 * math.pi ** 2)
+
+
+def _sheet_panel_rule_checks(settings):
+    # Each row: the worst |S_panel - S_quadpack| over the temperatures,
+    # in units of the error the panel rule reported for that T (its
+    # tracker's worst, over 2 pi^2 as S is).
+    out = []
+    for omega0 in _PANEL_OMEGA0:
+        params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
+        for ch in ("TE", "TM"):
+            worst = 0.0
+            for T in _PANEL_T:
+                tracker = ErrorTracker()
+                s = plasma_sheet.entropy_channel(
+                    ch, T, params, replace(settings, error_tracker=tracker))
+                bound = tracker.worst / (2.0 * math.pi ** 2)
+                gap = abs(s - _sheet_entropy_quadpack(ch, T, params))
+                worst = max(worst, gap / bound)
+            out.append(_below(
+                "oracle", f"sheet S_{ch} panel rule vs QUADPACK within its "
+                f"bound, omega0={omega0}", worst, 1.0, label="<= 1"))
     return out
 
 
@@ -402,6 +451,7 @@ def _suite_oracle(settings):
     out = []
     out.extend(_sheet_h_oracle_checks(settings))
     out.extend(_sheet_defining_checks(settings))
+    out.extend(_sheet_panel_rule_checks(settings))
     out.extend(_slab_h_oracle_checks(settings))
     out.extend(_slab_exp_oracle_checks(settings))
     out.extend(_slab_surface_defining_checks(settings))
@@ -436,8 +486,8 @@ def _suite_asymptotics(settings):
     for ch, c3_ref, c2_ref in (
             ("TE", -_ZETA3 / (4.0 * math.pi), 1.0 / 12.0),
             ("TM", 0.0, 1.0 / 36.0)):
-        samples = [(T, plasma_sheet.free_energy_channel_raw(
-            ch, T, params, settings)) for T in T_grid]
+        samples = list(zip(T_grid, plasma_sheet.free_energy_channel_raw(
+            ch, T_grid, params, settings)))
         fit = fit_asymptotic(samples, ("T3", "T2", "TlogT", "T"))
         c3 = fit.coefficient("T3")
         c2 = fit.coefficient("T2")
@@ -552,8 +602,8 @@ def _suite_constants(settings):
         "constants", "sheet S_total < 0 at omega0=0.8, T=1e3", s_total))
 
     params0 = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
-    s_min = min(plasma_sheet.total(T, params0, settings).S_total
-                for T in np.geomspace(1e-2, 1e2, 13))
+    s_min = plasma_sheet.total(np.geomspace(1e-2, 1e2, 13), params0,
+                               settings).S_total.min()
     out.append(_nonnegative(
         "constants", "sheet S_total >= 0 on T grid at omega0=0", s_min))
 

@@ -55,6 +55,14 @@ def test_jobs_output_is_deterministic(tmp_path):
     for out, jobs in zip(outs, ("1", "1", "2")):
         assert cli.main(slab_args + ["--out", str(out), "--jobs", jobs]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    # Each scan row integrates its whole T grid in one panel-rule call.
+    scan_args = ["scan", "--omega0", "0.6:0.9:4", "--tmax", "100",
+                 "--tpts", "4"]
+    scans = [tmp_path / f"scan{i}.csv" for i in range(3)]
+    for out, jobs in zip(scans, ("1", "1", "3")):
+        assert cli.main(scan_args + ["--out", str(out), "--jobs", jobs]) == 0
+    assert scans[0].read_bytes() == scans[1].read_bytes() \
+        == scans[2].read_bytes()
 
 
 def test_sheet_stdout(capsys):

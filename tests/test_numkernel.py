@@ -6,6 +6,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
+from artifact import numkernel
 from artifact.numkernel import (
     DEFAULT_SETTINGS,
     AsymptoticFit,
@@ -14,12 +17,15 @@ from artifact.numkernel import (
     QuadSettings,
     bose_kernel,
     bose_log,
+    bose_log_array,
     bose_occupation,
     derivative_fd,
     find_root_bracketed,
     fit_asymptotic,
     g,
+    g_array,
     integrate_finite,
+    integrate_panels,
     integrate_semiinf,
 )
 
@@ -186,3 +192,58 @@ def test_error_tracker_records_worst():
     assert s.error_tracker.worst == before
     s.error_tracker.reset()
     assert s.error_tracker.worst == 0.0
+
+
+def test_weight_arrays_match_scalar_forms():
+    # Both sides of every branch point: ln 2 (bose_log), 1e-12 and 30 (g).
+    x = np.concatenate([np.geomspace(1e-14, 800.0, 400),
+                        [math.log(2.0) * (1 + d) for d in (-1e-12, 1e-12)],
+                        [1e-12 * (1 + d) for d in (-1e-9, 1e-9)],
+                        [30.0 * (1 + d) for d in (-1e-12, 1e-12)]])
+    assert bose_log_array(x) == pytest.approx([bose_log(v) for v in x],
+                                              rel=4e-15, abs=0.0)
+    assert g_array(x) == pytest.approx([g(v) for v in x], rel=4e-15)
+    for fn in (bose_log_array, g_array):
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, 0.0]))
+
+
+def test_integrate_panels_components_and_bound():
+    # Int_0^1 x^k dx = 1/(k + 1) for three powers at once, and the log
+    # singularity Int_0^1 log x dx = -1 on a graded start.
+    ks = np.array([0.5, 3.0, 12.0])
+    tracker = ErrorTracker()
+    res = integrate_panels(lambda x: x[:, None] ** ks, [0.0, 0.5, 1.0],
+                           QuadSettings(error_tracker=tracker))
+    exact = 1.0 / (ks + 1.0)
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+    assert np.all(res.error_estimate
+                  <= np.maximum(1e-12, 1e-9 * np.abs(exact)))
+    assert tracker.worst == res.error_estimate.max()
+    assert res.evaluations % 15 == 0
+    graded = [0.0, *(8.0 ** -k for k in range(12, 0, -1)), 1.0]
+    res = integrate_panels(lambda x: np.log(x)[:, None], graded)
+    assert abs(res.value[0] + 1.0) <= res.error_estimate[0] <= 1e-9
+
+
+def test_integrate_panels_error_includes_roundoff_floor():
+    # A constant is integrated exactly by both rules, so |K - G| is pure
+    # roundoff; the reported error is at least 50 eps Int |f|.
+    res = integrate_panels(lambda x: np.full((len(x), 1), 3.0), [0.0, 2.0])
+    assert res.error_estimate[0] >= 50 * np.finfo(float).eps * 6.0
+
+
+def test_integrate_panels_refuses_unconverged_results(monkeypatch):
+    with pytest.raises(QuadratureError), np.errstate(over="ignore"):
+        integrate_panels(lambda x: (1.0 / x)[:, None], [0.0, 1.0])
+    with pytest.raises(QuadratureError):
+        integrate_panels(lambda x: np.where(x > 0.3, np.nan, x)[:, None],
+                         [0.0, 1.0])
+    # The roundoff floor alone above the tolerance cannot be bisected away.
+    with pytest.raises(QuadratureError, match="roundoff"):
+        integrate_panels(lambda x: np.ones((len(x), 1)), [0.0, 1.0],
+                         QuadSettings(abs_tol=1e-20, rel_tol=1e-17))
+    # A panel cap below what the tolerance needs.
+    monkeypatch.setattr(numkernel, "_MAX_SUBDIVISIONS", 4)
+    with pytest.raises(QuadratureError, match="4 panels"):
+        integrate_panels(lambda x: np.sin(40.0 * x)[:, None], [0.0, 3.0])

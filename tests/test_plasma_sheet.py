@@ -1,12 +1,16 @@
 """Thin plasma sheet: phase shifts, spectral densities, thermodynamics."""
 
 import math
+from dataclasses import replace
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import numkernel
 from artifact import plasma_sheet as ps
-from artifact.numkernel import DEFAULT_SETTINGS
+from artifact.numkernel import DEFAULT_SETTINGS, ErrorTracker
 from artifact.spectral import Channel, Part
 
 ZETA3 = 1.2020569031595943
@@ -328,3 +332,121 @@ def test_tm_entropy_survives_breakpoint_roundoff():
     params = ps.SheetParams(Omega0=1.0, omega0=0.5435269975350088)
     S = ps.entropy_channel(Channel.TM, 0.013818998899930629, params)
     assert S == pytest.approx(7.716634706111e-04, rel=1e-12)
+
+
+def _h_mpmath(ch, omega, params, subtracted):
+    """h or h_subtr from the closed forms at 30 digits (shell: limits)."""
+    with mpmath.workdps(30):
+        w, w0, O0 = (mpmath.mpf(v) for v in (omega, params.omega0,
+                                              params.Omega0))
+        a = w * w - w0 * w0
+        if ch == Channel.TE:
+            if a == 0:
+                val = 2 / (3 * O0)
+            else:
+                val = ((2 * w * w0 ** 2 * O0 * a
+                        + (a ** 3 - 2 * w * w * w0 * w0 * O0 * O0)
+                        * mpmath.atan(a / (O0 * w))) / (w * a ** 3))
+            tail = mpmath.pi / (2 * w) - O0 / w ** 2
+        else:
+            at = mpmath.pi / 2 if a == 0 else mpmath.atan(O0 * w / a)
+            val = (2 * w * O0 - (2 * a + O0 * O0) * at) / (w * O0 * O0)
+            tail = -O0 / (3 * w * w)
+        return val - tail if subtracted else val
+
+
+def _switch_frequencies(w0, O0=1.0):
+    # omega where x = a/(O0 omega) = c, i.e. omega^2 - c O0 omega - w0^2
+    # = 0: |x| = 0.1 (TE), x = 2 (TE subtracted), |u| = 1/|x| = 0.1 (TM)
+    # and 0.5 (TM subtracted).
+    out = []
+    for c in (0.1, -0.1, 2.0, 10.0, -10.0, -2.0):
+        w = 0.5 * (c * O0 + math.sqrt(c * c * O0 * O0 + 4.0 * w0 * w0))
+        if w > 0.0:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.5, 0.7125, 1.3])
+@pytest.mark.parametrize("ch", Channel.ALL)
+def test_density_arrays_match_mpmath_at_switch_points(ch, w0):
+    # Both sides of every switch point, and the resonance shell, in one
+    # array call per density.
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    omegas = [w * (1.0 + d) for w in _switch_frequencies(w0)
+              for d in (-1e-9, 1e-9, -1e-3, 1e-3)]
+    if w0 > 0.0:
+        omegas.append(w0)
+    omegas = np.array(omegas)
+    for fn, subtracted in ((ps.h, False), (ps.h_subtr, True)):
+        got = fn(ch, omegas, params)
+        assert isinstance(got, np.ndarray)
+        want = [float(_h_mpmath(ch, w, params, subtracted)) for w in omegas]
+        for w, a, b in zip(omegas, got, want):
+            assert a == pytest.approx(b, rel=1e-12), (fn.__name__, w)
+            assert fn(ch, float(w), params) == a
+
+
+def test_thermal_parts_take_a_temperature_grid():
+    # total(T grid) agrees with one total(T) per temperature within the
+    # errors both report (integral units; /(2 pi) covers both the
+    # channels' 1/(2 pi^2) and the plasmon's 1/(2 pi)).
+    params = ps.SheetParams(Omega0=1.0, omega0=0.8)
+    grid = np.geomspace(1e-2, 1e3, 9)
+    batch_tracker = ErrorTracker()
+    batch = ps.total(grid, params,
+                     replace(DEFAULT_SETTINGS, error_tracker=batch_tracker))
+    assert isinstance(batch.S_total, np.ndarray)
+    assert batch.S_total.shape == grid.shape
+    for i, T in enumerate(grid):
+        tracker = ErrorTracker()
+        point = ps.total(float(T), params,
+                         replace(DEFAULT_SETTINGS, error_tracker=tracker))
+        err = (batch_tracker.worst + tracker.worst) / (2.0 * math.pi)
+        for name in point.names:
+            (F, S), (Fb, Sb) = point.part(name), batch.part(name)
+            assert abs(Fb[i] - F) <= T * err, (name, T)
+            assert abs(Sb[i] - S) <= err, (name, T)
+
+
+def test_sheet_runs_no_quadpack(monkeypatch):
+    # The sheet's thermal integrals and sum rules run on the panel rule
+    # only: with QUADPACK unavailable they still give their values.
+    def boom(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(ps, "integrate_finite", boom, raising=False)
+    monkeypatch.setattr(numkernel, "quad", boom)
+    params = ps.SheetParams(Omega0=1.0, omega0=0.8)
+    point = ps.total(1.0, params)
+    assert math.isfinite(point.F_total) and math.isfinite(point.S_total)
+    assert ps.high_T_log_coefficient(params) == pytest.approx(
+        ps.high_T_log_coefficient_closed(params), abs=1e-9)
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.3, 0.7, 1.0, 2.0, 10.0])
+def test_density_envelopes_beyond_the_cutoff(w0):
+    # The truncation bounds assume |omega^2 h_subtr| <= 2 s^3 / omega^2,
+    # |omega^2 h| <= 2 omega and |omega X| <= 2.001 omega^3 / Omega0^2 for
+    # omega >= 50 s, s = max(Omega0, omega0).
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    s = params.scale()
+    w = np.geomspace(50.0 * s, 1e6 * s, 200)
+    for ch in Channel.ALL:
+        assert np.all(np.abs(w ** 4 * ps.h_subtr(ch, w, params)) <= 2 * s ** 3)
+        assert np.all(np.abs(w * ps.h(ch, w, params)) <= 2.0)
+    assert np.all(np.abs(ps.surface_weight(w, params)) <= 2.001 * w * w)
+
+
+def test_truncation_bound_covers_the_dropped_tail():
+    # Raw TE free-energy integrand beyond the cutoff at T = 1000, against
+    # the bound the channel integral adds to its error.
+    params = ps.SheetParams(Omega0=1.0, omega0=0.5)
+    T = 1000.0
+    cut = ps._cutoff(params, np.array([T]))
+    tail = numkernel.integrate_semiinf(
+        lambda w: w * w * numkernel.bose_log(w / T) * ps.h(Channel.TE, w,
+                                                           params),
+        cut, DEFAULT_SETTINGS, scale=T).value
+    bound = ps._truncation_bound(np.array([T]), cut, False, 2.0, 1)[0]
+    assert 0.0 < abs(tail) <= bound <= 10.0 * abs(tail)

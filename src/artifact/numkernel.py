@@ -269,8 +269,8 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 
 
 def integrate_semiinf(f: Callable[[float], float], a: float,
-                      settings: QuadSettings | None = None,
-                      scale: float | None = None,
+                      settings: QuadSettings | None = None, *,
+                      scale: float,
                       breakpoints: Sequence[float] = ()) -> QuadResult:
     """Integrate a decaying ``f`` over [a, infinity).
 
@@ -287,9 +287,8 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
     a : float
         Lower limit.
     settings : QuadSettings, optional
-    scale : float, optional
-        Characteristic decay scale used to seed the truncation scan
-        (default ``max(1, |a|)``).
+    scale : float
+        Characteristic decay scale used to seed the truncation scan.
     breakpoints : sequence of float, optional
         Forwarded to the finite integration after truncation.
 
@@ -305,12 +304,11 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
         of ``scale`` (tail-bound failure) or the finite part fails.
     """
     settings = settings or DEFAULT_SETTINGS
-    s = scale if scale is not None else max(1.0, abs(a))
-    if s <= 0.0 or not math.isfinite(s):
-        raise QuadratureError(f"positive finite scale required, got {s}")
+    if scale <= 0.0 or not math.isfinite(scale):
+        raise QuadratureError(f"positive finite scale required, got {scale}")
 
     fmax = 0.0
-    x = a + s
+    x = a + scale
     prev = abs(f(x))
     fmax = max(fmax, prev)
     doublings = 0
@@ -319,7 +317,7 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
         x2 = a + (x - a) * 2.0
         cur = abs(f(x2))
         fmax = max(fmax, cur)
-        far_enough = (x - a) >= 8.0 * s
+        far_enough = (x - a) >= 8.0 * scale
         if far_enough and fmax == 0.0:
             break
         small = cur <= _SEMIINF_DECAY_CUT * fmax

@@ -516,11 +516,17 @@ def free_energy_channel_raw(ch: str, T, params: SheetParams,
                                  include_shell=include_shell)
 
 
-def _tail_coefficients(ch: str, params: SheetParams) -> tuple[float, float]:
+def _tail_coefficients(ch: str,
+                       params: SheetParams) -> tuple[float, float, float]:
+    """c4, c5, c6 of omega^2 h_subtr = c4/omega^2 + c5/omega^3 + c6/omega^4
+    + ... at large omega."""
     w0, O0 = params.omega0, params.Omega0
+    r = (w0 / O0) ** 2
     if ch == Channel.TE:
-        return O0 ** 3 / 3.0 + O0 * w0 * w0, -math.pi * w0 * w0 * O0 * O0
-    return O0 * w0 * w0 / 3.0 - O0 ** 3 / 15.0, 0.0
+        return (O0 ** 3 / 3.0 + O0 * w0 * w0, -math.pi * w0 * w0 * O0 * O0,
+                O0 ** 5 * (15.0 * r * r + 15.0 * r - 1.0) / 5.0)
+    return (O0 * w0 * w0 / 3.0 - O0 ** 3 / 15.0, 0.0,
+            O0 ** 5 * (35.0 * r * r - 21.0 * r + 3.0) / 35.0)
 
 
 def spectral_sum_rule(ch: str, params: SheetParams,
@@ -537,10 +543,15 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     pi (Omega0^2/4 - omega0^2/2), changing sign at
     omega0 = Omega0/sqrt(2).
 
-    The panel rule runs to W = 2000 max(Omega0, omega0), with edges
-    graded by 4 from 5 max(Omega0, omega0), and adds the analytic
-    omega^-4 and omega^-5 tails of h_subtr beyond W, so its error is well
-    below 1e-9.
+    The panel rule runs to W = 2000 s, s = max(Omega0, omega0), with
+    edges graded by 4 from 5 s, and adds the analytic omega^-4 and
+    omega^-5 tails of h_subtr beyond W.  The error reported to the
+    tracker is the panel rule's plus a bound on the rest of the tail:
+    beyond 50 s, |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <=
+    (|c6| + s^6/omega)/omega^4, so the rest is at most
+    (|c6| + s^6/W) / (3 W^3).  The envelope is tested; the next term,
+    c7 = -3 pi Omega0^2 omega0^4 (TE; 0 in TM), adds to |c6| only where
+    c6 < 0, at omega0 < Omega0/4, and there it is below s^6/25.
     """
     Channel.validate(ch)
     settings = settings or DEFAULT_SETTINGS
@@ -553,8 +564,11 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     pts = [params.omega0, params.Omega0, _band_edge(params),
            *(5.0 * s * 4.0 ** k for k in range(5))]
     edges = [0.0, *(v for v in pts if 0.0 < v < W), W]
-    val = float(integrate_panels(f, edges, settings).value[0])
-    c4, c5 = _tail_coefficients(ch, params)
+    res = integrate_panels(f, edges, settings)
+    c4, c5, c6 = _tail_coefficients(ch, params)
+    settings.report(float(res.error_estimate[0])
+                    + (abs(c6) + s ** 6 / W) / (3.0 * W ** 3))
+    val = float(res.value[0])
     val += c4 / W + 0.5 * c5 / (W * W)
     return val + shell_weight(ch, params)
 
@@ -839,7 +853,6 @@ def scattering_channel(ch: str, params: SheetParams,
         surface = lambda k: omega_sf(k, params)  # noqa: E731
         k_min = w0
     return ScatteringChannel(
-        name=f"sheet-{ch}",
         deriv=ddelta,
         surface_mode=surface,
         k_min_surface=k_min,

@@ -73,13 +73,9 @@ __all__ = [
     "h_defining",
     "validate_surface_weight",
     "F_s_TE",
-    "F_s_TE_subtr",
     "S_s_TE",
-    "S_s_TE_subtr",
     "F_s_TM",
-    "F_s_TM_subtr",
     "S_s_TM",
-    "S_s_TM_subtr",
     "slab_constant_c",
     "slab_constant_d",
     "delta_L",
@@ -371,23 +367,15 @@ def S_s_TE(T: float, params: SlabParams,
     return 3.0 * ZETA3 * T ** 2 / (2.0 * math.pi) - val / math.pi ** 2
 
 
-def F_s_TE_subtr(T: float, params: SlabParams,
-                 settings: QuadSettings | None = None) -> float:
-    """TE surface free energy with the T^3 growth removed.
+def _s_te_growth(params: SlabParams) -> SubtractionSpec:
+    """T^3 growth of the TE surface part, which its ``PARTS`` record removes.
 
-    Grows as (omega_p^2 / 8 pi) T log(2T/omega_p) at high temperature;
-    the corresponding entropy deficit is the slab's negative surface
+    Without it the free energy grows as (omega_p^2 / 8 pi) T log(2T/omega_p)
+    at high temperature, and the entropy beyond the T^2 term tends to
+    -(omega_p^2 / 8 pi) log T: that deficit is the slab's negative surface
     entropy.
     """
-    spec = Part.named(PARTS, "s_TE").growth(params)
-    return spec.free_energy(F_s_TE(T, params, settings), T)
-
-
-def S_s_TE_subtr(T: float, params: SlabParams,
-                 settings: QuadSettings | None = None) -> float:
-    """TE surface entropy beyond the T^2 term; -> -(omega_p^2/8 pi) log T."""
-    spec = Part.named(PARTS, "s_TE").growth(params)
-    return spec.entropy(S_s_TE(T, params, settings), T)
+    return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))
 
 
 def _surface_tm_integrals(T: float, params: SlabParams,
@@ -456,18 +444,11 @@ def S_s_TM(T: float, params: SlabParams,
             + b_int / (2.0 * math.pi ** 2 * T * T))
 
 
-def F_s_TM_subtr(T: float, params: SlabParams,
-                 settings: QuadSettings | None = None) -> float:
-    """TM surface free energy minus its T^3 and T^2 growth."""
-    spec = Part.named(PARTS, "s_TM").growth(params)
-    return spec.free_energy(F_s_TM(T, params, settings), T)
-
-
-def S_s_TM_subtr(T: float, params: SlabParams,
-                 settings: QuadSettings | None = None) -> float:
-    """TM surface entropy minus its T^2 and T terms."""
-    spec = Part.named(PARTS, "s_TM").growth(params)
-    return spec.entropy(S_s_TM(T, params, settings), T)
+def _s_tm_growth(params: SlabParams) -> SubtractionSpec:
+    """T^3 and T^2 growth of the TM surface part (T^2 and T in its entropy),
+    which its ``PARTS`` record removes."""
+    return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi),
+                           c2=(4.0 - math.pi) * params.omega_p / 24.0)
 
 
 def surface_tm_low_T_correction(T: float, params: SlabParams) -> float:
@@ -695,8 +676,9 @@ _TABLE_EDGES = tuple(sorted({
 # until its coefficient tail times its width is at most _TABLE_TOL
 # omega_p^2, or the tail is below the error of the h_L values themselves;
 # it is bisected, at most _TABLE_DEPTH times, when the last degree does
-# not suffice.  The table's h_L calls use their own absolute tolerance,
-# _TABLE_ABS_TOL omega_p omega.
+# not suffice.  The table's h_L calls use their own tolerances, absolute
+# _TABLE_ABS_TOL omega_p omega and h_L's relative 1e-10, so no caller's
+# QuadSettings reach the table.
 _TABLE_TOL = 1e-14
 _TABLE_ABS_TOL = 1e-12
 _TABLE_DEGREES = (8, 16, 32, 64)
@@ -716,7 +698,7 @@ _CHEB_MATRICES = {n: _cheb_matrix(n) for n in _TABLE_DEGREES}
 
 
 def _fit_piece(lo: float, hi: float, params: SlabParams,
-               settings: QuadSettings, depth: int = 0) -> list[tuple]:
+               depth: int = 0) -> list[tuple]:
     """Pieces (lo, hi, c0, c_n..c_1, bound) interpolating h_L / omega.
 
     ``bound`` is a pointwise error bound of the piece: its coefficient
@@ -736,8 +718,8 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
         if w <= 0.0:
             return 0.0
         tracker.reset()
-        inner = replace(settings, error_tracker=tracker,
-                        abs_tol=_TABLE_ABS_TOL * params.omega_p * w)
+        inner = QuadSettings(abs_tol=_TABLE_ABS_TOL * params.omega_p * w,
+                             error_tracker=tracker)
         value = h_L(w, params, inner) / w
         worst = max(worst, tracker.worst / w)
         return value
@@ -754,8 +736,8 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
                 or (last and depth == _TABLE_DEPTH)):
             break
         if last:
-            return (_fit_piece(lo, mid, params, settings, depth + 1)
-                    + _fit_piece(mid, hi, params, settings, depth + 1))
+            return (_fit_piece(lo, mid, params, depth + 1)
+                    + _fit_piece(mid, hi, params, depth + 1))
         n *= 2
         odd = [k(math.cos(j * math.pi / n)) for j in range(1, n, 2)]
         values = [v for pair in zip(values, odd) for v in pair] + values[-1:]
@@ -764,12 +746,11 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
 
 
 @lru_cache(maxsize=1024)
-def _table_segment(params: SlabParams, settings: QuadSettings,
-                   i: int) -> tuple[tuple, ...]:
+def _table_segment(params: SlabParams, i: int) -> tuple[tuple, ...]:
     """Fitted pieces of segment i of the h_L table; a pure function."""
     wp = params.omega_p
     return tuple(_fit_piece(wp * _TABLE_EDGES[i], wp * _TABLE_EDGES[i + 1],
-                            params, settings))
+                            params))
 
 
 class _HLTable:
@@ -778,15 +759,13 @@ class _HLTable:
     The pieces are fitted on first use (``_table_segment``), so the h_L
     quadratures of a build run under the outer quadrature that first reads
     the table.  The table holds every segment that starts below ``top``,
-    built without the caller's error tracker; each segment depends on
-    (params, settings, index) alone, so a table reads the same whichever
-    temperature or process asked first.
+    built without the caller's settings or error tracker; each segment
+    depends on (params, index) alone, so a table reads the same whichever
+    temperature, settings or process asked first.
     """
 
-    def __init__(self, params: SlabParams, settings: QuadSettings,
-                 top: float) -> None:
+    def __init__(self, params: SlabParams, top: float) -> None:
         self._params = params
-        self._settings = replace(settings, error_tracker=None)
         self._top = top
         self._pieces: list[tuple] | None = None
         self._starts: list[float] = []
@@ -799,8 +778,7 @@ class _HLTable:
             for i, lo in enumerate(_TABLE_EDGES[:-1]):
                 if lo * wp >= self._top:
                     break
-                pieces.extend(_table_segment(self._params, self._settings,
-                                             i))
+                pieces.extend(_table_segment(self._params, i))
             self._starts = [piece[0] for piece in pieces]
             self._pieces = pieces
         return self._pieces
@@ -866,7 +844,7 @@ def validate_h_L_table(params: SlabParams,
     """
     settings = settings or DEFAULT_SETTINGS
     wp = params.omega_p
-    table = _HLTable(params, settings, _TABLE_TOP * wp)
+    table = _HLTable(params, _TABLE_TOP * wp)
     worst = 0.0
     for frac in _H_L_VALIDATION_GRID:
         w = frac * wp
@@ -885,7 +863,7 @@ def _thickness_tm_integral(T: float, params: SlabParams,
     # negligible at every temperature; the thermal factor cuts earlier
     # when 40 T is smaller.
     W = min(40.0 * T, _TABLE_TOP * wp)
-    table = _HLTable(params, settings, W)
+    table = _HLTable(params, W)
 
     # The weight of h_L / omega, w n(w/T) <= T or w^2 n'(w/T) <= T^2, is
     # positive and decreasing, so its value at lo bounds it beyond lo.
@@ -916,11 +894,11 @@ def F_L_TM(T: float, params: SlabParams,
     F = -(1/2 pi^2) Int_0^W n(omega/T) h_L(omega) d omega (note: no
     omega factor; it is consumed by the momentum moment), with the cutoff
     W = min(40 T, 60 omega_p).  The integrand reads h_L from a piecewise
-    Chebyshev table built once per (params, settings) and shared by every
-    temperature and by ``S_L``; the error reported for the integral adds
-    the table's pointwise bound times the integral of the thermal weight
-    to the quadrature's own estimate.  At low temperature the series of
-    ``h_L`` gives
+    Chebyshev table built once per params and shared by every temperature,
+    every ``QuadSettings`` and ``S_L``; the error reported for the
+    integral adds the table's pointwise bound times the integral of the
+    thermal weight to the quadrature's own estimate.  At low temperature
+    the series of ``h_L`` gives
 
         F = -2 pi^2 T^4 / (15 omega_p (e^{2 omega_p L} - 1))
             * (1 + b1 T + b2 T^2 + O(T^3)),
@@ -971,7 +949,7 @@ def slab_constant_d(settings: QuadSettings | None = None,
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
     if route == "TM":
-        res = _HLTable(params, settings, _TABLE_TOP).integral()
+        res = _HLTable(params, _TABLE_TOP).integral()
         settings.report(res.error_estimate)
         return -res.value / (2.0 * math.pi ** 2)
     if route != "TE":
@@ -1248,14 +1226,13 @@ def plasmon_mode_residual(omega: float, k: float,
 # function up in this module.  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
-         lambda T, p, s: F_s_TE_subtr(T, p, s),
-         lambda T, p, s: S_s_TE_subtr(T, p, s),
-         lambda p: SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))),
+         lambda T, p, s: _s_te_growth(p).free_energy(F_s_TE(T, p, s), T),
+         lambda T, p, s: _s_te_growth(p).entropy(S_s_TE(T, p, s), T),
+         _s_te_growth),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
-         lambda T, p, s: F_s_TM_subtr(T, p, s),
-         lambda T, p, s: S_s_TM_subtr(T, p, s),
-         lambda p: SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi),
-                                   c2=(4.0 - math.pi) * p.omega_p / 24.0)),
+         lambda T, p, s: _s_tm_growth(p).free_energy(F_s_TM(T, p, s), T),
+         lambda T, p, s: _s_tm_growth(p).entropy(S_s_TM(T, p, s), T),
+         _s_tm_growth),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
          lambda T, p, s: F_L_TE(T, p, s),
          lambda T, p, s: S_L(Channel.TE, T, p, s)),
@@ -1297,7 +1274,6 @@ def surface_te_channel(params: SlabParams) -> ScatteringChannel:
         return 2.0 / _gamma(p, params)
 
     return ScatteringChannel(
-        name="slab-s-TE",
         deriv=ddelta,
         p_breakpoints=lambda k: (wp,),
         scale=wp,

@@ -91,8 +91,6 @@ class ScatteringChannel:
 
     Attributes
     ----------
-    name : str
-        Label used in reports ("TE", "TM", ...).
     deriv : callable
         Analytic d delta/dp at radial momentum p >= 0 and transverse
         momentum k, called as ``deriv(p, k)``.
@@ -110,7 +108,6 @@ class ScatteringChannel:
     All callables must be safe to call concurrently.
     """
 
-    name: str
     deriv: Callable[[float, float], float]
     surface_mode: Callable[[float], float] | None = None
     k_min_surface: float = 0.0

@@ -42,6 +42,7 @@ from .numkernel import (
     ErrorTracker,
     QuadSettings,
     bose_log,
+    derivative_fd,
     fit_asymptotic,
     g,
     integrate_finite,
@@ -213,7 +214,7 @@ _QUADPACK_TIGHT = QuadSettings(abs_tol=1e-16, rel_tol=1e-13)
 def _sheet_entropy_quadpack(ch, T, params):
     """S of one sheet channel by scalar QUADPACK over [0, cut]."""
     w0 = params.omega0
-    cut = max(40.0 * T, 50.0 * params.scale())
+    cut = plasma_sheet._cutoff(params, np.array([T]))
 
     def f(omega):
         return omega * omega * g(omega / T) * plasma_sheet.h_subtr(
@@ -550,7 +551,8 @@ def _suite_asymptotics(settings):
         1.0 / (12.0 * math.pi), slab.S_exp_subtr(1e3, sp, settings), 1e-2))
 
     T_grid = np.geomspace(1e2, 1e3, 10)
-    samples = [(T, slab.F_s_TE_subtr(T, sp, settings)) for T in T_grid]
+    s_te = spectral.Part.named(slab.PARTS, "s_TE")
+    samples = [(T, s_te.F(T, sp, settings)) for T in T_grid]
     fit = fit_asymptotic(samples, ("TlogT", "T", "1"))
     out.append(_rel(
         "asymptotics", "slab subtracted F_s_TE: T*log(T) coefficient",
@@ -651,8 +653,8 @@ def _suite_thermo_identity(settings):
         for T in grid:
             h = 1e-4 * T
             s = part.S(T, params, settings)
-            s_fd = (part.F(T - h, params, settings)
-                    - part.F(T + h, params, settings)) / (2.0 * h)
+            s_fd = -derivative_fd(lambda t: part.F(t, params, settings),
+                                  T, h)
             scale = max(abs(s), abs(s_fd))
             if scale < 1e-13:
                 continue

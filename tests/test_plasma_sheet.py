@@ -184,6 +184,37 @@ def test_te_sum_rule_closed_form(params):
     assert full == pytest.approx(math.pi * (0.25 - 0.5 * w0 * w0), abs=1e-9)
 
 
+@pytest.mark.parametrize("w0", [0.0, 0.5, 0.7, 1.4])
+@pytest.mark.parametrize("ch", Channel.ALL)
+def test_sum_rule_error_covers_its_gap_to_the_closed_value(ch, w0):
+    # The reported error includes the tail beyond W = 2000 s past the
+    # omega^-4 and omega^-5 terms: at omega0 = 0 that tail is most of the
+    # TM gap (3.6e-12, against 2.5e-13 from the panel rule alone).
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    tracker = ErrorTracker()
+    J = ps.spectral_sum_rule(
+        ch, params, replace(DEFAULT_SETTINGS, error_tracker=tracker))
+    closed = math.pi * (0.25 - 0.5 * w0 * w0) if ch == Channel.TE else 0.0
+    assert abs(J - closed) <= tracker.worst
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.25, 0.49, 0.6, 1.0, 1.4, 10.0])
+def test_sum_rule_tail_envelope(w0):
+    # Beyond 50 s, omega^2 h_subtr = c4/omega^2 + c5/omega^3 + rest with
+    # |rest| <= (|c6| + s^6/omega)/omega^4, the envelope behind the sum
+    # rule's tail bound; c6 vanishes near omega0 = 0.25 (TE) and 0.49,
+    # 0.60 (TM), where the next terms decide.  The second assertion pins
+    # c6 itself (|c7| <= 3 pi s^6).
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    s = params.scale()
+    w = np.geomspace(50.0 * s, 1e4 * s, 200)
+    for ch in Channel.ALL:
+        c4, c5, c6 = ps._tail_coefficients(ch, params)
+        rest = w * w * ps.h_subtr(ch, w, params) - c4 / w ** 2 - c5 / w ** 3
+        assert np.all(np.abs(rest) * w ** 4 <= abs(c6) + s ** 6 / w)
+        assert np.all(np.abs(rest * w ** 4 - c6) <= 10.0 * s ** 6 / w)
+
+
 def test_tm_sum_rule_vanishes_with_shell():
     full = ps.spectral_sum_rule(Channel.TM, P05)
     assert abs(full) < 1e-9

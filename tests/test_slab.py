@@ -145,10 +145,22 @@ def test_h_L_table_does_not_depend_on_build_order():
     slab._table_segment.cache_clear()
     slab.F_L_TM(0.2, params)
     after_low_T = slab.F_L_TM(100.0, params)
-    pieces = slab._HLTable(params, DEFAULT_SETTINGS, 60.0).pieces
+    pieces = slab._HLTable(params, 60.0).pieces
     slab._table_segment.cache_clear()
     assert slab.F_L_TM(100.0, params) == after_low_T
-    assert slab._HLTable(params, DEFAULT_SETTINGS, 60.0).pieces == pieces
+    assert slab._HLTable(params, 60.0).pieces == pieces
+
+
+def test_h_L_table_is_shared_by_all_settings():
+    # h_L and the table fix their own tolerances, so a second set of
+    # QuadSettings reuses every segment the first one built.
+    params = slab.SlabParams(omega_p=1.0, L=0.8)
+    segments = sum(1 for lo in slab._TABLE_EDGES[:-1] if lo < 40.0)
+    slab._table_segment.cache_clear()
+    slab.F_L_TM(1.0, params)
+    assert slab._table_segment.cache_info().currsize == segments
+    slab.F_L_TM(1.0, params, QuadSettings(abs_tol=1e-10, rel_tol=1e-6))
+    assert slab._table_segment.cache_info().currsize == segments
 
 
 def test_L_TM_quad_error_includes_table_term(monkeypatch):
@@ -334,7 +346,9 @@ def test_total_breakdown_sums():
     total_F = F["s_TE"] + F["s_TM"] + F["L_TE"] + F["L_TM"] + F["exp"]
     assert point.F_total == pytest.approx(total_F, rel=1e-15)
     assert point.S_total == pytest.approx(sum(point.S), rel=1e-15)
-    assert F["s_TE"] == pytest.approx(slab.F_s_TE_subtr(1.0, P1), rel=1e-10)
+    growth = Part.named(slab.PARTS, "s_TE").growth(P1)
+    assert F["s_TE"] == pytest.approx(
+        growth.free_energy(slab.F_s_TE(1.0, P1), 1.0), rel=1e-10)
     assert F["L_TE"] == pytest.approx(slab.F_L_TE(1.0, P1), rel=1e-10)
     assert F["exp"] == pytest.approx(slab.F_exp_subtr(1.0, P1), rel=1e-10)
     with pytest.raises(KeyError):

@@ -16,7 +16,8 @@ The two thermal weights used throughout are
     g(x)        = x/(e^x - 1) - bose_log(x)   (entropy weight)
 
 both evaluated in cancellation-free form, as Python floats (``bose_log``,
-``g``) and on numpy arrays (``bose_log_array``, ``g_array``).
+``g``) and, both at once, on numpy arrays (``thermal_weights``).  scipy
+is imported by the two calls that run it, as the sheet needs numpy only.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = [
     "QuadratureError",
@@ -43,12 +42,10 @@ __all__ = [
     "find_root_bracketed",
     "bose_log",
     "g",
-    "bose_log_array",
-    "g_array",
+    "thermal_weights",
     "bose_occupation",
     "bose_kernel",
     "fit_asymptotic",
-    "derivative_fd",
 ]
 
 _LN2 = math.log(2.0)
@@ -238,6 +235,8 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         raise QuadratureError(f"inverted integration interval [{a}, {b}]")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
+
+    from scipy.integrate import quad
 
     fc = _checked(f)
     pts = _inner_points(a, b, breakpoints)
@@ -476,6 +475,8 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
     QuadratureError
         If the bracket does not straddle a sign change.
     """
+    from scipy.optimize import brentq
+
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -518,25 +519,18 @@ def g(x: float) -> float:
     return x / math.expm1(x) - bose_log(x)
 
 
-def bose_log_array(x: np.ndarray) -> np.ndarray:
-    """``bose_log`` on an array, with the same branch point."""
+def thermal_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``bose_log``, ``g``) on an array, with the same branch points;
+    ``bose_log`` is computed once and enters ``g``."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise ValueError("bose_log requires x > 0")
-    with np.errstate(divide="ignore"):
-        return np.where(x < _LN2, np.log(-np.expm1(-x)),
+        raise ValueError("thermal weights require x > 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        blog = np.where(x < _LN2, np.log(-np.expm1(-x)),
                         np.log1p(-np.exp(-x)))
-
-
-def g_array(x: np.ndarray) -> np.ndarray:
-    """``g`` on an array, with the same branch points."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("g requires x > 0")
-    with np.errstate(over="ignore"):
-        mid = x / np.expm1(x) - bose_log_array(x)
-    return np.where(x > 30.0, (x + 1.0) * np.exp(-x),
-                    np.where(x < 1e-12, 1.0 - np.log(x), mid))
+        mid = x / np.expm1(x) - blog
+    return blog, np.where(x > 30.0, (x + 1.0) * np.exp(-x),
+                          np.where(x < 1e-12, 1.0 - np.log(x), mid))
 
 
 def bose_occupation(x: float) -> float:
@@ -617,15 +611,3 @@ def fit_asymptotic(samples: Sequence[tuple[float, float]],
     resid = ys - design @ coef
     norm = float(np.linalg.norm(resid) / max(np.linalg.norm(ys), 1e-300))
     return AsymptoticFit(names, tuple(float(c) for c in coef), norm)
-
-
-def derivative_fd(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central finite difference (f(x+h) - f(x-h)) / 2h."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    hi, lo = f(x + h), f(x - h)
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise QuadratureError(
-            f"non-finite samples in finite difference at x={x!r}, h={h!r}"
-        )
-    return (hi - lo) / (2.0 * h)

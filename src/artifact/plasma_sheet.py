@@ -36,7 +36,7 @@ X(omega) = 2 (omega^2 - ell^2)/Omega0^2, ell^2 = omega0^2 - Omega0^2/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,10 +45,9 @@ from .numkernel import (
     DEFAULT_SETTINGS,
     QuadSettings,
     _check_T,
-    bose_log_array,
     find_root_bracketed,
-    g_array,
     integrate_panels,
+    thermal_weights,
 )
 from .spectral import (
     Channel,
@@ -388,66 +387,83 @@ def _edges(params: SheetParams, Ts: np.ndarray, lo: float,
     if lo == 0.0:
         m = min(float(Ts.min()), params.scale())
         pts += [m * _GRADING ** -k for k in range(1, _GRADING_DEPTH + 1)]
-    return [lo, *(v for v in pts if lo < v < hi), hi]
+    return _span(lo, hi, pts)
 
 
-def _tail_moment(n: int, X: np.ndarray, entropy: bool) -> np.ndarray:
-    """Bound on Int_X^inf x^n |w(x)| dx for the weight w, X >= 40.
+def _span(lo: float, hi: float, pts) -> list[float]:
+    """Panel edges lo, the points inside (lo, hi), hi, leaving out points
+    within 1e-140 hi of lo: the squares of such a panel's nodes underflow
+    (omega0 = 1e-200 made the densities 0/0 there)."""
+    return [lo, *(v for v in pts if lo + 1e-140 * hi < v < hi), hi]
+
+
+def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
+    """Bounds on Int_X^inf x^n |w(x)| dx for both weights w, X >= 40.
 
     |bose_log(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
     for x >= X, and Int_X^inf x^m e^-x dx = m! e^-X Sum_{i<=m} X^i / i!.
-    A negative n is bounded by X^n times the n = 0 moment.
+    A negative n is bounded by X^n times the n = 0 moment.  Row 0 bounds
+    bose_log, row 1 g.
     """
     def upper_gamma(m: int) -> np.ndarray:
         terms = sum(X ** i / math.factorial(i) for i in range(m + 1))
         return math.factorial(m) * np.exp(-X) * terms
 
     m = max(n, 0)
-    out = upper_gamma(m) + (upper_gamma(m + 1) if entropy else 0.0)
+    blog = upper_gamma(m)
+    out = np.stack([blog, blog + upper_gamma(m + 1)])
     if n < 0:
         out = out * X ** n
     return out / -np.expm1(-X)
 
 
-def _truncation_bound(Ts: np.ndarray, cut: float, entropy: bool,
-                      A: float, n: int) -> np.ndarray:
-    """Bound on what the cutoff drops, per temperature.
+def _truncation_bound(Ts: np.ndarray, cut: float, A: float,
+                      n: int) -> np.ndarray:
+    """Bound on what the cutoff drops, per weight and temperature.
 
     The density factor f of the integrand f(omega) w(omega/T) obeys
     |f| <= A omega^n beyond ``cut`` (at least 50 scale); the dropped part
     is then at most A T^(n+1) Int_(cut/T)^inf x^n |w(x)| dx.
     """
-    return A * Ts ** (n + 1) * _tail_moment(n, cut / Ts, entropy)
+    return A * Ts ** (n + 1) * _tail_moment(n, cut / Ts)
 
 
-def _thermal_integral(density, T, params: SheetParams,
-                      settings: QuadSettings, entropy: bool, lo: float,
-                      hi: float, tail: tuple[float, int] | None = None):
-    """Int_lo^hi density(omega) w(omega/T) d omega for every temperature.
+def _thermal_integral(density, Ts: np.ndarray, params: SheetParams,
+                      settings: QuadSettings, lo: float, hi: float,
+                      tail: tuple[float, int] | None,
+                      halves: tuple[int, ...]):
+    """Int_lo^hi density(omega) w(omega/T) d omega for both weights w.
 
-    ``density`` maps an array of omega to an array; w is g (entropy) or
-    bose_log.  All temperatures share one panel rule.  ``tail`` = (A, n)
-    bounds the density beyond ``hi`` by A omega^n; the truncation bound
-    that follows is added to the quadrature error, and their sum is
-    reported to the tracker as well.
-    Returns the values, one per temperature, as an array.
+    ``density`` maps an array of omega to an array.  The integrand's 2m
+    columns are density times bose_log, then density times g, at the m
+    temperatures ``Ts``: one panel rule for all of them, with both
+    weights from one ``thermal_weights`` call per pass.  ``tail`` = (A, n)
+    bounds the density beyond ``hi`` by A omega^n, and the truncation
+    bound that follows is added to the quadrature error.  The tracker
+    receives the worst error under the weights ``halves`` (0: bose_log,
+    1: g), so a caller that keeps one half reports that half's error only.
+    Returns the values, a (2, m) array: row 0 under bose_log, row 1 under g.
     """
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    weight = g_array if entropy else bose_log_array
-
     def f(omega: np.ndarray) -> np.ndarray:
-        return density(omega)[:, None] * weight(omega[:, None] / Ts)
+        blog, g = thermal_weights(omega[:, None] / Ts)
+        d = density(omega)[:, None]
+        return np.concatenate([d * blog, d * g], axis=1)
 
-    res = integrate_panels(f, _edges(params, Ts, lo, hi), settings)
+    res = integrate_panels(f, _edges(params, Ts, lo, hi),
+                           replace(settings, error_tracker=None))
+    error = res.error_estimate.reshape(2, -1)
     if tail is not None:
-        err = res.error_estimate + _truncation_bound(Ts, hi, entropy, *tail)
-        settings.report(float(err.max()))
-    return res.value
+        error = error + _truncation_bound(Ts, hi, *tail)
+    settings.report(float(error[list(halves)].max()))
+    return res.value.reshape(2, -1)
 
 
-def _channel_integral(ch: str, T, params: SheetParams,
-                      settings: QuadSettings, entropy: bool,
-                      subtracted: bool, include_shell: bool):
+def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
+             subtracted: bool = True, include_shell: bool = True,
+             halves: tuple[int, ...] = (0, 1)):
+    """(F, S) of one photonic channel from one panel-rule pass."""
+    _check_T(T)
+    settings = settings or DEFAULT_SETTINGS
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     dens = h_subtr if subtracted else h
     cut = _cutoff(params, Ts)
@@ -455,12 +471,14 @@ def _channel_integral(ch: str, T, params: SheetParams,
     # omega^-2 and omega^-3 terms, with room) and |omega^2 h| <= 2 omega.
     tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
     val = _thermal_integral(lambda w: w * w * dens(ch, w, params), Ts,
-                            params, settings, entropy, 0.0, cut, tail)
-    w0 = params.omega0
-    if include_shell and w0 > 0.0:
-        weight = g_array if entropy else bose_log_array
-        val = val + shell_weight(ch, params) * weight(w0 / Ts)
-    return _like(T, val / (2.0 * math.pi ** 2))
+                            params, settings, 0.0, cut, tail, halves)
+    # The shell weight -pi omega0^2 / 2 is zero for omega0 = 0, and for an
+    # omega0 so small that its square underflows.
+    shell = shell_weight(ch, params)
+    if include_shell and shell != 0.0:
+        val = val + shell * np.stack(thermal_weights(params.omega0 / Ts))
+    val = val / (2.0 * math.pi ** 2)
+    return _like(T, Ts * val[0]), _like(T, val[1])
 
 
 def free_energy_channel(ch: str, T, params: SheetParams,
@@ -475,12 +493,10 @@ def free_energy_channel(ch: str, T, params: SheetParams,
     of this module, it takes T as a float (float returned) or a 1-D
     array (array returned); the temperatures of an array share one panel
     rule (``numkernel.integrate_panels``) cut off at max(40 max T,
-    50 scale).
+    50 scale), which integrates F and S together.  Each public thermal
+    function selects one of the two and reports only its error.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return T * _channel_integral(ch, T, params, settings, entropy=False,
-                                 subtracted=True, include_shell=True)
+    return _channel(ch, T, params, settings, halves=(0,))[0]
 
 
 def entropy_channel(ch: str, T, params: SheetParams,
@@ -492,10 +508,7 @@ def entropy_channel(ch: str, T, params: SheetParams,
     (Omega0/6 for TE, Omega0/18 for TM) emerges from the omega -> 0
     region of the subtracted density without cancellation.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return _channel_integral(ch, T, params, settings, entropy=True,
-                             subtracted=True, include_shell=True)
+    return _channel(ch, T, params, settings, halves=(1,))[1]
 
 
 def free_energy_channel_raw(ch: str, T, params: SheetParams,
@@ -509,11 +522,8 @@ def free_energy_channel_raw(ch: str, T, params: SheetParams,
     Pass ``include_shell=False`` to get the bare continuum (what the
     defining (p, k) representation integrates to).
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return T * _channel_integral(ch, T, params, settings, entropy=False,
-                                 subtracted=False,
-                                 include_shell=include_shell)
+    return _channel(ch, T, params, settings, subtracted=False,
+                    include_shell=include_shell, halves=(0,))[0]
 
 
 def _tail_coefficients(ch: str,
@@ -563,8 +573,7 @@ def spectral_sum_rule(ch: str, params: SheetParams,
 
     pts = [params.omega0, params.Omega0, _band_edge(params),
            *(5.0 * s * 4.0 ** k for k in range(5))]
-    edges = [0.0, *(v for v in pts if 0.0 < v < W), W]
-    res = integrate_panels(f, edges, settings)
+    res = integrate_panels(f, _span(0.0, W, pts), settings)
     c4, c5, c6 = _tail_coefficients(ch, params)
     settings.report(float(res.error_estimate[0])
                     + (abs(c6) + s ** 6 / W) / (3.0 * W ** 3))
@@ -606,21 +615,35 @@ def surface_weight(omega: float, params: SheetParams) -> float:
     return 2.0 * (omega * omega - params.ell2) / params.Omega0 ** 2
 
 
-def _plasmon_integral(T, params: SheetParams, settings: QuadSettings,
-                      entropy: bool, lo: float, hi: float,
-                      tail: tuple[float, int] | None = None) -> np.ndarray:
-    val = _thermal_integral(lambda w: w * surface_weight(w, params), T,
-                            params, settings, entropy, lo, hi, tail)
-    return val / (2.0 * math.pi)
-
-
 def _band_edge(params: SheetParams) -> float:
     e2 = params.ell2
     return math.sqrt(e2) if e2 > 0.0 else 0.0
 
 
-def _zeros_like(T):
-    return np.zeros(np.shape(T)) if np.ndim(T) else 0.0
+def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
+             subtracted: bool = True, halves: tuple[int, ...] = (0, 1)):
+    """(F, S) of the plasmon band from one panel-rule pass.
+
+    Raw: (T/2 pi, 1/2 pi) Int_ell^inf omega X (blog, g) d omega above the
+    band edge ell; subtracted: minus the same integral over [0, ell], and
+    zero, with no error, when ell = 0.
+    """
+    _check_T(T)
+    settings = settings or DEFAULT_SETTINGS
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    ell = _band_edge(params)
+    if not subtracted:
+        # Beyond 50 scale, |omega X| <= 2 (1 + 1/2500) omega^3 / Omega0^2.
+        span, tail, sign = ((ell, _cutoff(params, Ts)),
+                            (2.001 / params.Omega0 ** 2, 3), 1.0)
+    elif ell > 0.0:
+        span, tail, sign = (0.0, ell), None, -1.0
+    else:
+        return _like(T, np.zeros(len(Ts))), _like(T, np.zeros(len(Ts)))
+    val = sign * (_thermal_integral(lambda w: w * surface_weight(w, params),
+                                    Ts, params, settings, *span, tail,
+                                    halves) / (2.0 * math.pi))
+    return _like(T, Ts * val[0]), _like(T, val[1])
 
 
 def plasmon_free_energy_raw(T, params: SheetParams,
@@ -632,14 +655,7 @@ def plasmon_free_energy_raw(T, params: SheetParams,
     the sf record's growth c3 T^3 + c5 T^5 plus the subtracted part as
     an algebraic identity.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    # Beyond 50 scale, |omega X| <= 2 (1 + 1/2500) omega^3 / Omega0^2.
-    tail = (2.001 / params.Omega0 ** 2, 3)
-    val = _plasmon_integral(Ts, params, settings, False, _band_edge(params),
-                            _cutoff(params, Ts), tail)
-    return _like(T, Ts * val)
+    return _plasmon(T, params, settings, subtracted=False, halves=(0,))[0]
 
 
 def plasmon_free_energy_subtr(T, params: SheetParams,
@@ -650,14 +666,7 @@ def plasmon_free_energy_subtr(T, params: SheetParams,
     -(T/2 pi) Int_0^ell omega X blog d omega, evaluated directly so no
     cancellation of large terms occurs.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    lo = _band_edge(params)
-    if lo == 0.0:
-        return _zeros_like(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    return _like(T, -Ts * _plasmon_integral(Ts, params, settings, False,
-                                            0.0, lo))
+    return _plasmon(T, params, settings, halves=(0,))[0]
 
 
 def plasmon_entropy_subtr(T, params: SheetParams,
@@ -667,30 +676,23 @@ def plasmon_entropy_subtr(T, params: SheetParams,
     Carries the log T growth (x^2 / (4 pi Omega0^2)) log T at high
     temperature for x = omega0^2 - Omega0^2/2 > 0.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    lo = _band_edge(params)
-    if lo == 0.0:
-        return _zeros_like(T)
-    return _like(T, -_plasmon_integral(T, params, settings, True, 0.0, lo))
+    return _plasmon(T, params, settings, halves=(1,))[1]
 
 
-# Lambdas of (T, params, settings), so every call looks the part's
-# function up in this module.  The growth of the photonic channels is
-# what h - h_subtr integrates to; the plasmon's is the full-band integral.
+# Lambdas of (T, params, settings) -> (F, S), so every call looks the
+# part's function up in this module; each integrates F and S in one
+# panel-rule pass.  The growth of the photonic channels is what
+# h - h_subtr integrates to; the plasmon's is the full-band integral.
 PARTS = (
     Part("TE", "TE", ("F_TE_subtr", "S_TE_subtr"),
-         lambda T, p, s: free_energy_channel(Channel.TE, T, p, s),
-         lambda T, p, s: entropy_channel(Channel.TE, T, p, s),
+         lambda T, p, s: _channel(Channel.TE, T, p, s),
          lambda p: SubtractionSpec(c3=-ZETA3 / (4.0 * math.pi),
                                    c2=p.Omega0 / 12.0)),
     Part("TM", "TM", ("F_TM_subtr", "S_TM_subtr"),
-         lambda T, p, s: free_energy_channel(Channel.TM, T, p, s),
-         lambda T, p, s: entropy_channel(Channel.TM, T, p, s),
+         lambda T, p, s: _channel(Channel.TM, T, p, s),
          lambda p: SubtractionSpec(c2=p.Omega0 / 36.0)),
     Part("sf", "sf", ("F_sf_subtr", "S_sf_subtr"),
-         lambda T, p, s: plasmon_free_energy_subtr(T, p, s),
-         lambda T, p, s: plasmon_entropy_subtr(T, p, s),
+         lambda T, p, s: _plasmon(T, p, s),
          lambda p: SubtractionSpec(
              c3=(-(1.0 - 2.0 * p.omega0 * p.omega0 / (p.Omega0 * p.Omega0))
                  * ZETA3 / (2.0 * math.pi)),
@@ -705,7 +707,7 @@ def total(T, params: SheetParams,
     Parts, in the order of ``PARTS``: TE and TM photonic channels and the
     surface plasmon sf.  Evaluated at Omega0 = 1 and scaled back
     (``ThermoPoint.evaluate``).  With a 1-D array of T, each part's F and
-    S are arrays over it, from one panel-rule call per part and quantity.
+    S are arrays over it, from one panel-rule call per part.
     """
     return ThermoPoint.evaluate(PARTS, T, params,
                                 settings or DEFAULT_SETTINGS)

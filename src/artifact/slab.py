@@ -619,10 +619,12 @@ def h_L(omega: float, params: SlabParams,
 
     Inner integral of the TM thickness part, evaluated with a tightened
     relative tolerance (1e-10); beyond p = omega_p/sqrt(2) it runs in
-    gamma = sqrt(omega_p^2 - p^2).  The TM thickness free energy and
-    entropy do not call it per frequency: they read a piecewise Chebyshev
-    table built from it (``_HLTable``).  h_L vanishes at omega_p, and just
-    above it h_L ~ delta (a log(1/delta) - b) in delta = omega/omega_p - 1.
+    gamma = sqrt(omega_p^2 - p^2).  The sum of its two or three pieces'
+    error estimates is reported to the tracker.  The TM thickness free
+    energy and entropy do not call it per frequency: they read a piecewise
+    Chebyshev table built from it (``_HLTable``).  h_L vanishes at omega_p,
+    and just above it h_L ~ delta (a log(1/delta) - b) in
+    delta = omega/omega_p - 1.
     Near zero frequency
 
         h_L(omega) = A omega^3 + B omega^4 + C omega^5 + O(omega^6),
@@ -650,16 +652,17 @@ def h_L(omega: float, params: SlabParams,
     # is smooth and, above omega_p, the turn of the phase at gamma = eps p
     # is ~eps wide rather than ~eps^2 (a breakpoint marks it).
     half = wp / math.sqrt(2.0)
-    val = integrate_finite(f, 0.0, min(omega, half), settings).value
+    pieces = [integrate_finite(f, 0.0, min(omega, half), settings)]
     if omega > half:
         g_lo = math.sqrt((wp - omega) * (wp + omega)) if omega < wp else 0.0
         pts = [eps * wp / math.sqrt(1.0 + eps * eps)] if eps > 0.0 else []
-        val += integrate_finite(f_gamma, g_lo, half, settings,
-                                breakpoints=pts).value
+        pieces.append(integrate_finite(f_gamma, g_lo, half, settings,
+                                       breakpoints=pts))
     if omega > wp:
-        val += _blocked_integral(f, wp, omega, settings,
-                                 _osc_block(params)).value
-    return val
+        pieces.append(_blocked_integral(f, wp, omega, settings,
+                                        _osc_block(params)))
+    settings.report(sum(piece.error_estimate for piece in pieces))
+    return sum(piece.value for piece in pieces)
 
 
 # The TM thickness integrals read h_L(omega) / omega from a table of
@@ -1222,26 +1225,25 @@ def plasmon_mode_residual(omega: float, k: float,
     return abs(1.0 - rho * rho * math.exp(-2.0 * gam * params.L))
 
 
-# Lambdas of (T, params, settings), so every call looks the part's
-# function up in this module.  The thickness parts need no subtraction.
+# Lambdas of (T, params, settings) -> (F, S), so every call looks the
+# part's functions up in this module.  Each evaluates F, then S: QUADPACK
+# is scalar, so the two weights cannot share a pass.  The thickness parts
+# need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
-         lambda T, p, s: _s_te_growth(p).free_energy(F_s_TE(T, p, s), T),
-         lambda T, p, s: _s_te_growth(p).entropy(S_s_TE(T, p, s), T),
+         lambda T, p, s: (_s_te_growth(p).free_energy(F_s_TE(T, p, s), T),
+                          _s_te_growth(p).entropy(S_s_TE(T, p, s), T)),
          _s_te_growth),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
-         lambda T, p, s: _s_tm_growth(p).free_energy(F_s_TM(T, p, s), T),
-         lambda T, p, s: _s_tm_growth(p).entropy(S_s_TM(T, p, s), T),
+         lambda T, p, s: (_s_tm_growth(p).free_energy(F_s_TM(T, p, s), T),
+                          _s_tm_growth(p).entropy(S_s_TM(T, p, s), T)),
          _s_tm_growth),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
-         lambda T, p, s: F_L_TE(T, p, s),
-         lambda T, p, s: S_L(Channel.TE, T, p, s)),
+         lambda T, p, s: (F_L_TE(T, p, s), S_L(Channel.TE, T, p, s))),
     Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
-         lambda T, p, s: F_L_TM(T, p, s),
-         lambda T, p, s: S_L(Channel.TM, T, p, s)),
+         lambda T, p, s: (F_L_TM(T, p, s), S_L(Channel.TM, T, p, s))),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
-         lambda T, p, s: F_exp_subtr(T, p, s),
-         lambda T, p, s: S_exp_subtr(T, p, s),
+         lambda T, p, s: (F_exp_subtr(T, p, s), S_exp_subtr(T, p, s)),
          lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),
 )
 

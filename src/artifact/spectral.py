@@ -140,21 +140,22 @@ class SubtractionSpec:
 class Part:
     """One additive part of a model's free energy and entropy.
 
-    ``F`` and ``S`` are called as ``F(T, params, settings)`` and return
-    the part's subtracted free energy and entropy per unit area.  The
-    models build them as lambdas over their public functions, so each
-    call looks the function up in the model's module at call time.
-    ``group`` is the name that selects the part in ``thermo --parts``;
-    ``columns`` are its F and S columns in the CSV output.  ``growth``
-    maps the model's parameters to the high-temperature polynomial that
-    ``F`` and ``S`` have removed: raw F = F + growth; zero by default.
+    ``evaluate`` is called as ``evaluate(T, params, settings)`` and
+    returns the pair (F, S), the part's subtracted free energy and
+    entropy per unit area: one spectral integral under the two thermal
+    weights T log(1 - e^(-omega/T)) and its -d/dT.  The models build it
+    as a lambda over their module's functions, so each call looks them
+    up in the module at call time.  ``group`` is the name that selects
+    the part in ``thermo --parts``; ``columns`` are its F and S columns
+    in the CSV output.  ``growth`` maps the model's parameters to the
+    high-temperature polynomial that F and S have removed:
+    raw F = F + growth; zero by default.
     """
 
     name: str
     group: str
     columns: tuple[str, str]
-    F: Callable[[float, Any, QuadSettings], float]
-    S: Callable[[float, Any, QuadSettings], float]
+    evaluate: Callable[[float, Any, QuadSettings], tuple[Any, Any]]
     growth: Callable[[Any], SubtractionSpec] = lambda params: SubtractionSpec()
 
     @staticmethod
@@ -181,7 +182,7 @@ class ThermoPoint:
     @classmethod
     def evaluate(cls, parts: Sequence[Part], T, params: Any,
                  settings: QuadSettings) -> "ThermoPoint":
-        """Evaluate F then S of each part in turn, at unit scale.
+        """Evaluate each part's (F, S) once, in turn, at unit scale.
 
         ``params.reduced()`` gives the frequency scale s and the unit-scale
         parameters; each part runs at T / s, and F and S are scaled back by
@@ -192,11 +193,10 @@ class ThermoPoint:
         if np.ndim(T):
             T = np.asarray(T, dtype=float)
         t = T / s
-        F, S = [], []
-        for part in parts:
-            F.append(s ** 3 * part.F(t, unit, settings))
-            S.append(s ** 2 * part.S(t, unit, settings))
-        return cls(T, tuple(p.name for p in parts), tuple(F), tuple(S))
+        pairs = [part.evaluate(t, unit, settings) for part in parts]
+        return cls(T, tuple(p.name for p in parts),
+                   tuple(s ** 3 * F for F, _ in pairs),
+                   tuple(s ** 2 * S for _, S in pairs))
 
     def part(self, name: str) -> tuple[float, float]:
         """(F, S) of the named part; KeyError for an unknown name."""

@@ -17,7 +17,8 @@ grouped into suites:
     Spectral sum rules, the negative-entropy window of the sheet, and the
     slab constants c and d.
 ``thermo-identity``
-    S == -dF/dT by central finite differences for every model part.
+    S == -dF/dT by central finite differences for every model part: the
+    mean of S at T -/+ h against the difference quotient of F there.
 ``nernst``
     Subtracted entropies of every part vanish as T -> 0.
 
@@ -40,9 +41,9 @@ from . import plasma_sheet, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
     ErrorTracker,
+    QuadratureError,
     QuadSettings,
     bose_log,
-    derivative_fd,
     fit_asymptotic,
     g,
     integrate_finite,
@@ -552,7 +553,9 @@ def _suite_asymptotics(settings):
 
     T_grid = np.geomspace(1e2, 1e3, 10)
     s_te = spectral.Part.named(slab.PARTS, "s_TE")
-    samples = [(T, s_te.F(T, sp, settings)) for T in T_grid]
+    growth = s_te.growth(sp)
+    samples = [(T, growth.free_energy(slab.F_s_TE(T, sp, settings), T))
+               for T in T_grid]
     fit = fit_asymptotic(samples, ("TlogT", "T", "1"))
     out.append(_rel(
         "asymptotics", "slab subtracted F_s_TE: T*log(T) coefficient",
@@ -646,15 +649,21 @@ def _identity_checks():
 
 
 def _suite_thermo_identity(settings):
+    # Two evaluations per temperature: the mean of S(T - h) and S(T + h)
+    # against -(F(T + h) - F(T - h)) / 2h, both O(h^2) from S(T).
     out = []
     grid = (1e-2, 1e-1, 1.0, 1e1, 1e2)
     for label, part, params in _identity_checks():
         worst = 0.0
         for T in grid:
             h = 1e-4 * T
-            s = part.S(T, params, settings)
-            s_fd = -derivative_fd(lambda t: part.F(t, params, settings),
-                                  T, h)
+            F_lo, S_lo = part.evaluate(T - h, params, settings)
+            F_hi, S_hi = part.evaluate(T + h, params, settings)
+            if not np.all(np.isfinite([F_lo, S_lo, F_hi, S_hi])):
+                raise QuadratureError(f"non-finite F or S of {label} "
+                                      f"near T={T!r}")
+            s = 0.5 * (S_lo + S_hi)
+            s_fd = -(F_hi - F_lo) / (2.0 * h)
             scale = max(abs(s), abs(s_fd))
             if scale < 1e-13:
                 continue
@@ -668,8 +677,8 @@ def _suite_thermo_identity(settings):
 def _suite_nernst(settings):
     out = []
     for label, part, params in _identity_checks():
-        s_hi = part.S(1e-2, params, settings)
-        s_lo = part.S(1e-3, params, settings)
+        s_hi = part.evaluate(1e-2, params, settings)[1]
+        s_lo = part.evaluate(1e-3, params, settings)[1]
         if abs(s_hi) < 1e-13 and abs(s_lo) < 1e-13:
             ratio = 0.0
         else:

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,18 @@ def test_scale_rescales_stderr_labels_only(tmp_path, capsys):
     # CSV stays in working units; the summary label is rescaled
     assert float(_read_csv(out)[0]["T"]) == pytest.approx(1.0)
     assert "0.01" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by the QUADPACK and root-finding calls that need
+    # it, so a sheet run never pays for it.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, artifact.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

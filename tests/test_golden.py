@@ -2,9 +2,13 @@
 
 Each command runs in a fresh interpreter, as it does for a user.  To
 regenerate the files after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  With
+``--diff`` it writes nothing and prints each cell a fresh run changes,
+next to its row's committed ``quad_error``.
 """
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -46,6 +50,24 @@ def test_output_matches_golden(name):
     assert run_thermo(COMMANDS[name]) == expected
 
 
+def moved_cells(name):
+    """Lines naming each cell of ``name``.csv that a fresh run changes."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (
+        (GOLDEN / f"{name}.csv").read_text(),
+        run_thermo(COMMANDS[name]).decode()))
+    if old[0] != new[0] or len(old) != len(new):
+        return [f"{name}.csv: header or row count changed"]
+    header = old[0]
+    err = header.index("quad_error")
+    return [f"{name}.csv line {i} {col}: {a} -> {b} "
+            f"(committed quad_error {row[err]})"
+            for i, (row, fresh) in enumerate(zip(old[1:], new[1:]), start=2)
+            for col, a, b in zip(header, row, fresh) if a != b]
+
+
 if __name__ == "__main__":
     for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.csv").write_bytes(run_thermo(argv))
+        if sys.argv[1:] == ["--diff"]:
+            print("\n".join(moved_cells(name)) or f"{name}.csv: unchanged")
+        else:
+            (GOLDEN / f"{name}.csv").write_bytes(run_thermo(argv))

@@ -17,16 +17,14 @@ from artifact.numkernel import (
     QuadSettings,
     bose_kernel,
     bose_log,
-    bose_log_array,
     bose_occupation,
-    derivative_fd,
     find_root_bracketed,
     fit_asymptotic,
     g,
-    g_array,
     integrate_finite,
     integrate_panels,
     integrate_semiinf,
+    thermal_weights,
 )
 
 ZETA3 = 1.2020569031595943
@@ -166,11 +164,6 @@ def test_fit_asymptotic_needs_enough_samples():
         fit_asymptotic([(1.0, 1.0), (2.0, 8.0)], basis=("T3", "T2"))
 
 
-def test_derivative_fd():
-    d = derivative_fd(math.sin, 0.7, 1e-5)
-    assert d == pytest.approx(math.cos(0.7), abs=1e-9)
-
-
 def test_quad_settings_tols():
     s = QuadSettings(error_tracker=ErrorTracker())
     s2 = replace(s, rel_tol=1e-6)
@@ -200,12 +193,12 @@ def test_weight_arrays_match_scalar_forms():
                         [math.log(2.0) * (1 + d) for d in (-1e-12, 1e-12)],
                         [1e-12 * (1 + d) for d in (-1e-9, 1e-9)],
                         [30.0 * (1 + d) for d in (-1e-12, 1e-12)]])
-    assert bose_log_array(x) == pytest.approx([bose_log(v) for v in x],
-                                              rel=4e-15, abs=0.0)
-    assert g_array(x) == pytest.approx([g(v) for v in x], rel=4e-15)
-    for fn in (bose_log_array, g_array):
-        with pytest.raises(ValueError):
-            fn(np.array([1.0, 0.0]))
+    blog, g_x = thermal_weights(x)
+    assert blog == pytest.approx([bose_log(v) for v in x], rel=4e-15,
+                                 abs=0.0)
+    assert g_x == pytest.approx([g(v) for v in x], rel=4e-15)
+    with pytest.raises(ValueError):
+        thermal_weights(np.array([1.0, 0.0]))
 
 
 def test_integrate_panels_components_and_bound():

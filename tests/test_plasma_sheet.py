@@ -3,9 +3,12 @@
 import math
 from dataclasses import replace
 
+from functools import partial
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from artifact import numkernel
@@ -241,7 +244,7 @@ def test_raw_minus_subtracted_is_growth(name, params):
     raw_F, rel = RAW_ROUTES[name]
     g = part.growth(params)
     for T in (0.3, 0.8, 4.0):
-        sub = part.F(T, params, DEFAULT_SETTINGS)
+        sub = part.evaluate(T, params, DEFAULT_SETTINGS)[0]
         assert raw_F(T, params) - sub == pytest.approx(
             g.c3 * T ** 3 + g.c2 * T ** 2 + g.c5 * T ** 5, rel=rel)
 
@@ -351,10 +354,10 @@ def test_unit_scaling(lam, t, w0):
     scaled = ps.SheetParams(Omega0=lam, omega0=lam * w0)
     T = t * base.scale()
     for part in ps.PARTS:
-        assert part.F(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
-            lam ** 3 * part.F(T, base, DEFAULT_SETTINGS), rel=1e-9)
-        assert part.S(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
-            lam ** 2 * part.S(T, base, DEFAULT_SETTINGS), rel=1e-9)
+        F, S = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
+        F_base, S_base = part.evaluate(T, base, DEFAULT_SETTINGS)
+        assert F == pytest.approx(lam ** 3 * F_base, rel=1e-9)
+        assert S == pytest.approx(lam ** 2 * S_base, rel=1e-9)
 
 
 def test_tm_entropy_survives_breakpoint_roundoff():
@@ -447,12 +450,92 @@ def test_sheet_runs_no_quadpack(monkeypatch):
         raise AssertionError("QUADPACK called")
 
     monkeypatch.setattr(ps, "integrate_finite", boom, raising=False)
-    monkeypatch.setattr(numkernel, "quad", boom)
+    monkeypatch.setattr(scipy.integrate, "quad", boom)
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
     point = ps.total(1.0, params)
     assert math.isfinite(point.F_total) and math.isfinite(point.S_total)
     assert ps.high_T_log_coefficient(params) == pytest.approx(
         ps.high_T_log_coefficient_closed(params), abs=1e-9)
+
+
+def test_total_runs_one_panel_rule_per_part(monkeypatch):
+    # F and S of a part share one pass: three calls where the plasmon
+    # band is real (omega0 = 0.8), not one per part and quantity.
+    calls = []
+    panels = ps.integrate_panels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return panels(*args, **kwargs)
+
+    monkeypatch.setattr(ps, "integrate_panels", counted)
+    ps.total(np.geomspace(1e-2, 1e3, 9), ps.SheetParams(Omega0=1.0,
+                                                        omega0=0.8))
+    assert len(calls) == 3
+
+
+# (public thermal function, the fused (F, S) evaluation it selects from,
+# the half it returns)
+_SELECTORS = [(partial(sel, ch), partial(ps._channel, ch), half)
+              for ch in Channel.ALL
+              for sel, half in ((ps.free_energy_channel, 0),
+                                (ps.entropy_channel, 1))]
+_SELECTORS += [(partial(ps.free_energy_channel_raw, ch),
+                partial(ps._channel, ch, subtracted=False), 0)
+               for ch in Channel.ALL]
+_SELECTORS += [(ps.plasmon_free_energy_raw,
+                partial(ps._plasmon, subtracted=False), 0),
+               (ps.plasmon_free_energy_subtr, ps._plasmon, 0),
+               (ps.plasmon_entropy_subtr, ps._plasmon, 1)]
+
+
+@pytest.mark.parametrize("params", [P00, P05, ps.SheetParams(Omega0=1.0,
+                                                             omega0=0.8)],
+                         ids=["P00", "P05", "P08"])
+def test_selectors_are_halves_of_the_fused_pass(params):
+    T = np.geomspace(1e-2, 1e3, 5)
+    for selector, fused, half in _SELECTORS:
+        tracker, fused_tracker = ErrorTracker(), ErrorTracker()
+        got = selector(T, params,
+                       replace(DEFAULT_SETTINGS, error_tracker=tracker))
+        pair = fused(T, params,
+                     replace(DEFAULT_SETTINGS, error_tracker=fused_tracker))
+        assert np.array_equal(got, pair[half])
+        assert tracker.worst <= fused_tracker.worst
+        assert selector(1.3, params) == fused(1.3, params, None)[half]
+
+
+def test_entropy_channel_reports_its_own_error():
+    # The oracle rows gate |S_panel - S_QUADPACK| by what entropy_channel
+    # reports: the S integral's quadrature error and truncation bound,
+    # not the F integral's.  The fused pass reports the worse of the two.
+    params = ps.SheetParams(Omega0=1.0, omega0=0.7125)
+    T = np.geomspace(1e-2, 1e3, 5)
+    trunc = ps._truncation_bound(T, ps._cutoff(params, T),
+                                 2.0 * params.scale() ** 3, -2)[1]
+    for ch in Channel.ALL:
+        worst = []
+        for fn in (ps.free_energy_channel, ps.entropy_channel, ps._channel):
+            tracker = ErrorTracker()
+            fn(ch, T, params, replace(DEFAULT_SETTINGS,
+                                      error_tracker=tracker))
+            worst.append(tracker.worst)
+        F_error, S_error, both = worst
+        assert both == max(F_error, S_error) and S_error != F_error
+        assert S_error >= trunc.max() > 0.0
+
+
+@pytest.mark.parametrize("w0", [5e-324, 1e-200])
+def test_vanishing_omega0_matches_omega0_zero(w0):
+    # An omega0 edge this close to 0 left panels whose nodes underflow
+    # (a node at omega = 0, or 0/0 in the densities).
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    for T in (1e-3, 1.0):
+        a, b = ps.total(T, params), ps.total(T, P00)
+        assert a.F == pytest.approx(b.F, rel=1e-12)
+        assert a.S == pytest.approx(b.S, rel=1e-12)
+    assert ps.high_T_log_coefficient(params) == pytest.approx(
+        ps.high_T_log_coefficient(P00), rel=1e-12)
 
 
 @pytest.mark.parametrize("w0", [0.0, 0.3, 0.7, 1.0, 2.0, 10.0])
@@ -470,14 +553,14 @@ def test_density_envelopes_beyond_the_cutoff(w0):
 
 
 def test_truncation_bound_covers_the_dropped_tail():
-    # Raw TE free-energy integrand beyond the cutoff at T = 1000, against
-    # the bound the channel integral adds to its error.
+    # Raw TE free-energy and entropy integrands beyond the cutoff at
+    # T = 1000, against the bounds the channel integral adds to its errors.
     params = ps.SheetParams(Omega0=1.0, omega0=0.5)
     T = 1000.0
     cut = ps._cutoff(params, np.array([T]))
-    tail = numkernel.integrate_semiinf(
-        lambda w: w * w * numkernel.bose_log(w / T) * ps.h(Channel.TE, w,
-                                                           params),
-        cut, DEFAULT_SETTINGS, scale=T).value
-    bound = ps._truncation_bound(np.array([T]), cut, False, 2.0, 1)[0]
-    assert 0.0 < abs(tail) <= bound <= 10.0 * abs(tail)
+    bounds = ps._truncation_bound(np.array([T]), cut, 2.0, 1)[:, 0]
+    for weight, bound in zip((numkernel.bose_log, numkernel.g), bounds):
+        tail = numkernel.integrate_semiinf(
+            lambda w: w * w * weight(w / T) * ps.h(Channel.TE, w, params),
+            cut, DEFAULT_SETTINGS, scale=T).value
+        assert 0.0 < abs(tail) <= bound <= 10.0 * abs(tail)

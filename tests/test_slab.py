@@ -140,6 +140,25 @@ def test_h_L_just_above_omega_p():
         4.4039873591615882e-4, rel=1e-10)
 
 
+def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
+    # Above omega_p, h_L sums three quadratures; the error it reports
+    # (and the h_L table reads) is their summed estimate, not the worst.
+    errors = []
+    run = slab.integrate_finite
+
+    def recorded(*args, **kwargs):
+        res = run(*args, **kwargs)
+        errors.append(res.error_estimate)
+        return res
+
+    monkeypatch.setattr(slab, "integrate_finite", recorded)
+    tracker = ErrorTracker()
+    slab.h_L(3.0, P1, QuadSettings(error_tracker=tracker))
+    assert len(errors) == 3
+    assert tracker.worst > max(errors)
+    assert tracker.worst == pytest.approx(math.fsum(errors), rel=1e-12)
+
+
 def test_h_L_table_does_not_depend_on_build_order():
     params = slab.SlabParams(omega_p=1.0, L=0.8)
     slab._table_segment.cache_clear()
@@ -289,14 +308,13 @@ def test_raw_minus_subtracted_is_growth(name):
     raw_F, raw_S = RAW_ROUTES[name]
     g = part.growth(P1)
     for T in (0.5, 4.0):
-        F_sub = part.F(T, P1, DEFAULT_SETTINGS)
-        S_sub = part.S(T, P1, DEFAULT_SETTINGS)
+        F_sub, S_sub = part.evaluate(T, P1, DEFAULT_SETTINGS)
         assert raw_F(T, P1) - F_sub == pytest.approx(
             g.c3 * T ** 3 + g.c2 * T ** 2, rel=1e-10)
         assert raw_S(T, P1) - S_sub == pytest.approx(
             -3.0 * g.c3 * T ** 2 - 2.0 * g.c2 * T, rel=1e-10)
     # the growth is all the T^3 and T^2 there is: the rest is T log T
-    assert abs(part.F(1e3, P1, DEFAULT_SETTINGS)) < 1e-3 * 1e3 ** 2
+    assert abs(part.evaluate(1e3, P1, DEFAULT_SETTINGS)[0]) < 1e-3 * 1e3 ** 2
 
 
 def test_single_surface_mode():
@@ -375,10 +393,10 @@ def test_invalid_temperature_rejected():
 def _check_unit_scaling(part, lam, T):
     # T, omega_p -> lam *, L -> L / lam: F scales as lam^3, S as lam^2
     scaled = slab.SlabParams(omega_p=lam, L=1.0 / lam)
-    assert part.F(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
-        lam ** 3 * part.F(T, P1, DEFAULT_SETTINGS), rel=1e-9)
-    assert part.S(lam * T, scaled, DEFAULT_SETTINGS) == pytest.approx(
-        lam ** 2 * part.S(T, P1, DEFAULT_SETTINGS), rel=1e-9)
+    F, S = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
+    F_unit, S_unit = part.evaluate(T, P1, DEFAULT_SETTINGS)
+    assert F == pytest.approx(lam ** 3 * F_unit, rel=1e-9)
+    assert S == pytest.approx(lam ** 2 * S_unit, rel=1e-9)
 
 
 @given(lam=st.floats(min_value=0.3, max_value=3.0),

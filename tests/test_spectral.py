@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import artifact
 from artifact import cli, numkernel, plasma_sheet, slab, spectral, verification
-from artifact.numkernel import DEFAULT_SETTINGS, derivative_fd
+from artifact.numkernel import DEFAULT_SETTINGS
 from artifact.spectral import (
     Channel,
     SubtractionSpec,
@@ -19,6 +19,10 @@ from artifact.spectral import (
     extract_heat_kernel,
     heat_kernel_from_expansion,
 )
+
+
+def _central_difference(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def test_channel_names():
@@ -56,8 +60,8 @@ def test_subtraction_preserves_thermodynamic_identity():
     for T in (0.5, 2.0, 20.0):
         F_sub = spec.free_energy(F_raw(T), T)
         S_sub = spec.entropy(S_raw(T), T)
-        slope = derivative_fd(lambda t: spec.free_energy(F_raw(t), t),
-                              T, 1e-6 * T)
+        slope = _central_difference(
+            lambda t: spec.free_energy(F_raw(t), t), T, 1e-6 * T)
         assert S_sub == pytest.approx(-slope, rel=1e-6)
         assert F_sub == pytest.approx(0.4 * T ** 4, rel=1e-12)
 
@@ -102,7 +106,8 @@ def validate_channel_derivative(phase, deriv, points, scale=1.0, tol=1e-5):
     worst = 0.0
     for p, k in points:
         analytic = deriv(p, k)
-        fd = derivative_fd(lambda q: phase(q, k), p, 1e-6 * max(p, scale))
+        fd = _central_difference(lambda q: phase(q, k), p,
+                                 1e-6 * max(p, scale))
         dev = abs(analytic - fd)
         worst = max(worst, dev)
         if dev > tol * max(1.0, abs(analytic)):
@@ -150,7 +155,7 @@ def test_entropy_defining_is_minus_dF_dT():
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
     ch = plasma_sheet.scattering_channel(Channel.TE, params)
     S = spectral.entropy_defining(ch, 1.0, DEFAULT_SETTINGS)
-    slope = derivative_fd(
+    slope = _central_difference(
         lambda T: spectral.free_energy_defining(ch, T, DEFAULT_SETTINGS),
         1.0, 1e-4)
     assert S == pytest.approx(-slope, rel=1e-5)
@@ -176,13 +181,11 @@ def test_thermo_point_evaluates_parts_in_order():
     calls = []
 
     def part(name, F, S):
-        def record(q, value):
-            def f(T, params, settings):
-                calls.append((name, q, T, params, settings))
-                return value
-            return f
+        def evaluate(T, params, settings):
+            calls.append((name, T, params, settings))
+            return F, S
         return spectral.Part(name, name, (f"F_{name}", f"S_{name}"),
-                             record("F", F), record("S", S))
+                             evaluate)
 
     parts = (part("a", 1.0, -2.0), part("b", 0.25, 0.5))
     # The parts see T / s and the unit-scale parameters; F and S come
@@ -193,10 +196,8 @@ def test_thermo_point_evaluates_parts_in_order():
         point = spectral.ThermoPoint.evaluate(parts, 3.0, params,
                                               DEFAULT_SETTINGS)
         t = 3.0 / s
-        assert calls == [("a", "F", t, "p", DEFAULT_SETTINGS),
-                         ("a", "S", t, "p", DEFAULT_SETTINGS),
-                         ("b", "F", t, "p", DEFAULT_SETTINGS),
-                         ("b", "S", t, "p", DEFAULT_SETTINGS)]
+        assert calls == [("a", t, "p", DEFAULT_SETTINGS),
+                         ("b", t, "p", DEFAULT_SETTINGS)]
         assert point.T == 3.0
         assert point.names == ("a", "b")
         assert point.part("b") == (0.25 * s ** 3, 0.5 * s ** 2)
@@ -236,7 +237,7 @@ def test_every_import_is_used(module):
 # Near a sign change of S (S_s_TM_subtr crosses zero near T = 0.04, and
 # S_L_TM dips to 7e-6 near T = 0.22) a relative error means nothing,
 # while the difference quotient still carries the quadrature error of F
-# over 2h.  On these draws the worst gap is 0.2% of its gate.
+# over 2h.  On these draws the worst gap is 0.15% of its gate.
 _IDENTITY_FLOOR = 1e-9
 
 
@@ -247,8 +248,9 @@ def test_entropy_is_minus_dF_dT_at_drawn_points(T):
     # suite checks them at fixed temperatures.
     h = 1e-4 * T
     for label, part, params in verification._identity_checks():
-        s = part.S(T, params, DEFAULT_SETTINGS)
-        s_fd = (part.F(T - h, params, DEFAULT_SETTINGS)
-                - part.F(T + h, params, DEFAULT_SETTINGS)) / (2.0 * h)
+        F_lo, S_lo = part.evaluate(T - h, params, DEFAULT_SETTINGS)
+        F_hi, S_hi = part.evaluate(T + h, params, DEFAULT_SETTINGS)
+        s = 0.5 * (S_lo + S_hi)
+        s_fd = (F_lo - F_hi) / (2.0 * h)
         gate = 1e-4 * max(abs(s), abs(s_fd)) + _IDENTITY_FLOOR
         assert abs(s - s_fd) <= gate, f"{label} at T={T!r}"

@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import plasma_sheet, slab, verification
-from .numkernel import ErrorTracker, QuadratureError, QuadSettings
+from .numkernel import QuadratureError, QuadSettings
 from .spectral import ThermoPoint
 
 __all__ = ["main"]
@@ -126,11 +126,6 @@ def _check_params(make, pairs, parser):
         parser.error(str(exc))
 
 
-def _settings(rel_tol, abs_tol):
-    return QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol,
-                        error_tracker=ErrorTracker())
-
-
 # ---------------------------------------------------------------------------
 # row workers (module level so they pickle for --jobs)
 # ---------------------------------------------------------------------------
@@ -139,11 +134,12 @@ def _part_row(task):
     """One CSV row of ``thermo sheet`` or ``thermo slab``.
 
     Totals are written only when every part is selected; a partial total
-    would be misleading.
+    would be misleading.  ``quad_error`` is the largest error estimate of
+    the selected parts (``ThermoPoint.quad_error``).
     """
     model, a, b, T, rel_tol, abs_tol, groups = task
     module, params_type, header = _MODELS[model]
-    settings = _settings(rel_tol, abs_tol)
+    settings = QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol)
     params = params_type(a, b)
     vals = dict.fromkeys(header[3:-1], math.nan)
     try:
@@ -155,7 +151,7 @@ def _part_row(task):
             point = ThermoPoint.evaluate(selected, T, params, settings)
         for part, F, S in zip(selected, point.F, point.S):
             vals.update(zip(part.columns, (F, S)))
-        err = _fmt(settings.error_tracker.worst)
+        err = _fmt(point.quad_error)
     except QuadratureError:
         vals = dict.fromkeys(header[3:-1], math.nan)
         err = "failed"
@@ -163,17 +159,19 @@ def _part_row(task):
 
 
 def _scan_row(task):
+    """One CSV row of ``thermo scan``; ``quad_error`` is the larger of the
+    parts' largest error estimate and the log coefficient's error."""
     Omega0, omega0, t_grid, rel_tol, abs_tol = task
-    settings = _settings(rel_tol, abs_tol)
+    settings = QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol)
     params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
     try:
         c = plasma_sheet.high_T_log_coefficient(params, settings)
-        S = plasma_sheet.total(np.asarray(t_grid), params, settings).S_total
-        i = int(np.argmin(S))  # the first minimum
-        s_min, t_at = float(S[i]), t_grid[i]
-        err = _fmt(settings.error_tracker.worst)
-        return [_fmt(Omega0), _fmt(omega0), _fmt(c), _fmt(s_min),
-                _fmt(t_at), err]
+        point = plasma_sheet.total(np.asarray(t_grid), params, settings)
+        i = int(np.argmin(point.S_total))  # the first minimum
+        s_min, t_at = float(point.S_total[i]), t_grid[i]
+        err = max(point.quad_error, c.error_estimate)
+        return [_fmt(Omega0), _fmt(omega0), _fmt(c.value), _fmt(s_min),
+                _fmt(t_at), _fmt(err)]
     except QuadratureError:
         return [_fmt(Omega0), _fmt(omega0), "nan", "nan", "nan", "failed"]
 
@@ -272,20 +270,22 @@ def _cmd_scan(args, parser):
     rows = _run_tasks(_scan_row, tasks, args.jobs)
     _write_csv(args.out, SCAN_HEADER, rows)
 
-    neg_c = [float(r[1]) for r in rows if r[2] != "nan" and float(r[2]) < 0.0]
-    neg_s = [(float(r[1]), float(r[4])) for r in rows
+    # The notes give frequencies in units of --scale, as the sweeps do.
+    s = args.scale
+    neg_c = [float(r[1]) * s for r in rows
+             if r[2] != "nan" and float(r[2]) < 0.0]
+    neg_s = [float(r[1]) * s for r in rows
              if r[3] != "nan" and float(r[3]) < 0.0]
     if neg_c:
         _note(f"high-T log coefficient negative for omega0 in "
               f"[{min(neg_c):g}, {max(neg_c):g}] "
               f"(expected window starts at Omega0/sqrt(2) ~ "
-              f"{Omega0 / math.sqrt(2.0):.6g})")
+              f"{Omega0 * s / math.sqrt(2.0):.6g})")
     else:
         _note("high-T log coefficient nonnegative over the scanned range")
     if neg_s:
-        w_lo = min(w for w, _ in neg_s)
-        w_hi = max(w for w, _ in neg_s)
-        _note(f"S_total < 0 found for omega0 in [{w_lo:g}, {w_hi:g}] "
+        _note(f"S_total < 0 found for omega0 in "
+              f"[{min(neg_s):g}, {max(neg_s):g}] "
               f"({len(neg_s)} of {len(rows)} scanned points)")
     else:
         _note("S_total >= 0 at every scanned point")

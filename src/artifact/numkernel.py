@@ -23,14 +23,13 @@ is imported by the two calls that run it, as the sheet needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "QuadratureError",
-    "ErrorTracker",
     "QuadSettings",
     "QuadResult",
     "PanelResult",
@@ -93,27 +92,6 @@ class QuadratureError(RuntimeError):
     """Raised when an integral, root bracket or fit cannot be trusted."""
 
 
-class ErrorTracker:
-    """Mutable record of the worst quadrature error seen.
-
-    Attach an instance to ``QuadSettings.error_tracker`` to collect the
-    largest single error estimate produced while evaluating a composite
-    quantity (one table row, one verification check, ...).
-    """
-
-    __slots__ = ("worst",)
-
-    def __init__(self) -> None:
-        self.worst = 0.0
-
-    def update(self, err: float) -> None:
-        if err > self.worst:
-            self.worst = err
-
-    def reset(self) -> None:
-        self.worst = 0.0
-
-
 @dataclass(frozen=True)
 class QuadSettings:
     """Shared tolerances for all quadrature calls.
@@ -123,22 +101,13 @@ class QuadSettings:
     abs_tol, rel_tol : float
         Absolute and relative integration targets; a result is accepted
         when its error estimate is below ``max(abs_tol, rel_tol*|value|)``.
-    error_tracker : ErrorTracker, optional
-        When set, every quadrature reports its error estimate here.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    error_tracker: ErrorTracker | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
-
-    def report(self, err: float) -> None:
-        if self.error_tracker is not None:
-            self.error_tracker.update(err)
 
 
 DEFAULT_SETTINGS = QuadSettings()
@@ -263,7 +232,6 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
             f"quadrature on [{a}, {b}] did not converge: {out[3]} "
             f"(value={value:.6e}, error={err:.3e})"
         )
-    settings.report(err)
     return QuadResult(value, err, evals)
 
 
@@ -335,9 +303,8 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
             )
 
     res = integrate_finite(f, a, x2, settings, breakpoints)
-    err = res.error_estimate + tail_bound
-    settings.report(tail_bound)
-    return QuadResult(res.value, err, res.evaluations)
+    return QuadResult(res.value, res.error_estimate + tail_bound,
+                      res.evaluations)
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -386,8 +353,7 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         Panel edges, at least two distinct finite values.
     settings : QuadSettings, optional
         Tolerances; component j is accepted when its error is at most
-        ``max(abs_tol, rel_tol * |I_j|)``.  The worst component's error
-        is reported to the tracker.
+        ``max(abs_tol, rel_tol * |I_j|)``.
 
     Returns
     -------
@@ -455,9 +421,7 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         K = np.concatenate([K[keep], Kn])
         E = np.concatenate([E[keep], En])
         A = np.concatenate([A[keep], An])
-    error = raw + floor
-    settings.report(float(error.max()))
-    return PanelResult(value, error, evals)
+    return PanelResult(value, raw + floor, evals)
 
 
 def _check_T(T) -> None:

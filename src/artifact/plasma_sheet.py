@@ -36,13 +36,14 @@ X(omega) = 2 (omega^2 - ell^2)/Omega0^2, ell^2 = omega0^2 - Omega0^2/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
+    QuadResult,
     QuadSettings,
     _check_T,
     find_root_bracketed,
@@ -430,8 +431,7 @@ def _truncation_bound(Ts: np.ndarray, cut: float, A: float,
 
 def _thermal_integral(density, Ts: np.ndarray, params: SheetParams,
                       settings: QuadSettings, lo: float, hi: float,
-                      tail: tuple[float, int] | None,
-                      halves: tuple[int, ...]):
+                      tail: tuple[float, int] | None):
     """Int_lo^hi density(omega) w(omega/T) d omega for both weights w.
 
     ``density`` maps an array of omega to an array.  The integrand's 2m
@@ -439,29 +439,27 @@ def _thermal_integral(density, Ts: np.ndarray, params: SheetParams,
     temperatures ``Ts``: one panel rule for all of them, with both
     weights from one ``thermal_weights`` call per pass.  ``tail`` = (A, n)
     bounds the density beyond ``hi`` by A omega^n, and the truncation
-    bound that follows is added to the quadrature error.  The tracker
-    receives the worst error under the weights ``halves`` (0: bose_log,
-    1: g), so a caller that keeps one half reports that half's error only.
-    Returns the values, a (2, m) array: row 0 under bose_log, row 1 under g.
+    bound that follows is added to the quadrature error.  Returns the
+    values and their errors, two (2, m) arrays: row 0 under bose_log,
+    row 1 under g.
     """
     def f(omega: np.ndarray) -> np.ndarray:
         blog, g = thermal_weights(omega[:, None] / Ts)
         d = density(omega)[:, None]
         return np.concatenate([d * blog, d * g], axis=1)
 
-    res = integrate_panels(f, _edges(params, Ts, lo, hi),
-                           replace(settings, error_tracker=None))
+    res = integrate_panels(f, _edges(params, Ts, lo, hi), settings)
     error = res.error_estimate.reshape(2, -1)
     if tail is not None:
         error = error + _truncation_bound(Ts, hi, *tail)
-    settings.report(float(error[list(halves)].max()))
-    return res.value.reshape(2, -1)
+    return res.value.reshape(2, -1), error
 
 
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
-             subtracted: bool = True, include_shell: bool = True,
-             halves: tuple[int, ...] = (0, 1)):
-    """(F, S) of one photonic channel from one panel-rule pass."""
+             subtracted: bool = True, include_shell: bool = True):
+    """((F, F_error), (S, S_error)) of one photonic channel from one
+    panel-rule pass; the errors are those of the integral before its
+    prefactor."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
@@ -470,15 +468,16 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     # Beyond 50 scale, |omega^2 h_subtr| <= 2 scale^3 / omega^2 (its
     # omega^-2 and omega^-3 terms, with room) and |omega^2 h| <= 2 omega.
     tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
-    val = _thermal_integral(lambda w: w * w * dens(ch, w, params), Ts,
-                            params, settings, 0.0, cut, tail, halves)
+    val, err = _thermal_integral(lambda w: w * w * dens(ch, w, params), Ts,
+                                 params, settings, 0.0, cut, tail)
     # The shell weight -pi omega0^2 / 2 is zero for omega0 = 0, and for an
     # omega0 so small that its square underflows.
     shell = shell_weight(ch, params)
     if include_shell and shell != 0.0:
         val = val + shell * np.stack(thermal_weights(params.omega0 / Ts))
     val = val / (2.0 * math.pi ** 2)
-    return _like(T, Ts * val[0]), _like(T, val[1])
+    return ((_like(T, Ts * val[0]), _like(T, err[0])),
+            (_like(T, val[1]), _like(T, err[1])))
 
 
 def free_energy_channel(ch: str, T, params: SheetParams,
@@ -494,9 +493,12 @@ def free_energy_channel(ch: str, T, params: SheetParams,
     array (array returned); the temperatures of an array share one panel
     rule (``numkernel.integrate_panels``) cut off at max(40 max T,
     50 scale), which integrates F and S together.  Each public thermal
-    function selects one of the two and reports only its error.
+    function selects the value of one of the two; the part records in
+    ``PARTS`` return both with their errors.  A direct call runs at the
+    ``params`` and ``T`` it is given, with absolute tolerances that do not
+    scale; only ``total`` reduces to Omega0 = 1.
     """
-    return _channel(ch, T, params, settings, halves=(0,))[0]
+    return _channel(ch, T, params, settings)[0][0]
 
 
 def entropy_channel(ch: str, T, params: SheetParams,
@@ -508,7 +510,7 @@ def entropy_channel(ch: str, T, params: SheetParams,
     (Omega0/6 for TE, Omega0/18 for TM) emerges from the omega -> 0
     region of the subtracted density without cancellation.
     """
-    return _channel(ch, T, params, settings, halves=(1,))[1]
+    return _channel(ch, T, params, settings)[1][0]
 
 
 def free_energy_channel_raw(ch: str, T, params: SheetParams,
@@ -523,7 +525,7 @@ def free_energy_channel_raw(ch: str, T, params: SheetParams,
     defining (p, k) representation integrates to).
     """
     return _channel(ch, T, params, settings, subtracted=False,
-                    include_shell=include_shell, halves=(0,))[0]
+                    include_shell=include_shell)[0][0]
 
 
 def _tail_coefficients(ch: str,
@@ -540,7 +542,7 @@ def _tail_coefficients(ch: str,
 
 
 def spectral_sum_rule(ch: str, params: SheetParams,
-                      settings: QuadSettings | None = None) -> float:
+                      settings: QuadSettings | None = None) -> QuadResult:
     """Integrated subtracted spectral weight of one channel.
 
     J = Int_0^inf omega^2 h_subtr(omega) d omega + shell weight.
@@ -555,8 +557,8 @@ def spectral_sum_rule(ch: str, params: SheetParams,
 
     The panel rule runs to W = 2000 s, s = max(Omega0, omega0), with
     edges graded by 4 from 5 s, and adds the analytic omega^-4 and
-    omega^-5 tails of h_subtr beyond W.  The error reported to the
-    tracker is the panel rule's plus a bound on the rest of the tail:
+    omega^-5 tails of h_subtr beyond W.  Returns a ``QuadResult`` whose
+    error is the panel rule's plus a bound on the rest of the tail:
     beyond 50 s, |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <=
     (|c6| + s^6/omega)/omega^4, so the rest is at most
     (|c6| + s^6/W) / (3 W^3).  The envelope is tested; the next term,
@@ -575,11 +577,12 @@ def spectral_sum_rule(ch: str, params: SheetParams,
            *(5.0 * s * 4.0 ** k for k in range(5))]
     res = integrate_panels(f, _span(0.0, W, pts), settings)
     c4, c5, c6 = _tail_coefficients(ch, params)
-    settings.report(float(res.error_estimate[0])
-                    + (abs(c6) + s ** 6 / W) / (3.0 * W ** 3))
     val = float(res.value[0])
     val += c4 / W + 0.5 * c5 / (W * W)
-    return val + shell_weight(ch, params)
+    return QuadResult(val + shell_weight(ch, params),
+                      float(res.error_estimate[0])
+                      + (abs(c6) + s ** 6 / W) / (3.0 * W ** 3),
+                      res.evaluations)
 
 
 def omega_sf(k: float, params: SheetParams) -> float:
@@ -621,8 +624,9 @@ def _band_edge(params: SheetParams) -> float:
 
 
 def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
-             subtracted: bool = True, halves: tuple[int, ...] = (0, 1)):
-    """(F, S) of the plasmon band from one panel-rule pass.
+             subtracted: bool = True):
+    """((F, F_error), (S, S_error)) of the plasmon band from one
+    panel-rule pass.
 
     Raw: (T/2 pi, 1/2 pi) Int_ell^inf omega X (blog, g) d omega above the
     band edge ell; subtracted: minus the same integral over [0, ell], and
@@ -639,11 +643,13 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
     elif ell > 0.0:
         span, tail, sign = (0.0, ell), None, -1.0
     else:
-        return _like(T, np.zeros(len(Ts))), _like(T, np.zeros(len(Ts)))
-    val = sign * (_thermal_integral(lambda w: w * surface_weight(w, params),
-                                    Ts, params, settings, *span, tail,
-                                    halves) / (2.0 * math.pi))
-    return _like(T, Ts * val[0]), _like(T, val[1])
+        zero = _like(T, np.zeros(len(Ts)))
+        return (zero, zero), (zero, zero)
+    val, err = _thermal_integral(lambda w: w * surface_weight(w, params),
+                                 Ts, params, settings, *span, tail)
+    val = sign * val / (2.0 * math.pi)
+    return ((_like(T, Ts * val[0]), _like(T, err[0])),
+            (_like(T, val[1]), _like(T, err[1])))
 
 
 def plasmon_free_energy_raw(T, params: SheetParams,
@@ -655,7 +661,7 @@ def plasmon_free_energy_raw(T, params: SheetParams,
     the sf record's growth c3 T^3 + c5 T^5 plus the subtracted part as
     an algebraic identity.
     """
-    return _plasmon(T, params, settings, subtracted=False, halves=(0,))[0]
+    return _plasmon(T, params, settings, subtracted=False)[0][0]
 
 
 def plasmon_free_energy_subtr(T, params: SheetParams,
@@ -666,7 +672,7 @@ def plasmon_free_energy_subtr(T, params: SheetParams,
     -(T/2 pi) Int_0^ell omega X blog d omega, evaluated directly so no
     cancellation of large terms occurs.
     """
-    return _plasmon(T, params, settings, halves=(0,))[0]
+    return _plasmon(T, params, settings)[0][0]
 
 
 def plasmon_entropy_subtr(T, params: SheetParams,
@@ -676,13 +682,13 @@ def plasmon_entropy_subtr(T, params: SheetParams,
     Carries the log T growth (x^2 / (4 pi Omega0^2)) log T at high
     temperature for x = omega0^2 - Omega0^2/2 > 0.
     """
-    return _plasmon(T, params, settings, halves=(1,))[1]
+    return _plasmon(T, params, settings)[1][0]
 
 
-# Lambdas of (T, params, settings) -> (F, S), so every call looks the
-# part's function up in this module; each integrates F and S in one
-# panel-rule pass.  The growth of the photonic channels is what
-# h - h_subtr integrates to; the plasmon's is the full-band integral.
+# Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
+# every call looks the part's function up in this module; each integrates
+# F and S in one panel-rule pass.  The growth of the photonic channels is
+# what h - h_subtr integrates to; the plasmon's is the full-band integral.
 PARTS = (
     Part("TE", "TE", ("F_TE_subtr", "S_TE_subtr"),
          lambda T, p, s: _channel(Channel.TE, T, p, s),
@@ -730,20 +736,24 @@ def high_T_log_coefficient_closed(params: SheetParams) -> float:
 
 
 def high_T_log_coefficient(params: SheetParams,
-                           settings: QuadSettings | None = None) -> float:
+                           settings: QuadSettings | None = None
+                           ) -> QuadResult:
     """Numerical log T entropy coefficient, from the channel sum rules.
 
     The photonic channels contribute J_ch / (2 pi^2) each (quadrature);
     the plasmon band contributes its analytic x^2/(4 pi Omega0^2) term
-    when the band edge is real.
+    when the band edge is real.  The error is the sum rules' errors
+    summed, over 2 pi^2.
     """
     settings = settings or DEFAULT_SETTINGS
-    out = sum(spectral_sum_rule(ch, params, settings)
-              for ch in Channel.ALL) / (2.0 * math.pi ** 2)
+    rules = [spectral_sum_rule(ch, params, settings) for ch in Channel.ALL]
+    out = sum(r.value for r in rules) / (2.0 * math.pi ** 2)
     x = params.ell2
     if x > 0.0:
         out += x * x / (4.0 * math.pi * params.Omega0 ** 2)
-    return out
+    return QuadResult(out, sum(r.error_estimate for r in rules)
+                      / (2.0 * math.pi ** 2),
+                      sum(r.evaluations for r in rules))
 
 
 def heat_kernel_coeffs(params: SheetParams) -> HeatKernelSet:
@@ -809,7 +819,7 @@ def a_three_half_te_crossing(Omega0: float = 1.0,
     def f(w0: float) -> float:
         return spectral_sum_rule(Channel.TE,
                                  SheetParams(Omega0=Omega0, omega0=w0),
-                                 settings)
+                                 settings).value
 
     return find_root_bracketed(f, 0.5 * Omega0, 0.9 * Omega0, x_tol=1e-9)
 

@@ -21,6 +21,10 @@ in closed form at every frequency (complex-log continuation between
 omega_p/sqrt(2) and omega_p, and a series at omega_p/sqrt(2), where the
 real arrangement degenerates).
 
+A direct call of a per-quantity function (``F_s_TE`` ... ``S_exp_subtr``)
+runs at the given scale, with absolute tolerances that do not scale; only
+``total`` reduces to omega_p = 1.
+
 The TM channel additionally carries a guided surface mode (slab
 plasmon) below omega_p/sqrt(2).  Its dispersion is solved here but the
 mode is intentionally NOT added to the thermodynamic totals; outputs
@@ -39,7 +43,6 @@ import numpy as np
 
 from .numkernel import (
     DEFAULT_SETTINGS,
-    ErrorTracker,
     QuadResult,
     QuadratureError,
     QuadSettings,
@@ -331,8 +334,10 @@ def validate_surface_weight(params: SlabParams,
     return worst
 
 
-def _surface_te_integral(T: float, params: SlabParams,
-                         settings: QuadSettings, entropy: bool) -> float:
+def _surface_te(T: float, params: SlabParams, settings: QuadSettings,
+                entropy: bool) -> tuple[float, float]:
+    """Raw TE surface F (or S), and the error of its integral."""
+    _check_T(T)
     weight = g if entropy else bose_log
     wp = params.omega_p
 
@@ -340,8 +345,13 @@ def _surface_te_integral(T: float, params: SlabParams,
         return (omega * weight(omega / T)
                 * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
 
-    return integrate_finite(f, 0.0, wp, settings,
-                            breakpoints=[T] if T < wp else []).value
+    res = integrate_finite(f, 0.0, wp, settings,
+                           breakpoints=[T] if T < wp else [])
+    if entropy:
+        return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
+                - res.value / math.pi ** 2), res.error_estimate
+    return (-ZETA3 * T ** 3 / (2.0 * math.pi)
+            - T * res.value / math.pi ** 2), res.error_estimate
 
 
 def F_s_TE(T: float, params: SlabParams,
@@ -350,21 +360,15 @@ def F_s_TE(T: float, params: SlabParams,
 
     F = -zeta(3) T^3 / (2 pi) - (T/pi^2) Int_0^omega_p omega
         blog(omega/T) atan(gamma(omega)/omega) d omega,
-    gamma(omega) = sqrt(omega_p^2 - omega^2).
+    gamma(omega) = sqrt(omega_p^2 - omega^2).  Runs at the given scale.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    val = _surface_te_integral(T, params, settings, entropy=False)
-    return -ZETA3 * T ** 3 / (2.0 * math.pi) - T * val / math.pi ** 2
+    return _surface_te(T, params, settings or DEFAULT_SETTINGS, False)[0]
 
 
 def S_s_TE(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TE surface entropy per unit area (-dF/dT)."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    val = _surface_te_integral(T, params, settings, entropy=True)
-    return 3.0 * ZETA3 * T ** 2 / (2.0 * math.pi) - val / math.pi ** 2
+    return _surface_te(T, params, settings or DEFAULT_SETTINGS, True)[0]
 
 
 def _s_te_growth(params: SlabParams) -> SubtractionSpec:
@@ -378,15 +382,16 @@ def _s_te_growth(params: SlabParams) -> SubtractionSpec:
     return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))
 
 
-def _surface_tm_integrals(T: float, params: SlabParams,
-                          settings: QuadSettings,
-                          entropy: bool) -> tuple[float, float]:
-    """Edge and bulk-moment integrals of the TM surface part."""
+def _surface_tm(T: float, params: SlabParams, settings: QuadSettings,
+                entropy: bool) -> tuple[float, float]:
+    """Raw TM surface F (or S), from its edge and bulk-moment integrals,
+    and the larger of their errors."""
+    _check_T(T)
     weight = g if entropy else bose_log
     wp = params.omega_p
     a_int = integrate_finite(
         lambda w: w * weight(w / T), 0.0, wp, settings,
-        breakpoints=[T] if T < wp else []).value
+        breakpoints=[T] if T < wp else [])
 
     if entropy:
         def f(w: float) -> float:
@@ -397,8 +402,15 @@ def _surface_tm_integrals(T: float, params: SlabParams,
 
     cut = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < cut]
-    b_int = integrate_finite(f, 0.0, cut, settings, breakpoints=pts).value
-    return a_int, b_int
+    b_int = integrate_finite(f, 0.0, cut, settings, breakpoints=pts)
+    error = max(a_int.error_estimate, b_int.error_estimate)
+    if entropy:
+        return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
+                - a_int.value / (4.0 * math.pi)
+                + b_int.value / (2.0 * math.pi ** 2 * T * T)), error
+    return (-ZETA3 * T ** 3 / (2.0 * math.pi)
+            - T * a_int.value / (4.0 * math.pi)
+            - b_int.value / (2.0 * math.pi ** 2)), error
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -426,22 +438,13 @@ def F_s_TM(T: float, params: SlabParams,
     see ``surface_tm_low_T_correction``.  The second term is -6.1% of
     the first at T = 1e-2 omega_p.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    a_int, b_int = _surface_tm_integrals(T, params, settings, entropy=False)
-    a_part = -ZETA3 * T ** 3 / (2.0 * math.pi) - T * a_int / (4.0 * math.pi)
-    return a_part - b_int / (2.0 * math.pi ** 2)
+    return _surface_tm(T, params, settings or DEFAULT_SETTINGS, False)[0]
 
 
 def S_s_TM(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TM surface entropy per unit area (-dF/dT)."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    a_int, b_int = _surface_tm_integrals(T, params, settings, entropy=True)
-    return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
-            - a_int / (4.0 * math.pi)
-            + b_int / (2.0 * math.pi ** 2 * T * T))
+    return _surface_tm(T, params, settings or DEFAULT_SETTINGS, True)[0]
 
 
 def _s_tm_growth(params: SlabParams) -> SubtractionSpec:
@@ -577,8 +580,11 @@ def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
     return QuadResult(value, err, evals)
 
 
-def _thickness_te_integral(T: float, params: SlabParams,
-                           settings: QuadSettings, entropy: bool) -> float:
+def _thickness_te(T: float, params: SlabParams, settings: QuadSettings,
+                  entropy: bool) -> tuple[float, float]:
+    """TE thickness F (or S), and the larger error of its low piece and
+    its high piece, whose error sums those of its blocks."""
+    _check_T(T)
     weight = g if entropy else bose_log
     wp = params.omega_p
     W = max(40.0 * T, 8.0 * wp)
@@ -587,11 +593,13 @@ def _thickness_te_integral(T: float, params: SlabParams,
         return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
 
     lowcut = min(wp, W)
-    val = integrate_finite(f, 0.0, lowcut, settings,
-                           breakpoints=[T] if T < lowcut else []).value
-    val += _blocked_integral(f, lowcut, W, settings, _osc_block(params),
-                             breakpoints=[T]).value
-    return val / (2.0 * math.pi ** 2)
+    low = integrate_finite(f, 0.0, lowcut, settings,
+                           breakpoints=[T] if T < lowcut else [])
+    high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
+                             breakpoints=[T])
+    val = (low.value + high.value) / (2.0 * math.pi ** 2)
+    error = max(low.error_estimate, high.error_estimate)
+    return (val if entropy else T * val), error
 
 
 def F_L_TE(T: float, params: SlabParams,
@@ -608,19 +616,17 @@ def F_L_TE(T: float, params: SlabParams,
 
     see ``ThicknessSeries.te_factor``.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return T * _thickness_te_integral(T, params, settings, entropy=False)
+    return _thickness_te(T, params, settings or DEFAULT_SETTINGS, False)[0]
 
 
 def h_L(omega: float, params: SlabParams,
-        settings: QuadSettings | None = None) -> float:
+        settings: QuadSettings | None = None) -> QuadResult:
     """Momentum moment Int_0^omega p delta_L_TM(p, omega) dp.
 
     Inner integral of the TM thickness part, evaluated with a tightened
     relative tolerance (1e-10); beyond p = omega_p/sqrt(2) it runs in
-    gamma = sqrt(omega_p^2 - p^2).  The sum of its two or three pieces'
-    error estimates is reported to the tracker.  The TM thickness free
+    gamma = sqrt(omega_p^2 - p^2).  Returns a ``QuadResult`` whose error
+    is the sum of its two or three pieces' estimates.  The TM thickness free
     energy and entropy do not call it per frequency: they read a piecewise
     Chebyshev table built from it (``_HLTable``).  h_L vanishes at omega_p,
     and just above it h_L ~ delta (a log(1/delta) - b) in
@@ -661,8 +667,9 @@ def h_L(omega: float, params: SlabParams,
     if omega > wp:
         pieces.append(_blocked_integral(f, wp, omega, settings,
                                         _osc_block(params)))
-    settings.report(sum(piece.error_estimate for piece in pieces))
-    return sum(piece.value for piece in pieces)
+    return QuadResult(sum(piece.value for piece in pieces),
+                      sum(piece.error_estimate for piece in pieces),
+                      sum(piece.evaluations for piece in pieces))
 
 
 # The TM thickness integrals read h_L(omega) / omega from a table of
@@ -709,7 +716,6 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
     Lebesgue constant of its nodes times the worst inner error estimate
     of the h_L values it was fitted to.
     """
-    tracker = ErrorTracker()
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     worst = 0.0
 
@@ -720,12 +726,10 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
         w = mid + half * x
         if w <= 0.0:
             return 0.0
-        tracker.reset()
-        inner = QuadSettings(abs_tol=_TABLE_ABS_TOL * params.omega_p * w,
-                             error_tracker=tracker)
-        value = h_L(w, params, inner) / w
-        worst = max(worst, tracker.worst / w)
-        return value
+        res = h_L(w, params,
+                  QuadSettings(abs_tol=_TABLE_ABS_TOL * params.omega_p * w))
+        worst = max(worst, res.error_estimate / w)
+        return res.value / w
 
     n = _TABLE_DEGREES[0]
     values = [k(math.cos(j * math.pi / n)) for j in range(n + 1)]
@@ -762,7 +766,7 @@ class _HLTable:
     The pieces are fitted on first use (``_table_segment``), so the h_L
     quadratures of a build run under the outer quadrature that first reads
     the table.  The table holds every segment that starts below ``top``,
-    built without the caller's settings or error tracker; each segment
+    built without the caller's settings; each segment
     depends on (params, index) alone, so a table reads the same whichever
     temperature, settings or process asked first.
     """
@@ -851,15 +855,17 @@ def validate_h_L_table(params: SlabParams,
     worst = 0.0
     for frac in _H_L_VALIDATION_GRID:
         w = frac * wp
-        tracker = ErrorTracker()
-        direct = h_L(w, params, replace(settings, error_tracker=tracker))
-        claim = w * table.bound(w) + tracker.worst
-        worst = max(worst, abs(w * table(w) - direct) / claim)
+        direct = h_L(w, params, settings)
+        claim = w * table.bound(w) + direct.error_estimate
+        worst = max(worst, abs(w * table(w) - direct.value) / claim)
     return worst, table.integral().error_estimate / wp ** 2
 
 
 def _thickness_tm_integral(T: float, params: SlabParams,
-                           settings: QuadSettings, entropy: bool) -> float:
+                           settings: QuadSettings,
+                           entropy: bool) -> QuadResult:
+    """Int_0^W of the thermal weight times h_L from the table; the error
+    adds the table's bound to the low and high pieces' estimates."""
     outer = replace(settings, rel_tol=1e-8)
     wp = params.omega_p
     # h_L decays fast enough that frequencies beyond ~60 omega_p are
@@ -885,9 +891,19 @@ def _thickness_tm_integral(T: float, params: SlabParams,
                            breakpoints=[T] if T < lowcut else [])
     high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
                              breakpoints=[T])
-    settings.report(low.error_estimate + high.error_estimate
-                    + table.error(W, weight))
-    return low.value + high.value
+    return QuadResult(low.value + high.value,
+                      low.error_estimate + high.error_estimate
+                      + table.error(W, weight),
+                      low.evaluations + high.evaluations)
+
+
+def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings,
+                  entropy: bool) -> tuple[float, float]:
+    """TM thickness F (or S), and the error of its integral."""
+    _check_T(T)
+    res = _thickness_tm_integral(T, params, settings, entropy)
+    den = 2.0 * math.pi ** 2 * T * T if entropy else -2.0 * math.pi ** 2
+    return res.value / den, res.error_estimate
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -898,8 +914,8 @@ def F_L_TM(T: float, params: SlabParams,
     omega factor; it is consumed by the momentum moment), with the cutoff
     W = min(40 T, 60 omega_p).  The integrand reads h_L from a piecewise
     Chebyshev table built once per params and shared by every temperature,
-    every ``QuadSettings`` and ``S_L``; the error reported for the
-    integral adds the table's pointwise bound times the integral of the
+    every ``QuadSettings`` and ``S_L``; the error its ``PARTS`` record
+    returns adds the table's pointwise bound times the integral of the
     thermal weight to the quadrature's own estimate.  At low temperature
     the series of ``h_L`` gives
 
@@ -912,10 +928,7 @@ def F_L_TM(T: float, params: SlabParams,
     still about 13% below 3 at T = 1e-2 omega_p (see
     ``ThicknessSeries.tm_factor``).
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return -_thickness_tm_integral(T, params, settings,
-                                   entropy=False) / (2.0 * math.pi ** 2)
+    return _thickness_tm(T, params, settings or DEFAULT_SETTINGS, False)[0]
 
 
 def S_L(ch: str, T: float, params: SlabParams,
@@ -928,12 +941,8 @@ def S_L(ch: str, T: float, params: SlabParams,
     n' = e^x/(e^x - 1)^2, reads the same h_L table as ``F_L_TM``.
     """
     Channel.validate(ch)
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    if ch == Channel.TE:
-        return _thickness_te_integral(T, params, settings, entropy=True)
-    return _thickness_tm_integral(
-        T, params, settings, entropy=True) / (2.0 * math.pi ** 2 * T * T)
+    evaluate = _thickness_te if ch == Channel.TE else _thickness_tm
+    return evaluate(T, params, settings or DEFAULT_SETTINGS, True)[0]
 
 
 def slab_constant_d(settings: QuadSettings | None = None,
@@ -952,9 +961,8 @@ def slab_constant_d(settings: QuadSettings | None = None,
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
     if route == "TM":
-        res = _HLTable(params, _TABLE_TOP).integral()
-        settings.report(res.error_estimate)
-        return -res.value / (2.0 * math.pi ** 2)
+        return -_HLTable(params, _TABLE_TOP).integral().value / (
+            2.0 * math.pi ** 2)
     if route != "TE":
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
 
@@ -1048,15 +1056,19 @@ def _branch_weight(omega: float, params: SlabParams) -> float:
     return -0.5 * wp ** 4 / (omega * omega * (1.0 + s) ** 2)
 
 
-def _exp_integral(T: float, params: SlabParams, settings: QuadSettings,
-                  entropy: bool) -> float:
+def _exp(T: float, params: SlabParams, settings: QuadSettings,
+         entropy: bool) -> tuple[float, float]:
+    """Subtracted optical-path F (or S), and the error of its integral."""
+    _check_T(T)
     weight = g if entropy else bose_log
     wp = params.omega_p
     W = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < W]
-    return integrate_finite(
+    res = integrate_finite(
         lambda w: _branch_weight(w, params) * weight(w / T),
-        0.0, W, settings, breakpoints=pts).value
+        0.0, W, settings, breakpoints=pts)
+    value = params.L * res.value if entropy else params.L * T * res.value
+    return value / (2.0 * math.pi ** 2), res.error_estimate
 
 
 def validate_exp_part(params: SlabParams,
@@ -1083,10 +1095,7 @@ def F_exp_subtr(T: float, params: SlabParams,
     omega_p^3 L / (12 pi).  The oracle suite checks the closed route
     against the defining double integral (``validate_exp_part``).
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return (params.L * T * _exp_integral(T, params, settings, False)
-            / (2.0 * math.pi ** 2))
+    return _exp(T, params, settings or DEFAULT_SETTINGS, False)[0]
 
 
 def F_exp(T: float, params: SlabParams,
@@ -1104,10 +1113,7 @@ def F_exp(T: float, params: SlabParams,
 def S_exp_subtr(T: float, params: SlabParams,
                 settings: QuadSettings | None = None) -> float:
     """Subtracted optical-path entropy; -> omega_p^3 L / (12 pi)."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    return (params.L * _exp_integral(T, params, settings, True)
-            / (2.0 * math.pi ** 2))
+    return _exp(T, params, settings or DEFAULT_SETTINGS, True)[0]
 
 
 def F_exp_defining(T: float, params: SlabParams,
@@ -1225,25 +1231,32 @@ def plasmon_mode_residual(omega: float, k: float,
     return abs(1.0 - rho * rho * math.exp(-2.0 * gam * params.L))
 
 
-# Lambdas of (T, params, settings) -> (F, S), so every call looks the
-# part's functions up in this module.  Each evaluates F, then S: QUADPACK
-# is scalar, so the two weights cannot share a pass.  The thickness parts
-# need no subtraction.
+def _both(evaluate, T: float, params: SlabParams, settings: QuadSettings,
+          growth: SubtractionSpec = SubtractionSpec()):
+    """((F, F_error), (S, S_error)) from a part's evaluator (T, params,
+    settings, entropy) -> (value, error), F then S: QUADPACK is scalar,
+    so the two weights cannot share a pass.  ``growth`` is removed."""
+    (F, F_err), (S, S_err) = (evaluate(T, params, settings, entropy)
+                              for entropy in (False, True))
+    return (growth.free_energy(F, T), F_err), (growth.entropy(S, T), S_err)
+
+
+# Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
+# every call looks the part's evaluator up in this module.  The thickness
+# parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
-         lambda T, p, s: (_s_te_growth(p).free_energy(F_s_TE(T, p, s), T),
-                          _s_te_growth(p).entropy(S_s_TE(T, p, s), T)),
+         lambda T, p, s: _both(_surface_te, T, p, s, _s_te_growth(p)),
          _s_te_growth),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
-         lambda T, p, s: (_s_tm_growth(p).free_energy(F_s_TM(T, p, s), T),
-                          _s_tm_growth(p).entropy(S_s_TM(T, p, s), T)),
+         lambda T, p, s: _both(_surface_tm, T, p, s, _s_tm_growth(p)),
          _s_tm_growth),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
-         lambda T, p, s: (F_L_TE(T, p, s), S_L(Channel.TE, T, p, s))),
+         lambda T, p, s: _both(_thickness_te, T, p, s)),
     Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
-         lambda T, p, s: (F_L_TM(T, p, s), S_L(Channel.TM, T, p, s))),
+         lambda T, p, s: _both(_thickness_tm, T, p, s)),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
-         lambda T, p, s: (F_exp_subtr(T, p, s), S_exp_subtr(T, p, s)),
+         lambda T, p, s: _both(_exp, T, p, s),
          lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),
 )
 

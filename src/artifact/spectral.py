@@ -12,8 +12,9 @@ forms and use these as cross-checks.
 
 Each model lists its additive parts once, in an ordered ``PARTS`` table
 of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
-entropy of every part at one temperature, and their totals, evaluated at
-unit scale: F(T) = s^3 F_1(T/s) and S(T) = s^2 S_1(T/s).
+entropy of every part at one temperature, their totals and their error
+estimates, evaluated at unit scale: F(T) = s^3 F_1(T/s) and
+S(T) = s^2 S_1(T/s).
 
 The high-temperature expansion of a free energy per unit area,
 
@@ -140,22 +141,24 @@ class SubtractionSpec:
 class Part:
     """One additive part of a model's free energy and entropy.
 
-    ``evaluate`` is called as ``evaluate(T, params, settings)`` and
-    returns the pair (F, S), the part's subtracted free energy and
-    entropy per unit area: one spectral integral under the two thermal
-    weights T log(1 - e^(-omega/T)) and its -d/dT.  The models build it
-    as a lambda over their module's functions, so each call looks them
-    up in the module at call time.  ``group`` is the name that selects
-    the part in ``thermo --parts``; ``columns`` are its F and S columns
-    in the CSV output.  ``growth`` maps the model's parameters to the
-    high-temperature polynomial that F and S have removed:
-    raw F = F + growth; zero by default.
+    ``evaluate(T, params, settings)`` returns ((F, F_error), (S, S_error)):
+    the part's subtracted free energy and entropy per unit area, one
+    spectral integral under the weights T log(1 - e^(-omega/T)) and its
+    -d/dT, each with the largest error estimate behind it, in integral
+    units before prefactors.  A direct call runs at the scale it is given
+    (absolute tolerances do not scale); ``ThermoPoint.evaluate`` reduces
+    to unit scale.  The models build it as a lambda over their module's
+    functions, looked up at call time.  ``group`` selects the part in
+    ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
+    the parameters to the high-temperature polynomial that F and S have
+    removed: raw F = F + growth; zero by default.
     """
 
     name: str
     group: str
     columns: tuple[str, str]
-    evaluate: Callable[[float, Any, QuadSettings], tuple[Any, Any]]
+    evaluate: Callable[[Any, Any, QuadSettings],
+                       tuple[tuple[Any, Any], tuple[Any, Any]]]
     growth: Callable[[Any], SubtractionSpec] = lambda params: SubtractionSpec()
 
     @staticmethod
@@ -169,15 +172,19 @@ class ThermoPoint:
     """Subtracted F and S of each part of a model at one temperature.
 
     ``F`` and ``S`` are in the order of ``names``, the model's ``PARTS``;
-    the totals add them left to right.  Evaluated at a 1-D array of
-    temperatures (the sheet's parts accept one), ``T`` and every entry
-    of ``F`` and ``S`` are arrays over it, and so are the totals.
+    the totals add them left to right.  ``F_error`` and ``S_error`` hold
+    each part's error estimates at unit scale; ``quad_error`` is the
+    largest.  Evaluated at a 1-D array of temperatures (the sheet's parts
+    accept one), ``T``, every entry of ``F`` and ``S``, the totals and the
+    sheet's errors are arrays over it.
     """
 
     T: float | np.ndarray
     names: tuple[str, ...]
     F: tuple[Any, ...]
     S: tuple[Any, ...]
+    F_error: tuple[Any, ...]
+    S_error: tuple[Any, ...]
 
     @classmethod
     def evaluate(cls, parts: Sequence[Part], T, params: Any,
@@ -193,10 +200,11 @@ class ThermoPoint:
         if np.ndim(T):
             T = np.asarray(T, dtype=float)
         t = T / s
-        pairs = [part.evaluate(t, unit, settings) for part in parts]
+        F, S = zip(*(part.evaluate(t, unit, settings) for part in parts))
         return cls(T, tuple(p.name for p in parts),
-                   tuple(s ** 3 * F for F, _ in pairs),
-                   tuple(s ** 2 * S for _, S in pairs))
+                   tuple(s ** 3 * v for v, _ in F),
+                   tuple(s ** 2 * v for v, _ in S),
+                   tuple(e for _, e in F), tuple(e for _, e in S))
 
     def part(self, name: str) -> tuple[float, float]:
         """(F, S) of the named part; KeyError for an unknown name."""
@@ -212,6 +220,11 @@ class ThermoPoint:
     @property
     def S_total(self) -> float:
         return reduce(operator.add, self.S)
+
+    @property
+    def quad_error(self) -> float:
+        """The largest error estimate of any part, F or S, at any T."""
+        return max(float(np.max(e)) for e in self.F_error + self.S_error)
 
 
 def free_energy_defining(ch: ScatteringChannel, T: float,

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import plasma_sheet, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
-    ErrorTracker,
     QuadratureError,
     QuadSettings,
     bose_log,
@@ -230,18 +229,17 @@ def _sheet_entropy_quadpack(ch, T, params):
 
 def _sheet_panel_rule_checks(settings):
     # Each row: the worst |S_panel - S_quadpack| over the temperatures,
-    # in units of the error the panel rule reported for that T (its
-    # tracker's worst, over 2 pi^2 as S is).
+    # in units of the error of S that the channel's part returns for that
+    # T (over 2 pi^2 as S is).
     out = []
     for omega0 in _PANEL_OMEGA0:
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
         for ch in ("TE", "TM"):
+            part = spectral.Part.named(plasma_sheet.PARTS, ch)
             worst = 0.0
             for T in _PANEL_T:
-                tracker = ErrorTracker()
-                s = plasma_sheet.entropy_channel(
-                    ch, T, params, replace(settings, error_tracker=tracker))
-                bound = tracker.worst / (2.0 * math.pi ** 2)
+                _, (s, error) = part.evaluate(T, params, settings)
+                bound = error / (2.0 * math.pi ** 2)
                 gap = abs(s - _sheet_entropy_quadpack(ch, T, params))
                 worst = max(worst, gap / bound)
             out.append(_below(
@@ -581,7 +579,7 @@ def _suite_constants(settings):
     # TM spectral sum rule with the shell term.
     for omega0 in (0.0, 0.5):
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
-        val = plasma_sheet.spectral_sum_rule("TM", params, settings)
+        val = plasma_sheet.spectral_sum_rule("TM", params, settings).value
         out.append(_below(
             "constants", f"sheet TM sum rule, omega0={omega0}",
             abs(val), 1e-6, label="<= 1e-06"))
@@ -589,7 +587,7 @@ def _suite_constants(settings):
     # Negative-entropy window of the high-T log coefficient.
     def c_of(omega0):
         p = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
-        return plasma_sheet.high_T_log_coefficient(p, settings)
+        return plasma_sheet.high_T_log_coefficient(p, settings).value
 
     from .numkernel import find_root_bracketed
     root = find_root_bracketed(c_of, 0.65, 0.80)
@@ -657,8 +655,8 @@ def _suite_thermo_identity(settings):
         worst = 0.0
         for T in grid:
             h = 1e-4 * T
-            F_lo, S_lo = part.evaluate(T - h, params, settings)
-            F_hi, S_hi = part.evaluate(T + h, params, settings)
+            (F_lo, _), (S_lo, _) = part.evaluate(T - h, params, settings)
+            (F_hi, _), (S_hi, _) = part.evaluate(T + h, params, settings)
             if not np.all(np.isfinite([F_lo, S_lo, F_hi, S_hi])):
                 raise QuadratureError(f"non-finite F or S of {label} "
                                       f"near T={T!r}")
@@ -677,8 +675,8 @@ def _suite_thermo_identity(settings):
 def _suite_nernst(settings):
     out = []
     for label, part, params in _identity_checks():
-        s_hi = part.evaluate(1e-2, params, settings)[1]
-        s_lo = part.evaluate(1e-3, params, settings)[1]
+        s_hi = part.evaluate(1e-2, params, settings)[1][0]
+        s_lo = part.evaluate(1e-3, params, settings)[1][0]
         if abs(s_hi) < 1e-13 and abs(s_lo) < 1e-13:
             ratio = 0.0
         else:

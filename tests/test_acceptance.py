@@ -88,7 +88,7 @@ def test_criterion_06_negative_entropy_window(suites):
     # literal scan over the stated resonance window
     negative = [w0 for w0 in np.linspace(0.6, 0.95, 15)
                 if ps.high_T_log_coefficient(
-                    ps.SheetParams(Omega0=1.0, omega0=w0)) < 0.0]
+                    ps.SheetParams(Omega0=1.0, omega0=w0)).value < 0.0]
     lo, hi = 1.0 / math.sqrt(2.0), 1.2 / math.sqrt(2.0)
     print(f"scan: log coefficient negative on [{negative[0]:.3f}, "
           f"{negative[-1]:.3f}], window to overlap: ({lo:.4f}, {hi:.4f})")

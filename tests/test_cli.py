@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from artifact import cli, verification
+import numpy as np
+
+from artifact import cli, plasma_sheet, slab, verification
+from artifact.numkernel import DEFAULT_SETTINGS
+from artifact.spectral import ThermoPoint
 
 
 def _read_csv(path):
@@ -226,6 +230,77 @@ def test_scale_rescales_stderr_labels_only(tmp_path, capsys):
     # CSV stays in working units; the summary label is rescaled
     assert float(_read_csv(out)[0]["T"]) == pytest.approx(1.0)
     assert "0.01" in capsys.readouterr().err
+
+
+def test_scan_scale_rescales_stderr_labels_only(tmp_path, capsys):
+    # The scan's notes give omega0 in units of --scale, as the sweeps'
+    # notes give T; the CSV stays in working units.
+    argv = ["scan", "--omega0", "0.72:0.9:3", "--tmin", "1", "--tmax",
+            "100", "--tpts", "1"]
+    rows, notes = [], []
+    for scale in ("1", "10"):
+        out = tmp_path / f"scan_{scale}.csv"
+        assert cli.main([*argv, "--scale", scale, "--out", str(out)]) == 0
+        rows.append(out.read_bytes())
+        notes.append(capsys.readouterr().err)
+    assert rows[0] == rows[1]
+    assert "omega0 in [0.72, 0.9] (expected" in notes[0]
+    assert "Omega0/sqrt(2) ~ 0.707107" in notes[0]
+    assert "omega0 in [7.2, 9] (expected" in notes[1]
+    assert "Omega0/sqrt(2) ~ 7.07107" in notes[1]
+    assert "S_total < 0 found for omega0 in [7.2, 9]" in notes[1]
+
+
+def _quad_error(argv, tmp_path):
+    out = tmp_path / "row.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    return float(row["quad_error"])
+
+
+def _largest(point):
+    errors = [float(np.max(e)) for e in point.F_error + point.S_error]
+    assert len(errors) == 2 * len(point.names) and min(errors) >= 0.0
+    return max(errors)
+
+
+def test_quad_error_is_the_largest_part_error(tmp_path):
+    # A sheet, a slab and a partial --parts row: quad_error is the largest
+    # F or S error estimate of the row's ThermoPoint (at unit scale).
+    T = ["--tmin", "0.7", "--tmax", "0.7"]
+    sheet = plasma_sheet.SheetParams(Omega0=2.0, omega0=1.6)
+    params = slab.SlabParams(omega_p=1.0, L=0.5)
+    partial = [p for p in slab.PARTS if p.group in ("s", "exp")]
+    cases = [
+        (["sheet", "--Omega0", "2", "--omega0", "1.6", *T],
+         plasma_sheet.total(0.7, sheet)),
+        (["slab", "--L", "0.5", *T], slab.total(0.7, params)),
+        (["slab", "--L", "0.5", "--parts", "s,exp", *T],
+         ThermoPoint.evaluate(partial, 0.7, params, DEFAULT_SETTINGS)),
+    ]
+    for argv, point in cases:
+        assert _quad_error(argv, tmp_path) == float(
+            format(_largest(point), ".12e")), argv
+    assert len(cases[2][1].names) == 3
+
+
+def test_scan_quad_error_includes_the_log_coefficient(tmp_path):
+    # A scan row's quad_error is the larger of its T grid's part errors and
+    # c_logT's, (J_TE error + J_TM error) / (2 pi^2).  Here, off unit scale
+    # (the sum rules run at Omega0 = 2), c_logT's is the larger.
+    params = plasma_sheet.SheetParams(Omega0=2.0, omega0=1.6)
+    grid = np.geomspace(1e-2, 100.0, 17)
+    point = plasma_sheet.total(grid, params)
+    c = plasma_sheet.high_T_log_coefficient(params)
+    rules = [plasma_sheet.spectral_sum_rule(ch, params) for ch in ("TE", "TM")]
+    assert c.error_estimate == pytest.approx(
+        sum(r.error_estimate for r in rules) / (2.0 * math.pi ** 2),
+        rel=1e-15)
+    assert c.error_estimate > _largest(point)
+    argv = ["scan", "--Omega0", "2", "--omega0", "1.6", "--tmax", "100",
+            "--tpts", "4"]
+    assert _quad_error(argv, tmp_path) == float(
+        format(max(point.quad_error, c.error_estimate), ".12e"))
 
 
 def test_importing_the_cli_loads_no_scipy():

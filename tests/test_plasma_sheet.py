@@ -1,8 +1,6 @@
 """Thin plasma sheet: phase shifts, spectral densities, thermodynamics."""
 
 import math
-from dataclasses import replace
-
 from functools import partial
 
 import mpmath
@@ -13,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import numkernel
 from artifact import plasma_sheet as ps
-from artifact.numkernel import DEFAULT_SETTINGS, ErrorTracker
+from artifact.numkernel import DEFAULT_SETTINGS
 from artifact.spectral import Channel, Part
 
 ZETA3 = 1.2020569031595943
@@ -148,7 +146,7 @@ def test_te_sum_rule_with_a_node_on_the_shell():
     # node exactly on the resonance shell
     params = ps.SheetParams(Omega0=1.0, omega0=0.9999999999999996)
     w0 = params.omega0
-    assert ps.spectral_sum_rule(Channel.TE, params) == pytest.approx(
+    assert ps.spectral_sum_rule(Channel.TE, params).value == pytest.approx(
         math.pi * (0.25 - 0.5 * w0 * w0), abs=1e-9)
 
 
@@ -181,7 +179,7 @@ def test_te_sum_rule_closed_form(params):
     # with the shell: pi (Omega0^2/4 - omega0^2/2); continuum alone:
     # pi Omega0^2/4
     w0 = params.omega0
-    full = ps.spectral_sum_rule(Channel.TE, params)
+    full = ps.spectral_sum_rule(Channel.TE, params).value
     cont = full - ps.shell_weight(Channel.TE, params)
     assert cont == pytest.approx(math.pi / 4.0, abs=1e-9)
     assert full == pytest.approx(math.pi * (0.25 - 0.5 * w0 * w0), abs=1e-9)
@@ -194,11 +192,9 @@ def test_sum_rule_error_covers_its_gap_to_the_closed_value(ch, w0):
     # omega^-4 and omega^-5 terms: at omega0 = 0 that tail is most of the
     # TM gap (3.6e-12, against 2.5e-13 from the panel rule alone).
     params = ps.SheetParams(Omega0=1.0, omega0=w0)
-    tracker = ErrorTracker()
-    J = ps.spectral_sum_rule(
-        ch, params, replace(DEFAULT_SETTINGS, error_tracker=tracker))
+    J = ps.spectral_sum_rule(ch, params)
     closed = math.pi * (0.25 - 0.5 * w0 * w0) if ch == Channel.TE else 0.0
-    assert abs(J - closed) <= tracker.worst
+    assert abs(J.value - closed) <= J.error_estimate
 
 
 @pytest.mark.parametrize("w0", [0.0, 0.25, 0.49, 0.6, 1.0, 1.4, 10.0])
@@ -219,7 +215,7 @@ def test_sum_rule_tail_envelope(w0):
 
 
 def test_tm_sum_rule_vanishes_with_shell():
-    full = ps.spectral_sum_rule(Channel.TM, P05)
+    full = ps.spectral_sum_rule(Channel.TM, P05).value
     assert abs(full) < 1e-9
     cont = full - ps.shell_weight(Channel.TM, P05)
     assert cont == pytest.approx(0.5 * math.pi * 0.25, abs=1e-9)
@@ -244,7 +240,7 @@ def test_raw_minus_subtracted_is_growth(name, params):
     raw_F, rel = RAW_ROUTES[name]
     g = part.growth(params)
     for T in (0.3, 0.8, 4.0):
-        sub = part.evaluate(T, params, DEFAULT_SETTINGS)[0]
+        (sub, _), _ = part.evaluate(T, params, DEFAULT_SETTINGS)
         assert raw_F(T, params) - sub == pytest.approx(
             g.c3 * T ** 3 + g.c2 * T ** 2 + g.c5 * T ** 5, rel=rel)
 
@@ -305,7 +301,7 @@ def test_total_is_exactly_scale_covariant():
 @pytest.mark.parametrize("w0", [0.0, 0.8, 1.3])
 def test_high_T_log_coefficient_matches_closed_form(w0):
     params = ps.SheetParams(Omega0=1.0, omega0=w0)
-    assert ps.high_T_log_coefficient(params) == pytest.approx(
+    assert ps.high_T_log_coefficient(params).value == pytest.approx(
         ps.high_T_log_coefficient_closed(params), abs=1e-9)
 
 
@@ -354,8 +350,8 @@ def test_unit_scaling(lam, t, w0):
     scaled = ps.SheetParams(Omega0=lam, omega0=lam * w0)
     T = t * base.scale()
     for part in ps.PARTS:
-        F, S = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
-        F_base, S_base = part.evaluate(T, base, DEFAULT_SETTINGS)
+        (F, _), (S, _) = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
+        (F_base, _), (S_base, _) = part.evaluate(T, base, DEFAULT_SETTINGS)
         assert F == pytest.approx(lam ** 3 * F_base, rel=1e-9)
         assert S == pytest.approx(lam ** 2 * S_base, rel=1e-9)
 
@@ -423,24 +419,23 @@ def test_density_arrays_match_mpmath_at_switch_points(ch, w0):
 
 def test_thermal_parts_take_a_temperature_grid():
     # total(T grid) agrees with one total(T) per temperature within the
-    # errors both report (integral units; /(2 pi) covers both the
-    # channels' 1/(2 pi^2) and the plasmon's 1/(2 pi)).
+    # errors both return for that part, quantity and T (integral units;
+    # /(2 pi) covers both the channels' 1/(2 pi^2) and the plasmon's
+    # 1/(2 pi)).
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
     grid = np.geomspace(1e-2, 1e3, 9)
-    batch_tracker = ErrorTracker()
-    batch = ps.total(grid, params,
-                     replace(DEFAULT_SETTINGS, error_tracker=batch_tracker))
+    batch = ps.total(grid, params)
     assert isinstance(batch.S_total, np.ndarray)
     assert batch.S_total.shape == grid.shape
+    assert all(e.shape == grid.shape for e in batch.F_error + batch.S_error)
     for i, T in enumerate(grid):
-        tracker = ErrorTracker()
-        point = ps.total(float(T), params,
-                         replace(DEFAULT_SETTINGS, error_tracker=tracker))
-        err = (batch_tracker.worst + tracker.worst) / (2.0 * math.pi)
-        for name in point.names:
+        point = ps.total(float(T), params)
+        for k, name in enumerate(point.names):
             (F, S), (Fb, Sb) = point.part(name), batch.part(name)
-            assert abs(Fb[i] - F) <= T * err, (name, T)
-            assert abs(Sb[i] - S) <= err, (name, T)
+            F_err = (batch.F_error[k][i] + point.F_error[k]) / (2 * math.pi)
+            S_err = (batch.S_error[k][i] + point.S_error[k]) / (2 * math.pi)
+            assert abs(Fb[i] - F) <= T * F_err, (name, T)
+            assert abs(Sb[i] - S) <= S_err, (name, T)
 
 
 def test_sheet_runs_no_quadpack(monkeypatch):
@@ -454,7 +449,7 @@ def test_sheet_runs_no_quadpack(monkeypatch):
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
     point = ps.total(1.0, params)
     assert math.isfinite(point.F_total) and math.isfinite(point.S_total)
-    assert ps.high_T_log_coefficient(params) == pytest.approx(
+    assert ps.high_T_log_coefficient(params).value == pytest.approx(
         ps.high_T_log_coefficient_closed(params), abs=1e-9)
 
 
@@ -493,36 +488,30 @@ _SELECTORS += [(ps.plasmon_free_energy_raw,
                                                              omega0=0.8)],
                          ids=["P00", "P05", "P08"])
 def test_selectors_are_halves_of_the_fused_pass(params):
+    # Each selector returns the value of its half; the fused pass returns
+    # it with one error per temperature.
     T = np.geomspace(1e-2, 1e3, 5)
     for selector, fused, half in _SELECTORS:
-        tracker, fused_tracker = ErrorTracker(), ErrorTracker()
-        got = selector(T, params,
-                       replace(DEFAULT_SETTINGS, error_tracker=tracker))
-        pair = fused(T, params,
-                     replace(DEFAULT_SETTINGS, error_tracker=fused_tracker))
-        assert np.array_equal(got, pair[half])
-        assert tracker.worst <= fused_tracker.worst
-        assert selector(1.3, params) == fused(1.3, params, None)[half]
+        value, error = fused(T, params, DEFAULT_SETTINGS)[half]
+        assert np.array_equal(selector(T, params), value)
+        assert error.shape == T.shape and np.all(error >= 0.0)
+        assert selector(1.3, params) == fused(1.3, params, None)[half][0]
 
 
 def test_entropy_channel_reports_its_own_error():
-    # The oracle rows gate |S_panel - S_QUADPACK| by what entropy_channel
-    # reports: the S integral's quadrature error and truncation bound,
-    # not the F integral's.  The fused pass reports the worse of the two.
+    # The oracle rows gate |S_panel - S_QUADPACK| by the error of S that
+    # the channel's part returns: the S integral's quadrature error and
+    # truncation bound, not the F integral's.
     params = ps.SheetParams(Omega0=1.0, omega0=0.7125)
     T = np.geomspace(1e-2, 1e3, 5)
     trunc = ps._truncation_bound(T, ps._cutoff(params, T),
                                  2.0 * params.scale() ** 3, -2)[1]
     for ch in Channel.ALL:
-        worst = []
-        for fn in (ps.free_energy_channel, ps.entropy_channel, ps._channel):
-            tracker = ErrorTracker()
-            fn(ch, T, params, replace(DEFAULT_SETTINGS,
-                                      error_tracker=tracker))
-            worst.append(tracker.worst)
-        F_error, S_error, both = worst
-        assert both == max(F_error, S_error) and S_error != F_error
-        assert S_error >= trunc.max() > 0.0
+        (_, F_error), (S, S_error) = Part.named(ps.PARTS, ch).evaluate(
+            T, params, DEFAULT_SETTINGS)
+        assert np.array_equal(S, ps.entropy_channel(ch, T, params))
+        assert np.any(S_error != F_error)
+        assert np.all(S_error >= trunc) and trunc.max() > 0.0
 
 
 @pytest.mark.parametrize("w0", [5e-324, 1e-200])
@@ -534,8 +523,8 @@ def test_vanishing_omega0_matches_omega0_zero(w0):
         a, b = ps.total(T, params), ps.total(T, P00)
         assert a.F == pytest.approx(b.F, rel=1e-12)
         assert a.S == pytest.approx(b.S, rel=1e-12)
-    assert ps.high_T_log_coefficient(params) == pytest.approx(
-        ps.high_T_log_coefficient(P00), rel=1e-12)
+    assert ps.high_T_log_coefficient(params).value == pytest.approx(
+        ps.high_T_log_coefficient(P00).value, rel=1e-12)
 
 
 @pytest.mark.parametrize("w0", [0.0, 0.3, 0.7, 1.0, 2.0, 10.0])

@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artifact import slab
-from artifact.numkernel import DEFAULT_SETTINGS, ErrorTracker, QuadSettings
+from artifact import plasma_sheet, slab
+from artifact.numkernel import DEFAULT_SETTINGS, QuadSettings
 from artifact.spectral import ZETA3, ZETA5, Channel, Part, ThermoPoint
 
 P1 = slab.SlabParams(omega_p=1.0, L=1.0)
@@ -124,7 +124,8 @@ def test_thickness_series_coefficients(omega_p, L):
     tight = QuadSettings(abs_tol=1e-30, rel_tol=1e-12)
     w = 3e-3 * omega_p
     series = c.a1 * w ** 3 + c.B * w ** 4 + c.C * w ** 5
-    assert abs(slab.h_L(w, params, tight) - series) < 1e-2 * abs(c.C * w ** 5)
+    assert abs(slab.h_L(w, params, tight).value - series) \
+        < 1e-2 * abs(c.C * w ** 5)
     p = 1e-2 * omega_p
     series = c.a1 * p + c.a3 * p ** 3
     assert abs(slab.delta_L(Channel.TE, p, p, params) - series) \
@@ -136,12 +137,12 @@ def test_h_L_just_above_omega_p():
     # without that breakpoint QUADPACK stalled on roundoff.  Reference
     # value from mpmath at 30 digits.
     params = slab.SlabParams(omega_p=1.0, L=0.6059292171171541)
-    assert slab.h_L(1.0000152220514424, params) == pytest.approx(
+    assert slab.h_L(1.0000152220514424, params).value == pytest.approx(
         4.4039873591615882e-4, rel=1e-10)
 
 
 def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
-    # Above omega_p, h_L sums three quadratures; the error it reports
+    # Above omega_p, h_L sums three quadratures; the error it returns
     # (and the h_L table reads) is their summed estimate, not the worst.
     errors = []
     run = slab.integrate_finite
@@ -152,11 +153,35 @@ def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
         return res
 
     monkeypatch.setattr(slab, "integrate_finite", recorded)
-    tracker = ErrorTracker()
-    slab.h_L(3.0, P1, QuadSettings(error_tracker=tracker))
+    res = slab.h_L(3.0, P1)
     assert len(errors) == 3
-    assert tracker.worst > max(errors)
-    assert tracker.worst == pytest.approx(math.fsum(errors), rel=1e-12)
+    assert res.error_estimate > max(errors)
+    assert res.error_estimate == pytest.approx(math.fsum(errors), rel=1e-12)
+
+
+def test_L_TE_error_covers_every_block(monkeypatch):
+    # At T = 10 the high piece of L_TE, [omega_p, 40 T], runs in four
+    # blocks; the part's error is at least the low piece's estimate and
+    # the summed estimate of all four blocks (which dominates here), not
+    # the largest block.
+    calls = []
+    run = slab.integrate_finite
+
+    def recorded(f, a, b, *args, **kwargs):
+        res = run(f, a, b, *args, **kwargs)
+        calls.append((a, res.error_estimate))
+        return res
+
+    monkeypatch.setattr(slab, "integrate_finite", recorded)
+    halves = Part.named(slab.PARTS, "L_TE").evaluate(10.0, P1,
+                                                     DEFAULT_SETTINGS)
+    assert len(calls) == 10  # F's five calls, then S's
+    for (_, error), own in zip(halves, (calls[:5], calls[5:])):
+        low = [e for a, e in own if a < P1.omega_p]
+        high = [e for a, e in own if a >= P1.omega_p]
+        assert len(low) == 1 and len(high) == 4
+        assert error >= low[0] and error > max(high)
+        assert error == pytest.approx(math.fsum(high), rel=1e-12)
 
 
 def test_h_L_table_does_not_depend_on_build_order():
@@ -191,12 +216,12 @@ def test_L_TM_quad_error_includes_table_term(monkeypatch):
         return terms[-1]
 
     monkeypatch.setattr(slab._HLTable, "error", recorded)
-    tracker = ErrorTracker()
-    ThermoPoint.evaluate((Part.named(slab.PARTS, "L_TM"),), 2.0,
-                         slab.SlabParams(omega_p=2.0, L=0.5),
-                         QuadSettings(error_tracker=tracker))
+    point = ThermoPoint.evaluate((Part.named(slab.PARTS, "L_TM"),), 2.0,
+                                 slab.SlabParams(omega_p=2.0, L=0.5),
+                                 DEFAULT_SETTINGS)
     assert len(terms) == 2 and min(terms) > 0.0
-    assert tracker.worst >= max(terms)
+    assert point.F_error[0] >= terms[0] and point.S_error[0] >= terms[1]
+    assert point.quad_error >= max(terms)
 
 
 def test_h_small_omega_series():
@@ -308,13 +333,14 @@ def test_raw_minus_subtracted_is_growth(name):
     raw_F, raw_S = RAW_ROUTES[name]
     g = part.growth(P1)
     for T in (0.5, 4.0):
-        F_sub, S_sub = part.evaluate(T, P1, DEFAULT_SETTINGS)
+        (F_sub, _), (S_sub, _) = part.evaluate(T, P1, DEFAULT_SETTINGS)
         assert raw_F(T, P1) - F_sub == pytest.approx(
             g.c3 * T ** 3 + g.c2 * T ** 2, rel=1e-10)
         assert raw_S(T, P1) - S_sub == pytest.approx(
             -3.0 * g.c3 * T ** 2 - 2.0 * g.c2 * T, rel=1e-10)
     # the growth is all the T^3 and T^2 there is: the rest is T log T
-    assert abs(part.evaluate(1e3, P1, DEFAULT_SETTINGS)[0]) < 1e-3 * 1e3 ** 2
+    (F, _), _ = part.evaluate(1e3, P1, DEFAULT_SETTINGS)
+    assert abs(F) < 1e-3 * 1e3 ** 2
 
 
 def test_single_surface_mode():
@@ -393,8 +419,8 @@ def test_invalid_temperature_rejected():
 def _check_unit_scaling(part, lam, T):
     # T, omega_p -> lam *, L -> L / lam: F scales as lam^3, S as lam^2
     scaled = slab.SlabParams(omega_p=lam, L=1.0 / lam)
-    F, S = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
-    F_unit, S_unit = part.evaluate(T, P1, DEFAULT_SETTINGS)
+    (F, _), (S, _) = part.evaluate(lam * T, scaled, DEFAULT_SETTINGS)
+    (F_unit, _), (S_unit, _) = part.evaluate(T, P1, DEFAULT_SETTINGS)
     assert F == pytest.approx(lam ** 3 * F_unit, rel=1e-9)
     assert S == pytest.approx(lam ** 2 * S_unit, rel=1e-9)
 
@@ -429,3 +455,30 @@ def test_thickness_parts_decay_like_exp_minus_2_omega_p_L():
         for name, v, r in zip(("F_L_TE", "S_L_TE", "F_L_TM", "S_L_TM"),
                               scaled(L), ref):
             assert v == pytest.approx(r, rel=0.2), f"{name}, L={L}"
+
+
+def test_thin_slab_te_parts_tend_to_the_charged_fluid_sheet():
+    # As L -> 0 with omega_p^2 L = 2 Omega0 held (Omega0 = 1), the slab's
+    # raw TE parts, with half of the optical-path part that TE and TM
+    # share, become the TE channel of a charged-fluid sheet (omega0 = 0).
+    # The gap G(L) is O(L): G/L stays within 2% over L = 0.02, 0.01 and
+    # 0.005 (about -2.6e-4), and the Richardson value 2 G(0.005) - G(0.01)
+    # is below 1e-4 |F_sheet| (4.5e-6 of it).  L_TM and its h_L table are
+    # not needed.
+    T = 0.3
+    sheet = plasma_sheet.free_energy_channel_raw(
+        Channel.TE, T, plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0))
+    parts = [Part.named(slab.PARTS, name) for name in ("s_TE", "L_TE", "exp")]
+
+    def gap(L):
+        params = slab.SlabParams(omega_p=math.sqrt(2.0 / L), L=L)
+        point = ThermoPoint.evaluate(parts, T, params, DEFAULT_SETTINGS)
+        growths = [part.growth(params) for part in parts]
+        s_te, l_te, exp = (F + g.c3 * T ** 3 + g.c2 * T ** 2
+                           for F, g in zip(point.F, growths))
+        return s_te + l_te + 0.5 * exp - sheet
+
+    G = {L: gap(L) for L in (0.02, 0.01, 0.005)}
+    slopes = [g / L for L, g in G.items()]
+    assert max(slopes) - min(slopes) <= 0.02 * abs(slopes[-1])
+    assert abs(2.0 * G[0.005] - G[0.01]) < 1e-4 * abs(sheet)

@@ -180,16 +180,17 @@ def test_thermo_point_parts():
 def test_thermo_point_evaluates_parts_in_order():
     calls = []
 
-    def part(name, F, S):
+    def part(name, F, S, errors):
         def evaluate(T, params, settings):
             calls.append((name, T, params, settings))
-            return F, S
+            return (F, errors[0]), (S, errors[1])
         return spectral.Part(name, name, (f"F_{name}", f"S_{name}"),
                              evaluate)
 
-    parts = (part("a", 1.0, -2.0), part("b", 0.25, 0.5))
+    parts = (part("a", 1.0, -2.0, (1e-9, 2e-9)),
+             part("b", 0.25, 0.5, (3e-9, 5e-10)))
     # The parts see T / s and the unit-scale parameters; F and S come
-    # back multiplied by s^3 and s^2.
+    # back multiplied by s^3 and s^2, their errors as the parts gave them.
     for s in (1.0, 2.0):
         calls.clear()
         params = SimpleNamespace(reduced=lambda s=s: (s, "p"))
@@ -203,6 +204,9 @@ def test_thermo_point_evaluates_parts_in_order():
         assert point.part("b") == (0.25 * s ** 3, 0.5 * s ** 2)
         assert (point.F_total, point.S_total) == (1.25 * s ** 3,
                                                   -1.5 * s ** 2)
+        assert (point.F_error, point.S_error) == ((1e-9, 3e-9),
+                                                  (2e-9, 5e-10))
+        assert point.quad_error == 3e-9
 
 
 @pytest.mark.parametrize("module", [artifact, numkernel, spectral,
@@ -248,8 +252,8 @@ def test_entropy_is_minus_dF_dT_at_drawn_points(T):
     # suite checks them at fixed temperatures.
     h = 1e-4 * T
     for label, part, params in verification._identity_checks():
-        F_lo, S_lo = part.evaluate(T - h, params, DEFAULT_SETTINGS)
-        F_hi, S_hi = part.evaluate(T + h, params, DEFAULT_SETTINGS)
+        (F_lo, _), (S_lo, _) = part.evaluate(T - h, params, DEFAULT_SETTINGS)
+        (F_hi, _), (S_hi, _) = part.evaluate(T + h, params, DEFAULT_SETTINGS)
         s = 0.5 * (S_lo + S_hi)
         s_fd = (F_lo - F_hi) / (2.0 * h)
         gate = 1e-4 * max(abs(s), abs(s_fd)) + _IDENTITY_FLOOR

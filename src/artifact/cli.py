@@ -160,18 +160,20 @@ def _part_row(task):
 
 def _scan_row(task):
     """One CSV row of ``thermo scan``; ``quad_error`` is the larger of the
-    parts' largest error estimate and the log coefficient's error."""
+    parts' largest error estimate and the log coefficient's, which, like
+    S, is evaluated at Omega0 = 1 (its error at unit scale)."""
     Omega0, omega0, t_grid, rel_tol, abs_tol = task
     settings = QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol)
     params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
     try:
-        c = plasma_sheet.high_T_log_coefficient(params, settings)
+        scale, unit = params.reduced()
+        c = plasma_sheet.high_T_log_coefficient(unit, settings)
         point = plasma_sheet.total(np.asarray(t_grid), params, settings)
         i = int(np.argmin(point.S_total))  # the first minimum
         s_min, t_at = float(point.S_total[i]), t_grid[i]
         err = max(point.quad_error, c.error_estimate)
-        return [_fmt(Omega0), _fmt(omega0), _fmt(c.value), _fmt(s_min),
-                _fmt(t_at), _fmt(err)]
+        return [_fmt(Omega0), _fmt(omega0), _fmt(scale * scale * c.value),
+                _fmt(s_min), _fmt(t_at), _fmt(err)]
     except QuadratureError:
         return [_fmt(Omega0), _fmt(omega0), "nan", "nan", "nan", "failed"]
 

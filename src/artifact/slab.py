@@ -127,10 +127,11 @@ class SlabParams:
 
 
 def epsilon(omega: float, params: SlabParams) -> float:
-    """Plasma permittivity 1 - omega_p^2 / omega^2."""
+    """Plasma permittivity 1 - omega_p^2 / omega^2, exact near omega_p."""
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return 1.0 - (params.omega_p / omega) ** 2
+    wp = params.omega_p
+    return (omega - wp) * (omega + wp) / (omega * omega)
 
 
 def _gamma(p: float, params: SlabParams) -> float:
@@ -516,38 +517,49 @@ def delta_L(ch: str, p: float, omega: float, params: SlabParams) -> float:
         a3 = (2 s1 / 3 - 32 s3 / 3) / omega_p^3 + 4 L s2 / omega_p^2,
 
     with s1 = E0/(1-E0), s2 = E0/(1-E0)^2, s3 = E0 (1+E0)/(1-E0)^3 and
-    E0 = e^{-2 omega_p L} (see ``thickness_series``).
+    E0 = e^{-2 omega_p L} (see ``thickness_series``).  Both channels share
+    the two real-arithmetic kernels below, TE as eps = 1, and ``h_L``
+    calls them directly.
     """
     Channel.validate(ch)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
     wp, L = params.omega_p, params.L
-    if ch == Channel.TM:
-        if omega < p:
-            raise ValueError(f"need omega >= p, got omega={omega}, p={p}")
-        eps = epsilon(omega, params)
-        if p < wp:
-            return _delta_L_tm_evanescent(p, _gamma(p, params), eps, L)
-        q = math.sqrt(p * p - wp * wp)
-        if eps * p + q == 0.0:
-            return 0.0
-        rho = (eps * p - q) / (eps * p + q)
-        return -cmath.phase(1.0 - rho * rho * cmath.exp(2j * q * L))
+    if ch == Channel.TM and omega < p:
+        raise ValueError(f"need omega >= p, got omega={omega}, p={p}")
+    eps = epsilon(omega, params) if ch == Channel.TM else 1.0
     if p < wp:
-        gam = _gamma(p, params)
-        z = cmath.exp(4j * math.atan2(gam, p) - 2.0 * gam * L)
-        return cmath.phase(1.0 - z)
-    q = math.sqrt(p * p - wp * wp)
-    rho = (p - q) / (p + q)
-    return -cmath.phase(1.0 - rho * rho * cmath.exp(2j * q * L))
+        return _delta_L_evanescent(p, _gamma(p, params), eps, L)
+    return _delta_L_propagating(p, math.sqrt(p * p - wp * wp), eps, L)
 
 
-def _delta_L_tm_evanescent(p: float, gam: float, eps: float,
-                           L: float) -> float:
-    """delta_L_TM below omega_p, from p, gamma and eps = epsilon(omega)."""
-    z = complex(eps * p, gam)
-    ratio = (z / z.conjugate()) ** 2
-    return cmath.phase(1.0 - ratio * math.exp(-2.0 * gam * L))
+def _delta_L_evanescent(p: float, gam: float, eps: float,
+                        L: float) -> float:
+    """delta_L below omega_p from p, gamma and eps (1 in TE): arg(1 - E
+    e^{4 i beta}), E = e^{-2 gamma L}, beta = arg(eps p + i gamma), as
+    atan2(-E sin 4 beta, (1 - E) + 2 E sin^2 2 beta), free of cancellation
+    as gamma -> 0."""
+    a = eps * p
+    r2 = a * a + gam * gam
+    s, c = 2.0 * a * gam / r2, (a - gam) * (a + gam) / r2
+    em1 = math.expm1(-2.0 * gam * L)
+    E = 1.0 + em1
+    return math.atan2(-2.0 * E * s * c, 2.0 * E * s * s - em1)
+
+
+def _delta_L_propagating(p: float, q: float, eps: float, L: float) -> float:
+    """delta_L above omega_p from p, q and eps (1 in TE): -arg(1 - rho^2
+    e^{2iqL}), rho = (eps p - q) / (eps p + q), as atan2(rho^2 sin 2qL,
+    (1 - rho^2) + 2 rho^2 sin^2 qL) with 1 - rho^2 = 4 eps p q / (eps p +
+    q)^2, free of cancellation as q -> 0."""
+    a = eps * p
+    d = a + q
+    if d == 0.0:
+        return 0.0
+    r2 = ((a - q) / d) ** 2
+    s, c = math.sin(q * L), math.cos(q * L)
+    return math.atan2(2.0 * r2 * s * c,
+                      4.0 * a * q / (d * d) + 2.0 * r2 * s * s)
 
 
 def _osc_block(params: SlabParams) -> float:
@@ -582,8 +594,8 @@ def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
 
 def _thickness_te(T: float, params: SlabParams, settings: QuadSettings,
                   entropy: bool) -> tuple[float, float]:
-    """TE thickness F (or S), and the larger error of its low piece and
-    its high piece, whose error sums those of its blocks."""
+    """TE thickness F (or S), and the summed error of its low piece and
+    its high piece's blocks."""
     _check_T(T)
     weight = g if entropy else bose_log
     wp = params.omega_p
@@ -598,7 +610,7 @@ def _thickness_te(T: float, params: SlabParams, settings: QuadSettings,
     high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
                              breakpoints=[T])
     val = (low.value + high.value) / (2.0 * math.pi ** 2)
-    error = max(low.error_estimate, high.error_estimate)
+    error = low.error_estimate + high.error_estimate
     return (val if entropy else T * val), error
 
 
@@ -624,14 +636,15 @@ def h_L(omega: float, params: SlabParams,
     """Momentum moment Int_0^omega p delta_L_TM(p, omega) dp.
 
     Inner integral of the TM thickness part, evaluated with a tightened
-    relative tolerance (1e-10); beyond p = omega_p/sqrt(2) it runs in
-    gamma = sqrt(omega_p^2 - p^2).  Returns a ``QuadResult`` whose error
-    is the sum of its two or three pieces' estimates.  The TM thickness free
-    energy and entropy do not call it per frequency: they read a piecewise
-    Chebyshev table built from it (``_HLTable``).  h_L vanishes at omega_p,
-    and just above it h_L ~ delta (a log(1/delta) - b) in
-    delta = omega/omega_p - 1.
-    Near zero frequency
+    relative tolerance (1e-10).  It runs in p up to omega_p/sqrt(2), then
+    in gamma = sqrt(omega_p^2 - p^2) up to min(omega, omega_p), and above
+    omega_p in q = sqrt(p^2 - omega_p^2), with p dp = q dq, where the p
+    form has a square-root kink at omega_p.  Returns a ``QuadResult``
+    whose error is the sum of its two or three pieces' estimates.  The TM
+    thickness free energy and entropy do not call it per frequency: they
+    read a piecewise Chebyshev table built from it (``_HLTable``).  h_L
+    vanishes at omega_p, and just above it h_L ~ delta (a log(1/delta) - b)
+    in delta = omega/omega_p - 1.  Near zero frequency
 
         h_L(omega) = A omega^3 + B omega^4 + C omega^5 + O(omega^6),
         A = 4 s1 / omega_p,   B = -4 pi s2 / omega_p^2,
@@ -643,30 +656,36 @@ def h_L(omega: float, params: SlabParams,
         raise ValueError(f"omega must be positive, got {omega}")
     settings = replace(settings or DEFAULT_SETTINGS, rel_tol=1e-10)
     wp, L = params.omega_p, params.L
-    eps = epsilon(omega, params)
+    wp2, eps = wp * wp, epsilon(omega, params)
 
-    def f(p: float) -> float:
-        return p * delta_L(Channel.TM, p, omega, params)
+    def f_p(p: float) -> float:
+        return p * _delta_L_evanescent(p, math.sqrt(wp2 - p * p), eps, L)
 
     def f_gamma(g: float) -> float:
         # p dp = -gamma d gamma, with gamma exact rather than recomputed
         # from a p close to omega_p
         p = math.sqrt((wp - g) * (wp + g))
-        return g * _delta_L_tm_evanescent(p, g, eps, L)
+        return g * _delta_L_evanescent(p, g, eps, L)
+
+    def f_q(q: float) -> float:
+        # p dp = q dq: smooth at q = 0, where the p form has a sqrt kink
+        return q * _delta_L_propagating(math.hypot(wp, q), q, eps, L)
 
     # Up to omega_p / sqrt(2) in p; beyond it in gamma, where p -> omega_p
     # is smooth and, above omega_p, the turn of the phase at gamma = eps p
-    # is ~eps wide rather than ~eps^2 (a breakpoint marks it).
+    # is ~eps wide rather than ~eps^2 (a breakpoint marks it).  Above
+    # omega_p in q, whose period pi / L is that of the phase.
     half = wp / math.sqrt(2.0)
-    pieces = [integrate_finite(f, 0.0, min(omega, half), settings)]
+    pieces = [integrate_finite(f_p, 0.0, min(omega, half), settings)]
     if omega > half:
         g_lo = math.sqrt((wp - omega) * (wp + omega)) if omega < wp else 0.0
         pts = [eps * wp / math.sqrt(1.0 + eps * eps)] if eps > 0.0 else []
         pieces.append(integrate_finite(f_gamma, g_lo, half, settings,
                                        breakpoints=pts))
     if omega > wp:
-        pieces.append(_blocked_integral(f, wp, omega, settings,
-                                        _osc_block(params)))
+        pieces.append(_blocked_integral(
+            f_q, 0.0, math.sqrt((omega - wp) * (omega + wp)), settings,
+            _osc_block(params)))
     return QuadResult(sum(piece.value for piece in pieces),
                       sum(piece.error_estimate for piece in pieces),
                       sum(piece.evaluations for piece in pieces))
@@ -1210,7 +1229,8 @@ def plasmon_dispersion(k: float, params: SlabParams) -> float:
             a = 0.5 * w_hat
             for _ in range(400):
                 if fn(a) > 0.0:
-                    return find_root_bracketed(fn, a, w_hat, x_tol=1e-10)
+                    return find_root_bracketed(fn, a, w_hat,
+                                               x_tol=1e-15 * w_hat)
                 a *= 0.5
     gam_min = math.sqrt(k * k + wp * wp - hi * hi)
     if math.tanh(gam_min * params.L) >= 1.0 - 1e-12:

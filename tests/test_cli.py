@@ -286,21 +286,38 @@ def test_quad_error_is_the_largest_part_error(tmp_path):
 
 def test_scan_quad_error_includes_the_log_coefficient(tmp_path):
     # A scan row's quad_error is the larger of its T grid's part errors and
-    # c_logT's, (J_TE error + J_TM error) / (2 pi^2).  Here, off unit scale
-    # (the sum rules run at Omega0 = 2), c_logT's is the larger.
+    # c_logT's, (J_TE error + J_TM error) / (2 pi^2), both at unit scale.
+    # Here, at T = 0.01 Omega0, c_logT's is the larger.
     params = plasma_sheet.SheetParams(Omega0=2.0, omega0=1.6)
-    grid = np.geomspace(1e-2, 100.0, 17)
-    point = plasma_sheet.total(grid, params)
-    c = plasma_sheet.high_T_log_coefficient(params)
-    rules = [plasma_sheet.spectral_sum_rule(ch, params) for ch in ("TE", "TM")]
+    point = plasma_sheet.total(np.array([0.02]), params)
+    unit = params.reduced()[1]
+    c = plasma_sheet.high_T_log_coefficient(unit)
+    rules = [plasma_sheet.spectral_sum_rule(ch, unit) for ch in ("TE", "TM")]
     assert c.error_estimate == pytest.approx(
         sum(r.error_estimate for r in rules) / (2.0 * math.pi ** 2),
         rel=1e-15)
     assert c.error_estimate > _largest(point)
-    argv = ["scan", "--Omega0", "2", "--omega0", "1.6", "--tmax", "100",
-            "--tpts", "4"]
+    argv = ["scan", "--Omega0", "2", "--omega0", "1.6", "--tmin", "0.02",
+            "--tmax", "0.02"]
     assert _quad_error(argv, tmp_path) == float(
         format(max(point.quad_error, c.error_estimate), ".12e"))
+
+
+def test_scan_row_is_scale_covariant(tmp_path):
+    # c_logT runs at Omega0 = 1, as the parts do, so doubling Omega0, omega0
+    # and T keeps the row's quad_error (set by c_logT's error here) and
+    # multiplies c_logT and S_total_min by 4.
+    rows = []
+    for Omega0, omega0, T in (("2", "1.6", "0.02"), ("1", "0.8", "0.01")):
+        out = tmp_path / f"scan_{Omega0}.csv"
+        assert cli.main(["scan", "--Omega0", Omega0, "--omega0", omega0,
+                         "--tmin", T, "--tmax", T, "--out", str(out)]) == 0
+        rows.extend(_read_csv(out))
+    doubled, unit = rows
+    assert doubled["quad_error"] == unit["quad_error"]
+    for col in ("c_logT", "S_total_min"):  # to the 13 printed digits
+        assert float(doubled[col]) == pytest.approx(4.0 * float(unit[col]),
+                                                    rel=1e-11)
 
 
 def test_importing_the_cli_loads_no_scipy():

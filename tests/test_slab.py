@@ -3,6 +3,7 @@ guided mode."""
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -159,11 +160,105 @@ def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
     assert res.error_estimate == pytest.approx(math.fsum(errors), rel=1e-12)
 
 
+def _delta_L_tm_mpmath(p, omega, wp, L):
+    """delta_L_TM from its complex definition, in mpmath."""
+    eps = 1 - (wp / omega) ** 2
+    if p < wp:
+        gam = mpmath.sqrt(wp * wp - p * p)
+        z = eps * p + 1j * gam
+        return mpmath.arg(1 - (z / mpmath.conj(z)) ** 2
+                          * mpmath.exp(-2 * gam * L))
+    q = mpmath.sqrt(p * p - wp * wp)
+    rho = (eps * p - q) / (eps * p + q)
+    return -mpmath.arg(1 - rho ** 2 * mpmath.exp(2j * q * L))
+
+
+def _h_L_mpmath(omega, params):
+    """Int_0^omega p delta_L_TM dp at 30 digits, in p, split at the turn
+    gamma = eps p, at omega_p and at every period pi / L of the phase."""
+    with mpmath.workdps(30):
+        wp, L, w = (mpmath.mpf(v) for v in (params.omega_p, params.L, omega))
+        eps = 1 - (wp / w) ** 2
+        periods = int(mpmath.sqrt(w * w - wp * wp) * L / mpmath.pi)
+        pts = sorted({mpmath.mpf(0), wp / mpmath.sqrt(1 + eps * eps), wp, w,
+                      *(mpmath.sqrt(wp * wp + (k * mpmath.pi / L) ** 2)
+                        for k in range(1, periods + 1))})
+        return mpmath.quad(lambda p: p * _delta_L_tm_mpmath(p, w, wp, L), pts)
+
+
+@pytest.mark.parametrize("omega_p_L", [0.15, 1.0, 5.0])
+def test_h_L_above_omega_p_matches_mpmath(omega_p_L):
+    # Above omega_p h_L runs in q = sqrt(p^2 - omega_p^2); the reference runs
+    # in p.  At omega_p L = 5 the q range of 59.5 omega_p is split in blocks.
+    # The tolerance is tight so that the quadrature, not the absolute target,
+    # sets the error.
+    params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
+    tight = QuadSettings(abs_tol=1e-15)
+    for frac in (1.0 + 1e-6, 1.01, 2.0, 10.0, 59.5):
+        res = slab.h_L(frac, params, tight)
+        assert abs(res.value - float(_h_L_mpmath(frac, params))) \
+            <= res.error_estimate + 1e-15, f"h_L({frac})"
+
+
+def test_delta_L_kernels_match_mpmath():
+    # Both phase kernels, across eps < 0, 0 < eps < 1 (through the turn
+    # gamma = eps p) and eps = 1 (TE), next to omega_p and far from it.
+    worst = 0.0
+    with mpmath.workdps(30):
+        for L in (0.15, 1.0, 5.0):
+            for omega in (0.3, 0.7071, 0.999999, 1.000001, 1.01, 1.5, 30.0,
+                          math.inf):
+                eps = 1.0 if omega == math.inf else slab.epsilon(omega, P1)
+                top = min(omega, 1.0)
+                ps = [top * t for t in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9)]
+                if eps > 0.0:
+                    turn = 1.0 / math.sqrt(1.0 + eps * eps)
+                    ps += [turn * (1.0 + d) for d in (-1e-3, -1e-9, 0.0, 1e-9)
+                           if turn * (1.0 + d) < top]
+                for p in ps:
+                    gam = math.sqrt((1.0 - p) * (1.0 + p))
+                    z = mpmath.mpc(mpmath.mpf(eps) * p, gam)
+                    want = mpmath.arg(1 - (z / mpmath.conj(z)) ** 2
+                                      * mpmath.exp(-2 * mpmath.mpf(gam) * L))
+                    got = slab._delta_L_evanescent(p, gam, eps, L)
+                    worst = max(worst, abs(got - float(want)))
+                for q in (1e-9, 1e-4, 0.1, 1.0, 7.0, 29.0):
+                    p = math.hypot(1.0, q)
+                    if p > omega or eps <= 0.0:
+                        continue
+                    a = mpmath.mpf(eps) * p
+                    rho = (a - q) / (a + q)
+                    want = -mpmath.arg(1 - rho ** 2
+                                       * mpmath.exp(2j * mpmath.mpf(q) * L))
+                    got = slab._delta_L_propagating(p, q, eps, L)
+                    worst = max(worst, abs(got - float(want)))
+    assert worst <= 1e-15
+
+
+def test_h_L_table_evaluation_budget(monkeypatch):
+    # The (1, 1) table takes 829 h_L quadratures, 211,029 evaluations in
+    # all with h_L in q above omega_p.  The budget is 70% of the 322,623
+    # the same quadratures take in p there.
+    evaluations = []
+    run = slab.h_L
+
+    def counted(*args, **kwargs):
+        res = run(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(slab, "h_L", counted)
+    slab._table_segment.cache_clear()
+    slab._HLTable(slab.SlabParams(1.0, 1.0), 60.0).pieces
+    slab._table_segment.cache_clear()
+    assert len(evaluations) == 829
+    assert sum(evaluations) <= 225_000
+
+
 def test_L_TE_error_covers_every_block(monkeypatch):
     # At T = 10 the high piece of L_TE, [omega_p, 40 T], runs in four
-    # blocks; the part's error is at least the low piece's estimate and
-    # the summed estimate of all four blocks (which dominates here), not
-    # the largest block.
+    # blocks; the part's error is the summed estimate of the low piece and
+    # all four blocks, not the largest of them.
     calls = []
     run = slab.integrate_finite
 
@@ -180,8 +275,8 @@ def test_L_TE_error_covers_every_block(monkeypatch):
         low = [e for a, e in own if a < P1.omega_p]
         high = [e for a, e in own if a >= P1.omega_p]
         assert len(low) == 1 and len(high) == 4
-        assert error >= low[0] and error > max(high)
-        assert error == pytest.approx(math.fsum(high), rel=1e-12)
+        assert error > low[0] and error > max(high)
+        assert error == pytest.approx(math.fsum(low + high), rel=1e-12)
 
 
 def test_h_L_table_does_not_depend_on_build_order():

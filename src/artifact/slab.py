@@ -127,7 +127,8 @@ class SlabParams:
 
 
 def epsilon(omega: float, params: SlabParams) -> float:
-    """Plasma permittivity 1 - omega_p^2 / omega^2, exact near omega_p."""
+    """Plasma permittivity 1 - omega_p^2 / omega^2, factored to keep its
+    relative accuracy near omega_p."""
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     wp = params.omega_p

@@ -160,17 +160,23 @@ def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
     assert res.error_estimate == pytest.approx(math.fsum(errors), rel=1e-12)
 
 
+def _evanescent_mpmath(p, gam, eps, L):
+    z = mpmath.mpf(eps) * p + 1j * mpmath.mpf(gam)
+    return mpmath.arg(1 - (z / mpmath.conj(z)) ** 2
+                      * mpmath.exp(-2 * mpmath.mpf(gam) * L))
+
+
+def _propagating_mpmath(p, q, eps, L):
+    rho = (mpmath.mpf(eps) * p - q) / (mpmath.mpf(eps) * p + q)
+    return -mpmath.arg(1 - rho ** 2 * mpmath.exp(2j * mpmath.mpf(q) * L))
+
+
 def _delta_L_tm_mpmath(p, omega, wp, L):
     """delta_L_TM from its complex definition, in mpmath."""
     eps = 1 - (wp / omega) ** 2
     if p < wp:
-        gam = mpmath.sqrt(wp * wp - p * p)
-        z = eps * p + 1j * gam
-        return mpmath.arg(1 - (z / mpmath.conj(z)) ** 2
-                          * mpmath.exp(-2 * gam * L))
-    q = mpmath.sqrt(p * p - wp * wp)
-    rho = (eps * p - q) / (eps * p + q)
-    return -mpmath.arg(1 - rho ** 2 * mpmath.exp(2j * q * L))
+        return _evanescent_mpmath(p, mpmath.sqrt(wp * wp - p * p), eps, L)
+    return _propagating_mpmath(p, mpmath.sqrt(p * p - wp * wp), eps, L)
 
 
 def _h_L_mpmath(omega, params):
@@ -191,7 +197,9 @@ def test_h_L_above_omega_p_matches_mpmath(omega_p_L):
     # Above omega_p h_L runs in q = sqrt(p^2 - omega_p^2); the reference runs
     # in p.  At omega_p L = 5 the q range of 59.5 omega_p is split in blocks.
     # The tolerance is tight so that the quadrature, not the absolute target,
-    # sets the error.
+    # sets the error: at the default abs_tol of 1e-12, QUADPACK's estimate
+    # for the gamma piece at omega_p L = 0.15, omega = (1 + 1e-6) omega_p
+    # (8.1e-13) falls 1.6 times short of its actual error.
     params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
     tight = QuadSettings(abs_tol=1e-15)
     for frac in (1.0 + 1e-6, 1.01, 2.0, 10.0, 59.5):
@@ -217,21 +225,15 @@ def test_delta_L_kernels_match_mpmath():
                            if turn * (1.0 + d) < top]
                 for p in ps:
                     gam = math.sqrt((1.0 - p) * (1.0 + p))
-                    z = mpmath.mpc(mpmath.mpf(eps) * p, gam)
-                    want = mpmath.arg(1 - (z / mpmath.conj(z)) ** 2
-                                      * mpmath.exp(-2 * mpmath.mpf(gam) * L))
-                    got = slab._delta_L_evanescent(p, gam, eps, L)
-                    worst = max(worst, abs(got - float(want)))
+                    worst = max(worst, abs(
+                        slab._delta_L_evanescent(p, gam, eps, L)
+                        - float(_evanescent_mpmath(p, gam, eps, L))))
                 for q in (1e-9, 1e-4, 0.1, 1.0, 7.0, 29.0):
                     p = math.hypot(1.0, q)
-                    if p > omega or eps <= 0.0:
-                        continue
-                    a = mpmath.mpf(eps) * p
-                    rho = (a - q) / (a + q)
-                    want = -mpmath.arg(1 - rho ** 2
-                                       * mpmath.exp(2j * mpmath.mpf(q) * L))
-                    got = slab._delta_L_propagating(p, q, eps, L)
-                    worst = max(worst, abs(got - float(want)))
+                    if p <= omega and eps > 0.0:
+                        worst = max(worst, abs(
+                            slab._delta_L_propagating(p, q, eps, L)
+                            - float(_propagating_mpmath(p, q, eps, L))))
     assert worst <= 1e-15
 
 
@@ -277,6 +279,14 @@ def test_L_TE_error_covers_every_block(monkeypatch):
         assert len(low) == 1 and len(high) == 4
         assert error > low[0] and error > max(high)
         assert error == pytest.approx(math.fsum(low + high), rel=1e-12)
+    # At T = 0.1 (one call per piece) the low piece is not negligible: F's
+    # error, 1.006e-12, is 30% above the larger of the two.
+    calls.clear()
+    (_, error), _ = Part.named(slab.PARTS, "L_TE").evaluate(0.1, P1,
+                                                            DEFAULT_SETTINGS)
+    (_, low), (_, high) = calls[:2]
+    assert error == pytest.approx(low + high, rel=1e-12)
+    assert error > 1.2 * max(low, high)
 
 
 def test_h_L_table_does_not_depend_on_build_order():

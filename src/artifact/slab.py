@@ -640,8 +640,14 @@ def h_L(omega: float, params: SlabParams,
     relative tolerance (1e-10).  It runs in p up to omega_p/sqrt(2), then
     in gamma = sqrt(omega_p^2 - p^2) up to min(omega, omega_p), and above
     omega_p in q = sqrt(p^2 - omega_p^2), with p dp = q dq, where the p
-    form has a square-root kink at omega_p.  Returns a ``QuadResult``
-    whose error is the sum of its two or three pieces' estimates.  The TM
+    form has a square-root kink at omega_p.  The gamma piece runs on a
+    variable graded towards gamma = 0: u = log gamma below omega_p, and
+    above it v with gamma = t expm1(v), where t = eps omega_p / sqrt(1 +
+    eps^2) is the turn of the phase; v is linear across the layer ~eps
+    wide at the turn and logarithmic beyond it, so the piece's estimate
+    stays honest next to omega_p at the default tolerance.  At omega_p
+    the piece is 0.  Returns a ``QuadResult`` whose error is the sum of its
+    two or three pieces' estimates.  The TM
     thickness free energy and entropy do not call it per frequency: they
     read a piecewise Chebyshev table built from it (``_HLTable``).  h_L
     vanishes at omega_p, and just above it h_L ~ delta (a log(1/delta) - b)
@@ -668,21 +674,34 @@ def h_L(omega: float, params: SlabParams,
         p = math.sqrt((wp - g) * (wp + g))
         return g * _delta_L_evanescent(p, g, eps, L)
 
+    def f_log(u: float) -> float:
+        # gamma = e^u
+        g = math.exp(u)
+        return g * f_gamma(g)
+
+    def f_turn(v: float) -> float:
+        # gamma = t expm1(v), d gamma = t e^v dv
+        g = turn * math.expm1(v)
+        return turn * math.exp(v) * f_gamma(g)
+
     def f_q(q: float) -> float:
         # p dp = q dq: smooth at q = 0, where the p form has a sqrt kink
         return q * _delta_L_propagating(math.hypot(wp, q), q, eps, L)
 
     # Up to omega_p / sqrt(2) in p; beyond it in gamma, where p -> omega_p
-    # is smooth and, above omega_p, the turn of the phase at gamma = eps p
-    # is ~eps wide rather than ~eps^2 (a breakpoint marks it).  Above
-    # omega_p in q, whose period pi / L is that of the phase.
+    # is smooth, graded towards gamma = 0 (above omega_p the phase turns
+    # at gamma = eps p over a layer ~eps wide).  Above omega_p in q, whose
+    # period pi / L is that of the phase.
     half = wp / math.sqrt(2.0)
     pieces = [integrate_finite(f_p, 0.0, min(omega, half), settings)]
-    if omega > half:
-        g_lo = math.sqrt((wp - omega) * (wp + omega)) if omega < wp else 0.0
-        pts = [eps * wp / math.sqrt(1.0 + eps * eps)] if eps > 0.0 else []
-        pieces.append(integrate_finite(f_gamma, g_lo, half, settings,
-                                       breakpoints=pts))
+    if half < omega < wp:
+        g_lo = math.sqrt((wp - omega) * (wp + omega))
+        pieces.append(integrate_finite(f_log, math.log(g_lo),
+                                       math.log(half), settings))
+    elif eps > 0.0:
+        turn = eps * wp / math.sqrt(1.0 + eps * eps)
+        pieces.append(integrate_finite(f_turn, 0.0,
+                                       math.log1p(half / turn), settings))
     if omega > wp:
         pieces.append(_blocked_integral(
             f_q, 0.0, math.sqrt((omega - wp) * (omega + wp)), settings,
@@ -1244,12 +1263,18 @@ def plasmon_dispersion(k: float, params: SlabParams) -> float:
 
 def plasmon_mode_residual(omega: float, k: float,
                           params: SlabParams) -> float:
-    """|1 - rho_TM^2 e^{2iqL}| at evanescent momenta; ~0 on the mode."""
+    """Mode condition 1 - rho_TM^2 e^{-2 gamma L} = 0 at evanescent
+    momenta, multiplied through by (eps eta + gamma)^2 and normalised:
+    |(eps eta + gamma)^2 - (eps eta - gamma)^2 e^{-2 gamma L}| / (|eps|
+    eta + gamma)^2, ~0 on the mode.  Same zero set, but it stays small on
+    the single-surface mode of a thick slab, where rho has a pole and
+    e^{-2 gamma L} underflows."""
     eps = epsilon(omega, params)
     eta = math.sqrt(k * k - omega * omega)
     gam = math.sqrt(k * k + params.omega_p ** 2 - omega * omega)
-    rho = (eps * eta - gam) / (eps * eta + gam)
-    return abs(1.0 - rho * rho * math.exp(-2.0 * gam * params.L))
+    a = eps * eta
+    E = math.exp(-2.0 * gam * params.L)
+    return abs((a + gam) ** 2 - (a - gam) ** 2 * E) / (abs(a) + gam) ** 2
 
 
 def _both(evaluate, T: float, params: SlabParams, settings: QuadSettings,

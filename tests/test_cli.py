@@ -103,6 +103,22 @@ def test_slab_sweep_with_plasmon(tmp_path):
         assert float(row["residual"]) < 1e-6
 
 
+def test_plasmon_residual_holds_on_single_surface_rows(tmp_path):
+    # From L = 1.73 and k = 10 on, tanh(gamma L) saturates and the slab
+    # plasmon is the single-surface mode; there rho has a pole and
+    # e^{-2 gamma L} underflows, and |1 - rho^2 e^{-2 gamma L}| read 1.0.
+    plas = tmp_path / "plasmon.csv"
+    rc = cli.main(["slab", "--L", "0.1:5:4", "--tmin", "1", "--tmax", "1",
+                   "--tpts", "1", "--parts", "exp", "--kmin", "0.01",
+                   "--kmax", "100", "--kpts", "9", "--plasmon-out",
+                   str(plas), "--out", str(tmp_path / "slab.csv")])
+    assert rc == 0
+    prows = _read_csv(plas)
+    assert len(prows) == 36
+    for row in prows:
+        assert float(row["residual"]) <= 1e-10, row
+
+
 def test_scan_locates_negative_window(tmp_path):
     out = tmp_path / "scan.csv"
     rc = cli.main(["scan", "--omega0", "0.68:0.74:4", "--tmax", "100",

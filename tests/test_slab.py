@@ -134,9 +134,9 @@ def test_thickness_series_coefficients(omega_p, L):
 
 
 def test_h_L_just_above_omega_p():
-    # The phase below omega_p turns within 5e-10 omega_p of its end here;
-    # without that breakpoint QUADPACK stalled on roundoff.  Reference
-    # value from mpmath at 30 digits.
+    # The phase turns next to omega_p here, at gamma = eps p ~ 3e-5;
+    # on a linear gamma axis without a breakpoint QUADPACK stalled on
+    # roundoff.  Reference value from mpmath at 30 digits.
     params = slab.SlabParams(omega_p=1.0, L=0.6059292171171541)
     assert slab.h_L(1.0000152220514424, params).value == pytest.approx(
         4.4039873591615882e-4, rel=1e-10)
@@ -197,15 +197,27 @@ def test_h_L_above_omega_p_matches_mpmath(omega_p_L):
     # Above omega_p h_L runs in q = sqrt(p^2 - omega_p^2); the reference runs
     # in p.  At omega_p L = 5 the q range of 59.5 omega_p is split in blocks.
     # The tolerance is tight so that the quadrature, not the absolute target,
-    # sets the error: at the default abs_tol of 1e-12, QUADPACK's estimate
-    # for the gamma piece at omega_p L = 0.15, omega = (1 + 1e-6) omega_p
-    # (8.1e-13) falls 1.6 times short of its actual error.
+    # sets the error; the next test runs at the default tolerance.
     params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
     tight = QuadSettings(abs_tol=1e-15)
     for frac in (1.0 + 1e-6, 1.01, 2.0, 10.0, 59.5):
         res = slab.h_L(frac, params, tight)
         assert abs(res.value - float(_h_L_mpmath(frac, params))) \
             <= res.error_estimate + 1e-15, f"h_L({frac})"
+
+
+@pytest.mark.parametrize("omega_p_L", [0.15, 1.0, 5.0])
+def test_h_L_error_estimate_is_honest_next_to_omega_p(omega_p_L):
+    # Within ~1% above omega_p the gamma piece's phase turns over a layer
+    # ~eps wide at gamma = eps p.  On a linear gamma axis QUADPACK's
+    # estimate there fell short of the actual error at the default
+    # tolerance, by 1.58 times at (0.15, k = 6) and 3.34 times at k = 8.
+    params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
+    for k in (2, 4, 6, 8):
+        frac = 1.0 + 10.0 ** -k
+        res = slab.h_L(frac, params, DEFAULT_SETTINGS)
+        assert abs(res.value - float(_h_L_mpmath(frac, params))) \
+            <= res.error_estimate, f"h_L(1 + 1e-{k})"
 
 
 def test_delta_L_kernels_match_mpmath():
@@ -238,9 +250,10 @@ def test_delta_L_kernels_match_mpmath():
 
 
 def test_h_L_table_evaluation_budget(monkeypatch):
-    # The (1, 1) table takes 829 h_L quadratures, 211,029 evaluations in
-    # all with h_L in q above omega_p.  The budget is 70% of the 322,623
-    # the same quadratures take in p there.
+    # The (1, 1) table takes 829 h_L quadratures, 152,355 evaluations in
+    # all with h_L's gamma piece graded into its layer at omega_p (log
+    # gamma below, gamma = t expm1(v) above).  The budget is 76% of the
+    # 211,029 the same quadratures take on a linear gamma axis.
     evaluations = []
     run = slab.h_L
 
@@ -254,7 +267,7 @@ def test_h_L_table_evaluation_budget(monkeypatch):
     slab._HLTable(slab.SlabParams(1.0, 1.0), 60.0).pieces
     slab._table_segment.cache_clear()
     assert len(evaluations) == 829
-    assert sum(evaluations) <= 225_000
+    assert sum(evaluations) <= 160_000
 
 
 def test_L_TE_error_covers_every_block(monkeypatch):

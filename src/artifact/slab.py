@@ -713,21 +713,25 @@ def h_L(omega: float, params: SlabParams,
 
 # The TM thickness integrals read h_L(omega) / omega from a table of
 # Chebyshev interpolants on [0, 60 omega_p], the largest frequency cutoff
-# they use.  In units of omega_p the table's segments are graded into the
-# cusp of h_L at omega_p by the ratio 1/4 from both sides, down to
-# 4^-10 ~ 1e-6, and are 8 wide beyond 2.
+# they use.  Next to omega_p, h_L ~ delta (a log(1/delta) - b) in
+# delta = |omega/omega_p - 1|: no polynomial in omega follows that cusp,
+# but in s = log delta it is smooth.  So in units of omega_p the segment
+# from delta = 1/4 to delta = 4^-10 ~ 1e-6 on each side of omega_p is
+# fitted in s (``_LOG_SIDES`` gives its side), the two segments within
+# 4^-10 of omega_p are fitted in omega, and the segments are 8 wide
+# beyond 2.
 _TABLE_TOP = 60.0
-_TABLE_EDGES = tuple(sorted({
-    0.0, 1.0, 2.0, *range(10, 60, 8), _TABLE_TOP,
-    *(1.0 - 4.0 ** -j for j in range(1, 11)),
-    *(1.0 + 4.0 ** -j for j in range(1, 11))}))
+_CUSP = 4.0 ** -10
+_TABLE_EDGES = (0.0, 0.75, 1.0 - _CUSP, 1.0, 1.0 + _CUSP, 1.25, 2.0,
+                *range(10, 60, 8), _TABLE_TOP)
+_LOG_SIDES = {0.75: -1, 1.0 + _CUSP: 1}
 # Each piece is fitted on nested Clenshaw-Curtis nodes of these degrees
 # until its coefficient tail times its width is at most _TABLE_TOL
 # omega_p^2, or the tail is below the error of the h_L values themselves;
-# it is bisected, at most _TABLE_DEPTH times, when the last degree does
-# not suffice.  The table's h_L calls use their own tolerances, absolute
-# _TABLE_ABS_TOL omega_p omega and h_L's relative 1e-10, so no caller's
-# QuadSettings reach the table.
+# it is bisected in its fit variable, at most _TABLE_DEPTH times, when the
+# last degree does not suffice.  The table's h_L calls use their own
+# tolerances, absolute _TABLE_ABS_TOL omega_p omega and h_L's relative
+# 1e-10, so no caller's QuadSettings reach the table.
 _TABLE_TOL = 1e-14
 _TABLE_ABS_TOL = 1e-12
 _TABLE_DEGREES = (8, 16, 32, 64)
@@ -746,23 +750,40 @@ def _cheb_matrix(n: int) -> np.ndarray:
 _CHEB_MATRICES = {n: _cheb_matrix(n) for n in _TABLE_DEGREES}
 
 
-def _fit_piece(lo: float, hi: float, params: SlabParams,
+def _fit_variable(w: float, wp: float, side: int) -> float:
+    """Fit variable of a piece at frequency w: w itself on the omega pieces
+    (side 0), side log(side (w - omega_p)) on the log pieces, so that it
+    increases with w on both sides of omega_p."""
+    # w - omega_p is exact within a factor 2 of omega_p
+    return side * math.log(side * (w - wp)) if side else w
+
+
+def _fit_omega(x: float, wp: float, side: int) -> float:
+    """Frequency at fit variable x; the inverse of ``_fit_variable``."""
+    return wp + side * math.exp(side * x) if side else x
+
+
+def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
                depth: int = 0) -> list[tuple]:
-    """Pieces (lo, hi, c0, c_n..c_1, bound) interpolating h_L / omega.
+    """Pieces (lo, hi, a, b, side, c0, c_n..c_1, bound) interpolating
+    h_L / omega on [lo, hi] in the fit variable x of ``_fit_variable``,
+    which runs over [a, b].
 
     ``bound`` is a pointwise error bound of the piece: its coefficient
     tail (the sum of the last quarter of its coefficients) plus the
     Lebesgue constant of its nodes times the worst inner error estimate
     of the h_L values it was fitted to.
     """
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    wp = params.omega_p
+    a, b = _fit_variable(lo, wp, side), _fit_variable(hi, wp, side)
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
     worst = 0.0
 
     def k(x: float) -> float:
         # h_L ~ omega^3 near zero, so its absolute tolerance scales with
         # omega: h_L / omega then has one absolute tolerance throughout.
         nonlocal worst
-        w = mid + half * x
+        w = _fit_omega(mid + half * x, wp, side)
         if w <= 0.0:
             return 0.0
         res = h_L(w, params,
@@ -782,32 +803,62 @@ def _fit_piece(lo: float, hi: float, params: SlabParams,
                 or (last and depth == _TABLE_DEPTH)):
             break
         if last:
-            return (_fit_piece(lo, mid, params, depth + 1)
-                    + _fit_piece(mid, hi, params, depth + 1))
+            cut = _fit_omega(mid, wp, side)
+            return (_fit_piece(lo, cut, params, side, depth + 1)
+                    + _fit_piece(cut, hi, params, side, depth + 1))
         n *= 2
         odd = [k(math.cos(j * math.pi / n)) for j in range(1, n, 2)]
         values = [v for pair in zip(values, odd) for v in pair] + values[-1:]
     bound = tail + lebesgue * worst
-    return [(lo, hi, float(c[0]), tuple(map(float, c[:0:-1])), bound)]
+    return [(lo, hi, a, b, side, float(c[0]), tuple(map(float, c[:0:-1])),
+             bound)]
 
 
 @lru_cache(maxsize=1024)
 def _table_segment(params: SlabParams, i: int) -> tuple[tuple, ...]:
     """Fitted pieces of segment i of the h_L table; a pure function."""
-    wp = params.omega_p
-    return tuple(_fit_piece(wp * _TABLE_EDGES[i], wp * _TABLE_EDGES[i + 1],
-                            params))
+    wp, lo = params.omega_p, _TABLE_EDGES[i]
+    return tuple(_fit_piece(wp * lo, wp * _TABLE_EDGES[i + 1], params,
+                            _LOG_SIDES.get(lo, 0)))
+
+
+@lru_cache(maxsize=1)
+def _integral_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Clenshaw-Curtis rule on [-1, 1], the exact
+    integral of the interpolant through cos(j pi / n), j = 0..n.  Degree
+    128 is exact for the table's interpolants (degree <= 64), and exact to
+    rounding for them times e^{+-x} on the log pieces, whose x range is at
+    most 9 log 4 wide."""
+    n = 128
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
+    return np.cos(np.arange(n + 1) * math.pi / n), moments @ _cheb_matrix(n)
+
+
+def _piece_integral(piece: tuple) -> float:
+    """Int h_L(w)/w dw over one fitted piece: Int p(t) dw/dx (b - a)/2 dt
+    for its interpolant p, with dw/dx = e^{side x} on a log piece."""
+    _, _, a, b, side, c0, rest, _ = piece
+    t, weights = _integral_rule()
+    values = np.polynomial.chebyshev.chebval(t, (c0, *reversed(rest)))
+    if side:
+        values *= np.exp(side * (0.5 * (a + b) + 0.5 * (b - a) * t))
+    return 0.5 * (b - a) * float(weights @ values)
 
 
 class _HLTable:
     """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces.
 
-    The pieces are fitted on first use (``_table_segment``), so the h_L
-    quadratures of a build run under the outer quadrature that first reads
-    the table.  The table holds every segment that starts below ``top``,
-    built without the caller's settings; each segment
-    depends on (params, index) alone, so a table reads the same whichever
-    temperature, settings or process asked first.
+    Each piece interpolates in its fit variable x (``_fit_variable``):
+    omega itself, or s = log|omega/omega_p - 1| up to a shift and sign on
+    the two log pieces next to omega_p, where h_L has a log cusp; the
+    pieces' omega extents tile the table in order.  The pieces are fitted
+    on first use (``_table_segment``), so the h_L quadratures of a build
+    run under the outer quadrature that first reads the table.  The table
+    holds every segment that starts below ``top``, built without the
+    caller's settings; each segment depends on (params, index) alone, so a
+    table reads the same whichever temperature, settings or process asked
+    first.
     """
 
     def __init__(self, params: SlabParams, top: float) -> None:
@@ -834,8 +885,9 @@ class _HLTable:
         return pieces[max(bisect_right(self._starts, w) - 1, 0)]
 
     def __call__(self, w: float) -> float:
-        lo, hi, c0, rest, _ = self._piece(w)
-        t = (2.0 * w - lo - hi) / (hi - lo)
+        _, _, a, b, side, c0, rest, _ = self._piece(w)
+        x = _fit_variable(w, self._params.omega_p, side)
+        t = (2.0 * x - a - b) / (b - a)
         t2 = 2.0 * t
         b1 = b2 = 0.0
         for c in rest:
@@ -844,7 +896,7 @@ class _HLTable:
 
     def bound(self, w: float) -> float:
         """Pointwise error bound of the table at w."""
-        return self._piece(w)[4]
+        return self._piece(w)[-1]
 
     def error(self, W: float, weight) -> float:
         """Bound on |Int_0^W weight(w) (table(w) - h_L(w)/w) dw|.
@@ -853,18 +905,15 @@ class _HLTable:
         the start of a piece bounds it on the piece.
         """
         return math.fsum(bound * (min(hi, W) - lo) * weight(lo)
-                         for lo, hi, _, _, bound in self.pieces if lo < W)
+                         for lo, hi, *_, bound in self.pieces if lo < W)
 
     def integral(self) -> QuadResult:
-        """Int h_L(w)/w dw over the table, exact for its interpolants."""
-        value = err = 0.0
-        for lo, hi, c0, rest, bound in self.pieces:
-            coeffs = (c0, *reversed(rest))
-            value += 0.5 * (hi - lo) * sum(
-                2.0 * c / (1.0 - m * m) for m, c in enumerate(coeffs)
-                if m % 2 == 0)
-            err += bound * (hi - lo)
-        return QuadResult(value, err, 0)
+        """Int h_L(w)/w dw over the table, exact for its interpolants up
+        to rounding (``_piece_integral``)."""
+        return QuadResult(
+            math.fsum(map(_piece_integral, self.pieces)),
+            math.fsum(bound * (hi - lo) for lo, hi, *_, bound in self.pieces),
+            0)
 
 
 # Frequencies, in units of omega_p, where ``validate_h_L_table`` compares

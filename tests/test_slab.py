@@ -250,10 +250,10 @@ def test_delta_L_kernels_match_mpmath():
 
 
 def test_h_L_table_evaluation_budget(monkeypatch):
-    # The (1, 1) table takes 829 h_L quadratures, 152,355 evaluations in
-    # all with h_L's gamma piece graded into its layer at omega_p (log
-    # gamma below, gamma = t expm1(v) above).  The budget is 76% of the
-    # 211,029 the same quadratures take on a linear gamma axis.
+    # The (1, 1) table takes 509 h_L quadratures, 114,303 evaluations in
+    # all, with the cusp at omega_p fitted in s = log|omega/omega_p - 1| on
+    # one piece per side; 20 segments graded by 4 in omega took 829
+    # quadratures and 152,355 evaluations.
     evaluations = []
     run = slab.h_L
 
@@ -266,8 +266,60 @@ def test_h_L_table_evaluation_budget(monkeypatch):
     slab._table_segment.cache_clear()
     slab._HLTable(slab.SlabParams(1.0, 1.0), 60.0).pieces
     slab._table_segment.cache_clear()
-    assert len(evaluations) == 829
-    assert sum(evaluations) <= 160_000
+    assert len(evaluations) == 509
+    assert sum(evaluations) <= 120_000
+
+
+def _between_nodes(n, count=12):
+    """At least ``count`` points of (-1, 1) strictly between the nodes
+    cos(j pi / n), j = 0..n, of a degree-n piece."""
+    per_gap = -(-count // n)
+    gaps = sorted({j * n // count for j in range(count)}) \
+        if n >= count else range(n)
+    return [math.cos((j + (i + 1) / (per_gap + 1)) * math.pi / n)
+            for j in gaps for i in range(per_gap)]
+
+
+@pytest.mark.parametrize("omega_p_L", [1.0, 0.15])
+def test_h_L_table_bound_holds_between_nodes_of_log_pieces(omega_p_L):
+    # The log pieces interpolate h_L / omega in s = log|omega/omega_p - 1|;
+    # between their nodes the table must still lie within its pointwise
+    # bound plus the error of a direct h_L call.
+    params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
+    table = slab._HLTable(params, 1.25)
+    log_pieces = [piece for piece in table.pieces if piece[4]]
+    assert {piece[4] for piece in log_pieces} == {-1, 1}
+    for lo, hi, a, b, side, _, rest, _ in log_pieces:
+        points = _between_nodes(len(rest))
+        assert len(points) >= 12
+        for t in points:
+            w = slab._fit_omega(0.5 * (a + b) + 0.5 * (b - a) * t, 1.0, side)
+            assert lo < w < hi
+            direct = slab.h_L(w, params)
+            gap = abs(w * table(w) - direct.value)
+            assert gap < w * table.bound(w) + direct.error_estimate, w
+
+
+def test_h_L_table_pieces_tile_and_integrate_exactly():
+    # The pieces' omega extents tile [0, 60 omega_p] in order, and the
+    # table's integral over each log piece is that of its interpolant:
+    # a tanh-sinh quadrature of the table in omega, split where the cusp
+    # grades, agrees to 1e-14.
+    wp = 2.0
+    table = slab._HLTable(slab.SlabParams(omega_p=wp, L=0.5), 60.0 * wp)
+    pieces = table.pieces
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == 60.0 * wp
+    assert all(lo < hi for lo, hi, *_ in pieces)
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+    log_pieces = [piece for piece in pieces if piece[4]]
+    assert {piece[4] for piece in log_pieces} == {-1, 1}
+    for piece in log_pieces:
+        lo, hi, _, _, side = piece[:5]
+        cuts = sorted(w for w in (wp + side * wp * 4.0 ** -k
+                                  for k in range(2, 10)) if lo < w < hi)
+        reference = float(mpmath.quad(table, [lo, *cuts, hi]))
+        assert slab._piece_integral(piece) == pytest.approx(reference,
+                                                            rel=1e-14)
 
 
 def test_L_TE_error_covers_every_block(monkeypatch):
@@ -315,9 +367,11 @@ def test_h_L_table_does_not_depend_on_build_order():
 
 def test_h_L_table_is_shared_by_all_settings():
     # h_L and the table fix their own tolerances, so a second set of
-    # QuadSettings reuses every segment the first one built.
+    # QuadSettings reuses every segment the first one built: at T = 1 those
+    # starting at 0, 0.75, 1 - 4^-10, 1, 1 + 4^-10, 1.25, 2, 10, 18, 26, 34.
     params = slab.SlabParams(omega_p=1.0, L=0.8)
     segments = sum(1 for lo in slab._TABLE_EDGES[:-1] if lo < 40.0)
+    assert segments == 11
     slab._table_segment.cache_clear()
     slab.F_L_TM(1.0, params)
     assert slab._table_segment.cache_info().currsize == segments
@@ -412,7 +466,7 @@ def test_slab_constant_d_routes_agree():
     d_te = slab.slab_constant_d(route="TE")
     d_tm = slab.slab_constant_d(route="TM")
     assert d_te == pytest.approx(-5.9362652e-4, rel=1e-4)
-    assert d_tm == pytest.approx(d_te, rel=1e-3)
+    assert d_tm == pytest.approx(d_te, rel=1e-6)
 
 
 def test_S_L_plateau():

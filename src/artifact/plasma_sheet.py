@@ -64,7 +64,6 @@ from .spectral import (
 __all__ = [
     "SheetParams",
     "PARTS",
-    "Omega_of_omega",
     "phase_shift",
     "phase_shift_deriv",
     "h",
@@ -114,20 +113,6 @@ class SheetParams:
     def reduced(self) -> tuple[float, "SheetParams"]:
         """(Omega0, the same sheet at Omega0 = 1)."""
         return self.Omega0, SheetParams(1.0, self.omega0 / self.Omega0)
-
-
-def Omega_of_omega(omega: float, params: SheetParams) -> float:
-    """Frequency-dependent sheet response Omega0 omega^2 / (omega^2 - omega0^2).
-
-    Defined on omega >= 0 away from the resonance shell omega = omega0,
-    where it has a pole (ValueError).  Negative below the resonance.
-    """
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    a = omega * omega - params.omega0 ** 2
-    if a == 0.0:
-        raise ValueError(f"pole of the sheet response at omega = {omega}")
-    return params.Omega0 * omega * omega / a
 
 
 def _phase_pw(ch: str, p: float, omega: float, params: SheetParams) -> float:

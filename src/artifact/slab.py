@@ -336,41 +336,52 @@ def validate_surface_weight(params: SlabParams,
     return worst
 
 
-def _surface_te(T: float, params: SlabParams, settings: QuadSettings,
-                entropy: bool) -> tuple[float, float]:
-    """Raw TE surface F (or S), and the error of its integral."""
+def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
+    """((F, F_error), (S, S_error)) of the TE surface part without its T^3
+    growth: -(T, 1) / pi^2 Int_0^omega_p omega (blog, g)(omega/T)
+    atan(gamma(omega)/omega) d omega, gamma(omega) = sqrt(omega_p^2 -
+    omega^2)."""
     _check_T(T)
-    weight = g if entropy else bose_log
     wp = params.omega_p
 
-    def f(omega: float) -> float:
-        return (omega * weight(omega / T)
-                * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
+    def integral(weight) -> QuadResult:
+        def f(omega: float) -> float:
+            return (omega * weight(omega / T)
+                    * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
 
-    res = integrate_finite(f, 0.0, wp, settings,
-                           breakpoints=[T] if T < wp else [])
-    if entropy:
-        return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
-                - res.value / math.pi ** 2), res.error_estimate
-    return (-ZETA3 * T ** 3 / (2.0 * math.pi)
-            - T * res.value / math.pi ** 2), res.error_estimate
+        return integrate_finite(f, 0.0, wp, settings,
+                                breakpoints=[T] if T < wp else [])
+
+    F, S = integral(bose_log), integral(g)
+    return ((-T * F.value / math.pi ** 2, F.error_estimate),
+            (-S.value / math.pi ** 2, S.error_estimate))
+
+
+def _raw(name: str, T: float, params: SlabParams,
+         settings: QuadSettings | None) -> tuple[float, float]:
+    """Raw (F, S) of a part: its record's values plus its growth."""
+    part = Part.named(PARTS, name)
+    (F, _), (S, _) = part.evaluate(T, params, settings or DEFAULT_SETTINGS)
+    growth = part.growth(params)
+    return F + growth.free_energy(T), S + growth.entropy(T)
 
 
 def F_s_TE(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
-    """TE surface free energy per unit area.
+    """Raw TE surface free energy per unit area: the ``s_TE`` record plus
+    its growth -zeta(3) T^3 / (2 pi).
 
     F = -zeta(3) T^3 / (2 pi) - (T/pi^2) Int_0^omega_p omega
         blog(omega/T) atan(gamma(omega)/omega) d omega,
     gamma(omega) = sqrt(omega_p^2 - omega^2).  Runs at the given scale.
     """
-    return _surface_te(T, params, settings or DEFAULT_SETTINGS, False)[0]
+    return _raw("s_TE", T, params, settings)[0]
 
 
 def S_s_TE(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
-    """TE surface entropy per unit area (-dF/dT)."""
-    return _surface_te(T, params, settings or DEFAULT_SETTINGS, True)[0]
+    """Raw TE surface entropy per unit area (-dF/dT)."""
+    return _raw("s_TE", T, params, settings)[1]
 
 
 def _s_te_growth(params: SlabParams) -> SubtractionSpec:
@@ -384,40 +395,36 @@ def _s_te_growth(params: SlabParams) -> SubtractionSpec:
     return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))
 
 
-def _surface_tm(T: float, params: SlabParams, settings: QuadSettings,
-                entropy: bool) -> tuple[float, float]:
-    """Raw TM surface F (or S), from its edge and bulk-moment integrals,
-    and the larger of their errors."""
+def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
+    """((F, F_error), (S, S_error)) of the TM surface part without its
+    growth, from its edge and bulk-moment integrals (see ``F_s_TM``), each
+    error the larger of theirs.  The edge piece's T^3 term is left out and
+    the bulk piece's T^2 growth is taken off."""
     _check_T(T)
-    weight = g if entropy else bose_log
     wp = params.omega_p
-    a_int = integrate_finite(
-        lambda w: w * weight(w / T), 0.0, wp, settings,
-        breakpoints=[T] if T < wp else [])
-
-    if entropy:
-        def f(w: float) -> float:
-            return w * w * bose_kernel(w / T) * h(w, params)
-    else:
-        def f(w: float) -> float:
-            return w * bose_occupation(w / T) * h(w, params)
-
     cut = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < cut]
-    b_int = integrate_finite(f, 0.0, cut, settings, breakpoints=pts)
-    error = max(a_int.error_estimate, b_int.error_estimate)
-    if entropy:
-        return (3.0 * ZETA3 * T ** 2 / (2.0 * math.pi)
-                - a_int.value / (4.0 * math.pi)
-                + b_int.value / (2.0 * math.pi ** 2 * T * T)), error
-    return (-ZETA3 * T ** 3 / (2.0 * math.pi)
-            - T * a_int.value / (4.0 * math.pi)
-            - b_int.value / (2.0 * math.pi ** 2)), error
+    c2 = _s_tm_growth(params).c2
+
+    def integrals(weight, moment) -> tuple[float, float, float]:
+        a = integrate_finite(lambda w: w * weight(w / T), 0.0, wp, settings,
+                             breakpoints=[T] if T < wp else [])
+        b = integrate_finite(lambda w: moment(w) * h(w, params), 0.0, cut,
+                             settings, breakpoints=pts)
+        return a.value, b.value, max(a.error_estimate, b.error_estimate)
+
+    a_F, b_F, F_err = integrals(bose_log, lambda w: w * bose_occupation(w / T))
+    a_S, b_S, S_err = integrals(g, lambda w: w * w * bose_kernel(w / T))
+    return ((-T * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
+             - c2 * T ** 2, F_err),
+            (-a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * T * T)
+             + 2.0 * c2 * T, S_err))
 
 
 def F_s_TM(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
-    """TM surface free energy per unit area.
+    """Raw TM surface free energy per unit area: the ``s_TM`` record plus
+    its growth -zeta(3) T^3 / (2 pi) + (4 - pi) omega_p T^2 / 24.
 
     Sum of the p = omega_p edge contribution
 
@@ -440,13 +447,13 @@ def F_s_TM(T: float, params: SlabParams,
     see ``surface_tm_low_T_correction``.  The second term is -6.1% of
     the first at T = 1e-2 omega_p.
     """
-    return _surface_tm(T, params, settings or DEFAULT_SETTINGS, False)[0]
+    return _raw("s_TM", T, params, settings)[0]
 
 
 def S_s_TM(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
-    """TM surface entropy per unit area (-dF/dT)."""
-    return _surface_tm(T, params, settings or DEFAULT_SETTINGS, True)[0]
+    """Raw TM surface entropy per unit area (-dF/dT)."""
+    return _raw("s_TM", T, params, settings)[1]
 
 
 def _s_tm_growth(params: SlabParams) -> SubtractionSpec:
@@ -593,26 +600,27 @@ def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
     return QuadResult(value, err, evals)
 
 
-def _thickness_te(T: float, params: SlabParams, settings: QuadSettings,
-                  entropy: bool) -> tuple[float, float]:
-    """TE thickness F (or S), and the summed error of its low piece and
-    its high piece's blocks."""
+def _thickness_te(T: float, params: SlabParams, settings: QuadSettings):
+    """((F, F_error), (S, S_error)) of the TE thickness part, each error
+    the sum of its low piece's and its high piece's blocks'."""
     _check_T(T)
-    weight = g if entropy else bose_log
     wp = params.omega_p
     W = max(40.0 * T, 8.0 * wp)
-
-    def f(p: float) -> float:
-        return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
-
     lowcut = min(wp, W)
-    low = integrate_finite(f, 0.0, lowcut, settings,
-                           breakpoints=[T] if T < lowcut else [])
-    high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
-                             breakpoints=[T])
-    val = (low.value + high.value) / (2.0 * math.pi ** 2)
-    error = low.error_estimate + high.error_estimate
-    return (val if entropy else T * val), error
+
+    def integral(weight) -> tuple[float, float]:
+        def f(p: float) -> float:
+            return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
+
+        low = integrate_finite(f, 0.0, lowcut, settings,
+                               breakpoints=[T] if T < lowcut else [])
+        high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
+                                 breakpoints=[T])
+        return ((low.value + high.value) / (2.0 * math.pi ** 2),
+                low.error_estimate + high.error_estimate)
+
+    (F, F_err), S = integral(bose_log), integral(g)
+    return (T * F, F_err), S
 
 
 def F_L_TE(T: float, params: SlabParams,
@@ -629,7 +637,7 @@ def F_L_TE(T: float, params: SlabParams,
 
     see ``ThicknessSeries.te_factor``.
     """
-    return _thickness_te(T, params, settings or DEFAULT_SETTINGS, False)[0]
+    return _thickness_te(T, params, settings or DEFAULT_SETTINGS)[0][0]
 
 
 def h_L(omega: float, params: SlabParams,
@@ -949,11 +957,11 @@ def validate_h_L_table(params: SlabParams,
     return worst, table.integral().error_estimate / wp ** 2
 
 
-def _thickness_tm_integral(T: float, params: SlabParams,
-                           settings: QuadSettings,
-                           entropy: bool) -> QuadResult:
-    """Int_0^W of the thermal weight times h_L from the table; the error
-    adds the table's bound to the low and high pieces' estimates."""
+def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings):
+    """((F, F_error), (S, S_error)) of the TM thickness part from
+    Int_0^W of each thermal weight times h_L, read from one table; each
+    error adds the table's bound to the low and high pieces' estimates."""
+    _check_T(T)
     outer = replace(settings, rel_tol=1e-8)
     wp = params.omega_p
     # h_L decays fast enough that frequencies beyond ~60 omega_p are
@@ -961,37 +969,28 @@ def _thickness_tm_integral(T: float, params: SlabParams,
     # when 40 T is smaller.
     W = min(40.0 * T, _TABLE_TOP * wp)
     table = _HLTable(params, W)
-
-    # The weight of h_L / omega, w n(w/T) <= T or w^2 n'(w/T) <= T^2, is
-    # positive and decreasing, so its value at lo bounds it beyond lo.
-    if entropy:
-        def weight(w: float) -> float:
-            return w * w * bose_kernel(w / T) if w > 0.0 else T * T
-    else:
-        def weight(w: float) -> float:
-            return w * bose_occupation(w / T) if w > 0.0 else T
-
-    def f(w: float) -> float:
-        return weight(w) * table(w)
-
     lowcut = min(wp, W)
-    low = integrate_finite(f, 0.0, lowcut, outer,
-                           breakpoints=[T] if T < lowcut else [])
-    high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
-                             breakpoints=[T])
-    return QuadResult(low.value + high.value,
-                      low.error_estimate + high.error_estimate
-                      + table.error(W, weight),
-                      low.evaluations + high.evaluations)
 
+    def integral(weight) -> tuple[float, float]:
+        def f(w: float) -> float:
+            return weight(w) * table(w)
 
-def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings,
-                  entropy: bool) -> tuple[float, float]:
-    """TM thickness F (or S), and the error of its integral."""
-    _check_T(T)
-    res = _thickness_tm_integral(T, params, settings, entropy)
-    den = 2.0 * math.pi ** 2 * T * T if entropy else -2.0 * math.pi ** 2
-    return res.value / den, res.error_estimate
+        low = integrate_finite(f, 0.0, lowcut, outer,
+                               breakpoints=[T] if T < lowcut else [])
+        high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
+                                 breakpoints=[T])
+        return (low.value + high.value,
+                low.error_estimate + high.error_estimate
+                + table.error(W, weight))
+
+    # The weights of h_L / omega, w n(w/T) <= T and w^2 n'(w/T) <= T^2,
+    # are positive and decreasing, so their value at lo bounds them beyond.
+    F, F_err = integral(
+        lambda w: w * bose_occupation(w / T) if w > 0.0 else T)
+    S, S_err = integral(
+        lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
+    return ((F / (-2.0 * math.pi ** 2), F_err),
+            (S / (2.0 * math.pi ** 2 * T * T), S_err))
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -1016,7 +1015,7 @@ def F_L_TM(T: float, params: SlabParams,
     still about 13% below 3 at T = 1e-2 omega_p (see
     ``ThicknessSeries.tm_factor``).
     """
-    return _thickness_tm(T, params, settings or DEFAULT_SETTINGS, False)[0]
+    return _thickness_tm(T, params, settings or DEFAULT_SETTINGS)[0][0]
 
 
 def S_L(ch: str, T: float, params: SlabParams,
@@ -1030,7 +1029,7 @@ def S_L(ch: str, T: float, params: SlabParams,
     """
     Channel.validate(ch)
     evaluate = _thickness_te if ch == Channel.TE else _thickness_tm
-    return evaluate(T, params, settings or DEFAULT_SETTINGS, True)[0]
+    return evaluate(T, params, settings or DEFAULT_SETTINGS)[1][0]
 
 
 def slab_constant_d(settings: QuadSettings | None = None,
@@ -1144,19 +1143,22 @@ def _branch_weight(omega: float, params: SlabParams) -> float:
     return -0.5 * wp ** 4 / (omega * omega * (1.0 + s) ** 2)
 
 
-def _exp(T: float, params: SlabParams, settings: QuadSettings,
-         entropy: bool) -> tuple[float, float]:
-    """Subtracted optical-path F (or S), and the error of its integral."""
+def _exp(T: float, params: SlabParams, settings: QuadSettings):
+    """((F, F_error), (S, S_error)) of the optical-path part, whose
+    subtracted branch weight leaves out its T^2 growth."""
     _check_T(T)
-    weight = g if entropy else bose_log
     wp = params.omega_p
     W = max(40.0 * T, 8.0 * wp)
     pts = [v for v in (wp, T) if 0.0 < v < W]
-    res = integrate_finite(
-        lambda w: _branch_weight(w, params) * weight(w / T),
-        0.0, W, settings, breakpoints=pts)
-    value = params.L * res.value if entropy else params.L * T * res.value
-    return value / (2.0 * math.pi ** 2), res.error_estimate
+
+    def integral(weight) -> QuadResult:
+        return integrate_finite(
+            lambda w: _branch_weight(w, params) * weight(w / T),
+            0.0, W, settings, breakpoints=pts)
+
+    F, S = integral(bose_log), integral(g)
+    return ((params.L * T * F.value / (2.0 * math.pi ** 2), F.error_estimate),
+            (params.L * S.value / (2.0 * math.pi ** 2), S.error_estimate))
 
 
 def validate_exp_part(params: SlabParams,
@@ -1183,25 +1185,23 @@ def F_exp_subtr(T: float, params: SlabParams,
     omega_p^3 L / (12 pi).  The oracle suite checks the closed route
     against the defining double integral (``validate_exp_part``).
     """
-    return _exp(T, params, settings or DEFAULT_SETTINGS, False)[0]
+    return _exp(T, params, settings or DEFAULT_SETTINGS)[0][0]
 
 
 def F_exp(T: float, params: SlabParams,
           settings: QuadSettings | None = None) -> float:
-    """Raw optical-path (exponential-tail) free energy per unit area.
+    """Raw optical-path (exponential-tail) free energy per unit area: the
+    ``exp`` record plus its growth omega_p^2 L T^2 / 24.
 
-    Equals the subtracted form plus the exp record's growth
-    omega_p^2 L T^2 / 24; tends to the black-body-like + (pi^2/90) L T^4
-    as T -> 0.
+    Tends to the black-body-like + (pi^2/90) L T^4 as T -> 0.
     """
-    return (F_exp_subtr(T, params, settings)
-            + Part.named(PARTS, "exp").growth(params).c2 * T ** 2)
+    return _raw("exp", T, params, settings)[0]
 
 
 def S_exp_subtr(T: float, params: SlabParams,
                 settings: QuadSettings | None = None) -> float:
     """Subtracted optical-path entropy; -> omega_p^3 L / (12 pi)."""
-    return _exp(T, params, settings or DEFAULT_SETTINGS, True)[0]
+    return _exp(T, params, settings or DEFAULT_SETTINGS)[1][0]
 
 
 def F_exp_defining(T: float, params: SlabParams,
@@ -1326,32 +1326,21 @@ def plasmon_mode_residual(omega: float, k: float,
     return abs((a + gam) ** 2 - (a - gam) ** 2 * E) / (abs(a) + gam) ** 2
 
 
-def _both(evaluate, T: float, params: SlabParams, settings: QuadSettings,
-          growth: SubtractionSpec = SubtractionSpec()):
-    """((F, F_error), (S, S_error)) from a part's evaluator (T, params,
-    settings, entropy) -> (value, error), F then S: QUADPACK is scalar,
-    so the two weights cannot share a pass.  ``growth`` is removed."""
-    (F, F_err), (S, S_err) = (evaluate(T, params, settings, entropy)
-                              for entropy in (False, True))
-    return (growth.free_energy(F, T), F_err), (growth.entropy(S, T), S_err)
-
-
 # Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
-# every call looks the part's evaluator up in this module.  The thickness
-# parts need no subtraction.
+# every call looks the part's evaluator up in this module.  Each evaluator
+# integrates F's weight, then S's (QUADPACK is scalar), and leaves out the
+# part's growth.  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
-         lambda T, p, s: _both(_surface_te, T, p, s, _s_te_growth(p)),
-         _s_te_growth),
+         lambda T, p, s: _surface_te(T, p, s), _s_te_growth),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
-         lambda T, p, s: _both(_surface_tm, T, p, s, _s_tm_growth(p)),
-         _s_tm_growth),
+         lambda T, p, s: _surface_tm(T, p, s), _s_tm_growth),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
-         lambda T, p, s: _both(_thickness_te, T, p, s)),
+         lambda T, p, s: _thickness_te(T, p, s)),
     Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
-         lambda T, p, s: _both(_thickness_tm, T, p, s)),
+         lambda T, p, s: _thickness_tm(T, p, s)),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
-         lambda T, p, s: _both(_exp, T, p, s),
+         lambda T, p, s: _exp(T, p, s),
          lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),
 )
 

@@ -128,13 +128,15 @@ class SubtractionSpec:
     c2: float = 0.0
     c5: float = 0.0
 
-    def free_energy(self, raw: float, T: float) -> float:
-        out = raw - self.c3 * T ** 3 - self.c2 * T ** 2
-        return out - self.c5 * T ** 5 if self.c5 else out
+    def free_energy(self, T: float) -> float:
+        """The terms at T: raw minus subtracted free energy."""
+        out = self.c3 * T ** 3 + self.c2 * T ** 2
+        return out + self.c5 * T ** 5 if self.c5 else out
 
-    def entropy(self, raw: float, T: float) -> float:
-        out = raw + 3.0 * self.c3 * T ** 2 + 2.0 * self.c2 * T
-        return out + 5.0 * self.c5 * T ** 4 if self.c5 else out
+    def entropy(self, T: float) -> float:
+        """Their -d/dT: raw minus subtracted entropy."""
+        out = -3.0 * self.c3 * T ** 2 - 2.0 * self.c2 * T
+        return out - 5.0 * self.c5 * T ** 4 if self.c5 else out
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,8 @@ class Part:
     functions, looked up at call time.  ``group`` selects the part in
     ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
     the parameters to the high-temperature polynomial that F and S have
-    removed: raw F = F + growth; zero by default.
+    removed: raw F = F + ``growth(params).free_energy(T)`` and raw S =
+    S + ``growth(params).entropy(T)``; zero by default.
     """
 
     name: str

@@ -11,6 +11,7 @@ prediction beside each row.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,21 @@ from artifact import slab, verification
 from artifact.numkernel import QuadSettings
 
 ZETA3 = 1.2020569031595943
+VERIFY_CHECKS = Path(__file__).with_name("golden") / "verify_checks.txt"
 
 
 @pytest.fixture(scope="module")
 def suites():
     return {name: verification.run_suite(name)
             for name in verification.SUITES}
+
+
+def verify_checks(suites):
+    """One line of suite, check and verdict per ``thermo verify`` row, tab
+    separated, in the order of the rows."""
+    return "".join(
+        f"{r.suite}\t{r.check}\t{'pass' if r.passed else 'fail'}\n"
+        for name in verification.SUITES for r in suites[name])
 
 
 def _pick(results, *needles):
@@ -211,3 +221,13 @@ def test_asymptotics_suite_passes_its_settings_to_the_te_crossing(
     with pytest.raises(Stop):
         verification.run_suite("asymptotics", settings)
     assert seen == [settings]
+
+
+def test_verify_checks_match_golden(suites):
+    # the same checks, in the same order, with the same verdicts
+    assert verify_checks(suites) == VERIFY_CHECKS.read_text()
+
+
+if __name__ == "__main__":
+    VERIFY_CHECKS.write_text(verify_checks(
+        {name: verification.run_suite(name) for name in verification.SUITES}))

@@ -6,6 +6,11 @@ regenerate the files after a deliberate change of output, run
 ``--diff`` it writes nothing and prints each cell a fresh run changes,
 with the ratio of its move to its row's committed ``quad_error``; it exits
 1 if any ratio is above 1, that is, if a cell moved beyond its row's bound.
+
+Next to the CSVs, ``golden/verify_checks.txt`` holds the suite, check and
+verdict of every ``thermo verify`` row; ``tests/test_acceptance.py``
+compares it with its run of the suites, and ``PYTHONPATH=src python
+tests/test_acceptance.py`` regenerates it.
 """
 
 import csv

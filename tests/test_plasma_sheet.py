@@ -95,8 +95,6 @@ def test_h_tm_jump_at_resonance():
 
 def test_pole_raises():
     with pytest.raises(ValueError):
-        ps.Omega_of_omega(0.5, P05)
-    with pytest.raises(ValueError):
         ps.phase_shift(Channel.TE, 0.3, 0.4, P05)
     with pytest.raises(ValueError):
         ps.phase_shift_deriv(Channel.TM, 0.3, 0.4, P05)

@@ -494,9 +494,10 @@ def test_growth_coefficients(params):
                                                    rel=1e-14)
 
 
-# Raw surface parts, with the closed T^3 term of their edge piece.
+# Raw (F, S) of the parts with a growth; exp has no public raw entropy.
 RAW_ROUTES = {"s_TE": (slab.F_s_TE, slab.S_s_TE),
-              "s_TM": (slab.F_s_TM, slab.S_s_TM)}
+              "s_TM": (slab.F_s_TM, slab.S_s_TM),
+              "exp": (slab.F_exp, None)}
 
 
 @pytest.mark.parametrize("name", list(RAW_ROUTES))
@@ -504,15 +505,34 @@ def test_raw_minus_subtracted_is_growth(name):
     part = Part.named(slab.PARTS, name)
     raw_F, raw_S = RAW_ROUTES[name]
     g = part.growth(P1)
-    for T in (0.5, 4.0):
+    for T in (0.01, 0.5, 1.0, 4.0, 100.0):
         (F_sub, _), (S_sub, _) = part.evaluate(T, P1, DEFAULT_SETTINGS)
         assert raw_F(T, P1) - F_sub == pytest.approx(
             g.c3 * T ** 3 + g.c2 * T ** 2, rel=1e-10)
-        assert raw_S(T, P1) - S_sub == pytest.approx(
-            -3.0 * g.c3 * T ** 2 - 2.0 * g.c2 * T, rel=1e-10)
+        if raw_S is not None:
+            assert raw_S(T, P1) - S_sub == pytest.approx(
+                -3.0 * g.c3 * T ** 2 - 2.0 * g.c2 * T, rel=1e-10)
     # the growth is all the T^3 and T^2 there is: the rest is T log T
     (F, _), _ = part.evaluate(1e3, P1, DEFAULT_SETTINGS)
     assert abs(F) < 1e-3 * 1e3 ** 2
+
+
+SLAB_EVALUATORS = ("_surface_te", "_surface_tm", "_thickness_te",
+                   "_thickness_tm", "_exp")
+
+
+def test_total_runs_each_evaluator_once(monkeypatch):
+    # The PARTS lambdas look their evaluator up at call time, so the
+    # counting wrappers see every call that total makes.
+    calls = dict.fromkeys(SLAB_EVALUATORS, 0)
+    for name in SLAB_EVALUATORS:
+        def counted(*args, _name=name, _evaluate=getattr(slab, name)):
+            calls[_name] += 1
+            return _evaluate(*args)
+
+        monkeypatch.setattr(slab, name, counted)
+    slab.total(0.5, P1)
+    assert calls == dict.fromkeys(SLAB_EVALUATORS, 1)
 
 
 def test_single_surface_mode():
@@ -564,7 +584,7 @@ def test_total_breakdown_sums():
     assert point.S_total == pytest.approx(sum(point.S), rel=1e-15)
     growth = Part.named(slab.PARTS, "s_TE").growth(P1)
     assert F["s_TE"] == pytest.approx(
-        growth.free_energy(slab.F_s_TE(1.0, P1), 1.0), rel=1e-10)
+        slab.F_s_TE(1.0, P1) - growth.free_energy(1.0), rel=1e-10)
     assert F["L_TE"] == pytest.approx(slab.F_L_TE(1.0, P1), rel=1e-10)
     assert F["exp"] == pytest.approx(slab.F_exp_subtr(1.0, P1), rel=1e-10)
     with pytest.raises(KeyError):

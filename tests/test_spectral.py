@@ -40,10 +40,10 @@ def test_channel_names():
 def test_subtraction_is_affine_in_raw(c3, c2, T):
     spec = SubtractionSpec(c3=c3, c2=c2)
     raw = 0.37
-    assert spec.free_energy(raw, T) == pytest.approx(
+    assert raw - spec.free_energy(T) == pytest.approx(
         raw - c3 * T ** 3 - c2 * T ** 2, rel=1e-12, abs=1e-12)
     # removing the subtraction from a raw entropy adds the -dF/dT terms
-    assert spec.entropy(raw, T) == pytest.approx(
+    assert raw - spec.entropy(T) == pytest.approx(
         raw + 3.0 * c3 * T ** 2 + 2.0 * c2 * T, rel=1e-12, abs=1e-12)
 
 
@@ -58,10 +58,10 @@ def test_subtraction_preserves_thermodynamic_identity():
         return -(1.6 * T ** 3 + 3.0 * spec.c3 * T ** 2 + 2.0 * spec.c2 * T)
 
     for T in (0.5, 2.0, 20.0):
-        F_sub = spec.free_energy(F_raw(T), T)
-        S_sub = spec.entropy(S_raw(T), T)
+        F_sub = F_raw(T) - spec.free_energy(T)
+        S_sub = S_raw(T) - spec.entropy(T)
         slope = _central_difference(
-            lambda t: spec.free_energy(F_raw(t), t), T, 1e-6 * T)
+            lambda t: F_raw(t) - spec.free_energy(t), T, 1e-6 * T)
         assert S_sub == pytest.approx(-slope, rel=1e-6)
         assert F_sub == pytest.approx(0.4 * T ** 4, rel=1e-12)
 

@@ -5,10 +5,12 @@ tolerances, truncation of semi-infinite integrals and error accounting
 are handled in one place.  Scalar integration wraps adaptive
 Gauss-Kronrod quadrature (scipy.integrate.quad, QUADPACK); known
 non-smooth points are passed as breakpoints so the subdivision never
-straddles them.  ``integrate_panels`` is a globally adaptive G7-K15 panel
-rule for integrands that map a whole array of nodes to several
-components at once (one per temperature of a grid, say), so each of its
-passes is a single array evaluation.
+straddles them, in one QUADPACK call per integral.  ``integrate_panels``
+is a globally adaptive G7-K15 panel rule for integrands that map a whole
+array of nodes to several components at once (one per temperature of a
+grid, say), so each of its passes is a single array evaluation.  Both
+return a ``QuadResult``, with one value and error per component from the
+panel rule.
 
 The two thermal weights used throughout are
 
@@ -16,8 +18,10 @@ The two thermal weights used throughout are
     g(x)        = x/(e^x - 1) - bose_log(x)   (entropy weight)
 
 both evaluated in cancellation-free form, as Python floats (``bose_log``,
-``g``) and, both at once, on numpy arrays (``thermal_weights``).  scipy
-is imported by the two calls that run it, as the sheet needs numpy only.
+``g``) and, both at once, on numpy arrays (``thermal_weights``).  ``g`` is
+that one formula for every x, guarded only against the overflow of
+``expm1`` at large x.  scipy is imported by the two calls that run it, as
+the sheet needs numpy only.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "QuadratureError",
     "QuadSettings",
     "QuadResult",
-    "PanelResult",
     "AsymptoticFit",
     "DEFAULT_SETTINGS",
     "integrate_finite",
@@ -115,23 +118,15 @@ DEFAULT_SETTINGS = QuadSettings()
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error estimate and evaluation count of one integral."""
+    """Value, error estimate and evaluation count of one integral.
 
-    value: float
-    error_estimate: float
-    evaluations: int
-
-
-@dataclass(frozen=True)
-class PanelResult:
-    """Values, error bounds and evaluation count of an array integral.
-
-    ``value`` and ``error_estimate`` hold one entry per component of the
-    integrand; ``evaluations`` counts nodes (each gives every component).
+    From ``integrate_panels``, ``value`` and ``error_estimate`` are arrays
+    with one entry per component of the integrand, and ``evaluations``
+    counts nodes (each gives every component).
     """
 
-    value: np.ndarray
-    error_estimate: np.ndarray
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
 
@@ -192,10 +187,6 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         If the adaptive scheme cannot reach the requested tolerance
         within ``_MAX_SUBDIVISIONS`` subdivisions or the integrand
         misbehaves.
-
-    When the call with breakpoints fails, each piece between them is
-    integrated on its own at the same tolerances, and the sum is kept
-    if its summed error estimate meets the tolerance.
     """
     settings = settings or DEFAULT_SETTINGS
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -207,32 +198,16 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 
     from scipy.integrate import quad
 
-    fc = _checked(f)
-    pts = _inner_points(a, b, breakpoints)
-
-    def run(lo: float, hi: float, points: list[float] | None = None):
-        return quad(fc, lo, hi, epsabs=settings.abs_tol,
-                    epsrel=settings.rel_tol,
-                    limit=_MAX_SUBDIVISIONS, points=points,
-                    full_output=1)
-
-    out = run(a, b, pts)
-    value, err, evals = out[0], out[1], int(out[2]["neval"])
-    failed = len(out) > 3 and err > settings.tolerance(value)
-    if failed and pts:
-        # QUADPACK's breakpoint routine extrapolates over all pieces at
-        # once and can stall on roundoff that no single piece has.
-        pieces = [run(lo, hi) for lo, hi in zip([a, *pts], [*pts, b])]
-        value = math.fsum(p[0] for p in pieces)
-        err = math.fsum(p[1] for p in pieces)
-        evals += sum(int(p[2]["neval"]) for p in pieces)
-        failed = err > settings.tolerance(value)
-    if failed:
+    out = quad(_checked(f), a, b, epsabs=settings.abs_tol,
+               epsrel=settings.rel_tol, limit=_MAX_SUBDIVISIONS,
+               points=_inner_points(a, b, breakpoints), full_output=1)
+    value, err = out[0], out[1]
+    if len(out) > 3 and err > settings.tolerance(value):
         raise QuadratureError(
             f"quadrature on [{a}, {b}] did not converge: {out[3]} "
             f"(value={value:.6e}, error={err:.3e})"
         )
-    return QuadResult(value, err, evals)
+    return QuadResult(value, err, int(out[2]["neval"]))
 
 
 def integrate_semiinf(f: Callable[[float], float], a: float,
@@ -333,7 +308,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
                      edges: Sequence[float],
-                     settings: QuadSettings | None = None) -> PanelResult:
+                     settings: QuadSettings | None = None) -> QuadResult:
     """Integrate each component of an array integrand over the edges' span.
 
     A globally adaptive Gauss-Kronrod (G7-K15) panel rule.  The panels
@@ -357,7 +332,7 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
 
     Returns
     -------
-    PanelResult
+    QuadResult
         Per component: the sum of the panels' Kronrod values and, as its
         error, the sum of the panels' |Kronrod - Gauss| plus the roundoff
         floor 50 eps Int |f|.
@@ -421,7 +396,7 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         K = np.concatenate([K[keep], Kn])
         E = np.concatenate([E[keep], En])
         A = np.concatenate([A[keep], An])
-    return PanelResult(value, raw + floor, evals)
+    return QuadResult(value, raw + floor, evals)
 
 
 def _check_T(T) -> None:
@@ -442,10 +417,6 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
     from scipy.optimize import brentq
 
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0.0:
         raise QuadratureError(
             f"no sign change on bracket [{lo}, {hi}]: "
@@ -472,29 +443,29 @@ def g(x: float) -> float:
 
     Positive and strictly decreasing; behaves as 1 - log(x) for small x
     and as (x + 1) exp(-x) for large x.  Arises as
-    -d/dT [T * bose_log(omega/T)] at x = omega/T.
+    -d/dT [T * bose_log(omega/T)] at x = omega/T.  Both terms are positive,
+    so the sum loses nothing to cancellation; above x = 700, where
+    ``math.expm1`` nears overflow, (x + 1) exp(-x) is exact in floats.
     """
     if x <= 0.0:
         raise ValueError(f"g requires x > 0, got {x}")
-    if x > 30.0:
+    if x > 700.0:
         return (x + 1.0) * math.exp(-x)
-    if x < 1e-12:
-        return 1.0 - math.log(x)
     return x / math.expm1(x) - bose_log(x)
 
 
 def thermal_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(``bose_log``, ``g``) on an array, with the same branch points;
-    ``bose_log`` is computed once and enters ``g``."""
+    """(``bose_log``, ``g``) on an array, by the scalar formulas;
+    ``bose_log`` is computed once and enters ``g``.  Above x ~ 709.8,
+    where ``expm1`` overflows, ``g`` keeps only -``bose_log``, which is
+    below 1e-305 there."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("thermal weights require x > 0")
     with np.errstate(divide="ignore", over="ignore"):
         blog = np.where(x < _LN2, np.log(-np.expm1(-x)),
                         np.log1p(-np.exp(-x)))
-        mid = x / np.expm1(x) - blog
-    return blog, np.where(x > 30.0, (x + 1.0) * np.exp(-x),
-                          np.where(x < 1e-12, 1.0 - np.log(x), mid))
+        return blog, x / np.expm1(x) - blog
 
 
 def bose_occupation(x: float) -> float:

@@ -349,8 +349,7 @@ def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
             return (omega * weight(omega / T)
                     * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
 
-        return integrate_finite(f, 0.0, wp, settings,
-                                breakpoints=[T] if T < wp else [])
+        return integrate_finite(f, 0.0, wp, settings, breakpoints=[T])
 
     F, S = integral(bose_log), integral(g)
     return ((-T * F.value / math.pi ** 2, F.error_estimate),
@@ -403,14 +402,13 @@ def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
     _check_T(T)
     wp = params.omega_p
     cut = max(40.0 * T, 8.0 * wp)
-    pts = [v for v in (wp, T) if 0.0 < v < cut]
     c2 = _s_tm_growth(params).c2
 
     def integrals(weight, moment) -> tuple[float, float, float]:
         a = integrate_finite(lambda w: w * weight(w / T), 0.0, wp, settings,
-                             breakpoints=[T] if T < wp else [])
+                             breakpoints=[T])
         b = integrate_finite(lambda w: moment(w) * h(w, params), 0.0, cut,
-                             settings, breakpoints=pts)
+                             settings, breakpoints=[wp, T])
         return a.value, b.value, max(a.error_estimate, b.error_estimate)
 
     a_F, b_F, F_err = integrals(bose_log, lambda w: w * bose_occupation(w / T))
@@ -591,8 +589,7 @@ def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
     lo = a
     while lo < b:
         hi = min(lo + block, b)
-        pts = [v for v in breakpoints if lo < v < hi]
-        res = integrate_finite(f, lo, hi, settings, breakpoints=pts)
+        res = integrate_finite(f, lo, hi, settings, breakpoints=breakpoints)
         value += res.value
         err += res.error_estimate
         evals += res.evaluations
@@ -612,8 +609,7 @@ def _thickness_te(T: float, params: SlabParams, settings: QuadSettings):
         def f(p: float) -> float:
             return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
 
-        low = integrate_finite(f, 0.0, lowcut, settings,
-                               breakpoints=[T] if T < lowcut else [])
+        low = integrate_finite(f, 0.0, lowcut, settings, breakpoints=[T])
         high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
                                  breakpoints=[T])
         return ((low.value + high.value) / (2.0 * math.pi ** 2),
@@ -975,8 +971,7 @@ def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings):
         def f(w: float) -> float:
             return weight(w) * table(w)
 
-        low = integrate_finite(f, 0.0, lowcut, outer,
-                               breakpoints=[T] if T < lowcut else [])
+        low = integrate_finite(f, 0.0, lowcut, outer, breakpoints=[T])
         high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
                                  breakpoints=[T])
         return (low.value + high.value,
@@ -1149,12 +1144,11 @@ def _exp(T: float, params: SlabParams, settings: QuadSettings):
     _check_T(T)
     wp = params.omega_p
     W = max(40.0 * T, 8.0 * wp)
-    pts = [v for v in (wp, T) if 0.0 < v < W]
 
     def integral(weight) -> QuadResult:
         return integrate_finite(
             lambda w: _branch_weight(w, params) * weight(w / T),
-            0.0, W, settings, breakpoints=pts)
+            0.0, W, settings, breakpoints=[wp, T])
 
     F, S = integral(bose_log), integral(g)
     return ((params.L * T * F.value / (2.0 * math.pi ** 2), F.error_estimate),

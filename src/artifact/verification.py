@@ -711,6 +711,8 @@ def run_suite(suite, settings=None):
     Returns
     -------
     list of CheckResult
+        A suite stopped by a ``QuadratureError`` gives one failed check
+        that names the error, with ``measured`` nan.
 
     Raises
     ------
@@ -722,7 +724,12 @@ def run_suite(suite, settings=None):
             f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     if settings is None:
         settings = DEFAULT_SETTINGS
-    return _RUNNERS[suite](settings)
+    try:
+        return _RUNNERS[suite](settings)
+    except QuadratureError as exc:
+        reason = " ".join(str(exc).split())
+        return [CheckResult(suite, f"suite stopped: {reason}", "completes",
+                            math.nan, 0.0, False)]
 
 
 def summarize(results):

@@ -13,7 +13,7 @@ import pytest
 import numpy as np
 
 from artifact import cli, plasma_sheet, slab, verification
-from artifact.numkernel import DEFAULT_SETTINGS
+from artifact.numkernel import DEFAULT_SETTINGS, QuadratureError
 from artifact.spectral import ThermoPoint
 
 
@@ -184,6 +184,62 @@ def test_verify_failing_suite_exits_one(capsys, monkeypatch):
     assert len(rows) == 1
     assert rows[0]["check"] == "deliberately failing check"
     assert rows[0]["pass"] is False
+
+
+def test_verify_suite_stopped_by_quadrature_error(capsys, monkeypatch):
+    # A suite that raises becomes one failed row; the other suites still
+    # print theirs, and the run exits 1 without a traceback.
+    def stop(settings):
+        raise QuadratureError("quadrature on [0, 1] did not\n  converge")
+
+    monkeypatch.setitem(verification._RUNNERS, "constants", stop)
+    rc = cli.main(["verify", "nernst", "constants"])
+    assert rc == 1
+    rows = [json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()]
+    assert {r["suite"] for r in rows if r["pass"]} == {"nernst"}
+    assert [r for r in rows if not r["pass"]] == [{
+        "suite": "constants",
+        "check": "suite stopped: quadrature on [0, 1] did not converge",
+        "expected": "completes", "measured": "nan", "tolerance": 0.0,
+        "pass": False}]
+
+
+def test_rows_of_failed_quadratures(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureError("did not converge")
+
+    monkeypatch.setattr(plasma_sheet, "total", fail)
+    monkeypatch.setattr(slab, "total", fail)
+    monkeypatch.setattr(slab, "plasmon_dispersion", fail)
+    one_T = ["--tmin", "1", "--tmax", "1", "--tpts", "1"]
+    out = {name: tmp_path / f"{name}.csv"
+           for name in ("sheet", "slab", "plasmon", "scan")}
+    assert cli.main(["sheet", *one_T, "--out", str(out["sheet"])]) == 0
+    assert cli.main(["slab", *one_T, "--out", str(out["slab"]),
+                     "--plasmon-out", str(out["plasmon"]), "--kmin", "1",
+                     "--kmax", "1", "--kpts", "1"]) == 0
+    assert cli.main(["scan", "--omega0", "0.8", *one_T,
+                     "--out", str(out["scan"])]) == 0
+    for model in ("sheet", "slab"):
+        row = out[model].read_text().splitlines()[1].split(",")
+        assert row[3:] == ["nan"] * (len(row) - 4) + ["failed"]
+    assert out["scan"].read_text().splitlines()[1] \
+        == "1.000000000000e+00,8.000000000000e-01,nan,nan,nan,failed"
+    assert out["plasmon"].read_text().splitlines()[1].endswith(
+        ",nan,nan,no")
+
+
+def test_log_range_form(tmp_path, monkeypatch):
+    out = tmp_path / "sheet.csv"
+    assert cli.main(["sheet", "--omega0", "0.1:1:3:log", "--parts", "TE",
+                     "--tmin", "1", "--tmax", "1", "--tpts", "1",
+                     "--out", str(out)]) == 0
+    assert [float(r["omega0"]) for r in _read_csv(out)] == pytest.approx(
+        [0.1, math.sqrt(0.1), 1.0], rel=1e-12)
+    # A log range needs a positive start, and "log" is its only suffix.
+    for bad in ("0:1:3:log", "0.1:1:3:lin"):
+        _assert_usage_error(["sheet", "--omega0", bad], monkeypatch)
 
 
 def test_config_defaults_and_override(tmp_path):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,8 +172,23 @@ def test_quad_settings_tols():
     assert s.tolerance(10.0) >= 10.0 * s.rel_tol
 
 
+def test_g_matches_mpmath():
+    # From 1e-14 to 700, and dense on (30, 100), where (x + 1) e^-x alone
+    # is off by up to 9.2e-14 relative: it drops the (x + 1/2) e^-2x term.
+    x = np.concatenate([np.geomspace(1e-14, 700.0, 300),
+                        np.linspace(30.0, 100.0, 141)])
+    with mpmath.workdps(50):
+        ref = np.array([
+            float(v / mpmath.expm1(v) - mpmath.log1p(-mpmath.exp(-v)))
+            for v in map(mpmath.mpf, x)])
+    assert np.abs([g(v) for v in x] / ref - 1.0).max() <= 1e-15
+    assert np.abs(thermal_weights(x)[1] / ref - 1.0).max() <= 1e-15
+
+
 def test_weight_arrays_match_scalar_forms():
-    # Both sides of every branch point: ln 2 (bose_log), 1e-12 and 30 (g).
+    # Both sides of bose_log's branch point ln 2, and of 1e-12 and 30.
+    # Beyond 709.8 the array g drops x/expm1(x), which overflows there,
+    # and matches scalar g only within the default absolute 1e-12.
     x = np.concatenate([np.geomspace(1e-14, 800.0, 400),
                         [math.log(2.0) * (1 + d) for d in (-1e-12, 1e-12)],
                         [1e-12 * (1 + d) for d in (-1e-9, 1e-9)],

@@ -4,6 +4,7 @@ heat-kernel dictionary."""
 import ast
 import inspect
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -234,6 +235,47 @@ def test_every_import_is_used(module):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     used.update(getattr(module, "__all__", ()))
     assert sorted(imported - used) == []
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _references(path):
+    """(owner, name) for every identifier, attribute and whole string read
+    in ``path``; owner is the top-level def or class the read sits in.
+    ``__all__`` and import lists do not count as reads."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            continue
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                # bench/spans.py wraps functions by their names.
+                yield owner, node.value
+
+
+def test_every_module_level_definition_is_used():
+    # A function or class of src/artifact that nothing in src/, tests/ or
+    # bench/ names, outside its own definition and __all__, is dead code.
+    readers = {}
+    for top in ("src", "tests", "bench"):
+        for path in (_REPO / top).rglob("*.py"):
+            for owner, name in _references(path):
+                readers.setdefault(name, set()).add((path, owner))
+    unused = []
+    for path in sorted((_REPO / "src" / "artifact").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not readers.get(stmt.name, set())
+                    - {(path, stmt.name)}):
+                unused.append(f"{path.stem}.{stmt.name}")
+    assert unused == []
 
 
 # S = -dF/dT is gated at 1e-4 relative to max(|S|, |S_fd|), as in the

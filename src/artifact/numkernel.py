@@ -8,9 +8,10 @@ non-smooth points are passed as breakpoints so the subdivision never
 straddles them, in one QUADPACK call per integral.  ``integrate_panels``
 is a globally adaptive G7-K15 panel rule for integrands that map a whole
 array of nodes to several components at once (one per temperature of a
-grid, say), so each of its passes is a single array evaluation.  Both
-return a ``QuadResult``, with one value and error per component from the
-panel rule.
+grid, say), so each of its passes is a single array evaluation;
+``integrate_fixed`` runs the same rule on fixed panels for many integrals
+at once.  All return a ``QuadResult``, with one value and error per
+component from the panel rules.
 
 The two thermal weights used throughout are
 
@@ -41,6 +42,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semiinf",
     "integrate_panels",
+    "integrate_fixed",
     "find_root_bracketed",
     "bose_log",
     "g",
@@ -308,7 +310,8 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
                      edges: Sequence[float],
-                     settings: QuadSettings | None = None) -> QuadResult:
+                     settings: QuadSettings | None = None,
+                     offset: float | np.ndarray = 0.0) -> QuadResult:
     """Integrate each component of an array integrand over the edges' span.
 
     A globally adaptive Gauss-Kronrod (G7-K15) panel rule.  The panels
@@ -328,7 +331,13 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         Panel edges, at least two distinct finite values.
     settings : QuadSettings, optional
         Tolerances; component j is accepted when its error is at most
-        ``max(abs_tol, rel_tol * |I_j|)``.
+        ``max(abs_tol, rel_tol * |I_j + offset_j|)``.  ``abs_tol`` may be
+        an array, one entry per component; a component with an infinite
+        one rides along, integrated on the same panels but never bisected
+        for (an integrand's own error bound, say).
+    offset : float or array, optional
+        Per component, the rest of the total that I_j is a part of, so
+        that the relative tolerance applies to the total (0 by default).
 
     Returns
     -------
@@ -357,7 +366,8 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         value = K.sum(axis=0)
         floor = _ROUNDOFF * A.sum(axis=0)
         raw = E.sum(axis=0)
-        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+        tol = np.maximum(settings.abs_tol,
+                         settings.rel_tol * np.abs(value + offset))
         open_ = raw + floor > tol
         if not open_.any():
             break
@@ -397,6 +407,24 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         E = np.concatenate([E[keep], En])
         A = np.concatenate([A[keep], An])
     return QuadResult(value, raw + floor, evals)
+
+
+def integrate_fixed(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                    hi: np.ndarray) -> QuadResult:
+    """n integrals at once, each by a fixed composite G7-K15 rule.
+
+    Integral i runs over the panels [lo[i, k], hi[i, k]] of the (n, k)
+    arrays ``lo`` and ``hi``.  ``f`` maps an (n, 15 k) array of nodes, row
+    i holding those of integral i, to an (n, 15 k, m) array: m components
+    per node.  Returns (n, m) arrays: the panels' summed Kronrod values
+    and, as the error, their summed |Kronrod - Gauss| plus the roundoff
+    floor, as ``integrate_panels`` reports them; no panel is bisected.
+    """
+    n = lo.shape[0]
+    K, E, A = _gk15(lambda x: f(x.reshape(n, -1)).reshape(x.size, -1),
+                    lo.ravel(), hi.ravel())
+    K, E, A = (v.reshape(n, -1, v.shape[1]).sum(axis=1) for v in (K, E, A))
+    return QuadResult(K, E + _ROUNDOFF * A, 15 * lo.size)
 
 
 def _check_T(T) -> None:

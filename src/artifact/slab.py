@@ -53,6 +53,8 @@ from .numkernel import (
     find_root_bracketed,
     g,
     integrate_finite,
+    integrate_fixed,
+    integrate_panels,
     integrate_semiinf,
 )
 from .spectral import (
@@ -524,8 +526,9 @@ def delta_L(ch: str, p: float, omega: float, params: SlabParams) -> float:
 
     with s1 = E0/(1-E0), s2 = E0/(1-E0)^2, s3 = E0 (1+E0)/(1-E0)^3 and
     E0 = e^{-2 omega_p L} (see ``thickness_series``).  Both channels share
-    the two real-arithmetic kernels below, TE as eps = 1, and ``h_L``
-    calls them directly.
+    the two real-arithmetic kernels below, TE as eps = 1; ``h_L`` calls the
+    evanescent one directly, and ``_tm_propagating`` the propagating one's
+    array form.
     """
     Channel.validate(ch)
     if p <= 0.0:
@@ -551,6 +554,18 @@ def _delta_L_evanescent(p: float, gam: float, eps: float,
     em1 = math.expm1(-2.0 * gam * L)
     E = 1.0 + em1
     return math.atan2(-2.0 * E * s * c, 2.0 * E * s * s - em1)
+
+
+def _delta_L_propagating_array(p: np.ndarray, q: np.ndarray,
+                               eps: np.ndarray, L: float) -> np.ndarray:
+    """``_delta_L_propagating`` on numpy arrays, which broadcast, with the
+    same algebra; for q > 0 and eps > 0."""
+    a = eps * p
+    d = a + q
+    r2 = ((a - q) / d) ** 2
+    s, c = np.sin(q * L), np.cos(q * L)
+    return np.arctan2(2.0 * r2 * s * c,
+                      4.0 * a * q / (d * d) + 2.0 * r2 * s * s)
 
 
 def _delta_L_propagating(p: float, q: float, eps: float, L: float) -> float:
@@ -638,24 +653,27 @@ def F_L_TE(T: float, params: SlabParams,
 
 def h_L(omega: float, params: SlabParams,
         settings: QuadSettings | None = None) -> QuadResult:
-    """Momentum moment Int_0^omega p delta_L_TM(p, omega) dp.
+    """Evanescent momentum moment Int_0^min(omega, omega_p) p
+    delta_L_TM(p, omega) dp.
 
-    Inner integral of the TM thickness part, evaluated with a tightened
-    relative tolerance (1e-10).  It runs in p up to omega_p/sqrt(2), then
-    in gamma = sqrt(omega_p^2 - p^2) up to min(omega, omega_p), and above
-    omega_p in q = sqrt(p^2 - omega_p^2), with p dp = q dq, where the p
-    form has a square-root kink at omega_p.  The gamma piece runs on a
-    variable graded towards gamma = 0: u = log gamma below omega_p, and
-    above it v with gamma = t expm1(v), where t = eps omega_p / sqrt(1 +
-    eps^2) is the turn of the phase; v is linear across the layer ~eps
-    wide at the turn and logarithmic beyond it, so the piece's estimate
-    stays honest next to omega_p at the default tolerance.  At omega_p
-    the piece is 0.  Returns a ``QuadResult`` whose error is the sum of its
-    two or three pieces' estimates.  The TM
-    thickness free energy and entropy do not call it per frequency: they
-    read a piecewise Chebyshev table built from it (``_HLTable``).  h_L
-    vanishes at omega_p, and just above it h_L ~ delta (a log(1/delta) - b)
-    in delta = omega/omega_p - 1.  Near zero frequency
+    The half of the TM thickness part's inner integral below omega_p; the
+    half above it, p > omega_p, is integrated in swapped order
+    (``_tm_propagating``).  Evaluated with a tightened relative tolerance
+    (1e-10).  It runs in p up to omega_p/sqrt(2), then in gamma =
+    sqrt(omega_p^2 - p^2) up to min(omega, omega_p), where p -> omega_p is
+    smooth.  The gamma piece runs on a variable graded towards gamma = 0:
+    u = log gamma below omega_p, and above it v with gamma = t expm1(v),
+    where t = eps omega_p / sqrt(1 + eps^2) is the turn of the phase; v
+    is linear across the layer ~eps wide at the turn and logarithmic
+    beyond it, so the piece's estimate stays honest next to omega_p at
+    the default tolerance.  At omega_p the piece is 0.  Returns a
+    ``QuadResult`` whose error is the sum of its pieces' estimates.  The
+    TM thickness free energy and entropy do not call it per frequency:
+    they read a piecewise Chebyshev table built from it (``_HLTable``).
+    h_L vanishes at omega_p, has a log cusp there, and depends on omega
+    above it only through eps(omega), smoothly; far above omega_p it
+    tends to a constant that the propagating half all but cancels.  Near
+    zero frequency
 
         h_L(omega) = A omega^3 + B omega^4 + C omega^5 + O(omega^6),
         A = 4 s1 / omega_p,   B = -4 pi s2 / omega_p^2,
@@ -688,14 +706,9 @@ def h_L(omega: float, params: SlabParams,
         g = turn * math.expm1(v)
         return turn * math.exp(v) * f_gamma(g)
 
-    def f_q(q: float) -> float:
-        # p dp = q dq: smooth at q = 0, where the p form has a sqrt kink
-        return q * _delta_L_propagating(math.hypot(wp, q), q, eps, L)
-
     # Up to omega_p / sqrt(2) in p; beyond it in gamma, where p -> omega_p
     # is smooth, graded towards gamma = 0 (above omega_p the phase turns
-    # at gamma = eps p over a layer ~eps wide).  Above omega_p in q, whose
-    # period pi / L is that of the phase.
+    # at gamma = eps p over a layer ~eps wide).
     half = wp / math.sqrt(2.0)
     pieces = [integrate_finite(f_p, 0.0, min(omega, half), settings)]
     if half < omega < wp:
@@ -706,18 +719,92 @@ def h_L(omega: float, params: SlabParams,
         turn = eps * wp / math.sqrt(1.0 + eps * eps)
         pieces.append(integrate_finite(f_turn, 0.0,
                                        math.log1p(half / turn), settings))
-    if omega > wp:
-        pieces.append(_blocked_integral(
-            f_q, 0.0, math.sqrt((omega - wp) * (omega + wp)), settings,
-            _osc_block(params)))
     return QuadResult(sum(piece.value for piece in pieces),
                       sum(piece.error_estimate for piece in pieces),
                       sum(piece.evaluations for piece in pieces))
 
 
-# The TM thickness integrals read h_L(omega) / omega from a table of
-# Chebyshev interpolants on [0, 60 omega_p], the largest frequency cutoff
-# they use.  Next to omega_p, h_L ~ delta (a log(1/delta) - b) in
+# The propagating half's inner integral runs on this many equal G7-K15
+# panels in u = log(omega - omega_p), for this many q nodes at a time.
+_INNER_PANELS = 12
+_Q_CHUNK = 32
+
+
+def _tm_propagating(params: SlabParams, W: float, weight,
+                    settings: QuadSettings, rest: QuadResult) -> QuadResult:
+    """Int_omega_p^W weight(omega) h_prop(omega) d omega for each of the m
+    columns of ``weight``, where h_prop(omega) = Int_omega_p^omega p
+    delta_L_TM(p, omega) dp is the propagating half of the TM momentum
+    moment (``h_L`` is the other half).
+
+    Runs in swapped order, with p dp = q dq and Q(W) = sqrt(W^2 -
+    omega_p^2):
+
+        Int_0^Q(W) dq q Int_sqrt(q^2 + omega_p^2)^W d omega
+            weight(omega) delta_prop(q, eps(omega)).
+
+    delta_prop oscillates only through sin qL and cos qL, and omega enters
+    only through eps(omega), so the inner integral is smooth.  It runs on
+    a fixed G7-K15 rule (``integrate_fixed``) with ``_INNER_PANELS`` equal
+    panels in u = log(omega - omega_p), graded towards its lower end,
+    where eps -> 0 as q -> 0.  The outer integral in q, of period pi/L,
+    runs on the adaptive panel rule from whole periods, graded towards
+    q = 0.  The halves cancel in part, so each of the m moments is held to
+    the tolerance of its total with ``rest``, the other half's (m,) values
+    and errors, but not below that half's error, which the total carries
+    anyway.  The inner rule's m error bounds ride along, with an infinite
+    tolerance.  ``weight``
+    maps an array of omega to one with a last axis of m columns, and W >
+    omega_p.  Returns (m,) arrays; each error is the outer rule's plus the
+    integrated inner bound and that integral's own error, and the
+    evaluation count is that of the inner rule.
+    """
+    wp, L = params.omega_p, params.L
+    Q = math.sqrt((W - wp) * (W + wp))
+    top = math.log(W - wp)
+    steps = np.linspace(0.0, 1.0, _INNER_PANELS + 1)
+
+    def inner(q: np.ndarray) -> np.ndarray:
+        p = np.hypot(wp, q)[:, None]
+        # At the lower end omega - omega_p = p - omega_p = q^2/(p + omega_p)
+        low = np.log(q * q / (p[:, 0] + wp))
+        u = low[:, None] + (top - low)[:, None] * steps
+
+        def f(u: np.ndarray) -> np.ndarray:
+            x = np.exp(u)
+            w = wp + x
+            eps = x * (w + wp) / (w * w)
+            # d omega = x du
+            delta = x * _delta_L_propagating_array(p, q[:, None], eps, L)
+            return weight(w) * delta[..., None]
+
+        res = integrate_fixed(f, u[:, :-1], u[:, 1:])
+        return q[:, None] * np.concatenate([res.value, res.error_estimate],
+                                           axis=1)
+
+    def f(q: np.ndarray) -> np.ndarray:
+        return np.concatenate([inner(q[i:i + _Q_CHUNK])
+                               for i in range(0, len(q), _Q_CHUNK)])
+
+    step = min(math.pi / L, Q)
+    edges = [*np.arange(0.0, Q, step), Q,
+             *(step * 0.5 ** k for k in range(1, 8))]
+    m = len(rest.value)
+    tol = replace(settings, abs_tol=np.concatenate(
+        [np.maximum(settings.abs_tol, rest.error_estimate),
+         np.full(m, np.inf)]))
+    res = integrate_panels(f, edges, tol, offset=np.concatenate(
+        [rest.value, np.zeros(m)]))
+    bound = res.value[m:] + res.error_estimate[m:]
+    return QuadResult(res.value[:m], res.error_estimate[:m] + bound,
+                      res.evaluations * 15 * _INNER_PANELS)
+
+
+# The TM thickness integrals read h_L(omega) / omega, the evanescent half,
+# from a table of Chebyshev interpolants on [0, 60 omega_p], the largest
+# frequency cutoff they use.  Above omega_p it depends on omega only
+# through eps(omega), so it is smooth there and has no period pi / L.
+# Next to omega_p, h_L ~ delta (a log(1/delta) - b) in
 # delta = |omega/omega_p - 1|: no polynomial in omega follows that cusp,
 # but in s = log delta it is smooth.  So in units of omega_p the segment
 # from delta = 1/4 to delta = 4^-10 ~ 1e-6 on each side of omega_p is
@@ -851,7 +938,8 @@ def _piece_integral(piece: tuple) -> float:
 
 
 class _HLTable:
-    """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces.
+    """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces:
+    the evanescent half of the TM momentum moment over omega.
 
     Each piece interpolates in its fit variable x (``_fit_variable``):
     omega itself, or s = log|omega/omega_p - 1| up to a shift and sign on
@@ -953,53 +1041,84 @@ def validate_h_L_table(params: SlabParams,
     return worst, table.integral().error_estimate / wp ** 2
 
 
+def _thermal_columns(T: float):
+    """The weights of the propagating moment in the TM thickness part's F
+    and S integrals, n(w/T) and w n'(w/T) = w n (1 + n), as the two
+    columns of an array over an array of w."""
+    def weights(w: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            n = 1.0 / np.expm1(w / T)
+        return np.stack([n, w * n * (1.0 + n)], axis=-1)
+
+    return weights
+
+
 def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings):
-    """((F, F_error), (S, S_error)) of the TM thickness part from
-    Int_0^W of each thermal weight times h_L, read from one table; each
-    error adds the table's bound to the low and high pieces' estimates."""
+    """((F, F_error), (S, S_error)) of the TM thickness part: Int_0^W of
+    each thermal weight times the TM momentum moment, in two halves.  The
+    evanescent half (p < omega_p) reads h_L / omega from one table under
+    one QUADPACK integral per weight; the propagating half (p > omega_p)
+    is integrated in swapped order for both weights at once
+    (``_tm_propagating``), held to the tolerance of the sum.  Each error
+    adds the table's bound, the QUADPACK estimate and the propagating
+    half's error.
+
+    The halves cancel in part: at omega_p L = 1 and T = 10 omega_p, S's
+    are -11.8 and 12.9 in integral units.  So the evanescent integral runs
+    at a relative tolerance of 1e-10, and the propagating half is held to
+    1e-8 of the sum."""
     _check_T(T)
     outer = replace(settings, rel_tol=1e-8)
     wp = params.omega_p
-    # h_L decays fast enough that frequencies beyond ~60 omega_p are
-    # negligible at every temperature; the thermal factor cuts earlier
-    # when 40 T is smaller.
+    # The momentum moment decays fast enough that frequencies beyond ~60
+    # omega_p are negligible at every temperature; the thermal factor
+    # cuts earlier when 40 T is smaller.
     W = min(40.0 * T, _TABLE_TOP * wp)
     table = _HLTable(params, W)
-    lowcut = min(wp, W)
 
-    def integral(weight) -> tuple[float, float]:
-        def f(w: float) -> float:
-            return weight(w) * table(w)
+    # The table's segments join with a kink; the table is built on the
+    # first read, inside the quadrature.
+    joins = [wp * edge for edge in _TABLE_EDGES]
 
-        low = integrate_finite(f, 0.0, lowcut, outer, breakpoints=[T])
-        high = _blocked_integral(f, lowcut, W, outer, _osc_block(params),
-                                 breakpoints=[T])
-        return (low.value + high.value,
-                low.error_estimate + high.error_estimate
-                + table.error(W, weight))
+    def evanescent(weight) -> tuple[float, float]:
+        res = integrate_finite(lambda w: weight(w) * table(w), 0.0, W,
+                               replace(settings, rel_tol=1e-10),
+                               breakpoints=[T, *joins])
+        return res.value, res.error_estimate + table.error(W, weight)
 
     # The weights of h_L / omega, w n(w/T) <= T and w^2 n'(w/T) <= T^2,
     # are positive and decreasing, so their value at lo bounds them beyond.
-    F, F_err = integral(
-        lambda w: w * bose_occupation(w / T) if w > 0.0 else T)
-    S, S_err = integral(
-        lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
-    return ((F / (-2.0 * math.pi ** 2), F_err),
-            (S / (2.0 * math.pi ** 2 * T * T), S_err))
+    (F, F_err), (S, S_err) = (
+        evanescent(lambda w: w * bose_occupation(w / T) if w > 0.0 else T),
+        evanescent(lambda w: w * w * bose_kernel(w / T) if w > 0.0
+                   else T * T))
+    if W > wp:
+        prop = _tm_propagating(params, W, _thermal_columns(T), outer,
+                               QuadResult(np.array([F, S]),
+                                          np.array([F_err, S_err]), 0))
+        (F, S), (F_err, S_err) = (prop.value + (F, S),
+                                  prop.error_estimate + (F_err, S_err))
+    return ((float(F) / (-2.0 * math.pi ** 2), float(F_err)),
+            (float(S) / (2.0 * math.pi ** 2 * T * T), float(S_err)))
 
 
 def F_L_TM(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TM thickness free energy per unit area.
 
-    F = -(1/2 pi^2) Int_0^W n(omega/T) h_L(omega) d omega (note: no
-    omega factor; it is consumed by the momentum moment), with the cutoff
-    W = min(40 T, 60 omega_p).  The integrand reads h_L from a piecewise
-    Chebyshev table built once per params and shared by every temperature,
-    every ``QuadSettings`` and ``S_L``; the error its ``PARTS`` record
-    returns adds the table's pointwise bound times the integral of the
-    thermal weight to the quadrature's own estimate.  At low temperature
-    the series of ``h_L`` gives
+    F = -(1/2 pi^2) Int_0^W n(omega/T) (h_L + h_prop)(omega) d omega
+    (note: no omega factor; it is consumed by the momentum moment), with
+    the cutoff W = min(40 T, 60 omega_p).  h_L, the evanescent half of the
+    momentum moment (p < omega_p), is read from a piecewise Chebyshev
+    table built once per params and shared by every temperature, every
+    ``QuadSettings`` and ``S_L``, under one QUADPACK integral.  h_prop, the
+    propagating half (p > omega_p), oscillates with period pi / L in its
+    upper limit; its integral runs in swapped order, q outside and omega
+    inside, on numpy arrays (``_tm_propagating``), held to the tolerance
+    of the sum.  The error its ``PARTS`` record returns adds the table's
+    pointwise bound times the integral of the thermal weight, the
+    QUADPACK estimate and the swapped half's error (outer rule plus inner
+    bound).  At low temperature the series of ``h_L`` gives
 
         F = -2 pi^2 T^4 / (15 omega_p (e^{2 omega_p L} - 1))
             * (1 + b1 T + b2 T^2 + O(T^3)),
@@ -1019,8 +1138,10 @@ def S_L(ch: str, T: float, params: SlabParams,
 
     The TE part settles on the plateau
     -slab_constant_d * omega_p^2 > 0 at high temperature.  The TM part,
-    (1/2 pi^2 T^2) Int_0^W omega n'(omega/T) h_L(omega) d omega with
-    n' = e^x/(e^x - 1)^2, reads the same h_L table as ``F_L_TM``.
+    (1/2 pi^2 T^2) Int_0^W omega n'(omega/T) (h_L + h_prop)(omega) d omega
+    with n' = e^x/(e^x - 1)^2, is evaluated with ``F_L_TM``: the same
+    h_L table for the evanescent half, and the same swapped pass, one
+    column per weight, for the propagating half.
     """
     Channel.validate(ch)
     evaluate = _thickness_te if ch == Channel.TE else _thickness_tm
@@ -1028,7 +1149,7 @@ def S_L(ch: str, T: float, params: SlabParams,
 
 
 def slab_constant_d(settings: QuadSettings | None = None,
-                    route: str = "TE") -> float:
+                    route: str = "TE") -> QuadResult:
     """High-temperature linear coefficient of the thickness part.
 
     d = (1/2 pi^2) Int_0^inf p log(p) delta_L_TE(p) dp at
@@ -1036,25 +1157,38 @@ def slab_constant_d(settings: QuadSettings | None = None,
     would-be T log T coefficient, -(1/2 pi^2) Int p delta_L_TE dp,
     vanishes).  The TE route integrates p in [0, 1] at once and [1, 2000]
     in blocks as wide as the thickness parts use.
-    The equivalent TM route integrates the frequency moment,
-    d = -(1/2 pi^2) Int_0^60 h_L(omega)/omega d omega, exactly over the
-    interpolants of the h_L table.
+    The equivalent TM route integrates the frequency moment of both
+    halves of delta_L_TM, d = -(1/2 pi^2) Int_0^60 (h_L + h_prop)(omega)
+    / omega d omega: the evanescent half exactly over the interpolants of
+    the h_L table, the propagating half in swapped order
+    (``_tm_propagating``).  Returns d with its error in units of d: the
+    summed quadrature estimates (TE), or the table's bound plus the
+    propagating half's error (TM).  Neither route bounds its cut.
     """
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
+    two_pi2 = 2.0 * math.pi ** 2
     if route == "TM":
-        return -_HLTable(params, _TABLE_TOP).integral().value / (
-            2.0 * math.pi ** 2)
+        table = _HLTable(params, _TABLE_TOP).integral()
+        prop = _tm_propagating(
+            params, _TABLE_TOP, lambda w: 1.0 / w[..., None], settings,
+            QuadResult(np.array([table.value]),
+                       np.array([table.error_estimate]), 0))
+        return QuadResult(-float(table.value + prop.value[0]) / two_pi2,
+                          float(table.error_estimate
+                                + prop.error_estimate[0]) / two_pi2,
+                          prop.evaluations)
     if route != "TE":
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
 
     def f(p: float) -> float:
         return p * math.log(p) * delta_L(Channel.TE, p, p, params)
 
-    total_val = integrate_finite(f, 0.0, 1.0, settings).value
-    total_val += _blocked_integral(f, 1.0, 2000.0, settings,
-                                   _osc_block(params)).value
-    return total_val / (2.0 * math.pi ** 2)
+    low = integrate_finite(f, 0.0, 1.0, settings)
+    high = _blocked_integral(f, 1.0, 2000.0, settings, _osc_block(params))
+    return QuadResult((low.value + high.value) / two_pi2,
+                      (low.error_estimate + high.error_estimate) / two_pi2,
+                      low.evaluations + high.evaluations)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,11 @@ from . import plasma_sheet, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
     QuadratureError,
+    QuadResult,
     QuadSettings,
+    bose_kernel,
     bose_log,
+    bose_occupation,
     fit_asymptotic,
     g,
     integrate_finite,
@@ -363,6 +366,56 @@ def _slab_h_L_table_checks(settings):
     return out
 
 
+def _tm_propagating_nested(T, params, settings):
+    """The TM thickness part's propagating half in the usual order, by
+    nested scalar QUADPACK: Int_omega_p^W k(omega) h_prop(omega) d omega,
+    h_prop(omega) = Int_0^Q(omega) q delta_prop dq, for k = n(omega/T) and
+    omega n'(omega/T), both levels in blocks of 40 periods and the inner
+    one at relative tolerance 1e-10.  Returns a (value, error) per weight;
+    each error adds to the outer estimate the worst k times inner estimate
+    over the outer nodes, times the range."""
+    wp, L = params.omega_p, params.L
+    W = min(40.0 * T, 60.0 * wp)
+    block = slab._osc_block(params)
+    inner = QuadSettings(abs_tol=settings.abs_tol, rel_tol=1e-10)
+    out = []
+    for k in (lambda w: bose_occupation(w / T),
+              lambda w: w * bose_kernel(w / T)):
+        worst = 0.0
+
+        def f(w, k=k):
+            nonlocal worst
+            eps = slab.epsilon(w, params)
+            h = slab._blocked_integral(
+                lambda q: q * slab._delta_L_propagating(
+                    math.hypot(wp, q), q, eps, L),
+                0.0, math.sqrt((w - wp) * (w + wp)), inner, block)
+            worst = max(worst, k(w) * h.error_estimate)
+            return k(w) * h.value
+
+        res = slab._blocked_integral(f, wp, W, settings, block,
+                                     breakpoints=[T])
+        out.append((res.value, res.error_estimate + worst * (W - wp)))
+    return out
+
+
+def _slab_tm_swap_checks(settings):
+    # The propagating half of L_TM (p > omega_p) runs in swapped order on
+    # arrays; nested scalar QUADPACK in the usual order must agree with it
+    # within the sum of their errors, for F's weight and for S's.
+    T, params = 0.3, slab.SlabParams(1.0, 1.0)
+    W = min(40.0 * T, 60.0)
+    swapped = slab._tm_propagating(
+        params, W, slab._thermal_columns(T), settings,
+        QuadResult(np.zeros(2), np.zeros(2), 0))
+    worst = max(abs(v - ref) / (err + ref_err) for v, err, (ref, ref_err)
+                in zip(swapped.value, swapped.error_estimate,
+                       _tm_propagating_nested(T, params, settings)))
+    return [_below("oracle", "slab L_TM propagating half, swapped vs nested "
+                   f"QUADPACK within their bounds, omega_p L=1, T={T:g}",
+                   worst, 1.0, label="<= 1")]
+
+
 def _transmission_phase_gap(ch, p, k, t, params):
     """Worst |e^{i phi} - f/|f|| over the phases the parts integrate and
     the transmission factors f they come from."""
@@ -457,6 +510,7 @@ def _suite_oracle(settings):
     out.extend(_slab_surface_defining_checks(settings))
     out.extend(_slab_off_unit_checks(settings))
     out.extend(_slab_h_L_table_checks(settings))
+    out.extend(_slab_tm_swap_checks(settings))
     out.extend(_transmission_checks())
     out.extend(_plasmon_checks())
     return out
@@ -557,7 +611,7 @@ def _suite_asymptotics(settings):
         "asymptotics", "slab subtracted F_s_TE: T*log(T) coefficient",
         1.0 / (8.0 * math.pi), fit.coefficient("TlogT"), 3e-2))
 
-    d = slab.slab_constant_d(settings)
+    d = slab.slab_constant_d(settings).value
     out.append(_rel(
         "asymptotics", "slab S_L_TE plateau -> -d*omega_p^2 at T=200",
         -d, slab.S_L("TE", 200.0, sp, settings), 5e-2))
@@ -611,8 +665,8 @@ def _suite_constants(settings):
     # Slab constants.
     c_val = slab.slab_constant_c(settings)
     out.append(_abs("constants", "slab constant c", 1.5708, c_val, 1e-3))
-    d_te = slab.slab_constant_d(settings, route="TE")
-    d_tm = slab.slab_constant_d(settings, route="TM")
+    d_te = slab.slab_constant_d(settings, route="TE").value
+    d_tm = slab.slab_constant_d(settings, route="TM").value
     out.append(_rel("constants", "slab constant d (TE route)",
                     -5.936e-4, d_te, 0.10))
     out.append(_rel("constants", "slab constant d (TM route vs TE route)",

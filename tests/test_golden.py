@@ -37,6 +37,8 @@ COMMANDS = {
                      "--tpts", "1", "--parts", "L"],
     "slab_parts_s_exp": ["slab", "--L", "1", "--tmin", "1e-2",
                          "--tmax", "1e-1", "--tpts", "1", "--parts", "s,exp"],
+    "slab_thick_L": ["slab", "--L", "3", "--tmin", "1", "--tmax", "100",
+                     "--tpts", "1", "--parts", "L"],
     "scan_window": ["scan", "--omega0", "0.68:0.74:4", "--tmax", "100",
                     "--tpts", "4"],
 }

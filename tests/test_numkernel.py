@@ -22,6 +22,7 @@ from artifact.numkernel import (
     fit_asymptotic,
     g,
     integrate_finite,
+    integrate_fixed,
     integrate_panels,
     integrate_semiinf,
     thermal_weights,
@@ -216,6 +217,45 @@ def test_integrate_panels_components_and_bound():
     graded = [0.0, *(8.0 ** -k for k in range(12, 0, -1)), 1.0]
     res = integrate_panels(lambda x: np.log(x)[:, None], graded)
     assert abs(res.value[0] + 1.0) <= res.error_estimate[0] <= 1e-9
+
+
+def test_integrate_panels_offset_and_riding_components():
+    # An offset makes the relative tolerance refer to a total the integral
+    # is part of: Int_0^3 sin(40 x) dx ~ 0.0079 as part of a total of 100
+    # needs fewer passes.  A component with an infinite tolerance rides
+    # along, integrated on the same panels but never bisected for: 1/x on
+    # [0, 1] does not converge within the panel cap, yet rides along with
+    # its error.
+    def f(x):
+        return np.stack([np.sin(40.0 * x), 1.0 / x], axis=1)
+
+    exact = (1.0 - math.cos(120.0)) / 40.0
+    alone = integrate_panels(lambda x: f(x)[:, :1], [0.0, 3.0])
+    part = integrate_panels(lambda x: f(x)[:, :1], [0.0, 3.0],
+                            offset=100.0)
+    assert part.evaluations < alone.evaluations
+    assert abs(part.value[0] - exact) <= part.error_estimate[0] <= 1e-7
+    with pytest.raises(QuadratureError), np.errstate(over="ignore"):
+        integrate_panels(f, [0.0, 1.0, 3.0])
+    both = integrate_panels(f, [0.0, 1.0, 3.0],
+                            QuadSettings(abs_tol=np.array([1e-12, np.inf])))
+    assert abs(both.value[0] - exact) <= both.error_estimate[0] <= 1e-9
+    assert both.error_estimate[1] > 1e-9
+
+
+def test_integrate_fixed_runs_many_integrals_at_once():
+    # Int_0^a x^k dx for three upper limits a and two powers k, each on
+    # its own four panels; a fixed rule's error still bounds its gap.
+    a = np.array([0.5, 1.0, 2.0])
+    ks = np.array([3.0, 20.0])
+    edges = a[:, None] * np.linspace(0.0, 1.0, 5)
+    res = integrate_fixed(lambda x: x[..., None] ** ks, edges[:, :-1],
+                          edges[:, 1:])
+    exact = a[:, None] ** (ks + 1.0) / (ks + 1.0)
+    assert res.value.shape == res.error_estimate.shape == (3, 2)
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+    assert np.all(res.error_estimate[:, 0] <= 2e-14 * exact[:, 0])
+    assert res.evaluations == 3 * 4 * 15
 
 
 def test_integrate_panels_error_includes_roundoff_floor():

@@ -4,11 +4,12 @@ guided mode."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from artifact import plasma_sheet, slab
-from artifact.numkernel import DEFAULT_SETTINGS, QuadSettings
+from artifact import plasma_sheet, slab, verification
+from artifact.numkernel import DEFAULT_SETTINGS, QuadResult, QuadSettings
 from artifact.spectral import ZETA3, ZETA5, Channel, Part, ThermoPoint
 
 P1 = slab.SlabParams(omega_p=1.0, L=1.0)
@@ -136,15 +137,21 @@ def test_thickness_series_coefficients(omega_p, L):
 def test_h_L_just_above_omega_p():
     # The phase turns next to omega_p here, at gamma = eps p ~ 3e-5;
     # on a linear gamma axis without a breakpoint QUADPACK stalled on
-    # roundoff.  Reference value from mpmath at 30 digits.
+    # roundoff.  Reference value of the evanescent half from mpmath at 30
+    # digits; with the propagating half it makes up the whole moment,
+    # 4.4039873591615882e-4, of the same mpmath quadrature in p.
     params = slab.SlabParams(omega_p=1.0, L=0.6059292171171541)
-    assert slab.h_L(1.0000152220514424, params).value == pytest.approx(
-        4.4039873591615882e-4, rel=1e-10)
+    omega = 1.0000152220514424
+    assert slab.h_L(omega, params).value == pytest.approx(
+        4.3816062881797075e-4, rel=1e-10)
+    assert 4.3816062881797075e-4 + float(_h_prop_mpmath(omega, params)) \
+        == pytest.approx(4.4039873591615882e-4, rel=1e-10)
 
 
 def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
-    # Above omega_p, h_L sums three quadratures; the error it returns
-    # (and the h_L table reads) is their summed estimate, not the worst.
+    # Above omega_p, h_L sums two quadratures, in p and in gamma; the error
+    # it returns (and the h_L table reads) is their summed estimate, not
+    # the worst.
     errors = []
     run = slab.integrate_finite
 
@@ -155,7 +162,7 @@ def test_h_L_reports_the_sum_of_its_piece_errors(monkeypatch):
 
     monkeypatch.setattr(slab, "integrate_finite", recorded)
     res = slab.h_L(3.0, P1)
-    assert len(errors) == 3
+    assert len(errors) == 2
     assert res.error_estimate > max(errors)
     assert res.error_estimate == pytest.approx(math.fsum(errors), rel=1e-12)
 
@@ -171,33 +178,38 @@ def _propagating_mpmath(p, q, eps, L):
     return -mpmath.arg(1 - rho ** 2 * mpmath.exp(2j * mpmath.mpf(q) * L))
 
 
-def _delta_L_tm_mpmath(p, omega, wp, L):
-    """delta_L_TM from its complex definition, in mpmath."""
-    eps = 1 - (wp / omega) ** 2
-    if p < wp:
-        return _evanescent_mpmath(p, mpmath.sqrt(wp * wp - p * p), eps, L)
-    return _propagating_mpmath(p, mpmath.sqrt(p * p - wp * wp), eps, L)
-
-
 def _h_L_mpmath(omega, params):
-    """Int_0^omega p delta_L_TM dp at 30 digits, in p, split at the turn
-    gamma = eps p, at omega_p and at every period pi / L of the phase."""
+    """h_L, Int_0^omega_p p delta_L_TM dp for omega > omega_p, at 30
+    digits, in p, split at the turn gamma = eps p."""
+    with mpmath.workdps(30):
+        wp, L, w = (mpmath.mpf(v) for v in (params.omega_p, params.L, omega))
+        eps = 1 - (wp / w) ** 2
+        return mpmath.quad(
+            lambda p: p * _evanescent_mpmath(
+                p, mpmath.sqrt(wp * wp - p * p), eps, L),
+            [0, wp / mpmath.sqrt(1 + eps * eps), wp])
+
+
+def _h_prop_mpmath(omega, params):
+    """The propagating half, Int_omega_p^omega p delta_L_TM dp, at 30
+    digits, in p, split at every period pi / L of the phase."""
     with mpmath.workdps(30):
         wp, L, w = (mpmath.mpf(v) for v in (params.omega_p, params.L, omega))
         eps = 1 - (wp / w) ** 2
         periods = int(mpmath.sqrt(w * w - wp * wp) * L / mpmath.pi)
-        pts = sorted({mpmath.mpf(0), wp / mpmath.sqrt(1 + eps * eps), wp, w,
-                      *(mpmath.sqrt(wp * wp + (k * mpmath.pi / L) ** 2)
-                        for k in range(1, periods + 1))})
-        return mpmath.quad(lambda p: p * _delta_L_tm_mpmath(p, w, wp, L), pts)
+        pts = [wp, *(mpmath.sqrt(wp * wp + (k * mpmath.pi / L) ** 2)
+                     for k in range(1, periods + 1)), w]
+        return mpmath.quad(
+            lambda p: p * _propagating_mpmath(
+                p, mpmath.sqrt(p * p - wp * wp), eps, L), pts)
 
 
 @pytest.mark.parametrize("omega_p_L", [0.15, 1.0, 5.0])
 def test_h_L_above_omega_p_matches_mpmath(omega_p_L):
-    # Above omega_p h_L runs in q = sqrt(p^2 - omega_p^2); the reference runs
-    # in p.  At omega_p L = 5 the q range of 59.5 omega_p is split in blocks.
-    # The tolerance is tight so that the quadrature, not the absolute target,
-    # sets the error; the next test runs at the default tolerance.
+    # Above omega_p h_L runs in gamma on a variable graded towards the
+    # turn; the reference runs in p.  The tolerance is tight so that the
+    # quadrature, not the absolute target, sets the error; the next test
+    # runs at the default tolerance.
     params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
     tight = QuadSettings(abs_tol=1e-15)
     for frac in (1.0 + 1e-6, 1.01, 2.0, 10.0, 59.5):
@@ -222,7 +234,8 @@ def test_h_L_error_estimate_is_honest_next_to_omega_p(omega_p_L):
 
 def test_delta_L_kernels_match_mpmath():
     # Both phase kernels, across eps < 0, 0 < eps < 1 (through the turn
-    # gamma = eps p) and eps = 1 (TE), next to omega_p and far from it.
+    # gamma = eps p) and eps = 1 (TE), next to omega_p and far from it;
+    # the propagating one also on arrays, at the same points.
     worst = 0.0
     with mpmath.workdps(30):
         for L in (0.15, 1.0, 5.0):
@@ -240,20 +253,20 @@ def test_delta_L_kernels_match_mpmath():
                     worst = max(worst, abs(
                         slab._delta_L_evanescent(p, gam, eps, L)
                         - float(_evanescent_mpmath(p, gam, eps, L))))
-                for q in (1e-9, 1e-4, 0.1, 1.0, 7.0, 29.0):
-                    p = math.hypot(1.0, q)
-                    if p <= omega and eps > 0.0:
-                        worst = max(worst, abs(
-                            slab._delta_L_propagating(p, q, eps, L)
-                            - float(_propagating_mpmath(p, q, eps, L))))
+                qs = np.array([q for q in (1e-9, 1e-4, 0.1, 1.0, 7.0, 29.0)
+                               if math.hypot(1.0, q) <= omega and eps > 0.0])
+                ps = np.hypot(1.0, qs)
+                on_arrays = slab._delta_L_propagating_array(ps, qs, eps, L)
+                for p, q, array_value in zip(ps, qs, on_arrays):
+                    exact = float(_propagating_mpmath(p, q, eps, L))
+                    worst = max(worst,
+                                abs(slab._delta_L_propagating(p, q, eps, L)
+                                    - exact), abs(array_value - exact))
     assert worst <= 1e-15
 
 
-def test_h_L_table_evaluation_budget(monkeypatch):
-    # The (1, 1) table takes 509 h_L quadratures, 114,303 evaluations in
-    # all, with the cusp at omega_p fitted in s = log|omega/omega_p - 1| on
-    # one piece per side; 20 segments graded by 4 in omega took 829
-    # quadratures and 152,355 evaluations.
+def _table_evaluations(monkeypatch, omega_p_L):
+    """Evaluations of each h_L call that a full table build makes."""
     evaluations = []
     run = slab.h_L
 
@@ -264,10 +277,45 @@ def test_h_L_table_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(slab, "h_L", counted)
     slab._table_segment.cache_clear()
-    slab._HLTable(slab.SlabParams(1.0, 1.0), 60.0).pieces
+    slab._HLTable(slab.SlabParams(1.0, omega_p_L), 60.0).pieces
     slab._table_segment.cache_clear()
-    assert len(evaluations) == 509
-    assert sum(evaluations) <= 120_000
+    return evaluations
+
+
+def test_h_L_table_evaluation_budget(monkeypatch):
+    # Since h_L holds only the evanescent half, the (1, 1) table takes 405
+    # quadratures and 33,159 evaluations in all; with the whole moment it
+    # took 509 and 114,303.
+    evaluations = _table_evaluations(monkeypatch, 1.0)
+    assert len(evaluations) == 405
+    assert sum(evaluations) <= 35_000
+
+
+def test_thick_h_L_table_evaluation_budget(monkeypatch):
+    # At omega_p L = 10 the whole moment's q piece spanned up to 190
+    # periods of the phase: 3,301 quadratures, 5,637,030 evaluations.  The
+    # evanescent half takes 373 and 29,337.
+    evaluations = _table_evaluations(monkeypatch, 10.0)
+    assert len(evaluations) == 373
+    assert sum(evaluations) <= 31_000
+
+
+@pytest.mark.parametrize("omega_p_L, T", [(10.0, 1.0), (0.606, 100.0)])
+def test_L_TM_swapped_half_matches_nested_quadpack(omega_p_L, T):
+    # F's and S's propagating halves, in swapped order on arrays and by
+    # nested scalar QUADPACK in the usual order, agree within the sum of
+    # their errors; at omega_p L = 10 the nested route took 5.6 million
+    # evaluations through the h_L table.
+    params = slab.SlabParams(1.0, omega_p_L)
+    outer = QuadSettings(rel_tol=1e-8)
+    swapped = slab._tm_propagating(
+        params, min(40.0 * T, 60.0), slab._thermal_columns(T), outer,
+        QuadResult(np.zeros(2), np.zeros(2), 0))
+    nested = verification._tm_propagating_nested(T, params, outer)
+    for value, error, (ref, ref_error) in zip(
+            swapped.value, swapped.error_estimate, nested):
+        assert abs(value - ref) <= error + ref_error
+        assert error <= max(1e-12, 1e-8 * abs(ref))
 
 
 def _between_nodes(n, count=12):
@@ -463,10 +511,13 @@ def test_slab_constant_c():
 
 
 def test_slab_constant_d_routes_agree():
-    d_te = slab.slab_constant_d(route="TE")
+    d_te = slab.slab_constant_d(route="TE").value
     d_tm = slab.slab_constant_d(route="TM")
     assert d_te == pytest.approx(-5.9362652e-4, rel=1e-4)
-    assert d_tm == pytest.approx(d_te, rel=1e-6)
+    assert d_tm.value == pytest.approx(d_te, rel=1e-6)
+    # The TM route's error holds the table's bound and the swapped half's.
+    table = slab._HLTable(P1, 60.0).integral()
+    assert d_tm.error_estimate > table.error_estimate / (2.0 * math.pi ** 2)
 
 
 def test_S_L_plateau():

@@ -115,31 +115,44 @@ class SheetParams:
         return self.Omega0, SheetParams(1.0, self.omega0 / self.Omega0)
 
 
-def _phase_pw(ch: str, p: float, omega: float, params: SheetParams) -> float:
-    # (p, omega) parametrization; p = 0 returns the edge limit.
+def _phase_pw(ch: str, p: float, k: float, params: SheetParams) -> float:
+    # (p, k) parametrization; p = 0 returns the edge limit.  a = omega^2 -
+    # omega0^2 keeps p^2 at k = omega0, which hypot(p, k)^2 loses to k^2.
     w0, O0 = params.omega0, params.Omega0
-    a = omega * omega - w0 * w0
+    a = p * p + (k - w0) * (k + w0)
     if ch == Channel.TE:
         if p == 0.0:
             return -0.5 * math.pi if a > 0.0 else 0.5 * math.pi
-        return -math.atan(O0 * omega * omega / (a * p))
+        return -math.atan(O0 * (p * p + k * k) / (a * p))
     if p == 0.0:
         return -math.pi if a < 0.0 else 0.0
     return -0.5 * math.pi + math.atan(a / (O0 * p))
 
 
-def _phase_deriv_pw(ch: str, p: float, omega: float,
+def _phase_deriv_pw(ch: str, p: float, k: float,
                     params: SheetParams) -> float:
-    # d delta/dp at fixed transverse momentum, rational in (p, omega).
+    # d delta/dp at fixed transverse momentum, rational in (p, k).
     w0, O0 = params.omega0, params.Omega0
-    a = omega * omega - w0 * w0
     p2 = p * p
+    a = p2 + (k - w0) * (k + w0)
     if ch == Channel.TM:
         return O0 * (2.0 * p2 - a) / (a * a + O0 * O0 * p2)
-    w2 = omega * omega
+    w2 = p2 + k * k
     num = O0 * (w2 * a + 2.0 * w0 * w0 * p2)
     den = a * a * p2 + O0 * O0 * w2 * w2
     return num / den
+
+
+def _check_momenta(p: float, k: float, params: SheetParams) -> None:
+    """Raise ValueError unless p, k >= 0, not both zero, lie off the
+    resonance shell: unless a = p^2 + (k - omega0)(k + omega0) exceeds
+    its rounding error."""
+    if p < 0.0 or k < 0.0 or p + k <= 0.0:
+        raise ValueError(f"need p, k >= 0, not both zero; got p={p}, k={k}")
+    w0 = params.omega0
+    p2, k2 = p * p, (k - w0) * (k + w0)
+    if abs(p2 + k2) <= 2.0 * math.ulp(1.0) * (p2 + abs(k2)):
+        raise ValueError(f"pole of the sheet response at p={p}, k={k}")
 
 
 def phase_shift(ch: str, p: float, k: float, params: SheetParams) -> float:
@@ -151,32 +164,26 @@ def phase_shift(ch: str, p: float, k: float, params: SheetParams) -> float:
     above the resonance shell, +pi/2 and -pi below it (the TM edge
     deficit behind the shell weight).
 
-    Raises ValueError on the resonance shell omega = omega0.
+    Raises ValueError on the resonance shell omega = omega0, that is
+    where p^2 + (k - omega0)(k + omega0) is zero to rounding.
     """
     Channel.validate(ch)
-    if p < 0.0 or k < 0.0 or p + k <= 0.0:
-        raise ValueError(f"need p, k >= 0, not both zero; got p={p}, k={k}")
-    omega = math.hypot(p, k)
-    if omega == params.omega0:
-        raise ValueError(f"pole of the sheet response at omega = {omega}")
-    return _phase_pw(ch, p, omega, params)
+    _check_momenta(p, k, params)
+    return _phase_pw(ch, p, k, params)
 
 
 def phase_shift_deriv(ch: str, p: float, k: float,
                       params: SheetParams) -> float:
-    """d delta/dp at fixed transverse momentum k, rational in (p, omega).
+    """d delta/dp at fixed transverse momentum k, rational in (p, k).
 
     The derivative is taken along the radial momentum with k held fixed
     (omega varies with p along the path); branch jumps of the arctangent
-    do not enter, so the result is a rational function.
+    do not enter, so the result is a rational function.  Raises
+    ValueError on the resonance shell, as ``phase_shift`` does.
     """
     Channel.validate(ch)
-    if p < 0.0 or k < 0.0 or p + k <= 0.0:
-        raise ValueError(f"need p, k >= 0, not both zero; got p={p}, k={k}")
-    omega = math.hypot(p, k)
-    if omega == params.omega0:
-        raise ValueError(f"pole of the sheet response at omega = {omega}")
-    return _phase_deriv_pw(ch, p, omega, params)
+    _check_momenta(p, k, params)
+    return _phase_deriv_pw(ch, p, k, params)
 
 
 def _pick(cond, if_true, if_false):
@@ -820,7 +827,7 @@ def scattering_channel(ch: str, params: SheetParams,
     w0 = params.omega0
 
     def ddelta(p: float, k: float) -> float:
-        return _phase_deriv_pw(ch, p, math.hypot(p, k), params)
+        return _phase_deriv_pw(ch, p, k, params)
 
     O0 = params.Omega0
 

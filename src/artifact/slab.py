@@ -396,6 +396,14 @@ def _s_te_growth(params: SlabParams) -> SubtractionSpec:
     return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi))
 
 
+def _tm_weights(T: float):
+    """The thermal weights of a TM frequency moment, w n(w/T) for F and
+    w^2 n'(w/T) for S (n' = -dn/dx), with their limits T and T^2 at w = 0.
+    Both are positive and decreasing."""
+    return (lambda w: w * bose_occupation(w / T) if w > 0.0 else T,
+            lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
+
+
 def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM surface part without its
     growth, from its edge and bulk-moment integrals (see ``F_s_TM``), each
@@ -413,8 +421,9 @@ def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
                              settings, breakpoints=[wp, T])
         return a.value, b.value, max(a.error_estimate, b.error_estimate)
 
-    a_F, b_F, F_err = integrals(bose_log, lambda w: w * bose_occupation(w / T))
-    a_S, b_S, S_err = integrals(g, lambda w: w * w * bose_kernel(w / T))
+    F_moment, S_moment = _tm_weights(T)
+    a_F, b_F, F_err = integrals(bose_log, F_moment)
+    a_S, b_S, S_err = integrals(g, S_moment)
     return ((-T * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
              - c2 * T ** 2, F_err),
             (-a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * T * T)
@@ -612,23 +621,34 @@ def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
     return QuadResult(value, err, evals)
 
 
+def _te_moment(f, W: float, params: SlabParams, settings: QuadSettings,
+               breakpoints=()) -> QuadResult:
+    """Int_0^W f(p) dp for an integrand f over the TE thickness phase: one
+    QUADPACK integral up to omega_p and blocks of ``_osc_block`` beyond
+    it, where delta_L_TE oscillates with period pi / L.  Error estimates
+    and evaluation counts are summed over the low piece and the blocks."""
+    lowcut = min(params.omega_p, W)
+    low = integrate_finite(f, 0.0, lowcut, settings, breakpoints=breakpoints)
+    high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
+                             breakpoints=breakpoints)
+    return QuadResult(low.value + high.value,
+                      low.error_estimate + high.error_estimate,
+                      low.evaluations + high.evaluations)
+
+
 def _thickness_te(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE thickness part, each error
-    the sum of its low piece's and its high piece's blocks'."""
+    the sum of its low piece's and its high piece's blocks'
+    (``_te_moment``)."""
     _check_T(T)
-    wp = params.omega_p
-    W = max(40.0 * T, 8.0 * wp)
-    lowcut = min(wp, W)
+    W = max(40.0 * T, 8.0 * params.omega_p)
 
     def integral(weight) -> tuple[float, float]:
         def f(p: float) -> float:
             return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
 
-        low = integrate_finite(f, 0.0, lowcut, settings, breakpoints=[T])
-        high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
-                                 breakpoints=[T])
-        return ((low.value + high.value) / (2.0 * math.pi ** 2),
-                low.error_estimate + high.error_estimate)
+        res = _te_moment(f, W, params, settings, breakpoints=[T])
+        return res.value / (2.0 * math.pi ** 2), res.error_estimate
 
     (F, F_err), S = integral(bose_log), integral(g)
     return (T * F, F_err), S
@@ -913,30 +933,6 @@ def _table_segment(params: SlabParams, i: int) -> tuple[tuple, ...]:
                             _LOG_SIDES.get(lo, 0)))
 
 
-@lru_cache(maxsize=1)
-def _integral_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Clenshaw-Curtis rule on [-1, 1], the exact
-    integral of the interpolant through cos(j pi / n), j = 0..n.  Degree
-    128 is exact for the table's interpolants (degree <= 64), and exact to
-    rounding for them times e^{+-x} on the log pieces, whose x range is at
-    most 9 log 4 wide."""
-    n = 128
-    moments = np.zeros(n + 1)
-    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
-    return np.cos(np.arange(n + 1) * math.pi / n), moments @ _cheb_matrix(n)
-
-
-def _piece_integral(piece: tuple) -> float:
-    """Int h_L(w)/w dw over one fitted piece: Int p(t) dw/dx (b - a)/2 dt
-    for its interpolant p, with dw/dx = e^{side x} on a log piece."""
-    _, _, a, b, side, c0, rest, _ = piece
-    t, weights = _integral_rule()
-    values = np.polynomial.chebyshev.chebval(t, (c0, *reversed(rest)))
-    if side:
-        values *= np.exp(side * (0.5 * (a + b) + 0.5 * (b - a) * t))
-    return 0.5 * (b - a) * float(weights @ values)
-
-
 class _HLTable:
     """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces:
     the evanescent half of the TM momentum moment over omega.
@@ -999,13 +995,20 @@ class _HLTable:
         return math.fsum(bound * (min(hi, W) - lo) * weight(lo)
                          for lo, hi, *_, bound in self.pieces if lo < W)
 
-    def integral(self) -> QuadResult:
-        """Int h_L(w)/w dw over the table, exact for its interpolants up
-        to rounding (``_piece_integral``)."""
-        return QuadResult(
-            math.fsum(map(_piece_integral, self.pieces)),
-            math.fsum(bound * (hi - lo) for lo, hi, *_, bound in self.pieces),
-            0)
+    def integrate(self, weight, W: float, settings: QuadSettings,
+                  breakpoints=()) -> QuadResult:
+        """Int_0^W weight(w) h_L(w)/w dw: one QUADPACK integral at a
+        relative tolerance of 1e-10, with ``breakpoints`` and the
+        segments' joins, where the table kinks, as breakpoints; its error
+        adds ``error(W, weight)``.  The table is built on its first read,
+        inside the quadrature."""
+        joins = [self._params.omega_p * edge for edge in _TABLE_EDGES]
+        res = integrate_finite(lambda w: weight(w) * self(w), 0.0, W,
+                               replace(settings, rel_tol=1e-10),
+                               breakpoints=[*breakpoints, *joins])
+        return QuadResult(res.value,
+                          res.error_estimate + self.error(W, weight),
+                          res.evaluations)
 
 
 # Frequencies, in units of omega_p, where ``validate_h_L_table`` compares
@@ -1038,7 +1041,7 @@ def validate_h_L_table(params: SlabParams,
         direct = h_L(w, params, settings)
         claim = w * table.bound(w) + direct.error_estimate
         worst = max(worst, abs(w * table(w) - direct.value) / claim)
-    return worst, table.integral().error_estimate / wp ** 2
+    return worst, table.error(_TABLE_TOP * wp, lambda w: 1.0) / wp ** 2
 
 
 def _thermal_columns(T: float):
@@ -1053,51 +1056,44 @@ def _thermal_columns(T: float):
     return weights
 
 
+def _tm_moment(params: SlabParams, W: float, weights, columns,
+               settings: QuadSettings, breakpoints=()) -> QuadResult:
+    """Int_0^W of m weights times the TM momentum moment, as (m,) arrays.
+    The evanescent half (p < omega_p) integrates the h_L table once per
+    weight of h_L / omega in ``weights`` (``_HLTable.integrate``); the
+    propagating half (p > omega_p), when W > omega_p, runs in swapped
+    order for all m ``columns``, the weights divided by omega, at once
+    (``_tm_propagating``), with ``settings`` as the sum's tolerance.
+    Each error adds the two halves'."""
+    table = _HLTable(params, W)
+    halves = [table.integrate(weight, W, settings, breakpoints)
+              for weight in weights]
+    res = QuadResult(np.array([half.value for half in halves]),
+                     np.array([half.error_estimate for half in halves]),
+                     sum(half.evaluations for half in halves))
+    if W <= params.omega_p:
+        return res
+    prop = _tm_propagating(params, W, columns, settings, res)
+    return QuadResult(prop.value + res.value,
+                      prop.error_estimate + res.error_estimate,
+                      prop.evaluations + res.evaluations)
+
+
 def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM thickness part: Int_0^W of
-    each thermal weight times the TM momentum moment, in two halves.  The
-    evanescent half (p < omega_p) reads h_L / omega from one table under
-    one QUADPACK integral per weight; the propagating half (p > omega_p)
-    is integrated in swapped order for both weights at once
-    (``_tm_propagating``), held to the tolerance of the sum.  Each error
-    adds the table's bound, the QUADPACK estimate and the propagating
-    half's error.
-
-    The halves cancel in part: at omega_p L = 1 and T = 10 omega_p, S's
-    are -11.8 and 12.9 in integral units.  So the evanescent integral runs
-    at a relative tolerance of 1e-10, and the propagating half is held to
-    1e-8 of the sum."""
+    each thermal weight times the TM momentum moment (``_tm_moment``),
+    W = min(40 T, 60 omega_p).  The halves cancel in part: at omega_p L =
+    1 and T = 10 omega_p, S's are -11.8 and 12.9 in integral units.  So
+    the table's integrals run at a relative tolerance of 1e-10, and the
+    propagating half is held to 1e-8 of the sum."""
     _check_T(T)
-    outer = replace(settings, rel_tol=1e-8)
-    wp = params.omega_p
     # The momentum moment decays fast enough that frequencies beyond ~60
     # omega_p are negligible at every temperature; the thermal factor
     # cuts earlier when 40 T is smaller.
-    W = min(40.0 * T, _TABLE_TOP * wp)
-    table = _HLTable(params, W)
-
-    # The table's segments join with a kink; the table is built on the
-    # first read, inside the quadrature.
-    joins = [wp * edge for edge in _TABLE_EDGES]
-
-    def evanescent(weight) -> tuple[float, float]:
-        res = integrate_finite(lambda w: weight(w) * table(w), 0.0, W,
-                               replace(settings, rel_tol=1e-10),
-                               breakpoints=[T, *joins])
-        return res.value, res.error_estimate + table.error(W, weight)
-
-    # The weights of h_L / omega, w n(w/T) <= T and w^2 n'(w/T) <= T^2,
-    # are positive and decreasing, so their value at lo bounds them beyond.
-    (F, F_err), (S, S_err) = (
-        evanescent(lambda w: w * bose_occupation(w / T) if w > 0.0 else T),
-        evanescent(lambda w: w * w * bose_kernel(w / T) if w > 0.0
-                   else T * T))
-    if W > wp:
-        prop = _tm_propagating(params, W, _thermal_columns(T), outer,
-                               QuadResult(np.array([F, S]),
-                                          np.array([F_err, S_err]), 0))
-        (F, S), (F_err, S_err) = (prop.value + (F, S),
-                                  prop.error_estimate + (F_err, S_err))
+    W = min(40.0 * T, _TABLE_TOP * params.omega_p)
+    res = _tm_moment(params, W, _tm_weights(T), _thermal_columns(T),
+                     replace(settings, rel_tol=1e-8), breakpoints=[T])
+    (F, S), (F_err, S_err) = res.value, res.error_estimate
     return ((float(F) / (-2.0 * math.pi ** 2), float(F_err)),
             (float(S) / (2.0 * math.pi ** 2 * T * T), float(S_err)))
 
@@ -1111,14 +1107,14 @@ def F_L_TM(T: float, params: SlabParams,
     the cutoff W = min(40 T, 60 omega_p).  h_L, the evanescent half of the
     momentum moment (p < omega_p), is read from a piecewise Chebyshev
     table built once per params and shared by every temperature, every
-    ``QuadSettings`` and ``S_L``, under one QUADPACK integral.  h_prop, the
-    propagating half (p > omega_p), oscillates with period pi / L in its
-    upper limit; its integral runs in swapped order, q outside and omega
-    inside, on numpy arrays (``_tm_propagating``), held to the tolerance
-    of the sum.  The error its ``PARTS`` record returns adds the table's
-    pointwise bound times the integral of the thermal weight, the
-    QUADPACK estimate and the swapped half's error (outer rule plus inner
-    bound).  At low temperature the series of ``h_L`` gives
+    ``QuadSettings``, ``S_L`` and ``slab_constant_d``, under one QUADPACK
+    integral (``_HLTable.integrate``).  h_prop, the propagating half (p >
+    omega_p), oscillates with period pi / L in its upper limit; its
+    integral runs in swapped order on numpy arrays (``_tm_propagating``),
+    held to the tolerance of the sum.  The error its ``PARTS`` record
+    returns adds the table's pointwise bound times the integral of the
+    thermal weight, the QUADPACK estimate and the swapped half's error.
+    At low temperature the series of ``h_L`` gives
 
         F = -2 pi^2 T^4 / (15 omega_p (e^{2 omega_p L} - 1))
             * (1 + b1 T + b2 T^2 + O(T^3)),
@@ -1155,40 +1151,30 @@ def slab_constant_d(settings: QuadSettings | None = None,
     d = (1/2 pi^2) Int_0^inf p log(p) delta_L_TE(p) dp at
     omega_p = L = 1, so that F_L_TE -> d T at high temperature (the
     would-be T log T coefficient, -(1/2 pi^2) Int p delta_L_TE dp,
-    vanishes).  The TE route integrates p in [0, 1] at once and [1, 2000]
-    in blocks as wide as the thickness parts use.
-    The equivalent TM route integrates the frequency moment of both
-    halves of delta_L_TM, d = -(1/2 pi^2) Int_0^60 (h_L + h_prop)(omega)
-    / omega d omega: the evanescent half exactly over the interpolants of
-    the h_L table, the propagating half in swapped order
-    (``_tm_propagating``).  Returns d with its error in units of d: the
-    summed quadrature estimates (TE), or the table's bound plus the
-    propagating half's error (TM).  Neither route bounds its cut.
+    vanishes).  Each route runs a thickness part's own integrator: the TE
+    route ``_te_moment`` up to p = 2000, the equivalent TM route
+    ``_tm_moment`` (h_L table and swapped propagating half) under the
+    weight 1 / omega, d = -(1/2 pi^2) Int_0^60 (h_L + h_prop)(omega) /
+    omega d omega.  Returns d with its error in units of d: the summed
+    quadrature estimates, plus the table's bound on the TM route.
+    Neither route bounds its cut.
     """
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
-    two_pi2 = 2.0 * math.pi ** 2
     if route == "TM":
-        table = _HLTable(params, _TABLE_TOP).integral()
-        prop = _tm_propagating(
-            params, _TABLE_TOP, lambda w: 1.0 / w[..., None], settings,
-            QuadResult(np.array([table.value]),
-                       np.array([table.error_estimate]), 0))
-        return QuadResult(-float(table.value + prop.value[0]) / two_pi2,
-                          float(table.error_estimate
-                                + prop.error_estimate[0]) / two_pi2,
-                          prop.evaluations)
-    if route != "TE":
+        res = _tm_moment(params, _TABLE_TOP, (lambda w: 1.0,),
+                         lambda w: 1.0 / w[..., None], settings)
+        value, error = -res.value[0], res.error_estimate[0]
+    elif route == "TE":
+        res = _te_moment(
+            lambda p: p * math.log(p) * delta_L(Channel.TE, p, p, params),
+            2000.0, params, settings)
+        value, error = res.value, res.error_estimate
+    else:
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
-
-    def f(p: float) -> float:
-        return p * math.log(p) * delta_L(Channel.TE, p, p, params)
-
-    low = integrate_finite(f, 0.0, 1.0, settings)
-    high = _blocked_integral(f, 1.0, 2000.0, settings, _osc_block(params))
-    return QuadResult((low.value + high.value) / two_pi2,
-                      (low.error_estimate + high.error_estimate) / two_pi2,
-                      low.evaluations + high.evaluations)
+    two_pi2 = 2.0 * math.pi ** 2
+    return QuadResult(float(value) / two_pi2, float(error) / two_pi2,
+                      res.evaluations)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,24 @@ def test_pole_raises():
         ps.phase_shift(Channel.TM, 0.0, 0.0, P05)
 
 
+@pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-12])
+def test_phase_deriv_next_to_the_shell(p):
+    # At k = omega0, omega^2 - omega0^2 = p^2 exactly, which
+    # hypot(p, k)^2 - omega0^2 loses to the rounding of k^2: the derivative
+    # read 0.89 instead of 1 (TM) at p = 1e-8, and (1e-12, omega0) raised a
+    # false pole.  With a = p^2 the rational derivatives reduce to
+    # Omega0 / (p^2 + Omega0^2) (TM) and
+    # Omega0 p^2 (p^2 + 3 omega0^2) / (p^6 + Omega0^2 (p^2 + omega0^2)^2) (TE).
+    O0, w0 = P05.Omega0, P05.omega0
+    tm = O0 / (p * p + O0 * O0)
+    te = (O0 * p * p * (p * p + 3.0 * w0 * w0)
+          / (p ** 6 + O0 * O0 * (p * p + w0 * w0) ** 2))
+    assert ps.phase_shift_deriv(Channel.TM, p, w0, P05) == pytest.approx(
+        tm, rel=1e-14)
+    assert ps.phase_shift_deriv(Channel.TE, p, w0, P05) == pytest.approx(
+        te, rel=1e-14)
+
+
 def test_h_subtr_removes_rational_tail():
     # h - h_subtr is the full subtraction density: pi/(2 omega)
     # - Omega0/omega^2 (TE) and -Omega0/(3 omega^2) (TM), whose thermal

@@ -350,9 +350,10 @@ def test_h_L_table_bound_holds_between_nodes_of_log_pieces(omega_p_L):
 
 def test_h_L_table_pieces_tile_and_integrate_exactly():
     # The pieces' omega extents tile [0, 60 omega_p] in order, and the
-    # table's integral over each log piece is that of its interpolant:
-    # a tanh-sinh quadrature of the table in omega, split where the cusp
-    # grades, agrees to 1e-14.
+    # table's integral over each log piece, the difference of two
+    # ``_HLTable.integrate`` calls of weight 1, is that of its
+    # interpolants: a tanh-sinh quadrature of the table in omega, split
+    # where the cusp grades, agrees to the integrals' relative tolerance.
     wp = 2.0
     table = slab._HLTable(slab.SlabParams(omega_p=wp, L=0.5), 60.0 * wp)
     pieces = table.pieces
@@ -366,8 +367,10 @@ def test_h_L_table_pieces_tile_and_integrate_exactly():
         cuts = sorted(w for w in (wp + side * wp * 4.0 ** -k
                                   for k in range(2, 10)) if lo < w < hi)
         reference = float(mpmath.quad(table, [lo, *cuts, hi]))
-        assert slab._piece_integral(piece) == pytest.approx(reference,
-                                                            rel=1e-14)
+        upto_hi, upto_lo = (table.integrate(lambda w: 1.0, W,
+                                            DEFAULT_SETTINGS).value
+                            for W in (hi, lo))
+        assert upto_hi - upto_lo == pytest.approx(reference, rel=1e-10)
 
 
 def test_L_TE_error_covers_every_block(monkeypatch):
@@ -516,8 +519,27 @@ def test_slab_constant_d_routes_agree():
     assert d_te == pytest.approx(-5.9362652e-4, rel=1e-4)
     assert d_tm.value == pytest.approx(d_te, rel=1e-6)
     # The TM route's error holds the table's bound and the swapped half's.
-    table = slab._HLTable(P1, 60.0).integral()
-    assert d_tm.error_estimate > table.error_estimate / (2.0 * math.pi ** 2)
+    bound = slab._HLTable(P1, 60.0).error(60.0, lambda w: 1.0)
+    assert d_tm.error_estimate > bound / (2.0 * math.pi ** 2)
+
+
+def test_h_L_table_is_integrated_one_way(monkeypatch):
+    # The TM route of slab_constant_d runs the TM thickness part's own
+    # integrator: both integrate over the h_L table through
+    # _HLTable.integrate, once per weight.
+    calls = []
+    integrate = slab._HLTable.integrate
+
+    def counted(table, weight, W, settings, breakpoints=()):
+        calls.append(W)
+        return integrate(table, weight, W, settings, breakpoints)
+
+    monkeypatch.setattr(slab._HLTable, "integrate", counted)
+    slab.slab_constant_d(route="TM")
+    assert calls == [60.0]
+    calls.clear()
+    slab.F_L_TM(1.0, P1)
+    assert calls == [40.0, 40.0]
 
 
 def test_S_L_plateau():

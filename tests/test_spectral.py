@@ -152,6 +152,20 @@ def test_free_energy_defining_matches_sheet_te():
     assert F_def == pytest.approx(F_closed, rel=1e-6)
 
 
+def test_free_energy_defining_sheet_tm_at_tight_tolerance():
+    # The small-p integral in u = log p samples k = omega0 at p down to
+    # e^-40, where omega^2 - omega0^2 formed from hypot(p, k) loses p^2 to
+    # rounding, and QUADPACK then stops on roundoff at these tolerances.
+    params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.5)
+    tight = numkernel.QuadSettings(abs_tol=1e-14, rel_tol=1e-11)
+    ch = plasma_sheet.scattering_channel(Channel.TM, params,
+                                         include_surface=False)
+    F_def = spectral.free_energy_defining(ch, 1.0, tight)
+    F_closed = plasma_sheet.free_energy_channel_raw(
+        Channel.TM, 1.0, params, tight, include_shell=False)
+    assert F_def == pytest.approx(F_closed, rel=1e-10)
+
+
 def test_entropy_defining_is_minus_dF_dT():
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
     ch = plasma_sheet.scattering_channel(Channel.TE, params)

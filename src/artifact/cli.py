@@ -94,7 +94,30 @@ def _parse_range(text, name, parser):
         f"bad range for {name}: {text!r} (want V or MIN:MAX:STEPS[:log])")
 
 
+def _check_finite(args, parser, *names):
+    """Each named flag's parsed value must be a finite number; ``--config``
+    values skip argparse's ``type=``, so they are checked here too."""
+    for name in names:
+        value = getattr(args, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            parser.error(f"--{name.replace('_', '-')} must be a finite "
+                         f"number, got {value!r}")
+
+
+def _quad_settings(args, parser):
+    """The command's one ``QuadSettings``; tolerances must be finite,
+    non-negative and not both zero."""
+    _check_finite(args, parser, "rel_tol", "abs_tol")
+    try:
+        return QuadSettings(rel_tol=float(args.rel_tol),
+                            abs_tol=float(args.abs_tol))
+    except ValueError as exc:
+        parser.error(f"bad tolerances: {exc}")
+
+
 def _temperature_grid(args, parser):
+    _check_finite(args, parser, "tmin", "tmax", "tpts")
     if args.tmin <= 0.0 or args.tmax < args.tmin:
         parser.error("temperature grid requires 0 < tmin <= tmax")
     if args.tmin == args.tmax:
@@ -137,9 +160,8 @@ def _part_row(task):
     would be misleading.  ``quad_error`` is the largest error estimate of
     the selected parts (``ThermoPoint.quad_error``).
     """
-    model, a, b, T, rel_tol, abs_tol, groups = task
+    model, a, b, T, settings, groups = task
     module, params_type, header = _MODELS[model]
-    settings = QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol)
     params = params_type(a, b)
     vals = dict.fromkeys(header[3:-1], math.nan)
     try:
@@ -162,8 +184,7 @@ def _scan_row(task):
     """One CSV row of ``thermo scan``; ``quad_error`` is the larger of the
     parts' largest error estimate and the log coefficient's, which, like
     S, is evaluated at Omega0 = 1 (its error at unit scale)."""
-    Omega0, omega0, t_grid, rel_tol, abs_tol = task
-    settings = QuadSettings(rel_tol=rel_tol, abs_tol=abs_tol)
+    Omega0, omega0, t_grid, settings = task
     params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
     try:
         scale, unit = params.reduced()
@@ -219,13 +240,14 @@ def _sweep(model, args, parser, first, second):
     two parameters, in the order of its parameter record.
     """
     module, params_type, header = _MODELS[model]
+    settings = _quad_settings(args, parser)
     t_grid = _temperature_grid(args, parser)
     groups = _parse_parts(args.parts, module, parser)
     firsts = _parse_range(*first, parser)
     seconds = _parse_range(*second, parser)
     _check_params(params_type, [(a, b) for a in firsts for b in seconds],
                   parser)
-    tasks = [(model, a, b, T, args.rel_tol, args.abs_tol, groups)
+    tasks = [(model, a, b, T, settings, groups)
              for a in firsts for b in seconds for T in t_grid]
     rows = _run_tasks(_part_row, tasks, args.jobs)
     _write_csv(args.out, header, rows)
@@ -244,9 +266,10 @@ def _cmd_sheet(args, parser):
 
 
 def _cmd_slab(args, parser):
-    if args.plasmon_out and (args.kmin <= 0.0 or args.kmax < args.kmin
-                             or args.kpts < 1):
-        parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")
+    if args.plasmon_out:
+        _check_finite(args, parser, "kmin", "kmax")
+        if args.kmin <= 0.0 or args.kmax < args.kmin or args.kpts < 1:
+            parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")
     omegas_p, lengths = _sweep("slab", args, parser,
                                (args.omegap, "--omegap"), (args.L, "--L"))
     if args.plasmon_out:
@@ -262,13 +285,13 @@ def _cmd_slab(args, parser):
 
 
 def _cmd_scan(args, parser):
+    settings = _quad_settings(args, parser)
     t_grid = _temperature_grid(args, parser)
     omegas0 = _parse_range(args.omega0, "--omega0", parser)
     Omega0 = args.Omega0
     _check_params(plasma_sheet.SheetParams, [(Omega0, w) for w in omegas0],
                   parser)
-    tasks = [(Omega0, w0, t_grid, args.rel_tol, args.abs_tol)
-             for w0 in omegas0]
+    tasks = [(Omega0, w0, t_grid, settings) for w0 in omegas0]
     rows = _run_tasks(_scan_row, tasks, args.jobs)
     _write_csv(args.out, SCAN_HEADER, rows)
 
@@ -302,7 +325,7 @@ def _cmd_verify(args, parser):
                          f"{', '.join(verification.SUITES)}, all")
     if "all" in suites:
         suites = list(verification.SUITES)
-    settings = QuadSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    settings = _quad_settings(args, parser)
     results = []
     for suite in suites:
         results.extend(verification.run_suite(suite, settings))

@@ -106,10 +106,35 @@ class QuadSettings:
     abs_tol, rel_tol : float
         Absolute and relative integration targets; a result is accepted
         when its error estimate is below ``max(abs_tol, rel_tol*|value|)``.
+        ``abs_tol`` may be an array for ``integrate_panels``, whose +inf
+        entries mark ride-along components.
+
+    Raises
+    ------
+    ValueError
+        For a NaN or negative ``abs_tol`` entry, a non-finite or negative
+        ``rel_tol``, or an all-zero ``abs_tol`` with ``rel_tol`` below
+        QUADPACK's 50 eps: targets no integrator can meet.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        # Plain comparisons on a float, as ``h_L`` and ``_fit_piece`` build
+        # one of these per call; an array's min is NaN if an entry is.
+        lo = hi = self.abs_tol
+        if isinstance(lo, np.ndarray):
+            lo, hi = lo.min(), lo.max()
+        if not lo >= 0.0:
+            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol!r}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if hi == 0.0 and self.rel_tol < _ROUNDOFF:
+            raise ValueError(
+                f"with abs_tol 0, rel_tol must be >= 50 eps, got "
+                f"{self.rel_tol!r}")
 
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))

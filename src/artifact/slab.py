@@ -104,6 +104,7 @@ __all__ = [
     "surface_te_channel",
 ]
 
+_H_INF = 0.5 * (math.pi - 4.0)  # h(omega) / omega_p as omega -> inf
 # Constants of the low-temperature series.
 _EULER_GAMMA = 0.5772156649015329
 # zeta'(4) / zeta(4), with zeta'(4) = -sum_{n>=2} log(n) / n^4
@@ -297,7 +298,7 @@ def h(omega: float, params: SlabParams) -> float:
     """Closed form of Int_0^min(omega, omega_p) delta_s_TM dp.
 
     Continuous at omega_p with value -pi omega_p / 2 and tending to
-    (pi - 4) omega_p / 2 at large frequency; behaves as
+    h_inf = (pi - 4) omega_p / 2 at large frequency; behaves as
 
         -3 pi omega / 2 + (2 omega^2 / omega_p) (log(omega_p/omega) + 1)
         + O(omega^3)
@@ -407,27 +408,26 @@ def _tm_weights(T: float):
 def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM surface part without its
     growth, from its edge and bulk-moment integrals (see ``F_s_TM``), each
-    error the larger of theirs.  The edge piece's T^3 term is left out and
-    the bulk piece's T^2 growth is taken off."""
+    error the larger of theirs: the edge piece leaves its T^3 term out and
+    the bulk moment integrates h - h_inf, so no growth is computed."""
     _check_T(T)
     wp = params.omega_p
     cut = max(40.0 * T, 8.0 * wp)
-    c2 = _s_tm_growth(params).c2
+    h_inf = _H_INF * wp
 
     def integrals(weight, moment) -> tuple[float, float, float]:
         a = integrate_finite(lambda w: w * weight(w / T), 0.0, wp, settings,
                              breakpoints=[T])
-        b = integrate_finite(lambda w: moment(w) * h(w, params), 0.0, cut,
-                             settings, breakpoints=[wp, T])
+        b = integrate_finite(lambda w: moment(w) * (h(w, params) - h_inf),
+                             0.0, cut, settings, breakpoints=[wp, T])
         return a.value, b.value, max(a.error_estimate, b.error_estimate)
 
     F_moment, S_moment = _tm_weights(T)
     a_F, b_F, F_err = integrals(bose_log, F_moment)
     a_S, b_S, S_err = integrals(g, S_moment)
-    return ((-T * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
-             - c2 * T ** 2, F_err),
-            (-a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * T * T)
-             + 2.0 * c2 * T, S_err))
+    return ((-T * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2), F_err),
+            (-a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * T * T),
+             S_err))
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -444,8 +444,9 @@ def F_s_TM(T: float, params: SlabParams,
 
         B = -(1/2 pi^2) Int_0^inf omega n(omega/T) h(omega) d omega
 
-    with n the Bose occupation.  The oracle suite checks the closed h
-    against its defining quadrature (``validate_surface_weight``).
+    with n the Bose occupation.  The record integrates h - h_inf, so B's
+    growth -h_inf T^2 / 12 is never computed; the oracle suite checks the
+    closed h against ``h_defining`` (``validate_surface_weight``).
 
     At low temperature the small-frequency series of ``h`` gives
 
@@ -467,9 +468,9 @@ def S_s_TM(T: float, params: SlabParams,
 
 def _s_tm_growth(params: SlabParams) -> SubtractionSpec:
     """T^3 and T^2 growth of the TM surface part (T^2 and T in its entropy),
-    which its ``PARTS`` record removes."""
+    which its ``PARTS`` record never computes: c2 = -h_inf / 12."""
     return SubtractionSpec(c3=-ZETA3 / (2.0 * math.pi),
-                           c2=(4.0 - math.pi) * params.omega_p / 24.0)
+                           c2=-_H_INF * params.omega_p / 12.0)
 
 
 def surface_tm_low_T_correction(T: float, params: SlabParams) -> float:
@@ -496,18 +497,17 @@ def surface_tm_low_T_correction(T: float, params: SlabParams) -> float:
 def slab_constant_c(settings: QuadSettings | None = None) -> float:
     """Linear-in-T coefficient of the TM surface part, at omega_p = 1.
 
-    c = Int_0^inf (h_inf - h(omega)) d omega with h_inf = (pi - 4)/2,
-    so that B contains + c T / (2 pi^2) at high temperature.  Equals
-    pi/2 analytically; dimensionless (scale by omega_p^2 for general
-    omega_p).
+    c = Int_0^inf (h_inf - h(omega)) d omega, minus the ``s_TM`` record's
+    bulk moment h - h_inf integrated, so B has + c T / (2 pi^2) at high
+    temperature.  Equals pi/2 analytically; dimensionless (scale by
+    omega_p^2 for general omega_p).
     """
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
-    h_inf = 0.5 * (math.pi - 4.0)
     W = 200.0
 
     def f(omega: float) -> float:
-        return h_inf - h(omega, params)
+        return _H_INF - h(omega, params)
 
     val = integrate_finite(f, 0.0, W, settings,
                            breakpoints=[1.0 / math.sqrt(2.0), 1.0]).value

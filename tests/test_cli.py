@@ -269,9 +269,24 @@ def test_config_defaults_and_override(tmp_path):
     ["scan", "--omega0", "-1"],
     ["slab", "--plasmon-out", "x", "--kpts", "0"],
     ["sheet", "--config", "no-such-config.json"],
+    # Non-finite numbers and tolerances no quadrature can meet once ended
+    # in a traceback or wrote wrong rows with exit 0.
+    ["slab", "--tmin", "nan", "--tmax", "1"],
+    ["slab", "--tpts", "nan"],
+    ["slab", "--tmax", "inf"],
+    ["slab", "--tmin", "inf", "--tmax", "inf"],
+    ["slab", "--rel-tol", "0", "--abs-tol", "0"],
+    ["slab", "--abs-tol=-1e-12"],
+    ["sheet", "--abs-tol", "nan"],
+    ["sheet", "--abs-tol", "inf"],
+    ["scan", "--rel-tol", "inf"],
+    ["verify", "nernst", "--abs-tol", "nan"],
+    ["slab", "--plasmon-out", "-", "--kmin", "nan"],
+    ["slab", "--plasmon-out", "-", "--kmax", "inf"],
 ])
-def test_usage_errors_exit_two(argv, monkeypatch):
+def test_usage_errors_exit_two(argv, monkeypatch, capsys):
     _assert_usage_error(argv, monkeypatch)
+    assert capsys.readouterr().out == ""
 
 
 def _assert_usage_error(argv, monkeypatch):
@@ -279,6 +294,7 @@ def _assert_usage_error(argv, monkeypatch):
         raise AssertionError("a usage error must stop before any work")
 
     monkeypatch.setattr(cli, "_run_tasks", no_work)
+    monkeypatch.setattr(verification, "run_suite", no_work)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -287,11 +303,17 @@ def _assert_usage_error(argv, monkeypatch):
 @pytest.mark.parametrize("content", [
     "{not json", "[1, 2]", '{"tmni": 1.0}', '{"driver": 1}',
     '{"command": "slab"}',
-], ids=["invalid-json", "list", "unknown-key", "driver", "command"])
-def test_bad_config_file_exits_two(content, tmp_path, monkeypatch):
+    # Config values skip argparse's type=, so the parsed values are checked.
+    '{"abs_tol": NaN}', '{"tmax": Infinity}', '{"tpts": "nan"}',
+    '{"rel_tol": 0, "abs_tol": 0}', '{"tmin": [0.1]}',
+], ids=["invalid-json", "list", "unknown-key", "driver", "command",
+        "nan-tolerance", "infinite-tmax", "nan-string", "zero-tolerances",
+        "list-value"])
+def test_bad_config_file_exits_two(content, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
     _assert_usage_error(["sheet", "--config", str(cfg)], monkeypatch)
+    assert capsys.readouterr().out == ""
 
 
 def test_scale_rescales_stderr_labels_only(tmp_path, capsys):

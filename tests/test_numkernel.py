@@ -173,6 +173,40 @@ def test_quad_settings_tols():
     assert s.tolerance(10.0) >= 10.0 * s.rel_tol
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"abs_tol": math.nan},
+    {"abs_tol": -1e-12},
+    {"abs_tol": np.array([1e-12, math.nan])},
+    {"abs_tol": np.array([1e-12, -1.0])},
+    {"rel_tol": math.nan},
+    {"rel_tol": math.inf},
+    {"rel_tol": -1e-9},
+    {"abs_tol": 0.0, "rel_tol": 0.0},
+    {"abs_tol": 0.0, "rel_tol": 1e-15},
+    {"abs_tol": np.zeros(2), "rel_tol": 1e-15},
+], ids=["abs-nan", "abs-negative", "abs-array-nan", "abs-array-negative",
+        "rel-nan", "rel-inf", "rel-negative", "both-zero",
+        "rel-below-50eps", "abs-array-zero"])
+def test_quad_settings_refuses_targets_no_integrator_meets(kwargs):
+    # With abs_tol NaN, the panel rule's "error + floor > tol" test is
+    # False on its first pass, which it would return as converged.
+    with pytest.raises(ValueError):
+        QuadSettings(**kwargs)
+    with pytest.raises(ValueError):
+        replace(DEFAULT_SETTINGS, **kwargs)
+
+
+def test_quad_settings_keeps_ride_along_and_relative_only_targets():
+    # Infinite entries of an array abs_tol mark ride-along components, as
+    # in the TM thickness part's propagating half.
+    ride = QuadSettings(abs_tol=np.concatenate([np.full(2, 1e-12),
+                                                np.full(2, np.inf)]),
+                        rel_tol=1e-10)
+    assert list(ride.abs_tol) == [1e-12, 1e-12, np.inf, np.inf]
+    assert QuadSettings(abs_tol=0.0, rel_tol=1e-9).tolerance(2.0) == 2e-9
+    assert QuadSettings(abs_tol=1e-20, rel_tol=0.0).rel_tol == 0.0
+
+
 def test_g_matches_mpmath():
     # From 1e-14 to 700, and dense on (30, 100), where (x + 1) e^-x alone
     # is off by up to 9.2e-14 relative: it drops the (x + 1/2) e^-2x term.

@@ -608,6 +608,33 @@ def test_total_runs_each_evaluator_once(monkeypatch):
     assert calls == dict.fromkeys(SLAB_EVALUATORS, 1)
 
 
+def test_s_TM_record_holds_its_digits_at_high_T():
+    # The record integrates h - h_inf, so no c2 T^2 growth is integrated
+    # and then taken off: at T = 100 omega_p its F and S stay within 1e-11
+    # and 1e-13 of themselves at tight tolerances (taking the growth off
+    # missed by 8.3e-11 and 1.3e-12, as S cancelled about 20-fold).
+    params = slab.SlabParams(omega_p=1.0, L=0.5)
+    part = Part.named(slab.PARTS, "s_TM")
+    tight = QuadSettings(abs_tol=1e-17, rel_tol=1e-13)
+    (F, _), (S, _) = part.evaluate(100.0, params, DEFAULT_SETTINGS)
+    (F_tight, _), (S_tight, _) = part.evaluate(100.0, params, tight)
+    assert abs(F - F_tight) < 1e-11
+    assert abs(S - S_tight) < 1e-13
+
+
+def test_total_computes_no_growth(monkeypatch):
+    # Every evaluator leaves its part's growth out of its integrand; only
+    # the raw selectors read a growth.
+    def refuse(params):
+        raise AssertionError("an evaluator computed a growth")
+
+    monkeypatch.setattr(slab, "_s_te_growth", refuse)
+    monkeypatch.setattr(slab, "_s_tm_growth", refuse)
+    for T in (0.01, 1.0, 100.0):
+        point = slab.total(T, P1)
+        assert math.isfinite(point.F_total) and math.isfinite(point.S_total)
+
+
 def test_single_surface_mode():
     k = 1.0 / math.sqrt(2.0)
     w = slab.single_surface_mode(k, P1)

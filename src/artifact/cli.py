@@ -19,10 +19,12 @@ Subcommands
     stderr, exit status 1 if any check fails.
 
 All numeric output is formatted with 12 significant digits and repeat
-runs with identical flags produce bit-identical files.  A ``--config``
-JSON file may hold any long-flag values; explicit flags win.  A config
-file that cannot be read, is not a JSON object or has a key that names no
-long flag is a usage error (exit 2).
+runs with identical flags produce bit-identical files.  Each flag's
+argparse converter checks its value.  A ``--config`` JSON file may hold
+any long-flag values, each parsed as that flag typed right after the
+subcommand, so explicit flags win.  A config file that cannot be read, is
+not a JSON object, has a key that names no long flag or a value that is
+not a JSON string or number is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -71,53 +73,61 @@ def _fmt(x):
     return format(x, ".12e")
 
 
-def _parse_range(text, name, parser):
-    """Parse "V" or "MIN:MAX:STEPS[:log]" into a tuple of floats."""
-    parts = str(text).split(":")
-    try:
+def _finite(text):
+    """Converter of a flag that takes a finite float."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+def _count(text):
+    """Converter of a flag that takes an integer of at least 1."""
+    with contextlib.suppress(ValueError):
+        if (n := int(text)) >= 1:
+            return n
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def _range(text):
+    """Converter of "V" or "MIN:MAX:STEPS[:log]" into a tuple of floats."""
+    parts = text.split(":")
+    with contextlib.suppress(ValueError):
         if len(parts) == 1:
             return (float(parts[0]),)
         if len(parts) in (3, 4):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1 or hi < lo:
-                raise ValueError
-            if len(parts) == 4:
-                if parts[3] != "log":
-                    raise ValueError
-                if lo <= 0.0:
-                    raise ValueError
-                return tuple(np.geomspace(lo, hi, n))
-            return tuple(np.linspace(lo, hi, n))
-    except (ValueError, TypeError):
-        pass
-    parser.error(
-        f"bad range for {name}: {text!r} (want V or MIN:MAX:STEPS[:log])")
+            if n >= 1 and lo <= hi and (
+                    len(parts) == 3 or (parts[3] == "log" and lo > 0.0)):
+                space = np.linspace if len(parts) == 3 else np.geomspace
+                return tuple(space(lo, hi, n))
+    raise argparse.ArgumentTypeError(
+        f"bad range {text!r} (want V or MIN:MAX:STEPS[:log])")
 
 
-def _check_finite(args, parser, *names):
-    """Each named flag's parsed value must be a finite number; ``--config``
-    values skip argparse's ``type=``, so they are checked here too."""
-    for name in names:
-        value = getattr(args, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            parser.error(f"--{name.replace('_', '-')} must be a finite "
-                         f"number, got {value!r}")
+def _groups(module):
+    """Converter of ``--parts``: a comma list of the model's part groups."""
+    valid = tuple(dict.fromkeys(part.group for part in module.PARTS))
+
+    def parse(text):
+        parts = tuple(p.strip() for p in text.split(",") if p.strip())
+        if not parts or not set(parts) <= set(valid):
+            raise argparse.ArgumentTypeError(
+                f"want a comma list from {','.join(valid)}, got {text!r}")
+        return parts
+    return parse
 
 
 def _quad_settings(args, parser):
-    """The command's one ``QuadSettings``; tolerances must be finite,
+    """The command's one ``QuadSettings``; tolerances must be
     non-negative and not both zero."""
-    _check_finite(args, parser, "rel_tol", "abs_tol")
     try:
-        return QuadSettings(rel_tol=float(args.rel_tol),
-                            abs_tol=float(args.abs_tol))
+        return QuadSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     except ValueError as exc:
         parser.error(f"bad tolerances: {exc}")
 
 
 def _temperature_grid(args, parser):
-    _check_finite(args, parser, "tmin", "tmax", "tpts")
     if args.tmin <= 0.0 or args.tmax < args.tmin:
         parser.error("temperature grid requires 0 < tmin <= tmax")
     if args.tmin == args.tmax:
@@ -127,17 +137,6 @@ def _temperature_grid(args, parser):
     if n < 2:
         parser.error("empty temperature grid (raise --tpts)")
     return tuple(np.geomspace(args.tmin, args.tmax, n))
-
-
-def _parse_parts(text, module, parser):
-    valid = tuple(dict.fromkeys(part.group for part in module.PARTS))
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    for p in parts:
-        if p not in valid:
-            parser.error(f"unknown part {p!r}; valid parts: {','.join(valid)}")
-    if not parts:
-        parser.error("empty --parts")
-    return parts
 
 
 def _check_params(make, pairs, parser):
@@ -181,20 +180,18 @@ def _part_row(task):
 
 
 def _scan_row(task):
-    """One CSV row of ``thermo scan``; ``quad_error`` is the larger of the
-    parts' largest error estimate and the log coefficient's, which, like
-    S, is evaluated at Omega0 = 1 (its error at unit scale)."""
+    """One CSV row of ``thermo scan``: ``c_logT`` from its closed form,
+    S over the T grid, and as ``quad_error`` the parts' largest error
+    estimate (``ThermoPoint.quad_error``)."""
     Omega0, omega0, t_grid, settings = task
     params = plasma_sheet.SheetParams(Omega0=Omega0, omega0=omega0)
     try:
-        scale, unit = params.reduced()
-        c = plasma_sheet.high_T_log_coefficient(unit, settings)
         point = plasma_sheet.total(np.asarray(t_grid), params, settings)
         i = int(np.argmin(point.S_total))  # the first minimum
-        s_min, t_at = float(point.S_total[i]), t_grid[i]
-        err = max(point.quad_error, c.error_estimate)
-        return [_fmt(Omega0), _fmt(omega0), _fmt(scale * scale * c.value),
-                _fmt(s_min), _fmt(t_at), _fmt(err)]
+        return [_fmt(Omega0), _fmt(omega0),
+                _fmt(plasma_sheet.high_T_log_coefficient_closed(params)),
+                _fmt(float(point.S_total[i])), _fmt(t_grid[i]),
+                _fmt(point.quad_error)]
     except QuadratureError:
         return [_fmt(Omega0), _fmt(omega0), "nan", "nan", "nan", "failed"]
 
@@ -233,21 +230,15 @@ def _note(msg):
 # subcommand drivers
 # ---------------------------------------------------------------------------
 
-def _sweep(model, args, parser, first, second):
-    """Write the CSV of a sheet or slab sweep; return the parameter grids.
-
-    ``first`` and ``second`` are (flag value, flag name) of the model's
-    two parameters, in the order of its parameter record.
-    """
-    module, params_type, header = _MODELS[model]
+def _sweep(model, args, parser, firsts, seconds):
+    """Write the CSV of a sheet or slab sweep over the grids of the
+    model's two parameters, in the order of its parameter record."""
+    _, params_type, header = _MODELS[model]
     settings = _quad_settings(args, parser)
     t_grid = _temperature_grid(args, parser)
-    groups = _parse_parts(args.parts, module, parser)
-    firsts = _parse_range(*first, parser)
-    seconds = _parse_range(*second, parser)
     _check_params(params_type, [(a, b) for a in firsts for b in seconds],
                   parser)
-    tasks = [(model, a, b, T, settings, groups)
+    tasks = [(model, a, b, T, settings, args.parts)
              for a in firsts for b in seconds for T in t_grid]
     rows = _run_tasks(_part_row, tasks, args.jobs)
     _write_csv(args.out, header, rows)
@@ -256,27 +247,22 @@ def _sweep(model, args, parser, first, second):
           f"({len(firsts)} x {len(seconds)} parameter points, "
           f"{len(t_grid)} temperatures, "
           f"T in [{t_grid[0] * s:g}, {t_grid[-1] * s:g}])")
-    return firsts, seconds
 
 
 def _cmd_sheet(args, parser):
-    _sweep("sheet", args, parser, (args.Omega0, "--Omega0"),
-           (args.omega0, "--omega0"))
+    _sweep("sheet", args, parser, args.Omega0, args.omega0)
     return 0
 
 
 def _cmd_slab(args, parser):
-    if args.plasmon_out:
-        _check_finite(args, parser, "kmin", "kmax")
-        if args.kmin <= 0.0 or args.kmax < args.kmin or args.kpts < 1:
-            parser.error("plasmon grid requires 0 < kmin <= kmax, kpts >= 1")
-    omegas_p, lengths = _sweep("slab", args, parser,
-                               (args.omegap, "--omegap"), (args.L, "--L"))
+    if args.plasmon_out and not 0.0 < args.kmin <= args.kmax:
+        parser.error("plasmon grid requires 0 < kmin <= kmax")
+    _sweep("slab", args, parser, args.omegap, args.L)
     if args.plasmon_out:
         k_grid = (np.geomspace(args.kmin, args.kmax, args.kpts)
                   if args.kpts > 1 else np.array([args.kmin]))
         ptasks = [(wp, L, float(k))
-                  for wp in omegas_p for L in lengths for k in k_grid]
+                  for wp in args.omegap for L in args.L for k in k_grid]
         prows = _run_tasks(_plasmon_row, ptasks, args.jobs)
         _write_csv(args.plasmon_out, PLASMON_HEADER, prows)
         _note("plasmon dispersion written: NOT included in the "
@@ -287,8 +273,7 @@ def _cmd_slab(args, parser):
 def _cmd_scan(args, parser):
     settings = _quad_settings(args, parser)
     t_grid = _temperature_grid(args, parser)
-    omegas0 = _parse_range(args.omega0, "--omega0", parser)
-    Omega0 = args.Omega0
+    omegas0, Omega0 = args.omega0, args.Omega0
     _check_params(plasma_sheet.SheetParams, [(Omega0, w) for w in omegas0],
                   parser)
     tasks = [(Omega0, w0, t_grid, settings) for w0 in omegas0]
@@ -347,20 +332,20 @@ def _cmd_verify(args, parser):
 # ---------------------------------------------------------------------------
 
 def _add_tolerances(sub):
-    sub.add_argument("--rel-tol", type=float, default=1e-9,
+    sub.add_argument("--rel-tol", type=_finite, default=1e-9,
                      dest="rel_tol", help="quadrature relative tolerance")
-    sub.add_argument("--abs-tol", type=float, default=1e-12,
+    sub.add_argument("--abs-tol", type=_finite, default=1e-12,
                      dest="abs_tol", help="quadrature absolute tolerance")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag defaults (explicit flags win)")
 
 
 def _add_common(sub):
-    sub.add_argument("--tmin", type=float, default=1e-2,
+    sub.add_argument("--tmin", type=_finite, default=1e-2,
                      help="lowest temperature (default 1e-2)")
-    sub.add_argument("--tmax", type=float, default=1e2,
+    sub.add_argument("--tmax", type=_finite, default=1e2,
                      help="highest temperature (default 1e2)")
-    sub.add_argument("--tpts", type=float, default=8.0,
+    sub.add_argument("--tpts", type=_finite, default=8.0,
                      help="temperature points per decade, log grid")
     sub.add_argument("--out", default="-",
                      help="output CSV path, '-' for stdout")
@@ -381,35 +366,36 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sheet = subs.add_parser("sheet", help="sweep the sheet model")
-    sheet.add_argument("--Omega0", default="1.0",
+    sheet.add_argument("--Omega0", type=_range, default="1.0",
                        help="plasma strength, value or MIN:MAX:STEPS[:log]")
-    sheet.add_argument("--omega0", default="0.0",
+    sheet.add_argument("--omega0", type=_range, default="0.0",
                        help="resonance frequency, value or range")
-    sheet.add_argument("--parts", default="TE,TM,sf",
+    sheet.add_argument("--parts", type=_groups(plasma_sheet),
+                       default="TE,TM,sf",
                        help="comma list from {TE,TM,sf}")
     _add_common(sheet)
     sheet.set_defaults(driver=_cmd_sheet)
 
     slab_p = subs.add_parser("slab", help="sweep the slab model")
-    slab_p.add_argument("--omegap", default="1.0",
+    slab_p.add_argument("--omegap", type=_range, default="1.0",
                         help="plasma frequency, value or range")
-    slab_p.add_argument("--L", default="1.0",
+    slab_p.add_argument("--L", type=_range, default="1.0",
                         help="slab thickness, value or range")
-    slab_p.add_argument("--parts", default="s,L,exp",
+    slab_p.add_argument("--parts", type=_groups(slab), default="s,L,exp",
                         help="comma list from {s,L,exp}")
     slab_p.add_argument("--plasmon-out", default=None, dest="plasmon_out",
                         help="also write the (k, omega_sf) dispersion CSV "
                              "(not part of the totals)")
-    slab_p.add_argument("--kmin", type=float, default=0.1)
-    slab_p.add_argument("--kmax", type=float, default=10.0)
-    slab_p.add_argument("--kpts", type=int, default=64)
+    slab_p.add_argument("--kmin", type=_finite, default=0.1)
+    slab_p.add_argument("--kmax", type=_finite, default=10.0)
+    slab_p.add_argument("--kpts", type=_count, default=64)
     _add_common(slab_p)
     slab_p.set_defaults(driver=_cmd_slab)
 
     scan = subs.add_parser("scan",
                            help="scan omega0 for the negative-entropy window")
-    scan.add_argument("--Omega0", type=float, default=1.0)
-    scan.add_argument("--omega0", default="0.6:0.95:71",
+    scan.add_argument("--Omega0", type=_finite, default=1.0)
+    scan.add_argument("--omega0", type=_range, default="0.6:0.95:71",
                       help="omega0 range (default 0.6:0.95:71)")
     _add_common(scan)
     scan.set_defaults(tmax=1e3, tpts=32.0, driver=_cmd_scan)
@@ -423,17 +409,22 @@ def _build_parser():
     return parser, subs.choices
 
 
-def _apply_config(argv, parser, commands):
-    """Set the ``--config`` file's values as defaults of every subcommand.
+def _config_tokens(argv, parser, commands):
+    """The ``--config`` file's values as ``--flag=value`` tokens of the
+    subcommand ``argv[0]``.
 
-    Keys are long-flag destinations (``rel_tol`` for ``--rel-tol``); a
-    missing file, invalid JSON, a non-object or an unknown key exits 2.
+    Placed right after the subcommand, each value meets its flag's own
+    converter, and explicit flags, later in argv, win.  Keys are long-flag
+    destinations (``rel_tol`` for ``--rel-tol``); keys of another
+    subcommand's flags are skipped.  A missing file, invalid JSON, a
+    non-object, an unknown key or a value that is not a JSON string or
+    number exits 2.
     """
     pre = argparse.ArgumentParser(prog="thermo", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
-        return
+        return []
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -441,21 +432,25 @@ def _apply_config(argv, parser, commands):
         parser.error(f"cannot read --config {path}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"--config {path} must hold a JSON object")
-    flags = {cmd: {a.dest for a in sub._actions
+    flags = {cmd: {a.dest: a.option_strings[0] for a in sub._actions
                    if a.option_strings and a.dest != "help"}
              for cmd, sub in commands.items()}
     unknown = sorted(set(cfg).difference(*flags.values()))
     if unknown:
         parser.error(f"unknown keys in --config {path}: {', '.join(unknown)}")
-    for cmd, sub in commands.items():
-        sub.set_defaults(**{k: v for k, v in cfg.items() if k in flags[cmd]})
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"--config {path}: {key} must be a JSON string or "
+                         f"number, got {json.dumps(value)}")
+    own = flags.get(argv[0], {})
+    return [f"{own[key]}={value}" for key, value in cfg.items() if key in own]
 
 
 def main(argv=None):
     """Entry point for the ``thermo`` console script."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
-    _apply_config(argv, parser, commands)
+    argv[1:1] = _config_tokens(argv, parser, commands)
     args = parser.parse_args(argv)
     return args.driver(args, parser)
 

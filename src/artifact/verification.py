@@ -58,6 +58,20 @@ SUITES = ("oracle", "asymptotics", "constants", "thermo-identity", "nernst")
 
 _ZETA3 = spectral.ZETA3
 
+# The slab constant d at omega_p = L = 1, (1/4 pi) Int_0^inf kappa
+# log D_TE(kappa) dkappa at zero imaginary frequency, by mpmath
+# (tests/test_slab.py), with the allowances for the cuts of its two routes
+# in ``slab_constant_d``.  Past the TE route's cut at p = P = 2000,
+# delta_L_TE = rho^2 sin(2 q L) to leading order, rho = omega_p^2/(p + q)^2,
+# so the second mean value theorem bounds the tail by
+# log(P) / (32 pi^2 P^3 L), 5.1e-9 of d.  The TM route stops with the h_L
+# table at 60 omega_p; its tail has no bound yet.  It is 5.9e-8 of d there
+# and changes sign between cuts at 30 and 60 omega_p, so it is allowed 1e-7
+# of d.
+_SLAB_D = -5.9362651694400286e-4
+_D_TE_CUT = math.log(2000.0) / (32.0 * math.pi ** 2 * 2000.0 ** 3)
+_D_TM_CUT = 1e-7 * abs(_SLAB_D)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -665,12 +679,16 @@ def _suite_constants(settings):
     # Slab constants.
     c_val = slab.slab_constant_c(settings)
     out.append(_abs("constants", "slab constant c", 1.5708, c_val, 1e-3))
-    d_te = slab.slab_constant_d(settings, route="TE").value
-    d_tm = slab.slab_constant_d(settings, route="TM").value
+    # Each route within its reported error and its cut's allowance.
+    d_te = slab.slab_constant_d(settings, route="TE")
+    d_tm = slab.slab_constant_d(settings, route="TM")
     out.append(_rel("constants", "slab constant d (TE route)",
-                    -5.936e-4, d_te, 0.10))
+                    _SLAB_D, d_te.value,
+                    (d_te.error_estimate + _D_TE_CUT) / abs(_SLAB_D)))
     out.append(_rel("constants", "slab constant d (TM route vs TE route)",
-                    d_te, d_tm, 1e-6))
+                    d_te.value, d_tm.value,
+                    (d_te.error_estimate + _D_TE_CUT + d_tm.error_estimate
+                     + _D_TM_CUT) / abs(d_te.value)))
     return out
 
 

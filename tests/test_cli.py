@@ -303,17 +303,73 @@ def _assert_usage_error(argv, monkeypatch):
 @pytest.mark.parametrize("content", [
     "{not json", "[1, 2]", '{"tmni": 1.0}', '{"driver": 1}',
     '{"command": "slab"}',
-    # Config values skip argparse's type=, so the parsed values are checked.
+    # Config values meet the same converters and checks as typed flags.
     '{"abs_tol": NaN}', '{"tmax": Infinity}', '{"tpts": "nan"}',
     '{"rel_tol": 0, "abs_tol": 0}', '{"tmin": [0.1]}',
+    # Integer flags meet their converters; true and null are no values.
+    '{"kpts": 2.5}', '{"jobs": 1.5}', '{"jobs": true}',
+    '{"plasmon_out": null}',
 ], ids=["invalid-json", "list", "unknown-key", "driver", "command",
         "nan-tolerance", "infinite-tmax", "nan-string", "zero-tolerances",
-        "list-value"])
+        "list-value", "fractional-kpts", "fractional-jobs", "boolean-jobs",
+        "null-plasmon-out"])
 def test_bad_config_file_exits_two(content, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
-    _assert_usage_error(["sheet", "--config", str(cfg)], monkeypatch)
+    _assert_usage_error(["slab", "--config", str(cfg)], monkeypatch)
     assert capsys.readouterr().out == ""
+
+
+# (subcommand, flag, config key, a value its converter refuses) for every
+# numeric flag of every subcommand.
+_BAD_VALUES = {cli._finite: "nan", cli._count: 2.5, cli._range: "1:2",
+               int: 1.5, float: "x"}
+_NUMERIC_FLAGS = [
+    (cmd, action.option_strings[0], action.dest, _BAD_VALUES[action.type])
+    for cmd, sub in cli._build_parser()[1].items()
+    for action in sub._actions if action.type in _BAD_VALUES]
+
+
+@pytest.mark.parametrize("cmd, flag, key, bad", _NUMERIC_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _, _ in _NUMERIC_FLAGS])
+def test_bad_value_is_refused_alike_typed_or_from_config(
+        cmd, flag, key, bad, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: bad}))
+    errors = []
+    for argv in ([cmd, flag, str(bad)], [cmd, "--config", str(cfg)]):
+        _assert_usage_error(argv, monkeypatch)
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append([line for line in err.splitlines() if "error:" in line])
+    assert len(errors[0]) == 1 and errors[0] == errors[1]
+
+
+def test_bad_config_value_is_refused_under_an_explicit_flag(
+        tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kpts": 0}')
+    _assert_usage_error(["slab", "--config", str(cfg), "--kpts", "4"],
+                        monkeypatch)
+
+
+@pytest.mark.parametrize("cmd, parsed", [
+    ("sheet", {"Omega0": (1.0,), "omega0": (0.0,),
+               "parts": ("TE", "TM", "sf")}),
+    ("slab", {"omegap": (1.0,), "L": (1.0,), "parts": ("s", "L", "exp"),
+              "kpts": 64}),
+    ("scan", {"Omega0": 1.0, "omega0": tuple(np.linspace(0.6, 0.95, 71)),
+              "tmax": 1e3, "tpts": 32.0}),
+    ("verify", {"suites": []}),
+])
+def test_each_subcommand_parses_its_defaults(cmd, parsed, capsys):
+    # String defaults pass through the converters on every run.
+    args = cli._build_parser()[0].parse_args([cmd])
+    assert {key: getattr(args, key) for key in parsed} == parsed
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: thermo {cmd}")
 
 
 def test_scale_rescales_stderr_labels_only(tmp_path, capsys):
@@ -378,29 +434,30 @@ def test_quad_error_is_the_largest_part_error(tmp_path):
     assert len(cases[2][1].names) == 3
 
 
-def test_scan_quad_error_includes_the_log_coefficient(tmp_path):
-    # A scan row's quad_error is the larger of its T grid's part errors and
-    # c_logT's, (J_TE error + J_TM error) / (2 pi^2), both at unit scale.
-    # Here, at T = 0.01 Omega0, c_logT's is the larger.
-    params = plasma_sheet.SheetParams(Omega0=2.0, omega0=1.6)
-    point = plasma_sheet.total(np.array([0.02]), params)
-    unit = params.reduced()[1]
-    c = plasma_sheet.high_T_log_coefficient(unit)
-    rules = [plasma_sheet.spectral_sum_rule(ch, unit) for ch in ("TE", "TM")]
-    assert c.error_estimate == pytest.approx(
-        sum(r.error_estimate for r in rules) / (2.0 * math.pi ** 2),
-        rel=1e-15)
-    assert c.error_estimate > _largest(point)
-    argv = ["scan", "--Omega0", "2", "--omega0", "1.6", "--tmin", "0.02",
-            "--tmax", "0.02"]
-    assert _quad_error(argv, tmp_path) == float(
-        format(max(point.quad_error, c.error_estimate), ".12e"))
+def test_scan_c_logT_is_the_closed_form(tmp_path, monkeypatch):
+    # A scan row integrates no sum rule: c_logT is the closed form, exact
+    # at any scale, and quad_error is the parts' largest error estimate.
+    def no_sum_rule(*args):
+        raise AssertionError("a scan row integrates no sum rule")
+
+    monkeypatch.setattr(plasma_sheet, "spectral_sum_rule", no_sum_rule)
+    for Omega0, omega0 in ((1.0, 0.8), (2.0, 1.6)):
+        argv = ["scan", "--Omega0", repr(Omega0), "--omega0", repr(omega0),
+                "--tmin", "0.02", "--tmax", "0.02"]
+        out = tmp_path / "scan.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        (row,) = _read_csv(out)
+        params = plasma_sheet.SheetParams(Omega0, omega0)
+        assert row["c_logT"] == format(
+            plasma_sheet.high_T_log_coefficient_closed(params), ".12e")
+        point = plasma_sheet.total(np.array([0.02]), params)
+        assert float(row["quad_error"]) == float(
+            format(_largest(point), ".12e"))
 
 
 def test_scan_row_is_scale_covariant(tmp_path):
-    # c_logT runs at Omega0 = 1, as the parts do, so doubling Omega0, omega0
-    # and T keeps the row's quad_error (set by c_logT's error here) and
-    # multiplies c_logT and S_total_min by 4.
+    # The parts run at Omega0 = 1, so doubling Omega0, omega0 and T keeps
+    # the row's quad_error and multiplies c_logT and S_total_min by 4.
     rows = []
     for Omega0, omega0, T in (("2", "1.6", "0.02"), ("1", "0.8", "0.01")):
         out = tmp_path / f"scan_{Omega0}.csv"

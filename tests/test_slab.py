@@ -513,11 +513,28 @@ def test_slab_constant_c():
     assert slab.slab_constant_c() == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
+def test_slab_constant_d_literal():
+    # d = (1/4 pi) Int_0^inf kappa log D_TE(kappa) dkappa at zero imaginary
+    # frequency, omega_p = L = 1: Q = sqrt(kappa^2 + 1),
+    # rho = (kappa - Q)/(kappa + Q), D = 1 - rho^2 e^{-2 Q}.
+    def f(kappa):
+        Q = mpmath.sqrt(kappa * kappa + 1)
+        rho = (kappa - Q) / (kappa + Q)
+        return kappa * mpmath.log(1 - rho * rho * mpmath.exp(-2 * Q))
+
+    with mpmath.workdps(30):
+        d = mpmath.quad(f, [0, 1, 5, 20, mpmath.inf]) / (4 * mpmath.pi)
+    assert float(d) == verification._SLAB_D
+
+
 def test_slab_constant_d_routes_agree():
-    d_te = slab.slab_constant_d(route="TE").value
+    # Each route lies within its reported error and its cut's allowance of
+    # the exact d.
+    d = verification._SLAB_D
+    d_te = slab.slab_constant_d(route="TE")
     d_tm = slab.slab_constant_d(route="TM")
-    assert d_te == pytest.approx(-5.9362652e-4, rel=1e-4)
-    assert d_tm.value == pytest.approx(d_te, rel=1e-6)
+    assert abs(d_te.value - d) <= d_te.error_estimate + verification._D_TE_CUT
+    assert abs(d_tm.value - d) <= d_tm.error_estimate + verification._D_TM_CUT
     # The TM route's error holds the table's bound and the swapped half's.
     bound = slab._HLTable(P1, 60.0).error(60.0, lambda w: 1.0)
     assert d_tm.error_estimate > bound / (2.0 * math.pi ** 2)

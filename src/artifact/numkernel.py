@@ -276,6 +276,16 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
     if scale <= 0.0 or not math.isfinite(scale):
         raise QuadratureError(f"positive finite scale required, got {scale}")
 
+    x2, tail_bound = _semiinf_cut(f, a, scale)
+    res = integrate_finite(f, a, x2, settings, breakpoints)
+    return QuadResult(res.value, res.error_estimate + tail_bound,
+                      res.evaluations)
+
+
+def _semiinf_cut(f: Callable[[float], float], a: float,
+                 scale: float) -> tuple[float, float]:
+    """(cutoff, tail bound) of the truncation scan of ``integrate_semiinf``
+    for a decaying ``f`` on [a, infinity)."""
     fmax = 0.0
     x = a + scale
     prev = abs(f(x))
@@ -303,10 +313,7 @@ def integrate_semiinf(f: Callable[[float], float], a: float,
                 "tail-bound failure: integrand does not decay fast enough "
                 f"beyond x={x:.3e} (last |f|={cur:.3e}, max |f|={fmax:.3e})"
             )
-
-    res = integrate_finite(f, a, x2, settings, breakpoints)
-    return QuadResult(res.value, res.error_estimate + tail_bound,
-                      res.evaluations)
+    return x2, tail_bound
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,

@@ -578,17 +578,18 @@ def spectral_sum_rule(ch: str, params: SheetParams,
 
 
 def omega_sf(k: float, params: SheetParams) -> float:
-    """Sheet plasmon frequency at transverse momentum k >= omega0.
+    """Sheet plasmon frequency at transverse momentum k >= omega0 (a
+    float or an array).
 
     Monotone branch of Omega0 sqrt(k^2 - omega^2) = omega^2 - omega0^2;
     the mode sits below the light line, k^2 - omega_sf^2 =
     (y - Omega0/2)^2 with y = sqrt(k^2 - omega0^2 + Omega0^2/4).
     """
     w0, O0 = params.omega0, params.Omega0
-    if k < w0:
+    if np.any(np.less(k, w0)):
         raise ValueError(f"plasmon band starts at k = omega0; got k={k}")
-    y = math.sqrt(k * k - w0 * w0 + 0.25 * O0 * O0)
-    return math.sqrt(w0 * w0 - 0.5 * O0 * O0 + O0 * y)
+    y = np.sqrt(k * k - w0 * w0 + 0.25 * O0 * O0)
+    return np.sqrt(w0 * w0 - 0.5 * O0 * O0 + O0 * y)
 
 
 def plasmon_mode_residual(k: float, params: SheetParams) -> float:
@@ -826,30 +827,32 @@ def scattering_channel(ch: str, params: SheetParams,
     Channel.validate(ch)
     w0 = params.omega0
 
-    def ddelta(p: float, k: float) -> float:
+    def ddelta(p, k):
         return _phase_deriv_pw(ch, p, k, params)
 
     O0 = params.Omega0
 
-    def brk(k: float) -> tuple[float, ...]:
-        pts = []
-        if 0.0 < k < w0:
-            pts.append(math.sqrt(w0 * w0 - k * k))
-        if ch == Channel.TM:
-            # The TM phase derivative peaks where |omega^2 - omega0^2|
-            # crosses Omega0 p; for small k the peak sits at
-            # p ~ (k^2 - omega0^2)/Omega0, far below the thermal scale,
-            # and the quadrature needs the hint.
-            a0 = k * k - w0 * w0
-            disc = O0 * O0 - 4.0 * a0
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                for sgn in (1.0, -1.0):
-                    for p in ((sgn * O0 + root) / 2.0,
-                              (sgn * O0 - root) / 2.0):
-                        if p > 0.0:
-                            pts.append(p)
-        return tuple(sorted(pts))
+    def brk(k: np.ndarray) -> tuple[np.ndarray, ...]:
+        # NaN, or a value <= 0, where a point is absent.
+        a0 = k * k - w0 * w0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pts = [np.sqrt(-a0)]
+            if ch == Channel.TM:
+                # The TM phase derivative peaks where |omega^2 - omega0^2|
+                # crosses Omega0 p; for small k the peak sits at
+                # p ~ (k^2 - omega0^2)/Omega0, far below the thermal
+                # scale, and the quadrature needs the hint.
+                root = np.sqrt(O0 * O0 - 4.0 * a0)
+                pts += [(sgn * O0 + root) / 2.0 for sgn in (1.0, -1.0)]
+                pts += [(sgn * O0 - root) / 2.0 for sgn in (1.0, -1.0)]
+            else:
+                # The TE one has a peak of width ~ Omega0 k^2 / |a0| at
+                # p = 0 below the shell (a0 < 0), where |omega^2 -
+                # omega0^2| p crosses Omega0 omega^2: the smaller root of
+                # Omega0 p^2 + a0 p + Omega0 k^2.
+                pts.append(2.0 * O0 * k * k
+                           / (np.sqrt(a0 * a0 - 4.0 * O0 * O0 * k * k) - a0))
+        return tuple(pts)
 
     surface = None
     k_min = 0.0
@@ -861,6 +864,7 @@ def scattering_channel(ch: str, params: SheetParams,
         surface_mode=surface,
         k_min_surface=k_min,
         p_breakpoints=brk,
+        k_breakpoints=(w0,) if w0 > 0.0 else (),
         scale=params.scale(),
     )
 

@@ -55,7 +55,6 @@ from .numkernel import (
     integrate_finite,
     integrate_fixed,
     integrate_panels,
-    integrate_semiinf,
 )
 from .spectral import (
     Channel,
@@ -65,6 +64,7 @@ from .spectral import (
     ThermoPoint,
     ZETA3,
     ZETA5,
+    free_energy_defining,
 )
 
 __all__ = [
@@ -946,10 +946,14 @@ class _HLTable:
     holds every segment that starts below ``top``, built without the
     caller's settings; each segment depends on (params, index) alone, so a
     table reads the same whichever temperature, settings or process asked
-    first.
+    first.  A ``top`` above 60 omega_p, where the pieces would extrapolate,
+    raises ValueError.
     """
 
     def __init__(self, params: SlabParams, top: float) -> None:
+        if top > _TABLE_TOP * params.omega_p:
+            raise ValueError(f"the h_L table ends at {_TABLE_TOP:g} omega_p "
+                             f"= {_TABLE_TOP * params.omega_p:g}, got {top}")
         self._params = params
         self._top = top
         self._pieces: list[tuple] | None = None
@@ -1064,7 +1068,8 @@ def _tm_moment(params: SlabParams, W: float, weights, columns,
     propagating half (p > omega_p), when W > omega_p, runs in swapped
     order for all m ``columns``, the weights divided by omega, at once
     (``_tm_propagating``), with ``settings`` as the sum's tolerance.
-    Each error adds the two halves'."""
+    Each error adds the two halves'.  W above 60 omega_p, beyond the
+    table, raises ValueError."""
     table = _HLTable(params, W)
     halves = [table.integrate(weight, W, settings, breakpoints)
               for weight in weights]
@@ -1322,26 +1327,25 @@ def F_exp_defining(T: float, params: SlabParams,
                    settings: QuadSettings | None = None) -> float:
     """Optical-path free energy from the defining double integral.
 
-    Uses d delta/dp = L (p/q - 1) above omega_p and -L below; the
-    singular piece is integrated in the internal momentum q, where it is
-    smooth.  Cross-check only.
+    The phase derivative is d delta/dp = L (p/q - 1) above omega_p and -L
+    below, with q = sqrt(p^2 - omega_p^2); its inverse square root at
+    omega_p, a breakpoint, is integrated in s with p = omega_p + s^2,
+    where it is smooth.  ``free_energy_defining`` of that channel, with
+    its error contract: the value is within max(abs_tol, rel_tol |F|) of
+    the integral.  Cross-check only.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    wp = params.omega_p
+    wp, L = params.omega_p, params.L
 
-    def inner(k: float) -> float:
-        i1 = integrate_semiinf(
-            lambda p: bose_log(math.hypot(p, k) / T), 0.0, settings,
-            scale=max(T, wp)).value
-        i2 = integrate_semiinf(
-            lambda q: bose_log(math.sqrt(q * q + wp * wp + k * k) / T),
-            0.0, settings, scale=max(T, wp)).value
-        return i2 - i1
+    def ddelta(p, k):
+        # p/q - 1 = omega_p^2 / (q (p + q)), free of cancellation
+        q = np.sqrt(np.maximum((p - wp) * (p + wp), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return L * np.where(p > wp, wp * wp / (q * (p + q)), -1.0)
 
-    val = integrate_semiinf(lambda k: k * inner(k), 0.0, settings,
-                            scale=max(T, wp)).value
-    return params.L * T * val / (2.0 * math.pi ** 2)
+    return free_energy_defining(
+        ScatteringChannel(deriv=ddelta, p_breakpoints=lambda k: (wp,),
+                          scale=wp),
+        T, settings)
 
 
 def _mode_function(omega: float, k: float, params: SlabParams) -> float:
@@ -1475,20 +1479,19 @@ def total(T: float, params: SlabParams,
 def surface_te_channel(params: SlabParams) -> ScatteringChannel:
     """TE surface part as a generic scattering channel (cross-checks).
 
-    The phase derivative is 2/gamma below omega_p and zero above; the
-    inverse square-root endpoint is integrable and flagged as a
-    breakpoint.
+    The phase derivative is 2/gamma below omega_p and zero above; its
+    inverse square root at omega_p, a breakpoint, is integrated in s with
+    p = omega_p - s^2, where it is smooth.
     """
     wp = params.omega_p
 
-    def ddelta(p: float, k: float) -> float:
-        if p >= wp:
-            return 0.0
-        return 2.0 / _gamma(p, params)
+    def ddelta(p, k):
+        gamma = np.sqrt(np.maximum((wp - p) * (wp + p), 0.0))
+        with np.errstate(divide="ignore"):
+            return np.where(p < wp, 2.0 / gamma, 0.0)
 
     return ScatteringChannel(
         deriv=ddelta,
         p_breakpoints=lambda k: (wp,),
         scale=wp,
     )
-

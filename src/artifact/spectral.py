@@ -6,9 +6,16 @@ p and fixed transverse momentum k, and optionally a discrete surface-mode
 dispersion below the continuum.
 
 ``free_energy_defining`` and ``entropy_defining`` evaluate the defining
-two-dimensional integrals directly from that data.  They are deliberately
-slow and assumption-free; the model modules provide reduced one-dimensional
-forms and use these as cross-checks.
+two-dimensional integrals directly from that data, with no model-specific
+reductions; the model modules provide reduced one-dimensional forms and
+use these as cross-checks.  Each is one two-dimensional array pass: the
+outer k integral on the adaptive panel rule, over chunks of outer nodes,
+and at each node the inner p integral on a fixed panel rule over that
+row's own grid (log panels, graded panels around the channel's
+breakpoints, linear panels up to a cut-off), its error bound carried
+along as a column.  The returned value is within max(abs_tol,
+rel_tol |F|) of the integral, truncation included, or QuadratureError
+is raised.
 
 Each model lists its additive parts once, in an ordered ``PARTS`` table
 of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any, Callable, Mapping, Sequence
 
@@ -42,13 +49,14 @@ import numpy as np
 
 from .numkernel import (
     DEFAULT_SETTINGS,
+    QuadratureError,
     QuadSettings,
     _check_T,
-    bose_log,
+    _semiinf_cut,
     fit_asymptotic,
-    g,
-    integrate_finite,
-    integrate_semiinf,
+    integrate_fixed,
+    integrate_panels,
+    thermal_weights,
 )
 
 __all__ = [
@@ -94,25 +102,38 @@ class ScatteringChannel:
     ----------
     deriv : callable
         Analytic d delta/dp at radial momentum p >= 0 and transverse
-        momentum k, called as ``deriv(p, k)``.
+        momentum k, called as ``deriv(p, k)`` on numpy arrays that
+        broadcast against each other; the result broadcasts with them.
+        It must be finite wherever it is called, p = 0 and a breakpoint
+        included (one-sided values will do).  Beyond twice the largest
+        of max(T, scale) and the breakpoints at k, |deriv| must not
+        increase with p: the defining integrals bound their p tail with
+        its value there.
     surface_mode : callable, optional
-        Discrete mode frequency omega(k), defined for k >= k_min_surface.
+        Discrete mode frequency omega(k) on an array of k >=
+        k_min_surface.
     k_min_surface : float
         Lower edge of the surface-mode band.
     p_breakpoints : callable, optional
-        Known non-smooth p values of the phase shift at given k,
-        forwarded to the quadrature.
+        Known non-smooth p values of the phase shift at an array of k:
+        a sequence of arrays (or floats) that broadcast against k, with
+        NaN or a value <= 0 where a breakpoint is absent.  An inverse
+        square root of the distance to a breakpoint is integrable.
+    k_breakpoints : tuple of float
+        Transverse momenta where a p breakpoint appears or vanishes, or
+        the p integral is otherwise not smooth in k.
     scale : float
-        Momentum scale of the channel; the defining integrals split and
-        seed their quadratures at max(T, scale).
+        Momentum scale of the channel; the defining integrals grade their
+        grids from max(T, scale).
 
     All callables must be safe to call concurrently.
     """
 
-    deriv: Callable[[float, float], float]
-    surface_mode: Callable[[float], float] | None = None
+    deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    surface_mode: Callable[[np.ndarray], np.ndarray] | None = None
     k_min_surface: float = 0.0
-    p_breakpoints: Callable[[float], tuple[float, ...]] | None = None
+    p_breakpoints: Callable[[np.ndarray], Sequence[Any]] | None = None
+    k_breakpoints: tuple[float, ...] = ()
     scale: float = 1.0
 
 
@@ -238,8 +259,10 @@ def free_energy_defining(ch: ScatteringChannel, T: float,
           + (1/pi) Int dp blog(omega/T) d delta/dp ],   omega^2 = p^2 + k^2
 
     with blog(x) = log(1 - exp(-x)) and the first term present only on
-    the surface-mode band.  Purely a cross-check: quadratic cost in the
-    quadrature, no model-specific reductions.
+    the surface-mode band.  A cross-check with no model-specific
+    reductions, run as one two-dimensional array pass (``_defining``):
+    the returned F is within max(abs_tol, rel_tol |F|) of the integral,
+    truncation included, or QuadratureError is raised.
     """
     return _defining(ch, T, settings, entropy=False)
 
@@ -248,52 +271,216 @@ def entropy_defining(ch: ScatteringChannel, T: float,
                      settings: QuadSettings | None = None) -> float:
     """Entropy per unit area from the defining double integral.
 
-    Same structure as ``free_energy_defining`` with T*blog replaced by
-    the entropy weight g.
+    Same structure and error contract as ``free_energy_defining``, with
+    T*blog replaced by the entropy weight g.
     """
     return _defining(ch, T, settings, entropy=True)
 
 
+# Inner p rule of the defining integrals (``_rows``): one G7-K15 panel on
+# [0, p_x], with p_x this many e-folds below the smallest of max(T,
+# scale), k and the row's breakpoints ...
+_LOG_DEPTH = 4.0
+# ... panels of this width in log p up to max(T, scale) ...
+_LOG_PANEL = 1.0
+# ... and linear panels from there, with edges this many T above it, up
+# to the cut-off P = 2 max(T, scale, breakpoints) + _CUT T, where the
+# weight has fallen below e^-40.  The outer k integral ends at the same
+# kind of cut-off.
+_ABOVE = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+_CUT = 40.0
+# Outer nodes evaluated at once, so the (nodes, inner nodes) arrays stay
+# small; and how often the inner panels are halved before giving up.
+_ROWS = 16
+_DOUBLINGS = 3
+# Panel kinds of the inner rule: in p, in log p, and in s with p = b -+ s^2
+# next to a breakpoint b, where an inverse square root of b - p becomes
+# smooth.
+_LIN, _LOG, _SQRT = 0, 1, 2
+# Edges around each breakpoint b, in units of b, and the panel each
+# starts: three _SQRT panels on each side of b, from b/2 to 3b/2 (equal in
+# s, tag -1 below b and +1 above), then log panels widening away from
+# that zone (NaN: the panel continues the one before it).
+_GRADING = ((0.25, np.nan), (0.5, -1.0), (7.0 / 9.0, -1.0),
+            (17.0 / 18.0, -1.0), (1.0, 1.0), (19.0 / 18.0, 1.0),
+            (11.0 / 9.0, 1.0), (1.5, 0.0), (2.0, np.nan), (3.0, np.nan))
+
+
+def _inner_panels(ch: ScatteringChannel, T: float, top: float,
+                  k: np.ndarray, level: int):
+    """Per-row panels of the inner rule at the outer nodes ``k``.
+
+    Returns (lo, hi, kind, base, side, P): (n, m) arrays of each panel's
+    ends in its own variable and its kind, and for ``_SQRT`` panels the
+    breakpoint and the side (-1 below, +1 above) it lies on; and the
+    cut-off P of each row.  A row's edges are 0, the log grid from p_x up
+    to ``top``, the edges above it, the ``_GRADING`` edges of each
+    breakpoint and P; sorted, each row is padded to the longest with
+    zero-width panels at P.  Each panel is cut into 2^level equal parts.
+    """
+    n = len(k)
+    zero = np.zeros((n, 1))
+    if ch.p_breakpoints is None:
+        B = np.empty((n, 0))
+    else:
+        B = np.stack([np.broadcast_to(b, k.shape).astype(float)
+                      for b in ch.p_breakpoints(k)], axis=1)
+        with np.errstate(invalid="ignore"):
+            B = np.where(B > 0.0, B, np.nan)
+    low = np.minimum(np.fmin.reduce(B, axis=1, initial=top), k)
+    P = 2.0 * np.fmax.reduce(B, axis=1, initial=top) + _CUT * T
+    p_x = low * math.exp(-_LOG_DEPTH)
+    count = int(np.ceil(np.max(np.log(top / p_x)) / _LOG_PANEL))
+    grid = p_x[:, None] * np.exp(_LOG_PANEL * np.arange(count))
+    grid[grid > top * math.exp(-0.5 * _LOG_PANEL)] = np.nan
+    above = top + T * np.array(_ABOVE) + zero
+    above[above >= P[:, None]] = np.nan
+    # Ties go to the first edge: a breakpoint's own tag wins.
+    e = np.concatenate([*(c * B for c, _ in _GRADING), zero, grid,
+                        top + zero, above, P[:, None]], axis=1)
+    tag = np.concatenate([*(z * B for _, z in _GRADING), zero,
+                          np.full((n, grid.shape[1] + 1 + above.shape[1]),
+                                  np.nan), zero], axis=1)
+    order = np.argsort(e, axis=1, kind="stable")
+    e = np.take_along_axis(e, order, axis=1)
+    tag = np.take_along_axis(tag, order, axis=1)
+    m = np.count_nonzero(~np.all(np.isnan(e), axis=0))
+    e = np.where(np.isnan(e[:, :m]), P[:, None], e[:, :m])
+    # Each untagged edge continues the panel before it.
+    idx = np.where(np.isnan(tag[:, :m - 1]), 0, np.arange(m - 1))
+    tag = np.take_along_axis(tag, np.maximum.accumulate(idx, axis=1), axis=1)
+    lo, hi = e[:, :-1], e[:, 1:]
+    base, side = np.abs(tag), np.sign(tag)
+    kind = np.where(side != 0.0, _SQRT,
+                    np.where((lo > 0.0) & (hi <= top), _LOG, _LIN))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo, t_hi = (np.where(kind == _LOG, np.log(x),
+                               np.where(kind == _SQRT,
+                                        np.sqrt(side * (x - base)), x))
+                      for x in (lo, hi))
+    t_lo, t_hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+    parts = 2 ** level
+    if parts > 1:
+        frac = np.linspace(0.0, 1.0, parts + 1)
+        width = (t_hi - t_lo)[..., None]
+        t_lo, t_hi = (t_lo[..., None] + width * frac[:-1],
+                      t_lo[..., None] + width * frac[1:])
+        t_lo, t_hi = t_lo.reshape(n, -1), t_hi.reshape(n, -1)
+        kind, base, side = (np.repeat(a, parts, axis=1)
+                            for a in (kind, base, side))
+    return t_lo, t_hi, kind, base, side, P
+
+
+def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
+          k: np.ndarray, level: int, absolute: bool = False) -> np.ndarray:
+    """(n, 2) columns at the outer nodes k: the continuum's outer
+    integrand (k/pi) Int_0^inf w(omega/T) d delta/dp dp and (k/pi) times
+    the inner rule's error bound.  With ``absolute``, a third column holds
+    the integrand's modulus, (k/pi) Int |w d delta/dp| dp plus the tail
+    bound.
+
+    The inner bound is the rule's own (|Kronrod - Gauss| plus roundoff)
+    plus the tail past the cut-off P: there |w(omega/T)| <= |w(p/T)|, whose
+    integral past P is at most T e^-x/(1 - e^-x) (times x + 2 for g), x =
+    P/T, and |d delta/dp| is at most its value at P, by the contract of
+    ``ScatteringChannel.deriv``.
+    """
+    col = 1 if entropy else 0
+    kc = k[:, None]
+    t_lo, t_hi, kind, base, side, P = _inner_panels(ch, T, top, k, level)
+
+    def f(t: np.ndarray) -> np.ndarray:
+        kd, b, s = (np.repeat(a, 15, axis=1) for a in (kind, base, side))
+        with np.errstate(over="ignore"):
+            ex = np.exp(t)
+        p = np.where(kd == _LOG, ex, np.where(kd == _SQRT, b + s * t * t, t))
+        jac = np.where(kd == _LOG, ex, np.where(kd == _SQRT, 2.0 * t, 1.0))
+        y = (thermal_weights(np.hypot(p, kc) / T)[col]
+             * ch.deriv(p, kc) * jac)
+        return np.stack([y, np.abs(y)], axis=-1) if absolute else y[..., None]
+
+    res = integrate_fixed(f, t_lo, t_hi)
+    x = P / T
+    tail = (T * np.exp(-x) / -np.expm1(-x) * ((x + 2.0) if entropy else 1.0)
+            * np.abs(ch.deriv(P, k)))
+    cols = [res.value[:, 0], res.error_estimate[:, 0] + tail]
+    if absolute:
+        cols.append(res.value[:, 1] + tail)
+    return (k / math.pi)[:, None] * np.stack(cols, axis=1)
+
+
+def _surface(ch: ScatteringChannel, T: float, entropy: bool, top: float,
+             settings: QuadSettings) -> tuple[float, float]:
+    """(value, error) of Int_kmin^inf k w(omega_s(k)/T) dk on the panel
+    rule, cut where ``integrate_semiinf`` would cut it (a frequency
+    omega_s ~ sqrt(k) decays far slower in k than the continuum), with
+    that scan's tail bound."""
+    col = 1 if entropy else 0
+    a = ch.k_min_surface
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return (k * thermal_weights(ch.surface_mode(k) / T)[col])[:, None]
+
+    cut, tail = _semiinf_cut(lambda x: f(np.array([x]))[0, 0], a, top)
+    res = integrate_panels(f, [a, *(a + (cut - a) * 0.5 ** j
+                                    for j in range(12))], settings)
+    return res.value[0], res.error_estimate[0] + tail
+
+
 def _defining(ch: ScatteringChannel, T: float,
               settings: QuadSettings | None, entropy: bool) -> float:
+    """pref Int_0^inf dk G(k), the outer integrand G of ``_rows``, in one
+    2-D array pass, plus the surface band (``_surface``).  The outer
+    integral runs on ``integrate_panels`` over [0, K], on chunks of
+    ``_ROWS`` outer nodes at a time, with the inner bound as a ride-along
+    column; K = 2 max(T, scale, k_breakpoints) + _CUT T.  Beyond K the
+    outer integrand is bounded by its modulus bound at K times (k/K)^2
+    e^-(k-K)/(3T), the decay of the weight along any ray with p <= k (an
+    envelope, as in ``integrate_semiinf``).  The surface band gets a
+    quarter of the tolerance and the outer rule half; when the sum of
+    their errors, the integrated inner bound and the tail misses the
+    caller's tolerance on the returned value, the inner panels are halved,
+    at most ``_DOUBLINGS`` times, then QuadratureError."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
-    weight = g if entropy else bose_log
-    scale = max(T, ch.scale)
-
-    def continuum(k: float) -> float:
-        def f(p: float) -> float:
-            omega = math.hypot(p, k)
-            return weight(omega / T) * ch.deriv(p, k)
-
-        brk = ch.p_breakpoints(k) if ch.p_breakpoints is not None else ()
-        # Phase derivatives can vary on scales far below `scale` (the
-        # channel marks them via p_breakpoints); integrate the small-p
-        # region on a log axis, where such layers are O(1) wide, and the
-        # rest linearly.
-        u_hi = math.log(scale)
-        u_pts = sorted(math.log(b) for b in brk if 0.0 < b < scale)
-        u_lo = min(u_pts[0] if u_pts else u_hi, u_hi - 5.0) - 35.0
-        small = integrate_finite(lambda u: math.exp(u) * f(math.exp(u)),
-                                 u_lo, u_hi, settings, breakpoints=u_pts)
-        large = integrate_semiinf(f, scale, settings, scale=scale,
-                                  breakpoints=[b for b in brk if b > scale])
-        return (small.value + large.value) / math.pi
-
-    total = integrate_semiinf(lambda k: k * continuum(k), 0.0, settings,
-                              scale=scale).value
-
-    if ch.surface_mode is not None:
-        mode = ch.surface_mode
-
-        def fs(k: float) -> float:
-            return k * weight(mode(k) / T)
-
-        total += integrate_semiinf(fs, ch.k_min_surface, settings,
-                                   scale=scale).value
-
+    top = max(T, ch.scale)
     pref = 1.0 / (2.0 * math.pi) if entropy else T / (2.0 * math.pi)
-    return pref * total
+    # Tolerances in integral units, so that they hold for pref times it.
+    unit = replace(settings, abs_tol=settings.abs_tol / pref)
+    sf = sf_err = 0.0
+    if ch.surface_mode is not None:
+        sf, sf_err = _surface(ch, T, entropy, top, replace(
+            unit, abs_tol=0.25 * unit.abs_tol, rel_tol=0.25 * unit.rel_tol))
+    kinks = [x for x in ch.k_breakpoints if x > 0.0]
+    K = 2.0 * max([top, *kinks]) + _CUT * T
+    edges = {0.0, K, *(top * 2.0 ** j for j in range(-3, 8)
+                       if top * 2.0 ** j < K)}
+    for x in kinks:
+        edges |= {x * (1.0 + s * 0.5 ** j) for j in range(1, 9)
+                  for s in (-1.0, 1.0)} | {x}
+    tol = replace(unit, abs_tol=np.array([0.5 * unit.abs_tol, np.inf]),
+                  rel_tol=0.5 * unit.rel_tol)
+    for level in range(_DOUBLINGS + 1):
+        def outer(k: np.ndarray) -> np.ndarray:
+            return np.concatenate([
+                _rows(ch, T, entropy, top, k[i:i + _ROWS], level)
+                for i in range(0, len(k), _ROWS)])
+
+        res = integrate_panels(outer, sorted(edges), tol,
+                               offset=np.array([sf, 0.0]))
+        bound = _rows(ch, T, entropy, top, np.array([K]), level,
+                      absolute=True)[0, 2]
+        tail = bound * 3.0 * T * (1.0 + 6.0 * T / K + 18.0 * (T / K) ** 2)
+        value = res.value[0] + sf
+        error = (res.error_estimate[0] + res.value[1] + res.error_estimate[1]
+                 + tail + sf_err)
+        if error <= unit.tolerance(value):
+            return float(pref * value)
+    raise QuadratureError(
+        f"defining integral at T={T}: error {pref * error:.3e} exceeds the "
+        f"tolerance {settings.tolerance(pref * value):.3e} after "
+        f"{_DOUBLINGS} halvings of the inner panels "
+        f"(value={pref * value:.6e})")
 
 
 def heat_kernel_from_expansion(c_t3: float, c_t2: float,

@@ -540,6 +540,23 @@ def test_slab_constant_d_routes_agree():
     assert d_tm.error_estimate > bound / (2.0 * math.pi ** 2)
 
 
+@pytest.mark.parametrize("omega_p", [1.0, 2.5])
+def test_tm_moment_refuses_frequencies_beyond_the_table(omega_p):
+    # Above 60 omega_p the table's pieces would extrapolate: at W = 120
+    # the TM route gave d with the wrong sign and an error of 1.5e-12.
+    params = slab.SlabParams(omega_p=omega_p, L=1.0)
+    weights = ((lambda w: 1.0,), lambda w: 1.0 / w[..., None])
+    with pytest.raises(ValueError, match="table ends"):
+        slab._HLTable(params, 90.0 * omega_p)
+    with pytest.raises(ValueError, match="table ends"):
+        slab._tm_moment(params, 90.0 * omega_p, *weights, DEFAULT_SETTINGS)
+    if omega_p == 1.0:
+        # W = 60 omega_p, the cut of every caller, reads as it did.
+        res = slab._tm_moment(params, 60.0, *weights, DEFAULT_SETTINGS)
+        assert float(res.value[0]) == 0.011717717076575235
+        assert float(res.error_estimate[0]) == 2.798345785290127e-11
+
+
 def test_h_L_table_is_integrated_one_way(monkeypatch):
     # The TM route of slab_constant_d runs the TM thickness part's own
     # integrator: both integrate over the h_L table through

@@ -4,10 +4,14 @@ heat-kernel dictionary."""
 import ast
 import inspect
 import math
+import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 import artifact
@@ -174,6 +178,85 @@ def test_entropy_defining_is_minus_dF_dT():
         lambda T: spectral.free_energy_defining(ch, T, DEFAULT_SETTINGS),
         1.0, 1e-4)
     assert S == pytest.approx(-slope, rel=1e-5)
+
+
+def _sheet_channel(name, omega0, surface=False):
+    return plasma_sheet.scattering_channel(
+        name, plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0),
+        include_surface=surface)
+
+
+# Every defining integral ``thermo verify`` reads, as a function of the
+# settings.
+_VERIFY_DEFINING = {
+    **{f"sheet-{name}-omega0={w0}": partial(
+        spectral.free_energy_defining, _sheet_channel(name, w0), 1.0)
+       for w0 in (0.0, 0.5) for name in Channel.ALL},
+    "sheet-TM+sf": partial(spectral.free_energy_defining,
+                           _sheet_channel(Channel.TM, 0.0, True), 1.0),
+    "slab-s_TE": partial(spectral.free_energy_defining,
+                         slab.surface_te_channel(slab.SlabParams(1.0, 1.0)),
+                         1.0),
+    **{f"slab-exp-T={T}": partial(slab.F_exp_defining, T,
+                                  slab.SlabParams(1.0, 1.0))
+       for T in (0.1, 1.0, 10.0)},
+    "slab-exp-off-unit": partial(slab.F_exp_defining, 2.5,
+                                 slab.SlabParams(2.5, 0.06)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_DEFINING))
+def test_defining_integral_meets_its_tolerance(case):
+    # The error contract: the value at default settings lies within
+    # max(abs_tol, rel_tol |F|) of the same integral run far tighter.
+    integral = _VERIFY_DEFINING[case]
+    value = integral(DEFAULT_SETTINGS)
+    tight = integral(numkernel.QuadSettings(abs_tol=1e-14, rel_tol=1e-11))
+    assert abs(value - tight) <= DEFAULT_SETTINGS.tolerance(value)
+
+
+def test_defining_integral_refuses_a_coarse_inner_grid(monkeypatch):
+    # One inner panel per row, however often halved, cannot meet the
+    # tolerance: the pass raises instead of returning the value.
+    panels = spectral._inner_panels
+
+    def one_panel(ch, T, top, k, level):
+        P = panels(ch, T, top, k, 0)[-1]
+        edges = P[:, None] * np.linspace(0.0, 1.0, 2 ** level + 1)
+        flat = np.zeros_like(edges[:, 1:])
+        return edges[:, :-1], edges[:, 1:], flat, flat, flat, P
+
+    monkeypatch.setattr(spectral, "_inner_panels", one_panel)
+    with pytest.raises(numkernel.QuadratureError, match="halvings"):
+        _VERIFY_DEFINING["sheet-TM-omega0=0.5"](DEFAULT_SETTINGS)
+
+
+def test_defining_integrals_run_no_quadpack(monkeypatch):
+    # The defining integrals run on the panel rules only: with QUADPACK
+    # unavailable they still give their values.
+    def boom(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    for module in (spectral, slab):
+        for name in ("integrate_finite", "integrate_semiinf"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    monkeypatch.setattr(scipy.integrate, "quad", boom)
+    for case in ("sheet-TE-omega0=0.5", "sheet-TM-omega0=0.5", "sheet-TM+sf",
+                 "slab-s_TE", "slab-exp-T=1.0"):
+        assert math.isfinite(_VERIFY_DEFINING[case](DEFAULT_SETTINGS)), case
+
+
+def test_defining_integral_memory_stays_flat():
+    # The outer nodes run in chunks, so one call's arrays stay small.
+    integral = _VERIFY_DEFINING["sheet-TM-omega0=0.5"]
+    integral(DEFAULT_SETTINGS)
+    tracemalloc.start()
+    try:
+        integral(DEFAULT_SETTINGS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_thermo_point_parts():

@@ -592,73 +592,185 @@ def _delta_L_propagating(p: float, q: float, eps: float, L: float) -> float:
                       4.0 * a * q / (d * d) + 2.0 * r2 * s * s)
 
 
-def _osc_block(params: SlabParams) -> float:
-    return 40.0 * math.pi / params.L
+# The TE thickness part runs in imaginary frequency (``_te_integrals``), on
+# G7-K15 panels at most _TE_PANEL / L wide, so that e^{-2 kappa L} falls by
+# at most e^{-2} across one.  Towards kappa = 0 they are graded by the
+# ratio 3/2 from half the distance of log D's nearest singularity: for a
+# thin slab the zero of D at kappa = -omega_p sinh(u), 2u = omega_p L cosh
+# u (so u >= omega_p L / 2), else the branch points +-i omega_p of Q.
+# They are integrated _TE_CHUNK sawtooth periods at a time, so memory
+# stays flat at any temperature.
+_TE_PANEL = 1.0
+_TE_CHUNK = 256
 
 
-def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
-                      block: float, breakpoints=()) -> QuadResult:
-    """Sum of adaptive quadratures over blocks of bounded width.
+def _te_integrands(kappa: np.ndarray, params: SlabParams) -> np.ndarray:
+    """The two integrands of ``_te_integrals`` at kappa before the
+    sawtooth, on a last axis: -pi kappa log D and pi [3 kappa log D +
+    kappa^2 (log D)'].  With x = rho^2 e^{-2 Q L} and rho^2 = (omega_p /
+    (kappa + Q))^4, free of cancellation, log D = log1p(-x) and (log D)' =
+    x (4 + 2 kappa L) / (Q (1 - x)).  Both vanish at kappa = 0."""
+    wp, L = params.omega_p, params.L
+    Q = np.sqrt(kappa * kappa + wp * wp)
+    x = (wp / (kappa + Q)) ** 4 * np.exp(-2.0 * Q * L)
+    f = kappa * np.log1p(-x)
+    s = 3.0 * f + kappa * kappa * x * (4.0 + 2.0 * kappa * L) / (Q * (1.0 - x))
+    return math.pi * np.stack([-f, s], axis=-1)
 
-    Keeps the per-call subdivision need bounded for integrands that
-    oscillate with a fixed period over a long range.  The error estimate
-    and evaluation count are summed over the blocks.
+
+def _te_tails(K: float, params: SlabParams) -> np.ndarray:
+    """Bounds on the two integrands of ``_te_integrals`` integrated past
+    kappa = K.  x = rho^2 e^{-2 Q L} falls with kappa, so beyond K |log D|
+    <= x / (1 - x) <= A e^{-2 Q L}, A = rho(K)^2 / (1 - x(K)), and kappa^2
+    (log D)' <= A e^{-2 Q L} kappa (4 + 2 Q L).  With |B| <= 1/2 and kappa
+    dkappa = Q dQ both integrals close: (pi A / 2) e^{-a Q_K} times Q_K / a
+    + 1 / a^2 (F) and Q_K^2 + 9 Q_K / a + 9 / a^2 (S), a = 2 L."""
+    wp, a = params.omega_p, 2.0 * params.L
+    Q = math.hypot(K, wp)
+    x = (wp / (K + Q)) ** 4 * math.exp(-a * Q)
+    c = 0.5 * math.pi * x / (1.0 - x)
+    return np.array([c * (Q / a + 1.0 / a ** 2),
+                     c * (Q * Q + 9.0 * Q / a + 9.0 / a ** 2)])
+
+
+def _te_cut(params: SlabParams, settings: QuadSettings) -> float:
+    """The cut-off K of ``_te_integrals``: the first multiple of 1 / 2L at
+    which S's tail bound is below a sixteenth of the absolute tolerance
+    and below 2^-52 of its value at K = 0, a bound on the whole integral
+    of |S's integrand|."""
+    target = min(settings.abs_tol / 16.0 or math.inf,
+                 2.0 ** -52 * _te_tails(0.0, params)[1])
+    K = 0.0
+    while _te_tails(K, params)[1] > target:
+        K += 0.5 / params.L
+    return K
+
+
+def _te_panels(K: float, h: float, params: SlabParams):
+    """Panels of ``_te_integrals`` on [0, K], K at most one sawtooth period
+    h or a whole number of them, in chunks of ``_TE_CHUNK`` periods: yields
+    (n, lo, hi) arrays, panel i being [n_i h + lo_i, n_i h + hi_i], inside
+    period n_i.  The edges are the period joins and the graded grid of
+    ``_TE_PANEL``; an edge's offset in its period is kept apart from the
+    period's start, so that the sawtooth never reads kappa / h -
+    floor(kappa / h)."""
+    wp, L = params.omega_p, params.L
+    width = _TE_PANEL / L
+    grid = [0.0, min(0.5 * wp * min(1.0, math.sinh(0.5 * wp * L)), width)]
+    while grid[-1] < K:
+        grid.append(grid[-1] + min(0.5 * grid[-1], width))
+    grid[-1] = K
+    grid = np.array(grid)
+    if K <= h:
+        yield np.zeros(len(grid) - 1, dtype=int), grid[:-1], grid[1:]
+        return
+    periods = round(K / h)
+    at = np.minimum(np.floor(grid / h), periods - 1)
+    offset = grid - at * h
+    inner = (offset > 0.0) & (offset < h)
+    at, offset = at[inner].astype(int), offset[inner]
+    for first in range(0, periods, _TE_CHUNK):
+        last = min(first + _TE_CHUNK, periods)
+        mine = (at >= first) & (at < last)
+        n = np.concatenate([np.arange(first, last), at[mine]])
+        lo = np.concatenate([np.zeros(last - first), offset[mine]])
+        order = np.lexsort((lo, n))
+        n, lo = n[order], lo[order]
+        yield n, lo, np.append(np.where(n[1:] == n[:-1], lo[1:], h), h)
+
+
+def _te_integrals(T: float, params: SlabParams,
+                  settings: QuadSettings) -> QuadResult:
+    """The TE thickness part's moments Int_0^inf p (blog, g)(p/T)
+    delta_L_TE(p) dp, as (2,) arrays, in imaginary frequency.
+
+    D_TE = 1 - rho^2 e^{-2 Q L}, with Q = sqrt(kappa^2 + omega_p^2) and rho
+    = -omega_p^2 / (kappa + Q)^2, depends on kappa alone, so the Lifshitz
+    form, a Matsubara sum over xi_l = l h (h = 2 pi T) minus its integral
+    (E. M. Lifshitz, Sov. Phys. JETP 2, 73 (1956)), is one integral
+    against the Bernoulli sawtooth B(kappa) = t - 1/2, t = kappa / h -
+    floor(kappa / h):
+
+        F moment = -pi Int_0^inf kappa log D B dkappa,
+        S moment =  pi Int_0^inf [3 kappa log D + kappa^2 (log D)'] B dkappa,
+
+    the second from S = -dF/dT.  One chunked array pass of
+    ``integrate_fixed`` runs both columns on the panels of ``_te_panels``
+    up to the cut K of ``_te_cut``, rounded up to whole periods when it
+    exceeds one, with B = t - 1/2 taken from each panel's offset in its
+    own period.  At low T the moments are O(T^3) while the integrands
+    are O(1): so each period's chord through the integrands' values at
+    its joins is subtracted, which leaves the rule an O(h^2) integrand
+    and a roundoff floor that falls with T, and the chords' sawtooth
+    moments, h/12 times their rises, are added back; they sum to h
+    (phi(K) - phi(0)) / 12.  Each error is the summed panel bound plus
+    the tail bound past K (``_te_tails``).  If an error misses the
+    tolerance, every panel is halved once; if it still misses,
+    QuadratureError.  At T = inf, B = -1/2 throughout, and the F moment is
+    (pi / 2) Int_0^inf kappa log D dkappa (``slab_constant_d``).
     """
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0)
-    if b - a <= 1.5 * block:
-        return integrate_finite(f, a, b, settings, breakpoints=breakpoints)
-    value = err = 0.0
-    evals = 0
-    lo = a
-    while lo < b:
-        hi = min(lo + block, b)
-        res = integrate_finite(f, lo, hi, settings, breakpoints=breakpoints)
-        value += res.value
-        err += res.error_estimate
-        evals += res.evaluations
-        lo = hi
-    return QuadResult(value, err, evals)
+    h = 2.0 * math.pi * T
+    K = _te_cut(params, settings)
+    whole = K > h
+    if whole:
+        K = math.ceil(K / h) * h
+    tails = _te_tails(K, params)
+    chords = h * _te_integrands(np.array(K), params) / 12.0 if whole else 0.0
+    for halve in (False, True):
+        value, error, evals = chords + np.zeros(2), tails.copy(), 0
+        for n, lo, hi in _te_panels(K, h, params):
+            if halve:
+                mid = 0.5 * (lo + hi)
+                n = np.repeat(n, 2)
+                lo = np.stack([lo, mid], axis=1).ravel()
+                hi = np.stack([mid, hi], axis=1).ravel()
+            start, a, b = 0.0, 0.0, 0.0
+            if whole:
+                ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h, params)
+                start = n[:, None] * h
+                a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]
 
+            def f(u: np.ndarray) -> np.ndarray:
+                t = (u / h)[..., None]
+                y = _te_integrands(start + u, params) - a - (b - a) * t
+                return y * (t - 0.5)
 
-def _te_moment(f, W: float, params: SlabParams, settings: QuadSettings,
-               breakpoints=()) -> QuadResult:
-    """Int_0^W f(p) dp for an integrand f over the TE thickness phase: one
-    QUADPACK integral up to omega_p and blocks of ``_osc_block`` beyond
-    it, where delta_L_TE oscillates with period pi / L.  Error estimates
-    and evaluation counts are summed over the low piece and the blocks."""
-    lowcut = min(params.omega_p, W)
-    low = integrate_finite(f, 0.0, lowcut, settings, breakpoints=breakpoints)
-    high = _blocked_integral(f, lowcut, W, settings, _osc_block(params),
-                             breakpoints=breakpoints)
-    return QuadResult(low.value + high.value,
-                      low.error_estimate + high.error_estimate,
-                      low.evaluations + high.evaluations)
+            res = integrate_fixed(f, lo[:, None], hi[:, None])
+            value += res.value.sum(axis=0)
+            error += res.error_estimate.sum(axis=0)
+            evals += res.evaluations
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
+        if np.all(error <= tol):
+            return QuadResult(value, error, evals)
+    raise QuadratureError(
+        f"TE thickness part at T={T}: errors {error} exceed the tolerances "
+        f"{tol} after halving every panel (values {value})")
 
 
 def _thickness_te(T: float, params: SlabParams, settings: QuadSettings):
-    """((F, F_error), (S, S_error)) of the TE thickness part, each error
-    the sum of its low piece's and its high piece's blocks'
-    (``_te_moment``)."""
+    """((F, F_error), (S, S_error)) of the TE thickness part from its
+    moments (``_te_integrals``), each error that pass's summed panel
+    bound plus its tail bound."""
     _check_T(T)
-    W = max(40.0 * T, 8.0 * params.omega_p)
-
-    def integral(weight) -> tuple[float, float]:
-        def f(p: float) -> float:
-            return p * weight(p / T) * delta_L(Channel.TE, p, p, params)
-
-        res = _te_moment(f, W, params, settings, breakpoints=[T])
-        return res.value / (2.0 * math.pi ** 2), res.error_estimate
-
-    (F, F_err), S = integral(bose_log), integral(g)
-    return (T * F, F_err), S
+    res = _te_integrals(T, params, settings)
+    (F, S), (F_err, S_err) = res.value, res.error_estimate
+    two_pi2 = 2.0 * math.pi ** 2
+    return ((float(T * F / two_pi2), float(F_err)),
+            (float(S / two_pi2), float(S_err)))
 
 
 def F_L_TE(T: float, params: SlabParams,
            settings: QuadSettings | None = None) -> float:
     """TE thickness free energy per unit area.
 
-    F = (T / 2 pi^2) Int_0^inf p blog(p/T) delta_L_TE(p) dp.  Finite
+    F = (T / 2 pi^2) Int_0^inf p blog(p/T) delta_L_TE(p) dp, evaluated in
+    imaginary frequency as
+
+        F = -(T / 2 pi) Int_0^inf kappa log D_TE(kappa) B(kappa / 2 pi T)
+            dkappa,
+
+    D_TE = 1 - rho^2 e^{-2 Q L}, B(x) = x - floor(x) - 1/2, in one array
+    pass that it shares with ``S_L("TE")`` (``_te_integrals``).  Finite
     without subtraction; tends to a linear-in-T plateau (coefficient
     given by ``slab_constant_d``) at high temperature and vanishes for
     L -> inf.  At low temperature the series of ``delta_L`` gives
@@ -1137,8 +1249,14 @@ def S_L(ch: str, T: float, params: SlabParams,
         settings: QuadSettings | None = None) -> float:
     """Thickness entropy of one channel (-dF/dT); no subtraction needed.
 
-    The TE part settles on the plateau
-    -slab_constant_d * omega_p^2 > 0 at high temperature.  The TM part,
+    The TE part, -dF/dT of ``F_L_TE``'s sawtooth form,
+
+        S = (1 / 2 pi) Int_0^inf [3 kappa log D + kappa^2 (log D)']
+            B(kappa / 2 pi T) dkappa,
+
+    runs in the same array pass as F (``_te_integrals``) and settles on
+    the plateau -slab_constant_d * omega_p^2 > 0 at high temperature,
+    where B -> -1/2.  The TM part,
     (1/2 pi^2 T^2) Int_0^W omega n'(omega/T) (h_L + h_prop)(omega) d omega
     with n' = e^x/(e^x - 1)^2, is evaluated with ``F_L_TM``: the same
     h_L table for the evanescent half, and the same swapped pass, one
@@ -1153,16 +1271,17 @@ def slab_constant_d(settings: QuadSettings | None = None,
                     route: str = "TE") -> QuadResult:
     """High-temperature linear coefficient of the thickness part.
 
-    d = (1/2 pi^2) Int_0^inf p log(p) delta_L_TE(p) dp at
-    omega_p = L = 1, so that F_L_TE -> d T at high temperature (the
-    would-be T log T coefficient, -(1/2 pi^2) Int p delta_L_TE dp,
-    vanishes).  Each route runs a thickness part's own integrator: the TE
-    route ``_te_moment`` up to p = 2000, the equivalent TM route
-    ``_tm_moment`` (h_L table and swapped propagating half) under the
-    weight 1 / omega, d = -(1/2 pi^2) Int_0^60 (h_L + h_prop)(omega) /
-    omega d omega.  Returns d with its error in units of d: the summed
-    quadrature estimates, plus the table's bound on the TM route.
-    Neither route bounds its cut.
+    d = G_TE(0) / 2 = (1/4 pi) Int_0^inf kappa log D_TE(kappa) dkappa at
+    omega_p = L = 1, equal to (1/2 pi^2) Int_0^inf p log(p) delta_L_TE(p)
+    dp, so that F_L_TE -> d T at high temperature.  Each route runs a
+    thickness part's own integrator: the TE route ``_te_integrals`` at T =
+    inf, where the sawtooth is -1/2 throughout and the F moment is 2 pi^2
+    d; the equivalent TM route ``_tm_moment`` (h_L table and swapped
+    propagating half) under the weight 1 / omega, d = -(1/2 pi^2)
+    Int_0^60 (h_L + h_prop)(omega) / omega d omega.  Returns d with its
+    error in units of d: the summed quadrature estimates, plus the tail
+    bound past the cut on the TE route and the table's bound on the TM
+    route.  The TM route does not bound its cut at 60 omega_p.
     """
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
@@ -1171,10 +1290,8 @@ def slab_constant_d(settings: QuadSettings | None = None,
                          lambda w: 1.0 / w[..., None], settings)
         value, error = -res.value[0], res.error_estimate[0]
     elif route == "TE":
-        res = _te_moment(
-            lambda p: p * math.log(p) * delta_L(Channel.TE, p, p, params),
-            2000.0, params, settings)
-        value, error = res.value, res.error_estimate
+        res = _te_integrals(math.inf, params, settings)
+        value, error = res.value[0], res.error_estimate[0]
     else:
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
     two_pi2 = 2.0 * math.pi ** 2
@@ -1446,8 +1563,10 @@ def plasmon_mode_residual(omega: float, k: float,
 
 # Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
 # every call looks the part's evaluator up in this module.  Each evaluator
-# integrates F's weight, then S's (QUADPACK is scalar), and leaves out the
-# part's growth.  The thickness parts need no subtraction.
+# leaves out the part's growth.  The surface and exp parts, and L_TM's
+# table half, integrate F's weight, then S's (QUADPACK is scalar); L_TE
+# runs both as columns of one array pass.  The thickness parts need no
+# subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda T, p, s: _surface_te(T, p, s), _s_te_growth),

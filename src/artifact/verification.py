@@ -60,16 +60,12 @@ _ZETA3 = spectral.ZETA3
 
 # The slab constant d at omega_p = L = 1, (1/4 pi) Int_0^inf kappa
 # log D_TE(kappa) dkappa at zero imaginary frequency, by mpmath
-# (tests/test_slab.py), with the allowances for the cuts of its two routes
-# in ``slab_constant_d``.  Past the TE route's cut at p = P = 2000,
-# delta_L_TE = rho^2 sin(2 q L) to leading order, rho = omega_p^2/(p + q)^2,
-# so the second mean value theorem bounds the tail by
-# log(P) / (32 pi^2 P^3 L), 5.1e-9 of d.  The TM route stops with the h_L
-# table at 60 omega_p; its tail has no bound yet.  It is 5.9e-8 of d there
-# and changes sign between cuts at 30 and 60 omega_p, so it is allowed 1e-7
-# of d.
+# (tests/test_slab.py), and the allowance for the cut of the TM route of
+# ``slab_constant_d``, which stops with the h_L table at 60 omega_p; its
+# tail has no bound yet.  It is 5.9e-8 of d there and changes sign between
+# cuts at 30 and 60 omega_p, so it is allowed 1e-7 of d.  The TE route
+# bounds its own tail.
 _SLAB_D = -5.9362651694400286e-4
-_D_TE_CUT = math.log(2000.0) / (32.0 * math.pi ** 2 * 2000.0 ** 3)
 _D_TM_CUT = 1e-7 * abs(_SLAB_D)
 
 
@@ -380,6 +376,35 @@ def _slab_h_L_table_checks(settings):
     return out
 
 
+def _osc_block(params: slab.SlabParams) -> float:
+    return 40.0 * math.pi / params.L
+
+
+def _blocked_integral(f, a: float, b: float, settings: QuadSettings,
+                      block: float, breakpoints=()) -> QuadResult:
+    """Sum of adaptive quadratures over blocks of bounded width.
+
+    Keeps the per-call subdivision need bounded for integrands that
+    oscillate with a fixed period over a long range.  The error estimate
+    and evaluation count are summed over the blocks.
+    """
+    if b <= a:
+        return QuadResult(0.0, 0.0, 0)
+    if b - a <= 1.5 * block:
+        return integrate_finite(f, a, b, settings, breakpoints=breakpoints)
+    value = err = 0.0
+    evals = 0
+    lo = a
+    while lo < b:
+        hi = min(lo + block, b)
+        res = integrate_finite(f, lo, hi, settings, breakpoints=breakpoints)
+        value += res.value
+        err += res.error_estimate
+        evals += res.evaluations
+        lo = hi
+    return QuadResult(value, err, evals)
+
+
 def _tm_propagating_nested(T, params, settings):
     """The TM thickness part's propagating half in the usual order, by
     nested scalar QUADPACK: Int_omega_p^W k(omega) h_prop(omega) d omega,
@@ -390,7 +415,7 @@ def _tm_propagating_nested(T, params, settings):
     over the outer nodes, times the range."""
     wp, L = params.omega_p, params.L
     W = min(40.0 * T, 60.0 * wp)
-    block = slab._osc_block(params)
+    block = _osc_block(params)
     inner = QuadSettings(abs_tol=settings.abs_tol, rel_tol=1e-10)
     out = []
     for k in (lambda w: bose_occupation(w / T),
@@ -400,15 +425,15 @@ def _tm_propagating_nested(T, params, settings):
         def f(w, k=k):
             nonlocal worst
             eps = slab.epsilon(w, params)
-            h = slab._blocked_integral(
+            h = _blocked_integral(
                 lambda q: q * slab._delta_L_propagating(
                     math.hypot(wp, q), q, eps, L),
                 0.0, math.sqrt((w - wp) * (w + wp)), inner, block)
             worst = max(worst, k(w) * h.error_estimate)
             return k(w) * h.value
 
-        res = slab._blocked_integral(f, wp, W, settings, block,
-                                     breakpoints=[T])
+        res = _blocked_integral(f, wp, W, settings, block,
+                                breakpoints=[T])
         out.append((res.value, res.error_estimate + worst * (W - wp)))
     return out
 
@@ -683,12 +708,11 @@ def _suite_constants(settings):
     d_te = slab.slab_constant_d(settings, route="TE")
     d_tm = slab.slab_constant_d(settings, route="TM")
     out.append(_rel("constants", "slab constant d (TE route)",
-                    _SLAB_D, d_te.value,
-                    (d_te.error_estimate + _D_TE_CUT) / abs(_SLAB_D)))
+                    _SLAB_D, d_te.value, d_te.error_estimate / abs(_SLAB_D)))
     out.append(_rel("constants", "slab constant d (TM route vs TE route)",
                     d_te.value, d_tm.value,
-                    (d_te.error_estimate + _D_TE_CUT + d_tm.error_estimate
-                     + _D_TM_CUT) / abs(d_te.value)))
+                    (d_te.error_estimate + d_tm.error_estimate + _D_TM_CUT)
+                    / abs(d_te.value)))
     return out
 
 

@@ -2,14 +2,17 @@
 guided mode."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
 from artifact import plasma_sheet, slab, verification
-from artifact.numkernel import DEFAULT_SETTINGS, QuadResult, QuadSettings
+from artifact.numkernel import (DEFAULT_SETTINGS, QuadratureError,
+                               QuadResult, QuadSettings)
 from artifact.spectral import ZETA3, ZETA5, Channel, Part, ThermoPoint
 
 P1 = slab.SlabParams(omega_p=1.0, L=1.0)
@@ -373,36 +376,132 @@ def test_h_L_table_pieces_tile_and_integrate_exactly():
         assert upto_hi - upto_lo == pytest.approx(reference, rel=1e-10)
 
 
-def test_L_TE_error_covers_every_block(monkeypatch):
-    # At T = 10 the high piece of L_TE, [omega_p, 40 T], runs in four
-    # blocks; the part's error is the summed estimate of the low piece and
-    # all four blocks, not the largest of them.
-    calls = []
-    run = slab.integrate_finite
+def test_L_TE_error_is_the_pass_bound_plus_its_tail(monkeypatch):
+    # The L_TE record's F and S errors are the sawtooth pass's summed panel
+    # bounds plus the tail bound past its cut (the last ``_te_tails``
+    # call, at the cut rounded up to whole periods), and a cut at half the
+    # chosen K leaves a tail that the pass refuses.
+    L_TE = Part.named(slab.PARTS, "L_TE")
+    fixed, tail, cut = slab.integrate_fixed, slab._te_tails, slab._te_cut
+    for T in (0.1, 10.0):
+        bounds, tails = [], []
 
-    def recorded(f, a, b, *args, **kwargs):
-        res = run(f, a, b, *args, **kwargs)
-        calls.append((a, res.error_estimate))
-        return res
+        def recorded_fixed(*args):
+            res = fixed(*args)
+            bounds.append(res.error_estimate.sum(axis=0))
+            return res
 
-    monkeypatch.setattr(slab, "integrate_finite", recorded)
-    halves = Part.named(slab.PARTS, "L_TE").evaluate(10.0, P1,
-                                                     DEFAULT_SETTINGS)
-    assert len(calls) == 10  # F's five calls, then S's
-    for (_, error), own in zip(halves, (calls[:5], calls[5:])):
-        low = [e for a, e in own if a < P1.omega_p]
-        high = [e for a, e in own if a >= P1.omega_p]
-        assert len(low) == 1 and len(high) == 4
-        assert error > low[0] and error > max(high)
-        assert error == pytest.approx(math.fsum(low + high), rel=1e-12)
-    # At T = 0.1 (one call per piece) the low piece is not negligible: F's
-    # error, 1.006e-12, is 30% above the larger of the two.
-    calls.clear()
-    (_, error), _ = Part.named(slab.PARTS, "L_TE").evaluate(0.1, P1,
-                                                            DEFAULT_SETTINGS)
-    (_, low), (_, high) = calls[:2]
-    assert error == pytest.approx(low + high, rel=1e-12)
-    assert error > 1.2 * max(low, high)
+        def recorded_tails(*args):
+            tails.append(tail(*args))
+            return tails[-1]
+
+        monkeypatch.setattr(slab, "integrate_fixed", recorded_fixed)
+        monkeypatch.setattr(slab, "_te_tails", recorded_tails)
+        monkeypatch.setattr(slab, "_te_cut", cut)
+        (_, F_err), (_, S_err) = L_TE.evaluate(T, P1, DEFAULT_SETTINGS)
+        assert np.all(tails[-1] > 1e-3 * np.array([F_err, S_err]))
+        assert [F_err, S_err] == pytest.approx(
+            np.sum(bounds, axis=0) + tails[-1], rel=1e-12, abs=0.0)
+
+        monkeypatch.setattr(slab, "_te_cut", lambda *args: 0.5 * cut(*args))
+        with pytest.raises(QuadratureError):
+            L_TE.evaluate(T, P1, DEFAULT_SETTINGS)
+
+
+def _te_log_D(kappa, L):
+    # log D_TE at omega_p = 1: rho^2 = (Q - kappa)^4, Q = sqrt(kappa^2 + 1)
+    Q = mpmath.sqrt(kappa * kappa + 1)
+    return mpmath.log(1 - (Q - kappa) ** 4 * mpmath.exp(-2 * Q * L))
+
+
+def _te_matsubara(T, L):
+    # (F, S) of L_TE at omega_p = 1 from the Matsubara sum over xi_l = 2 pi
+    # l T: F = T Sum'_l G(xi_l) - (1/4 pi^2) Int kappa^2 log D dkappa and
+    # S = -[G(0)/2 + Sum_{l>=1} (G(xi_l) + xi_l G'(xi_l))], with G(xi) =
+    # (1/2 pi) Int_xi^inf kappa log D dkappa and G'(xi) = -xi log D(xi) /
+    # 2 pi.  log D < e^-80 beyond kappa = 40/L + 40.
+    h = 2 * mpmath.pi * T
+    xi = [h * l for l in range(int((40 / L + 40) / h) + 2)] + [mpmath.inf]
+    pieces = [mpmath.quad(lambda k: k * _te_log_D(k, L), [a, b])
+              for a, b in zip(xi, xi[1:])]
+    G = [mpmath.fsum(pieces[l:]) / (2 * mpmath.pi)
+         for l in range(len(pieces))]
+    moment = mpmath.quad(lambda k: k * k * _te_log_D(k, L),
+                         [0, 1, 5, 20, mpmath.inf])
+    F = T * (G[0] / 2 + mpmath.fsum(G[1:])) - moment / (4 * mpmath.pi ** 2)
+    S = -(G[0] / 2 + mpmath.fsum(
+        G[l] - xi[l] ** 2 * _te_log_D(xi[l], L) / (2 * mpmath.pi)
+        for l in range(1, len(G))))
+    return F, S
+
+
+def _te_real_frequency(T, L):
+    # (F, S) of L_TE at omega_p = 1 from its defining real-frequency
+    # integrals (T, 1)/(2 pi^2) Int p (blog, g)(p/T) delta_L_TE(p) dp, with
+    # delta_L_TE = arg(1 - E e^{4 i beta}) below omega_p, E = e^{-2 gamma L},
+    # beta = arg(p + i gamma); beyond omega_p the weights are below e^-100.
+    def delta(p):
+        gam = mpmath.sqrt(1 - p * p)
+        E = mpmath.exp(-2 * gam * L)
+        return mpmath.arg(1 - E * mpmath.exp(4j * mpmath.atan2(gam, p)))
+
+    def blog(x):
+        return mpmath.log(-mpmath.expm1(-x))
+
+    pts = [p for p in (0, T, 4 * T, 16 * T, 64 * T) if p < 1] + [1]
+    F = mpmath.quad(lambda p: p * blog(p / T) * delta(p), pts)
+    S = mpmath.quad(lambda p: p * (p / T / mpmath.expm1(p / T) - blog(p / T))
+                    * delta(p), pts)
+    return T * F / (2 * mpmath.pi ** 2), S / (2 * mpmath.pi ** 2)
+
+
+@pytest.mark.parametrize("T", [1e-4, 1e-3, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("omega_p_L", [0.3, 1.0, 10.0])
+def test_L_TE_matches_mpmath_within_its_error(omega_p_L, T):
+    # The sawtooth pass against 30-digit mpmath of the Matsubara sum (T >=
+    # 1) or of the real-frequency integrals (T <= 1e-2).  At T = 1e-4 the
+    # 4,000 to 61,000 periods cancel to a moment of order T^3; for a thick
+    # slab, where the part is of order e^{-2 omega_p L}, the reported
+    # relative error stays below 1e-8.
+    (F, F_err), (S, S_err) = Part.named(slab.PARTS, "L_TE").evaluate(
+        T, slab.SlabParams(1.0, omega_p_L), DEFAULT_SETTINGS)
+    F_err *= T / (2.0 * math.pi ** 2)
+    S_err /= 2.0 * math.pi ** 2
+    with mpmath.workdps(30):
+        reference = (_te_matsubara if T >= 1.0 else _te_real_frequency)(
+            mpmath.mpf(T), mpmath.mpf(omega_p_L))
+    F_ref, S_ref = (float(v) for v in reference)
+    assert abs(F - F_ref) <= F_err
+    assert abs(S - S_ref) <= S_err
+    if omega_p_L == 10.0 and T >= 1.0:
+        assert F_err < 1e-8 * abs(F) and S_err < 1e-8 * abs(S)
+
+
+def test_thickness_te_runs_no_quadpack(monkeypatch):
+    # The TE thickness part and the TE route of d run on the panel rule
+    # only: with QUADPACK unavailable they still give their values.
+    def boom(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(slab, "integrate_finite", boom)
+    monkeypatch.setattr(scipy.integrate, "quad", boom)
+    for T in (1e-3, 1.0, 100.0):
+        (F, _), (S, _) = slab._thickness_te(T, P1, DEFAULT_SETTINGS)
+        assert math.isfinite(F) and math.isfinite(S)
+    assert math.isfinite(slab.slab_constant_d(route="TE").value)
+
+
+def test_thickness_te_memory_stays_flat():
+    # At omega_p L = 0.6, T = 1e-3 the pass spans about 3,500 sawtooth
+    # periods; in chunks, one call's peak stays below 2 MB.
+    params = slab.SlabParams(omega_p=1.0, L=0.6)
+    tracemalloc.start()
+    try:
+        slab._thickness_te(1e-3, params, DEFAULT_SETTINGS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_h_L_table_does_not_depend_on_build_order():
@@ -528,12 +627,14 @@ def test_slab_constant_d_literal():
 
 
 def test_slab_constant_d_routes_agree():
-    # Each route lies within its reported error and its cut's allowance of
-    # the exact d.
+    # Each route lies within its reported error of the exact d, the TM
+    # route with its cut's allowance (the TE route bounds its own tail);
+    # the TE route is exact to 1e-13.
     d = verification._SLAB_D
     d_te = slab.slab_constant_d(route="TE")
     d_tm = slab.slab_constant_d(route="TM")
-    assert abs(d_te.value - d) <= d_te.error_estimate + verification._D_TE_CUT
+    assert abs(d_te.value - d) <= d_te.error_estimate
+    assert d_te.value == pytest.approx(d, rel=1e-13, abs=0.0)
     assert abs(d_tm.value - d) <= d_tm.error_estimate + verification._D_TM_CUT
     # The TM route's error holds the table's bound and the swapped half's.
     bound = slab._HLTable(P1, 60.0).error(60.0, lambda w: 1.0)

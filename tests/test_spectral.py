@@ -157,9 +157,12 @@ def test_free_energy_defining_matches_sheet_te():
 
 
 def test_free_energy_defining_sheet_tm_at_tight_tolerance():
-    # The small-p integral in u = log p samples k = omega0 at p down to
-    # e^-40, where omega^2 - omega0^2 formed from hypot(p, k) loses p^2 to
-    # rounding, and QUADPACK then stops on roundoff at these tolerances.
+    # At these tolerances the 2-D pass (spectral._defining) grades its
+    # outer k edges into the kink at k = omega0, and each inner p integral
+    # runs on log panels down to p = e^-4 min(k, breakpoints), where the
+    # phase keeps omega^2 - omega0^2 = p^2 + (k - omega0)(k + omega0) free
+    # of rounding; its summed bound, tails included, must meet 1e-11
+    # relative without a QuadratureError.
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.5)
     tight = numkernel.QuadSettings(abs_tol=1e-14, rel_tol=1e-11)
     ch = plasma_sheet.scattering_channel(Channel.TM, params,

@@ -11,7 +11,9 @@ array of nodes to several components at once (one per temperature of a
 grid, say), so each of its passes is a single array evaluation;
 ``integrate_fixed`` runs the same rule on fixed panels for many integrals
 at once.  All return a ``QuadResult``, with one value and error per
-component from the panel rules.
+component from the panel rules.  ``thermal_integral``, on which the sheet
+and the slab's surface and optical-path parts run, integrates a density
+against F's and S's thermal weights at once and adds its tail bound.
 
 The two thermal weights used throughout are
 
@@ -47,6 +49,8 @@ __all__ = [
     "bose_log",
     "g",
     "thermal_weights",
+    "weight_columns",
+    "thermal_integral",
     "bose_occupation",
     "bose_kernel",
     "fit_asymptotic",
@@ -457,6 +461,68 @@ def integrate_fixed(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                     lo.ravel(), hi.ravel())
     K, E, A = (v.reshape(n, -1, v.shape[1]).sum(axis=1) for v in (K, E, A))
     return QuadResult(K, E + _ROUNDOFF * A, 15 * lo.size)
+
+
+def _span(lo: float, hi: float, pts) -> list[float]:
+    """Panel edges lo, the points inside (lo, hi), hi, leaving out points
+    within 1e-140 hi of lo: the squares of such a panel's nodes underflow
+    (omega0 = 1e-200 made the sheet's densities 0/0 there)."""
+    return [lo, *(v for v in pts if lo + 1e-140 * hi < v < hi), hi]
+
+
+def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
+    """Bounds on Int_X^inf x^n |w(x)| dx for both weights w, X >= 40.
+
+    |bose_log(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
+    for x >= X, and Int_X^inf x^m e^-x dx = m! e^-X Sum_{i<=m} X^i / i!.
+    A negative n is bounded by X^n times the n = 0 moment.  Row 0 bounds
+    bose_log, row 1 g, and also the occupations n(x) <= e^-x / (1 - e^-X)
+    and x n'(x) <= x e^-x / (1 - e^-X)^2, whose moment is below row 1's.
+    """
+    def upper_gamma(m: int) -> np.ndarray:
+        terms = sum(X ** i / math.factorial(i) for i in range(m + 1))
+        return math.factorial(m) * np.exp(-X) * terms
+
+    m = max(n, 0)
+    blog = upper_gamma(m)
+    out = np.stack([blog, blog + upper_gamma(m + 1)])
+    if n < 0:
+        out = out * X ** n
+    return out / -np.expm1(-X)
+
+
+def _truncation_bound(Ts: np.ndarray, cut: float, A: float,
+                      n: int) -> np.ndarray:
+    """Bound on what a cutoff drops, per weight and temperature: where the
+    density f of the integrand f(omega) w(omega/T) obeys |f| <= A omega^n
+    beyond ``cut`` (>= 40 T), A T^(n+1) Int_(cut/T)^inf x^n |w(x)| dx."""
+    return A * Ts ** (n + 1) * _tail_moment(n, cut / Ts)
+
+
+def weight_columns(Ts: np.ndarray):
+    """bose_log and g at omega/T for each of the m temperatures ``Ts``: a
+    map of n frequencies to two (n, m) arrays."""
+    return lambda omega: thermal_weights(omega[:, None] / Ts)
+
+
+def thermal_integral(density, weights, edges: Sequence[float],
+                     settings: QuadSettings, tail):
+    """Int density(omega) w(omega) d omega over the span of ``edges`` for
+    F's and S's weights w at m temperatures, in one panel rule.
+
+    ``density`` maps an array of n omega to an array, ``weights`` to F's
+    and S's weights, two (n, m) arrays (``weight_columns``: bose_log and
+    g).  ``tail`` bounds what is dropped past the last edge
+    (``_truncation_bound``) and is added to the errors.  Returns values and
+    errors as two (2, m) arrays, row 0 under F's weight and row 1 S's.
+    """
+    def f(omega: np.ndarray) -> np.ndarray:
+        d = density(omega)[:, None]
+        return np.concatenate([d * w for w in weights(omega)], axis=1)
+
+    res = integrate_panels(f, edges, settings)
+    return (res.value.reshape(2, -1),
+            res.error_estimate.reshape(2, -1) + tail)
 
 
 def _check_T(T) -> None:

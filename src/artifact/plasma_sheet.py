@@ -46,9 +46,13 @@ from .numkernel import (
     QuadResult,
     QuadSettings,
     _check_T,
+    _span,
+    _truncation_bound,
     find_root_bracketed,
     integrate_panels,
+    thermal_integral,
     thermal_weights,
+    weight_columns,
 )
 from .spectral import (
     Channel,
@@ -383,70 +387,6 @@ def _edges(params: SheetParams, Ts: np.ndarray, lo: float,
     return _span(lo, hi, pts)
 
 
-def _span(lo: float, hi: float, pts) -> list[float]:
-    """Panel edges lo, the points inside (lo, hi), hi, leaving out points
-    within 1e-140 hi of lo: the squares of such a panel's nodes underflow
-    (omega0 = 1e-200 made the densities 0/0 there)."""
-    return [lo, *(v for v in pts if lo + 1e-140 * hi < v < hi), hi]
-
-
-def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
-    """Bounds on Int_X^inf x^n |w(x)| dx for both weights w, X >= 40.
-
-    |bose_log(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
-    for x >= X, and Int_X^inf x^m e^-x dx = m! e^-X Sum_{i<=m} X^i / i!.
-    A negative n is bounded by X^n times the n = 0 moment.  Row 0 bounds
-    bose_log, row 1 g.
-    """
-    def upper_gamma(m: int) -> np.ndarray:
-        terms = sum(X ** i / math.factorial(i) for i in range(m + 1))
-        return math.factorial(m) * np.exp(-X) * terms
-
-    m = max(n, 0)
-    blog = upper_gamma(m)
-    out = np.stack([blog, blog + upper_gamma(m + 1)])
-    if n < 0:
-        out = out * X ** n
-    return out / -np.expm1(-X)
-
-
-def _truncation_bound(Ts: np.ndarray, cut: float, A: float,
-                      n: int) -> np.ndarray:
-    """Bound on what the cutoff drops, per weight and temperature.
-
-    The density factor f of the integrand f(omega) w(omega/T) obeys
-    |f| <= A omega^n beyond ``cut`` (at least 50 scale); the dropped part
-    is then at most A T^(n+1) Int_(cut/T)^inf x^n |w(x)| dx.
-    """
-    return A * Ts ** (n + 1) * _tail_moment(n, cut / Ts)
-
-
-def _thermal_integral(density, Ts: np.ndarray, params: SheetParams,
-                      settings: QuadSettings, lo: float, hi: float,
-                      tail: tuple[float, int] | None):
-    """Int_lo^hi density(omega) w(omega/T) d omega for both weights w.
-
-    ``density`` maps an array of omega to an array.  The integrand's 2m
-    columns are density times bose_log, then density times g, at the m
-    temperatures ``Ts``: one panel rule for all of them, with both
-    weights from one ``thermal_weights`` call per pass.  ``tail`` = (A, n)
-    bounds the density beyond ``hi`` by A omega^n, and the truncation
-    bound that follows is added to the quadrature error.  Returns the
-    values and their errors, two (2, m) arrays: row 0 under bose_log,
-    row 1 under g.
-    """
-    def f(omega: np.ndarray) -> np.ndarray:
-        blog, g = thermal_weights(omega[:, None] / Ts)
-        d = density(omega)[:, None]
-        return np.concatenate([d * blog, d * g], axis=1)
-
-    res = integrate_panels(f, _edges(params, Ts, lo, hi), settings)
-    error = res.error_estimate.reshape(2, -1)
-    if tail is not None:
-        error = error + _truncation_bound(Ts, hi, *tail)
-    return res.value.reshape(2, -1), error
-
-
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
              subtracted: bool = True, include_shell: bool = True):
     """((F, F_error), (S, S_error)) of one photonic channel from one
@@ -460,8 +400,10 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     # Beyond 50 scale, |omega^2 h_subtr| <= 2 scale^3 / omega^2 (its
     # omega^-2 and omega^-3 terms, with room) and |omega^2 h| <= 2 omega.
     tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
-    val, err = _thermal_integral(lambda w: w * w * dens(ch, w, params), Ts,
-                                 params, settings, 0.0, cut, tail)
+    val, err = thermal_integral(lambda w: w * w * dens(ch, w, params),
+                                weight_columns(Ts),
+                                _edges(params, Ts, 0.0, cut), settings,
+                                _truncation_bound(Ts, cut, *tail))
     # The shell weight -pi omega0^2 / 2 is zero for omega0 = 0, and for an
     # omega0 so small that its square underflows.
     shell = shell_weight(ch, params)
@@ -631,15 +573,17 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
     ell = _band_edge(params)
     if not subtracted:
         # Beyond 50 scale, |omega X| <= 2 (1 + 1/2500) omega^3 / Omega0^2.
-        span, tail, sign = ((ell, _cutoff(params, Ts)),
-                            (2.001 / params.Omega0 ** 2, 3), 1.0)
+        cut = _cutoff(params, Ts)
+        span, tail, sign = ((ell, cut), _truncation_bound(
+            Ts, cut, 2.001 / params.Omega0 ** 2, 3), 1.0)
     elif ell > 0.0:
-        span, tail, sign = (0.0, ell), None, -1.0
+        span, tail, sign = (0.0, ell), 0.0, -1.0
     else:
         zero = _like(T, np.zeros(len(Ts)))
         return (zero, zero), (zero, zero)
-    val, err = _thermal_integral(lambda w: w * surface_weight(w, params),
-                                 Ts, params, settings, *span, tail)
+    val, err = thermal_integral(lambda w: w * surface_weight(w, params),
+                                weight_columns(Ts), _edges(params, Ts, *span),
+                                settings, tail)
     val = sign * val / (2.0 * math.pi)
     return ((_like(T, Ts * val[0]), _like(T, err[0])),
             (_like(T, val[1]), _like(T, err[1])))

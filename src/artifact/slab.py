@@ -17,9 +17,12 @@ momentum moment
 
     h(omega) = Int_0^min(omega, omega_p) delta_s_TM(p, omega) dp,
 
-in closed form at every frequency (complex-log continuation between
-omega_p/sqrt(2) and omega_p, and a series at omega_p/sqrt(2), where the
-real arrangement degenerates).
+in closed form at every frequency (an arctangent between omega_p/sqrt(2)
+and omega_p, and a series at omega_p/sqrt(2), where the logarithmic
+arrangement degenerates), on floats and arrays.  The surface and
+optical-path parts integrate F and S in one panel-rule pass
+(``thermal_integral``; two for s_TM), the TE thickness part in one
+sawtooth pass; only the TM thickness part's h_L table runs QUADPACK.
 
 A direct call of a per-quantity function (``F_s_TE`` ... ``S_exp_subtr``)
 runs at the given scale, with absolute tolerances that do not scale; only
@@ -33,7 +36,6 @@ that mention it flag this.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -47,14 +49,16 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
+    _span,
+    _truncation_bound,
     bose_kernel,
-    bose_log,
     bose_occupation,
     find_root_bracketed,
-    g,
     integrate_finite,
     integrate_fixed,
     integrate_panels,
+    thermal_integral,
+    weight_columns,
 )
 from .spectral import (
     Channel,
@@ -142,11 +146,6 @@ def _gamma(p: float, params: SlabParams) -> float:
     return math.sqrt(max(params.omega_p ** 2 - p * p, 0.0))
 
 
-def _q_complex(p: float, params: SlabParams) -> complex:
-    """Internal momentum: real above omega_p, +i gamma below."""
-    return cmath.sqrt(complex(p * p - params.omega_p ** 2, 0.0))
-
-
 @dataclass(frozen=True)
 class Transmission:
     """Transmission amplitude and its exact three-factor split.
@@ -193,22 +192,23 @@ def transmission(ch: str, p: float, k: float,
     L = params.L
     omega = math.hypot(p, k)
     a = complex(p) if ch == Channel.TE else complex(epsilon(omega, params) * p)
-    q = _q_complex(p, params)
-    den = ((a + q) ** 2 * cmath.exp(-1j * q * L)
-           - (a - q) ** 2 * cmath.exp(1j * q * L))
+    # Internal momentum: real above omega_p, +i gamma below.
+    q = np.sqrt(complex(p * p - params.omega_p ** 2, 0.0))
+    den = ((a + q) ** 2 * np.exp(-1j * q * L)
+           - (a - q) ** 2 * np.exp(1j * q * L))
     scale = (abs(a) + abs(q)) ** 2
     if abs(den) <= 1e-14 * max(scale, 1e-300):
         raise ValueError(
             f"transmission denominator vanishes at p={p}, k={k} "
             "(discrete resonance)"
         )
-    t = 4.0 * a * q * cmath.exp(-1j * p * L) / den
+    t = 4.0 * a * q * np.exp(-1j * p * L) / den
     if a + q == 0.0:
         raise ValueError(f"degenerate surface factor at p={p}, k={k}")
     t_s = 4.0 * a * q / (a + q) ** 2
     rho = (a - q) / (a + q)
-    t_l = 1.0 / (1.0 - rho * rho * cmath.exp(2j * q * L))
-    prop = cmath.exp(1j * (q - p) * L)
+    t_l = 1.0 / (1.0 - rho * rho * np.exp(2j * q * L))
+    prop = np.exp(1j * (q - p) * L)
     return Transmission(t, t_s, t_l, prop)
 
 
@@ -256,45 +256,7 @@ def h_defining(omega: float, params: SlabParams,
     ).value
 
 
-def _h_below(omega: float, wp: float) -> float:
-    # omega < omega_p
-    w2 = omega * omega
-    D = wp * wp - w2
-    S2 = wp * wp - 2.0 * w2
-    sD = math.sqrt(D)
-    base = -0.5 * math.pi * omega - 2.0 * omega * math.atan(sD / omega)
-    if abs(omega - wp / math.sqrt(2.0)) < 1e-3 * wp:
-        # S -> 0 at omega_p/sqrt(2), where the bracket
-        # (1/S)[atanh(wp S/D) - atanh(S/sD)] is 0/0: sum its series in S^2,
-        # whose terms shrink by about 4 S^2/wp^2 <= 0.012 here.
-        a, b = wp / D, 1.0 / sD
-        ra, rb = a * a * S2, S2 / D
-        bracket = 0.0
-        for n in range(12):
-            bracket += (a - b) / (2 * n + 1)
-            a, b = a * ra, b * rb
-        return base + 2.0 * w2 * bracket
-    if S2 > 0.0:
-        S = math.sqrt(S2)
-        nu = w2 / (D + sD * S)
-        mu = w2 * w2 / (D * (D + wp * S))
-        acoth_term = -0.5 * math.log((2.0 - nu) / nu)
-        atanh_term = 0.5 * math.log((2.0 - mu) / mu)
-        return base + (2.0 * w2 / S) * (acoth_term + atanh_term)
-    S = cmath.sqrt(complex(S2))
-    val = (2.0 * w2 / S) * (-cmath.atanh(S / sD) + cmath.atanh(wp * S / D))
-    return base + val.real
-
-
-def _h_above(omega: float, wp: float) -> float:
-    # omega > omega_p
-    w2 = omega * omega
-    r = math.sqrt(2.0 * w2 - wp * wp)
-    return (0.5 * math.pi * wp
-            + (2.0 * w2 / r) * math.atan(wp * r / (wp * wp - w2)))
-
-
-def h(omega: float, params: SlabParams) -> float:
+def h(omega: float | np.ndarray, params: SlabParams):
     """Closed form of Int_0^min(omega, omega_p) delta_s_TM dp.
 
     Continuous at omega_p with value -pi omega_p / 2 and tending to
@@ -307,16 +269,43 @@ def h(omega: float, params: SlabParams) -> float:
     Closed at every frequency: within 1e-3 omega_p of omega_p/sqrt(2),
     where the closed arrangement is 0/0, its bracket is summed as a
     series in S^2 = omega_p^2 - 2 omega^2.  No quadrature runs;
-    ``h_defining`` is the oracle.
+    ``h_defining`` is the oracle.  Float or array ``omega`` > 0, as
+    ``plasma_sheet.h``: every branch runs at every point.
     """
-    if omega <= 0.0:
+    w = np.asarray(omega, dtype=float)
+    if np.any(w <= 0.0):
         raise ValueError(f"omega must be positive, got {omega}")
     wp = params.omega_p
-    if omega == wp:
-        return -0.5 * math.pi * wp
-    if omega < wp:
-        return _h_below(omega, wp)
-    return _h_above(omega, wp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w2 = w * w
+        D = wp * wp - w2
+        S2 = wp * wp - 2.0 * w2
+        sD = np.sqrt(D)
+        S = np.sqrt(np.abs(S2))
+        base = -0.5 * math.pi * w - 2.0 * w * np.arctan(sD / w)
+        # Below omega_p the bracket (1/S)[atanh(wp S/D) - atanh(S/sD)] is a
+        # difference of logs below omega_p/sqrt(2), one atan free of
+        # cancellation above it (S imaginary), and 0/0 at it: there its
+        # series in S^2 (terms shrink by <= 4 S^2/wp^2 <= 0.012) is summed.
+        a, b = wp / D, 1.0 / sD
+        ra, rb = a * a * S2, S2 / D
+        bracket = 0.0
+        for n in range(12):
+            bracket = bracket + (a - b) / (2 * n + 1)
+            a, b = a * ra, b * rb
+        nu = w2 / (D + sD * S)
+        mu = w2 * w2 / (D * (D + wp * S))
+        below = base + np.where(
+            abs(w - wp / math.sqrt(2.0)) < 1e-3 * wp, 2.0 * w2 * bracket,
+            np.where(S2 > 0.0,
+                     (w2 / S) * (np.log((2.0 - mu) / mu)
+                                 - np.log((2.0 - nu) / nu)),
+                     (2.0 * w2 / S) * np.arctan(
+                         S * w2 * sD / ((wp + sD) * (D * sD - wp * S2)))))
+        above = 0.5 * math.pi * wp + (2.0 * w2 / S) * np.arctan(wp * S / D)
+        out = np.where(w == wp, -0.5 * math.pi * wp,
+                       np.where(w < wp, below, above))
+    return out if np.ndim(omega) else float(out)
 
 
 _H_VALIDATION_GRID = (0.05, 0.3, 0.69, 0.9, 1.3, 3.0)
@@ -339,24 +328,28 @@ def validate_surface_weight(params: SlabParams,
     return worst
 
 
+def _edges(T: float, params: SlabParams, hi: float) -> list[float]:
+    """Panel edges on [0, hi]: T 2^k, k = -40..12, into the weights' log
+    singularity at 0 and along their decay, and omega_p (1 +- 2^-k), k =
+    1..20, into the densities' square-root branch points at omega_p."""
+    wp = params.omega_p
+    return _span(0.0, hi, [wp, *(T * 2.0 ** k for k in range(-40, 13)),
+                           *(wp * (1.0 + side * 2.0 ** -k)
+                             for k in range(1, 21) for side in (-1.0, 1.0))])
+
+
 def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE surface part without its T^3
     growth: -(T, 1) / pi^2 Int_0^omega_p omega (blog, g)(omega/T)
     atan(gamma(omega)/omega) d omega, gamma(omega) = sqrt(omega_p^2 -
-    omega^2)."""
+    omega^2), in one pass."""
     _check_T(T)
     wp = params.omega_p
-
-    def integral(weight) -> QuadResult:
-        def f(omega: float) -> float:
-            return (omega * weight(omega / T)
-                    * math.atan(math.sqrt(wp * wp - omega * omega) / omega))
-
-        return integrate_finite(f, 0.0, wp, settings, breakpoints=[T])
-
-    F, S = integral(bose_log), integral(g)
-    return ((-T * F.value / math.pi ** 2, F.error_estimate),
-            (-S.value / math.pi ** 2, S.error_estimate))
+    (F, S), (F_err, S_err) = thermal_integral(
+        lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
+        weight_columns(np.array([T])), _edges(T, params, wp), settings, 0.0)
+    return ((float(-T * F[0] / math.pi ** 2), float(F_err[0])),
+            (float(-S[0] / math.pi ** 2), float(S_err[0])))
 
 
 def _raw(name: str, T: float, params: SlabParams,
@@ -407,27 +400,27 @@ def _tm_weights(T: float):
 
 def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM surface part without its
-    growth, from its edge and bulk-moment integrals (see ``F_s_TM``), each
-    error the larger of theirs: the edge piece leaves its T^3 term out and
-    the bulk moment integrates h - h_inf, so no growth is computed."""
+    growth, from one pass each for its edge and bulk-moment integrals (see
+    ``F_s_TM``): the edge piece leaves its T^3 term out and the bulk moment
+    integrates h - h_inf against the occupations (``_thermal_columns``).
+    Each error sums the passes' errors and the bulk's tail bound."""
     _check_T(T)
     wp = params.omega_p
     cut = max(40.0 * T, 8.0 * wp)
-    h_inf = _H_INF * wp
-
-    def integrals(weight, moment) -> tuple[float, float, float]:
-        a = integrate_finite(lambda w: w * weight(w / T), 0.0, wp, settings,
-                             breakpoints=[T])
-        b = integrate_finite(lambda w: moment(w) * (h(w, params) - h_inf),
-                             0.0, cut, settings, breakpoints=[wp, T])
-        return a.value, b.value, max(a.error_estimate, b.error_estimate)
-
-    F_moment, S_moment = _tm_weights(T)
-    a_F, b_F, F_err = integrals(bose_log, F_moment)
-    a_S, b_S, S_err = integrals(g, S_moment)
-    return ((-T * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2), F_err),
-            (-a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * T * T),
-             S_err))
+    Ts = np.array([T])
+    (a_F, a_S), a_err = thermal_integral(lambda w: w, weight_columns(Ts),
+                                         _edges(T, params, wp), settings, 0.0)
+    # Beyond 8 omega_p, |omega (h - h_inf)| <= 0.68 omega_p^3 / omega; the
+    # columns are n(x) and T x n'(x), x = omega / T.
+    columns = _thermal_columns(T)
+    (b_F, b_S), b_err = thermal_integral(
+        lambda w: w * (h(w, params) - _H_INF * wp),
+        lambda w: columns(w).T[..., None], _edges(T, params, cut), settings,
+        _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1) * [[1.0], [T]])
+    F_err, S_err = (a_err + b_err)[:, 0]
+    F = -T * a_F[0] / (4.0 * math.pi) - b_F[0] / (2.0 * math.pi ** 2)
+    S = -a_S[0] / (4.0 * math.pi) + b_S[0] / (2.0 * math.pi ** 2 * T * T)
+    return (float(F), float(F_err)), (float(S), float(S_err))
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -505,14 +498,10 @@ def slab_constant_c(settings: QuadSettings | None = None) -> float:
     settings = settings or DEFAULT_SETTINGS
     params = SlabParams(omega_p=1.0, L=1.0)
     W = 200.0
-
-    def f(omega: float) -> float:
-        return _H_INF - h(omega, params)
-
-    val = integrate_finite(f, 0.0, W, settings,
-                           breakpoints=[1.0 / math.sqrt(2.0), 1.0]).value
+    res = integrate_panels(lambda w: (_H_INF - h(w, params))[:, None],
+                           [0.0, 1.0 / math.sqrt(2.0), 1.0, W], settings)
     # beyond W: h - h_inf = -(2/3)/omega^2 + O(omega^-4)
-    return val + 2.0 / (3.0 * W)
+    return float(res.value[0]) + 2.0 / (3.0 * W)
 
 
 def delta_L(ch: str, p: float, omega: float, params: SlabParams) -> float:
@@ -1366,35 +1355,35 @@ def thickness_series(params: SlabParams) -> ThicknessSeries:
     )
 
 
-def _branch_weight(omega: float, params: SlabParams) -> float:
+def _branch_weight(omega: float | np.ndarray, params: SlabParams):
     """Subtracted branch-cut weight of the optical-path part.
 
     omega_p^2/2 - omega^2 below omega_p;
     omega sqrt(omega^2 - omega_p^2) - omega^2 + omega_p^2/2 above,
-    evaluated cancellation-free (-> -omega_p^4 / (8 omega^2))."""
+    evaluated cancellation-free (-> -omega_p^4 / (8 omega^2)).  Float or
+    array ``omega``, as ``h``."""
+    w = np.asarray(omega, dtype=float)
     wp = params.omega_p
-    if omega < wp:
-        return 0.5 * wp * wp - omega * omega
-    r = (wp / omega) ** 2
-    s = math.sqrt(max(1.0 - r, 0.0))
-    return -0.5 * wp ** 4 / (omega * omega * (1.0 + s) ** 2)
+    s = np.sqrt(np.maximum((w - wp) * (w + wp), 0.0)) / w
+    out = np.where(w < wp, 0.5 * wp * wp - w * w,
+                   -0.5 * wp ** 4 / (w * w * (1.0 + s) ** 2))
+    return out if np.ndim(omega) else float(out)
 
 
 def _exp(T: float, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the optical-path part, whose
-    subtracted branch weight leaves out its T^2 growth."""
+    subtracted branch weight leaves out its T^2 growth, in one pass."""
     _check_T(T)
-    wp = params.omega_p
-    W = max(40.0 * T, 8.0 * wp)
-
-    def integral(weight) -> QuadResult:
-        return integrate_finite(
-            lambda w: _branch_weight(w, params) * weight(w / T),
-            0.0, W, settings, breakpoints=[wp, T])
-
-    F, S = integral(bose_log), integral(g)
-    return ((params.L * T * F.value / (2.0 * math.pi ** 2), F.error_estimate),
-            (params.L * S.value / (2.0 * math.pi ** 2), S.error_estimate))
+    W = max(40.0 * T, 8.0 * params.omega_p)
+    Ts = np.array([T])
+    # Beyond 8 omega_p, |_branch_weight| <= 0.126 omega_p^4 / omega^2.
+    (F, S), (F_err, S_err) = thermal_integral(
+        lambda w: _branch_weight(w, params), weight_columns(Ts),
+        _edges(T, params, W), settings,
+        _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
+    c = params.L / (2.0 * math.pi ** 2)
+    return ((float(c * T * F[0]), float(F_err[0])),
+            (float(c * S[0]), float(S_err[0])))
 
 
 def validate_exp_part(params: SlabParams,
@@ -1563,10 +1552,10 @@ def plasmon_mode_residual(omega: float, k: float,
 
 # Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
 # every call looks the part's evaluator up in this module.  Each evaluator
-# leaves out the part's growth.  The surface and exp parts, and L_TM's
-# table half, integrate F's weight, then S's (QUADPACK is scalar); L_TE
-# runs both as columns of one array pass.  The thickness parts need no
-# subtraction.
+# leaves out the part's growth.  The surface and exp parts run F and S as
+# columns of one panel-rule pass (two for s_TM), L_TE of one sawtooth
+# pass; only L_TM's table half integrates F's weight, then S's (QUADPACK
+# is scalar).  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda T, p, s: _surface_te(T, p, s), _s_te_growth),

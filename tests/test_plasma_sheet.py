@@ -473,13 +473,13 @@ def test_total_runs_one_panel_rule_per_part(monkeypatch):
     # F and S of a part share one pass: three calls where the plasmon
     # band is real (omega0 = 0.8), not one per part and quantity.
     calls = []
-    panels = ps.integrate_panels
+    panels = numkernel.integrate_panels
 
     def counted(*args, **kwargs):
         calls.append(args)
         return panels(*args, **kwargs)
 
-    monkeypatch.setattr(ps, "integrate_panels", counted)
+    monkeypatch.setattr(numkernel, "integrate_panels", counted)
     ps.total(np.geomspace(1e-2, 1e3, 9), ps.SheetParams(Omega0=1.0,
                                                         omega0=0.8))
     assert len(calls) == 3
@@ -520,8 +520,8 @@ def test_entropy_channel_reports_its_own_error():
     # truncation bound, not the F integral's.
     params = ps.SheetParams(Omega0=1.0, omega0=0.7125)
     T = np.geomspace(1e-2, 1e3, 5)
-    trunc = ps._truncation_bound(T, ps._cutoff(params, T),
-                                 2.0 * params.scale() ** 3, -2)[1]
+    trunc = numkernel._truncation_bound(T, ps._cutoff(params, T),
+                                        2.0 * params.scale() ** 3, -2)[1]
     for ch in Channel.ALL:
         (_, F_error), (S, S_error) = Part.named(ps.PARTS, ch).evaluate(
             T, params, DEFAULT_SETTINGS)
@@ -563,7 +563,7 @@ def test_truncation_bound_covers_the_dropped_tail():
     params = ps.SheetParams(Omega0=1.0, omega0=0.5)
     T = 1000.0
     cut = ps._cutoff(params, np.array([T]))
-    bounds = ps._truncation_bound(np.array([T]), cut, 2.0, 1)[:, 0]
+    bounds = numkernel._truncation_bound(np.array([T]), cut, 2.0, 1)[:, 0]
     for weight, bound in zip((numkernel.bose_log, numkernel.g), bounds):
         tail = numkernel.integrate_semiinf(
             lambda w: w * w * weight(w / T) * ps.h(Channel.TE, w, params),

@@ -2,6 +2,7 @@
 guided mode."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
 
-from artifact import plasma_sheet, slab, verification
+from artifact import numkernel, plasma_sheet, slab, verification
 from artifact.numkernel import (DEFAULT_SETTINGS, QuadratureError,
                                QuadResult, QuadSettings)
 from artifact.spectral import ZETA3, ZETA5, Channel, Part, ThermoPoint
@@ -73,6 +74,24 @@ def test_h_runs_no_quadrature(monkeypatch, omega_p):
     params = slab.SlabParams(omega_p=omega_p, L=1.0)
     for frac in (*WINDOW, 0.3, 0.9, 1.0, 1.5):
         assert math.isfinite(slab.h(frac * omega_p, params))
+
+
+def test_h_takes_floats_and_arrays():
+    # One implementation for both: an array through omega_p/sqrt(2), its
+    # series band and omega_p gives the per-float values bit for bit.
+    for omega_p in (1.0, 2.5):
+        params = slab.SlabParams(omega_p=omega_p, L=1.0)
+        w = omega_p * np.concatenate([
+            np.geomspace(1e-6, 1e3, 200), WINDOW,
+            1.0 / math.sqrt(2.0) + np.array([-1.1e-3, -1e-3, 1e-3, 1.1e-3]),
+            1.0 + np.array([-1e-9, 0.0, 1e-9])])
+        values = slab.h(w, params)
+        assert np.array_equal(values,
+                              [slab.h(float(x), params) for x in w])
+        assert type(slab.h(0.5 * omega_p, params)) is float
+    for bad in (0.0, -1.0, np.array([0.5, 0.0])):
+        with pytest.raises(ValueError):
+            slab.h(bad, P1)
 
 
 def test_epsilon():
@@ -489,6 +508,112 @@ def test_thickness_te_runs_no_quadpack(monkeypatch):
         (F, _), (S, _) = slab._thickness_te(T, P1, DEFAULT_SETTINGS)
         assert math.isfinite(F) and math.isfinite(S)
     assert math.isfinite(slab.slab_constant_d(route="TE").value)
+
+
+def test_surface_and_exp_parts_run_no_quadpack(monkeypatch):
+    # The surface and exp parts run on the panel rule only, and in the
+    # whole slab QUADPACK runs only inside the h_L table.
+    finite, quad = numkernel.integrate_finite, scipy.integrate.quad
+
+    def boom(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(slab, "integrate_finite", boom)
+    monkeypatch.setattr(scipy.integrate, "quad", boom)
+    for evaluate in (slab._surface_te, slab._surface_tm, slab._exp):
+        for T in (1e-3, 1.0, 100.0):
+            (F, _), (S, _) = evaluate(T, P1, DEFAULT_SETTINGS)
+            assert math.isfinite(F) and math.isfinite(S)
+
+    def table_only(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        assert caller in ("h_L", "integrate"), f"QUADPACK in {caller}"
+        return finite(*args, **kwargs)
+
+    monkeypatch.setattr(slab, "integrate_finite", table_only)
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    for T in (1e-3, 1.0, 100.0):
+        assert math.isfinite(slab.total(T, slab.SlabParams(1.0, 0.7)).S_total)
+
+
+def test_s_TM_error_is_the_passes_bounds_plus_its_tail(monkeypatch):
+    # The s_TM record's F and S errors are the summed bounds of its edge
+    # and bulk panel-rule passes plus the bulk's tail bound, whose S row
+    # carries the factor T of the column omega n'(omega / T).
+    s_TM = Part.named(slab.PARTS, "s_TM")
+    panels, tail = numkernel.integrate_panels, slab._truncation_bound
+    for T in (0.1, 10.0):
+        bounds, tails = [], []
+
+        def recorded_panels(*args, **kwargs):
+            res = panels(*args, **kwargs)
+            bounds.append(res.error_estimate)
+            return res
+
+        def recorded_tail(*args):
+            tails.append(tail(*args)[:, 0])
+            return tail(*args)
+
+        monkeypatch.setattr(numkernel, "integrate_panels", recorded_panels)
+        monkeypatch.setattr(slab, "_truncation_bound", recorded_tail)
+        (_, F_err), (_, S_err) = s_TM.evaluate(T, P1, DEFAULT_SETTINGS)
+        assert len(bounds) == 2 and len(tails) == 1
+        assert [F_err, S_err] == pytest.approx(
+            np.sum(bounds, axis=0) + tails[0] * [1.0, T], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("T", [1e-5, 1e-4])
+def test_surface_and_exp_parts_follow_their_low_T_laws(T):
+    # Far below omega_p the weights live at omega ~ T: s_TE's record S ->
+    # -3 zeta(3) T^2 / (2 pi) (1 + O(T)), exp's S -> omega_p^2 L T / 12
+    # (1 + O(T^2)) and the raw TM surface S -> -15 zeta(3) T^2 / (4 pi)
+    # (1 + O(T log T)).  Scalar QUADPACK missed the peak at omega ~ T on
+    # [T, omega_p] here and returned these a factor 1.6 to 3500 off.
+    params = slab.SlabParams(omega_p=1.0, L=0.7)
+    (_, _), (S_te, _) = slab._surface_te(T, params, DEFAULT_SETTINGS)
+    assert S_te == pytest.approx(-3.0 * ZETA3 * T * T / (2.0 * math.pi),
+                                 rel=1e-3)
+    assert slab.S_exp_subtr(T, params) == pytest.approx(0.7 * T / 12.0,
+                                                        rel=1e-6)
+    assert slab.S_s_TM(T, params) == pytest.approx(
+        -15.0 * ZETA3 * T * T / (4.0 * math.pi), rel=1e-2)
+
+
+def test_surface_and_exp_envelopes_beyond_the_cutoff():
+    # The tail bounds assume |omega (h - h_inf)| <= 0.68 omega_p^3 / omega
+    # and |_branch_weight| <= 0.126 omega_p^4 / omega^2 beyond 8 omega_p.
+    for omega_p in (1.0, 2.5):
+        params = slab.SlabParams(omega_p=omega_p, L=1.0)
+        w = np.geomspace(8.0 * omega_p, 1e6 * omega_p, 400)
+        h_inf = slab._H_INF * omega_p
+        assert np.all(np.abs(w * w * (slab.h(w, params) - h_inf))
+                      <= 0.68 * omega_p ** 3)
+        assert np.all(np.abs(w * w * slab._branch_weight(w, params))
+                      <= 0.126 * omega_p ** 4)
+
+
+@pytest.mark.parametrize("T", [1.0, 100.0])
+def test_surface_and_exp_tail_bounds_cover_the_dropped_tail(T):
+    # Each cut-off integrand of s_TM (bulk moment) and exp, integrated past
+    # its cut at a tight tolerance, against the bound the part adds.
+    wp = P1.omega_p
+    cut = max(40.0 * T, 8.0 * wp)
+    Ts = np.array([T])
+    columns = slab._thermal_columns(T)
+    tight = QuadSettings(abs_tol=1e-300, rel_tol=1e-10)
+    cases = [(lambda w: w * (slab.h(w, P1) - slab._H_INF * wp),
+              lambda w: columns(np.array([w]))[0],
+              slab._truncation_bound(Ts, cut, 0.68 * wp ** 3, -1)[:, 0]
+              * [1.0, T]),
+             (lambda w: slab._branch_weight(w, P1),
+              lambda w: [numkernel.bose_log(w / T), numkernel.g(w / T)],
+              slab._truncation_bound(Ts, cut, 0.126 * wp ** 4, -2)[:, 0])]
+    for density, weights, bounds in cases:
+        for j, bound in enumerate(bounds):
+            dropped = numkernel.integrate_semiinf(
+                lambda w: density(w) * weights(w)[j], cut, tight,
+                scale=T).value
+            assert 0.0 < abs(dropped) <= bound <= 2.0 * abs(dropped)
 
 
 def test_thickness_te_memory_stays_flat():

@@ -523,27 +523,34 @@ def omega_sf(k: float, params: SheetParams) -> float:
     """Sheet plasmon frequency at transverse momentum k >= omega0 (a
     float or an array).
 
-    Monotone branch of Omega0 sqrt(k^2 - omega^2) = omega^2 - omega0^2;
-    the mode sits below the light line, k^2 - omega_sf^2 =
-    (y - Omega0/2)^2 with y = sqrt(k^2 - omega0^2 + Omega0^2/4).
+    Monotone branch of Omega0 sqrt(k^2 - omega^2) = omega^2 - omega0^2:
+    omega^2 = ell^2 + Omega0 y, with ell^2 = omega0^2 - Omega0^2/2 and
+    y = sqrt(k^2 - omega0^2 + Omega0^2/4).  Where ell^2 < 0 that sum
+    cancels as the mode nears the light line (omega0 = 0, small k), so
+    it is taken there as (Omega0 k - omega0^2)(Omega0 k + omega0^2) /
+    (Omega0 y - ell^2).  The mode sits below the light line, k^2 -
+    omega_sf^2 = (y - Omega0/2)^2.
     """
     w0, O0 = params.omega0, params.Omega0
     if np.any(np.less(k, w0)):
         raise ValueError(f"plasmon band starts at k = omega0; got k={k}")
-    y = np.sqrt(k * k - w0 * w0 + 0.25 * O0 * O0)
-    return np.sqrt(w0 * w0 - 0.5 * O0 * O0 + O0 * y)
+    e2 = params.ell2
+    y = np.sqrt((k - w0) * (k + w0) + 0.25 * O0 * O0)
+    if e2 >= 0.0:
+        return np.sqrt(e2 + O0 * y)
+    return np.sqrt((O0 * k - w0 * w0) * (O0 * k + w0 * w0) / (O0 * y - e2))
 
 
 def plasmon_mode_residual(k: float, params: SheetParams) -> float:
     """Defect of omega_sf(k) in the TM pole condition.
 
     The surface mode solves Omega(omega) eta = omega^2 with
-    eta = sqrt(k^2 - omega^2), equivalently
+    eta^2 = (k - omega)(k + omega), equivalently
     Omega0 eta = omega^2 - omega0^2.  Returns the absolute defect of
     that equation at omega = omega_sf(k).
     """
     w = omega_sf(k, params)
-    eta2 = k * k - w * w
+    eta2 = (k - w) * (k + w)
     eta = math.sqrt(eta2) if eta2 > 0.0 else 0.0
     return abs(params.Omega0 * eta - (w * w - params.omega0 * params.omega0))
 

@@ -106,6 +106,7 @@ __all__ = [
     "single_surface_mode",
     "total",
     "surface_te_channel",
+    "exp_channel",
 ]
 
 _H_INF = 0.5 * (math.pi - 4.0)  # h(omega) / omega_p as omega -> inf
@@ -1431,123 +1432,84 @@ def S_exp_subtr(T: float, params: SlabParams,
 
 def F_exp_defining(T: float, params: SlabParams,
                    settings: QuadSettings | None = None) -> float:
-    """Optical-path free energy from the defining double integral.
-
-    The phase derivative is d delta/dp = L (p/q - 1) above omega_p and -L
-    below, with q = sqrt(p^2 - omega_p^2); its inverse square root at
-    omega_p, a breakpoint, is integrated in s with p = omega_p + s^2,
-    where it is smooth.  ``free_energy_defining`` of that channel, with
-    its error contract: the value is within max(abs_tol, rel_tol |F|) of
-    the integral.  Cross-check only.
+    """Optical-path free energy from the defining double integral:
+    ``free_energy_defining`` of ``exp_channel``, with its error contract:
+    the value is within max(abs_tol, rel_tol |F|) of the integral.
+    Cross-check only.
     """
-    wp, L = params.omega_p, params.L
-
-    def ddelta(p, k):
-        # p/q - 1 = omega_p^2 / (q (p + q)), free of cancellation
-        q = np.sqrt(np.maximum((p - wp) * (p + wp), 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return L * np.where(p > wp, wp * wp / (q * (p + q)), -1.0)
-
-    return free_energy_defining(
-        ScatteringChannel(deriv=ddelta, p_breakpoints=lambda k: (wp,),
-                          scale=wp),
-        T, settings)
+    return free_energy_defining(exp_channel(params), T, settings)
 
 
-def _mode_function(omega: float, k: float, params: SlabParams) -> float:
-    """Slab plasmon mode function: 2 eps eta gamma + (eps^2 eta^2 +
-    gamma^2) tanh(gamma L); pole-free on 0 < omega < min(k, wp/sqrt 2)."""
-    eps = epsilon(omega, params)
-    eta = math.sqrt(k * k - omega * omega)
-    gam = math.sqrt(k * k + params.omega_p ** 2 - omega * omega)
-    return (2.0 * eps * eta * gam
-            + (eps * eps * eta * eta + gam * gam)
-            * math.tanh(gam * params.L))
+def _plasmon_mode(omega: float, k: float, params: SlabParams) -> float:
+    """Signed slab plasmon mode function at 0 < omega <= k: the condition
+    1 - rho_TM^2 e^{-2 gamma L} = 0 multiplied through by (a + gamma)^2
+    and normalised, ((a + gamma)^2 - (a - gamma)^2 e^{-2 gamma L}) /
+    (|a| + gamma)^2 with a = eps eta.  It stays finite on the
+    single-surface mode, a = -gamma, where rho has a pole."""
+    eta = math.sqrt((k - omega) * (k + omega))
+    gam = math.hypot(eta, params.omega_p)
+    a = epsilon(omega, params) * eta
+    E = math.exp(-2.0 * gam * params.L)
+    return ((a + gam) ** 2 - (a - gam) ** 2 * E) / (abs(a) + gam) ** 2
 
 
 def single_surface_mode(k: float, params: SlabParams) -> float:
-    """Surface mode of a single interface: the L -> inf limit.
+    """Surface mode of a single interface, eps eta + gamma = 0: the
+    L -> inf limit of the slab plasmon.
 
-    omega^2 = omega_p^2/2 + k^2 - sqrt(k^4 + omega_p^4/4); approaches
-    omega_p/sqrt(2) from below as k grows.
+    omega = omega_p k / sqrt(omega_p^2/2 + k^2 + sqrt(k^4 + omega_p^4/4)),
+    the closed form omega^2 = omega_p^2/2 + k^2 - sqrt(k^4 + omega_p^4/4)
+    with its cancellation divided out, so it keeps its relative accuracy
+    on the light line (omega ~ k at small k) as well as where it
+    approaches omega_p/sqrt(2) from below (large k).
     """
     wp = params.omega_p
     if k <= 0.0:
         raise ValueError(f"k must be positive, got {k}")
-    w2 = 0.5 * wp * wp + k * k - math.sqrt(k ** 4 + 0.25 * wp ** 4)
-    return math.sqrt(w2)
+    h = 0.5 * wp * wp
+    return wp * k / math.sqrt(h + k * k + math.hypot(k * k, h))
 
 
 def plasmon_dispersion(k: float, params: SlabParams) -> float:
-    """Guided TM surface mode (slab plasmon) frequency at momentum k.
+    """Guided TM surface mode (slab plasmon) frequency omega_-(k): the
+    lower (antisymmetric) root of the mode function of
+    ``plasmon_mode_residual``.
 
-    The mode function has exactly two roots on (0, min(k, omega_p/sqrt 2))
-    for finite thickness: the reflection amplitude |rho| = (x + gamma) /
-    (x - gamma), with x = |eps| eta, rises monotonically in omega while
-    the thickness factor e^{gamma L} falls, so each side of the crossing
-    point x = gamma carries one root.  At that crossing the mode function
-    equals 2 gamma^2 (tanh(gamma L) - 1) < 0, which gives a guaranteed
-    interior point: bisect |eps| eta - gamma for the crossing, then
-    bracket downward to the lower root.  Uniform seeding cannot do this;
-    at small k L both roots hug the light line within ~ k^3/omega_p^2.
-
-    When tanh(gamma L) is saturated to 1 in floating point (large L) the
-    interior point degenerates and the two roots merge pairwise into the
-    single-surface mode, which is then returned in closed form.
-
-    The returned branch is the lower (antisymmetric) one when the
-    thickness splits the mode in two.
+    The single-surface mode omega_s brackets it from above: the mode
+    function is -e^{-2 gamma L} < 0 there and tends to 1 - e^{-2 gamma L}
+    > 0 as omega -> 0, with omega_- the one root in between.  The lower
+    end is halved down from omega_s/2 until the function is positive,
+    then one bracketed root solve runs on (lower end, omega_s).  Where the
+    function is already >= 0 at omega_s, e^{-2 gamma L} is below the
+    rounding of the mode condition: the thickness no longer splits the
+    mode in double precision, and omega_s is returned (a thick slab).
 
     NOTE: this mode is not included in the thermodynamic totals.
     """
-    if k <= 0.0:
-        raise ValueError(f"k must be positive, got {k}")
-    wp = params.omega_p
-    hi = min(k, wp / math.sqrt(2.0)) * (1.0 - 1e-12)
+    w_s = single_surface_mode(k, params)
 
     def fn(w: float) -> float:
-        return _mode_function(w, k, params)
+        return _plasmon_mode(w, k, params)
 
-    def excess(w: float) -> float:
-        eta = math.sqrt(k * k - w * w)
-        gam = math.sqrt(k * k + wp * wp - w * w)
-        return -epsilon(w, params) * eta - gam
-
-    lo = hi * 1e-6
-    while excess(lo) <= 0.0 and lo > hi * 1e-200:
-        lo *= 1e-6
-    if excess(lo) > 0.0 and excess(hi) < 0.0:
-        w_hat = find_root_bracketed(excess, lo, hi, x_tol=1e-15 * hi)
-        if fn(w_hat) < 0.0:
-            a = 0.5 * w_hat
-            for _ in range(400):
-                if fn(a) > 0.0:
-                    return find_root_bracketed(fn, a, w_hat,
-                                               x_tol=1e-15 * w_hat)
-                a *= 0.5
-    gam_min = math.sqrt(k * k + wp * wp - hi * hi)
-    if math.tanh(gam_min * params.L) >= 1.0 - 1e-12:
-        return single_surface_mode(k, params)
+    if fn(w_s) >= 0.0:
+        return w_s
+    lo = 0.5 * w_s
+    for _ in range(100):
+        if fn(lo) > 0.0:
+            return find_root_bracketed(fn, lo, w_s, x_tol=1e-15 * w_s)
+        lo *= 0.5
     raise QuadratureError(
         f"no slab plasmon bracket found at k={k} "
-        f"(omega_p={wp}, L={params.L})"
-    )
+        f"(omega_p={params.omega_p}, L={params.L})")
 
 
 def plasmon_mode_residual(omega: float, k: float,
                           params: SlabParams) -> float:
-    """Mode condition 1 - rho_TM^2 e^{-2 gamma L} = 0 at evanescent
-    momenta, multiplied through by (eps eta + gamma)^2 and normalised:
-    |(eps eta + gamma)^2 - (eps eta - gamma)^2 e^{-2 gamma L}| / (|eps|
-    eta + gamma)^2, ~0 on the mode.  Same zero set, but it stays small on
-    the single-surface mode of a thick slab, where rho has a pole and
-    e^{-2 gamma L} underflows."""
-    eps = epsilon(omega, params)
-    eta = math.sqrt(k * k - omega * omega)
-    gam = math.sqrt(k * k + params.omega_p ** 2 - omega * omega)
-    a = eps * eta
-    E = math.exp(-2.0 * gam * params.L)
-    return abs((a + gam) ** 2 - (a - gam) ** 2 * E) / (abs(a) + gam) ** 2
+    """|mode function| of the slab plasmon at (omega, k), ~0 on the mode;
+    it is the function ``plasmon_dispersion`` solves.  Near the light line
+    it is limited by how precisely omega is represented: eta^2 = (k -
+    omega)(k + omega) resolves a correctly rounded omega only to eps k."""
+    return abs(_plasmon_mode(omega, k, params))
 
 
 # Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
@@ -1603,3 +1565,23 @@ def surface_te_channel(params: SlabParams) -> ScatteringChannel:
         p_breakpoints=lambda k: (wp,),
         scale=wp,
     )
+
+
+def exp_channel(params: SlabParams) -> ScatteringChannel:
+    """Optical-path part as a generic scattering channel (cross-checks).
+
+    The phase derivative is d delta/dp = L (p/q - 1) above omega_p and -L
+    below, with q = sqrt(p^2 - omega_p^2); its inverse square root at
+    omega_p, a breakpoint, is integrated in s with p = omega_p + s^2,
+    where it is smooth.
+    """
+    wp, L = params.omega_p, params.L
+
+    def ddelta(p, k):
+        # p/q - 1 = omega_p^2 / (q (p + q)), free of cancellation
+        q = np.sqrt(np.maximum((p - wp) * (p + wp), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return L * np.where(p > wp, wp * wp / (q * (p + q)), -1.0)
+
+    return ScatteringChannel(deriv=ddelta, p_breakpoints=lambda k: (wp,),
+                             scale=wp)

@@ -119,6 +119,27 @@ def test_plasmon_residual_holds_on_single_surface_rows(tmp_path):
         assert float(row["residual"]) <= 1e-10, row
 
 
+def test_plasmon_rows_solve_from_light_line_to_thick_slabs(tmp_path):
+    # Below k = 1e-2 omega_p the mode hugs the light line, where eta^2 =
+    # (k - omega)(k + omega) resolves a correctly rounded omega only to
+    # eps k, so the residual is gated from k = 1e-2 on and omega itself
+    # at every k.
+    plas = tmp_path / "plasmon.csv"
+    rc = cli.main(["slab", "--L", "0.01:50:5", "--tmin", "1", "--tmax", "1",
+                   "--tpts", "1", "--parts", "exp", "--kmin", "1e-6",
+                   "--kmax", "1e4", "--kpts", "21", "--plasmon-out",
+                   str(plas), "--out", str(tmp_path / "slab.csv")])
+    assert rc == 0
+    prows = _read_csv(plas)
+    assert len(prows) == 105
+    for row in prows:
+        k, w = float(row["k"]), float(row["omega_sf"])
+        assert math.isfinite(w), row
+        assert w <= 1.0 / math.sqrt(2.0) and w < k, row
+        if k >= 1e-2:
+            assert float(row["residual"]) <= 1e-10, row
+
+
 def test_scan_locates_negative_window(tmp_path):
     out = tmp_path / "scan.csv"
     rc = cli.main(["scan", "--omega0", "0.68:0.74:4", "--tmax", "100",

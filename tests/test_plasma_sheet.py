@@ -272,6 +272,23 @@ def test_omega_sf_band_edge_and_monotonicity():
         assert w <= k
 
 
+@pytest.mark.parametrize("w0", [0.0, 0.3, 0.8])
+def test_omega_sf_matches_mpmath(w0):
+    # ell^2 + Omega0 y cancels where ell^2 < 0 and omega_sf << Omega0
+    # (omega0 = 0, small k); floats and arrays must both keep their
+    # relative accuracy from the band bottom on.
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    ks = w0 + np.geomspace(1e-8, 1e4, 49)
+    got = ps.omega_sf(ks, params)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(w0) ** 2
+        for k, g in zip(ks, got):
+            y = mpmath.sqrt(mpmath.mpf(k) ** 2 - a + 0.25)
+            want = mpmath.sqrt(a - 0.5 + y)
+            assert abs(g - want) <= 3e-16 * want, k
+            assert ps.omega_sf(float(k), params) == g
+
+
 @given(w0=st.floats(min_value=0.0, max_value=2.0),
        dk=st.floats(min_value=1e-3, max_value=100.0))
 @settings(max_examples=50, deadline=None)

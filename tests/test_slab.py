@@ -927,6 +927,68 @@ def test_plasmon_bound(k):
     assert w < k
 
 
+def _single_surface_mpmath(k, wp):
+    k, wp = mpmath.mpf(k), mpmath.mpf(wp)
+    return wp * k / mpmath.sqrt(wp ** 2 / 2 + k ** 2
+                                + mpmath.sqrt(k ** 4 + wp ** 4 / 4))
+
+
+@pytest.mark.parametrize("wp", [1.0, 2.5])
+def test_single_surface_mode_matches_mpmath(wp):
+    # omega^2 = wp^2/2 + k^2 - sqrt(k^4 + wp^4/4) cancels on the light
+    # line (small k) and toward wp/sqrt(2) (large k); the closed form must
+    # keep its relative accuracy at both ends.
+    params = slab.SlabParams(omega_p=wp, L=1.0)
+    with mpmath.workdps(50):
+        for k in np.geomspace(1e-8, 1e6, 57) * wp:
+            want = _single_surface_mpmath(k, wp)
+            got = slab.single_surface_mode(float(k), params)
+            assert abs(got - want) <= 4e-16 * want, k
+
+
+def _plasmon_mpmath(k, wp, L):
+    """omega_-(k) by bisection in 100-digit arithmetic on (omega_s/2^j,
+    omega_s), with the mode condition in its plain product form."""
+    with mpmath.workdps(100):
+        k, wp, L = (mpmath.mpf(v) for v in (k, wp, L))
+        w_s = _single_surface_mpmath(k, wp)
+
+        def f(w):
+            eta = mpmath.sqrt(k * k - w * w)
+            gam = mpmath.sqrt(eta * eta + wp * wp)
+            a = (1 - wp * wp / (w * w)) * eta
+            return (a + gam) ** 2 - (a - gam) ** 2 * mpmath.exp(-2 * gam * L)
+
+        j = 1
+        while f(w_s / 2 ** j) <= 0:
+            j += 1
+        lo, hi = w_s / 2 ** j, w_s
+        for _ in range(j + 90):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("wL", [0.01, 0.1, 1.0, 5.0, 20.0, 50.0])
+def test_plasmon_dispersion_matches_mpmath(wL):
+    # From thin slabs, where omega_- hugs the light line at small k and
+    # sits far below omega_s at large k, to thick ones, where it is
+    # omega_s to within e^{-gamma L}.
+    params = slab.SlabParams(omega_p=1.0, L=wL)
+    for k in (1e-6, 1e-4, 1e-2, 1.0, 30.0, 100.0, 300.0, 1e4):
+        want = _plasmon_mpmath(k, 1.0, wL)
+        got = slab.plasmon_dispersion(k, params)
+        assert abs(got - want) <= 4e-15 * want, k
+
+
+def test_plasmon_dispersion_solves_everywhere():
+    for wL in np.geomspace(1e-3, 100.0, 11):
+        params = slab.SlabParams(omega_p=1.0, L=float(wL))
+        for k in np.geomspace(1e-7, 1e5, 49):
+            w = slab.plasmon_dispersion(float(k), params)
+            assert 0.0 < w <= slab.single_surface_mode(float(k), params)
+
+
 def test_plasmon_large_L_merges_to_single_surface():
     thick = slab.SlabParams(omega_p=1.0, L=50.0)
     for k in (0.3, 1.0, 5.0):

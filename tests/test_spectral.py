@@ -189,17 +189,19 @@ def _sheet_channel(name, omega0, surface=False):
         include_surface=surface)
 
 
-# Every defining integral ``thermo verify`` reads, as a function of the
-# settings.
-_VERIFY_DEFINING = {
-    **{f"sheet-{name}-omega0={w0}": partial(
-        spectral.free_energy_defining, _sheet_channel(name, w0), 1.0)
+# Every scattering channel ``thermo verify`` hands to the defining
+# integrals ...
+_VERIFY_CHANNELS = {
+    **{f"sheet-{name}-omega0={w0}": _sheet_channel(name, w0)
        for w0 in (0.0, 0.5) for name in Channel.ALL},
-    "sheet-TM+sf": partial(spectral.free_energy_defining,
-                           _sheet_channel(Channel.TM, 0.0, True), 1.0),
-    "slab-s_TE": partial(spectral.free_energy_defining,
-                         slab.surface_te_channel(slab.SlabParams(1.0, 1.0)),
-                         1.0),
+    "sheet-TM+sf": _sheet_channel(Channel.TM, 0.0, True),
+    "slab-s_TE": slab.surface_te_channel(slab.SlabParams(1.0, 1.0)),
+    "slab-exp": slab.exp_channel(slab.SlabParams(1.0, 1.0)),
+}
+# ... and every defining integral it reads, as a function of the settings.
+_VERIFY_DEFINING = {
+    **{name: partial(spectral.free_energy_defining, ch, 1.0)
+       for name, ch in _VERIFY_CHANNELS.items() if name != "slab-exp"},
     **{f"slab-exp-T={T}": partial(slab.F_exp_defining, T,
                                   slab.SlabParams(1.0, 1.0))
        for T in (0.1, 1.0, 10.0)},
@@ -260,6 +262,26 @@ def test_defining_integral_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("entropy", [False, True], ids=["F", "S"])
+@pytest.mark.parametrize("case", sorted(_VERIFY_CHANNELS))
+def test_defining_outer_tail_stays_under_its_envelope(case, entropy):
+    # Past the outer cut-off K, _defining bounds the outer integrand G by
+    # the modulus bound M(K) times (k/K)^2 e^-(k-K)/(3T): an envelope, not
+    # a proof, so check it on a grid, k - K from 1e-3 T to 1000 T.
+    ch = _VERIFY_CHANNELS[case]
+    for T in (0.1, 1.0, 10.0):
+        top = max(T, ch.scale)
+        K = 2.0 * max([top, *ch.k_breakpoints]) + spectral._CUT * T
+        M = spectral._rows(ch, T, entropy, top, np.array([K]), 0,
+                           absolute=True)[0, 2]
+        k = K + np.geomspace(1e-3 * T, 1e3 * T, 200)
+        G = np.concatenate([
+            spectral._rows(ch, T, entropy, top, k[i:i + spectral._ROWS], 0)
+            for i in range(0, len(k), spectral._ROWS)])[:, 0]
+        envelope = M * (k / K) ** 2 * np.exp(-(k - K) / (3.0 * T))
+        assert np.all(np.abs(G) <= envelope), T
 
 
 def test_thermo_point_parts():

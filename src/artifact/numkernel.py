@@ -418,12 +418,11 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray],
         # outside them.
         Eo = E[:, open_]
         order = np.argsort(-Eo, axis=0, kind="stable")
-        cum = np.cumsum(np.take_along_axis(Eo, order, axis=0), axis=0)
+        cum = np.cumsum(Eo[order, np.arange(Eo.shape[1])], axis=0)
         need = raw[open_] - 0.5 * (tol[open_] - floor[open_])
         count = (cum < need).sum(axis=0) + 1
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(len(lo))[:, None], axis=0)
-        mark = np.any(ranks < count, axis=1)
+        mark = np.zeros(len(lo), dtype=bool)
+        mark[order[np.arange(len(lo))[:, None] < count]] = True
         if len(lo) + mark.sum() > _MAX_SUBDIVISIONS:
             j = np.flatnonzero(open_)[0]
             raise QuadratureError(

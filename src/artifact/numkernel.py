@@ -469,6 +469,18 @@ def _span(lo: float, hi: float, pts) -> list[float]:
     return [lo, *(v for v in pts if lo + 1e-140 * hi < v < hi), hi]
 
 
+def _octaves(lo: float, hi: float, anchor: float, pts) -> list[float]:
+    """Starting panel edges of a thermal integral over [lo, hi]: ``_span``
+    of ``pts`` and of the octaves anchor 2^k, every integer k >= -40 with
+    anchor 2^k < hi.  Below the anchor (a temperature, say) they grade the
+    panels into the weights' log singularity at 0; above it they follow
+    the weights' decay, so that no panel is far wider than the scale on
+    which the integrand changes and one pass or two converge."""
+    top = math.ceil(math.log2(hi / anchor)) + 1
+    return _span(lo, hi, [*pts, *(anchor * 2.0 ** k
+                                  for k in range(-40, top))])
+
+
 def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
     """Bounds on Int_X^inf x^n |w(x)| dx for both weights w, X >= 40.
 

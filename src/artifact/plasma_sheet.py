@@ -46,7 +46,7 @@ from .numkernel import (
     QuadResult,
     QuadSettings,
     _check_T,
-    _span,
+    _octaves,
     _truncation_bound,
     find_root_bracketed,
     integrate_panels,
@@ -356,13 +356,6 @@ def shell_weight(ch: str, params: SheetParams) -> float:
     return -0.5 * math.pi * params.omega0 ** 2
 
 
-# Geometric grading of the first panels toward omega = 0, where the
-# thermal weights have a log singularity: edges m / 8^k, k = 1..12, below
-# m = min(T, scale).
-_GRADING = 8.0
-_GRADING_DEPTH = 12
-
-
 def _like(T, values):
     """``values`` for an array T, its only entry as a float for a float T."""
     return values if np.ndim(T) else float(values[0])
@@ -375,16 +368,13 @@ def _cutoff(params: SheetParams, Ts: np.ndarray) -> float:
 
 def _edges(params: SheetParams, Ts: np.ndarray, lo: float,
            hi: float) -> list[float]:
-    """Starting panel edges of a thermal integral over [lo, hi].
-
-    {omega0, Omega0, band edge}, the temperatures, and a geometric
-    grading toward omega = 0 when lo = 0.
-    """
-    pts = [params.omega0, params.Omega0, _band_edge(params), *Ts]
-    if lo == 0.0:
-        m = min(float(Ts.min()), params.scale())
-        pts += [m * _GRADING ** -k for k in range(1, _GRADING_DEPTH + 1)]
-    return _span(lo, hi, pts)
+    """Starting panel edges of a thermal integral over [lo, hi]:
+    {omega0, Omega0, band edge}, the temperatures, and the octaves of
+    min(T_min, scale) (``_octaves``), which grade the panels into the
+    weights' log singularity at omega = 0 and follow their decay from the
+    lowest temperature up to the cut-off."""
+    return _octaves(lo, hi, min(float(Ts.min()), params.scale()),
+                    [params.omega0, params.Omega0, _band_edge(params), *Ts])
 
 
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
@@ -489,9 +479,10 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     pi (Omega0^2/4 - omega0^2/2), changing sign at
     omega0 = Omega0/sqrt(2).
 
-    The panel rule runs to W = 2000 s, s = max(Omega0, omega0), with
-    edges graded by 4 from 5 s, and adds the analytic omega^-4 and
-    omega^-5 tails of h_subtr beyond W.  Returns a ``QuadResult`` whose
+    The panel rule runs to W = 2000 s, s = max(Omega0, omega0), from the
+    octaves of s (``numkernel._octaves``) and {omega0, Omega0, band edge},
+    and adds the analytic omega^-4 and omega^-5 tails of h_subtr beyond
+    W.  Returns a ``QuadResult`` whose
     error is the panel rule's plus a bound on the rest of the tail:
     beyond 50 s, |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <=
     (|c6| + s^6/omega)/omega^4, so the rest is at most
@@ -507,9 +498,8 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     def f(omega: np.ndarray) -> np.ndarray:
         return (omega * omega * h_subtr(ch, omega, params))[:, None]
 
-    pts = [params.omega0, params.Omega0, _band_edge(params),
-           *(5.0 * s * 4.0 ** k for k in range(5))]
-    res = integrate_panels(f, _span(0.0, W, pts), settings)
+    res = integrate_panels(f, _octaves(0.0, W, s, [
+        params.omega0, params.Omega0, _band_edge(params)]), settings)
     c4, c5, c6 = _tail_coefficients(ch, params)
     val = float(res.value[0])
     val += c4 / W + 0.5 * c5 / (W * W)

@@ -49,7 +49,7 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
-    _span,
+    _octaves,
     _truncation_bound,
     bose_kernel,
     bose_occupation,
@@ -330,13 +330,14 @@ def validate_surface_weight(params: SlabParams,
 
 
 def _edges(T: float, params: SlabParams, hi: float) -> list[float]:
-    """Panel edges on [0, hi]: T 2^k, k = -40..12, into the weights' log
-    singularity at 0 and along their decay, and omega_p (1 +- 2^-k), k =
-    1..20, into the densities' square-root branch points at omega_p."""
+    """Panel edges on [0, hi]: the octaves T 2^k below hi (``_octaves``),
+    into the weights' log singularity at 0 and along their decay, and
+    omega_p (1 +- 2^-k), k = 1..20, into the densities' square-root branch
+    points at omega_p."""
     wp = params.omega_p
-    return _span(0.0, hi, [wp, *(T * 2.0 ** k for k in range(-40, 13)),
-                           *(wp * (1.0 + side * 2.0 ** -k)
-                             for k in range(1, 21) for side in (-1.0, 1.0))])
+    return _octaves(0.0, hi, T, [wp, *(wp * (1.0 + side * 2.0 ** -k)
+                                       for k in range(1, 21)
+                                       for side in (-1.0, 1.0))])
 
 
 def _surface_te(T: float, params: SlabParams, settings: QuadSettings):

@@ -502,6 +502,63 @@ def test_total_runs_one_panel_rule_per_part(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("T", [1e-4, 1e-5])
+@pytest.mark.parametrize("w0", [0.0, 0.8])
+def test_entropy_slopes_hold_far_below_omega0(w0, T):
+    # S_TE/T -> Omega0/6 and S_TM/T -> Omega0/18 as T -> 0.  The thermal
+    # weight lives on [0, ~40 T], which a panel reaching up to Omega0
+    # misses (its nearest node at omega/T ~ 44 sees e^-44): the grid must
+    # start with panels on the scale of T.
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    assert ps.entropy_channel(Channel.TE, T, params) / T == pytest.approx(
+        1.0 / 6.0, abs=1e-3)
+    assert ps.entropy_channel(Channel.TM, T, params) / T == pytest.approx(
+        1.0 / 18.0, abs=1e-3)
+    if w0 > 0.0:
+        # The plasmon band's entropy goes as T^2 there.
+        slope = ps.plasmon_entropy_subtr(1e-3, params) / 1e-6
+        assert ps.plasmon_entropy_subtr(T, params) / T ** 2 == pytest.approx(
+            slope, rel=1e-3)
+
+
+def _counted_passes(monkeypatch) -> list[int]:
+    """A one-entry counter of the panel rule's passes (G7-K15 sweeps)."""
+    calls = [0]
+    gk15 = numkernel._gk15
+
+    def counted(*args):
+        calls[0] += 1
+        return gk15(*args)
+
+    monkeypatch.setattr(numkernel, "_gk15", counted)
+    return calls
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.5, 0.8, 1.3])
+def test_single_temperature_parts_converge_in_two_passes(monkeypatch, w0):
+    # The octave grid starts every panel on the scale of its integrand, so
+    # one pass or two meet the default tolerances (pass counts are
+    # deterministic: a regression gate on the work).
+    calls = _counted_passes(monkeypatch)
+    params = ps.SheetParams(Omega0=1.0, omega0=w0)
+    for T in np.geomspace(1e-3, 1e3, 7):
+        for part in ps.PARTS:
+            calls[0] = 0
+            part.evaluate(float(T), params, DEFAULT_SETTINGS)
+            assert calls[0] <= 2, (part.name, T)
+
+
+def test_scan_grid_converges_in_forty_passes(monkeypatch):
+    # The shape of the sheet-scan benchmark: omega0 = 0 and ten omega0
+    # across the window, 41 temperatures from 0.009 to 1e3, three parts
+    # per omega0 on the whole grid.
+    calls = _counted_passes(monkeypatch)
+    grid = np.geomspace(0.009, 1e3, 41)
+    for w0 in [0.0, *np.linspace(0.5375, 1.4375, 10)]:
+        ps.total(grid, ps.SheetParams(Omega0=1.0, omega0=w0))
+    assert calls[0] <= 40
+
+
 # (public thermal function, the fused (F, S) evaluation it selects from,
 # the half it returns)
 _SELECTORS = [(partial(sel, ch), partial(ps._channel, ch), half)

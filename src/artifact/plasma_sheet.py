@@ -795,6 +795,16 @@ def scattering_channel(ch: str, params: SheetParams,
                            / (np.sqrt(a0 * a0 - 4.0 * O0 * O0 * k * k) - a0))
         return tuple(pts)
 
+    def peak(k: np.ndarray) -> np.ndarray:
+        # The TM |deriv| = Omega0 |p^2 - c| / ((p^2 + c)^2 + Omega0^2 p^2),
+        # c = k^2 - omega0^2, falls past p^2 = c + sqrt(4 c^2 + Omega0^2 c),
+        # the larger root of its derivative in p^2 (NaN: it falls for all
+        # p).  That is at least 3 c, past the inner cut-off P where 3 c >
+        # P^2.
+        c = (k - w0) * (k + w0)
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(c + np.sqrt(4.0 * c * c + O0 * O0 * c))
+
     surface = None
     k_min = 0.0
     if ch == Channel.TM and include_surface:
@@ -807,5 +817,6 @@ def scattering_channel(ch: str, params: SheetParams,
         p_breakpoints=brk,
         k_breakpoints=(w0,) if w0 > 0.0 else (),
         scale=params.scale(),
+        deriv_peak=peak if ch == Channel.TM else None,
     )
 

@@ -106,9 +106,9 @@ class ScatteringChannel:
         broadcast against each other; the result broadcasts with them.
         It must be finite wherever it is called, p = 0 and a breakpoint
         included (one-sided values will do).  Beyond twice the largest
-        of max(T, scale) and the breakpoints at k, |deriv| must not
-        increase with p: the defining integrals bound their p tail with
-        its value there.
+        of max(T, scale) and the breakpoints at k, and beyond
+        ``deriv_peak`` where given, |deriv| must not increase with p: the
+        defining integrals bound their p tail with its value there.
     surface_mode : callable, optional
         Discrete mode frequency omega(k) on an array of k >=
         k_min_surface.
@@ -125,6 +125,10 @@ class ScatteringChannel:
     scale : float
         Momentum scale of the channel; the defining integrals grade their
         grids from max(T, scale).
+    deriv_peak : callable, optional
+        At an array of k, the p past which |deriv| falls (NaN where it
+        falls for every p), for a channel whose |deriv| still rises past
+        the inner cut-off of some rows.
 
     All callables must be safe to call concurrently.
     """
@@ -135,6 +139,7 @@ class ScatteringChannel:
     p_breakpoints: Callable[[np.ndarray], Sequence[Any]] | None = None
     k_breakpoints: tuple[float, ...] = ()
     scale: float = 1.0
+    deriv_peak: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -371,6 +376,13 @@ def _inner_panels(ch: ScatteringChannel, T: float, top: float,
     return t_lo, t_hi, kind, base, side, P
 
 
+def _tail_point(ch: ScatteringChannel, P: np.ndarray,
+                k: np.ndarray) -> np.ndarray:
+    """Per row, the p at which |deriv| bounds it on [P, inf): the cut-off
+    P, or the channel's ``deriv_peak`` where that lies past P."""
+    return P if ch.deriv_peak is None else np.fmax(P, ch.deriv_peak(k))
+
+
 def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
           k: np.ndarray, level: int, absolute: bool = False) -> np.ndarray:
     """(n, 2) columns at the outer nodes k: the continuum's outer
@@ -382,8 +394,8 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
     The inner bound is the rule's own (|Kronrod - Gauss| plus roundoff)
     plus the tail past the cut-off P: there |w(omega/T)| <= |w(p/T)|, whose
     integral past P is at most T e^-x/(1 - e^-x) (times x + 2 for g), x =
-    P/T, and |d delta/dp| is at most its value at P, by the contract of
-    ``ScatteringChannel.deriv``.
+    P/T, and |d delta/dp| is at most its value at ``_tail_point``, by the
+    contract of ``ScatteringChannel.deriv``.
     """
     col = 1 if entropy else 0
     kc = k[:, None]
@@ -402,7 +414,7 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
     res = integrate_fixed(f, t_lo, t_hi)
     x = P / T
     tail = (T * np.exp(-x) / -np.expm1(-x) * ((x + 2.0) if entropy else 1.0)
-            * np.abs(ch.deriv(P, k)))
+            * np.abs(ch.deriv(_tail_point(ch, P, k), k)))
     cols = [res.value[:, 0], res.error_estimate[:, 0] + tail]
     if absolute:
         cols.append(res.value[:, 1] + tail)

@@ -284,6 +284,23 @@ def test_defining_outer_tail_stays_under_its_envelope(case, entropy):
         assert np.all(np.abs(G) <= envelope), T
 
 
+@pytest.mark.parametrize("case", sorted(_VERIFY_CHANNELS))
+def test_defining_p_tail_stays_under_its_bound(case):
+    # Past each row's inner cut-off P, _rows bounds |d delta/dp| by its
+    # value at _tail_point (P, or the channel's peak past it): check that
+    # on 400 rows k in (0, K] and p from P to P + 60 T.
+    ch = _VERIFY_CHANNELS[case]
+    for T in (0.1, 1.0, 10.0):
+        top = max(T, ch.scale)
+        K = 2.0 * max([top, *ch.k_breakpoints]) + spectral._CUT * T
+        k = np.linspace(K / 400, K, 400)
+        P = spectral._inner_panels(ch, T, top, k, 0)[-1]
+        bound = np.abs(ch.deriv(spectral._tail_point(ch, P, k), k))
+        p = P[:, None] + T * np.linspace(0.0, 60.0, 601)
+        scanned = np.abs(ch.deriv(p, k[:, None]))
+        assert np.all(scanned <= bound[:, None] * (1.0 + 1e-12)), T
+
+
 def test_thermo_point_parts():
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.8)
     point = plasma_sheet.total(1.0, params)

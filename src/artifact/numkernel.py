@@ -476,8 +476,8 @@ def _octaves(lo: float, hi: float, anchor: float, pts) -> list[float]:
     panels into the weights' log singularity at 0; above it they follow
     the weights' decay, so that no panel is far wider than the scale on
     which the integrand changes and one pass or two converge."""
-    top = math.ceil(math.log2(hi / anchor)) + 1
-    return _span(lo, hi, [*pts, *(anchor * 2.0 ** k
+    top = math.ceil(math.log2(hi) - math.log2(anchor)) + 1
+    return _span(lo, hi, [*pts, *(math.ldexp(anchor, k)
                                   for k in range(-40, top))])
 
 

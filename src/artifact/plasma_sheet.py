@@ -482,8 +482,8 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     The panel rule runs to W = 2000 s, s = max(Omega0, omega0), from the
     octaves of s (``numkernel._octaves``) and {omega0, Omega0, band edge},
     and adds the analytic omega^-4 and omega^-5 tails of h_subtr beyond
-    W.  Returns a ``QuadResult`` whose
-    error is the panel rule's plus a bound on the rest of the tail:
+    W.  Returns a ``QuadResult`` whose error is the panel rule's plus a
+    bound on the rest of the tail:
     beyond 50 s, |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <=
     (|c6| + s^6/omega)/omega^4, so the rest is at most
     (|c6| + s^6/W) / (3 W^3).  The envelope is tested; the next term,

@@ -462,23 +462,64 @@ def integrate_fixed(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return QuadResult(K, E + _ROUNDOFF * A, 15 * lo.size)
 
 
-def _span(lo: float, hi: float, pts) -> list[float]:
-    """Panel edges lo, the points inside (lo, hi), hi, leaving out points
-    within 1e-140 hi of lo: the squares of such a panel's nodes underflow
-    (omega0 = 1e-200 made the sheet's densities 0/0 there)."""
-    return [lo, *(v for v in pts if lo + 1e-140 * hi < v < hi), hi]
+# Edges, in u = log(omega / a), of the panels below the anchor a of
+# ``_graded``: 1 nat wide next to a, widening to 9 nats at u = -32.
+_LOG_EDGES = (0.0, -1.0, -2.0, -3.0, -4.0, -5.5, -7.0, -9.0, -11.0, -14.0,
+              -18.0, -23.0, -32.0)
+_LOG_FLOOR = _LOG_EDGES[-1]
+# Edges within this share of hi above lo are left out, and a bottom panel
+# this close to lo raises: the squares of such a panel's nodes underflow
+# (omega0 = 1e-200 made the sheet's densities 0/0 there).
+_UNDERFLOW = 1e-140
 
 
-def _octaves(lo: float, hi: float, anchor: float, pts) -> list[float]:
-    """Starting panel edges of a thermal integral over [lo, hi]: ``_span``
-    of ``pts`` and of the octaves anchor 2^k, every integer k >= -40 with
-    anchor 2^k < hi.  Below the anchor (a temperature, say) they grade the
-    panels into the weights' log singularity at 0; above it they follow
-    the weights' decay, so that no panel is far wider than the scale on
-    which the integrand changes and one pass or two converge."""
-    top = math.ceil(math.log2(hi) - math.log2(anchor)) + 1
-    return _span(lo, hi, [*pts, *(math.ldexp(anchor, k)
-                                  for k in range(-40, top))])
+def _graded(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+            anchor: float, pts: Sequence[float],
+            settings: QuadSettings) -> QuadResult:
+    """Int_lo^hi f(omega) d omega by ``integrate_panels`` in a variable u
+    graded at the anchor a (the lowest temperature, say).
+
+    Below a, omega = a e^u on panels 1 to 9 nats wide (``_LOG_EDGES``),
+    which grade them into the thermal weights' log singularity at 0; from
+    0 to a e^-32, omega = a e^-32 (u + 33) on one linear panel.  Above a,
+    omega = a (1 + u), with the octaves a 2^k as edges (u = 2^k - 1),
+    which follow the weights' decay.  The map is C^1 at both joins, and
+    the points ``pts`` inside (lo, hi) are edges too.  Values and errors
+    are in units of omega, as ``integrate_panels`` returns them.
+
+    Raises QuadratureError where the bottom panel's top, a e^-32, lies
+    within 1e-140 hi of lo: there the nodes' squares underflow and the
+    integrand would be lost without a reported error.
+    """
+    bottom = anchor * math.exp(_LOG_FLOOR)
+    if lo <= bottom <= lo + _UNDERFLOW * hi:
+        raise QuadratureError(
+            f"panel grid on [{lo}, {hi}] at anchor {anchor}: its bottom "
+            f"panel [{lo}, {bottom}] underflows")
+
+    def u_of(w: float) -> float:
+        if w >= anchor:
+            return w / anchor - 1.0
+        if w >= bottom:
+            return math.log(w / anchor)
+        return w / bottom + _LOG_FLOOR - 1.0
+
+    top = math.ceil(math.log2(hi) - math.log2(anchor))
+    grading = [*_LOG_EDGES, *(2.0 ** k - 1.0 for k in range(1, top + 1))]
+    a, b = u_of(lo), u_of(hi)
+    edges = [a, *(u for u in grading if a < u < b),
+             *(u_of(v) for v in pts if lo + _UNDERFLOW * hi < v < hi), b]
+
+    def g(u: np.ndarray) -> np.ndarray:
+        # d omega / du: a e^u below the anchor, clipped to a at u >= 0 and
+        # to a e^-32 below u = -32.
+        jac = anchor * np.exp(np.clip(u, _LOG_FLOOR, 0.0))
+        w = np.where(u >= 0.0, anchor * (1.0 + u),
+                     np.where(u >= _LOG_FLOOR, jac,
+                              bottom * (u + 1.0 - _LOG_FLOOR)))
+        return f(w) * jac[:, None]
+
+    return integrate_panels(g, edges, settings)
 
 
 def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
@@ -516,14 +557,14 @@ def weight_columns(Ts: np.ndarray):
     return lambda omega: thermal_weights(omega[:, None] / Ts)
 
 
-def thermal_integral(density, weights, edges: Sequence[float],
-                     settings: QuadSettings, tail):
-    """Int density(omega) w(omega) d omega over the span of ``edges`` for
-    F's and S's weights w at m temperatures, in one panel rule.
+def thermal_integral(density, weights, grid, settings: QuadSettings, tail):
+    """Int density(omega) w(omega) d omega over [lo, hi] for F's and S's
+    weights w at m temperatures, in one panel rule.
 
     ``density`` maps an array of n omega to an array, ``weights`` to F's
     and S's weights, two (n, m) arrays (``weight_columns``: bose_log and
-    g).  ``tail`` bounds what is dropped past the last edge
+    g).  ``grid`` is (lo, hi, anchor, points), the arguments of the graded
+    panel grid (``_graded``).  ``tail`` bounds what is dropped past hi
     (``_truncation_bound``) and is added to the errors.  Returns values and
     errors as two (2, m) arrays, row 0 under F's weight and row 1 S's.
     """
@@ -531,9 +572,14 @@ def thermal_integral(density, weights, edges: Sequence[float],
         d = density(omega)[:, None]
         return np.concatenate([d * w for w in weights(omega)], axis=1)
 
-    res = integrate_panels(f, edges, settings)
+    res = _graded(f, *grid, settings)
     return (res.value.reshape(2, -1),
             res.error_estimate.reshape(2, -1) + tail)
+
+
+def _like(T, values):
+    """``values`` for an array T, its only entry as a float for a float T."""
+    return values if np.ndim(T) else float(values[0])
 
 
 def _check_T(T) -> None:

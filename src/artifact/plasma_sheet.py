@@ -46,10 +46,10 @@ from .numkernel import (
     QuadResult,
     QuadSettings,
     _check_T,
-    _octaves,
+    _graded,
+    _like,
     _truncation_bound,
     find_root_bracketed,
-    integrate_panels,
     thermal_integral,
     thermal_weights,
     weight_columns,
@@ -356,25 +356,20 @@ def shell_weight(ch: str, params: SheetParams) -> float:
     return -0.5 * math.pi * params.omega0 ** 2
 
 
-def _like(T, values):
-    """``values`` for an array T, its only entry as a float for a float T."""
-    return values if np.ndim(T) else float(values[0])
-
-
 def _cutoff(params: SheetParams, Ts: np.ndarray) -> float:
     """Upper limit of the thermal integrals: 40 T_max or 50 scale."""
     return max(40.0 * float(Ts.max()), 50.0 * params.scale())
 
 
-def _edges(params: SheetParams, Ts: np.ndarray, lo: float,
-           hi: float) -> list[float]:
-    """Starting panel edges of a thermal integral over [lo, hi]:
-    {omega0, Omega0, band edge}, the temperatures, and the octaves of
-    min(T_min, scale) (``_octaves``), which grade the panels into the
-    weights' log singularity at omega = 0 and follow their decay from the
-    lowest temperature up to the cut-off."""
-    return _octaves(lo, hi, min(float(Ts.min()), params.scale()),
-                    [params.omega0, params.Omega0, _band_edge(params), *Ts])
+def _grid(params: SheetParams, Ts: np.ndarray, lo: float,
+          hi: float) -> tuple:
+    """The panel grid of a thermal integral over [lo, hi] (``_graded``):
+    graded at min(T_min, scale), which grades the panels into the
+    weights' log singularity at omega = 0 and follows their decay from
+    the lowest temperature up to the cut-off, with edges at {omega0,
+    Omega0, band edge} and the temperatures."""
+    return (lo, hi, min(float(Ts.min()), params.scale()),
+            [params.omega0, params.Omega0, _band_edge(params), *Ts])
 
 
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
@@ -392,7 +387,7 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
     val, err = thermal_integral(lambda w: w * w * dens(ch, w, params),
                                 weight_columns(Ts),
-                                _edges(params, Ts, 0.0, cut), settings,
+                                _grid(params, Ts, 0.0, cut), settings,
                                 _truncation_bound(Ts, cut, *tail))
     # The shell weight -pi omega0^2 / 2 is zero for omega0 = 0, and for an
     # omega0 so small that its square underflows.
@@ -479,14 +474,14 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     pi (Omega0^2/4 - omega0^2/2), changing sign at
     omega0 = Omega0/sqrt(2).
 
-    The panel rule runs to W = 2000 s, s = max(Omega0, omega0), from the
-    octaves of s (``numkernel._octaves``) and {omega0, Omega0, band edge},
-    and adds the analytic omega^-4 and omega^-5 tails of h_subtr beyond
-    W.  Returns a ``QuadResult`` whose error is the panel rule's plus a
-    bound on the rest of the tail:
-    beyond 50 s, |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <=
-    (|c6| + s^6/omega)/omega^4, so the rest is at most
-    (|c6| + s^6/W) / (3 W^3).  The envelope is tested; the next term,
+    The panel rule runs to W = 2000 s, s = max(Omega0, omega0), on the
+    grid graded at s (``numkernel._graded``) with edges {omega0, Omega0,
+    band edge}, and adds the analytic omega^-4 and omega^-5 tails of
+    h_subtr beyond W.  Returns a ``QuadResult`` whose error is the panel
+    rule's plus a bound on the rest of the tail: beyond 50 s,
+    |omega^2 h_subtr - c4/omega^2 - c5/omega^3| <= (|c6| +
+    s^6/omega)/omega^4, so the rest is at most (|c6| + s^6/W) / (3 W^3).
+    The envelope is tested; the next term,
     c7 = -3 pi Omega0^2 omega0^4 (TE; 0 in TM), adds to |c6| only where
     c6 < 0, at omega0 < Omega0/4, and there it is below s^6/25.
     """
@@ -498,8 +493,8 @@ def spectral_sum_rule(ch: str, params: SheetParams,
     def f(omega: np.ndarray) -> np.ndarray:
         return (omega * omega * h_subtr(ch, omega, params))[:, None]
 
-    res = integrate_panels(f, _octaves(0.0, W, s, [
-        params.omega0, params.Omega0, _band_edge(params)]), settings)
+    res = _graded(f, 0.0, W, s, [params.omega0, params.Omega0,
+                                 _band_edge(params)], settings)
     c4, c5, c6 = _tail_coefficients(ch, params)
     val = float(res.value[0])
     val += c4 / W + 0.5 * c5 / (W * W)
@@ -579,7 +574,7 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
         zero = _like(T, np.zeros(len(Ts)))
         return (zero, zero), (zero, zero)
     val, err = thermal_integral(lambda w: w * surface_weight(w, params),
-                                weight_columns(Ts), _edges(params, Ts, *span),
+                                weight_columns(Ts), _grid(params, Ts, *span),
                                 settings, tail)
     val = sign * val / (2.0 * math.pi)
     return ((_like(T, Ts * val[0]), _like(T, err[0])),

@@ -49,7 +49,6 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
-    _octaves,
     _truncation_bound,
     bose_kernel,
     bose_occupation,
@@ -329,15 +328,16 @@ def validate_surface_weight(params: SlabParams,
     return worst
 
 
-def _edges(T: float, params: SlabParams, hi: float) -> list[float]:
-    """Panel edges on [0, hi]: the octaves T 2^k below hi (``_octaves``),
-    into the weights' log singularity at 0 and along their decay, and
-    omega_p (1 +- 2^-k), k = 1..20, into the densities' square-root branch
-    points at omega_p."""
+def _grid(Ts: np.ndarray, params: SlabParams, hi: float) -> tuple:
+    """The panel grid of a thermal integral on [0, hi] (``_graded``):
+    graded at min(T_min, omega_p), into the weights' log singularity at 0
+    and along their decay, with edges at the temperatures and at omega_p
+    (1 +- 2^-k), k = 1..20, into the densities' square-root branch points
+    at omega_p."""
     wp = params.omega_p
-    return _octaves(0.0, hi, T, [wp, *(wp * (1.0 + side * 2.0 ** -k)
-                                       for k in range(1, 21)
-                                       for side in (-1.0, 1.0))])
+    return (0.0, hi, min(float(Ts.min()), wp),
+            [wp, *(wp * (1.0 + side * 2.0 ** -k) for k in range(1, 21)
+                   for side in (-1.0, 1.0)), *Ts])
 
 
 def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
@@ -349,7 +349,8 @@ def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
     wp = params.omega_p
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
-        weight_columns(np.array([T])), _edges(T, params, wp), settings, 0.0)
+        weight_columns(np.array([T])), _grid(np.array([T]), params, wp),
+        settings, 0.0)
     return ((float(-T * F[0] / math.pi ** 2), float(F_err[0])),
             (float(-S[0] / math.pi ** 2), float(S_err[0])))
 
@@ -411,13 +412,13 @@ def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
     cut = max(40.0 * T, 8.0 * wp)
     Ts = np.array([T])
     (a_F, a_S), a_err = thermal_integral(lambda w: w, weight_columns(Ts),
-                                         _edges(T, params, wp), settings, 0.0)
+                                         _grid(Ts, params, wp), settings, 0.0)
     # Beyond 8 omega_p, |omega (h - h_inf)| <= 0.68 omega_p^3 / omega; the
     # columns are n(x) and T x n'(x), x = omega / T.
     columns = _thermal_columns(T)
     (b_F, b_S), b_err = thermal_integral(
         lambda w: w * (h(w, params) - _H_INF * wp),
-        lambda w: columns(w).T[..., None], _edges(T, params, cut), settings,
+        lambda w: columns(w).T[..., None], _grid(Ts, params, cut), settings,
         _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1) * [[1.0], [T]])
     F_err, S_err = (a_err + b_err)[:, 0]
     F = -T * a_F[0] / (4.0 * math.pi) - b_F[0] / (2.0 * math.pi ** 2)
@@ -1381,7 +1382,7 @@ def _exp(T: float, params: SlabParams, settings: QuadSettings):
     # Beyond 8 omega_p, |_branch_weight| <= 0.126 omega_p^4 / omega^2.
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: _branch_weight(w, params), weight_columns(Ts),
-        _edges(T, params, W), settings,
+        _grid(Ts, params, W), settings,
         _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
     c = params.L / (2.0 * math.pi ** 2)
     return ((float(c * T * F[0]), float(F_err[0])),

@@ -313,3 +313,33 @@ def test_integrate_panels_refuses_unconverged_results(monkeypatch):
     monkeypatch.setattr(numkernel, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError, match="4 panels"):
         integrate_panels(lambda x: np.sin(40.0 * x)[:, None], [0.0, 3.0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_graded_grid_integrates_the_thermal_weights(n):
+    # Int_0^inf omega^n (blog, g)(omega/T) d omega = T^(n+1) n! zeta(n+2)
+    # times (-1, n + 2), at temperatures six decades apart in one pass on
+    # the grid graded at the lowest; each error covers its gap.
+    Ts = np.array([1e-3, 1.0, 1e3])
+    cut = 40.0 * Ts.max()
+    value, error = numkernel.thermal_integral(
+        lambda w: w ** n, numkernel.weight_columns(Ts),
+        (0.0, cut, Ts.min(), list(Ts)), DEFAULT_SETTINGS,
+        numkernel._truncation_bound(Ts, cut, 1.0, n))
+    zeta = math.factorial(n) * float(mpmath.zeta(n + 2))
+    exact = np.outer([-1.0, n + 2.0], Ts ** (n + 1) * zeta)
+    assert np.all(np.abs(value - exact) <= error)
+    assert np.all(error <= 1e-9 * np.abs(exact))
+
+
+def test_graded_grid_refuses_an_underflowing_bottom_panel():
+    # The bottom panel [0, a e^-32] must reach 1e-140 of the span's top,
+    # or its nodes' squares underflow and the integrand is lost unreported.
+    def f(w):
+        return (w * w)[:, None]
+
+    res = numkernel._graded(f, 0.0, 1.0, 1e-100, [], DEFAULT_SETTINGS)
+    assert res.value[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    for anchor in (1e-120, 1e-150, 5e-324):
+        with pytest.raises(QuadratureError, match="underflows"):
+            numkernel._graded(f, 0.0, 1e20, anchor, [], DEFAULT_SETTINGS)

@@ -521,6 +521,20 @@ def test_entropy_slopes_hold_far_below_omega0(w0, T):
             slope, rel=1e-3)
 
 
+def test_entropy_far_below_the_underflow_guard_raises():
+    # T = 1e-120 still resolves the TE slope Omega0/6; at T = 1e-150 the
+    # grid's bottom panel would fall under the underflow guard, and the
+    # part raises rather than return 0 with an error of 0.
+    params = ps.SheetParams(Omega0=1.0, omega0=0.0)
+    part = Part.named(ps.PARTS, Channel.TE)
+    _, (S, error) = part.evaluate(1e-120, params, DEFAULT_SETTINGS)
+    assert S / 1e-120 == pytest.approx(1.0 / 6.0, abs=1e-3)
+    assert 0.0 < error < 1e-3 * S
+    for T in (1e-150, 1e-200):
+        with pytest.raises(numkernel.QuadratureError, match="underflows"):
+            part.evaluate(T, params, DEFAULT_SETTINGS)
+
+
 def _counted_passes(monkeypatch) -> list[int]:
     """A one-entry counter of the panel rule's passes (G7-K15 sweeps)."""
     calls = [0]

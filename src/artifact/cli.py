@@ -152,19 +152,25 @@ def _check_params(make, pairs, parser):
 # row workers (module level so they pickle for --jobs)
 # ---------------------------------------------------------------------------
 
-def _part_row(task):
-    """One CSV row of ``thermo sheet`` or ``thermo slab``.
+def _part_rows(task):
+    """The CSV rows of ``thermo sheet`` or ``thermo slab`` at one parameter
+    point, one per temperature.
 
-    Totals are written only when every part is selected; a partial total
-    would be misleading.  ``quad_error`` is the largest error estimate of
-    the selected parts (``ThermoPoint.quad_error``).
+    Each part runs once over the whole T grid.  Should that raise
+    ``QuadratureError``, each temperature runs alone, so that only the rows
+    that fail read ``failed``.  Totals are written only when every part is
+    selected; a partial total would be misleading.  ``quad_error`` is the
+    largest error estimate of the selected parts at the row's temperature
+    (``ThermoPoint.quad_error``).
     """
-    model, a, b, T, settings, groups = task
+    model, a, b, t_grid, settings, groups = task
     module, params_type, header = _MODELS[model]
     params = params_type(a, b)
-    vals = dict.fromkeys(header[3:-1], math.nan)
-    try:
-        selected = tuple(p for p in module.PARTS if p.group in groups)
+    selected = tuple(p for p in module.PARTS if p.group in groups)
+
+    def cells(T):
+        # The value columns and quad_error, each a float or an array over T.
+        vals = dict.fromkeys(header[3:-1], math.nan)
         if selected == module.PARTS:
             point = module.total(T, params, settings)
             vals.update(F_total=point.F_total, S_total=point.S_total)
@@ -172,11 +178,25 @@ def _part_row(task):
             point = ThermoPoint.evaluate(selected, T, params, settings)
         for part, F, S in zip(selected, point.F, point.S):
             vals.update(zip(part.columns, (F, S)))
-        err = _fmt(point.quad_error)
+        return [*vals.values(), point.quad_error]
+
+    def row(T, values):
+        return [_fmt(a), _fmt(b), _fmt(T), *map(_fmt, values)]
+
+    try:
+        columns = [np.broadcast_to(c, len(t_grid))
+                   for c in cells(np.asarray(t_grid))]
+        return [row(T, [float(c[i]) for c in columns])
+                for i, T in enumerate(t_grid)]
     except QuadratureError:
-        vals = dict.fromkeys(header[3:-1], math.nan)
-        err = "failed"
-    return [_fmt(a), _fmt(b), _fmt(T), *map(_fmt, vals.values()), err]
+        pass
+    rows = []
+    for T in t_grid:
+        try:
+            rows.append(row(T, cells(T)))
+        except QuadratureError:
+            rows.append(row(T, [math.nan] * (len(header) - 4) + ["failed"]))
+    return rows
 
 
 def _scan_row(task):
@@ -191,7 +211,7 @@ def _scan_row(task):
         return [_fmt(Omega0), _fmt(omega0),
                 _fmt(plasma_sheet.high_T_log_coefficient_closed(params)),
                 _fmt(float(point.S_total[i])), _fmt(t_grid[i]),
-                _fmt(point.quad_error)]
+                _fmt(float(np.max(point.quad_error)))]
     except QuadratureError:
         return [_fmt(Omega0), _fmt(omega0), "nan", "nan", "nan", "failed"]
 
@@ -238,9 +258,10 @@ def _sweep(model, args, parser, firsts, seconds):
     t_grid = _temperature_grid(args, parser)
     _check_params(params_type, [(a, b) for a in firsts for b in seconds],
                   parser)
-    tasks = [(model, a, b, T, settings, args.parts)
-             for a in firsts for b in seconds for T in t_grid]
-    rows = _run_tasks(_part_row, tasks, args.jobs)
+    tasks = [(model, a, b, t_grid, settings, args.parts)
+             for a in firsts for b in seconds]
+    rows = [row for point in _run_tasks(_part_rows, tasks, args.jobs)
+            for row in point]
     _write_csv(args.out, header, rows)
     s = args.scale
     _note(f"{model} sweep: {len(rows)} rows "

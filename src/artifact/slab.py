@@ -24,9 +24,12 @@ optical-path parts integrate F and S in one panel-rule pass
 (``thermal_integral``; two for s_TM), the TE thickness part in one
 sawtooth pass; only the TM thickness part's h_L table runs QUADPACK.
 
-A direct call of a per-quantity function (``F_s_TE`` ... ``S_exp_subtr``)
-runs at the given scale, with absolute tolerances that do not scale; only
-``total`` reduces to omega_p = 1.
+Every thermal function takes T as a float (float returned) or a 1-D
+array (array returned), as the sheet's do: each part runs every
+temperature of an array in one pass.  A direct call of a per-quantity
+function (``F_s_TE`` ... ``S_exp_subtr``) runs at the given scale, with
+absolute tolerances that do not scale; only ``total`` reduces to
+omega_p = 1.
 
 The TM channel additionally carries a guided surface mode (slab
 plasmon) below omega_p/sqrt(2).  Its dispersion is solved here but the
@@ -40,6 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
+    _like,
     _truncation_bound,
     bose_kernel,
     bose_occupation,
@@ -340,23 +345,22 @@ def _grid(Ts: np.ndarray, params: SlabParams, hi: float) -> tuple:
                    for side in (-1.0, 1.0)), *Ts])
 
 
-def _surface_te(T: float, params: SlabParams, settings: QuadSettings):
+def _surface_te(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE surface part without its T^3
     growth: -(T, 1) / pi^2 Int_0^omega_p omega (blog, g)(omega/T)
     atan(gamma(omega)/omega) d omega, gamma(omega) = sqrt(omega_p^2 -
-    omega^2), in one pass."""
+    omega^2), in one pass for every temperature of T."""
     _check_T(T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
     wp = params.omega_p
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
-        weight_columns(np.array([T])), _grid(np.array([T]), params, wp),
-        settings, 0.0)
-    return ((float(-T * F[0] / math.pi ** 2), float(F_err[0])),
-            (float(-S[0] / math.pi ** 2), float(S_err[0])))
+        weight_columns(Ts), _grid(Ts, params, wp), settings, 0.0)
+    return ((_like(T, -Ts * F / math.pi ** 2), _like(T, F_err)),
+            (_like(T, -S / math.pi ** 2), _like(T, S_err)))
 
 
-def _raw(name: str, T: float, params: SlabParams,
-         settings: QuadSettings | None) -> tuple[float, float]:
+def _raw(name: str, T, params: SlabParams, settings: QuadSettings | None):
     """Raw (F, S) of a part: its record's values plus its growth."""
     part = Part.named(PARTS, name)
     (F, _), (S, _) = part.evaluate(T, params, settings or DEFAULT_SETTINGS)
@@ -401,29 +405,32 @@ def _tm_weights(T: float):
             lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
 
 
-def _surface_tm(T: float, params: SlabParams, settings: QuadSettings):
+def _surface_tm(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM surface part without its
     growth, from one pass each for its edge and bulk-moment integrals (see
-    ``F_s_TM``): the edge piece leaves its T^3 term out and the bulk moment
-    integrates h - h_inf against the occupations (``_thermal_columns``).
-    Each error sums the passes' errors and the bulk's tail bound."""
+    ``F_s_TM``), for every temperature of T: the edge piece leaves its T^3
+    term out and the bulk moment integrates h - h_inf against the
+    occupations (``_thermal_columns``).  Each error sums the passes'
+    errors and the bulk's tail bound."""
     _check_T(T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
     wp = params.omega_p
-    cut = max(40.0 * T, 8.0 * wp)
-    Ts = np.array([T])
+    cut = max(40.0 * float(Ts.max()), 8.0 * wp)
     (a_F, a_S), a_err = thermal_integral(lambda w: w, weight_columns(Ts),
                                          _grid(Ts, params, wp), settings, 0.0)
     # Beyond 8 omega_p, |omega (h - h_inf)| <= 0.68 omega_p^3 / omega; the
     # columns are n(x) and T x n'(x), x = omega / T.
-    columns = _thermal_columns(T)
+    columns = _thermal_columns(Ts)
     (b_F, b_S), b_err = thermal_integral(
         lambda w: w * (h(w, params) - _H_INF * wp),
-        lambda w: columns(w).T[..., None], _grid(Ts, params, cut), settings,
-        _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1) * [[1.0], [T]])
-    F_err, S_err = (a_err + b_err)[:, 0]
-    F = -T * a_F[0] / (4.0 * math.pi) - b_F[0] / (2.0 * math.pi ** 2)
-    S = -a_S[0] / (4.0 * math.pi) + b_S[0] / (2.0 * math.pi ** 2 * T * T)
-    return (float(F), float(F_err)), (float(S), float(S_err))
+        lambda w: columns(w).reshape(len(w), 2, -1).transpose(1, 0, 2),
+        _grid(Ts, params, cut), settings,
+        _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1)
+        * np.stack([np.ones_like(Ts), Ts]))
+    F_err, S_err = a_err + b_err
+    F = -Ts * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
+    S = -a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * Ts * Ts)
+    return ((_like(T, F), _like(T, F_err)), (_like(T, S), _like(T, S_err)))
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -671,10 +678,11 @@ def _te_panels(K: float, h: float, params: SlabParams):
         yield n, lo, np.append(np.where(n[1:] == n[:-1], lo[1:], h), h)
 
 
-def _te_integrals(T: float, params: SlabParams,
+def _te_integrals(Ts: np.ndarray, params: SlabParams,
                   settings: QuadSettings) -> QuadResult:
     """The TE thickness part's moments Int_0^inf p (blog, g)(p/T)
-    delta_L_TE(p) dp, as (2,) arrays, in imaginary frequency.
+    delta_L_TE(p) dp at each of the m temperatures ``Ts``, as (2, m)
+    arrays (row 0 F's, row 1 S's), in imaginary frequency.
 
     D_TE = 1 - rho^2 e^{-2 Q L}, with Q = sqrt(kappa^2 + omega_p^2) and rho
     = -omega_p^2 / (kappa + Q)^2, depends on kappa alone, so the Lifshitz
@@ -687,68 +695,100 @@ def _te_integrals(T: float, params: SlabParams,
         S moment =  pi Int_0^inf [3 kappa log D + kappa^2 (log D)'] B dkappa,
 
     the second from S = -dF/dT.  One chunked array pass of
-    ``integrate_fixed`` runs both columns on the panels of ``_te_panels``
-    up to the cut K of ``_te_cut``, rounded up to whole periods when it
-    exceeds one, with B = t - 1/2 taken from each panel's offset in its
+    ``integrate_fixed`` runs both columns for every temperature, whose
+    chunks it concatenates, on the panels of ``_te_panels`` up to the cut
+    K of ``_te_cut``, rounded up to whole periods when it exceeds one, with B = t - 1/2 taken from each panel's offset in its
     own period.  At low T the moments are O(T^3) while the integrands
     are O(1): so each period's chord through the integrands' values at
     its joins is subtracted, which leaves the rule an O(h^2) integrand
     and a roundoff floor that falls with T, and the chords' sawtooth
     moments, h/12 times their rises, are added back; they sum to h
     (phi(K) - phi(0)) / 12.  Each error is the summed panel bound plus
-    the tail bound past K (``_te_tails``).  If an error misses the
-    tolerance, every panel is halved once; if it still misses,
-    QuadratureError.  At T = inf, B = -1/2 throughout, and the F moment is
-    (pi / 2) Int_0^inf kappa log D dkappa (``slab_constant_d``).
+    the tail bound past K (``_te_tails``).  If an error of a temperature
+    misses the tolerance, every panel of that temperature is halved once;
+    if it still misses, QuadratureError.  At T = inf, B = -1/2
+    throughout, and the F moment is (pi / 2) Int_0^inf kappa log D dkappa
+    (``slab_constant_d``).
     """
-    h = 2.0 * math.pi * T
-    K = _te_cut(params, settings)
-    whole = K > h
-    if whole:
-        K = math.ceil(K / h) * h
-    tails = _te_tails(K, params)
-    chords = h * _te_integrands(np.array(K), params) / 12.0 if whole else 0.0
+    Ts = np.asarray(Ts, dtype=float)
+    K0 = _te_cut(params, settings)
+    plans = []
+    for T in Ts:
+        h = 2.0 * math.pi * T
+        whole = K0 > h
+        K = math.ceil(K0 / h) * h if whole else K0
+        chords = (h * _te_integrands(np.array(K), params) / 12.0 if whole
+                  else np.zeros(2))
+        plans.append((h, K, whole, chords, _te_tails(K, params)))
+    value, error = np.zeros((len(Ts), 2)), np.zeros((len(Ts), 2))
+    evals = 0
+    todo = list(range(len(Ts)))
     for halve in (False, True):
-        value, error, evals = chords + np.zeros(2), tails.copy(), 0
-        for n, lo, hi in _te_panels(K, h, params):
-            if halve:
-                mid = 0.5 * (lo + hi)
-                n = np.repeat(n, 2)
-                lo = np.stack([lo, mid], axis=1).ravel()
-                hi = np.stack([mid, hi], axis=1).ravel()
-            start, a, b = 0.0, 0.0, 0.0
-            if whole:
-                ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h, params)
-                start = n[:, None] * h
-                a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]
+        for i in todo:
+            value[i], error[i] = plans[i][3], plans[i][4]
+        chunks = [_te_chunks(*plans[i][:3], params, halve) for i in todo]
+        for step in zip_longest(*chunks):
+            rows = [(i, chunk) for i, chunk in zip(todo, step) if chunk]
+            u_lo, u_hi, h, start, a, b = (
+                np.concatenate([chunk[k] for _, chunk in rows])
+                for k in range(6))
 
             def f(u: np.ndarray) -> np.ndarray:
                 t = (u / h)[..., None]
                 y = _te_integrands(start + u, params) - a - (b - a) * t
                 return y * (t - 0.5)
 
-            res = integrate_fixed(f, lo[:, None], hi[:, None])
-            value += res.value.sum(axis=0)
-            error += res.error_estimate.sum(axis=0)
+            res = integrate_fixed(f, u_lo[:, None], u_hi[:, None])
             evals += res.evaluations
+            at = 0
+            for i, chunk in rows:
+                mine = slice(at, at + len(chunk[0]))
+                value[i] += res.value[mine].sum(axis=0)
+                error[i] += res.error_estimate[mine].sum(axis=0)
+                at = mine.stop
         tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
-        if np.all(error <= tol):
-            return QuadResult(value, error, evals)
+        todo = [i for i in todo if np.any(error[i] > tol[i])]
+        if not todo:
+            return QuadResult(value.T, error.T, evals)
+    i = todo[0]
     raise QuadratureError(
-        f"TE thickness part at T={T}: errors {error} exceed the tolerances "
-        f"{tol} after halving every panel (values {value})")
+        f"TE thickness part at T={Ts[i]}: errors {error[i]} exceed the "
+        f"tolerances {tol[i]} after halving every panel (values {value[i]})")
 
 
-def _thickness_te(T: float, params: SlabParams, settings: QuadSettings):
+def _te_chunks(h: float, K: float, whole: bool, params: SlabParams,
+               halve: bool):
+    """The chunks of ``_te_panels`` on [0, K] at the sawtooth period h, as
+    the rows of an ``_te_integrals`` pass: (lo, hi) of each panel in its
+    period, with h, the period's start, and the integrands at its two
+    joins (zero when K is at most one period) broadcast to each row; with
+    ``halve``, every panel halved."""
+    for n, lo, hi in _te_panels(K, h, params):
+        if halve:
+            mid = 0.5 * (lo + hi)
+            n = np.repeat(n, 2)
+            lo = np.stack([lo, mid], axis=1).ravel()
+            hi = np.stack([mid, hi], axis=1).ravel()
+        start = np.zeros((len(n), 1))
+        a = b = np.zeros((len(n), 1, 2))
+        if whole:
+            ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h, params)
+            start = n[:, None] * h
+            a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]
+        yield lo, hi, np.full((len(n), 1), h), start, a, b
+
+
+def _thickness_te(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE thickness part from its
-    moments (``_te_integrals``), each error that pass's summed panel
-    bound plus its tail bound."""
+    moments (``_te_integrals``), for every temperature of T in one pass,
+    each error that pass's summed panel bound plus its tail bound."""
     _check_T(T)
-    res = _te_integrals(T, params, settings)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    res = _te_integrals(Ts, params, settings)
     (F, S), (F_err, S_err) = res.value, res.error_estimate
     two_pi2 = 2.0 * math.pi ** 2
-    return ((float(T * F / two_pi2), float(F_err)),
-            (float(S / two_pi2), float(S_err)))
+    return ((_like(T, Ts * F / two_pi2), _like(T, F_err)),
+            (_like(T, S / two_pi2), _like(T, S_err)))
 
 
 def F_L_TE(T: float, params: SlabParams,
@@ -1152,14 +1192,18 @@ def validate_h_L_table(params: SlabParams,
     return worst, table.error(_TABLE_TOP * wp, lambda w: 1.0) / wp ** 2
 
 
-def _thermal_columns(T: float):
+def _thermal_columns(T):
     """The weights of the propagating moment in the TM thickness part's F
-    and S integrals, n(w/T) and w n'(w/T) = w n (1 + n), as the two
-    columns of an array over an array of w."""
+    and S integrals, n(w/T) and w n'(w/T) = w n (1 + n), for each of the k
+    temperatures of T: a map of an array of w to one with a last axis of
+    2 k columns, the k of n first."""
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+
     def weights(w: np.ndarray) -> np.ndarray:
+        w = w[..., None]
         with np.errstate(over="ignore"):
-            n = 1.0 / np.expm1(w / T)
-        return np.stack([n, w * n * (1.0 + n)], axis=-1)
+            n = 1.0 / np.expm1(w / Ts)
+        return np.concatenate([n, w * n * (1.0 + n)], axis=-1)
 
     return weights
 
@@ -1188,23 +1232,45 @@ def _tm_moment(params: SlabParams, W: float, weights, columns,
                       prop.evaluations + res.evaluations)
 
 
-def _thickness_tm(T: float, params: SlabParams, settings: QuadSettings):
+def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM thickness part: Int_0^W of
-    each thermal weight times the TM momentum moment (``_tm_moment``),
-    W = min(40 T, 60 omega_p).  The halves cancel in part: at omega_p L =
-    1 and T = 10 omega_p, S's are -11.8 and 12.9 in integral units.  So
-    the table's integrals run at a relative tolerance of 1e-10, and the
-    propagating half is held to 1e-8 of the sum."""
+    each thermal weight times the TM momentum moment, W = min(40 T, 60
+    omega_p), for every temperature of T.  The evanescent half integrates
+    the h_L table once per temperature and weight (``_HLTable.integrate``);
+    the propagating half, for the temperatures with W > omega_p, runs one
+    swapped pass (``_tm_propagating``) with two columns per temperature,
+    cut at their largest W, where the others' weights are below e^-40.
+    The halves cancel in part: at omega_p L = 1 and T = 10 omega_p, S's
+    are -11.8 and 12.9 in integral units.  So the table's integrals run at
+    a relative tolerance of 1e-10, and the propagating half is held to
+    1e-8 of the sum."""
     _check_T(T)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    settings = replace(settings, rel_tol=1e-8)
     # The momentum moment decays fast enough that frequencies beyond ~60
     # omega_p are negligible at every temperature; the thermal factor
     # cuts earlier when 40 T is smaller.
-    W = min(40.0 * T, _TABLE_TOP * params.omega_p)
-    res = _tm_moment(params, W, _tm_weights(T), _thermal_columns(T),
-                     replace(settings, rel_tol=1e-8), breakpoints=[T])
-    (F, S), (F_err, S_err) = res.value, res.error_estimate
-    return ((float(F) / (-2.0 * math.pi ** 2), float(F_err)),
-            (float(S) / (2.0 * math.pi ** 2 * T * T), float(S_err)))
+    Ws = np.minimum(40.0 * Ts, _TABLE_TOP * params.omega_p)
+    halves = []
+    for t, W in zip(Ts, map(float, Ws)):
+        table = _HLTable(params, W)
+        halves += [table.integrate(weight, W, settings, [t])
+                   for weight in _tm_weights(t)]
+    # Columns [F at each T, S at each T], as ``_thermal_columns`` orders them.
+    value = np.array([half.value for half in halves]).reshape(-1, 2).T
+    error = np.array([half.error_estimate for half in halves]
+                     ).reshape(-1, 2).T
+    prop = Ws > params.omega_p
+    if prop.any():
+        res = _tm_propagating(
+            params, float(Ws.max()), _thermal_columns(Ts[prop]), settings,
+            QuadResult(value[:, prop].ravel(), error[:, prop].ravel(), 0))
+        value[:, prop] += res.value.reshape(2, -1)
+        error[:, prop] += res.error_estimate.reshape(2, -1)
+    F, S = value[0] / (-2.0 * math.pi ** 2), value[1] / (
+        2.0 * math.pi ** 2 * Ts * Ts)
+    return ((_like(T, F), _like(T, error[0])),
+            (_like(T, S), _like(T, error[1])))
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -1282,8 +1348,8 @@ def slab_constant_d(settings: QuadSettings | None = None,
                          lambda w: 1.0 / w[..., None], settings)
         value, error = -res.value[0], res.error_estimate[0]
     elif route == "TE":
-        res = _te_integrals(math.inf, params, settings)
-        value, error = res.value[0], res.error_estimate[0]
+        res = _te_integrals(np.array([math.inf]), params, settings)
+        value, error = res.value[0, 0], res.error_estimate[0, 0]
     else:
         raise ValueError(f"route must be 'TE' or 'TM', got {route!r}")
     two_pi2 = 2.0 * math.pi ** 2
@@ -1373,20 +1439,21 @@ def _branch_weight(omega: float | np.ndarray, params: SlabParams):
     return out if np.ndim(omega) else float(out)
 
 
-def _exp(T: float, params: SlabParams, settings: QuadSettings):
+def _exp(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the optical-path part, whose
-    subtracted branch weight leaves out its T^2 growth, in one pass."""
+    subtracted branch weight leaves out its T^2 growth, in one pass for
+    every temperature of T."""
     _check_T(T)
-    W = max(40.0 * T, 8.0 * params.omega_p)
-    Ts = np.array([T])
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    W = max(40.0 * float(Ts.max()), 8.0 * params.omega_p)
     # Beyond 8 omega_p, |_branch_weight| <= 0.126 omega_p^4 / omega^2.
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: _branch_weight(w, params), weight_columns(Ts),
         _grid(Ts, params, W), settings,
         _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
     c = params.L / (2.0 * math.pi ** 2)
-    return ((float(c * T * F[0]), float(F_err[0])),
-            (float(c * S[0]), float(S_err[0])))
+    return ((_like(T, c * Ts * F), _like(T, F_err)),
+            (_like(T, c * S), _like(T, S_err)))
 
 
 def validate_exp_part(params: SlabParams,
@@ -1516,10 +1583,11 @@ def plasmon_mode_residual(omega: float, k: float,
 
 # Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
 # every call looks the part's evaluator up in this module.  Each evaluator
-# leaves out the part's growth.  The surface and exp parts run F and S as
-# columns of one panel-rule pass (two for s_TM), L_TE of one sawtooth
-# pass; only L_TM's table half integrates F's weight, then S's (QUADPACK
-# is scalar).  The thickness parts need no subtraction.
+# leaves out the part's growth and takes a float T or a 1-D array.  The
+# surface and exp parts run F and S at every temperature as columns of one
+# panel-rule pass (two for s_TM), L_TE of one sawtooth pass; only L_TM's
+# table half integrates each temperature's F weight, then its S weight
+# (QUADPACK is scalar).  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda T, p, s: _surface_te(T, p, s), _s_te_growth),
@@ -1535,14 +1603,16 @@ PARTS = (
 )
 
 
-def total(T: float, params: SlabParams,
+def total(T, params: SlabParams,
           settings: QuadSettings | None = None) -> ThermoPoint:
-    """Subtracted F and S of every slab part at one temperature.
+    """Subtracted F and S of every slab part at a temperature or a grid.
 
     Parts, in the order of ``PARTS``: s_TE, s_TM (surface), L_TE, L_TM
     (thickness, which need no subtraction), exp (optical path).  The
     slab plasmon is intentionally not included.  Evaluated at
-    omega_p = 1 and scaled back (``ThermoPoint.evaluate``).
+    omega_p = 1 and scaled back (``ThermoPoint.evaluate``).  With a 1-D
+    array of T, each part's F and S are arrays over it, from one call per
+    part.
     """
     return ThermoPoint.evaluate(PARTS, T, params,
                                 settings or DEFAULT_SETTINGS)

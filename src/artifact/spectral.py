@@ -19,8 +19,8 @@ is raised.
 
 Each model lists its additive parts once, in an ordered ``PARTS`` table
 of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
-entropy of every part at one temperature, their totals and their error
-estimates, evaluated at unit scale: F(T) = s^3 F_1(T/s) and
+entropy of every part at a temperature or a 1-D grid of them, their
+totals and their error estimates, evaluated at unit scale: F(T) = s^3 F_1(T/s) and
 S(T) = s^2 S_1(T/s).
 
 The high-temperature expansion of a free energy per unit area,
@@ -198,14 +198,16 @@ class Part:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Subtracted F and S of each part of a model at one temperature.
+    """Subtracted F and S of each part of a model at a temperature or a
+    grid of them.
 
     ``F`` and ``S`` are in the order of ``names``, the model's ``PARTS``;
     the totals add them left to right.  ``F_error`` and ``S_error`` hold
     each part's error estimates at unit scale; ``quad_error`` is the
-    largest.  Evaluated at a 1-D array of temperatures (the sheet's parts
-    accept one), ``T``, every entry of ``F`` and ``S``, the totals and the
-    sheet's errors are arrays over it.
+    largest.  Evaluated at a 1-D array of temperatures (every part accepts
+    one), ``T``, every entry of ``F``, ``S``, ``F_error`` and ``S_error``,
+    the totals and ``quad_error`` are arrays over it: each temperature
+    keeps its own errors.
     """
 
     T: float | np.ndarray
@@ -251,9 +253,11 @@ class ThermoPoint:
         return reduce(operator.add, self.S)
 
     @property
-    def quad_error(self) -> float:
-        """The largest error estimate of any part, F or S, at any T."""
-        return max(float(np.max(e)) for e in self.F_error + self.S_error)
+    def quad_error(self):
+        """The largest error estimate of any part, F or S: an array over
+        an array T, one entry per temperature."""
+        out = reduce(np.maximum, self.F_error + self.S_error)
+        return out if np.ndim(self.T) else float(out)
 
 
 def free_energy_defining(ch: ScatteringChannel, T: float,

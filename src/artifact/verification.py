@@ -249,10 +249,10 @@ def _sheet_panel_rule_checks(settings):
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
         for ch in ("TE", "TM"):
             part = spectral.Part.named(plasma_sheet.PARTS, ch)
+            _, (S, error) = part.evaluate(np.array(_PANEL_T), params,
+                                          settings)
             worst = 0.0
-            for T in _PANEL_T:
-                _, (s, error) = part.evaluate(T, params, settings)
-                bound = error / (2.0 * math.pi ** 2)
+            for T, s, bound in zip(_PANEL_T, S, error / (2.0 * math.pi ** 2)):
                 gap = abs(s - _sheet_entropy_quadpack(ch, T, params))
                 worst = max(worst, gap / bound)
             out.append(_below(
@@ -644,7 +644,7 @@ def _suite_asymptotics(settings):
 
     T_grid = np.geomspace(1e2, 1e3, 10)
     s_te = spectral.Part.named(slab.PARTS, "s_TE")
-    samples = [(T, s_te.evaluate(T, sp, settings)[0][0]) for T in T_grid]
+    samples = list(zip(T_grid, s_te.evaluate(T_grid, sp, settings)[0][0]))
     fit = fit_asymptotic(samples, ("TlogT", "T", "1"))
     out.append(_rel(
         "asymptotics", "slab subtracted F_s_TE: T*log(T) coefficient",
@@ -741,16 +741,18 @@ def _identity_checks():
 
 
 def _suite_thermo_identity(settings):
-    # Two evaluations per temperature: the mean of S(T - h) and S(T + h)
-    # against -(F(T + h) - F(T - h)) / 2h, both O(h^2) from S(T).
+    # Two temperatures per grid point, all in one call per part: the mean
+    # of S(T - h) and S(T + h) against -(F(T + h) - F(T - h)) / 2h, both
+    # O(h^2) from S(T).
     out = []
     grid = (1e-2, 1e-1, 1.0, 1e1, 1e2)
+    Ts = np.array([T + side * 1e-4 * T for T in grid for side in (-1, 1)])
     for label, part, params in _identity_checks():
+        (F, _), (S, _) = part.evaluate(Ts, params, settings)
         worst = 0.0
-        for T in grid:
+        for T, (F_lo, F_hi), (S_lo, S_hi) in zip(grid, F.reshape(-1, 2),
+                                                 S.reshape(-1, 2)):
             h = 1e-4 * T
-            (F_lo, _), (S_lo, _) = part.evaluate(T - h, params, settings)
-            (F_hi, _), (S_hi, _) = part.evaluate(T + h, params, settings)
             if not np.all(np.isfinite([F_lo, S_lo, F_hi, S_hi])):
                 raise QuadratureError(f"non-finite F or S of {label} "
                                       f"near T={T!r}")
@@ -769,8 +771,8 @@ def _suite_thermo_identity(settings):
 def _suite_nernst(settings):
     out = []
     for label, part, params in _identity_checks():
-        s_hi = part.evaluate(1e-2, params, settings)[1][0]
-        s_lo = part.evaluate(1e-3, params, settings)[1][0]
+        s_hi, s_lo = part.evaluate(np.array([1e-2, 1e-3]), params,
+                                   settings)[1][0]
         if abs(s_hi) < 1e-13 and abs(s_lo) < 1e-13:
             ratio = 0.0
         else:

@@ -505,3 +505,66 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_row_matches_its_temperature_run_alone(tmp_path):
+    # A sweep runs each parameter point's whole T grid in one call per
+    # part; a row written alone runs one temperature.  They agree to the
+    # rel 1e-8 and abs 1e-14 of the benchmark's scaling check, with room.
+    grid = np.geomspace(0.009, 100.0, 4)
+    tpts = 3.0 / math.log10(100.0 / 0.009)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["slab", "--L", "0.606:1:2", "--tmin", "0.009",
+                     "--tmax", "100", "--tpts", repr(tpts),
+                     "--out", str(out)]) == 0
+    sweep = _read_csv(out)
+    assert len(sweep) == 8
+    for row in sweep:
+        T = repr(float(grid[[float(row["T"]) == pytest.approx(t, rel=1e-11)
+                             for t in grid].index(True)]))
+        alone = tmp_path / "alone.csv"
+        assert cli.main(["slab", "--L", row["L"], "--tmin", T, "--tmax", T,
+                         "--out", str(alone)]) == 0
+        (one,) = _read_csv(alone)
+        assert one["T"] == row["T"]
+        for col in cli.SLAB_HEADER[3:-1]:
+            assert float(row[col]) == pytest.approx(
+                float(one[col]), rel=1e-9, abs=1e-15), (col, row["T"])
+
+
+def test_sweeps_write_the_same_bytes_for_any_jobs(tmp_path):
+    # One task per parameter point: two slab points and three sheet
+    # points run on one or two workers alike.
+    for argv in (["slab", "--L", "0.5:1:2", "--tmin", "0.01", "--tmax", "10",
+                  "--tpts", "1"],
+                 ["sheet", "--omega0", "0:0.8:3", "--tmin", "0.5",
+                  "--tmax", "5", "--tpts", "2"]):
+        outs = [tmp_path / f"{argv[0]}{jobs}.csv" for jobs in ("1", "2")]
+        for out, jobs in zip(outs, ("1", "2")):
+            assert cli.main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_failing_temperature_fails_only_its_row(tmp_path, monkeypatch):
+    # The array call raises, so each temperature runs alone: the one that
+    # fails reads "failed", the others are the one-temperature rows.
+    total = slab.total
+
+    def fail_at_one(T, params, settings=None):
+        if np.any(np.asarray(T) == 0.1):
+            raise QuadratureError("did not converge")
+        return total(T, params, settings)
+
+    monkeypatch.setattr(slab, "total", fail_at_one)
+    out = tmp_path / "slab.csv"
+    assert cli.main(["slab", "--tmin", "0.01", "--tmax", "1", "--tpts", "1",
+                     "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == [
+        "1.000000000000e-02", "1.000000000000e-01", "1.000000000000e+00"]
+    assert rows[1].split(",")[3:] == ["nan"] * 12 + ["failed"]
+    for line, T in ((rows[0], 0.01), (rows[2], 1.0)):
+        alone = tmp_path / "alone.csv"
+        assert cli.main(["slab", "--tmin", repr(T), "--tmax", repr(T),
+                         "--out", str(alone)]) == 0
+        assert alone.read_text().splitlines()[1] == line

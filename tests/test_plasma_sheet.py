@@ -657,3 +657,22 @@ def test_truncation_bound_covers_the_dropped_tail():
             lambda w: w * w * weight(w / T) * ps.h(Channel.TE, w, params),
             cut, DEFAULT_SETTINGS, scale=T).value
         assert 0.0 < abs(tail) <= bound <= 10.0 * abs(tail)
+
+
+def test_scan_grid_evaluates_few_weight_pairs(monkeypatch):
+    # The log-graded grid below the lowest temperature: on the shape of
+    # the sheet-scan benchmark the thermal weights are evaluated at no
+    # more than 1.3 M (node, temperature) pairs (1.75 M on the octave
+    # grid it replaced).
+    pairs = [0]
+    weights = numkernel.thermal_weights
+
+    def counted(x):
+        pairs[0] += np.size(x)
+        return weights(x)
+
+    monkeypatch.setattr(numkernel, "thermal_weights", counted)
+    grid = np.geomspace(0.009, 1e3, 41)
+    for w0 in [0.0, *np.linspace(0.5375, 1.4375, 10)]:
+        ps.total(grid, ps.SheetParams(Omega0=1.0, omega0=w0))
+    assert 1e6 < pairs[0] <= 1.3e6

@@ -439,3 +439,62 @@ def test_entropy_is_minus_dF_dT_at_drawn_points(T):
         s_fd = (F_lo - F_hi) / (2.0 * h)
         gate = 1e-4 * max(abs(s), abs(s_fd)) + _IDENTITY_FLOOR
         assert abs(s - s_fd) <= gate, f"{label} at T={T!r}"
+
+
+_ARRAY_CASES = [(model, params) for model, kind in ((plasma_sheet,
+                                                    plasma_sheet.SheetParams),
+                                                   (slab, slab.SlabParams))
+                for params in (kind(1.0, 0.606), kind(1.0, 1.0))]
+
+
+@pytest.mark.parametrize("model, params", _ARRAY_CASES,
+                         ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_array_and_one_temperature_calls_agree(model, params):
+    # Each temperature's F and S from one call over a grid match the
+    # one-temperature call: the grid changes the panels, not the result.
+    Ts = np.geomspace(0.009, 100.0, 4)
+    for part in model.PARTS:
+        (F, F_err), (S, S_err) = part.evaluate(Ts, params, DEFAULT_SETTINGS)
+        assert F.shape == S.shape == F_err.shape == S_err.shape == Ts.shape
+        for i, T in enumerate(Ts):
+            (f, _), (s, _) = part.evaluate(float(T), params,
+                                           DEFAULT_SETTINGS)
+            assert F[i] == pytest.approx(f, rel=1e-9, abs=1e-300), part.name
+            assert S[i] == pytest.approx(s, rel=1e-9, abs=1e-300), part.name
+
+
+def test_quad_error_is_per_temperature():
+    # Over an array T, quad_error is each temperature's largest part
+    # error, not the largest over the grid.
+    Ts = np.geomspace(0.01, 100.0, 5)
+    point = slab.total(Ts, slab.SlabParams(1.0, 1.0))
+    want = np.max(np.stack(point.F_error + point.S_error), axis=0)
+    assert np.array_equal(point.quad_error, want)
+    assert point.quad_error.shape == Ts.shape
+    assert point.quad_error.min() < point.quad_error.max()
+    assert isinstance(slab.total(1.0, slab.SlabParams(1.0, 1.0)).quad_error,
+                      float)
+
+
+# The evaluators the PARTS lambdas of each model look up at call time.
+_EVALUATORS = ((plasma_sheet, ("_channel", "_plasmon")),
+               (slab, ("_surface_te", "_surface_tm", "_thickness_te",
+                       "_thickness_tm", "_exp")))
+
+
+@pytest.mark.parametrize("suite", ["thermo-identity", "nernst"])
+def test_identity_suites_call_each_part_once(monkeypatch, suite):
+    # One evaluation per (part, parameters), over all of the suite's
+    # temperatures: a deterministic gate on the work.
+    calls = []
+    for module, names in _EVALUATORS:
+        for name in names:
+            def counted(*args, _evaluate=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _evaluate(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    results = verification.run_suite(suite)
+    assert all(r.passed for r in results)
+    pairs = list(verification._identity_checks())
+    assert len(calls) == len(pairs) == len(results) == 10

@@ -356,8 +356,9 @@ def _surface_te(T, params: SlabParams, settings: QuadSettings):
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
         weight_columns(Ts), _grid(Ts, params, wp), settings, 0.0)
-    return ((_like(T, -Ts * F / math.pi ** 2), _like(T, F_err)),
-            (_like(T, -S / math.pi ** 2), _like(T, S_err)))
+    return ((_like(T, -Ts * F / math.pi ** 2),
+             _like(T, Ts * F_err / math.pi ** 2)),
+            (_like(T, -S / math.pi ** 2), _like(T, S_err / math.pi ** 2)))
 
 
 def _raw(name: str, T, params: SlabParams, settings: QuadSettings | None):
@@ -411,7 +412,7 @@ def _surface_tm(T, params: SlabParams, settings: QuadSettings):
     ``F_s_TM``), for every temperature of T: the edge piece leaves its T^3
     term out and the bulk moment integrates h - h_inf against the
     occupations (``_thermal_columns``).  Each error sums the passes'
-    errors and the bulk's tail bound."""
+    errors and the bulk's tail bound, each times its piece's prefactor."""
     _check_T(T)
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     wp = params.omega_p
@@ -427,7 +428,10 @@ def _surface_tm(T, params: SlabParams, settings: QuadSettings):
         _grid(Ts, params, cut), settings,
         _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1)
         * np.stack([np.ones_like(Ts), Ts]))
-    F_err, S_err = a_err + b_err
+    # Each piece's prefactor, for F's row and S's.
+    a_c = np.stack([Ts, np.ones_like(Ts)]) / (4.0 * math.pi)
+    b_c = np.stack([np.ones_like(Ts), 1.0 / (Ts * Ts)]) / (2.0 * math.pi ** 2)
+    F_err, S_err = a_c * a_err + b_c * b_err
     F = -Ts * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
     S = -a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * Ts * Ts)
     return ((_like(T, F), _like(T, F_err)), (_like(T, S), _like(T, S_err)))
@@ -781,14 +785,15 @@ def _te_chunks(h: float, K: float, whole: bool, params: SlabParams,
 def _thickness_te(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE thickness part from its
     moments (``_te_integrals``), for every temperature of T in one pass,
-    each error that pass's summed panel bound plus its tail bound."""
+    each error that pass's summed panel bound plus its tail bound, times
+    the value's prefactor."""
     _check_T(T)
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     res = _te_integrals(Ts, params, settings)
     (F, S), (F_err, S_err) = res.value, res.error_estimate
     two_pi2 = 2.0 * math.pi ** 2
-    return ((_like(T, Ts * F / two_pi2), _like(T, F_err)),
-            (_like(T, S / two_pi2), _like(T, S_err)))
+    return ((_like(T, Ts * F / two_pi2), _like(T, Ts * F_err / two_pi2)),
+            (_like(T, S / two_pi2), _like(T, S_err / two_pi2)))
 
 
 def F_L_TE(T: float, params: SlabParams,
@@ -1267,10 +1272,10 @@ def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
             QuadResult(value[:, prop].ravel(), error[:, prop].ravel(), 0))
         value[:, prop] += res.value.reshape(2, -1)
         error[:, prop] += res.error_estimate.reshape(2, -1)
-    F, S = value[0] / (-2.0 * math.pi ** 2), value[1] / (
-        2.0 * math.pi ** 2 * Ts * Ts)
-    return ((_like(T, F), _like(T, error[0])),
-            (_like(T, S), _like(T, error[1])))
+    two_pi2 = 2.0 * math.pi ** 2
+    F, S = value[0] / -two_pi2, value[1] / (two_pi2 * Ts * Ts)
+    F_err, S_err = error[0] / two_pi2, error[1] / (two_pi2 * Ts * Ts)
+    return ((_like(T, F), _like(T, F_err)), (_like(T, S), _like(T, S_err)))
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -1452,8 +1457,8 @@ def _exp(T, params: SlabParams, settings: QuadSettings):
         _grid(Ts, params, W), settings,
         _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
     c = params.L / (2.0 * math.pi ** 2)
-    return ((_like(T, c * Ts * F), _like(T, F_err)),
-            (_like(T, c * S), _like(T, S_err)))
+    return ((_like(T, c * Ts * F), _like(T, c * Ts * F_err)),
+            (_like(T, c * S), _like(T, c * S_err)))
 
 
 def validate_exp_part(params: SlabParams,

@@ -172,8 +172,10 @@ class Part:
     ``evaluate(T, params, settings)`` returns ((F, F_error), (S, S_error)):
     the part's subtracted free energy and entropy per unit area, one
     spectral integral under the weights T log(1 - e^(-omega/T)) and its
-    -d/dT, each with the largest error estimate behind it, in integral
-    units before prefactors.  A direct call runs at the scale it is given
+    -d/dT, each with the error estimate behind it.  The slab's parts give
+    each error in the units of the value it bounds; the sheet's give it
+    in units of the integral before its prefactor, T / 2 pi^2 or
+    1 / 2 pi^2 (T / 2 pi or 1 / 2 pi for the plasmon band).  A direct call runs at the scale it is given
     (absolute tolerances do not scale); ``ThermoPoint.evaluate`` reduces
     to unit scale.  The models build it as a lambda over their module's
     functions, looked up at call time.  ``group`` selects the part in

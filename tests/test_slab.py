@@ -418,9 +418,11 @@ def test_L_TE_error_is_the_pass_bound_plus_its_tail(monkeypatch):
         monkeypatch.setattr(slab, "_te_tails", recorded_tails)
         monkeypatch.setattr(slab, "_te_cut", cut)
         (_, F_err), (_, S_err) = L_TE.evaluate(T, P1, DEFAULT_SETTINGS)
-        assert np.all(tails[-1] > 1e-3 * np.array([F_err, S_err]))
+        # The errors carry the part's prefactors, T / 2 pi^2 and 1 / 2 pi^2.
+        units = np.array([T, 1.0]) / (2.0 * math.pi ** 2)
+        assert np.all(units * tails[-1] > 1e-3 * np.array([F_err, S_err]))
         assert [F_err, S_err] == pytest.approx(
-            np.sum(bounds, axis=0) + tails[-1], rel=1e-12, abs=0.0)
+            units * (np.sum(bounds, axis=0) + tails[-1]), rel=1e-12, abs=0.0)
 
         monkeypatch.setattr(slab, "_te_cut", lambda *args: 0.5 * cut(*args))
         with pytest.raises(QuadratureError):
@@ -484,8 +486,6 @@ def test_L_TE_matches_mpmath_within_its_error(omega_p_L, T):
     # relative error stays below 1e-8.
     (F, F_err), (S, S_err) = Part.named(slab.PARTS, "L_TE").evaluate(
         T, slab.SlabParams(1.0, omega_p_L), DEFAULT_SETTINGS)
-    F_err *= T / (2.0 * math.pi ** 2)
-    S_err /= 2.0 * math.pi ** 2
     with mpmath.workdps(30):
         reference = (_te_matsubara if T >= 1.0 else _te_real_frequency)(
             mpmath.mpf(T), mpmath.mpf(omega_p_L))
@@ -558,8 +558,13 @@ def test_s_TM_error_is_the_passes_bounds_plus_its_tail(monkeypatch):
         monkeypatch.setattr(slab, "_truncation_bound", recorded_tail)
         (_, F_err), (_, S_err) = s_TM.evaluate(T, P1, DEFAULT_SETTINGS)
         assert len(bounds) == 2 and len(tails) == 1
-        assert [F_err, S_err] == pytest.approx(
-            np.sum(bounds, axis=0) + tails[0] * [1.0, T], rel=1e-12, abs=0.0)
+        # Each piece's errors carry its prefactors: (T, 1) / 4 pi for the
+        # edge piece, (1, 1 / T^2) / 2 pi^2 for the bulk.
+        edge = bounds[0] * [T, 1.0] / (4.0 * math.pi)
+        bulk = ((bounds[1] + tails[0] * [1.0, T]) * [1.0, 1.0 / T ** 2]
+                / (2.0 * math.pi ** 2))
+        assert [F_err, S_err] == pytest.approx(edge + bulk, rel=1e-12,
+                                               abs=0.0)
 
 
 @pytest.mark.parametrize("T", [1e-5, 1e-4])
@@ -667,6 +672,9 @@ def test_L_TM_quad_error_includes_table_term(monkeypatch):
                                  slab.SlabParams(omega_p=2.0, L=0.5),
                                  DEFAULT_SETTINGS)
     assert len(terms) == 2 and min(terms) > 0.0
+    # At unit scale T = 1: the errors carry the prefactors 1 / 2 pi^2 of F
+    # and 1 / (2 pi^2 T^2) of S.
+    terms = [term / (2.0 * math.pi ** 2) for term in terms]
     assert point.F_error[0] >= terms[0] and point.S_error[0] >= terms[1]
     assert point.quad_error >= max(terms)
 

@@ -700,49 +700,42 @@ def _te_integrals(Ts: np.ndarray, params: SlabParams,
 
     the second from S = -dF/dT.  One chunked array pass of
     ``integrate_fixed`` runs both columns for every temperature, whose
-    chunks it concatenates, on the panels of ``_te_panels`` up to the cut
-    K of ``_te_cut``, rounded up to whole periods when it exceeds one, with B = t - 1/2 taken from each panel's offset in its
-    own period.  At low T the moments are O(T^3) while the integrands
-    are O(1): so each period's chord through the integrands' values at
-    its joins is subtracted, which leaves the rule an O(h^2) integrand
-    and a roundoff floor that falls with T, and the chords' sawtooth
-    moments, h/12 times their rises, are added back; they sum to h
-    (phi(K) - phi(0)) / 12.  Each error is the summed panel bound plus
-    the tail bound past K (``_te_tails``).  If an error of a temperature
-    misses the tolerance, every panel of that temperature is halved once;
-    if it still misses, QuadratureError.  At T = inf, B = -1/2
-    throughout, and the F moment is (pi / 2) Int_0^inf kappa log D dkappa
-    (``slab_constant_d``).
+    chunks it concatenates, on the panels of ``_te_panels`` up to the cut K
+    of ``_te_cut``, rounded up to whole periods when it exceeds one, with B
+    = t - 1/2 taken from each panel's offset in its own period.  At low T
+    the moments are O(T^3) while the integrands are O(1): so each period's
+    chord through the integrands' values at its joins is subtracted, which
+    leaves the rule an O(h^2) integrand and a roundoff floor that falls
+    with T, and the chords' sawtooth moments, h/12 times their rises, are
+    added back; they sum to h (phi(K) - phi(0)) / 12.  Each error is the
+    summed panel bound plus the tail bound past K (``_te_tails``).  If an
+    error of a temperature misses the tolerance, every panel of that
+    temperature is halved once; if it still misses, QuadratureError.  At T
+    = inf, B = -1/2 throughout, and the F moment is (pi / 2) Int_0^inf
+    kappa log D dkappa (``slab_constant_d``).
     """
-    Ts = np.asarray(Ts, dtype=float)
     K0 = _te_cut(params, settings)
-    plans = []
-    for T in Ts:
-        h = 2.0 * math.pi * T
-        whole = K0 > h
-        K = math.ceil(K0 / h) * h if whole else K0
-        chords = (h * _te_integrands(np.array(K), params) / 12.0 if whole
-                  else np.zeros(2))
-        plans.append((h, K, whole, chords, _te_tails(K, params)))
-    value, error = np.zeros((len(Ts), 2)), np.zeros((len(Ts), 2))
-    evals = 0
-    todo = list(range(len(Ts)))
+    hs = 2.0 * math.pi * np.asarray(Ts, dtype=float)
+    Ks = [math.ceil(K0 / h) * h if K0 > h else K0 for h in hs]
+    chords = np.array([h * _te_integrands(np.array(K), params) / 12.0
+                       if K > h else np.zeros(2) for h, K in zip(hs, Ks)])
+    tails = np.array([_te_tails(K, params) for K in Ks])
+    value, error, evals = chords.copy(), tails.copy(), 0
+    todo = list(range(len(hs)))
     for halve in (False, True):
-        for i in todo:
-            value[i], error[i] = plans[i][3], plans[i][4]
-        chunks = [_te_chunks(*plans[i][:3], params, halve) for i in todo]
-        for step in zip_longest(*chunks):
+        value[todo], error[todo] = chords[todo], tails[todo]
+        for step in zip_longest(*(_te_chunks(hs[i], Ks[i], params, halve)
+                                  for i in todo)):
             rows = [(i, chunk) for i, chunk in zip(todo, step) if chunk]
-            u_lo, u_hi, h, start, a, b = (
-                np.concatenate([chunk[k] for _, chunk in rows])
-                for k in range(6))
+            lo, hi, h, start, a, b = map(np.concatenate,
+                                         zip(*(chunk for _, chunk in rows)))
 
             def f(u: np.ndarray) -> np.ndarray:
                 t = (u / h)[..., None]
                 y = _te_integrands(start + u, params) - a - (b - a) * t
                 return y * (t - 0.5)
 
-            res = integrate_fixed(f, u_lo[:, None], u_hi[:, None])
+            res = integrate_fixed(f, lo[:, None], hi[:, None])
             evals += res.evaluations
             at = 0
             for i, chunk in rows:
@@ -760,12 +753,11 @@ def _te_integrals(Ts: np.ndarray, params: SlabParams,
         f"tolerances {tol[i]} after halving every panel (values {value[i]})")
 
 
-def _te_chunks(h: float, K: float, whole: bool, params: SlabParams,
-               halve: bool):
+def _te_chunks(h: float, K: float, params: SlabParams, halve: bool):
     """The chunks of ``_te_panels`` on [0, K] at the sawtooth period h, as
-    the rows of an ``_te_integrals`` pass: (lo, hi) of each panel in its
-    period, with h, the period's start, and the integrands at its two
-    joins (zero when K is at most one period) broadcast to each row; with
+    rows of an ``_te_integrals`` pass: (lo, hi) of each panel in its
+    period, and h, the period's start and the integrands at its two joins
+    (zero when K is at most one period) broadcast to each row; with
     ``halve``, every panel halved."""
     for n, lo, hi in _te_panels(K, h, params):
         if halve:
@@ -775,7 +767,7 @@ def _te_chunks(h: float, K: float, whole: bool, params: SlabParams,
             hi = np.stack([mid, hi], axis=1).ravel()
         start = np.zeros((len(n), 1))
         a = b = np.zeros((len(n), 1, 2))
-        if whole:
+        if K > h:
             ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h, params)
             start = n[:, None] * h
             a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]

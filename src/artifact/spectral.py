@@ -20,8 +20,8 @@ is raised.
 Each model lists its additive parts once, in an ordered ``PARTS`` table
 of ``Part`` records; ``ThermoPoint`` holds the subtracted free energy and
 entropy of every part at a temperature or a 1-D grid of them, their
-totals and their error estimates, evaluated at unit scale: F(T) = s^3 F_1(T/s) and
-S(T) = s^2 S_1(T/s).
+totals and their error estimates, evaluated at unit scale:
+F(T) = s^3 F_1(T/s) and S(T) = s^2 S_1(T/s).
 
 The high-temperature expansion of a free energy per unit area,
 
@@ -175,9 +175,9 @@ class Part:
     -d/dT, each with the error estimate behind it.  The slab's parts give
     each error in the units of the value it bounds; the sheet's give it
     in units of the integral before its prefactor, T / 2 pi^2 or
-    1 / 2 pi^2 (T / 2 pi or 1 / 2 pi for the plasmon band).  A direct call runs at the scale it is given
-    (absolute tolerances do not scale); ``ThermoPoint.evaluate`` reduces
-    to unit scale.  The models build it as a lambda over their module's
+    1 / 2 pi^2 (T / 2 pi or 1 / 2 pi for the plasmon band).  A direct
+    call runs at the scale it is given (absolute tolerances do not
+    scale); ``ThermoPoint.evaluate`` reduces to unit scale.  The models build it as a lambda over their module's
     functions, looked up at call time.  ``group`` selects the part in
     ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
     the parameters to the high-temperature polynomial that F and S have

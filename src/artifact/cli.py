@@ -183,20 +183,19 @@ def _part_rows(task):
     def row(T, values):
         return [_fmt(a), _fmt(b), _fmt(T), *map(_fmt, values)]
 
-    try:
-        columns = [np.broadcast_to(c, len(t_grid))
-                   for c in cells(np.asarray(t_grid))]
-        return [row(T, [float(c[i]) for c in columns])
-                for i, T in enumerate(t_grid)]
-    except QuadratureError:
-        pass
-    rows = []
-    for T in t_grid:
+    def alone(T):
         try:
-            rows.append(row(T, cells(T)))
+            return row(T, cells(T))
         except QuadratureError:
-            rows.append(row(T, [math.nan] * (len(header) - 4) + ["failed"]))
-    return rows
+            return row(T, [math.nan] * (len(header) - 4) + ["failed"])
+
+    try:
+        columns = cells(np.asarray(t_grid))
+    except QuadratureError:
+        return [alone(T) for T in t_grid]
+    columns = [np.broadcast_to(c, len(t_grid)) for c in columns]
+    return [row(T, [float(c[i]) for c in columns])
+            for i, T in enumerate(t_grid)]
 
 
 def _scan_row(task):

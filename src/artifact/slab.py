@@ -1205,69 +1205,69 @@ def _thermal_columns(T):
     return weights
 
 
-def _tm_moment(params: SlabParams, W: float, weights, columns,
+def _tm_moment(params: SlabParams, W, weights, columns,
                settings: QuadSettings, breakpoints=()) -> QuadResult:
-    """Int_0^W of m weights times the TM momentum moment, as (m,) arrays.
+    """Int_0^W of m weights times the TM momentum moment, as (m,) arrays:
+    W is one cut for every weight or an (m,) array of one cut per weight.
     The evanescent half (p < omega_p) integrates the h_L table once per
-    weight of h_L / omega in ``weights`` (``_HLTable.integrate``); the
-    propagating half (p > omega_p), when W > omega_p, runs in swapped
-    order for all m ``columns``, the weights divided by omega, at once
-    (``_tm_propagating``), with ``settings`` as the sum's tolerance.
-    Each error adds the two halves'.  W above 60 omega_p, beyond the
-    table, raises ValueError."""
-    table = _HLTable(params, W)
-    halves = [table.integrate(weight, W, settings, breakpoints)
-              for weight in weights]
-    res = QuadResult(np.array([half.value for half in halves]),
-                     np.array([half.error_estimate for half in halves]),
-                     sum(half.evaluations for half in halves))
-    if W <= params.omega_p:
-        return res
-    prop = _tm_propagating(params, W, columns, settings, res)
-    return QuadResult(prop.value + res.value,
-                      prop.error_estimate + res.error_estimate,
-                      prop.evaluations + res.evaluations)
+    weight of h_L / omega in ``weights``, up to its cut, with
+    ``breakpoints``, one sequence for every weight or a list of one per
+    weight (``_HLTable.integrate``); the propagating half (p > omega_p)
+    runs in swapped order once for the m ``columns``, the weights divided
+    by omega, whose cuts exceed omega_p (``_tm_propagating``), cut at the
+    largest of them, with ``settings`` as the sum's tolerance.  Each error
+    adds the two halves'.  A cut above 60 omega_p, beyond the table,
+    raises ValueError."""
+    Ws = np.broadcast_to(np.asarray(W, dtype=float), (len(weights),))
+    if not len(breakpoints) or not np.ndim(breakpoints[0]):
+        breakpoints = [breakpoints] * len(weights)
+    halves = [_HLTable(params, w_cut).integrate(weight, w_cut, settings,
+                                                points)
+              for weight, w_cut, points in zip(weights, map(float, Ws),
+                                               breakpoints)]
+    value = np.array([half.value for half in halves])
+    error = np.array([half.error_estimate for half in halves])
+    evals = sum(half.evaluations for half in halves)
+    prop = Ws > params.omega_p
+    if prop.any():
+        res = _tm_propagating(params, float(Ws[prop].max()),
+                              lambda w: columns(w)[..., prop], settings,
+                              QuadResult(value[prop], error[prop], 0))
+        value[prop] += res.value
+        error[prop] += res.error_estimate
+        evals += res.evaluations
+    return QuadResult(value, error, evals)
 
 
 def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM thickness part: Int_0^W of
     each thermal weight times the TM momentum moment, W = min(40 T, 60
-    omega_p), for every temperature of T.  The evanescent half integrates
-    the h_L table once per temperature and weight (``_HLTable.integrate``);
-    the propagating half, for the temperatures with W > omega_p, runs one
-    swapped pass (``_tm_propagating``) with two columns per temperature,
-    cut at their largest W, where the others' weights are below e^-40.
-    The halves cancel in part: at omega_p L = 1 and T = 10 omega_p, S's
-    are -11.8 and 12.9 in integral units.  So the table's integrals run at
-    a relative tolerance of 1e-10, and the propagating half is held to
-    1e-8 of the sum."""
+    omega_p), for every temperature of T (``_tm_moment``).  The
+    evanescent half integrates the h_L table once per temperature and
+    weight; the propagating half, for the temperatures with W > omega_p,
+    runs one swapped pass with two columns per temperature, cut at their
+    largest W, where the others' weights are below e^-40.  The halves
+    cancel in part: at omega_p L = 1 and T = 10 omega_p, S's are -11.8
+    and 12.9 in integral units.  So the table's integrals run at a
+    relative tolerance of 1e-10, and the propagating half is held to 1e-8
+    of the sum."""
     _check_T(T)
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    settings = replace(settings, rel_tol=1e-8)
     # The momentum moment decays fast enough that frequencies beyond ~60
     # omega_p are negligible at every temperature; the thermal factor
     # cuts earlier when 40 T is smaller.
     Ws = np.minimum(40.0 * Ts, _TABLE_TOP * params.omega_p)
-    halves = []
-    for t, W in zip(Ts, map(float, Ws)):
-        table = _HLTable(params, W)
-        halves += [table.integrate(weight, W, settings, [t])
-                   for weight in _tm_weights(t)]
-    # Columns [F at each T, S at each T], as ``_thermal_columns`` orders them.
-    value = np.array([half.value for half in halves]).reshape(-1, 2).T
-    error = np.array([half.error_estimate for half in halves]
-                     ).reshape(-1, 2).T
-    prop = Ws > params.omega_p
-    if prop.any():
-        res = _tm_propagating(
-            params, float(Ws.max()), _thermal_columns(Ts[prop]), settings,
-            QuadResult(value[:, prop].ravel(), error[:, prop].ravel(), 0))
-        value[:, prop] += res.value.reshape(2, -1)
-        error[:, prop] += res.error_estimate.reshape(2, -1)
+    # F's weight at each T, then S's, as ``_thermal_columns`` orders them.
+    F_weights, S_weights = zip(*map(_tm_weights, Ts))
+    res = _tm_moment(params, np.tile(Ws, 2), F_weights + S_weights,
+                     _thermal_columns(Ts), replace(settings, rel_tol=1e-8),
+                     [[t] for t in Ts] * 2)
+    (F, S), (F_err, S_err) = (res.value.reshape(2, -1),
+                              res.error_estimate.reshape(2, -1))
     two_pi2 = 2.0 * math.pi ** 2
-    F, S = value[0] / -two_pi2, value[1] / (two_pi2 * Ts * Ts)
-    F_err, S_err = error[0] / two_pi2, error[1] / (two_pi2 * Ts * Ts)
-    return ((_like(T, F), _like(T, F_err)), (_like(T, S), _like(T, S_err)))
+    return ((_like(T, F / -two_pi2), _like(T, F_err / two_pi2)),
+            (_like(T, S / (two_pi2 * Ts * Ts)),
+             _like(T, S_err / (two_pi2 * Ts * Ts))))
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -1583,7 +1583,7 @@ def plasmon_mode_residual(omega: float, k: float,
 # leaves out the part's growth and takes a float T or a 1-D array.  The
 # surface and exp parts run F and S at every temperature as columns of one
 # panel-rule pass (two for s_TM), L_TE of one sawtooth pass; only L_TM's
-# table half integrates each temperature's F weight, then its S weight
+# table half integrates each temperature's F and S weights one at a time
 # (QUADPACK is scalar).  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),

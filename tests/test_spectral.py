@@ -482,10 +482,12 @@ _EVALUATORS = ((plasma_sheet, ("_channel", "_plasmon")),
                        "_thickness_tm", "_exp")))
 
 
-@pytest.mark.parametrize("suite", ["thermo-identity", "nernst"])
-def test_identity_suites_call_each_part_once(monkeypatch, suite):
-    # One evaluation per (part, parameters), over all of the suite's
-    # temperatures: a deterministic gate on the work.
+@pytest.mark.parametrize("suite, per_pair", [("thermo-identity", 2),
+                                             ("nernst", 1)])
+def test_identity_suites_call_each_part_once(monkeypatch, suite, per_pair):
+    # One evaluation per (part, parameters) over all of the suite's
+    # temperatures, or one per side of the difference quotient: a
+    # deterministic gate on the work.
     calls = []
     for module, names in _EVALUATORS:
         for name in names:
@@ -497,4 +499,5 @@ def test_identity_suites_call_each_part_once(monkeypatch, suite):
     results = verification.run_suite(suite)
     assert all(r.passed for r in results)
     pairs = list(verification._identity_checks())
-    assert len(calls) == len(pairs) == len(results) == 10
+    assert len(pairs) == len(results) == 10
+    assert len(calls) == per_pair * len(pairs)

@@ -56,14 +56,17 @@ def test_jobs_output_is_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(a), "--jobs", "1"]) == 0
     assert cli.main(args + ["--out", str(b), "--jobs", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # quad_error must not depend on what ran before in the process; each
-    # parameter point is one task.
-    slab_args = ["slab", "--omegap", "1.25", "--L", "0.5:0.75:2",
-                 "--tmin", "1e-2", "--tmax", "1e-1", "--tpts", "1"]
+    # quad_error must not depend on what ran before in the process.
+    slab_args = ["slab", "--omegap", "1.25", "--L", "0.75", "--tmin", "1e-2",
+                 "--tmax", "1e-1", "--tpts", "1"]
     outs = [tmp_path / f"slab{i}.csv" for i in range(3)]
     for out, jobs in zip(outs, ("1", "1", "2")):
         assert cli.main(slab_args + ["--out", str(out), "--jobs", jobs]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    # One parameter point's 33 temperatures are three tasks.
+    for out, jobs in zip(outs, ("1", "2")):
+        assert cli.main(["sheet", "--out", str(out), "--jobs", jobs]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
     # Each scan row integrates its whole T grid in one panel-rule call.
     scan_args = ["scan", "--omega0", "0.6:0.9:4", "--tmax", "100",
                  "--tpts", "4"]
@@ -508,9 +511,26 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_sweep_tasks_hold_blocks_of_a_point_grid(monkeypatch, tmp_path):
+    # A one-point sweep is split into tasks of at most 16 temperatures,
+    # whatever --jobs is, so --jobs has tasks to spread.
+    sizes = []
+    run = cli._run_tasks
+
+    def recorded(worker, tasks, jobs):
+        sizes.extend(len(task[3]) for task in tasks)
+        return run(worker, tasks, jobs)
+
+    monkeypatch.setattr(cli, "_run_tasks", recorded)
+    out = tmp_path / "sheet.csv"
+    assert cli.main(["sheet", "--out", str(out)]) == 0
+    assert sizes == [11, 11, 11]
+    assert len(_read_csv(out)) == 33
+
+
 def test_sweep_row_matches_its_temperature_run_alone(tmp_path):
-    # A sweep runs each parameter point's whole T grid in one call per
-    # part; a row written alone runs one temperature.  They agree to the
+    # A sweep runs each parameter point's T grid in one call per part and
+    # block of temperatures; a row written alone runs one temperature.  They agree to the
     # rel 1e-8 and abs 1e-14 of the benchmark's scaling check, with room.
     grid = np.geomspace(0.009, 100.0, 4)
     tpts = 3.0 / math.log10(100.0 / 0.009)

@@ -501,3 +501,50 @@ def test_identity_suites_call_each_part_once(monkeypatch, suite, per_pair):
     pairs = list(verification._identity_checks())
     assert len(pairs) == len(results) == 10
     assert len(calls) == per_pair * len(pairs)
+
+
+def test_thermo_point_passes_at_most_a_block_of_temperatures(monkeypatch):
+    # Each part's pass grows as the square of its temperatures, so a long
+    # grid reaches the parts in near-equal consecutive blocks of at most
+    # T_BLOCK, and its values are those of the blocks run alone.
+    sizes = []
+    channel = plasma_sheet._channel
+
+    def counted(ch, T, *args):
+        sizes.append(np.size(T))
+        return channel(ch, T, *args)
+
+    monkeypatch.setattr(plasma_sheet, "_channel", counted)
+    params = plasma_sheet.SheetParams(1.0, 0.8)
+    Ts = np.geomspace(0.01, 100.0, 2 * spectral.T_BLOCK + 4)
+    point = plasma_sheet.total(Ts, params)
+    assert sizes == [34, 33, 33] * 2
+    assert point.S_total.shape == point.quad_error.shape == Ts.shape
+    at = 0
+    for block in spectral.t_blocks(Ts):
+        alone = plasma_sheet.total(block, params)
+        mine = slice(at, at + len(block))
+        for got, want in zip(point.F + point.S + point.F_error
+                             + point.S_error,
+                             alone.F + alone.S + alone.F_error
+                             + alone.S_error):
+            assert np.array_equal(got[mine], want)
+        at = mine.stop
+    sizes.clear()
+    plasma_sheet.total(Ts[:spectral.T_BLOCK], params)
+    plasma_sheet.total(0.5, params)
+    assert sizes == [spectral.T_BLOCK] * 2 + [1] * 2
+
+
+def test_slab_total_hands_L_TM_blocks_of_sixteen(monkeypatch):
+    # L_TM's propagating pass runs every column to the largest cut, so it
+    # takes smaller blocks than the other parts.
+    sizes = {}
+    for name in ("_surface_te", "_thickness_tm"):
+        def counted(T, *args, _evaluate=getattr(slab, name), _name=name):
+            sizes.setdefault(_name, []).append(np.size(T))
+            return _evaluate(T, *args)
+
+        monkeypatch.setattr(slab, name, counted)
+    slab.total(np.geomspace(0.01, 100.0, 33), slab.SlabParams(1.0, 1.0))
+    assert sizes == {"_surface_te": [33], "_thickness_tm": [11, 11, 11]}

@@ -1206,21 +1206,20 @@ def _thermal_columns(T):
 
 
 def _tm_moment(params: SlabParams, W, weights, columns,
-               settings: QuadSettings, breakpoints=()) -> QuadResult:
+               settings: QuadSettings, breakpoints=None) -> QuadResult:
     """Int_0^W of m weights times the TM momentum moment, as (m,) arrays:
     W is one cut for every weight or an (m,) array of one cut per weight.
     The evanescent half (p < omega_p) integrates the h_L table once per
-    weight of h_L / omega in ``weights``, up to its cut, with
-    ``breakpoints``, one sequence for every weight or a list of one per
-    weight (``_HLTable.integrate``); the propagating half (p > omega_p)
+    weight of h_L / omega in ``weights``, up to its cut, with its entry of
+    ``breakpoints``, one sequence per weight, if given
+    (``_HLTable.integrate``); the propagating half (p > omega_p)
     runs in swapped order once for the m ``columns``, the weights divided
     by omega, whose cuts exceed omega_p (``_tm_propagating``), cut at the
     largest of them, with ``settings`` as the sum's tolerance.  Each error
     adds the two halves'.  A cut above 60 omega_p, beyond the table,
     raises ValueError."""
     Ws = np.broadcast_to(np.asarray(W, dtype=float), (len(weights),))
-    if not len(breakpoints) or not np.ndim(breakpoints[0]):
-        breakpoints = [breakpoints] * len(weights)
+    breakpoints = breakpoints or [()] * len(weights)
     halves = [_HLTable(params, w_cut).integrate(weight, w_cut, settings,
                                                 points)
               for weight, w_cut, points in zip(weights, map(float, Ws),

@@ -1212,10 +1212,11 @@ def _tm_moment(params: SlabParams, W, weights, columns,
     The evanescent half (p < omega_p) integrates the h_L table once per
     weight of h_L / omega in ``weights``, up to its cut, with its entry of
     ``breakpoints``, one sequence per weight, if given
-    (``_HLTable.integrate``); the propagating half (p > omega_p)
-    runs in swapped order once for the m ``columns``, the weights divided
-    by omega, whose cuts exceed omega_p (``_tm_propagating``), cut at the
-    largest of them, with ``settings`` as the sum's tolerance.  Each error
+    (``_HLTable.integrate``); the propagating half (p > omega_p) runs in
+    swapped order once for the weights whose cuts exceed omega_p
+    (``_tm_propagating``), cut at the largest of them, with ``settings``
+    as the sum's tolerance.  ``columns`` maps an array of omega to those
+    weights divided by omega, in their order, on a last axis.  Each error
     adds the two halves'.  A cut above 60 omega_p, beyond the table,
     raises ValueError."""
     Ws = np.broadcast_to(np.asarray(W, dtype=float), (len(weights),))
@@ -1229,9 +1230,9 @@ def _tm_moment(params: SlabParams, W, weights, columns,
     evals = sum(half.evaluations for half in halves)
     prop = Ws > params.omega_p
     if prop.any():
-        res = _tm_propagating(params, float(Ws[prop].max()),
-                              lambda w: columns(w)[..., prop], settings,
-                              QuadResult(value[prop], error[prop], 0))
+        rest = QuadResult(value[prop], error[prop], 0)
+        res = _tm_propagating(params, float(Ws[prop].max()), columns,
+                              settings, rest)
         value[prop] += res.value
         error[prop] += res.error_estimate
         evals += res.evaluations
@@ -1259,8 +1260,8 @@ def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     # F's weight at each T, then S's, as ``_thermal_columns`` orders them.
     F_weights, S_weights = zip(*map(_tm_weights, Ts))
     res = _tm_moment(params, np.tile(Ws, 2), F_weights + S_weights,
-                     _thermal_columns(Ts), replace(settings, rel_tol=1e-8),
-                     [[t] for t in Ts] * 2)
+                     _thermal_columns(Ts[Ws > params.omega_p]),
+                     replace(settings, rel_tol=1e-8), [[t] for t in Ts] * 2)
     (F, S), (F_err, S_err) = (res.value.reshape(2, -1),
                               res.error_estimate.reshape(2, -1))
     two_pi2 = 2.0 * math.pi ** 2

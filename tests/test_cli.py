@@ -530,8 +530,9 @@ def test_sweep_tasks_hold_blocks_of_a_point_grid(monkeypatch, tmp_path):
 
 def test_sweep_row_matches_its_temperature_run_alone(tmp_path):
     # A sweep runs each parameter point's T grid in one call per part and
-    # block of temperatures; a row written alone runs one temperature.  They agree to the
-    # rel 1e-8 and abs 1e-14 of the benchmark's scaling check, with room.
+    # block of temperatures; a row written alone runs one temperature.
+    # They agree to the rel 1e-8 and abs 1e-14 of the benchmark's scaling
+    # check, with room.
     grid = np.geomspace(0.009, 100.0, 4)
     tpts = 3.0 / math.log10(100.0 / 0.009)
     out = tmp_path / "sweep.csv"

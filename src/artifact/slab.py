@@ -1066,66 +1066,68 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
              bound)]
 
 
-@lru_cache(maxsize=1024)
-def _table_segment(params: SlabParams, i: int) -> tuple[tuple, ...]:
-    """Fitted pieces of segment i of the h_L table; a pure function."""
-    wp, lo = params.omega_p, _TABLE_EDGES[i]
-    return tuple(_fit_piece(wp * lo, wp * _TABLE_EDGES[i + 1], params,
-                            _LOG_SIDES.get(lo, 0)))
-
-
 class _HLTable:
-    """h_L(omega) / omega on [0, top], read from fitted Chebyshev pieces:
-    the evanescent half of the TM momentum moment over omega.
+    """h_L(omega) / omega on [0, 60 omega_p], read from fitted Chebyshev
+    pieces: the evanescent half of the TM momentum moment over omega.
 
     Each piece interpolates in its fit variable x (``_fit_variable``):
     omega itself, or s = log|omega/omega_p - 1| up to a shift and sign on
     the two log pieces next to omega_p, where h_L has a log cusp; the
-    pieces' omega extents tile the table in order.  The pieces are fitted
-    on first use (``_table_segment``), so the h_L quadratures of a build
-    run under the outer quadrature that first reads the table.  The table
-    holds every segment that starts below ``top``, built without the
-    caller's settings; each segment depends on (params, index) alone, so a
-    table reads the same whichever temperature, settings or process asked
-    first.  A ``top`` above 60 omega_p, where the pieces would extrapolate,
-    raises ValueError.
+    pieces' omega extents tile the table in order.  A segment of
+    ``_TABLE_EDGES`` is fitted when a read first falls in it, so the h_L
+    quadratures of a build run under the outer quadrature that first
+    reads the table, without the caller's settings.  A read finds its
+    piece in the segment that holds omega, never among the segments built
+    so far, and is stored by omega: it depends on (params, omega) alone,
+    so the table reads the same whichever temperature, settings or
+    process asked first, and a node that the F and S integrals, or two
+    temperatures, share is evaluated once.  ``_table`` keeps one table
+    per params.
     """
 
-    def __init__(self, params: SlabParams, top: float) -> None:
-        if top > _TABLE_TOP * params.omega_p:
-            raise ValueError(f"the h_L table ends at {_TABLE_TOP:g} omega_p "
-                             f"= {_TABLE_TOP * params.omega_p:g}, got {top}")
+    def __init__(self, params: SlabParams) -> None:
         self._params = params
-        self._top = top
-        self._pieces: list[tuple] | None = None
-        self._starts: list[float] = []
+        self._joins = [params.omega_p * edge for edge in _TABLE_EDGES]
+        self._segments: list[tuple | None] = [None] * (len(_TABLE_EDGES) - 1)
+        self._reads: dict[float, float] = {}
+
+    def _segment(self, i: int) -> tuple[list[float], list[tuple]]:
+        """(piece starts, pieces) of segment i, fitted on first use."""
+        if self._segments[i] is None:
+            lo = _TABLE_EDGES[i]
+            pieces = _fit_piece(self._joins[i], self._joins[i + 1],
+                                self._params, _LOG_SIDES.get(lo, 0))
+            self._segments[i] = ([piece[0] for piece in pieces], pieces)
+        return self._segments[i]
+
+    def _below(self, W: float) -> list[tuple]:
+        """The pieces of every segment that starts below W, in order."""
+        return [piece for i, lo in enumerate(self._joins[:-1]) if lo < W
+                for piece in self._segment(i)[1]]
 
     @property
     def pieces(self) -> list[tuple]:
-        if self._pieces is None:
-            wp = self._params.omega_p
-            pieces = []
-            for i, lo in enumerate(_TABLE_EDGES[:-1]):
-                if lo * wp >= self._top:
-                    break
-                pieces.extend(_table_segment(self._params, i))
-            self._starts = [piece[0] for piece in pieces]
-            self._pieces = pieces
-        return self._pieces
+        """Every piece of the table, in order."""
+        return self._below(math.inf)
 
     def _piece(self, w: float) -> tuple:
-        pieces = self.pieces
-        return pieces[max(bisect_right(self._starts, w) - 1, 0)]
+        i = min(max(bisect_right(self._joins, w) - 1, 0),
+                len(self._segments) - 1)
+        starts, pieces = self._segment(i)
+        return pieces[max(bisect_right(starts, w) - 1, 0)]
 
     def __call__(self, w: float) -> float:
-        _, _, a, b, side, c0, rest, _ = self._piece(w)
-        x = _fit_variable(w, self._params.omega_p, side)
-        t = (2.0 * x - a - b) / (b - a)
-        t2 = 2.0 * t
-        b1 = b2 = 0.0
-        for c in rest:
-            b1, b2 = c + t2 * b1 - b2, b1
-        return c0 + t * b1 - b2
+        value = self._reads.get(w)
+        if value is None:
+            _, _, a, b, side, c0, rest, _ = self._piece(w)
+            x = _fit_variable(w, self._params.omega_p, side)
+            t = (2.0 * x - a - b) / (b - a)
+            t2 = 2.0 * t
+            b1 = b2 = 0.0
+            for c in rest:
+                b1, b2 = c + t2 * b1 - b2, b1
+            value = self._reads[w] = c0 + t * b1 - b2
+        return value
 
     def bound(self, w: float) -> float:
         """Pointwise error bound of the table at w."""
@@ -1138,22 +1140,36 @@ class _HLTable:
         the start of a piece bounds it on the piece.
         """
         return math.fsum(bound * (min(hi, W) - lo) * weight(lo)
-                         for lo, hi, *_, bound in self.pieces if lo < W)
+                         for lo, hi, *_, bound in self._below(W))
 
     def integrate(self, weight, W: float, settings: QuadSettings,
                   breakpoints=()) -> QuadResult:
         """Int_0^W weight(w) h_L(w)/w dw: one QUADPACK integral at a
         relative tolerance of 1e-10, with ``breakpoints`` and the
         segments' joins, where the table kinks, as breakpoints; its error
-        adds ``error(W, weight)``.  The table is built on its first read,
-        inside the quadrature."""
-        joins = [self._params.omega_p * edge for edge in _TABLE_EDGES]
+        adds ``error(W, weight)``.  The segments it reads are built inside
+        the quadrature.  A W above 60 omega_p, where the pieces would
+        extrapolate, raises ValueError."""
+        if W > self._joins[-1]:
+            raise ValueError(f"the h_L table ends at {_TABLE_TOP:g} omega_p "
+                             f"= {self._joins[-1]:g}, got {W}")
         res = integrate_finite(lambda w: weight(w) * self(w), 0.0, W,
                                replace(settings, rel_tol=1e-10),
-                               breakpoints=[*breakpoints, *joins])
+                               breakpoints=[*breakpoints, *self._joins])
         return QuadResult(res.value,
                           res.error_estimate + self.error(W, weight),
                           res.evaluations)
+
+
+# The tables of the last few params (a sweep's points), each with its
+# fitted segments and stored reads.
+_TABLES = 16
+
+
+@lru_cache(maxsize=_TABLES)
+def _table(params: SlabParams) -> _HLTable:
+    """The h_L table of ``params``, one per params."""
+    return _HLTable(params)
 
 
 # Frequencies, in units of omega_p, where ``validate_h_L_table`` compares
@@ -1179,7 +1195,7 @@ def validate_h_L_table(params: SlabParams,
     """
     settings = settings or DEFAULT_SETTINGS
     wp = params.omega_p
-    table = _HLTable(params, _TABLE_TOP * wp)
+    table = _table(params)
     worst = 0.0
     for frac in _H_L_VALIDATION_GRID:
         w = frac * wp
@@ -1221,8 +1237,8 @@ def _tm_moment(params: SlabParams, W, weights, columns,
     raises ValueError."""
     Ws = np.broadcast_to(np.asarray(W, dtype=float), (len(weights),))
     breakpoints = breakpoints or [()] * len(weights)
-    halves = [_HLTable(params, w_cut).integrate(weight, w_cut, settings,
-                                                points)
+    table = _table(params)
+    halves = [table.integrate(weight, w_cut, settings, points)
               for weight, w_cut, points in zip(weights, map(float, Ws),
                                                breakpoints)]
     value = np.array([half.value for half in halves])

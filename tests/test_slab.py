@@ -298,9 +298,7 @@ def _table_evaluations(monkeypatch, omega_p_L):
         return res
 
     monkeypatch.setattr(slab, "h_L", counted)
-    slab._table_segment.cache_clear()
-    slab._HLTable(slab.SlabParams(1.0, omega_p_L), 60.0).pieces
-    slab._table_segment.cache_clear()
+    slab._HLTable(slab.SlabParams(1.0, omega_p_L)).pieces
     return evaluations
 
 
@@ -356,7 +354,7 @@ def test_h_L_table_bound_holds_between_nodes_of_log_pieces(omega_p_L):
     # between their nodes the table must still lie within its pointwise
     # bound plus the error of a direct h_L call.
     params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
-    table = slab._HLTable(params, 1.25)
+    table = slab._table(params)
     log_pieces = [piece for piece in table.pieces if piece[4]]
     assert {piece[4] for piece in log_pieces} == {-1, 1}
     for lo, hi, a, b, side, _, rest, _ in log_pieces:
@@ -377,7 +375,7 @@ def test_h_L_table_pieces_tile_and_integrate_exactly():
     # interpolants: a tanh-sinh quadrature of the table in omega, split
     # where the cusp grades, agrees to the integrals' relative tolerance.
     wp = 2.0
-    table = slab._HLTable(slab.SlabParams(omega_p=wp, L=0.5), 60.0 * wp)
+    table = slab._table(slab.SlabParams(omega_p=wp, L=0.5))
     pieces = table.pieces
     assert pieces[0][0] == 0.0 and pieces[-1][1] == 60.0 * wp
     assert all(lo < hi for lo, hi, *_ in pieces)
@@ -634,29 +632,81 @@ def test_thickness_te_memory_stays_flat():
     assert peak < 2e6
 
 
+def _counted_h_L(monkeypatch):
+    """A list that grows by one entry per ``slab.h_L`` call."""
+    calls = []
+    run = slab.h_L
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(slab, "h_L", counted)
+    return calls
+
+
 def test_h_L_table_does_not_depend_on_build_order():
+    # A read depends on (params, omega) alone: whether a T = 0.01 call or a
+    # T = 100 call built the table's segments first, on fresh caches, the
+    # two calls return the same bits and every stored read is the same.
     params = slab.SlabParams(omega_p=1.0, L=0.8)
-    slab._table_segment.cache_clear()
-    slab.F_L_TM(0.2, params)
-    after_low_T = slab.F_L_TM(100.0, params)
-    pieces = slab._HLTable(params, 60.0).pieces
-    slab._table_segment.cache_clear()
-    assert slab.F_L_TM(100.0, params) == after_low_T
-    assert slab._HLTable(params, 60.0).pieces == pieces
+    runs = []
+    for order in ((0.01, 100.0), (100.0, 0.01)):
+        slab._table.cache_clear()
+        values = {T: slab.F_L_TM(T, params) for T in order}
+        runs.append((values, dict(slab._table(params)._reads)))
+    (values, reads), (values_2, reads_2) = runs
+    assert values == values_2
+    assert reads == reads_2 and len(reads) > 100
+    slab._table.cache_clear()
 
 
-def test_h_L_table_is_shared_by_all_settings():
+def test_h_L_table_is_shared_by_all_settings(monkeypatch):
     # h_L and the table fix their own tolerances, so a second set of
-    # QuadSettings reuses every segment the first one built: at T = 1 those
-    # starting at 0, 0.75, 1 - 4^-10, 1, 1 + 4^-10, 1.25, 2, 10, 18, 26, 34.
+    # QuadSettings reuses every segment the first one built, and every
+    # read: at T = 1 (W = 40) those that start below 40 omega_p.
     params = slab.SlabParams(omega_p=1.0, L=0.8)
-    segments = sum(1 for lo in slab._TABLE_EDGES[:-1] if lo < 40.0)
-    assert segments == 11
-    slab._table_segment.cache_clear()
+    slab._table.cache_clear()
     slab.F_L_TM(1.0, params)
-    assert slab._table_segment.cache_info().currsize == segments
+    table = slab._table(params)
+    built = [segment is not None for segment in table._segments]
+    assert built == [lo < 40.0 for lo in slab._TABLE_EDGES[:-1]]
+    calls = _counted_h_L(monkeypatch)
+    reads = len(table._reads)
     slab.F_L_TM(1.0, params, QuadSettings(abs_tol=1e-10, rel_tol=1e-6))
-    assert slab._table_segment.cache_info().currsize == segments
+    assert calls == [] and len(table._reads) == reads
+    assert slab._table(params) is table
+
+
+def test_second_slab_total_makes_no_h_L_call(monkeypatch):
+    # The table of a point, with its stored reads, outlives the call that
+    # built it: a second ``slab.total`` at the same point and temperatures
+    # runs no h_L quadrature and returns the same bits.
+    params = slab.SlabParams(omega_p=1.0, L=0.55)
+    slab._table.cache_clear()
+    calls = _counted_h_L(monkeypatch)
+    Ts = np.array([0.01, 0.3, 10.0])
+    first = slab.total(Ts, params)
+    assert calls
+    calls.clear()
+    second = slab.total(Ts, params)
+    assert calls == []
+    assert np.array_equal(first.S_total, second.S_total)
+    assert np.array_equal(first.quad_error, second.quad_error)
+
+
+def test_h_L_table_cache_is_bounded():
+    # One table per params, and no more than ``_TABLES`` of them: a sweep
+    # over more points than that drops the oldest.
+    slab._table.cache_clear()
+    assert slab._table.cache_info().maxsize == slab._TABLES
+    tables = [slab._table(slab.SlabParams(1.0, 0.1 * (i + 1)))
+              for i in range(slab._TABLES + 3)]
+    assert len({id(table) for table in tables}) == slab._TABLES + 3
+    assert slab._table.cache_info().currsize == slab._TABLES
+    assert slab._table(slab.SlabParams(1.0, 0.1)) is not tables[0]
+    assert slab._table(tables[-1]._params) is tables[-1]
+    slab._table.cache_clear()
 
 
 def test_L_TM_quad_error_includes_table_term(monkeypatch):
@@ -770,7 +820,7 @@ def test_slab_constant_d_routes_agree():
     assert d_te.value == pytest.approx(d, rel=1e-13, abs=0.0)
     assert abs(d_tm.value - d) <= d_tm.error_estimate + verification._D_TM_CUT
     # The TM route's error holds the table's bound and the swapped half's.
-    bound = slab._HLTable(P1, 60.0).error(60.0, lambda w: 1.0)
+    bound = slab._table(P1).error(60.0, lambda w: 1.0)
     assert d_tm.error_estimate > bound / (2.0 * math.pi ** 2)
 
 
@@ -781,7 +831,8 @@ def test_tm_moment_refuses_frequencies_beyond_the_table(omega_p):
     params = slab.SlabParams(omega_p=omega_p, L=1.0)
     weights = ((lambda w: 1.0,), lambda w: 1.0 / w[..., None])
     with pytest.raises(ValueError, match="table ends"):
-        slab._HLTable(params, 90.0 * omega_p)
+        slab._table(params).integrate(weights[0][0], 90.0 * omega_p,
+                                      DEFAULT_SETTINGS)
     with pytest.raises(ValueError, match="table ends"):
         slab._tm_moment(params, 90.0 * omega_p, *weights, DEFAULT_SETTINGS)
     if omega_p == 1.0:

@@ -969,20 +969,24 @@ def _tm_propagating(params: SlabParams, W: float, weight,
 # delta = |omega/omega_p - 1|: no polynomial in omega follows that cusp,
 # but in s = log delta it is smooth.  So in units of omega_p the segment
 # from delta = 1/4 to delta = 4^-10 ~ 1e-6 on each side of omega_p is
-# fitted in s (``_LOG_SIDES`` gives its side), the two segments within
-# 4^-10 of omega_p are fitted in omega, and the segments are 8 wide
-# beyond 2.
+# fitted in s, the two segments within
+# 4^-10 of omega_p are fitted in omega, as are [0, 0.75] and [1.25, 2].
+# From 2 up, h_L is analytic in x = (omega_p / omega)^2 (eps = 1 - x), so
+# the far piece fits h_L itself, not h_L / omega, in x on [2, 60]: 7
+# segments.  ``_SIDES`` gives each segment's fit variable.
 _TABLE_TOP = 60.0
 _CUSP = 4.0 ** -10
+_FAR = 2
 _TABLE_EDGES = (0.0, 0.75, 1.0 - _CUSP, 1.0, 1.0 + _CUSP, 1.25, 2.0,
-                *range(10, 60, 8), _TABLE_TOP)
-_LOG_SIDES = {0.75: -1, 1.0 + _CUSP: 1}
+                _TABLE_TOP)
+_SIDES = {0.75: -1, 1.0 + _CUSP: 1, 2.0: _FAR}
 # Each piece is fitted on nested Clenshaw-Curtis nodes of these degrees
-# until its coefficient tail times its width is at most _TABLE_TOL
-# omega_p^2, or the tail is below the error of the h_L values themselves;
-# it is bisected in its fit variable, at most _TABLE_DEPTH times, when the
-# last degree does not suffice.  The table's h_L calls use their own
-# tolerances, absolute _TABLE_ABS_TOL omega_p omega and h_L's relative
+# until its coefficient tail, as a bound on h_L / omega, times its width
+# is at most _TABLE_TOL omega_p^2, or the tail is below the error of the
+# h_L values themselves; it is bisected in its fit variable, at most
+# _TABLE_DEPTH times, when the last degree does not suffice.  The table's
+# h_L calls use their own tolerances, absolute _TABLE_ABS_TOL omega_p
+# omega (omega_p lo on the far piece from lo up) and h_L's relative
 # 1e-10, so no caller's QuadSettings reach the table.
 _TABLE_TOL = 1e-14
 _TABLE_ABS_TOL = 1e-12
@@ -1004,14 +1008,19 @@ _CHEB_MATRICES = {n: _cheb_matrix(n) for n in _TABLE_DEGREES}
 
 def _fit_variable(w: float, wp: float, side: int) -> float:
     """Fit variable of a piece at frequency w: w itself on the omega pieces
-    (side 0), side log(side (w - omega_p)) on the log pieces, so that it
-    increases with w on both sides of omega_p."""
+    (side 0), side log(side (w - omega_p)) on the log pieces (side -1
+    below omega_p, 1 above), so that it increases with w on both sides of
+    omega_p, and (omega_p / w)^2 on the far piece (side ``_FAR``)."""
+    if side == _FAR:
+        return (wp / w) ** 2
     # w - omega_p is exact within a factor 2 of omega_p
     return side * math.log(side * (w - wp)) if side else w
 
 
 def _fit_omega(x: float, wp: float, side: int) -> float:
     """Frequency at fit variable x; the inverse of ``_fit_variable``."""
+    if side == _FAR:
+        return wp / math.sqrt(x)
     return wp + side * math.exp(side * x) if side else x
 
 
@@ -1019,29 +1028,35 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
                depth: int = 0) -> list[tuple]:
     """Pieces (lo, hi, a, b, side, c0, c_n..c_1, bound) interpolating
     h_L / omega on [lo, hi] in the fit variable x of ``_fit_variable``,
-    which runs over [a, b].
+    which runs over [a, b]; the far piece interpolates h_L itself, and a
+    read divides it by omega.
 
-    ``bound`` is a pointwise error bound of the piece: its coefficient
-    tail (the sum of the last quarter of its coefficients) plus the
-    Lebesgue constant of its nodes times the worst inner error estimate
-    of the h_L values it was fitted to.
+    ``bound`` is a pointwise error bound of the piece, in units of h_L /
+    omega: its coefficient tail (the sum of the last quarter of its
+    coefficients) plus the Lebesgue constant of its nodes times the worst
+    inner error estimate of the values it was fitted to; on the far
+    piece that bound on h_L over lo, since omega >= lo there.
     """
     wp = params.omega_p
     a, b = _fit_variable(lo, wp, side), _fit_variable(hi, wp, side)
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    far = side == _FAR
     worst = 0.0
 
     def k(x: float) -> float:
         # h_L ~ omega^3 near zero, so its absolute tolerance scales with
         # omega: h_L / omega then has one absolute tolerance throughout.
+        # The far piece fits h_L at the tolerance of its lowest frequency.
         nonlocal worst
         w = _fit_omega(mid + half * x, wp, side)
         if w <= 0.0:
             return 0.0
+        per = 1.0 if far else w
         res = h_L(w, params,
-                  QuadSettings(abs_tol=_TABLE_ABS_TOL * params.omega_p * w))
-        worst = max(worst, res.error_estimate / w)
-        return res.value / w
+                  QuadSettings(abs_tol=_TABLE_ABS_TOL * wp * (lo if far
+                                                              else w)))
+        worst = max(worst, res.error_estimate / per)
+        return res.value / per
 
     n = _TABLE_DEGREES[0]
     values = [k(math.cos(j * math.pi / n)) for j in range(n + 1)]
@@ -1050,7 +1065,7 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
         tail = float(np.sum(np.abs(c[3 * n // 4:])))
         lebesgue = 1.0 + 2.0 / math.pi * math.log(n + 1)
         last = n == _TABLE_DEGREES[-1]
-        if (tail * (hi - lo) <= _TABLE_TOL * params.omega_p ** 2
+        if (tail / (lo if far else 1.0) * (hi - lo) <= _TABLE_TOL * wp * wp
                 or tail <= lebesgue * worst
                 or (last and depth == _TABLE_DEPTH)):
             break
@@ -1061,7 +1076,7 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
         n *= 2
         odd = [k(math.cos(j * math.pi / n)) for j in range(1, n, 2)]
         values = [v for pair in zip(values, odd) for v in pair] + values[-1:]
-    bound = tail + lebesgue * worst
+    bound = (tail + lebesgue * worst) / (lo if far else 1.0)
     return [(lo, hi, a, b, side, float(c[0]), tuple(map(float, c[:0:-1])),
              bound)]
 
@@ -1096,7 +1111,7 @@ class _HLTable:
         if self._segments[i] is None:
             lo = _TABLE_EDGES[i]
             pieces = _fit_piece(self._joins[i], self._joins[i + 1],
-                                self._params, _LOG_SIDES.get(lo, 0))
+                                self._params, _SIDES.get(lo, 0))
             self._segments[i] = ([piece[0] for piece in pieces], pieces)
         return self._segments[i]
 
@@ -1126,7 +1141,10 @@ class _HLTable:
             b1 = b2 = 0.0
             for c in rest:
                 b1, b2 = c + t2 * b1 - b2, b1
-            value = self._reads[w] = c0 + t * b1 - b2
+            value = c0 + t * b1 - b2
+            if side == _FAR:
+                value /= w
+            self._reads[w] = value
         return value
 
     def bound(self, w: float) -> float:
@@ -1137,10 +1155,14 @@ class _HLTable:
         """Bound on |Int_0^W weight(w) (table(w) - h_L(w)/w) dw|.
 
         ``weight`` must be positive and decreasing, so that its value at
-        the start of a piece bounds it on the piece.
+        the start of a piece bounds it on the piece.  On the far piece the
+        error of h_L / omega is at most lo bound / omega, whose integral
+        is lo bound log(min(hi, W) / lo).
         """
-        return math.fsum(bound * (min(hi, W) - lo) * weight(lo)
-                         for lo, hi, *_, bound in self._below(W))
+        return math.fsum(
+            bound * weight(lo) * (lo * math.log(min(hi, W) / lo)
+                                  if side == _FAR else min(hi, W) - lo)
+            for lo, hi, _, _, side, *_, bound in self._below(W))
 
     def integrate(self, weight, W: float, settings: QuadSettings,
                   breakpoints=()) -> QuadResult:

@@ -303,21 +303,23 @@ def _table_evaluations(monkeypatch, omega_p_L):
 
 
 def test_h_L_table_evaluation_budget(monkeypatch):
-    # Since h_L holds only the evanescent half, the (1, 1) table takes 405
-    # quadratures and 33,159 evaluations in all; with the whole moment it
-    # took 509 and 114,303.
+    # With one far piece in x = (omega_p / omega)^2 from 2 omega_p up, the
+    # (1, 1) table takes 246 quadratures and 26,481 evaluations in all;
+    # with eight segments in omega there it took 405 and 33,159, and with
+    # the whole moment in h_L 509 and 114,303.
     evaluations = _table_evaluations(monkeypatch, 1.0)
-    assert len(evaluations) == 405
-    assert sum(evaluations) <= 35_000
+    assert len(evaluations) == 246
+    assert sum(evaluations) <= 27_000
 
 
 def test_thick_h_L_table_evaluation_budget(monkeypatch):
     # At omega_p L = 10 the whole moment's q piece spanned up to 190
     # periods of the phase: 3,301 quadratures, 5,637,030 evaluations.  The
-    # evanescent half takes 373 and 29,337.
+    # evanescent half took 373 and 29,337 in segments of omega, and takes
+    # 230 and 21,861 with the far piece in x.
     evaluations = _table_evaluations(monkeypatch, 10.0)
-    assert len(evaluations) == 373
-    assert sum(evaluations) <= 31_000
+    assert len(evaluations) == 230
+    assert sum(evaluations) <= 22_500
 
 
 @pytest.mark.parametrize("omega_p_L, T", [(10.0, 1.0), (0.606, 100.0)])
@@ -355,7 +357,7 @@ def test_h_L_table_bound_holds_between_nodes_of_log_pieces(omega_p_L):
     # bound plus the error of a direct h_L call.
     params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
     table = slab._table(params)
-    log_pieces = [piece for piece in table.pieces if piece[4]]
+    log_pieces = [piece for piece in table.pieces if piece[4] in (-1, 1)]
     assert {piece[4] for piece in log_pieces} == {-1, 1}
     for lo, hi, a, b, side, _, rest, _ in log_pieces:
         points = _between_nodes(len(rest))
@@ -370,27 +372,47 @@ def test_h_L_table_bound_holds_between_nodes_of_log_pieces(omega_p_L):
 
 def test_h_L_table_pieces_tile_and_integrate_exactly():
     # The pieces' omega extents tile [0, 60 omega_p] in order, and the
-    # table's integral over each log piece, the difference of two
-    # ``_HLTable.integrate`` calls of weight 1, is that of its
-    # interpolants: a tanh-sinh quadrature of the table in omega, split
-    # where the cusp grades, agrees to the integrals' relative tolerance.
+    # table's integral over each log piece and over the far piece, the
+    # difference of two ``_HLTable.integrate`` calls of weight 1, is that
+    # of its interpolants: a tanh-sinh quadrature of the table in omega,
+    # split where the cusp grades, agrees to the integrals' relative
+    # tolerance.
+    # A table of its own: mpmath reads it at mpf frequencies, which it
+    # would store.
     wp = 2.0
-    table = slab._table(slab.SlabParams(omega_p=wp, L=0.5))
+    table = slab._HLTable(slab.SlabParams(omega_p=wp, L=0.5))
     pieces = table.pieces
     assert pieces[0][0] == 0.0 and pieces[-1][1] == 60.0 * wp
     assert all(lo < hi for lo, hi, *_ in pieces)
     assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
-    log_pieces = [piece for piece in pieces if piece[4]]
-    assert {piece[4] for piece in log_pieces} == {-1, 1}
-    for piece in log_pieces:
+    fitted = [piece for piece in pieces if piece[4]]
+    assert [piece[4] for piece in fitted] == [-1, 1, slab._FAR]
+    assert fitted[-1][:2] == (2.0 * wp, 60.0 * wp)
+    for piece in fitted:
         lo, hi, _, _, side = piece[:5]
         cuts = sorted(w for w in (wp + side * wp * 4.0 ** -k
                                   for k in range(2, 10)) if lo < w < hi)
-        reference = float(mpmath.quad(table, [lo, *cuts, hi]))
         upto_hi, upto_lo = (table.integrate(lambda w: 1.0, W,
                                             DEFAULT_SETTINGS).value
                             for W in (hi, lo))
+        reference = float(mpmath.quad(table, [lo, *cuts, hi]))
         assert upto_hi - upto_lo == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("omega_p_L", [0.01, 0.15, 1.0, 10.0])
+def test_h_L_table_far_piece_bound_holds(omega_p_L):
+    # The far piece fits h_L in x = (omega_p / omega)^2 and reads it over
+    # omega; its pointwise bound, in units of h_L / omega, covers the gap
+    # to a direct h_L call (plus that call's error) at 40 frequencies
+    # between its ends.
+    params = slab.SlabParams(omega_p=1.0, L=omega_p_L)
+    table = slab._table(params)
+    for w in np.geomspace(2.0, 60.0, 42)[1:-1]:
+        w = float(w)
+        assert table._piece(w)[4] == slab._FAR
+        direct = slab.h_L(w, params)
+        gap = abs(w * table(w) - direct.value)
+        assert gap <= w * table.bound(w) + direct.error_estimate, w
 
 
 def test_L_TE_error_is_the_pass_bound_plus_its_tail(monkeypatch):
@@ -836,10 +858,12 @@ def test_tm_moment_refuses_frequencies_beyond_the_table(omega_p):
     with pytest.raises(ValueError, match="table ends"):
         slab._tm_moment(params, 90.0 * omega_p, *weights, DEFAULT_SETTINGS)
     if omega_p == 1.0:
-        # W = 60 omega_p, the cut of every caller, reads as it did.
+        # W = 60 omega_p, the cut of every caller, reads as it did, within
+        # the error reported with the table's eight segments in omega from
+        # 2 omega_p up (0.011717717076575235, error 2.798345785290127e-11).
         res = slab._tm_moment(params, 60.0, *weights, DEFAULT_SETTINGS)
-        assert float(res.value[0]) == 0.011717717076575235
-        assert float(res.error_estimate[0]) == 2.798345785290127e-11
+        assert float(res.value[0]) == 0.011717717076571516
+        assert float(res.error_estimate[0]) == 2.3417483659097576e-11
 
 
 def test_h_L_table_is_integrated_one_way(monkeypatch):

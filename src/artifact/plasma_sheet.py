@@ -375,8 +375,8 @@ def _grid(params: SheetParams, Ts: np.ndarray, lo: float,
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
              subtracted: bool = True, include_shell: bool = True):
     """((F, F_error), (S, S_error)) of one photonic channel from one
-    panel-rule pass; the errors are those of the integral before its
-    prefactor."""
+    panel-rule pass; each error carries its value's prefactor, T / 2 pi^2
+    for F and 1 / 2 pi^2 for S."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
@@ -394,8 +394,8 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     shell = shell_weight(ch, params)
     if include_shell and shell != 0.0:
         val = val + shell * np.stack(thermal_weights(params.omega0 / Ts))
-    val = val / (2.0 * math.pi ** 2)
-    return ((_like(T, Ts * val[0]), _like(T, err[0])),
+    val, err = val / (2.0 * math.pi ** 2), err / (2.0 * math.pi ** 2)
+    return ((_like(T, Ts * val[0]), _like(T, Ts * err[0])),
             (_like(T, val[1]), _like(T, err[1])))
 
 
@@ -557,7 +557,8 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
 
     Raw: (T/2 pi, 1/2 pi) Int_ell^inf omega X (blog, g) d omega above the
     band edge ell; subtracted: minus the same integral over [0, ell], and
-    zero, with no error, when ell = 0.
+    zero, with no error, when ell = 0.  Each error carries its value's
+    prefactor.
     """
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
@@ -576,8 +577,8 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
     val, err = thermal_integral(lambda w: w * surface_weight(w, params),
                                 weight_columns(Ts), _grid(params, Ts, *span),
                                 settings, tail)
-    val = sign * val / (2.0 * math.pi)
-    return ((_like(T, Ts * val[0]), _like(T, err[0])),
+    val, err = sign * val / (2.0 * math.pi), err / (2.0 * math.pi)
+    return ((_like(T, Ts * val[0]), _like(T, Ts * err[0])),
             (_like(T, val[1]), _like(T, err[1])))
 
 

@@ -189,15 +189,12 @@ class Part:
     ``evaluate(T, params, settings)`` returns ((F, F_error), (S, S_error)):
     the part's subtracted free energy and entropy per unit area, one
     spectral integral under the weights T log(1 - e^(-omega/T)) and its
-    -d/dT, each with the error estimate behind it.  The slab's parts give
-    each error in the units of the value it bounds; the sheet's give it
-    in units of the integral before its prefactor, T / 2 pi^2 or
-    1 / 2 pi^2 (T / 2 pi or 1 / 2 pi for the plasmon band).  A direct
-    call runs at the scale it is given (absolute tolerances do not
-    scale) and over the temperatures it is given in one pass;
-    ``ThermoPoint.evaluate`` reduces to unit scale and passes at most
-    ``block`` temperatures at a time (``t_blocks``), ``T_BLOCK`` by
-    default.  The models build it as a lambda over their module's
+    -d/dT, each with the error estimate behind it, in the units of the
+    value it bounds (its prefactor applied).  A direct call runs at the
+    scale it is given (absolute tolerances do not scale) and over the
+    temperatures it is given in one pass; ``ThermoPoint.evaluate``
+    reduces to unit scale and passes at most ``block`` temperatures at a
+    time (``t_blocks``), ``T_BLOCK`` by default.  The models build it as a lambda over their module's
     functions, looked up at call time.  ``group`` selects the part in
     ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
     the parameters to the high-temperature polynomial that F and S have

@@ -243,7 +243,7 @@ def _sheet_entropy_quadpack(ch, T, params):
 def _sheet_panel_rule_checks(settings):
     # Each row: the worst |S_panel - S_quadpack| over the temperatures,
     # in units of the error of S that the channel's part returns for that
-    # T (over 2 pi^2 as S is).
+    # T.
     out = []
     for omega0 in _PANEL_OMEGA0:
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
@@ -252,7 +252,7 @@ def _sheet_panel_rule_checks(settings):
             _, (S, error) = part.evaluate(np.array(_PANEL_T), params,
                                           settings)
             worst = 0.0
-            for T, s, bound in zip(_PANEL_T, S, error / (2.0 * math.pi ** 2)):
+            for T, s, bound in zip(_PANEL_T, S, error):
                 gap = abs(s - _sheet_entropy_quadpack(ch, T, params))
                 worst = max(worst, gap / bound)
             out.append(_below(

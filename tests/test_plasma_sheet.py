@@ -452,9 +452,7 @@ def test_density_arrays_match_mpmath_at_switch_points(ch, w0):
 
 def test_thermal_parts_take_a_temperature_grid():
     # total(T grid) agrees with one total(T) per temperature within the
-    # errors both return for that part, quantity and T (integral units;
-    # /(2 pi) covers both the channels' 1/(2 pi^2) and the plasmon's
-    # 1/(2 pi)).
+    # errors both return for that part, quantity and T.
     params = ps.SheetParams(Omega0=1.0, omega0=0.8)
     grid = np.geomspace(1e-2, 1e3, 9)
     batch = ps.total(grid, params)
@@ -465,9 +463,9 @@ def test_thermal_parts_take_a_temperature_grid():
         point = ps.total(float(T), params)
         for k, name in enumerate(point.names):
             (F, S), (Fb, Sb) = point.part(name), batch.part(name)
-            F_err = (batch.F_error[k][i] + point.F_error[k]) / (2 * math.pi)
-            S_err = (batch.S_error[k][i] + point.S_error[k]) / (2 * math.pi)
-            assert abs(Fb[i] - F) <= T * F_err, (name, T)
+            F_err = batch.F_error[k][i] + point.F_error[k]
+            S_err = batch.S_error[k][i] + point.S_error[k]
+            assert abs(Fb[i] - F) <= F_err, (name, T)
             assert abs(Sb[i] - S) <= S_err, (name, T)
 
 
@@ -605,11 +603,13 @@ def test_selectors_are_halves_of_the_fused_pass(params):
 def test_entropy_channel_reports_its_own_error():
     # The oracle rows gate |S_panel - S_QUADPACK| by the error of S that
     # the channel's part returns: the S integral's quadrature error and
-    # truncation bound, not the F integral's.
+    # truncation bound, not the F integral's, each times S's prefactor
+    # 1 / 2 pi^2.
     params = ps.SheetParams(Omega0=1.0, omega0=0.7125)
     T = np.geomspace(1e-2, 1e3, 5)
-    trunc = numkernel._truncation_bound(T, ps._cutoff(params, T),
-                                        2.0 * params.scale() ** 3, -2)[1]
+    trunc = numkernel._truncation_bound(
+        T, ps._cutoff(params, T),
+        2.0 * params.scale() ** 3, -2)[1] / (2.0 * math.pi ** 2)
     for ch in Channel.ALL:
         (_, F_error), (S, S_error) = Part.named(ps.PARTS, ch).evaluate(
             T, params, DEFAULT_SETTINGS)

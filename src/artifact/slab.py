@@ -969,9 +969,8 @@ def _tm_propagating(params: SlabParams, W: float, weight,
 # delta = |omega/omega_p - 1|: no polynomial in omega follows that cusp,
 # but in s = log delta it is smooth.  So in units of omega_p the segment
 # from delta = 1/4 to delta = 4^-10 ~ 1e-6 on each side of omega_p is
-# fitted in s, the two segments within
-# 4^-10 of omega_p are fitted in omega, as are [0, 0.75] and [1.25, 2].
-# From 2 up, h_L is analytic in x = (omega_p / omega)^2 (eps = 1 - x), so
+# fitted in s, the two segments within 4^-10 of omega_p are fitted in
+# omega, as are [0, 0.75] and [1.25, 2].  From 2 up, h_L is analytic in x = (omega_p / omega)^2 (eps = 1 - x), so
 # the far piece fits h_L itself, not h_L / omega, in x on [2, 60]: 7
 # segments.  ``_SIDES`` gives each segment's fit variable.
 _TABLE_TOP = 60.0
@@ -1041,6 +1040,8 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
     a, b = _fit_variable(lo, wp, side), _fit_variable(hi, wp, side)
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
     far = side == _FAR
+    # The far piece's bounds on h_L, over lo, bound h_L / omega.
+    over = lo if far else 1.0
     worst = 0.0
 
     def k(x: float) -> float:
@@ -1065,7 +1066,7 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
         tail = float(np.sum(np.abs(c[3 * n // 4:])))
         lebesgue = 1.0 + 2.0 / math.pi * math.log(n + 1)
         last = n == _TABLE_DEGREES[-1]
-        if (tail / (lo if far else 1.0) * (hi - lo) <= _TABLE_TOL * wp * wp
+        if (tail / over * (hi - lo) <= _TABLE_TOL * wp * wp
                 or tail <= lebesgue * worst
                 or (last and depth == _TABLE_DEPTH)):
             break
@@ -1076,7 +1077,7 @@ def _fit_piece(lo: float, hi: float, params: SlabParams, side: int = 0,
         n *= 2
         odd = [k(math.cos(j * math.pi / n)) for j in range(1, n, 2)]
         values = [v for pair in zip(values, odd) for v in pair] + values[-1:]
-    bound = (tail + lebesgue * worst) / (lo if far else 1.0)
+    bound = (tail + lebesgue * worst) / over
     return [(lo, hi, a, b, side, float(c[0]), tuple(map(float, c[:0:-1])),
              bound)]
 
@@ -1126,8 +1127,7 @@ class _HLTable:
         return self._below(math.inf)
 
     def _piece(self, w: float) -> tuple:
-        i = min(max(bisect_right(self._joins, w) - 1, 0),
-                len(self._segments) - 1)
+        i = bisect_right(self._joins, w, 1, len(self._joins) - 1) - 1
         starts, pieces = self._segment(i)
         return pieces[max(bisect_right(starts, w) - 1, 0)]
 
@@ -1250,7 +1250,8 @@ def _tm_moment(params: SlabParams, W, weights, columns,
     The evanescent half (p < omega_p) integrates the h_L table once per
     weight of h_L / omega in ``weights``, up to its cut, with its entry of
     ``breakpoints``, one sequence per weight, if given
-    (``_HLTable.integrate``); the propagating half (p > omega_p) runs in
+    (``_HLTable.integrate``), all on the one table of ``params``
+    (``_table``), which stores its reads; the propagating half (p > omega_p) runs in
     swapped order once for the weights whose cuts exceed omega_p
     (``_tm_propagating``), cut at the largest of them, with ``settings``
     as the sum's tolerance.  ``columns`` maps an array of omega to those
@@ -1622,7 +1623,9 @@ def plasmon_mode_residual(omega: float, k: float,
 # surface and exp parts run F and S at every temperature as columns of one
 # panel-rule pass (two for s_TM), L_TE of one sawtooth pass; only L_TM's
 # table half integrates each temperature's F and S weights one at a time
-# (QUADPACK is scalar).  The thickness parts need no subtraction.
+# (QUADPACK is scalar), on one h_L table per point that stores its reads,
+# so the nodes those integrals share are read once.  The thickness parts
+# need no subtraction.
 # ``slab.total`` hands L_TM at most 16 temperatures at a time: its
 # propagating pass runs every column up to the largest temperature's cut,
 # so on 33 temperatures from 0.01 to 100 omega_p, blocks of 11 take 17%

@@ -1088,8 +1088,10 @@ class _HLTable:
 
     Each piece interpolates in its fit variable x (``_fit_variable``):
     omega itself, or s = log|omega/omega_p - 1| up to a shift and sign on
-    the two log pieces next to omega_p, where h_L has a log cusp; the
-    pieces' omega extents tile the table in order.  A segment of
+    the two log pieces next to omega_p, where h_L has a log cusp, or
+    (omega_p / omega)^2 on the far piece from 2 omega_p up, which fits h_L
+    itself and is divided by omega on a read; the pieces' omega extents
+    tile the table in order.  A segment of
     ``_TABLE_EDGES`` is fitted when a read first falls in it, so the h_L
     quadratures of a build run under the outer quadrature that first
     reads the table, without the caller's settings.  A read finds its

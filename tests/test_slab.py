@@ -376,9 +376,8 @@ def test_h_L_table_pieces_tile_and_integrate_exactly():
     # difference of two ``_HLTable.integrate`` calls of weight 1, is that
     # of its interpolants: a tanh-sinh quadrature of the table in omega,
     # split where the cusp grades, agrees to the integrals' relative
-    # tolerance.
-    # A table of its own: mpmath reads it at mpf frequencies, which it
-    # would store.
+    # tolerance.  The table is not the shared one of its params: mpmath
+    # reads it at mpf frequencies, which it stores.
     wp = 2.0
     table = slab._HLTable(slab.SlabParams(omega_p=wp, L=0.5))
     pieces = table.pieces

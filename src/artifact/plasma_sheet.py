@@ -190,14 +190,6 @@ def phase_shift_deriv(ch: str, p: float, k: float,
     return _phase_deriv_pw(ch, p, k, params)
 
 
-def _pick(cond, if_true, if_false):
-    """Branch on ``cond``: np.where over both thunks' values on arrays,
-    only the chosen thunk on a scalar."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, if_true(), if_false())
-    return if_true() if cond else if_false()
-
-
 # _ATAN_COEFFICIENTS[first][i] = 1 / (first + 2 i).
 _ATAN_COEFFICIENTS = {first: tuple(1.0 / (first + 2 * i) for i in range(30))
                       for first in (1, 3, 5)}
@@ -216,91 +208,122 @@ def _atan_series(z2, first: int, terms: int = 9):
     return out
 
 
-def _h_te(w, w2, a, w0: float, O0: float):
-    # x = 0 on the resonance shell, where the small-x series holds.
-    x = a / (O0 * w)
+def _atan(z: float) -> float:
+    # np.arctan, not math.atan: the two differ in the last bit at some
+    # arguments, which the closed TE form amplifies next to the shell
+    # (2.7e-12 relative at Omega0 = 1, omega0 = 1.4125, omega = 1.328), and
+    # a float must get the array path's value.
+    return float(np.arctan(z))
+
+
+# The branches of the densities.  Each is plain arithmetic, so floats and
+# arrays share them; ``atan`` is np.arctan on arrays and _atan on floats.
+
+def _te_series(w2, a, x, w02: float, O0: float):
+    x2 = x * x
+    return ((2.0 * w02 * _atan_series(x2, 3) + a * _atan_series(x2, 1))
+            / (O0 * w2))
+
+
+def _te_closed(w, w2, a, x, w02: float, O0: float, atan):
+    a3 = a * a * a
+    return (2.0 * w * w02 * O0 * a
+            + (a3 - 2.0 * w2 * w02 * O0 * O0) * atan(x)) / (w * a3)
+
+
+def _te_subtr_large(w, w2, a, x, w02: float, O0: float, atan):
+    v = 1.0 / x
+    a3 = a * a * a
+    return (2.0 * O0 * w02 / (a * a)
+            - O0 * w02 / (w2 * a)
+            - math.pi * w * w02 * O0 * O0 / a3
+            + v * v * v * _atan_series(v * v, 3, 30) / w
+            + 2.0 * w2 * w02 * O0 * O0 * atan(v) / (w * a3))
+
+
+def _tm_series(w, a, u, O0: float):
+    s = u * u * u * _atan_series(u * u, 3)
+    return ((2.0 * a + O0 * O0) * s - O0 * O0 * u) / (w * O0 * O0)
+
+
+def _tm_closed(w, a, u, O0: float, atan):
+    return (2.0 * w * O0 - (2.0 * a + O0 * O0) * atan(u)) / (w * O0 * O0)
+
+
+def _tm_subtr_series(w, w2, a, u, w0: float, O0: float):
+    u2 = u * u
+    s5 = -u2 * u2 * u * _atan_series(u2, 5, 30)
     w02 = w0 * w0
-
-    def series():
-        x2 = x * x
-        return ((2.0 * w02 * _atan_series(x2, 3) + a * _atan_series(x2, 1))
-                / (O0 * w2))
-
-    def closed():
-        a3 = a * a * a
-        return (2.0 * w * w02 * O0 * a
-                + (a3 - 2.0 * w2 * w02 * O0 * O0) * np.arctan(x)) / (w * a3)
-
-    return _pick(abs(x) < 0.1, series, closed)
+    lead = (O0 * (w2 * w2 * (w02 + O0 * O0) - w02 * w02 * w02)
+            / (3.0 * w2 * a * a * a))
+    return lead + (2.0 * a + O0 * O0) * s5 / (w * O0 * O0)
 
 
-def _h_te_subtr(w, w2, a, w0: float, O0: float):
-    x = a / (O0 * w)
-    w02 = w0 * w0
-
-    def large():
-        v = 1.0 / x
-        a3 = a * a * a
-        return (2.0 * O0 * w02 / (a * a)
-                - O0 * w02 / (w2 * a)
-                - math.pi * w * w02 * O0 * O0 / a3
-                + v * v * v * _atan_series(v * v, 3, 30) / w
-                + 2.0 * w2 * w02 * O0 * O0 * np.arctan(v) / (w * a3))
-
-    return _pick(x >= 2.0, large,
-                 lambda: _h_te(w, w2, a, w0, O0) - 0.5 * math.pi / w + O0 / w2)
-
-
-def _h_tm(w, a, u, O0: float):
-    def series():
-        s = u * u * u * _atan_series(u * u, 3)
-        return ((2.0 * a + O0 * O0) * s - O0 * O0 * u) / (w * O0 * O0)
-
-    def closed():
-        return ((2.0 * w * O0 - (2.0 * a + O0 * O0) * np.arctan(u))
-                / (w * O0 * O0))
-
-    return _pick(abs(u) < 0.1, series, closed)
-
-
-def _h_tm_subtr(w, w2, a, u, w0: float, O0: float):
-    def series():
-        u2 = u * u
-        s5 = -u2 * u2 * u * _atan_series(u2, 5, 30)
-        w02 = w0 * w0
-        lead = (O0 * (w2 * w2 * (w02 + O0 * O0) - w02 * w02 * w02)
-                / (3.0 * w2 * a * a * a))
-        return lead + (2.0 * a + O0 * O0) * s5 / (w * O0 * O0)
-
-    return _pick(abs(u) < 0.5, series,
-                 lambda: _h_tm(w, a, u, O0) + O0 / (3.0 * w2))
-
-
-def _density_at(ch: str, w, params: SheetParams, subtracted: bool):
+def _density_float(ch: str, w: float, params: SheetParams,
+                   subtracted: bool) -> float:
+    """h or h_subtr at one float omega > 0, in Python floats: only the
+    chosen branch runs, and each value equals the array path's."""
     w0, O0 = params.omega0, params.Omega0
     w2 = w * w
     a = w2 - w0 * w0
     if ch == Channel.TE:
-        if subtracted:
-            return _h_te_subtr(w, w2, a, w0, O0)
-        return _h_te(w, w2, a, w0, O0)
-    u = _pick(a == 0.0, lambda: math.inf, lambda: O0 * w / a)
-    if subtracted:
-        return _h_tm_subtr(w, w2, a, u, w0, O0)
-    return _h_tm(w, a, u, O0)
+        w02 = w0 * w0
+        x = a / (O0 * w)
+        if subtracted and x >= 2.0:
+            return _te_subtr_large(w, w2, a, x, w02, O0, _atan)
+        if abs(x) < 0.1:
+            out = _te_series(w2, a, x, w02, O0)
+        else:
+            out = _te_closed(w, w2, a, x, w02, O0, _atan)
+        return out - 0.5 * math.pi / w + O0 / w2 if subtracted else out
+    u = math.inf if a == 0.0 else O0 * w / a
+    if subtracted and abs(u) < 0.5:
+        return _tm_subtr_series(w, w2, a, u, w0, O0)
+    out = _tm_series(w, a, u, O0) if abs(u) < 0.1 else _tm_closed(
+        w, a, u, O0, _atan)
+    return out + O0 / (3.0 * w2) if subtracted else out
+
+
+def _density_array(ch: str, w: np.ndarray, params: SheetParams,
+                   subtracted: bool) -> np.ndarray:
+    """h or h_subtr on an array of omega > 0: every branch at every
+    point, and the switch points pick one."""
+    w0, O0 = params.omega0, params.Omega0
+    w2 = w * w
+    a = w2 - w0 * w0
+    if ch == Channel.TE:
+        w02 = w0 * w0
+        x = a / (O0 * w)
+        out = np.where(abs(x) < 0.1, _te_series(w2, a, x, w02, O0),
+                       _te_closed(w, w2, a, x, w02, O0, np.arctan))
+        if not subtracted:
+            return out
+        return np.where(x >= 2.0,
+                        _te_subtr_large(w, w2, a, x, w02, O0, np.arctan),
+                        out - 0.5 * math.pi / w + O0 / w2)
+    u = np.where(a == 0.0, math.inf, O0 * w / a)
+    out = np.where(abs(u) < 0.1, _tm_series(w, a, u, O0),
+                   _tm_closed(w, a, u, O0, np.arctan))
+    if not subtracted:
+        return out
+    return np.where(abs(u) < 0.5, _tm_subtr_series(w, w2, a, u, w0, O0),
+                    out + O0 / (3.0 * w2))
 
 
 def _density(ch: str, omega, params: SheetParams, subtracted: bool):
     """h or h_subtr on a float or an array of omega > 0.
 
-    One implementation for both: on arrays every branch is evaluated at
-    every point and the switch points pick one; on a float only the
-    chosen branch runs.  With x = (omega^2 - omega0^2)/(Omega0 omega) and
-    u = 1/x (+inf on the shell a = omega^2 - omega0^2 = 0, the limit from
-    above) the switch points are |x| < 0.1 (TE series) and |u| < 0.1 (TM
-    series), and for the subtracted densities x >= 2 (TE) and |u| < 0.5
-    (TM): their closed forms cancel the removed tail to about u^4 of its
-    size, which cost 1e-10 of relative accuracy at |u| = 0.1.
+    With x = (omega^2 - omega0^2)/(Omega0 omega) and u = 1/x (+inf on the
+    shell a = omega^2 - omega0^2 = 0, the limit from above) the switch
+    points are |x| < 0.1 (TE series) and |u| < 0.1 (TM series), and for
+    the subtracted densities x >= 2 (TE) and |u| < 0.5 (TM): their closed
+    forms cancel the removed tail to about u^4 of its size, which cost
+    1e-10 of relative accuracy at |u| = 0.1.  An array runs every branch
+    at every point (``_density_array``); a float, an int or a numpy
+    scalar runs only its branch in Python floats (``_density_float``),
+    several times faster per point than a one-element array, for the
+    scalar quadratures of ``thermo verify``.  Both paths share the
+    branches' formulas and give the same value bit for bit.
     """
     Channel.validate(ch)
     if isinstance(omega, np.ndarray):
@@ -308,11 +331,11 @@ def _density(ch: str, omega, params: SheetParams, subtracted: bool):
         if np.any(w <= 0.0):
             raise ValueError("omega must be positive")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _density_at(ch, w, params, subtracted)
+            return _density_array(ch, w, params, subtracted)
     w = float(omega)
     if not w > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return float(_density_at(ch, w, params, subtracted))
+    return float(_density_float(ch, w, params, subtracted))
 
 
 def h(ch: str, omega: float | np.ndarray, params: SheetParams):

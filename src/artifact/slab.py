@@ -1299,7 +1299,7 @@ def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     # cuts earlier when 40 T is smaller.
     Ws = np.minimum(40.0 * Ts, _TABLE_TOP * params.omega_p)
     # F's weight at each T, then S's, as ``_thermal_columns`` orders them.
-    F_weights, S_weights = zip(*map(_tm_weights, Ts))
+    F_weights, S_weights = zip(*map(_tm_weights, Ts.tolist()))
     res = _tm_moment(params, np.tile(Ws, 2), F_weights + S_weights,
                      _thermal_columns(Ts[Ws > params.omega_p]),
                      replace(settings, rel_tol=1e-8), [[t] for t in Ts] * 2)

@@ -146,7 +146,7 @@ def _sheet_h_epsilon_quad(ch, omega, params, settings):
 
 def _sheet_h_oracle_checks(settings):
     out = []
-    grid = np.geomspace(1e-2, 50.0, 24)
+    grid = np.geomspace(1e-2, 50.0, 24).tolist()
     for omega0 in (0.0, 0.5, 1.3):
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
         for ch in ("TE", "TM"):

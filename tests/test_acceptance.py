@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from artifact import plasma_sheet as ps
-from artifact import slab, verification
+from artifact import numkernel, slab, verification
 from artifact.numkernel import QuadSettings
 
 ZETA3 = 1.2020569031595943
@@ -221,6 +221,33 @@ def test_asymptotics_suite_passes_its_settings_to_the_te_crossing(
     with pytest.raises(Stop):
         verification.run_suite("asymptotics", settings)
     assert seen == [settings]
+
+
+def test_scalar_quadpack_integrands_return_python_floats(monkeypatch):
+    # Numpy-scalar arithmetic costs several times float arithmetic, and
+    # these integrands run tens of thousands of times in ``thermo verify``.
+    seen = set()
+    checked = numkernel._checked
+
+    def recorded(f):
+        g = checked(f)
+
+        def wrapped(x):
+            y = g(x)
+            seen.add(type(y))
+            return y
+
+        return wrapped
+
+    monkeypatch.setattr(numkernel, "_checked", recorded)
+    settings = numkernel.DEFAULT_SETTINGS
+    for checks in (verification._sheet_h_oracle_checks,
+                   verification._sheet_panel_rule_checks,
+                   verification._slab_h_L_table_checks,
+                   verification._slab_tm_swap_checks):
+        checks(settings)
+    slab.total(np.array([0.1, 1.0, 10.0]), slab.SlabParams(1.0, 0.6))
+    assert seen == {float}
 
 
 def test_verify_checks_match_golden(suites):

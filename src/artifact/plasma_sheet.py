@@ -220,6 +220,7 @@ def _atan(z: float) -> float:
 # arrays share them; ``atan`` is np.arctan on arrays and _atan on floats.
 
 def _te_series(w2, a, x, w02: float, O0: float):
+    # x = 0 on the resonance shell, where the small-x series holds.
     x2 = x * x
     return ((2.0 * w02 * _atan_series(x2, 3) + a * _atan_series(x2, 1))
             / (O0 * w2))
@@ -279,8 +280,8 @@ def _density_float(ch: str, w: float, params: SheetParams,
     u = math.inf if a == 0.0 else O0 * w / a
     if subtracted and abs(u) < 0.5:
         return _tm_subtr_series(w, w2, a, u, w0, O0)
-    out = _tm_series(w, a, u, O0) if abs(u) < 0.1 else _tm_closed(
-        w, a, u, O0, _atan)
+    out = (_tm_series(w, a, u, O0) if abs(u) < 0.1
+           else _tm_closed(w, a, u, O0, _atan))
     return out + O0 / (3.0 * w2) if subtracted else out
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import plasma_sheet, slab, verification
 from .numkernel import QuadratureError, QuadSettings
-from .spectral import ThermoPoint, t_blocks
+from .spectral import ThermoPoint
 
 __all__ = ["main"]
 
@@ -153,8 +153,9 @@ def _check_params(make, pairs, parser):
 # ---------------------------------------------------------------------------
 
 # A sweep's tasks hold at most this many temperatures of one parameter
-# point, so that ``--jobs`` splits a one-point sweep; their split does not
-# depend on ``--jobs``.  The default grid's 33 temperatures cost no more
+# point, so that ``--jobs`` splits a one-point sweep: the fewest
+# consecutive blocks, their sizes within one of each other.  The split
+# does not depend on ``--jobs``.  The default grid's 33 temperatures cost no more
 # in three tasks than in one (min of 8 interleaved runs on a 2-core VM:
 # sheet 3.1 against 3.5 ms, slab 301 against 318 ms).
 _TASK_BLOCK = 16
@@ -267,7 +268,8 @@ def _sweep(model, args, parser, firsts, seconds):
                   parser)
     tasks = [(model, a, b, tuple(block), settings, args.parts)
              for a in firsts for b in seconds
-             for block in t_blocks(np.asarray(t_grid), _TASK_BLOCK)]
+             for block in np.array_split(
+                 t_grid, max(1, -(-len(t_grid) // _TASK_BLOCK)))]
     rows = [row for block in _run_tasks(_part_rows, tasks, args.jobs)
             for row in block]
     _write_csv(args.out, header, rows)

@@ -385,15 +385,17 @@ def _cutoff(params: SheetParams, Ts: np.ndarray) -> float:
     return max(40.0 * float(Ts.max()), 50.0 * params.scale())
 
 
-def _grid(params: SheetParams, Ts: np.ndarray, lo: float,
+def _grid(params: SheetParams, T_min: float, lo: float,
           hi: float) -> tuple:
     """The panel grid of a thermal integral over [lo, hi] (``_graded``):
     graded at min(T_min, scale), which grades the panels into the
-    weights' log singularity at omega = 0 and follows their decay from
-    the lowest temperature up to the cut-off, with edges at {omega0,
-    Omega0, band edge} and the temperatures."""
-    return (lo, hi, min(float(Ts.min()), params.scale()),
-            [params.omega0, params.Omega0, _band_edge(params), *Ts])
+    weights' log singularity at omega = 0 and follows their decay by
+    octaves up to the cut-off, with edges at {omega0, Omega0, band edge}.
+    The octaves put a panel on the scale of every temperature above the
+    anchor, so the temperatures are not edges: a pass's panels do not
+    grow with their number."""
+    return (lo, hi, min(T_min, params.scale()),
+            [params.omega0, params.Omega0, _band_edge(params)])
 
 
 def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
@@ -411,7 +413,7 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     tail = (2.0 * params.scale() ** 3, -2) if subtracted else (2.0, 1)
     val, err = thermal_integral(lambda w: w * w * dens(ch, w, params),
                                 weight_columns(Ts),
-                                _grid(params, Ts, 0.0, cut), settings,
+                                _grid(params, Ts.min(), 0.0, cut), settings,
                                 _truncation_bound(Ts, cut, *tail))
     # The shell weight -pi omega0^2 / 2 is zero for omega0 = 0, and for an
     # omega0 so small that its square underflows.
@@ -599,8 +601,9 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
         zero = _like(T, np.zeros(len(Ts)))
         return (zero, zero), (zero, zero)
     val, err = thermal_integral(lambda w: w * surface_weight(w, params),
-                                weight_columns(Ts), _grid(params, Ts, *span),
-                                settings, tail)
+                                weight_columns(Ts),
+                                _grid(params, Ts.min(), *span), settings,
+                                tail)
     val, err = sign * val / (2.0 * math.pi), err / (2.0 * math.pi)
     return ((_like(T, Ts * val[0]), _like(T, Ts * err[0])),
             (_like(T, val[1]), _like(T, err[1])))

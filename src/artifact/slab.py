@@ -333,16 +333,17 @@ def validate_surface_weight(params: SlabParams,
     return worst
 
 
-def _grid(Ts: np.ndarray, params: SlabParams, hi: float) -> tuple:
+def _grid(T_min: float, params: SlabParams, hi: float) -> tuple:
     """The panel grid of a thermal integral on [0, hi] (``_graded``):
     graded at min(T_min, omega_p), into the weights' log singularity at 0
-    and along their decay, with edges at the temperatures and at omega_p
-    (1 +- 2^-k), k = 1..20, into the densities' square-root branch points
-    at omega_p."""
+    and by octaves along their decay, with edges at omega_p (1 +- 2^-k),
+    k = 1..20, into the densities' square-root branch points at omega_p.
+    The temperatures are not edges (the octaves already follow them), so
+    a pass's panels do not grow with their number."""
     wp = params.omega_p
-    return (0.0, hi, min(float(Ts.min()), wp),
+    return (0.0, hi, min(T_min, wp),
             [wp, *(wp * (1.0 + side * 2.0 ** -k) for k in range(1, 21)
-                   for side in (-1.0, 1.0)), *Ts])
+                   for side in (-1.0, 1.0))])
 
 
 def _surface_te(T, params: SlabParams, settings: QuadSettings):
@@ -355,7 +356,7 @@ def _surface_te(T, params: SlabParams, settings: QuadSettings):
     wp = params.omega_p
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
-        weight_columns(Ts), _grid(Ts, params, wp), settings, 0.0)
+        weight_columns(Ts), _grid(Ts.min(), params, wp), settings, 0.0)
     return ((_like(T, -Ts * F / math.pi ** 2),
              _like(T, Ts * F_err / math.pi ** 2)),
             (_like(T, -S / math.pi ** 2), _like(T, S_err / math.pi ** 2)))
@@ -417,15 +418,16 @@ def _surface_tm(T, params: SlabParams, settings: QuadSettings):
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     wp = params.omega_p
     cut = max(40.0 * float(Ts.max()), 8.0 * wp)
-    (a_F, a_S), a_err = thermal_integral(lambda w: w, weight_columns(Ts),
-                                         _grid(Ts, params, wp), settings, 0.0)
+    (a_F, a_S), a_err = thermal_integral(
+        lambda w: w, weight_columns(Ts), _grid(Ts.min(), params, wp),
+        settings, 0.0)
     # Beyond 8 omega_p, |omega (h - h_inf)| <= 0.68 omega_p^3 / omega; the
     # columns are n(x) and T x n'(x), x = omega / T.
     columns = _thermal_columns(Ts)
     (b_F, b_S), b_err = thermal_integral(
         lambda w: w * (h(w, params) - _H_INF * wp),
         lambda w: columns(w).reshape(len(w), 2, -1).transpose(1, 0, 2),
-        _grid(Ts, params, cut), settings,
+        _grid(Ts.min(), params, cut), settings,
         _truncation_bound(Ts, cut, 0.68 * wp ** 3, -1)
         * np.stack([np.ones_like(Ts), Ts]))
     # Each piece's prefactor, for F's row and S's.
@@ -1487,7 +1489,7 @@ def _exp(T, params: SlabParams, settings: QuadSettings):
     # Beyond 8 omega_p, |_branch_weight| <= 0.126 omega_p^4 / omega^2.
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: _branch_weight(w, params), weight_columns(Ts),
-        _grid(Ts, params, W), settings,
+        _grid(Ts.min(), params, W), settings,
         _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
     c = params.L / (2.0 * math.pi ** 2)
     return ((_like(T, c * Ts * F), _like(T, c * Ts * F_err)),
@@ -1628,10 +1630,6 @@ def plasmon_mode_residual(omega: float, k: float,
 # (QUADPACK is scalar), on one h_L table per point that stores its reads,
 # so the nodes those integrals share are read once.  The thickness parts
 # need no subtraction.
-# ``slab.total`` hands L_TM at most 16 temperatures at a time: its
-# propagating pass runs every column up to the largest temperature's cut,
-# so on 33 temperatures from 0.01 to 100 omega_p, blocks of 11 take 17%
-# less time than one call.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda T, p, s: _surface_te(T, p, s), _s_te_growth),
@@ -1640,7 +1638,7 @@ PARTS = (
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
          lambda T, p, s: _thickness_te(T, p, s)),
     Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
-         lambda T, p, s: _thickness_tm(T, p, s), block=16),
+         lambda T, p, s: _thickness_tm(T, p, s)),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
          lambda T, p, s: _exp(T, p, s),
          lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),

@@ -165,23 +165,6 @@ class SubtractionSpec:
         return out - 5.0 * self.c5 * T ** 4 if self.c5 else out
 
 
-# ``ThermoPoint.evaluate`` hands a part at most this many temperatures at
-# a time, unless its record asks for fewer.  Every temperature is a panel
-# edge of the pass and adds two weight columns, so a pass's work grows
-# as the square of its temperatures.  Timed per temperature (2-core VM,
-# min of interleaved runs), the sheet's parts are fastest with 20 to 50
-# in a call (161 temperatures: 0.31 ms each in one call, 0.08 ms in
-# blocks of 41) and the slab's surface, L_TE and exp parts are flat from
-# 16 to 64; the slab's L_TM is fastest with 9 to 17 (``Part.block``).
-T_BLOCK = 48
-
-
-def t_blocks(T: np.ndarray, size: int = T_BLOCK) -> list[np.ndarray]:
-    """The 1-D array T in the fewest consecutive blocks of at most
-    ``size`` temperatures, their sizes within one of each other."""
-    return np.array_split(T, max(1, -(-len(T) // size)))
-
-
 @dataclass(frozen=True)
 class Part:
     """One additive part of a model's free energy and entropy.
@@ -193,9 +176,9 @@ class Part:
     value it bounds (its prefactor applied).  A direct call runs at the
     scale it is given (absolute tolerances do not scale) and over the
     temperatures it is given in one pass; ``ThermoPoint.evaluate``
-    reduces to unit scale and passes at most ``block`` temperatures at a
-    time (``t_blocks``), ``T_BLOCK`` by default.  The models build it as a lambda over their module's
-    functions, looked up at call time.  ``group`` selects the part in
+    reduces to unit scale and passes it every temperature in one call.
+    The models build it as a lambda over their module's functions, looked
+    up at call time.  ``group`` selects the part in
     ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
     the parameters to the high-temperature polynomial that F and S have
     removed: raw F = F + ``growth(params).free_energy(T)`` and raw S =
@@ -208,7 +191,6 @@ class Part:
     evaluate: Callable[[Any, Any, QuadSettings],
                        tuple[tuple[Any, Any], tuple[Any, Any]]]
     growth: Callable[[Any], SubtractionSpec] = lambda params: SubtractionSpec()
-    block: int = T_BLOCK
 
     @staticmethod
     def named(parts: Sequence["Part"], name: str) -> "Part":
@@ -245,23 +227,13 @@ class ThermoPoint:
         ``params.reduced()`` gives the frequency scale s and the unit-scale
         parameters; each part runs at T / s, and F and S are scaled back by
         s^3 and s^2.  Tolerances and error estimates refer to unit scale.
-        ``T`` is a float or a 1-D array, passed to each part in blocks of
-        at most its ``block`` (``t_blocks``).
+        ``T`` is a float or a 1-D array, passed whole to each part.
         """
         s, unit = params.reduced()
         if np.ndim(T):
             T = np.asarray(T, dtype=float)
         t = T / s
-
-        def run(part):
-            if not np.ndim(t):
-                return part.evaluate(t, unit, settings)
-            blocks = [part.evaluate(b, unit, settings)
-                      for b in t_blocks(t, part.block)]
-            return tuple(tuple(map(np.concatenate, zip(*half)))
-                         for half in zip(*blocks))
-
-        F, S = zip(*map(run, parts))
+        F, S = zip(*(part.evaluate(t, unit, settings) for part in parts))
         return cls(T, tuple(p.name for p in parts),
                    tuple(s ** 3 * v for v, _ in F),
                    tuple(s ** 2 * v for v, _ in S),

@@ -452,15 +452,22 @@ _ARRAY_CASES = [(model, params) for model, kind in ((plasma_sheet,
 def test_array_and_one_temperature_calls_agree(model, params):
     # Each temperature's F and S from one call over a grid match the
     # one-temperature call: the grid changes the panels, not the result.
-    Ts = np.geomspace(0.009, 100.0, 4)
-    for part in model.PARTS:
-        (F, F_err), (S, S_err) = part.evaluate(Ts, params, DEFAULT_SETTINGS)
-        assert F.shape == S.shape == F_err.shape == S_err.shape == Ts.shape
-        for i, T in enumerate(Ts):
-            (f, _), (s, _) = part.evaluate(float(T), params,
-                                           DEFAULT_SETTINGS)
-            assert F[i] == pytest.approx(f, rel=1e-9, abs=1e-300), part.name
-            assert S[i] == pytest.approx(s, rel=1e-9, abs=1e-300), part.name
+    # On the second grid a low temperature shares its call with high ones
+    # and still keeps its own thermal weight (the sheet's entropies below
+    # T = 1e-4 Omega0 once missed it).
+    for Ts in (np.geomspace(0.009, 100.0, 4), np.geomspace(1e-4, 1e3, 5)):
+        for part in model.PARTS:
+            (F, F_err), (S, S_err) = part.evaluate(Ts, params,
+                                                   DEFAULT_SETTINGS)
+            assert (F.shape == S.shape == F_err.shape == S_err.shape
+                    == Ts.shape)
+            for i, T in enumerate(Ts):
+                (f, _), (s, _) = part.evaluate(float(T), params,
+                                               DEFAULT_SETTINGS)
+                assert F[i] == pytest.approx(f, rel=1e-9, abs=1e-300), (
+                    part.name, T)
+                assert S[i] == pytest.approx(s, rel=1e-9, abs=1e-300), (
+                    part.name, T)
 
 
 def test_quad_error_is_per_temperature():
@@ -503,48 +510,59 @@ def test_identity_suites_call_each_part_once(monkeypatch, suite, per_pair):
     assert len(calls) == per_pair * len(pairs)
 
 
-def test_thermo_point_passes_at_most_a_block_of_temperatures(monkeypatch):
-    # Each part's pass grows as the square of its temperatures, so a long
-    # grid reaches the parts in near-equal consecutive blocks of at most
-    # T_BLOCK, and its values are those of the blocks run alone.
+def test_thermo_point_passes_each_part_the_whole_array(monkeypatch):
+    # A part's work does not grow with the number of its temperatures, so
+    # ``total`` hands each part the whole grid in one call: the sheet's at
+    # 100 temperatures, the slab's at 33.
     sizes = []
-    channel = plasma_sheet._channel
+    for module, names in _EVALUATORS:
+        for name in names:
+            def counted(*args, _evaluate=getattr(module, name)):
+                # The sheet's channels take their name before T.
+                sizes.append(np.size(args[isinstance(args[0], str)]))
+                return _evaluate(*args)
 
-    def counted(ch, T, *args):
-        sizes.append(np.size(T))
-        return channel(ch, T, *args)
-
-    monkeypatch.setattr(plasma_sheet, "_channel", counted)
-    params = plasma_sheet.SheetParams(1.0, 0.8)
-    Ts = np.geomspace(0.01, 100.0, 2 * spectral.T_BLOCK + 4)
-    point = plasma_sheet.total(Ts, params)
-    assert sizes == [34, 33, 33] * 2
-    assert point.S_total.shape == point.quad_error.shape == Ts.shape
-    at = 0
-    for block in spectral.t_blocks(Ts):
-        alone = plasma_sheet.total(block, params)
-        mine = slice(at, at + len(block))
-        for got, want in zip(point.F + point.S + point.F_error
-                             + point.S_error,
-                             alone.F + alone.S + alone.F_error
-                             + alone.S_error):
-            assert np.array_equal(got[mine], want)
-        at = mine.stop
-    sizes.clear()
-    plasma_sheet.total(Ts[:spectral.T_BLOCK], params)
-    plasma_sheet.total(0.5, params)
-    assert sizes == [spectral.T_BLOCK] * 2 + [1] * 2
+            monkeypatch.setattr(module, name, counted)
+    for model, params, n in ((plasma_sheet, plasma_sheet.SheetParams(1.0, 0.8),
+                              100),
+                             (slab, slab.SlabParams(1.0, 1.0), 33)):
+        Ts = np.geomspace(0.01, 100.0, n)
+        sizes.clear()
+        point = model.total(Ts, params)
+        assert sizes == [n] * len(model.PARTS)
+        assert point.S_total.shape == point.quad_error.shape == Ts.shape
+        sizes.clear()
+        model.total(0.5, params)
+        assert sizes == [1] * len(model.PARTS)
 
 
-def test_slab_total_hands_L_TM_blocks_of_sixteen(monkeypatch):
-    # L_TM's propagating pass runs every column to the largest cut, so it
-    # takes smaller blocks than the other parts.
-    sizes = {}
-    for name in ("_surface_te", "_thickness_tm"):
-        def counted(T, *args, _evaluate=getattr(slab, name), _name=name):
-            sizes.setdefault(_name, []).append(np.size(T))
-            return _evaluate(T, *args)
+# Each part integrated by the panel rule, with the parameters it runs at.
+_PANEL_PARTS = ([(plasma_sheet, name, plasma_sheet.SheetParams(1.0, 0.8))
+                 for name in ("TE", "TM", "sf")]
+                + [(slab, name, slab.SlabParams(1.0, 1.0))
+                   for name in ("s_TE", "s_TM", "exp")])
 
-        monkeypatch.setattr(slab, name, counted)
-    slab.total(np.geomspace(0.01, 100.0, 33), slab.SlabParams(1.0, 1.0))
-    assert sizes == {"_surface_te": [33], "_thickness_tm": [11, 11, 11]}
+
+@pytest.mark.parametrize("model, name, params", _PANEL_PARTS,
+                         ids=[name for _, name, _ in _PANEL_PARTS])
+def test_panel_rule_work_does_not_grow_with_the_temperatures(
+        monkeypatch, model, name, params):
+    # The temperatures are not panel edges: the octaves of the graded grid
+    # already put a panel on the scale of each, so a call over 480
+    # temperatures evaluates the panel rule at as many nodes as one over
+    # 16 (a deterministic gate on the work).
+    nodes = [0]
+    gk15 = numkernel._gk15
+
+    def counted(f, lo, hi):
+        nodes[0] += 15 * len(lo)
+        return gk15(f, lo, hi)
+
+    monkeypatch.setattr(numkernel, "_gk15", counted)
+    part = spectral.Part.named(model.PARTS, name)
+    counts = []
+    for n in (16, 480):
+        nodes[0] = 0
+        part.evaluate(np.geomspace(0.01, 100.0, n), params, DEFAULT_SETTINGS)
+        counts.append(nodes[0])
+    assert counts[0] == counts[1] > 0

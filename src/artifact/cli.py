@@ -155,9 +155,10 @@ def _check_params(make, pairs, parser):
 # A sweep's tasks hold at most this many temperatures of one parameter
 # point, so that ``--jobs`` splits a one-point sweep: the fewest
 # consecutive blocks, their sizes within one of each other.  The split
-# does not depend on ``--jobs``.  The default grid's 33 temperatures cost no more
-# in three tasks than in one (min of 8 interleaved runs on a 2-core VM:
-# sheet 3.1 against 3.5 ms, slab 301 against 318 ms).
+# does not depend on ``--jobs``.  The default grid's 33 temperatures in
+# three tasks against one (min of 8 to 20 interleaved runs on a 2-core
+# VM): sheet 2.7 against 1.6 ms, slab 63 against 85 ms, since L_TM's
+# propagating pass runs every column to its largest temperature's cut.
 _TASK_BLOCK = 16
 
 

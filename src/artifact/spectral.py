@@ -178,11 +178,11 @@ class Part:
     temperatures it is given in one pass; ``ThermoPoint.evaluate``
     reduces to unit scale and passes it every temperature in one call.
     The models build it as a lambda over their module's functions, looked
-    up at call time.  ``group`` selects the part in
-    ``thermo --parts``; ``columns`` are its CSV columns.  ``growth`` maps
-    the parameters to the high-temperature polynomial that F and S have
-    removed: raw F = F + ``growth(params).free_energy(T)`` and raw S =
-    S + ``growth(params).entropy(T)``; zero by default.
+    up at call time.  ``group`` selects the part in ``thermo --parts``;
+    ``columns`` are its CSV columns.  ``growth`` maps the parameters to
+    the high-temperature polynomial that F and S have removed: raw F = F
+    + ``growth(params).free_energy(T)`` and raw S = S +
+    ``growth(params).entropy(T)``; zero by default.
     """
 
     name: str

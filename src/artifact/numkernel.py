@@ -51,6 +51,7 @@ __all__ = [
     "thermal_weights",
     "weight_columns",
     "thermal_integral",
+    "per_temperature",
     "bose_occupation",
     "bose_kernel",
     "fit_asymptotic",
@@ -577,15 +578,23 @@ def thermal_integral(density, weights, grid, settings: QuadSettings, tail):
             res.error_estimate.reshape(2, -1) + tail)
 
 
-def _like(T, values):
-    """``values`` for an array T, its only entry as a float for a float T."""
-    return values if np.ndim(T) else float(values[0])
-
-
 def _check_T(T) -> None:
-    """Raise ValueError unless the temperature (or every one) is positive."""
-    if np.any(np.less_equal(T, 0.0)):
-        raise ValueError(f"temperature must be positive, got {T}")
+    """Refuse T unless positive, finite and a scalar or non-empty 1-D array."""
+    Ts = np.asarray(T, dtype=float)
+    if Ts.ndim > 1 or Ts.size == 0 or not np.all((Ts > 0.0) & (Ts < np.inf)):
+        raise ValueError("temperature must be positive and finite, a scalar "
+                         f"or a non-empty 1-D array; got {T!r}")
+
+
+def per_temperature(T, run, *args):
+    """``run(Ts, *args)`` at T as a 1-D array Ts, once T passes ``_check_T``.
+    ``run`` returns ((F, F_error), (S, S_error)), arrays over Ts; for a
+    scalar T each comes back as a Python float."""
+    _check_T(T)
+    out = run(np.atleast_1d(np.asarray(T, dtype=float)), *args)
+    if np.ndim(T):
+        return out
+    return tuple(tuple(float(v[0]) for v in pair) for pair in out)
 
 
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,

@@ -45,11 +45,10 @@ from .numkernel import (
     DEFAULT_SETTINGS,
     QuadResult,
     QuadSettings,
-    _check_T,
     _graded,
-    _like,
     _truncation_bound,
     find_root_bracketed,
+    per_temperature,
     thermal_integral,
     thermal_weights,
     weight_columns,
@@ -398,14 +397,11 @@ def _grid(params: SheetParams, T_min: float, lo: float,
             [params.omega0, params.Omega0, _band_edge(params)])
 
 
-def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
-             subtracted: bool = True, include_shell: bool = True):
-    """((F, F_error), (S, S_error)) of one photonic channel from one
-    panel-rule pass; each error carries its value's prefactor, T / 2 pi^2
-    for F and 1 / 2 pi^2 for S."""
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+def _channel(Ts: np.ndarray, params: SheetParams, settings: QuadSettings,
+             ch: str, subtracted: bool = True, include_shell: bool = True):
+    """((F, F_error), (S, S_error)) of one photonic channel, arrays over
+    the temperatures Ts, from one panel-rule pass; each error carries its
+    value's prefactor, T / 2 pi^2 for F and 1 / 2 pi^2 for S."""
     dens = h_subtr if subtracted else h
     cut = _cutoff(params, Ts)
     # Beyond 50 scale, |omega^2 h_subtr| <= 2 scale^3 / omega^2 (its
@@ -421,8 +417,7 @@ def _channel(ch: str, T, params: SheetParams, settings: QuadSettings | None,
     if include_shell and shell != 0.0:
         val = val + shell * np.stack(thermal_weights(params.omega0 / Ts))
     val, err = val / (2.0 * math.pi ** 2), err / (2.0 * math.pi ** 2)
-    return ((_like(T, Ts * val[0]), _like(T, Ts * err[0])),
-            (_like(T, val[1]), _like(T, err[1])))
+    return (Ts * val[0], Ts * err[0]), (val[1], err[1])
 
 
 def free_energy_channel(ch: str, T, params: SheetParams,
@@ -434,16 +429,19 @@ def free_energy_channel(ch: str, T, params: SheetParams,
 
     The shell point mass belongs to the channel's spectral measure but
     not to the smooth derivative density.  Like every thermal function
-    of this module, it takes T as a float (float returned) or a 1-D
-    array (array returned); the temperatures of an array share one panel
-    rule (``numkernel.integrate_panels``) cut off at max(40 max T,
-    50 scale), which integrates F and S together.  Each public thermal
-    function selects the value of one of the two; the part records in
-    ``PARTS`` return both with their errors.  A direct call runs at the
-    ``params`` and ``T`` it is given, with absolute tolerances that do not
-    scale; only ``total`` reduces to Omega0 = 1.
+    of this module, it takes T as a positive finite float (float
+    returned) or a non-empty 1-D array of them (array returned), else
+    ValueError; it reads its record in ``PARTS`` (``Part.evaluate``),
+    whose evaluator ``run`` takes the array only.  The temperatures of
+    an array share one panel rule (``numkernel.integrate_panels``) cut
+    off at max(40 max T, 50 scale), which integrates F and S together.
+    Each public thermal function selects the value of one of the two;
+    the records return both with their errors.  A direct call runs at
+    the ``params`` and ``T`` it is given, with absolute tolerances that
+    do not scale; only ``total`` reduces to Omega0 = 1.
     """
-    return _channel(ch, T, params, settings)[0][0]
+    return Part.named(PARTS, Channel.validate(ch)).evaluate(
+        T, params, settings)[0][0]
 
 
 def entropy_channel(ch: str, T, params: SheetParams,
@@ -455,7 +453,8 @@ def entropy_channel(ch: str, T, params: SheetParams,
     (Omega0/6 for TE, Omega0/18 for TM) emerges from the omega -> 0
     region of the subtracted density without cancellation.
     """
-    return _channel(ch, T, params, settings)[1][0]
+    return Part.named(PARTS, Channel.validate(ch)).evaluate(
+        T, params, settings)[1][0]
 
 
 def free_energy_channel_raw(ch: str, T, params: SheetParams,
@@ -469,8 +468,8 @@ def free_energy_channel_raw(ch: str, T, params: SheetParams,
     Pass ``include_shell=False`` to get the bare continuum (what the
     defining (p, k) representation integrates to).
     """
-    return _channel(ch, T, params, settings, subtracted=False,
-                    include_shell=include_shell)[0][0]
+    return per_temperature(T, _channel, params, settings or DEFAULT_SETTINGS,
+                           ch, False, include_shell)[0][0]
 
 
 def _tail_coefficients(ch: str,
@@ -576,19 +575,16 @@ def _band_edge(params: SheetParams) -> float:
     return math.sqrt(e2) if e2 > 0.0 else 0.0
 
 
-def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
+def _plasmon(Ts: np.ndarray, params: SheetParams, settings: QuadSettings,
              subtracted: bool = True):
-    """((F, F_error), (S, S_error)) of the plasmon band from one
-    panel-rule pass.
+    """((F, F_error), (S, S_error)) of the plasmon band, arrays over the
+    temperatures Ts, from one panel-rule pass.
 
     Raw: (T/2 pi, 1/2 pi) Int_ell^inf omega X (blog, g) d omega above the
     band edge ell; subtracted: minus the same integral over [0, ell], and
     zero, with no error, when ell = 0.  Each error carries its value's
     prefactor.
     """
-    _check_T(T)
-    settings = settings or DEFAULT_SETTINGS
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
     ell = _band_edge(params)
     if not subtracted:
         # Beyond 50 scale, |omega X| <= 2 (1 + 1/2500) omega^3 / Omega0^2.
@@ -598,15 +594,14 @@ def _plasmon(T, params: SheetParams, settings: QuadSettings | None,
     elif ell > 0.0:
         span, tail, sign = (0.0, ell), 0.0, -1.0
     else:
-        zero = _like(T, np.zeros(len(Ts)))
+        zero = np.zeros(len(Ts))
         return (zero, zero), (zero, zero)
     val, err = thermal_integral(lambda w: w * surface_weight(w, params),
                                 weight_columns(Ts),
                                 _grid(params, Ts.min(), *span), settings,
                                 tail)
     val, err = sign * val / (2.0 * math.pi), err / (2.0 * math.pi)
-    return ((_like(T, Ts * val[0]), _like(T, Ts * err[0])),
-            (_like(T, val[1]), _like(T, err[1])))
+    return (Ts * val[0], Ts * err[0]), (val[1], err[1])
 
 
 def plasmon_free_energy_raw(T, params: SheetParams,
@@ -618,7 +613,8 @@ def plasmon_free_energy_raw(T, params: SheetParams,
     the sf record's growth c3 T^3 + c5 T^5 plus the subtracted part as
     an algebraic identity.
     """
-    return _plasmon(T, params, settings, subtracted=False)[0][0]
+    return per_temperature(T, _plasmon, params, settings or DEFAULT_SETTINGS,
+                           False)[0][0]
 
 
 def plasmon_free_energy_subtr(T, params: SheetParams,
@@ -629,7 +625,7 @@ def plasmon_free_energy_subtr(T, params: SheetParams,
     -(T/2 pi) Int_0^ell omega X blog d omega, evaluated directly so no
     cancellation of large terms occurs.
     """
-    return _plasmon(T, params, settings)[0][0]
+    return Part.named(PARTS, "sf").evaluate(T, params, settings)[0][0]
 
 
 def plasmon_entropy_subtr(T, params: SheetParams,
@@ -639,23 +635,24 @@ def plasmon_entropy_subtr(T, params: SheetParams,
     Carries the log T growth (x^2 / (4 pi Omega0^2)) log T at high
     temperature for x = omega0^2 - Omega0^2/2 > 0.
     """
-    return _plasmon(T, params, settings)[1][0]
+    return Part.named(PARTS, "sf").evaluate(T, params, settings)[1][0]
 
 
-# Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
+# Lambdas of (Ts, params, settings) -> ((F, F_error), (S, S_error)), so
 # every call looks the part's function up in this module; each integrates
-# F and S in one panel-rule pass.  The growth of the photonic channels is
-# what h - h_subtr integrates to; the plasmon's is the full-band integral.
+# F and S over the array Ts in one panel-rule pass.  The growth of the
+# photonic channels is what h - h_subtr integrates to; the plasmon's is the
+# full-band integral.
 PARTS = (
     Part("TE", "TE", ("F_TE_subtr", "S_TE_subtr"),
-         lambda T, p, s: _channel(Channel.TE, T, p, s),
+         lambda Ts, p, s: _channel(Ts, p, s, Channel.TE),
          lambda p: SubtractionSpec(c3=-ZETA3 / (4.0 * math.pi),
                                    c2=p.Omega0 / 12.0)),
     Part("TM", "TM", ("F_TM_subtr", "S_TM_subtr"),
-         lambda T, p, s: _channel(Channel.TM, T, p, s),
+         lambda Ts, p, s: _channel(Ts, p, s, Channel.TM),
          lambda p: SubtractionSpec(c2=p.Omega0 / 36.0)),
     Part("sf", "sf", ("F_sf_subtr", "S_sf_subtr"),
-         lambda T, p, s: _plasmon(T, p, s),
+         lambda Ts, p, s: _plasmon(Ts, p, s),
          lambda p: SubtractionSpec(
              c3=(-(1.0 - 2.0 * p.omega0 * p.omega0 / (p.Omega0 * p.Omega0))
                  * ZETA3 / (2.0 * math.pi)),
@@ -672,8 +669,7 @@ def total(T, params: SheetParams,
     (``ThermoPoint.evaluate``).  With a 1-D array of T, each part's F and
     S are arrays over it, from one panel-rule call per part.
     """
-    return ThermoPoint.evaluate(PARTS, T, params,
-                                settings or DEFAULT_SETTINGS)
+    return ThermoPoint.evaluate(PARTS, T, params, settings)
 
 
 def high_T_log_coefficient_closed(params: SheetParams) -> float:

@@ -24,12 +24,13 @@ optical-path parts integrate F and S in one panel-rule pass
 (``thermal_integral``; two for s_TM), the TE thickness part in one
 sawtooth pass; only the TM thickness part's h_L table runs QUADPACK.
 
-Every thermal function takes T as a float (float returned) or a 1-D
-array (array returned), as the sheet's do: each part runs every
-temperature of an array in one pass.  A direct call of a per-quantity
-function (``F_s_TE`` ... ``S_exp_subtr``) runs at the given scale, with
-absolute tolerances that do not scale; only ``total`` reduces to
-omega_p = 1.
+Every thermal function takes T as a positive finite float (float returned)
+or a non-empty 1-D array of them (array returned), else ValueError, as the
+sheet's do.  It reads its record in ``PARTS`` (``Part.evaluate``), whose
+evaluator ``run`` takes the array only and runs every temperature in one
+pass.  A direct call of a per-quantity function (``F_s_TE`` ...
+``S_exp_subtr``) runs at the given scale, with absolute tolerances that do
+not scale; only ``total`` reduces to omega_p=1.
 
 The TM channel additionally carries a guided surface mode (slab
 plasmon) below omega_p/sqrt(2).  Its dispersion is solved here but the
@@ -53,7 +54,6 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
-    _like,
     _truncation_bound,
     bose_kernel,
     bose_occupation,
@@ -346,26 +346,23 @@ def _grid(T_min: float, params: SlabParams, hi: float) -> tuple:
                    for side in (-1.0, 1.0))])
 
 
-def _surface_te(T, params: SlabParams, settings: QuadSettings):
+def _surface_te(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE surface part without its T^3
     growth: -(T, 1) / pi^2 Int_0^omega_p omega (blog, g)(omega/T)
     atan(gamma(omega)/omega) d omega, gamma(omega) = sqrt(omega_p^2 -
-    omega^2), in one pass for every temperature of T."""
-    _check_T(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    omega^2), in one pass for every temperature of the array Ts."""
     wp = params.omega_p
     (F, S), (F_err, S_err) = thermal_integral(
         lambda w: w * np.arctan(np.sqrt((wp - w) * (wp + w)) / w),
         weight_columns(Ts), _grid(Ts.min(), params, wp), settings, 0.0)
-    return ((_like(T, -Ts * F / math.pi ** 2),
-             _like(T, Ts * F_err / math.pi ** 2)),
-            (_like(T, -S / math.pi ** 2), _like(T, S_err / math.pi ** 2)))
+    return ((-Ts * F / math.pi ** 2, Ts * F_err / math.pi ** 2),
+            (-S / math.pi ** 2, S_err / math.pi ** 2))
 
 
 def _raw(name: str, T, params: SlabParams, settings: QuadSettings | None):
     """Raw (F, S) of a part: its record's values plus its growth."""
     part = Part.named(PARTS, name)
-    (F, _), (S, _) = part.evaluate(T, params, settings or DEFAULT_SETTINGS)
+    (F, _), (S, _) = part.evaluate(T, params, settings)
     growth = part.growth(params)
     return F + growth.free_energy(T), S + growth.entropy(T)
 
@@ -407,15 +404,14 @@ def _tm_weights(T: float):
             lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
 
 
-def _surface_tm(T, params: SlabParams, settings: QuadSettings):
+def _surface_tm(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM surface part without its
     growth, from one pass each for its edge and bulk-moment integrals (see
-    ``F_s_TM``), for every temperature of T: the edge piece leaves its T^3
-    term out and the bulk moment integrates h - h_inf against the
-    occupations (``_thermal_columns``).  Each error sums the passes'
-    errors and the bulk's tail bound, each times its piece's prefactor."""
-    _check_T(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    ``F_s_TM``), for every temperature of the array Ts: the edge piece
+    leaves its T^3 term out and the bulk moment integrates h - h_inf
+    against the occupations (``_thermal_columns``).  Each error sums the
+    passes' errors and the bulk's tail bound, each times its piece's
+    prefactor."""
     wp = params.omega_p
     cut = max(40.0 * float(Ts.max()), 8.0 * wp)
     (a_F, a_S), a_err = thermal_integral(
@@ -436,7 +432,7 @@ def _surface_tm(T, params: SlabParams, settings: QuadSettings):
     F_err, S_err = a_c * a_err + b_c * b_err
     F = -Ts * a_F / (4.0 * math.pi) - b_F / (2.0 * math.pi ** 2)
     S = -a_S / (4.0 * math.pi) + b_S / (2.0 * math.pi ** 2 * Ts * Ts)
-    return ((_like(T, F), _like(T, F_err)), (_like(T, S), _like(T, S_err)))
+    return (F, F_err), (S, S_err)
 
 
 def F_s_TM(T: float, params: SlabParams,
@@ -776,18 +772,16 @@ def _te_chunks(h: float, K: float, params: SlabParams, halve: bool):
         yield lo, hi, np.full((len(n), 1), h), start, a, b
 
 
-def _thickness_te(T, params: SlabParams, settings: QuadSettings):
+def _thickness_te(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE thickness part from its
-    moments (``_te_integrals``), for every temperature of T in one pass,
-    each error that pass's summed panel bound plus its tail bound, times
-    the value's prefactor."""
-    _check_T(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    moments (``_te_integrals``), for every temperature of the array Ts in
+    one pass, each error that pass's summed panel bound plus its tail
+    bound, times the value's prefactor."""
     res = _te_integrals(Ts, params, settings)
     (F, S), (F_err, S_err) = res.value, res.error_estimate
     two_pi2 = 2.0 * math.pi ** 2
-    return ((_like(T, Ts * F / two_pi2), _like(T, Ts * F_err / two_pi2)),
-            (_like(T, S / two_pi2), _like(T, S_err / two_pi2)))
+    return ((Ts * F / two_pi2, Ts * F_err / two_pi2),
+            (S / two_pi2, S_err / two_pi2))
 
 
 def F_L_TE(T: float, params: SlabParams,
@@ -811,7 +805,7 @@ def F_L_TE(T: float, params: SlabParams,
 
     see ``ThicknessSeries.te_factor``.
     """
-    return _thickness_te(T, params, settings or DEFAULT_SETTINGS)[0][0]
+    return Part.named(PARTS, "L_TE").evaluate(T, params, settings)[0][0]
 
 
 def h_L(omega: float, params: SlabParams,
@@ -1231,13 +1225,11 @@ def validate_h_L_table(params: SlabParams,
     return worst, table.error(_TABLE_TOP * wp, lambda w: 1.0) / wp ** 2
 
 
-def _thermal_columns(T):
+def _thermal_columns(Ts):
     """The weights of the propagating moment in the TM thickness part's F
     and S integrals, n(w/T) and w n'(w/T) = w n (1 + n), for each of the k
-    temperatures of T: a map of an array of w to one with a last axis of
-    2 k columns, the k of n first."""
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-
+    temperatures of the array Ts (k = 1 for a float): a map of an array of
+    w to one with a last axis of 2 k columns, the k of n first."""
     def weights(w: np.ndarray) -> np.ndarray:
         w = w[..., None]
         with np.errstate(over="ignore"):
@@ -1282,10 +1274,10 @@ def _tm_moment(params: SlabParams, W, weights, columns,
     return QuadResult(value, error, evals)
 
 
-def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
+def _thickness_tm(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TM thickness part: Int_0^W of
     each thermal weight times the TM momentum moment, W = min(40 T, 60
-    omega_p), for every temperature of T (``_tm_moment``).  The
+    omega_p), for every temperature of the array Ts (``_tm_moment``).  The
     evanescent half integrates the h_L table once per temperature and
     weight; the propagating half, for the temperatures with W > omega_p,
     runs one swapped pass with two columns per temperature, cut at their
@@ -1294,8 +1286,6 @@ def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     and 12.9 in integral units.  So the table's integrals run at a
     relative tolerance of 1e-10, and the propagating half is held to 1e-8
     of the sum."""
-    _check_T(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
     # The momentum moment decays fast enough that frequencies beyond ~60
     # omega_p are negligible at every temperature; the thermal factor
     # cuts earlier when 40 T is smaller.
@@ -1308,9 +1298,8 @@ def _thickness_tm(T, params: SlabParams, settings: QuadSettings):
     (F, S), (F_err, S_err) = (res.value.reshape(2, -1),
                               res.error_estimate.reshape(2, -1))
     two_pi2 = 2.0 * math.pi ** 2
-    return ((_like(T, F / -two_pi2), _like(T, F_err / two_pi2)),
-            (_like(T, S / (two_pi2 * Ts * Ts)),
-             _like(T, S_err / (two_pi2 * Ts * Ts))))
+    return ((F / -two_pi2, F_err / two_pi2),
+            (S / (two_pi2 * Ts * Ts), S_err / (two_pi2 * Ts * Ts)))
 
 
 def F_L_TM(T: float, params: SlabParams,
@@ -1340,7 +1329,7 @@ def F_L_TM(T: float, params: SlabParams,
     still about 13% below 3 at T = 1e-2 omega_p (see
     ``ThicknessSeries.tm_factor``).
     """
-    return _thickness_tm(T, params, settings or DEFAULT_SETTINGS)[0][0]
+    return Part.named(PARTS, "L_TM").evaluate(T, params, settings)[0][0]
 
 
 def S_L(ch: str, T: float, params: SlabParams,
@@ -1360,9 +1349,8 @@ def S_L(ch: str, T: float, params: SlabParams,
     h_L table for the evanescent half, and the same swapped pass, one
     column per weight, for the propagating half.
     """
-    Channel.validate(ch)
-    evaluate = _thickness_te if ch == Channel.TE else _thickness_tm
-    return evaluate(T, params, settings or DEFAULT_SETTINGS)[1][0]
+    return Part.named(PARTS, "L_" + Channel.validate(ch)).evaluate(
+        T, params, settings)[1][0]
 
 
 def slab_constant_d(settings: QuadSettings | None = None,
@@ -1479,12 +1467,10 @@ def _branch_weight(omega: float | np.ndarray, params: SlabParams):
     return out if np.ndim(omega) else float(out)
 
 
-def _exp(T, params: SlabParams, settings: QuadSettings):
+def _exp(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the optical-path part, whose
     subtracted branch weight leaves out its T^2 growth, in one pass for
-    every temperature of T."""
-    _check_T(T)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    every temperature of the array Ts."""
     W = max(40.0 * float(Ts.max()), 8.0 * params.omega_p)
     # Beyond 8 omega_p, |_branch_weight| <= 0.126 omega_p^4 / omega^2.
     (F, S), (F_err, S_err) = thermal_integral(
@@ -1492,8 +1478,7 @@ def _exp(T, params: SlabParams, settings: QuadSettings):
         _grid(Ts.min(), params, W), settings,
         _truncation_bound(Ts, W, 0.126 * params.omega_p ** 4, -2))
     c = params.L / (2.0 * math.pi ** 2)
-    return ((_like(T, c * Ts * F), _like(T, c * Ts * F_err)),
-            (_like(T, c * S), _like(T, c * S_err)))
+    return (c * Ts * F, c * Ts * F_err), (c * S, c * S_err)
 
 
 def validate_exp_part(params: SlabParams,
@@ -1520,7 +1505,7 @@ def F_exp_subtr(T: float, params: SlabParams,
     omega_p^3 L / (12 pi).  The oracle suite checks the closed route
     against the defining double integral (``validate_exp_part``).
     """
-    return _exp(T, params, settings or DEFAULT_SETTINGS)[0][0]
+    return Part.named(PARTS, "exp").evaluate(T, params, settings)[0][0]
 
 
 def F_exp(T: float, params: SlabParams,
@@ -1536,7 +1521,7 @@ def F_exp(T: float, params: SlabParams,
 def S_exp_subtr(T: float, params: SlabParams,
                 settings: QuadSettings | None = None) -> float:
     """Subtracted optical-path entropy; -> omega_p^3 L / (12 pi)."""
-    return _exp(T, params, settings or DEFAULT_SETTINGS)[1][0]
+    return Part.named(PARTS, "exp").evaluate(T, params, settings)[1][0]
 
 
 def F_exp_defining(T: float, params: SlabParams,
@@ -1621,9 +1606,9 @@ def plasmon_mode_residual(omega: float, k: float,
     return abs(_plasmon_mode(omega, k, params))
 
 
-# Lambdas of (T, params, settings) -> ((F, F_error), (S, S_error)), so
+# Lambdas of (Ts, params, settings) -> ((F, F_error), (S, S_error)), so
 # every call looks the part's evaluator up in this module.  Each evaluator
-# leaves out the part's growth and takes a float T or a 1-D array.  The
+# leaves out the part's growth and takes a 1-D array Ts only.  The
 # surface and exp parts run F and S at every temperature as columns of one
 # panel-rule pass (two for s_TM), L_TE of one sawtooth pass; only L_TM's
 # table half integrates each temperature's F and S weights one at a time
@@ -1632,15 +1617,15 @@ def plasmon_mode_residual(omega: float, k: float,
 # need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
-         lambda T, p, s: _surface_te(T, p, s), _s_te_growth),
+         lambda Ts, p, s: _surface_te(Ts, p, s), _s_te_growth),
     Part("s_TM", "s", ("F_s_TM_subtr", "S_s_TM_subtr"),
-         lambda T, p, s: _surface_tm(T, p, s), _s_tm_growth),
+         lambda Ts, p, s: _surface_tm(Ts, p, s), _s_tm_growth),
     Part("L_TE", "L", ("F_L_TE", "S_L_TE"),
-         lambda T, p, s: _thickness_te(T, p, s)),
+         lambda Ts, p, s: _thickness_te(Ts, p, s)),
     Part("L_TM", "L", ("F_L_TM", "S_L_TM"),
-         lambda T, p, s: _thickness_tm(T, p, s)),
+         lambda Ts, p, s: _thickness_tm(Ts, p, s)),
     Part("exp", "exp", ("F_exp_subtr", "S_exp_subtr"),
-         lambda T, p, s: _exp(T, p, s),
+         lambda Ts, p, s: _exp(Ts, p, s),
          lambda p: SubtractionSpec(c2=p.omega_p * p.omega_p * p.L / 24.0)),
 )
 
@@ -1656,8 +1641,7 @@ def total(T, params: SlabParams,
     array of T, each part's F and S are arrays over it, from one call per
     part.
     """
-    return ThermoPoint.evaluate(PARTS, T, params,
-                                settings or DEFAULT_SETTINGS)
+    return ThermoPoint.evaluate(PARTS, T, params, settings)
 
 
 def surface_te_channel(params: SlabParams) -> ScatteringChannel:

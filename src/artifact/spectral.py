@@ -56,6 +56,7 @@ from .numkernel import (
     fit_asymptotic,
     integrate_fixed,
     integrate_panels,
+    per_temperature,
     thermal_weights,
 )
 
@@ -169,33 +170,41 @@ class SubtractionSpec:
 class Part:
     """One additive part of a model's free energy and entropy.
 
-    ``evaluate(T, params, settings)`` returns ((F, F_error), (S, S_error)):
-    the part's subtracted free energy and entropy per unit area, one
-    spectral integral under the weights T log(1 - e^(-omega/T)) and its
-    -d/dT, each with the error estimate behind it, in the units of the
-    value it bounds (its prefactor applied).  A direct call runs at the
-    scale it is given (absolute tolerances do not scale) and over the
-    temperatures it is given in one pass; ``ThermoPoint.evaluate``
-    reduces to unit scale and passes it every temperature in one call.
-    The models build it as a lambda over their module's functions, looked
-    up at call time.  ``group`` selects the part in ``thermo --parts``;
-    ``columns`` are its CSV columns.  ``growth`` maps the parameters to
-    the high-temperature polynomial that F and S have removed: raw F = F
-    + ``growth(params).free_energy(T)`` and raw S = S +
-    ``growth(params).entropy(T)``; zero by default.
+    ``run(Ts, params, settings)``, its evaluator, takes a 1-D array of
+    temperatures only and returns ((F, F_error), (S, S_error)), arrays
+    over Ts: the part's subtracted free energy and entropy per unit area
+    (one spectral integral under the weights T log(1 - e^(-omega/T)) and
+    its -d/dT) and their error estimates, in the units of the value.
+    ``evaluate(T, params, settings)`` is the way in: T must be positive and
+    finite, a scalar (floats returned) or a non-empty 1-D array, else
+    ValueError (``numkernel.per_temperature``).  Both run at the scale and
+    over every temperature they are given in one pass; ``ThermoPoint``
+    reduces to unit scale.  The models build ``run`` as a lambda over
+    their module's functions, looked up at call time.  ``group`` selects
+    the part in ``thermo --parts``; ``columns`` are its CSV columns.
+    ``growth`` maps the parameters to the high-temperature polynomial that
+    F and S have removed: raw F = F + ``growth(params).free_energy(T)``
+    and raw S = S + ``growth(params).entropy(T)``; zero by default.
     """
 
     name: str
     group: str
     columns: tuple[str, str]
-    evaluate: Callable[[Any, Any, QuadSettings],
-                       tuple[tuple[Any, Any], tuple[Any, Any]]]
+    run: Callable[[np.ndarray, Any, QuadSettings], tuple]
     growth: Callable[[Any], SubtractionSpec] = lambda params: SubtractionSpec()
+
+    def evaluate(self, T, params: Any, settings: QuadSettings | None = None):
+        """((F, F_error), (S, S_error)) at T, floats for a scalar T."""
+        settings = settings or DEFAULT_SETTINGS
+        return per_temperature(T, self.run, params, settings)
 
     @staticmethod
     def named(parts: Sequence["Part"], name: str) -> "Part":
-        """The record called ``name`` in a model's ``PARTS``."""
-        return next(p for p in parts if p.name == name)
+        """The record called ``name`` in ``parts``; KeyError if none is."""
+        by_name = {p.name: p for p in parts}
+        if name not in by_name:
+            raise KeyError(f"no part named {name!r}; have {list(by_name)}")
+        return by_name[name]
 
 
 @dataclass(frozen=True)
@@ -221,13 +230,14 @@ class ThermoPoint:
 
     @classmethod
     def evaluate(cls, parts: Sequence[Part], T, params: Any,
-                 settings: QuadSettings) -> "ThermoPoint":
+                 settings: QuadSettings | None) -> "ThermoPoint":
         """Evaluate each part's (F, S) once, in turn, at unit scale.
 
         ``params.reduced()`` gives the frequency scale s and the unit-scale
         parameters; each part runs at T / s, and F and S are scaled back by
         s^3 and s^2.  Tolerances and error estimates refer to unit scale.
-        ``T`` is a float or a 1-D array, passed whole to each part.
+        ``T`` is a float or a 1-D array, passed whole to each part's
+        ``evaluate``, which checks it and fills in default settings.
         """
         s, unit = params.reduced()
         if np.ndim(T):

@@ -365,11 +365,25 @@ def test_entropy_scale_covariance(lam):
     assert s1 == pytest.approx(lam * lam * s0, rel=1e-7)
 
 
+# Temperatures that every thermal path refuses: T must be positive and
+# finite, a scalar or a non-empty 1-D array.
+BAD_TEMPERATURES = (0.0, -1.0, math.nan, math.inf, -math.inf, np.array([]),
+                    np.full((2, 2), 0.5), np.array([0.5, math.nan]))
+
+
 def test_invalid_temperature_rejected():
-    with pytest.raises(ValueError):
-        ps.free_energy_channel(Channel.TE, 0.0, P05)
-    with pytest.raises(ValueError):
-        ps.entropy_channel(Channel.TM, -1.0, P05)
+    # Each is refused at the one boundary (numkernel.per_temperature), by a
+    # public function, an unsubtracted route, total and a part's record.
+    part = Part.named(ps.PARTS, "sf")
+    for T in BAD_TEMPERATURES:
+        for call in (lambda: ps.free_energy_channel(Channel.TE, T, P05),
+                     lambda: ps.entropy_channel(Channel.TM, T, P05),
+                     lambda: ps.free_energy_channel_raw(Channel.TE, T, P05),
+                     lambda: ps.plasmon_free_energy_raw(T, P05),
+                     lambda: ps.total(T, P05),
+                     lambda: part.evaluate(T, P05)):
+            with pytest.raises(ValueError, match="temperature"):
+                call()
 
 
 @given(lam=st.floats(min_value=0.3, max_value=3.0),
@@ -605,12 +619,12 @@ def test_scan_grid_converges_in_forty_passes(monkeypatch):
 
 # (public thermal function, the fused (F, S) evaluation it selects from,
 # the half it returns)
-_SELECTORS = [(partial(sel, ch), partial(ps._channel, ch), half)
+_SELECTORS = [(partial(sel, ch), partial(ps._channel, ch=ch), half)
               for ch in Channel.ALL
               for sel, half in ((ps.free_energy_channel, 0),
                                 (ps.entropy_channel, 1))]
 _SELECTORS += [(partial(ps.free_energy_channel_raw, ch),
-                partial(ps._channel, ch, subtracted=False), 0)
+                partial(ps._channel, ch=ch, subtracted=False), 0)
                for ch in Channel.ALL]
 _SELECTORS += [(ps.plasmon_free_energy_raw,
                 partial(ps._plasmon, subtracted=False), 0),
@@ -629,7 +643,9 @@ def test_selectors_are_halves_of_the_fused_pass(params):
         value, error = fused(T, params, DEFAULT_SETTINGS)[half]
         assert np.array_equal(selector(T, params), value)
         assert error.shape == T.shape and np.all(error >= 0.0)
-        assert selector(1.3, params) == fused(1.3, params, None)[half][0]
+        one = fused(np.array([1.3]), params, DEFAULT_SETTINGS)[half][0]
+        assert selector(1.3, params) == float(one[0])
+        assert type(selector(1.3, params)) is float
 
 
 def test_entropy_channel_reports_its_own_error():

@@ -524,8 +524,9 @@ def test_thickness_te_runs_no_quadpack(monkeypatch):
     monkeypatch.setattr(slab, "integrate_finite", boom)
     monkeypatch.setattr(scipy.integrate, "quad", boom)
     for T in (1e-3, 1.0, 100.0):
-        (F, _), (S, _) = slab._thickness_te(T, P1, DEFAULT_SETTINGS)
-        assert math.isfinite(F) and math.isfinite(S)
+        (F, _), (S, _) = slab._thickness_te(np.array([T]), P1,
+                                            DEFAULT_SETTINGS)
+        assert np.isfinite(F[0]) and np.isfinite(S[0])
     assert math.isfinite(slab.slab_constant_d(route="TE").value)
 
 
@@ -541,8 +542,8 @@ def test_surface_and_exp_parts_run_no_quadpack(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", boom)
     for evaluate in (slab._surface_te, slab._surface_tm, slab._exp):
         for T in (1e-3, 1.0, 100.0):
-            (F, _), (S, _) = evaluate(T, P1, DEFAULT_SETTINGS)
-            assert math.isfinite(F) and math.isfinite(S)
+            (F, _), (S, _) = evaluate(np.array([T]), P1, DEFAULT_SETTINGS)
+            assert np.isfinite(F[0]) and np.isfinite(S[0])
 
     def table_only(*args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
@@ -594,7 +595,7 @@ def test_surface_and_exp_parts_follow_their_low_T_laws(T):
     # (1 + O(T log T)).  Scalar QUADPACK missed the peak at omega ~ T on
     # [T, omega_p] here and returned these a factor 1.6 to 3500 off.
     params = slab.SlabParams(omega_p=1.0, L=0.7)
-    (_, _), (S_te, _) = slab._surface_te(T, params, DEFAULT_SETTINGS)
+    (_, _), (S_te, _) = Part.named(slab.PARTS, "s_TE").evaluate(T, params)
     assert S_te == pytest.approx(-3.0 * ZETA3 * T * T / (2.0 * math.pi),
                                  rel=1e-3)
     assert slab.S_exp_subtr(T, params) == pytest.approx(0.7 * T / 12.0,
@@ -646,7 +647,7 @@ def test_thickness_te_memory_stays_flat():
     params = slab.SlabParams(omega_p=1.0, L=0.6)
     tracemalloc.start()
     try:
-        slab._thickness_te(1e-3, params, DEFAULT_SETTINGS)
+        slab._thickness_te(np.array([1e-3]), params, DEFAULT_SETTINGS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1105,11 +1106,25 @@ def test_total_is_exactly_scale_covariant():
     assert (a.F_total, a.S_total) == (8.0 * b.F_total, 4.0 * b.S_total)
 
 
+# Temperatures that every thermal path refuses: T must be positive and
+# finite, a scalar or a non-empty 1-D array.
+BAD_TEMPERATURES = (0.0, -2.0, math.nan, math.inf, -math.inf, np.array([]),
+                    np.full((2, 2), 0.5), np.array([0.5, math.nan]))
+
+
 def test_invalid_temperature_rejected():
-    with pytest.raises(ValueError):
-        slab.F_s_TE(0.0, P1)
-    with pytest.raises(ValueError):
-        slab.F_exp(-2.0, P1)
+    # Each is refused at the one boundary (numkernel.per_temperature), by
+    # the public functions (F_L_TE(inf) once returned -inf), total and a
+    # part's record.
+    part = Part.named(slab.PARTS, "L_TM")
+    for T in BAD_TEMPERATURES:
+        for call in (lambda: slab.F_s_TE(T, P1), lambda: slab.F_exp(T, P1),
+                     lambda: slab.F_L_TE(T, P1),
+                     lambda: slab.S_L(Channel.TM, T, P1),
+                     lambda: slab.total(T, P1),
+                     lambda: part.evaluate(T, P1)):
+            with pytest.raises(ValueError, match="temperature"):
+                call()
 
 
 def _check_unit_scaling(part, lam, T):

@@ -3,6 +3,7 @@ heat-kernel dictionary."""
 
 import ast
 import inspect
+import itertools
 import math
 import tracemalloc
 from functools import partial
@@ -313,6 +314,9 @@ def test_thermo_point_parts():
         plasma_sheet.plasmon_entropy_subtr(1.0, params))
     with pytest.raises(KeyError):
         point.part("nope")
+    # Part.named fails the same way, naming the part and the known ones.
+    with pytest.raises(KeyError, match=r"'nope'.*\['TE', 'TM', 'sf'\]"):
+        spectral.Part.named(plasma_sheet.PARTS, "nope")
     assert point.F_total == point.F[0] + point.F[1] + point.F[2]
     assert point.S_total == point.S[0] + point.S[1] + point.S[2]
 
@@ -321,11 +325,12 @@ def test_thermo_point_evaluates_parts_in_order():
     calls = []
 
     def part(name, F, S, errors):
-        def evaluate(T, params, settings):
-            calls.append((name, T, params, settings))
-            return (F, errors[0]), (S, errors[1])
-        return spectral.Part(name, name, (f"F_{name}", f"S_{name}"),
-                             evaluate)
+        # An evaluator takes the temperatures as a 1-D array only.
+        def run(Ts, params, settings):
+            calls.append((name, Ts.tolist(), params, settings))
+            return ((np.full_like(Ts, F), np.full_like(Ts, errors[0])),
+                    (np.full_like(Ts, S), np.full_like(Ts, errors[1])))
+        return spectral.Part(name, name, (f"F_{name}", f"S_{name}"), run)
 
     parts = (part("a", 1.0, -2.0, (1e-9, 2e-9)),
              part("b", 0.25, 0.5, (3e-9, 5e-10)))
@@ -337,8 +342,8 @@ def test_thermo_point_evaluates_parts_in_order():
         point = spectral.ThermoPoint.evaluate(parts, 3.0, params,
                                               DEFAULT_SETTINGS)
         t = 3.0 / s
-        assert calls == [("a", t, "p", DEFAULT_SETTINGS),
-                         ("b", t, "p", DEFAULT_SETTINGS)]
+        assert calls == [("a", [t], "p", DEFAULT_SETTINGS),
+                         ("b", [t], "p", DEFAULT_SETTINGS)]
         assert point.T == 3.0
         assert point.names == ("a", "b")
         assert point.part("b") == (0.25 * s ** 3, 0.5 * s ** 2)
@@ -470,6 +475,25 @@ def test_array_and_one_temperature_calls_agree(model, params):
                     part.name, T)
 
 
+@pytest.mark.parametrize("model, params",
+                         [(plasma_sheet, plasma_sheet.SheetParams(1.0, 0.8)),
+                          (slab, slab.SlabParams(1.0, 1.0))],
+                         ids=["sheet", "slab"])
+def test_part_run_is_array_only_behind_evaluate(model, params):
+    # A record's evaluator takes a 1-D array and returns four float arrays
+    # of its shape; evaluate at a float returns Python floats, bit for bit
+    # the entries of a one-element call.
+    Ts = np.array([0.05, 0.7, 9.0])
+    for part in model.PARTS:
+        for a in itertools.chain(*part.run(Ts, params, DEFAULT_SETTINGS)):
+            assert (isinstance(a, np.ndarray) and a.dtype == float
+                    and a.shape == Ts.shape), part.name
+        one = part.run(np.array([0.7]), params, DEFAULT_SETTINGS)
+        at = part.evaluate(0.7, params, DEFAULT_SETTINGS)
+        assert all(type(v) is float for v in itertools.chain(*at))
+        assert at == tuple(tuple(float(v[0]) for v in pair) for pair in one)
+
+
 def test_quad_error_is_per_temperature():
     # Over an array T, quad_error is each temperature's largest part
     # error, not the largest over the grid.
@@ -518,8 +542,7 @@ def test_thermo_point_passes_each_part_the_whole_array(monkeypatch):
     for module, names in _EVALUATORS:
         for name in names:
             def counted(*args, _evaluate=getattr(module, name)):
-                # The sheet's channels take their name before T.
-                sizes.append(np.size(args[isinstance(args[0], str)]))
+                sizes.append(np.size(args[0]))
                 return _evaluate(*args)
 
             monkeypatch.setattr(module, name, counted)

@@ -207,16 +207,7 @@ def _atan_series(z2, first: int, terms: int = 9):
     return out
 
 
-def _atan(z: float) -> float:
-    # np.arctan, not math.atan: the two differ in the last bit at some
-    # arguments, which the closed TE form amplifies next to the shell
-    # (2.7e-12 relative at Omega0 = 1, omega0 = 1.4125, omega = 1.328), and
-    # a float must get the array path's value.
-    return float(np.arctan(z))
-
-
-# The branches of the densities.  Each is plain arithmetic, so floats and
-# arrays share them; ``atan`` is np.arctan on arrays and _atan on floats.
+# The branches of the densities, on arrays of omega.
 
 def _te_series(w2, a, x, w02: float, O0: float):
     # x = 0 on the resonance shell, where the small-x series holds.
@@ -225,20 +216,20 @@ def _te_series(w2, a, x, w02: float, O0: float):
             / (O0 * w2))
 
 
-def _te_closed(w, w2, a, x, w02: float, O0: float, atan):
+def _te_closed(w, w2, a, x, w02: float, O0: float):
     a3 = a * a * a
     return (2.0 * w * w02 * O0 * a
-            + (a3 - 2.0 * w2 * w02 * O0 * O0) * atan(x)) / (w * a3)
+            + (a3 - 2.0 * w2 * w02 * O0 * O0) * np.arctan(x)) / (w * a3)
 
 
-def _te_subtr_large(w, w2, a, x, w02: float, O0: float, atan):
+def _te_subtr_large(w, w2, a, x, w02: float, O0: float):
     v = 1.0 / x
     a3 = a * a * a
     return (2.0 * O0 * w02 / (a * a)
             - O0 * w02 / (w2 * a)
             - math.pi * w * w02 * O0 * O0 / a3
             + v * v * v * _atan_series(v * v, 3, 30) / w
-            + 2.0 * w2 * w02 * O0 * O0 * atan(v) / (w * a3))
+            + 2.0 * w2 * w02 * O0 * O0 * np.arctan(v) / (w * a3))
 
 
 def _tm_series(w, a, u, O0: float):
@@ -246,8 +237,8 @@ def _tm_series(w, a, u, O0: float):
     return ((2.0 * a + O0 * O0) * s - O0 * O0 * u) / (w * O0 * O0)
 
 
-def _tm_closed(w, a, u, O0: float, atan):
-    return (2.0 * w * O0 - (2.0 * a + O0 * O0) * atan(u)) / (w * O0 * O0)
+def _tm_closed(w, a, u, O0: float):
+    return (2.0 * w * O0 - (2.0 * a + O0 * O0) * np.arctan(u)) / (w * O0 * O0)
 
 
 def _tm_subtr_series(w, w2, a, u, w0: float, O0: float):
@@ -257,31 +248,6 @@ def _tm_subtr_series(w, w2, a, u, w0: float, O0: float):
     lead = (O0 * (w2 * w2 * (w02 + O0 * O0) - w02 * w02 * w02)
             / (3.0 * w2 * a * a * a))
     return lead + (2.0 * a + O0 * O0) * s5 / (w * O0 * O0)
-
-
-def _density_float(ch: str, w: float, params: SheetParams,
-                   subtracted: bool) -> float:
-    """h or h_subtr at one float omega > 0, in Python floats: only the
-    chosen branch runs, and each value equals the array path's."""
-    w0, O0 = params.omega0, params.Omega0
-    w2 = w * w
-    a = w2 - w0 * w0
-    if ch == Channel.TE:
-        w02 = w0 * w0
-        x = a / (O0 * w)
-        if subtracted and x >= 2.0:
-            return _te_subtr_large(w, w2, a, x, w02, O0, _atan)
-        if abs(x) < 0.1:
-            out = _te_series(w2, a, x, w02, O0)
-        else:
-            out = _te_closed(w, w2, a, x, w02, O0, _atan)
-        return out - 0.5 * math.pi / w + O0 / w2 if subtracted else out
-    u = math.inf if a == 0.0 else O0 * w / a
-    if subtracted and abs(u) < 0.5:
-        return _tm_subtr_series(w, w2, a, u, w0, O0)
-    out = (_tm_series(w, a, u, O0) if abs(u) < 0.1
-           else _tm_closed(w, a, u, O0, _atan))
-    return out + O0 / (3.0 * w2) if subtracted else out
 
 
 def _density_array(ch: str, w: np.ndarray, params: SheetParams,
@@ -295,15 +261,15 @@ def _density_array(ch: str, w: np.ndarray, params: SheetParams,
         w02 = w0 * w0
         x = a / (O0 * w)
         out = np.where(abs(x) < 0.1, _te_series(w2, a, x, w02, O0),
-                       _te_closed(w, w2, a, x, w02, O0, np.arctan))
+                       _te_closed(w, w2, a, x, w02, O0))
         if not subtracted:
             return out
         return np.where(x >= 2.0,
-                        _te_subtr_large(w, w2, a, x, w02, O0, np.arctan),
+                        _te_subtr_large(w, w2, a, x, w02, O0),
                         out - 0.5 * math.pi / w + O0 / w2)
     u = np.where(a == 0.0, math.inf, O0 * w / a)
     out = np.where(abs(u) < 0.1, _tm_series(w, a, u, O0),
-                   _tm_closed(w, a, u, O0, np.arctan))
+                   _tm_closed(w, a, u, O0))
     if not subtracted:
         return out
     return np.where(abs(u) < 0.5, _tm_subtr_series(w, w2, a, u, w0, O0),
@@ -318,24 +284,17 @@ def _density(ch: str, omega, params: SheetParams, subtracted: bool):
     points are |x| < 0.1 (TE series) and |u| < 0.1 (TM series), and for
     the subtracted densities x >= 2 (TE) and |u| < 0.5 (TM): their closed
     forms cancel the removed tail to about u^4 of its size, which cost
-    1e-10 of relative accuracy at |u| = 0.1.  An array runs every branch
-    at every point (``_density_array``); a float, an int or a numpy
-    scalar runs only its branch in Python floats (``_density_float``),
-    several times faster per point than a one-element array, for the
-    scalar quadratures of ``thermo verify``.  Both paths share the
-    branches' formulas and give the same value bit for bit.
+    1e-10 of relative accuracy at |u| = 0.1.  Every branch runs at every
+    point (``_density_array``), and the switch points pick one; a float,
+    an int or a numpy scalar returns a Python float.
     """
     Channel.validate(ch)
-    if isinstance(omega, np.ndarray):
-        w = omega.astype(float, copy=False)
-        if np.any(w <= 0.0):
-            raise ValueError("omega must be positive")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _density_array(ch, w, params, subtracted)
-    w = float(omega)
-    if not w > 0.0:
+    w = np.asarray(omega, dtype=float)
+    if not np.all(w > 0.0):
         raise ValueError(f"omega must be positive, got {omega}")
-    return float(_density_float(ch, w, params, subtracted))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _density_array(ch, w, params, subtracted)
+    return out if isinstance(omega, np.ndarray) else float(out)
 
 
 def h(ch: str, omega: float | np.ndarray, params: SheetParams):

@@ -361,6 +361,8 @@ def _surface_te(Ts, params: SlabParams, settings: QuadSettings):
 
 def _raw(name: str, T, params: SlabParams, settings: QuadSettings | None):
     """Raw (F, S) of a part: its record's values plus its growth."""
+    if np.ndim(T):
+        T = np.asarray(T, dtype=float)
     part = Part.named(PARTS, name)
     (F, _), (S, _) = part.evaluate(T, params, settings)
     growth = part.growth(params)

@@ -236,9 +236,11 @@ class ThermoPoint:
         ``params.reduced()`` gives the frequency scale s and the unit-scale
         parameters; each part runs at T / s, and F and S are scaled back by
         s^3 and s^2.  Tolerances and error estimates refer to unit scale.
-        ``T`` is a float or a 1-D array, passed whole to each part's
-        ``evaluate``, which checks it and fills in default settings.
+        ``T`` is a float or a 1-D array, checked here in the caller's
+        units (``numkernel._check_T``) and passed whole to each part's
+        ``evaluate``, which fills in default settings.
         """
+        _check_T(T)
         s, unit = params.reduced()
         if np.ndim(T):
             T = np.asarray(T, dtype=float)

@@ -6,9 +6,10 @@ grouped into suites:
 
 ``oracle``
     Closed-form scattering quantities against their defining integral
-    representations, the sheet entropies of the panel rule against
-    scalar QUADPACK, transmission factorization and factor phases, and
-    plasmon dispersions.
+    representations (the sheet and slab densities against committed
+    mpmath values, ``references``), the sheet entropies of the panel rule
+    against their mpmath references, transmission factorization and
+    factor phases, and plasmon dispersions.
 ``asymptotics``
     Low- and high-temperature laws: Nernst slopes, fitted T^3/T^2
     coefficients, heat-kernel coefficients, slab low-T laws, slab high-T
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import plasma_sheet, slab, spectral
+from . import plasma_sheet, references, slab, spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
     QuadratureError,
@@ -47,7 +48,6 @@ from .numkernel import (
     bose_log,
     bose_occupation,
     fit_asymptotic,
-    g,
     integrate_finite,
     integrate_semiinf,
 )
@@ -133,31 +133,27 @@ def _nonnegative(suite, name, measured):
 # oracle suite
 # ---------------------------------------------------------------------------
 
-def _sheet_h_epsilon_quad(ch, omega, params, settings):
-    """h(omega) from the defining epsilon-integral of the phase derivative."""
-
-    def integrand(eps):
-        p = eps * omega
-        k = omega * math.sqrt(max(0.0, 1.0 - eps * eps))
-        return plasma_sheet.phase_shift_deriv(ch, p, k, params)
-
-    return integrate_finite(integrand, 0.0, 1.0, settings).value
+# The oracle rows below compare against mpmath values in ``references``,
+# which tests/make_references.py writes at the grids named here.
+_SHEET_H_OMEGA0 = (0.0, 0.5, 1.3)
+_SHEET_H_GRID = tuple(np.geomspace(1e-2, 50.0, 24).tolist())
 
 
-def _sheet_h_oracle_checks(settings):
+def _worst_gap(values, refs):
+    """The largest |value - ref| / max(1, |ref|) over the pairs."""
+    return max(abs(v - r) / max(1.0, abs(r)) for v, r in zip(values, refs))
+
+
+def _sheet_h_oracle_checks():
+    # The closed h against its defining epsilon-integral, one array call
+    # per row.
     out = []
-    grid = np.geomspace(1e-2, 50.0, 24).tolist()
-    for omega0 in (0.0, 0.5, 1.3):
+    for omega0 in _SHEET_H_OMEGA0:
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
         for ch in ("TE", "TM"):
-            worst = 0.0
-            for omega in grid:
-                if omega0 > 0.0 and abs(omega - omega0) < 1e-3:
-                    continue
-                closed = plasma_sheet.h(ch, omega, params)
-                quad = _sheet_h_epsilon_quad(ch, omega, params, settings)
-                dev = abs(closed - quad) / max(1.0, abs(quad))
-                worst = max(worst, dev)
+            worst = _worst_gap(
+                plasma_sheet.h(ch, np.array(_SHEET_H_GRID), params),
+                [references.SHEET_H[omega0, ch, w] for w in _SHEET_H_GRID])
             out.append(_below(
                 "oracle",
                 f"sheet h_{ch} closed vs epsilon-integral, omega0={omega0}",
@@ -217,33 +213,15 @@ def _sheet_defining_checks(settings):
     return out
 
 
-# The panel rule's sheet entropies against scalar QUADPACK at tight
-# tolerances, below, to omega0 on both sides of the window.
+# The panel rule's sheet entropies against their mpmath references, below,
+# to omega0 on both sides of the window.
 _PANEL_OMEGA0 = (0.0, 0.7125, 1.4125)
 _PANEL_T = tuple(float(T) for T in np.geomspace(1e-2, 1e3, 5))
-_QUADPACK_TIGHT = QuadSettings(abs_tol=1e-16, rel_tol=1e-13)
-
-
-def _sheet_entropy_quadpack(ch, T, params):
-    """S of one sheet channel by scalar QUADPACK over [0, cut]."""
-    w0 = params.omega0
-    cut = plasma_sheet._cutoff(params, np.array([T]))
-
-    def f(omega):
-        return omega * omega * g(omega / T) * plasma_sheet.h_subtr(
-            ch, omega, params)
-
-    val = integrate_finite(f, 0.0, cut, _QUADPACK_TIGHT,
-                           breakpoints=(w0, params.Omega0, T)).value
-    if w0 > 0.0:
-        val += plasma_sheet.shell_weight(ch, params) * g(w0 / T)
-    return val / (2.0 * math.pi ** 2)
 
 
 def _sheet_panel_rule_checks(settings):
-    # Each row: the worst |S_panel - S_quadpack| over the temperatures,
-    # in units of the error of S that the channel's part returns for that
-    # T.
+    # Each row: the worst |S_panel - S_reference| over the temperatures, in
+    # units of the error of S that the channel's part returns for that T.
     out = []
     for omega0 in _PANEL_OMEGA0:
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
@@ -253,11 +231,12 @@ def _sheet_panel_rule_checks(settings):
                                           settings)
             worst = 0.0
             for T, s, bound in zip(_PANEL_T, S, error):
-                gap = abs(s - _sheet_entropy_quadpack(ch, T, params))
-                worst = max(worst, gap / bound)
+                ref = references.SHEET_PARTS[omega0, ch, T][1]
+                worst = max(worst, abs(s - ref) / bound)
             out.append(_below(
-                "oracle", f"sheet S_{ch} panel rule vs QUADPACK within its "
-                f"bound, omega0={omega0}", worst, 1.0, label="<= 1"))
+                "oracle", f"sheet S_{ch} panel rule vs mpmath reference "
+                f"within its bound, omega0={omega0}", worst, 1.0,
+                label="<= 1"))
     return out
 
 
@@ -265,26 +244,15 @@ _SLAB_H_GRID = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.69, 0.75, 0.9, 0.97)
 _SLAB_H2_GRID = (1.03, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
 
 
-def _slab_h_oracle_checks(settings):
+def _slab_h_oracle_checks():
     params = slab.SlabParams(omega_p=1.0, L=1.0)
     out = []
-    worst = 0.0
-    for omega in _SLAB_H_GRID:
-        closed = slab.h(omega, params)
-        quad = slab.h_defining(omega, params, settings)
-        worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
-    out.append(_below(
-        "oracle", "slab surface h below omega_p, closed vs defining",
-        worst, 1e-8, label="<= 1e-08"))
-
-    worst = 0.0
-    for omega in _SLAB_H2_GRID:
-        closed = slab.h(omega, params)
-        quad = slab.h_defining(omega, params, settings)
-        worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
-    out.append(_below(
-        "oracle", "slab surface h above omega_p, closed vs defining",
-        worst, 1e-8, label="<= 1e-08"))
+    for grid, side in ((_SLAB_H_GRID, "below"), (_SLAB_H2_GRID, "above")):
+        worst = _worst_gap(slab.h(np.array(grid), params),
+                           [references.SLAB_H[w] for w in grid])
+        out.append(_below(
+            "oracle", f"slab surface h {side} omega_p, closed vs defining",
+            worst, 1e-8, label="<= 1e-08"))
 
     # Continuity at the interior breakpoints: one-sided linear extrapolation
     # from each side must give the same limit.
@@ -541,10 +509,10 @@ def _plasmon_checks():
 
 def _suite_oracle(settings):
     out = []
-    out.extend(_sheet_h_oracle_checks(settings))
+    out.extend(_sheet_h_oracle_checks())
     out.extend(_sheet_defining_checks(settings))
     out.extend(_sheet_panel_rule_checks(settings))
-    out.extend(_slab_h_oracle_checks(settings))
+    out.extend(_slab_h_oracle_checks())
     out.extend(_slab_exp_oracle_checks(settings))
     out.extend(_slab_surface_defining_checks(settings))
     out.extend(_slab_off_unit_checks(settings))

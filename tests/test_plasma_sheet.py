@@ -464,25 +464,6 @@ def test_density_arrays_match_mpmath_at_switch_points(ch, w0):
             assert fn(ch, float(w), params) == a
 
 
-@pytest.mark.parametrize("O0, w0", [(1.0, 0.0), (1.0, 0.5), (1.0, 0.7125),
-                                    (2.0, 1.4125)])
-@pytest.mark.parametrize("ch", Channel.ALL)
-def test_density_float_path_equals_array_path(ch, O0, w0):
-    # A float omega runs its own path in Python floats; it must give the
-    # array path's value bit for bit, across the range, on both sides of
-    # every switch point and on the resonance shell.
-    params = ps.SheetParams(Omega0=O0, omega0=w0)
-    omegas = np.geomspace(1e-4, 1e4, 2000).tolist()
-    omegas += [w * (1.0 + d) for w in _switch_frequencies(w0, O0)
-               for d in (-1e-9, 1e-9, -1e-3, 1e-3)]
-    if w0 > 0.0:
-        omegas.append(w0)
-    for fn in (ps.h, ps.h_subtr):
-        arrays = fn(ch, np.array(omegas), params)
-        floats = np.array([fn(ch, w, params) for w in omegas])
-        assert np.array_equal(floats, arrays), fn.__name__
-
-
 @pytest.mark.parametrize("omega", [2.0, 2, np.float64(2.0)])
 @pytest.mark.parametrize("fn", [ps.h, ps.h_subtr])
 @pytest.mark.parametrize("ch", Channel.ALL)

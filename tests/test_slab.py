@@ -1127,6 +1127,16 @@ def test_invalid_temperature_rejected():
                 call()
 
 
+@pytest.mark.parametrize("fn", [slab.F_s_TE, slab.S_s_TE, slab.F_s_TM,
+                                slab.S_s_TM, slab.F_exp])
+def test_raw_routes_take_a_list_of_temperatures(fn):
+    # The raw routes add their growth to the record's values; a list T
+    # once failed there.
+    got = fn([0.5, 1.0], P1)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, fn(np.array([0.5, 1.0]), P1))
+
+
 def _check_unit_scaling(part, lam, T):
     # T, omega_p -> lam *, L -> L / lam: F scales as lam^3, S as lam^2
     scaled = slab.SlabParams(omega_p=lam, L=1.0 / lam)

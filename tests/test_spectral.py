@@ -321,6 +321,21 @@ def test_thermo_point_parts():
     assert point.S_total == point.S[0] + point.S[1] + point.S[2]
 
 
+@pytest.mark.parametrize("total, params", [
+    (plasma_sheet.total, plasma_sheet.SheetParams(Omega0=2.0, omega0=0.5)),
+    (slab.total, slab.SlabParams(omega_p=2.0, L=1.0)),
+])
+@pytest.mark.parametrize("T, shown", [(-2.0, "-2.0"),
+                                      (np.array([1.0, -3.0]), "-3.")])
+def test_refused_temperature_is_named_in_the_callers_units(total, params,
+                                                           T, shown):
+    # Both models run at unit scale, T / 2 here; the message must show the
+    # T that was passed, not -1.0 or -1.5.
+    with pytest.raises(ValueError, match="temperature") as refused:
+        total(T, params)
+    assert shown in str(refused.value)
+
+
 def test_thermo_point_evaluates_parts_in_order():
     calls = []
 

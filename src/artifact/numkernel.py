@@ -20,11 +20,11 @@ The two thermal weights used throughout are
     bose_log(x) = log(1 - exp(-x))           (free-energy weight)
     g(x)        = x/(e^x - 1) - bose_log(x)   (entropy weight)
 
-both evaluated in cancellation-free form, as Python floats (``bose_log``,
-``g``) and, both at once, on numpy arrays (``thermal_weights``).  ``g`` is
-that one formula for every x, guarded only against the overflow of
-``expm1`` at large x.  scipy is imported by the two calls that run it, as
-the sheet needs numpy only.
+both evaluated in cancellation-free form, ``bose_log`` as a Python float
+and both at once on numpy arrays (``thermal_weights``).  ``g`` is that one
+formula for every x, guarded only against the overflow of ``expm1`` at
+large x.  scipy is imported by the two calls that run it, as the sheet
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "QuadratureError",
     "QuadSettings",
     "QuadResult",
-    "AsymptoticFit",
     "DEFAULT_SETTINGS",
     "integrate_finite",
     "integrate_semiinf",
@@ -47,7 +46,6 @@ __all__ = [
     "integrate_fixed",
     "find_root_bracketed",
     "bose_log",
-    "g",
     "thermal_weights",
     "weight_columns",
     "thermal_integral",
@@ -160,18 +158,6 @@ class QuadResult:
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
-
-
-@dataclass(frozen=True)
-class AsymptoticFit:
-    """Least-squares fit of thermal data onto named power-law terms."""
-
-    basis: tuple[str, ...]
-    coefficients: tuple[float, ...]
-    residual_norm: float
-
-    def coefficient(self, name: str) -> float:
-        return self.coefficients[self.basis.index(name)]
 
 
 def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -630,25 +616,11 @@ def bose_log(x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-def g(x: float) -> float:
-    """Entropy weight x/(e^x - 1) - log(1 - exp(-x)) for x > 0.
-
-    Positive and strictly decreasing; behaves as 1 - log(x) for small x
-    and as (x + 1) exp(-x) for large x.  Arises as
-    -d/dT [T * bose_log(omega/T)] at x = omega/T.  Both terms are positive,
-    so the sum loses nothing to cancellation; above x = 700, where
-    ``math.expm1`` nears overflow, (x + 1) exp(-x) is exact in floats.
-    """
-    if x <= 0.0:
-        raise ValueError(f"g requires x > 0, got {x}")
-    if x > 700.0:
-        return (x + 1.0) * math.exp(-x)
-    return x / math.expm1(x) - bose_log(x)
-
-
 def thermal_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(``bose_log``, ``g``) on an array, by the scalar formulas;
-    ``bose_log`` is computed once and enters ``g``.  Above x ~ 709.8,
+    """(``bose_log``, ``g``) on an array; ``bose_log`` by its scalar
+    formula, computed once and entering ``g``.  ``g`` = -d/dT [T
+    bose_log(omega/T)] at x = omega/T is positive and decreasing, a sum
+    of two positive terms with no cancellation.  Above x ~ 709.8,
     where ``expm1`` overflows, ``g`` keeps only -``bose_log``, which is
     below 1e-305 there."""
     x = np.asarray(x, dtype=float)
@@ -689,7 +661,7 @@ _BASIS_TERMS: dict[str, Callable[[float], float]] = {
 
 
 def fit_asymptotic(samples: Sequence[tuple[float, float]],
-                   basis: Sequence[str]) -> AsymptoticFit:
+                   basis: Sequence[str]) -> dict[str, float]:
     """Fit (T, value) samples onto named asymptotic terms.
 
     Parameters
@@ -701,9 +673,8 @@ def fit_asymptotic(samples: Sequence[tuple[float, float]],
 
     Returns
     -------
-    AsymptoticFit
-        Coefficients in the order of ``basis``; ``residual_norm`` is the
-        fit residual relative to the data norm.
+    dict
+        Term name -> fitted coefficient, in the order of ``basis``.
 
     Raises
     ------
@@ -734,7 +705,4 @@ def fit_asymptotic(samples: Sequence[tuple[float, float]],
         raise QuadratureError(
             f"asymptotic fit is rank deficient (rank {rank} < {len(names)})"
         )
-    coef = coef / col_scale
-    resid = ys - design @ coef
-    norm = float(np.linalg.norm(resid) / max(np.linalg.norm(ys), 1e-300))
-    return AsymptoticFit(names, tuple(float(c) for c in coef), norm)
+    return {n: float(c) for n, c in zip(names, coef / col_scale)}

@@ -48,6 +48,7 @@ from .numkernel import (
     _graded,
     _truncation_bound,
     find_root_bracketed,
+    fit_asymptotic,
     per_temperature,
     thermal_integral,
     thermal_weights,
@@ -55,7 +56,6 @@ from .numkernel import (
 )
 from .spectral import (
     Channel,
-    HeatKernelSet,
     Part,
     ScatteringChannel,
     SubtractionSpec,
@@ -118,20 +118,6 @@ class SheetParams:
         return self.Omega0, SheetParams(1.0, self.omega0 / self.Omega0)
 
 
-def _phase_pw(ch: str, p: float, k: float, params: SheetParams) -> float:
-    # (p, k) parametrization; p = 0 returns the edge limit.  a = omega^2 -
-    # omega0^2 keeps p^2 at k = omega0, which hypot(p, k)^2 loses to k^2.
-    w0, O0 = params.omega0, params.Omega0
-    a = p * p + (k - w0) * (k + w0)
-    if ch == Channel.TE:
-        if p == 0.0:
-            return -0.5 * math.pi if a > 0.0 else 0.5 * math.pi
-        return -math.atan(O0 * (p * p + k * k) / (a * p))
-    if p == 0.0:
-        return -math.pi if a < 0.0 else 0.0
-    return -0.5 * math.pi + math.atan(a / (O0 * p))
-
-
 def _phase_deriv_pw(ch: str, p: float, k: float,
                     params: SheetParams) -> float:
     # d delta/dp at fixed transverse momentum, rational in (p, k).
@@ -172,7 +158,17 @@ def phase_shift(ch: str, p: float, k: float, params: SheetParams) -> float:
     """
     Channel.validate(ch)
     _check_momenta(p, k, params)
-    return _phase_pw(ch, p, k, params)
+    # a = omega^2 - omega0^2 keeps p^2 at k = omega0, which hypot(p, k)^2
+    # loses to k^2.
+    w0, O0 = params.omega0, params.Omega0
+    a = p * p + (k - w0) * (k + w0)
+    if ch == Channel.TE:
+        if p == 0.0:
+            return -0.5 * math.pi if a > 0.0 else 0.5 * math.pi
+        return -math.atan(O0 * (p * p + k * k) / (a * p))
+    if p == 0.0:
+        return -math.pi if a < 0.0 else 0.0
+    return -0.5 * math.pi + math.atan(a / (O0 * p))
 
 
 def phase_shift_deriv(ch: str, p: float, k: float,
@@ -668,8 +664,9 @@ def high_T_log_coefficient(params: SheetParams,
                       sum(r.evaluations for r in rules))
 
 
-def heat_kernel_coeffs(params: SheetParams) -> HeatKernelSet:
-    """Analytic heat-kernel coefficients per channel.
+def heat_kernel_coeffs(params: SheetParams
+                       ) -> dict[str, tuple[float, float, float]]:
+    """Analytic heat-kernel coefficients (a_1/2, a_1, a_3/2) per channel.
 
     The TM entry combines the photonic TM part with the surface mode,
     which carries that channel's T^3 and T log T behavior; the TE entry
@@ -678,24 +675,19 @@ def heat_kernel_coeffs(params: SheetParams) -> HeatKernelSet:
     w0, O0 = params.omega0, params.Omega0
     x = params.ell2
     rt_pi = math.sqrt(math.pi)
-    a_half = {
-        Channel.TE: rt_pi,
-        Channel.TM: 2.0 * rt_pi * (1.0 - 2.0 * w0 * w0 / (O0 * O0)),
+    return {
+        Channel.TE: (rt_pi, -2.0 * O0, rt_pi * (O0 * O0 - 2.0 * w0 * w0)),
+        Channel.TM: (2.0 * rt_pi * (1.0 - 2.0 * w0 * w0 / (O0 * O0)),
+                     -2.0 * O0 / 3.0,
+                     2.0 * rt_pi * x * x / (O0 * O0) if x > 0.0 else 0.0),
     }
-    a_one = {
-        Channel.TE: -2.0 * O0,
-        Channel.TM: -2.0 * O0 / 3.0,
-    }
-    a_three_half = {
-        Channel.TE: rt_pi * (O0 * O0 - 2.0 * w0 * w0),
-        Channel.TM: 2.0 * rt_pi * x * x / (O0 * O0) if x > 0.0 else 0.0,
-    }
-    return HeatKernelSet(a_half, a_one, a_three_half, {})
 
 
 def heat_kernel_fit(params: SheetParams,
-                    settings: QuadSettings | None = None) -> HeatKernelSet:
-    """Heat-kernel coefficients from high-temperature fits.
+                    settings: QuadSettings | None = None
+                    ) -> dict[str, tuple[float, float, float]]:
+    """Heat-kernel coefficients (a_1/2, a_1, a_3/2) per channel from
+    high-temperature fits.
 
     Fits the raw channel free energies at 12 log-spaced temperatures
     from 100 to 1000 max(Omega0, omega0) over the basis
@@ -714,8 +706,12 @@ def heat_kernel_fit(params: SheetParams,
     tm = (free_energy_channel_raw(Channel.TM, Ts, params, settings)
           + c3_sf * Ts ** 3
           + plasmon_free_energy_subtr(Ts, params, settings))
-    return spectral.extract_heat_kernel({Channel.TE: list(zip(Ts, te)),
-                                         Channel.TM: list(zip(Ts, tm))})
+    out = {}
+    for ch, F in ((Channel.TE, te), (Channel.TM, tm)):
+        fit = fit_asymptotic(list(zip(Ts, F)), ("T3", "T2", "TlogT", "T"))
+        out[ch] = spectral.heat_kernel_from_expansion(
+            fit["T3"], fit["T2"], fit["TlogT"])
+    return out
 
 
 def a_three_half_te_crossing(Omega0: float = 1.0,

@@ -34,7 +34,8 @@ underlying spectral problem:
     a_1    = -24 c_T2
     a_3/2  = -(4 pi)^(3/2) c_TlogT
 
-``extract_heat_kernel`` performs the fit and mapping per channel.
+``heat_kernel_from_expansion`` performs that mapping on the coefficients
+of ``numkernel.fit_asymptotic``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .numkernel import (
     QuadSettings,
     _check_T,
     _semiinf_cut,
-    fit_asymptotic,
     integrate_fixed,
     integrate_panels,
     per_temperature,
@@ -66,12 +66,9 @@ __all__ = [
     "SubtractionSpec",
     "Part",
     "ThermoPoint",
-    "HeatKernelSet",
     "free_energy_defining",
     "entropy_defining",
     "heat_kernel_from_expansion",
-    "expansion_from_heat_kernel",
-    "extract_heat_kernel",
     "ZETA3",
     "ZETA5",
 ]
@@ -520,54 +517,3 @@ def heat_kernel_from_expansion(c_t3: float, c_t2: float,
     a_one = -24.0 * c_t2
     a_three_half = -(4.0 * math.pi) ** 1.5 * c_tlogt
     return a_half, a_one, a_three_half
-
-
-def expansion_from_heat_kernel(a_half: float, a_one: float,
-                               a_three_half: float
-                               ) -> tuple[float, float, float]:
-    """Inverse of ``heat_kernel_from_expansion``."""
-    c_t3 = -ZETA3 * a_half / (4.0 * math.pi ** 1.5)
-    c_t2 = -a_one / 24.0
-    c_tlogt = -a_three_half / (4.0 * math.pi) ** 1.5
-    return c_t3, c_t2, c_tlogt
-
-
-@dataclass(frozen=True)
-class HeatKernelSet:
-    """Heat-kernel coefficients per part, with fit residuals."""
-
-    a_half: dict[str, float]
-    a_one: dict[str, float]
-    a_three_half: dict[str, float]
-    fit_residuals: dict[str, float]
-
-
-def extract_heat_kernel(samples: Mapping[str, Sequence[tuple[float, float]]]
-                        ) -> HeatKernelSet:
-    """Fit raw high-T free energies and map them to heat-kernel terms.
-
-    Parameters
-    ----------
-    samples : mapping
-        Part name -> (T, F_raw) samples on a high-temperature grid, fitted
-        over the basis {T^3, T^2, T log T, T}.
-
-    Returns
-    -------
-    HeatKernelSet
-    """
-    a_half: dict[str, float] = {}
-    a_one: dict[str, float] = {}
-    a_three_half: dict[str, float] = {}
-    resid: dict[str, float] = {}
-    for name, data in samples.items():
-        fit = fit_asymptotic(data, ("T3", "T2", "TlogT", "T"))
-        ah, a1, a32 = heat_kernel_from_expansion(
-            fit.coefficient("T3"), fit.coefficient("T2"),
-            fit.coefficient("TlogT"))
-        a_half[name] = ah
-        a_one[name] = a1
-        a_three_half[name] = a32
-        resid[name] = fit.residual_norm
-    return HeatKernelSet(a_half, a_one, a_three_half, resid)
-

@@ -211,8 +211,9 @@ def test_asymptotics_suite_passes_its_settings_to_the_te_crossing(
         seen.append(settings)
         raise Stop
 
-    # The heat-kernel fits come first and cost seconds; their exact
-    # values are enough to reach the crossing.
+    # The heat-kernel fits come first and cost seconds; the exact
+    # {channel: (a_1/2, a_1, a_3/2)} values are enough to reach the
+    # crossing.
     monkeypatch.setattr(ps, "heat_kernel_fit",
                         lambda params, settings=None:
                         ps.heat_kernel_coeffs(params))

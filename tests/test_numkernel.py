@@ -12,7 +12,6 @@ import numpy as np
 from artifact import numkernel
 from artifact.numkernel import (
     DEFAULT_SETTINGS,
-    AsymptoticFit,
     QuadratureError,
     QuadSettings,
     bose_kernel,
@@ -20,7 +19,6 @@ from artifact.numkernel import (
     bose_occupation,
     find_root_bracketed,
     fit_asymptotic,
-    g,
     integrate_finite,
     integrate_fixed,
     integrate_panels,
@@ -30,6 +28,11 @@ from artifact.numkernel import (
 
 ZETA3 = 1.2020569031595943
 ZETA5 = 1.0369277551433699
+
+
+def g(x):
+    """The entropy weight at one point, from ``thermal_weights``."""
+    return float(thermal_weights(x)[1])
 
 
 def test_integrate_finite_sin():
@@ -84,7 +87,7 @@ def test_special_values():
 
 
 def test_weight_domain_errors():
-    for fn in (bose_log, g, bose_occupation, bose_kernel):
+    for fn in (bose_log, thermal_weights, bose_occupation, bose_kernel):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):
@@ -137,11 +140,11 @@ def _poly_samples(coeffs, n=12):
 def test_fit_asymptotic_exact_recovery():
     fit = fit_asymptotic(_poly_samples((2.0, -0.5, 0.3, -0.1)),
                          basis=("T3", "T2", "TlogT", "T"))
-    assert isinstance(fit, AsymptoticFit)
-    assert fit.coefficient("T3") == pytest.approx(2.0, rel=1e-10)
-    assert fit.coefficient("T2") == pytest.approx(-0.5, rel=1e-9)
-    assert fit.coefficient("TlogT") == pytest.approx(0.3, rel=1e-8)
-    assert fit.coefficient("T") == pytest.approx(-0.1, rel=1e-7)
+    assert list(fit) == ["T3", "T2", "TlogT", "T"]
+    assert fit["T3"] == pytest.approx(2.0, rel=1e-10)
+    assert fit["T2"] == pytest.approx(-0.5, rel=1e-9)
+    assert fit["TlogT"] == pytest.approx(0.3, rel=1e-8)
+    assert fit["T"] == pytest.approx(-0.1, rel=1e-7)
 
 
 @given(c3=st.floats(min_value=-2.0, max_value=2.0),
@@ -151,8 +154,8 @@ def test_fit_asymptotic_two_term(c3, c2):
     samples = [(t, c3 * t ** 3 + c2 * t ** 2)
                for t in (100.0, 160.0, 250.0, 400.0, 630.0, 1000.0)]
     fit = fit_asymptotic(samples, basis=("T3", "T2"))
-    assert fit.coefficient("T3") == pytest.approx(c3, abs=1e-10 + 1e-9 * abs(c3))
-    assert fit.coefficient("T2") == pytest.approx(c2, abs=1e-7 + 1e-9 * abs(c2))
+    assert fit["T3"] == pytest.approx(c3, abs=1e-10 + 1e-9 * abs(c3))
+    assert fit["T2"] == pytest.approx(c2, abs=1e-7 + 1e-9 * abs(c2))
 
 
 def test_fit_asymptotic_rejects_unknown_basis():
@@ -216,14 +219,14 @@ def test_g_matches_mpmath():
         ref = np.array([
             float(v / mpmath.expm1(v) - mpmath.log1p(-mpmath.exp(-v)))
             for v in map(mpmath.mpf, x)])
-    assert np.abs([g(v) for v in x] / ref - 1.0).max() <= 1e-15
     assert np.abs(thermal_weights(x)[1] / ref - 1.0).max() <= 1e-15
 
 
 def test_weight_arrays_match_scalar_forms():
     # Both sides of bose_log's branch point ln 2, and of 1e-12 and 30.
-    # Beyond 709.8 the array g drops x/expm1(x), which overflows there,
-    # and matches scalar g only within the default absolute 1e-12.
+    # g against x n(x) - bose_log(x) from the scalar occupation; beyond
+    # 700 n(x) is 0 and the two match only within the default absolute
+    # 1e-12.
     x = np.concatenate([np.geomspace(1e-14, 800.0, 400),
                         [math.log(2.0) * (1 + d) for d in (-1e-12, 1e-12)],
                         [1e-12 * (1 + d) for d in (-1e-9, 1e-9)],
@@ -231,7 +234,8 @@ def test_weight_arrays_match_scalar_forms():
     blog, g_x = thermal_weights(x)
     assert blog == pytest.approx([bose_log(v) for v in x], rel=4e-15,
                                  abs=0.0)
-    assert g_x == pytest.approx([g(v) for v in x], rel=4e-15)
+    assert g_x == pytest.approx(
+        [v * bose_occupation(v) - bose_log(v) for v in x], rel=4e-15)
     with pytest.raises(ValueError):
         thermal_weights(np.array([1.0, 0.0]))
 

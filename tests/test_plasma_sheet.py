@@ -339,17 +339,19 @@ def test_high_T_log_coefficient_matches_closed_form(w0):
 
 
 def test_heat_kernel_closed_coefficients():
+    # (a_1/2, a_1, a_3/2) per channel
     hk = ps.heat_kernel_coeffs(P05)
-    assert hk.a_half[Channel.TE] == pytest.approx(math.sqrt(math.pi),
-                                                  rel=1e-14)
-    assert hk.a_one[Channel.TE] == pytest.approx(-2.0, rel=1e-14)
-    assert hk.a_half[Channel.TM] == pytest.approx(
-        2.0 * math.sqrt(math.pi) * (1.0 - 2.0 * 0.25), rel=1e-14)
-    assert hk.a_one[Channel.TM] == pytest.approx(-2.0 / 3.0, rel=1e-14)
+    assert set(hk) == {Channel.TE, Channel.TM}
+    assert hk[Channel.TE] == pytest.approx(
+        (math.sqrt(math.pi), -2.0, math.sqrt(math.pi) * (1.0 - 2.0 * 0.25)),
+        rel=1e-14)
+    assert hk[Channel.TM][:2] == pytest.approx(
+        (2.0 * math.sqrt(math.pi) * (1.0 - 2.0 * 0.25), -2.0 / 3.0),
+        rel=1e-14)
     # x = omega0^2 - Omega0^2/2 < 0 here: no T log T weight
-    assert hk.a_three_half[Channel.TM] == 0.0
+    assert hk[Channel.TM][2] == 0.0
     x = 1.3 ** 2 - 0.5
-    assert ps.heat_kernel_coeffs(P13).a_three_half[Channel.TM] == (
+    assert ps.heat_kernel_coeffs(P13)[Channel.TM][2] == (
         pytest.approx(2.0 * math.sqrt(math.pi) * x * x, rel=1e-14))
 
 
@@ -681,7 +683,9 @@ def test_truncation_bound_covers_the_dropped_tail():
     T = 1000.0
     cut = ps._cutoff(params, np.array([T]))
     bounds = numkernel._truncation_bound(np.array([T]), cut, 2.0, 1)[:, 0]
-    for weight, bound in zip((numkernel.bose_log, numkernel.g), bounds):
+    weights = (numkernel.bose_log,
+               lambda x: float(numkernel.thermal_weights(x)[1]))
+    for weight, bound in zip(weights, bounds):
         tail = numkernel.integrate_semiinf(
             lambda w: w * w * weight(w / T) * ps.h(Channel.TE, w, params),
             cut, DEFAULT_SETTINGS, scale=T).value

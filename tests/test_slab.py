@@ -631,7 +631,8 @@ def test_surface_and_exp_tail_bounds_cover_the_dropped_tail(T):
               slab._truncation_bound(Ts, cut, 0.68 * wp ** 3, -1)[:, 0]
               * [1.0, T]),
              (lambda w: slab._branch_weight(w, P1),
-              lambda w: [numkernel.bose_log(w / T), numkernel.g(w / T)],
+              lambda w: [numkernel.bose_log(w / T),
+                         float(numkernel.thermal_weights(w / T)[1])],
               slab._truncation_bound(Ts, cut, 0.126 * wp ** 4, -2)[:, 0])]
     for density, weights, bounds in cases:
         for j, bound in enumerate(bounds):

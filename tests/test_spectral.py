@@ -70,20 +70,42 @@ def test_subtraction_preserves_thermodynamic_identity():
         assert F_sub == pytest.approx(0.4 * T ** 4, rel=1e-12)
 
 
-def test_fitted_expansion_maps_to_heat_kernel_coefficients():
-    # Samples of known expansions on the sheet's fit grid: the heat-kernel
-    # map of the fitted coefficients is that of the known ones.
-    ts = [100.0 * 10.0 ** (i / 11.0) for i in range(12)]
-    for c3, c2, c_log, c_T in ((-0.08, 0.08, 0.0, 0.03),
-                               (-0.16, 0.02, -0.018, -0.5)):
-        samples = [(t, c3 * t ** 3 + c2 * t ** 2 + c_log * t * math.log(t)
-                    + c_T * t) for t in ts]
-        fit = fit_asymptotic(samples, ("T3", "T2", "TlogT", "T"))
+def _expansion_from_heat_kernel(a_half, a_one, a_three_half):
+    # The inverse of the dictionary in the ``spectral`` module docstring.
+    return (-spectral.ZETA3 * a_half / (4.0 * math.pi ** 1.5),
+            -a_one / 24.0,
+            -a_three_half / (4.0 * math.pi) ** 1.5)
+
+
+@given(a_half=st.floats(min_value=-4.0, max_value=4.0),
+       a_one=st.floats(min_value=-4.0, max_value=4.0),
+       a_three_half=st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=40, deadline=None)
+def test_heat_kernel_dictionary_round_trip(a_half, a_one, a_three_half):
+    c3, c2, c_log = _expansion_from_heat_kernel(a_half, a_one, a_three_half)
+    back = heat_kernel_from_expansion(c3, c2, c_log)
+    assert back[0] == pytest.approx(a_half, rel=1e-12, abs=1e-12)
+    assert back[1] == pytest.approx(a_one, rel=1e-12, abs=1e-12)
+    assert back[2] == pytest.approx(a_three_half, rel=1e-12, abs=1e-12)
+
+
+def test_extract_heat_kernel_recovers_synthetic_coefficients():
+    # Samples of known expansions on the sheet's fit grid: fitting them
+    # and mapping the fitted coefficients gives back the heat-kernel terms.
+    a = {"TE": (1.5, -2.0, 0.0), "TM": (3.0, -0.5, 0.8)}
+    basis = ("T3", "T2", "TlogT", "T")
+    ts = np.array([100.0 * 10.0 ** (i / 11.0) for i in range(12)])
+    for ah, a1, a32 in a.values():
+        c3, c2, cl = _expansion_from_heat_kernel(ah, a1, a32)
+        ys = c3 * ts ** 3 + c2 * ts ** 2 + cl * ts * np.log(ts) + 0.03 * ts
+        fit = fit_asymptotic(list(zip(ts, ys)), basis)
         got = heat_kernel_from_expansion(fit["T3"], fit["T2"], fit["TlogT"])
-        want = heat_kernel_from_expansion(c3, c2, c_log)
-        assert got[0] == pytest.approx(want[0], rel=1e-8)
-        assert got[1] == pytest.approx(want[1], rel=1e-7)
-        assert got[2] == pytest.approx(want[2], rel=1e-6, abs=1e-8)
+        assert got[0] == pytest.approx(ah, rel=1e-8)
+        assert got[1] == pytest.approx(a1, rel=1e-7)
+        assert got[2] == pytest.approx(a32, rel=1e-6, abs=1e-8)
+        model = (fit["T3"] * ts ** 3 + fit["T2"] * ts ** 2
+                 + fit["TlogT"] * ts * np.log(ts) + fit["T"] * ts)
+        assert np.linalg.norm(model - ys) / np.linalg.norm(ys) < 1e-9
 
 
 def validate_channel_derivative(phase, deriv, points, scale=1.0, tol=1e-5):

@@ -17,11 +17,11 @@ against F's and S's thermal weights at once and adds its tail bound.
 
 The two thermal weights used throughout are
 
-    bose_log(x) = log(1 - exp(-x))           (free-energy weight)
-    g(x)        = x/(e^x - 1) - bose_log(x)   (entropy weight)
+    blog(x) = log(1 - exp(-x))           (free-energy weight)
+    g(x)    = x/(e^x - 1) - blog(x)      (entropy weight)
 
-both evaluated in cancellation-free form, ``bose_log`` as a Python float
-and both at once on numpy arrays (``thermal_weights``).  ``g`` is that one
+both evaluated at once, in cancellation-free form, on numpy arrays by
+``thermal_weights``, the module's one weight kernel.  ``g`` is that one
 formula for every x, guarded only against the overflow of ``expm1`` at
 large x.  scipy is imported by the two calls that run it, as the sheet
 needs numpy only.
@@ -41,17 +41,13 @@ __all__ = [
     "QuadResult",
     "DEFAULT_SETTINGS",
     "integrate_finite",
-    "integrate_semiinf",
     "integrate_panels",
     "integrate_fixed",
     "find_root_bracketed",
-    "bose_log",
     "thermal_weights",
     "weight_columns",
     "thermal_integral",
     "per_temperature",
-    "bose_occupation",
-    "bose_kernel",
     "fit_asymptotic",
 ]
 
@@ -228,55 +224,13 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     return QuadResult(value, err, int(out[2]["neval"]))
 
 
-def integrate_semiinf(f: Callable[[float], float], a: float,
-                      settings: QuadSettings | None = None, *,
-                      scale: float,
-                      breakpoints: Sequence[float] = ()) -> QuadResult:
-    """Integrate a decaying ``f`` over [a, infinity).
-
-    The cutoff is found by scanning octaves of ``scale`` until the
-    integrand has fallen below ``_SEMIINF_DECAY_CUT`` times its running
-    maximum and keeps at least halving per octave; a geometric bound on
-    the discarded tail is added to the error estimate.
-
-    Parameters
-    ----------
-    f : callable
-        Integrand, must decay at least geometrically per octave beyond
-        some finite point (exponential decay in practice).
-    a : float
-        Lower limit.
-    settings : QuadSettings, optional
-    scale : float
-        Characteristic decay scale used to seed the truncation scan.
-    breakpoints : sequence of float, optional
-        Forwarded to the finite integration after truncation.
-
-    Returns
-    -------
-    QuadResult
-        ``error_estimate`` includes the tail bound.
-
-    Raises
-    ------
-    QuadratureError
-        If no admissible truncation point is found within a huge range
-        of ``scale`` (tail-bound failure) or the finite part fails.
-    """
-    settings = settings or DEFAULT_SETTINGS
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise QuadratureError(f"positive finite scale required, got {scale}")
-
-    x2, tail_bound = _semiinf_cut(f, a, scale)
-    res = integrate_finite(f, a, x2, settings, breakpoints)
-    return QuadResult(res.value, res.error_estimate + tail_bound,
-                      res.evaluations)
-
-
 def _semiinf_cut(f: Callable[[float], float], a: float,
                  scale: float) -> tuple[float, float]:
-    """(cutoff, tail bound) of the truncation scan of ``integrate_semiinf``
-    for a decaying ``f`` on [a, infinity)."""
+    """(cutoff, tail bound) for a decaying ``f`` on [a, infinity): the
+    cutoff doubles from a + ``scale`` until ``f`` has fallen below
+    ``_SEMIINF_DECAY_CUT`` times its running maximum and keeps at least
+    quartering per doubling, and the bound is the power-law envelope of
+    the last two samples beyond it: an estimate, not a proof."""
     fmax = 0.0
     x = a + scale
     prev = abs(f(x))
@@ -512,10 +466,10 @@ def _graded(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 def _tail_moment(n: int, X: np.ndarray) -> np.ndarray:
     """Bounds on Int_X^inf x^n |w(x)| dx for both weights w, X >= 40.
 
-    |bose_log(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
+    |blog(x)| <= e^-x / (1 - e^-X) and g(x) <= (x + 1) e^-x / (1 - e^-X)
     for x >= X, and Int_X^inf x^m e^-x dx = m! e^-X Sum_{i<=m} X^i / i!.
     A negative n is bounded by X^n times the n = 0 moment.  Row 0 bounds
-    bose_log, row 1 g, and also the occupations n(x) <= e^-x / (1 - e^-X)
+    blog, row 1 g, and also the occupations n(x) <= e^-x / (1 - e^-X)
     and x n'(x) <= x e^-x / (1 - e^-X)^2, whose moment is below row 1's.
     """
     def upper_gamma(m: int) -> np.ndarray:
@@ -539,7 +493,7 @@ def _truncation_bound(Ts: np.ndarray, cut: float, A: float,
 
 
 def weight_columns(Ts: np.ndarray):
-    """bose_log and g at omega/T for each of the m temperatures ``Ts``: a
+    """blog and g at omega/T for each of the m temperatures ``Ts``: a
     map of n frequencies to two (n, m) arrays."""
     return lambda omega: thermal_weights(omega[:, None] / Ts)
 
@@ -549,9 +503,9 @@ def thermal_integral(density, weights, grid, settings: QuadSettings, tail):
     weights w at m temperatures, in one panel rule.
 
     ``density`` maps an array of n omega to an array, ``weights`` to F's
-    and S's weights, two (n, m) arrays (``weight_columns``: bose_log and
-    g).  ``grid`` is (lo, hi, anchor, points), the arguments of the graded
-    panel grid (``_graded``).  ``tail`` bounds what is dropped past hi
+    and S's weights, two (n, m) arrays (``weight_columns``: blog and g).
+    ``grid`` is (lo, hi, anchor, points), the arguments of the graded panel
+    grid (``_graded``).  ``tail`` bounds what is dropped past hi
     (``_truncation_bound``) and is added to the errors.  Returns values and
     errors as two (2, m) arrays, row 0 under F's weight and row 1 S's.
     """
@@ -603,26 +557,14 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
     return float(brentq(f, lo, hi, xtol=x_tol, rtol=8.9e-16))
 
 
-def bose_log(x: float) -> float:
-    """log(1 - exp(-x)) for x > 0, without cancellation.
-
-    Negative and strictly increasing; behaves as log(x) for small x and
-    as -exp(-x) for large x.
-    """
-    if x <= 0.0:
-        raise ValueError(f"bose_log requires x > 0, got {x}")
-    if x < _LN2:
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
-
-
 def thermal_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(``bose_log``, ``g``) on an array; ``bose_log`` by its scalar
-    formula, computed once and entering ``g``.  ``g`` = -d/dT [T
-    bose_log(omega/T)] at x = omega/T is positive and decreasing, a sum
-    of two positive terms with no cancellation.  Above x ~ 709.8,
-    where ``expm1`` overflows, ``g`` keeps only -``bose_log``, which is
-    below 1e-305 there."""
+    """(blog, g) of the module docstring on an array, x > 0.  blog =
+    log(1 - e^-x) is negative and increasing, log(-expm1(-x)) below ln 2
+    and log1p(-e^-x) above, so neither side cancels; it is computed once
+    and enters ``g``.  ``g`` = -d/dT [T blog(omega/T)] at x = omega/T is
+    positive and decreasing, a sum of two positive terms with no
+    cancellation.  Above x ~ 709.8, where ``expm1`` overflows, ``g`` keeps
+    only -blog, which is below 1e-305 there."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("thermal weights require x > 0")
@@ -630,25 +572,6 @@ def thermal_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         blog = np.where(x < _LN2, np.log(-np.expm1(-x)),
                         np.log1p(-np.exp(-x)))
         return blog, x / np.expm1(x) - blog
-
-
-def bose_occupation(x: float) -> float:
-    """1/(e^x - 1) for x > 0, stable for large and small x."""
-    if x <= 0.0:
-        raise ValueError(f"bose_occupation requires x > 0, got {x}")
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
-
-
-def bose_kernel(x: float) -> float:
-    """e^x / (e^x - 1)^2 = -d/dx 1/(e^x - 1), for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"bose_kernel requires x > 0, got {x}")
-    if x > 700.0:
-        return 0.0
-    e = math.exp(-x)
-    return e / math.expm1(-x) ** 2
 
 
 _BASIS_TERMS: dict[str, Callable[[float], float]] = {

@@ -55,8 +55,6 @@ from .numkernel import (
     QuadSettings,
     _check_T,
     _truncation_bound,
-    bose_kernel,
-    bose_occupation,
     find_root_bracketed,
     integrate_finite,
     integrate_fixed,
@@ -103,7 +101,6 @@ __all__ = [
     "F_exp",
     "F_exp_subtr",
     "S_exp_subtr",
-    "F_exp_defining",
     "validate_exp_part",
     "plasmon_dispersion",
     "plasmon_mode_residual",
@@ -400,10 +397,13 @@ def _s_te_growth(params: SlabParams) -> SubtractionSpec:
 
 def _tm_weights(T: float):
     """The thermal weights of a TM frequency moment, w n(w/T) for F and
-    w^2 n'(w/T) for S (n' = -dn/dx), with their limits T and T^2 at w = 0.
-    Both are positive and decreasing."""
-    return (lambda w: w * bose_occupation(w / T) if w > 0.0 else T,
-            lambda w: w * w * bose_kernel(w / T) if w > 0.0 else T * T)
+    w^2 n'(w/T) for S (n = 1/expm1(x), n' = -dn/dx = e^-x / expm1(-x)^2),
+    with their limits T and T^2 at w = 0.  Both are positive and
+    decreasing.  Every caller cuts at W <= 40 T, so w/T <= 40 and neither
+    exponential can overflow."""
+    return (lambda w: w * (1.0 / math.expm1(w / T)) if w > 0.0 else T,
+            lambda w: (w * w * (math.exp(-w / T) / math.expm1(-w / T) ** 2)
+                       if w > 0.0 else T * T))
 
 
 def _surface_tm(Ts, params: SlabParams, settings: QuadSettings):
@@ -1492,7 +1492,7 @@ def validate_exp_part(params: SlabParams,
     defining integral is authoritative on signs.
     """
     T = params.omega_p
-    defining = F_exp_defining(T, params, settings)
+    defining = free_energy_defining(exp_channel(params), T, settings)
     gap = abs(F_exp(T, params, settings) - defining)
     return gap / max(abs(defining), 1e-12)
 
@@ -1524,16 +1524,6 @@ def S_exp_subtr(T: float, params: SlabParams,
                 settings: QuadSettings | None = None) -> float:
     """Subtracted optical-path entropy; -> omega_p^3 L / (12 pi)."""
     return Part.named(PARTS, "exp").evaluate(T, params, settings)[1][0]
-
-
-def F_exp_defining(T: float, params: SlabParams,
-                   settings: QuadSettings | None = None) -> float:
-    """Optical-path free energy from the defining double integral:
-    ``free_energy_defining`` of ``exp_channel``, with its error contract:
-    the value is within max(abs_tol, rel_tol |F|) of the integral.
-    Cross-check only.
-    """
-    return free_energy_defining(exp_channel(params), T, settings)
 
 
 def _plasmon_mode(omega: float, k: float, params: SlabParams) -> float:

@@ -439,9 +439,9 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
 def _surface(ch: ScatteringChannel, T: float, entropy: bool, top: float,
              settings: QuadSettings) -> tuple[float, float]:
     """(value, error) of Int_kmin^inf k w(omega_s(k)/T) dk on the panel
-    rule, cut where ``integrate_semiinf`` would cut it (a frequency
+    rule, cut where the scan of ``_semiinf_cut`` stops (a frequency
     omega_s ~ sqrt(k) decays far slower in k than the continuum), with
-    that scan's tail bound."""
+    that scan's tail bound, an envelope."""
     col = 1 if entropy else 0
     a = ch.k_min_surface
 
@@ -463,7 +463,7 @@ def _defining(ch: ScatteringChannel, T: float,
     column; K = 2 max(T, scale, k_breakpoints) + _CUT T.  Beyond K the
     outer integrand is bounded by its modulus bound at K times (k/K)^2
     e^-(k-K)/(3T), the decay of the weight along any ray with p <= k (an
-    envelope, as in ``integrate_semiinf``).  The surface band gets a
+    envelope, as in ``_semiinf_cut``).  The surface band gets a
     quarter of the tolerance and the outer rule half; when the sum of
     their errors, the integrated inner bound and the tail misses the
     caller's tolerance on the returned value, the inner panels are halved,

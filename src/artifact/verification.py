@@ -44,13 +44,12 @@ from .numkernel import (
     QuadratureError,
     QuadResult,
     QuadSettings,
-    bose_kernel,
-    bose_log,
-    bose_occupation,
+    _truncation_bound,
     find_root_bracketed,
     fit_asymptotic,
     integrate_finite,
-    integrate_semiinf,
+    thermal_integral,
+    weight_columns,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "summarize"]
@@ -276,22 +275,29 @@ def _slab_h_oracle_checks():
 
 
 def _slab_exp_oracle_checks(settings):
+    # F_exp = (pi^2/90) L T^4 + (L T / 2 pi^2) Int_0^inf u^2
+    # blog(sqrt(u^2 + omega_p^2) / T) du, where u du = omega d omega turns
+    # the integral into one over omega > omega_p against the density
+    # omega sqrt(omega^2 - omega_p^2) <= omega^2, which bounds its tail.
     params = slab.SlabParams(omega_p=1.0, L=1.0)
+    wp, L = params.omega_p, params.L
+    Ts = np.array([0.1, 1.0, 10.0])
+    W = max(40.0 * float(Ts.max()), 8.0 * wp)
+    (moment, _), _ = thermal_integral(
+        lambda w: w * np.sqrt(np.maximum((w - wp) * (w + wp), 0.0)),
+        weight_columns(Ts), slab._grid(Ts.min(), params, W), settings,
+        _truncation_bound(Ts, W, 1.0, 2))
+    idents = (math.pi ** 2 / 90.0) * L * Ts ** 4 \
+        + (L * Ts / (2.0 * math.pi ** 2)) * moment
     out = []
-    for T in (0.1, 1.0, 10.0):
+    for T, ident in zip(Ts.tolist(), idents.tolist()):
         raw = slab.F_exp(T, params, settings)
-
-        def tail(u, T=T):
-            return u * u * bose_log(math.hypot(u, params.omega_p) / T)
-
-        ident = (math.pi ** 2 / 90.0) * params.L * T ** 4 \
-            + (params.L * T / (2.0 * math.pi ** 2)) * integrate_semiinf(
-                tail, 0.0, settings, scale=max(T, params.omega_p)).value
         out.append(_below(
             "oracle", f"slab F_exp closed vs branch identity, T={T}",
             abs(raw - ident) / abs(ident), 1e-8))
 
-        f_def = slab.F_exp_defining(T, params, settings)
+        f_def = spectral.free_energy_defining(slab.exp_channel(params), T,
+                                              settings)
         out.append(_below(
             "oracle", f"slab F_exp closed vs defining 2D integral, T={T}",
             abs(raw - f_def) / abs(f_def), 1e-6))
@@ -375,17 +381,17 @@ def _tm_propagating_nested(T, params, settings):
     """The TM thickness part's propagating half in the usual order, by
     nested scalar QUADPACK: Int_omega_p^W k(omega) h_prop(omega) d omega,
     h_prop(omega) = Int_0^Q(omega) q delta_prop dq, for k = n(omega/T) and
-    omega n'(omega/T), both levels in blocks of 40 periods and the inner
-    one at relative tolerance 1e-10.  Returns a (value, error) per weight;
-    each error adds to the outer estimate the worst k times inner estimate
-    over the outer nodes, times the range."""
+    omega n'(omega/T) (``slab._tm_weights`` over omega), both levels in
+    blocks of 40 periods and the inner one at relative tolerance 1e-10.
+    Returns a (value, error) per weight; each error adds to the outer
+    estimate the worst k times inner estimate over the outer nodes, times
+    the range."""
     wp, L = params.omega_p, params.L
     W = min(40.0 * T, 60.0 * wp)
     block = _osc_block(params)
     inner = QuadSettings(abs_tol=settings.abs_tol, rel_tol=1e-10)
     out = []
-    for k in (lambda w: bose_occupation(w / T),
-              lambda w: w * bose_kernel(w / T)):
+    for k in (lambda w, g=g: g(w) / w for g in slab._tm_weights(T)):
         worst = 0.0
 
         def f(w, k=k):

@@ -498,12 +498,16 @@ def test_scan_row_is_scale_covariant(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy is imported by the QUADPACK and root-finding calls that need
-    # it, so a sheet run never pays for it.
+    # it, so importing the CLI, a sheet run and a scan never pay for it.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, artifact.cli; "
+    code = ("import os, sys, artifact.cli; "
+            "artifact.cli.main(['sheet', '--tmin', '1', '--tmax', '1', "
+            "'--out', os.devnull]); "
+            "artifact.cli.main(['scan', '--omega0', '0.7:0.8:2', "
+            "'--tpts', '4', '--out', os.devnull]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
             "'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env,

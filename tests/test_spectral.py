@@ -209,11 +209,12 @@ _VERIFY_CHANNELS = {
 _VERIFY_DEFINING = {
     **{name: partial(spectral.free_energy_defining, ch, 1.0)
        for name, ch in _VERIFY_CHANNELS.items() if name != "slab-exp"},
-    **{f"slab-exp-T={T}": partial(slab.F_exp_defining, T,
-                                  slab.SlabParams(1.0, 1.0))
+    **{f"slab-exp-T={T}": partial(spectral.free_energy_defining,
+                                  _VERIFY_CHANNELS["slab-exp"], T)
        for T in (0.1, 1.0, 10.0)},
-    "slab-exp-off-unit": partial(slab.F_exp_defining, 2.5,
-                                 slab.SlabParams(2.5, 0.06)),
+    "slab-exp-off-unit": partial(
+        spectral.free_energy_defining,
+        slab.exp_channel(slab.SlabParams(2.5, 0.06)), 2.5),
 }
 
 
@@ -245,17 +246,19 @@ def test_defining_integral_refuses_a_coarse_inner_grid(monkeypatch):
 
 def test_defining_integrals_run_no_quadpack(monkeypatch):
     # The defining integrals run on the panel rules only: with QUADPACK
-    # unavailable they still give their values.
+    # unavailable they still give their values.  So do all six rows of
+    # verify's optical-path group, the branch identity among them.
     def boom(*args, **kwargs):
         raise AssertionError("QUADPACK called")
 
     for module in (spectral, slab):
-        for name in ("integrate_finite", "integrate_semiinf"):
-            monkeypatch.setattr(module, name, boom, raising=False)
+        monkeypatch.setattr(module, "integrate_finite", boom, raising=False)
     monkeypatch.setattr(scipy.integrate, "quad", boom)
     for case in ("sheet-TE-omega0=0.5", "sheet-TM-omega0=0.5", "sheet-TM+sf",
                  "slab-s_TE", "slab-exp-T=1.0"):
         assert math.isfinite(_VERIFY_DEFINING[case](DEFAULT_SETTINGS)), case
+    rows = verification._slab_exp_oracle_checks(DEFAULT_SETTINGS)
+    assert len(rows) == 6 and all(r.passed for r in rows), rows
 
 
 def test_defining_integral_memory_stays_flat():

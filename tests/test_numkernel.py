@@ -22,8 +22,11 @@ from artifact.numkernel import (
     thermal_weights,
 )
 
+ZETA3 = 1.2020569031595943
+ZETA5 = 1.0369277551433699
 
-def blog(x):
+
+def bose_log(x):
     """The free-energy weight at one point, from ``thermal_weights``."""
     return float(thermal_weights(x)[0])
 
@@ -57,8 +60,30 @@ def test_integrate_finite_rejects_divergent():
         integrate_finite(lambda x: 1.0 / x, 0.0, 1.0, DEFAULT_SETTINGS)
 
 
+@pytest.mark.parametrize("weight, power, expected", [
+    (bose_log, 0, -math.pi ** 2 / 6.0),
+    (bose_log, 1, -ZETA3),
+    (bose_log, 2, -math.pi ** 4 / 45.0),
+    (bose_log, 3, -6.0 * ZETA5),
+    (g, 0, math.pi ** 2 / 3.0),
+    (g, 1, 3.0 * ZETA3),
+    (g, 2, 4.0 * math.pi ** 4 / 45.0),
+])
+def test_standard_thermal_integrals(weight, power, expected):
+    # The scalar weights' moments over [0, inf): the tail scan's cutoff,
+    # then the adaptive finite rule up to it, plus the scan's tail bound.
+    def f(x):
+        return x ** power * weight(x)
+
+    cut, tail = numkernel._semiinf_cut(f, 0.0, 1.0)
+    res = integrate_finite(f, 0.0, cut, DEFAULT_SETTINGS)
+    assert res.value == pytest.approx(expected, rel=1e-10)
+    assert abs(res.value - expected) <= res.error_estimate + tail
+    assert tail <= 1e-10 * abs(expected)
+
+
 def test_special_values():
-    assert blog(1.0) == pytest.approx(-0.45867514538708190, rel=1e-14)
+    assert bose_log(1.0) == pytest.approx(-0.45867514538708190, rel=1e-14)
     assert g(1.0) == pytest.approx(1.0406518522564083, rel=1e-12)
     assert g(1e-6) == pytest.approx(1.0 - math.log(1e-6), rel=1e-6)
 
@@ -73,18 +98,18 @@ def test_weight_domain_errors():
        y=st.floats(min_value=1e-8, max_value=50.0))
 @settings(max_examples=50, deadline=None)
 def test_weight_signs_and_monotonicity(x, y):
-    assert blog(x) < 0.0
+    assert bose_log(x) < 0.0
     assert g(x) > 0.0
     lo, hi = min(x, y), max(x, y)
-    assert blog(lo) <= blog(hi)
+    assert bose_log(lo) <= bose_log(hi)
     assert g(lo) >= g(hi)
 
 
 @given(x=st.floats(min_value=1e-6, max_value=30.0))
 @settings(max_examples=50, deadline=None)
 def test_g_decomposition(x):
-    # g = x n(x) - blog(x) with n the occupation 1/expm1(x)
-    assert g(x) == pytest.approx(x / math.expm1(x) - blog(x), rel=1e-12)
+    # g = x n(x) - bose_log(x) with n the occupation 1/expm1(x)
+    assert g(x) == pytest.approx(x / math.expm1(x) - bose_log(x), rel=1e-12)
 
 
 def test_find_root_bracketed():

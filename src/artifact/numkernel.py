@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Relative integrand size at which the truncation scan of a semi-infinite
-# integral stops doubling the cutoff.
-_SEMIINF_DECAY_CUT = 1e-12
 # Adaptive subdivision budget of every quadrature call, and the panel
 # cap of ``integrate_panels``.
 _MAX_SUBDIVISIONS = 2000
@@ -222,43 +219,6 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
             f"(value={value:.6e}, error={err:.3e})"
         )
     return QuadResult(value, err, int(out[2]["neval"]))
-
-
-def _semiinf_cut(f: Callable[[float], float], a: float,
-                 scale: float) -> tuple[float, float]:
-    """(cutoff, tail bound) for a decaying ``f`` on [a, infinity): the
-    cutoff doubles from a + ``scale`` until ``f`` has fallen below
-    ``_SEMIINF_DECAY_CUT`` times its running maximum and keeps at least
-    quartering per doubling, and the bound is the power-law envelope of
-    the last two samples beyond it: an estimate, not a proof."""
-    fmax = 0.0
-    x = a + scale
-    prev = abs(f(x))
-    fmax = max(fmax, prev)
-    doublings = 0
-    tail_bound = 0.0
-    while True:
-        x2 = a + (x - a) * 2.0
-        cur = abs(f(x2))
-        fmax = max(fmax, cur)
-        far_enough = (x - a) >= 8.0 * scale
-        if far_enough and fmax == 0.0:
-            break
-        small = cur <= _SEMIINF_DECAY_CUT * fmax
-        ratio = (cur + 1e-300) / (prev + 1e-300)
-        if far_enough and small and ratio <= 0.25:
-            # |f| <= cur * (u/x2)^(log2 ratio) beyond x2 gives a
-            # convergent envelope; ratio <= 1/4 makes the bound <= cur*x2.
-            tail_bound = cur * x2 / max(-math.log2(ratio) - 1.0, 1.0)
-            break
-        x, prev = x2, cur
-        doublings += 1
-        if doublings > 60:
-            raise QuadratureError(
-                "tail-bound failure: integrand does not decay fast enough "
-                f"beyond x={x:.3e} (last |f|={cur:.3e}, max |f|={fmax:.3e})"
-            )
-    return x2, tail_bound
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,

@@ -732,13 +732,10 @@ def a_three_half_te_crossing(Omega0: float = 1.0,
     return find_root_bracketed(f, 0.5 * Omega0, 0.9 * Omega0, x_tol=1e-9)
 
 
-def scattering_channel(ch: str, params: SheetParams,
-                       include_surface: bool = True) -> ScatteringChannel:
-    """Adapter to the generic (p, k) channel interface.
-
-    The surface mode belongs to the TM channel; pass
-    ``include_surface=False`` to compare continuum parts in isolation.
-    """
+def scattering_channel(ch: str, params: SheetParams) -> ScatteringChannel:
+    """Adapter to the generic (p, k) channel interface: the channel's
+    scattering continuum.  The TM channel's plasmon band is not part of
+    it (``plasmon_free_energy_raw``)."""
     Channel.validate(ch)
     w0 = params.omega0
 
@@ -779,15 +776,8 @@ def scattering_channel(ch: str, params: SheetParams,
         with np.errstate(invalid="ignore"):
             return np.sqrt(c + np.sqrt(4.0 * c * c + O0 * O0 * c))
 
-    surface = None
-    k_min = 0.0
-    if ch == Channel.TM and include_surface:
-        surface = lambda k: omega_sf(k, params)  # noqa: E731
-        k_min = w0
     return ScatteringChannel(
         deriv=ddelta,
-        surface_mode=surface,
-        k_min_surface=k_min,
         p_breakpoints=brk,
         k_breakpoints=(w0,) if w0 > 0.0 else (),
         scale=params.scale(),

@@ -48,6 +48,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from . import spectral
 from .numkernel import (
     DEFAULT_SETTINGS,
     QuadResult,
@@ -70,7 +71,6 @@ from .spectral import (
     ThermoPoint,
     ZETA3,
     ZETA5,
-    free_energy_defining,
 )
 
 __all__ = [
@@ -1492,7 +1492,7 @@ def validate_exp_part(params: SlabParams,
     defining integral is authoritative on signs.
     """
     T = params.omega_p
-    defining = free_energy_defining(exp_channel(params), T, settings)
+    defining = spectral.free_energy_defining(exp_channel(params), T, settings)
     gap = abs(F_exp(T, params, settings) - defining)
     return gap / max(abs(defining), 1e-12)
 

@@ -2,18 +2,19 @@
 
 A scattering geometry enters through one object per polarization
 channel: the analytic p-derivative of its phase shift at radial momentum
-p and fixed transverse momentum k, and optionally a discrete surface-mode
-dispersion below the continuum.
+p and fixed transverse momentum k.
 
 ``free_energy_defining`` and ``entropy_defining`` evaluate the defining
-two-dimensional integrals directly from that data, with no model-specific
-reductions; the model modules provide reduced one-dimensional forms and
-use these as cross-checks.  Each is one two-dimensional array pass: the
-outer k integral on the adaptive panel rule, over chunks of outer nodes,
-and at each node the inner p integral on a fixed panel rule over that
-row's own grid (log panels, graded panels around the channel's
-breakpoints, linear panels up to a cut-off), its error bound carried
-along as a column.  The returned value is within max(abs_tol,
+two-dimensional integrals of the (p, k) continuum directly from that
+data, with no model-specific reductions; the model modules provide
+reduced one-dimensional forms and use these as cross-checks.  A surface
+mode is not part of them: the sheet's plasmon band has its own check
+(``verification._sheet_plasmon_band``).  Each is one two-dimensional
+array pass: the outer k integral on the adaptive panel rule, over chunks
+of outer nodes, and at each node the inner p integral on a fixed panel
+rule over that row's own grid (log panels, graded panels around the
+channel's breakpoints, linear panels up to a cut-off), its error bound
+carried along as a column.  The returned value is within max(abs_tol,
 rel_tol |F|) of the integral, truncation included, or QuadratureError
 is raised.
 
@@ -53,7 +54,6 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
-    _semiinf_cut,
     integrate_fixed,
     integrate_panels,
     per_temperature,
@@ -94,7 +94,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class ScatteringChannel:
-    """Scattering data of one polarization channel.
+    """Scattering data of one polarization channel: its continuum only.
 
     Attributes
     ----------
@@ -107,11 +107,6 @@ class ScatteringChannel:
         of max(T, scale) and the breakpoints at k, and beyond
         ``deriv_peak`` where given, |deriv| must not increase with p: the
         defining integrals bound their p tail with its value there.
-    surface_mode : callable, optional
-        Discrete mode frequency omega(k) on an array of k >=
-        k_min_surface.
-    k_min_surface : float
-        Lower edge of the surface-mode band.
     p_breakpoints : callable, optional
         Known non-smooth p values of the phase shift at an array of k:
         a sequence of arrays (or floats) that broadcast against k, with
@@ -132,8 +127,6 @@ class ScatteringChannel:
     """
 
     deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    surface_mode: Callable[[np.ndarray], np.ndarray] | None = None
-    k_min_surface: float = 0.0
     p_breakpoints: Callable[[np.ndarray], Sequence[Any]] | None = None
     k_breakpoints: tuple[float, ...] = ()
     scale: float = 1.0
@@ -275,14 +268,14 @@ def free_energy_defining(ch: ScatteringChannel, T: float,
                          settings: QuadSettings | None = None) -> float:
     """Free energy per unit area from the defining double integral.
 
-    F = (T / 2 pi) Int k dk [ blog(omega_s(k)/T)
-          + (1/pi) Int dp blog(omega/T) d delta/dp ],   omega^2 = p^2 + k^2
+    F = (T / 2 pi^2) Int_0^inf k dk Int_0^inf dp blog(omega/T) d delta/dp,
+    omega^2 = p^2 + k^2,
 
-    with blog(x) = log(1 - exp(-x)) and the first term present only on
-    the surface-mode band.  A cross-check with no model-specific
-    reductions, run as one two-dimensional array pass (``_defining``):
-    the returned F is within max(abs_tol, rel_tol |F|) of the integral,
-    truncation included, or QuadratureError is raised.
+    with blog(x) = log(1 - exp(-x)): the (p, k) continuum only, no
+    surface mode.  A cross-check with no model-specific reductions, run
+    as one two-dimensional array pass (``_defining``): the returned F is
+    within max(abs_tol, rel_tol |F|) of the integral, truncation
+    included, or QuadratureError is raised.
     """
     return _defining(ch, T, settings, entropy=False)
 
@@ -436,48 +429,25 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
     return (k / math.pi)[:, None] * np.stack(cols, axis=1)
 
 
-def _surface(ch: ScatteringChannel, T: float, entropy: bool, top: float,
-             settings: QuadSettings) -> tuple[float, float]:
-    """(value, error) of Int_kmin^inf k w(omega_s(k)/T) dk on the panel
-    rule, cut where the scan of ``_semiinf_cut`` stops (a frequency
-    omega_s ~ sqrt(k) decays far slower in k than the continuum), with
-    that scan's tail bound, an envelope."""
-    col = 1 if entropy else 0
-    a = ch.k_min_surface
-
-    def f(k: np.ndarray) -> np.ndarray:
-        return (k * thermal_weights(ch.surface_mode(k) / T)[col])[:, None]
-
-    cut, tail = _semiinf_cut(lambda x: f(np.array([x]))[0, 0], a, top)
-    res = integrate_panels(f, [a, *(a + (cut - a) * 0.5 ** j
-                                    for j in range(12))], settings)
-    return res.value[0], res.error_estimate[0] + tail
-
-
 def _defining(ch: ScatteringChannel, T: float,
               settings: QuadSettings | None, entropy: bool) -> float:
     """pref Int_0^inf dk G(k), the outer integrand G of ``_rows``, in one
-    2-D array pass, plus the surface band (``_surface``).  The outer
-    integral runs on ``integrate_panels`` over [0, K], on chunks of
-    ``_ROWS`` outer nodes at a time, with the inner bound as a ride-along
-    column; K = 2 max(T, scale, k_breakpoints) + _CUT T.  Beyond K the
-    outer integrand is bounded by its modulus bound at K times (k/K)^2
-    e^-(k-K)/(3T), the decay of the weight along any ray with p <= k (an
-    envelope, as in ``_semiinf_cut``).  The surface band gets a
-    quarter of the tolerance and the outer rule half; when the sum of
-    their errors, the integrated inner bound and the tail misses the
-    caller's tolerance on the returned value, the inner panels are halved,
-    at most ``_DOUBLINGS`` times, then QuadratureError."""
+    2-D array pass.  The outer integral runs on ``integrate_panels`` over
+    [0, K], on chunks of ``_ROWS`` outer nodes at a time, with the inner
+    bound as a ride-along column; K = 2 max(T, scale, k_breakpoints) +
+    _CUT T.  Beyond K the outer integrand is bounded by its modulus bound
+    at K times (k/K)^2 e^-(k-K)/(3T), the decay of the weight along any
+    ray with p <= k (an envelope, not a proof).  The outer rule gets half
+    the tolerance; when the sum of its error, the integrated inner bound
+    and the tail misses the caller's tolerance on the returned value, the
+    inner panels are halved, at most ``_DOUBLINGS`` times, then
+    QuadratureError."""
     _check_T(T)
     settings = settings or DEFAULT_SETTINGS
     top = max(T, ch.scale)
     pref = 1.0 / (2.0 * math.pi) if entropy else T / (2.0 * math.pi)
     # Tolerances in integral units, so that they hold for pref times it.
     unit = replace(settings, abs_tol=settings.abs_tol / pref)
-    sf = sf_err = 0.0
-    if ch.surface_mode is not None:
-        sf, sf_err = _surface(ch, T, entropy, top, replace(
-            unit, abs_tol=0.25 * unit.abs_tol, rel_tol=0.25 * unit.rel_tol))
     kinks = [x for x in ch.k_breakpoints if x > 0.0]
     K = 2.0 * max([top, *kinks]) + _CUT * T
     edges = {0.0, K, *(top * 2.0 ** j for j in range(-3, 8)
@@ -493,14 +463,13 @@ def _defining(ch: ScatteringChannel, T: float,
                 _rows(ch, T, entropy, top, k[i:i + _ROWS], level)
                 for i in range(0, len(k), _ROWS)])
 
-        res = integrate_panels(outer, sorted(edges), tol,
-                               offset=np.array([sf, 0.0]))
+        res = integrate_panels(outer, sorted(edges), tol)
         bound = _rows(ch, T, entropy, top, np.array([K]), level,
                       absolute=True)[0, 2]
         tail = bound * 3.0 * T * (1.0 + 6.0 * T / K + 18.0 * (T / K) ** 2)
-        value = res.value[0] + sf
+        value = res.value[0]
         error = (res.error_estimate[0] + res.value[1] + res.error_estimate[1]
-                 + tail + sf_err)
+                 + tail)
         if error <= unit.tolerance(value):
             return float(pref * value)
     raise QuadratureError(

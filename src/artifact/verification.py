@@ -49,6 +49,7 @@ from .numkernel import (
     fit_asymptotic,
     integrate_finite,
     thermal_integral,
+    thermal_weights,
     weight_columns,
 )
 
@@ -161,14 +162,33 @@ def _sheet_h_oracle_checks():
     return out
 
 
+def _sheet_plasmon_band(params, Ts, settings):
+    """(F, F_error) of the sheet plasmon band in k, arrays over Ts:
+    (T / 2 pi) Int_omega0^K k blog(omega_sf(k) / T) dk in one panel-rule
+    pass, where omega_sf(K) = W, the frequency form's cut-off.  Since
+    k dk = omega X d omega, what the cut drops is the frequency form's
+    piece past W, bounded as ``plasma_sheet._plasmon`` bounds it."""
+    O0, w0 = params.Omega0, params.omega0
+    W = plasma_sheet._cutoff(params, Ts)
+    # omega_sf^2 = ell^2 + Omega0 y with y^2 = k^2 - omega0^2 + Omega0^2/4.
+    y = (W * W - params.ell2) / O0
+    K = math.sqrt(y * y + w0 * w0 - 0.25 * O0 * O0)
+    (val, _), (err, _) = thermal_integral(
+        lambda k: k,
+        lambda k: thermal_weights(plasma_sheet.omega_sf(k, params)[:, None]
+                                  / Ts),
+        (w0, K, Ts.min(), []), settings,
+        _truncation_bound(Ts, W, 2.001 / O0 ** 2, 3))
+    return Ts * val / (2.0 * math.pi), Ts * err / (2.0 * math.pi)
+
+
 def _sheet_defining_checks(settings):
     out = []
     T = 1.0
     for omega0 in (0.0, 0.5):
         params = plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0)
         te = plasma_sheet.scattering_channel("TE", params)
-        tm = plasma_sheet.scattering_channel("TM", params,
-                                             include_surface=False)
+        tm = plasma_sheet.scattering_channel("TM", params)
 
         f_def = spectral.free_energy_defining(te, T, settings)
         f_closed = plasma_sheet.free_energy_channel_raw(
@@ -185,16 +205,17 @@ def _sheet_defining_checks(settings):
             "oracle",
             f"sheet F_TM continuum defining vs closed, omega0={omega0}, T=1",
             abs(f_def - f_closed) / abs(f_closed), 1e-6))
+        if omega0 == 0.0:
+            tm_def, tm_closed = f_def, f_closed
 
-    # Surface-mode band: at omega0=0 the k-integral over the mode and the
-    # frequency form coincide, so the full TM channel (continuum plus
-    # surface mode) can be compared against the defining representation.
+    # The full TM channel, continuum plus plasmon band: at omega0=0 the
+    # band's k form (``_sheet_plasmon_band``) and its frequency form
+    # coincide.
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
-    tm_full = plasma_sheet.scattering_channel("TM", params)
-    f_def = spectral.free_energy_defining(tm_full, T, settings)
-    f_closed = (plasma_sheet.free_energy_channel_raw(
-        "TM", T, params, settings, include_shell=False)
-        + plasma_sheet.plasmon_free_energy_raw(T, params, settings))
+    f_def = tm_def + float(_sheet_plasmon_band(
+        params, np.array([T]), settings)[0][0])
+    f_closed = tm_closed + plasma_sheet.plasmon_free_energy_raw(
+        T, params, settings)
     out.append(_below(
         "oracle", "sheet F_TM+sf defining vs closed, omega0=0, T=1",
         abs(f_def - f_closed) / abs(f_closed), 1e-6))

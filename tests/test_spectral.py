@@ -172,8 +172,7 @@ def test_free_energy_defining_sheet_tm_at_tight_tolerance():
     # relative without a QuadratureError.
     params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.5)
     tight = numkernel.QuadSettings(abs_tol=1e-14, rel_tol=1e-11)
-    ch = plasma_sheet.scattering_channel(Channel.TM, params,
-                                         include_surface=False)
+    ch = plasma_sheet.scattering_channel(Channel.TM, params)
     F_def = spectral.free_energy_defining(ch, 1.0, tight)
     F_closed = plasma_sheet.free_energy_channel_raw(
         Channel.TM, 1.0, params, tight, include_shell=False)
@@ -190,10 +189,9 @@ def test_entropy_defining_is_minus_dF_dT():
     assert S == pytest.approx(-slope, rel=1e-5)
 
 
-def _sheet_channel(name, omega0, surface=False):
+def _sheet_channel(name, omega0):
     return plasma_sheet.scattering_channel(
-        name, plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0),
-        include_surface=surface)
+        name, plasma_sheet.SheetParams(Omega0=1.0, omega0=omega0))
 
 
 # Every scattering channel ``thermo verify`` hands to the defining
@@ -201,7 +199,6 @@ def _sheet_channel(name, omega0, surface=False):
 _VERIFY_CHANNELS = {
     **{f"sheet-{name}-omega0={w0}": _sheet_channel(name, w0)
        for w0 in (0.0, 0.5) for name in Channel.ALL},
-    "sheet-TM+sf": _sheet_channel(Channel.TM, 0.0, True),
     "slab-s_TE": slab.surface_te_channel(slab.SlabParams(1.0, 1.0)),
     "slab-exp": slab.exp_channel(slab.SlabParams(1.0, 1.0)),
 }
@@ -247,18 +244,37 @@ def test_defining_integral_refuses_a_coarse_inner_grid(monkeypatch):
 def test_defining_integrals_run_no_quadpack(monkeypatch):
     # The defining integrals run on the panel rules only: with QUADPACK
     # unavailable they still give their values.  So do all six rows of
-    # verify's optical-path group, the branch identity among them.
+    # verify's sheet defining group, the plasmon band among them, and all
+    # six of its optical-path group, the branch identity among them.
     def boom(*args, **kwargs):
         raise AssertionError("QUADPACK called")
 
     for module in (spectral, slab):
         monkeypatch.setattr(module, "integrate_finite", boom, raising=False)
     monkeypatch.setattr(scipy.integrate, "quad", boom)
-    for case in ("sheet-TE-omega0=0.5", "sheet-TM-omega0=0.5", "sheet-TM+sf",
-                 "slab-s_TE", "slab-exp-T=1.0"):
+    for case in ("sheet-TE-omega0=0.5", "sheet-TM-omega0=0.5", "slab-s_TE",
+                 "slab-exp-T=1.0"):
         assert math.isfinite(_VERIFY_DEFINING[case](DEFAULT_SETTINGS)), case
-    rows = verification._slab_exp_oracle_checks(DEFAULT_SETTINGS)
-    assert len(rows) == 6 and all(r.passed for r in rows), rows
+    for group in (verification._sheet_defining_checks,
+                  verification._slab_exp_oracle_checks):
+        rows = group(DEFAULT_SETTINGS)
+        assert len(rows) == 6 and all(r.passed for r in rows), rows
+
+
+def test_sheet_plasmon_band_matches_the_frequency_form():
+    # The band in k against the frequency form at omega0 = 0, where they
+    # are the same integral (k dk = omega X d omega): within the sum of
+    # both errors, and within the tolerance of itself run far tighter.
+    params = plasma_sheet.SheetParams(Omega0=1.0, omega0=0.0)
+    Ts = np.array([0.1, 1.0, 10.0])
+    F, F_err = verification._sheet_plasmon_band(params, Ts, DEFAULT_SETTINGS)
+    (raw, raw_err), _ = plasma_sheet._plasmon(Ts, params, DEFAULT_SETTINGS,
+                                              subtracted=False)
+    assert np.all(np.abs(F - raw) <= F_err + raw_err)
+    tight, _ = verification._sheet_plasmon_band(
+        params, Ts, numkernel.QuadSettings(abs_tol=1e-14, rel_tol=1e-11))
+    for value, exact in zip(F, tight):
+        assert abs(value - exact) <= DEFAULT_SETTINGS.tolerance(value)
 
 
 def test_defining_integral_memory_stays_flat():

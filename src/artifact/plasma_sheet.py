@@ -68,7 +68,6 @@ __all__ = [
     "SheetParams",
     "PARTS",
     "phase_shift",
-    "phase_shift_deriv",
     "h",
     "h_subtr",
     "shell_weight",
@@ -169,20 +168,6 @@ def phase_shift(ch: str, p: float, k: float, params: SheetParams) -> float:
     if p == 0.0:
         return -math.pi if a < 0.0 else 0.0
     return -0.5 * math.pi + math.atan(a / (O0 * p))
-
-
-def phase_shift_deriv(ch: str, p: float, k: float,
-                      params: SheetParams) -> float:
-    """d delta/dp at fixed transverse momentum k, rational in (p, k).
-
-    The derivative is taken along the radial momentum with k held fixed
-    (omega varies with p along the path); branch jumps of the arctangent
-    do not enter, so the result is a rational function.  Raises
-    ValueError on the resonance shell, as ``phase_shift`` does.
-    """
-    Channel.validate(ch)
-    _check_momenta(p, k, params)
-    return _phase_deriv_pw(ch, p, k, params)
 
 
 # _ATAN_COEFFICIENTS[first][i] = 1 / (first + 2 i).

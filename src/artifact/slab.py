@@ -22,13 +22,14 @@ and omega_p, and a series at omega_p/sqrt(2), where the logarithmic
 arrangement degenerates), on floats and arrays.  The surface and
 optical-path parts integrate F and S in one panel-rule pass
 (``thermal_integral``; two for s_TM), the TE thickness part in one
-sawtooth pass; only the TM thickness part's h_L table runs QUADPACK.
+sawtooth pass per temperature; only the TM thickness part's h_L table
+runs QUADPACK.
 
 Every thermal function takes T as a positive finite float (float returned)
 or a non-empty 1-D array of them (array returned), else ValueError, as the
 sheet's do.  It reads its record in ``PARTS`` (``Part.evaluate``), whose
 evaluator ``run`` takes the array only and runs every temperature in one
-pass.  A direct call of a per-quantity function (``F_s_TE`` ...
+call.  A direct call of a per-quantity function (``F_s_TE`` ...
 ``S_exp_subtr``) runs at the given scale, with absolute tolerances that do
 not scale; only ``total`` reduces to omega_p=1.
 
@@ -44,7 +45,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -698,86 +698,68 @@ def _te_integrals(Ts: np.ndarray, params: SlabParams,
         F moment = -pi Int_0^inf kappa log D B dkappa,
         S moment =  pi Int_0^inf [3 kappa log D + kappa^2 (log D)'] B dkappa,
 
-    the second from S = -dF/dT.  One chunked array pass of
-    ``integrate_fixed`` runs both columns for every temperature, whose
-    chunks it concatenates, on the panels of ``_te_panels`` up to the cut K
-    of ``_te_cut``, rounded up to whole periods when it exceeds one, with B
-    = t - 1/2 taken from each panel's offset in its own period.  At low T
-    the moments are O(T^3) while the integrands are O(1): so each period's
-    chord through the integrands' values at its joins is subtracted, which
-    leaves the rule an O(h^2) integrand and a roundoff floor that falls
-    with T, and the chords' sawtooth moments, h/12 times their rises, are
-    added back; they sum to h (phi(K) - phi(0)) / 12.  Each error is the
-    summed panel bound plus the tail bound past K (``_te_tails``).  If an
-    error of a temperature misses the tolerance, every panel of that
-    temperature is halved once; if it still misses, QuadratureError.  At T
-    = inf, B = -1/2 throughout, and the F moment is (pi / 2) Int_0^inf
-    kappa log D dkappa (``slab_constant_d``).
+    the second from S = -dF/dT.  Each temperature runs one chunked array
+    pass of ``integrate_fixed`` over both columns, on the panels of
+    ``_te_panels`` up to the cut K of ``_te_cut``, rounded up to whole
+    periods when it exceeds one, with B = t - 1/2 taken from each panel's
+    offset in its own period.  At low T the moments are O(T^3) while the
+    integrands are O(1): so each period's chord through the integrands'
+    values at its joins is subtracted, which leaves the rule an O(h^2)
+    integrand and a roundoff floor that falls with T, and the chords'
+    sawtooth moments, h/12 times their rises, are added back; they sum to
+    h (phi(K) - phi(0)) / 12.  Each error is the summed panel bound plus
+    the tail bound past K (``_te_tails``).  If an error misses the
+    tolerance, the pass is run again with every panel halved; if it still
+    misses, QuadratureError.  At T = inf, B = -1/2 throughout, and the F
+    moment is (pi / 2) Int_0^inf kappa log D dkappa (``slab_constant_d``).
     """
     K0 = _te_cut(params, settings)
-    hs = 2.0 * math.pi * np.asarray(Ts, dtype=float)
-    Ks = [math.ceil(K0 / h) * h if K0 > h else K0 for h in hs]
-    chords = np.array([h * _te_integrands(np.array(K), params) / 12.0
-                       if K > h else np.zeros(2) for h, K in zip(hs, Ks)])
-    tails = np.array([_te_tails(K, params) for K in Ks])
-    value, error, evals = chords.copy(), tails.copy(), 0
-    todo = list(range(len(hs)))
-    for halve in (False, True):
-        value[todo], error[todo] = chords[todo], tails[todo]
-        for step in zip_longest(*(_te_chunks(hs[i], Ks[i], params, halve)
-                                  for i in todo)):
-            rows = [(i, chunk) for i, chunk in zip(todo, step) if chunk]
-            lo, hi, h, start, a, b = map(np.concatenate,
-                                         zip(*(chunk for _, chunk in rows)))
+    value, error, evals = np.empty((len(Ts), 2)), np.empty((len(Ts), 2)), 0
+    for i, T in enumerate(Ts):
+        h = 2.0 * math.pi * T
+        K = math.ceil(K0 / h) * h if K0 > h else K0
+        chord = (h * _te_integrands(np.array(K), params) / 12.0 if K > h
+                 else np.zeros(2))
+        for halve in (False, True):
+            value[i], error[i] = chord, _te_tails(K, params)
+            for n, lo, hi in _te_panels(K, h, params):
+                if halve:
+                    mid = 0.5 * (lo + hi)
+                    n = np.repeat(n, 2)
+                    lo = np.stack([lo, mid], axis=1).ravel()
+                    hi = np.stack([mid, hi], axis=1).ravel()
+                start, a, b = 0.0, 0.0, 0.0
+                if K > h:
+                    ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h,
+                                          params)
+                    start = n[:, None] * h
+                    a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]
 
-            def f(u: np.ndarray) -> np.ndarray:
-                t = (u / h)[..., None]
-                y = _te_integrands(start + u, params) - a - (b - a) * t
-                return y * (t - 0.5)
+                def f(u: np.ndarray) -> np.ndarray:
+                    t = (u / h)[..., None]
+                    y = _te_integrands(start + u, params) - a - (b - a) * t
+                    return y * (t - 0.5)
 
-            res = integrate_fixed(f, lo[:, None], hi[:, None])
-            evals += res.evaluations
-            at = 0
-            for i, chunk in rows:
-                mine = slice(at, at + len(chunk[0]))
-                value[i] += res.value[mine].sum(axis=0)
-                error[i] += res.error_estimate[mine].sum(axis=0)
-                at = mine.stop
-        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(value))
-        todo = [i for i in todo if np.any(error[i] > tol[i])]
-        if not todo:
-            return QuadResult(value.T, error.T, evals)
-    i = todo[0]
-    raise QuadratureError(
-        f"TE thickness part at T={Ts[i]}: errors {error[i]} exceed the "
-        f"tolerances {tol[i]} after halving every panel (values {value[i]})")
-
-
-def _te_chunks(h: float, K: float, params: SlabParams, halve: bool):
-    """The chunks of ``_te_panels`` on [0, K] at the sawtooth period h, as
-    rows of an ``_te_integrals`` pass: (lo, hi) of each panel in its
-    period, and h, the period's start and the integrands at its two joins
-    (zero when K is at most one period) broadcast to each row; with
-    ``halve``, every panel halved."""
-    for n, lo, hi in _te_panels(K, h, params):
-        if halve:
-            mid = 0.5 * (lo + hi)
-            n = np.repeat(n, 2)
-            lo = np.stack([lo, mid], axis=1).ravel()
-            hi = np.stack([mid, hi], axis=1).ravel()
-        start = np.zeros((len(n), 1))
-        a = b = np.zeros((len(n), 1, 2))
-        if K > h:
-            ends = _te_integrands(np.arange(n[0], n[-1] + 2) * h, params)
-            start = n[:, None] * h
-            a, b = ends[n - n[0], None], ends[n - n[0] + 1, None]
-        yield lo, hi, np.full((len(n), 1), h), start, a, b
+                res = integrate_fixed(f, lo[:, None], hi[:, None])
+                evals += res.evaluations
+                value[i] += res.value.sum(axis=0)
+                error[i] += res.error_estimate.sum(axis=0)
+            tol = np.maximum(settings.abs_tol,
+                             settings.rel_tol * np.abs(value[i]))
+            if not np.any(error[i] > tol):
+                break
+        else:
+            raise QuadratureError(
+                f"TE thickness part at T={T}: errors {error[i]} exceed the "
+                f"tolerances {tol} after halving every panel (values "
+                f"{value[i]})")
+    return QuadResult(value.T, error.T, evals)
 
 
 def _thickness_te(Ts, params: SlabParams, settings: QuadSettings):
     """((F, F_error), (S, S_error)) of the TE thickness part from its
     moments (``_te_integrals``), for every temperature of the array Ts in
-    one pass, each error that pass's summed panel bound plus its tail
+    its own pass, each error that pass's summed panel bound plus its tail
     bound, times the value's prefactor."""
     res = _te_integrals(Ts, params, settings)
     (F, S), (F_err, S_err) = res.value, res.error_estimate
@@ -797,7 +779,8 @@ def F_L_TE(T: float, params: SlabParams,
             dkappa,
 
     D_TE = 1 - rho^2 e^{-2 Q L}, B(x) = x - floor(x) - 1/2, in one array
-    pass that it shares with ``S_L("TE")`` (``_te_integrals``).  Finite
+    pass per temperature that it shares with ``S_L("TE")``
+    (``_te_integrals``).  Finite
     without subtraction; tends to a linear-in-T plateau (coefficient
     given by ``slab_constant_d``) at high temperature and vanishes for
     L -> inf.  At low temperature the series of ``delta_L`` gives
@@ -1602,11 +1585,11 @@ def plasmon_mode_residual(omega: float, k: float,
 # every call looks the part's evaluator up in this module.  Each evaluator
 # leaves out the part's growth and takes a 1-D array Ts only.  The
 # surface and exp parts run F and S at every temperature as columns of one
-# panel-rule pass (two for s_TM), L_TE of one sawtooth pass; only L_TM's
-# table half integrates each temperature's F and S weights one at a time
-# (QUADPACK is scalar), on one h_L table per point that stores its reads,
-# so the nodes those integrals share are read once.  The thickness parts
-# need no subtraction.
+# panel-rule pass (two for s_TM), L_TE as the columns of one sawtooth pass
+# per temperature; only L_TM's table half integrates each temperature's F
+# and S weights one at a time (QUADPACK is scalar), on one h_L table per
+# point that stores its reads, so the nodes those integrals share are read
+# once.  The thickness parts need no subtraction.
 PARTS = (
     Part("s_TE", "s", ("F_s_TE_subtr", "S_s_TE_subtr"),
          lambda Ts, p, s: _surface_te(Ts, p, s), _s_te_growth),

@@ -54,6 +54,7 @@ from .numkernel import (
     QuadratureError,
     QuadSettings,
     _check_T,
+    _truncation_bound,
     integrate_fixed,
     integrate_panels,
     per_temperature,
@@ -168,7 +169,7 @@ class Part:
     ``evaluate(T, params, settings)`` is the way in: T must be positive and
     finite, a scalar (floats returned) or a non-empty 1-D array, else
     ValueError (``numkernel.per_temperature``).  Both run at the scale and
-    over every temperature they are given in one pass; ``ThermoPoint``
+    over every temperature they are given in one call; ``ThermoPoint``
     reduces to unit scale.  The models build ``run`` as a lambda over
     their module's functions, looked up at call time.  ``group`` selects
     the part in ``thermo --parts``; ``columns`` are its CSV columns.
@@ -402,8 +403,8 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
     The inner bound is the rule's own (|Kronrod - Gauss| plus roundoff)
     plus the tail past the cut-off P: there |w(omega/T)| <= |w(p/T)|, whose
     integral past P is at most T e^-x/(1 - e^-x) (times x + 2 for g), x =
-    P/T, and |d delta/dp| is at most its value at ``_tail_point``, by the
-    contract of ``ScatteringChannel.deriv``.
+    P/T (``_truncation_bound`` at n = 0), and |d delta/dp| is at most its
+    value at ``_tail_point``, by the contract of ``ScatteringChannel.deriv``.
     """
     col = 1 if entropy else 0
     kc = k[:, None]
@@ -420,9 +421,8 @@ def _rows(ch: ScatteringChannel, T: float, entropy: bool, top: float,
         return np.stack([y, np.abs(y)], axis=-1) if absolute else y[..., None]
 
     res = integrate_fixed(f, t_lo, t_hi)
-    x = P / T
-    tail = (T * np.exp(-x) / -np.expm1(-x) * ((x + 2.0) if entropy else 1.0)
-            * np.abs(ch.deriv(_tail_point(ch, P, k), k)))
+    deriv = np.abs(ch.deriv(_tail_point(ch, P, k), k))
+    tail = _truncation_bound(T, P, deriv, 0)[col]
     cols = [res.value[:, 0], res.error_estimate[:, 0] + tail]
     if absolute:
         cols.append(res.value[:, 1] + tail)

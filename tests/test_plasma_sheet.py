@@ -97,8 +97,6 @@ def test_pole_raises():
     with pytest.raises(ValueError):
         ps.phase_shift(Channel.TE, 0.3, 0.4, P05)
     with pytest.raises(ValueError):
-        ps.phase_shift_deriv(Channel.TM, 0.3, 0.4, P05)
-    with pytest.raises(ValueError):
         ps.phase_shift(Channel.TE, -0.1, 0.4, P05)
     with pytest.raises(ValueError):
         ps.phase_shift(Channel.TM, 0.0, 0.0, P05)
@@ -116,10 +114,9 @@ def test_phase_deriv_next_to_the_shell(p):
     tm = O0 / (p * p + O0 * O0)
     te = (O0 * p * p * (p * p + 3.0 * w0 * w0)
           / (p ** 6 + O0 * O0 * (p * p + w0 * w0) ** 2))
-    assert ps.phase_shift_deriv(Channel.TM, p, w0, P05) == pytest.approx(
-        tm, rel=1e-14)
-    assert ps.phase_shift_deriv(Channel.TE, p, w0, P05) == pytest.approx(
-        te, rel=1e-14)
+    for ch, exact in ((Channel.TM, tm), (Channel.TE, te)):
+        assert ps.scattering_channel(ch, P05).deriv(p, w0) == pytest.approx(
+            exact, rel=1e-14)
 
 
 def test_h_subtr_removes_rational_tail():

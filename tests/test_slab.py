@@ -448,6 +448,34 @@ def test_L_TE_error_is_the_pass_bound_plus_its_tail(monkeypatch):
             L_TE.evaluate(T, P1, DEFAULT_SETTINGS)
 
 
+def test_L_TE_array_call_runs_each_temperature_on_its_own(monkeypatch):
+    # Each temperature of an array call runs its own sawtooth pass and, if
+    # it misses its tolerance, its own halving retry: the array call returns
+    # each one-temperature call bit for bit, and at these settings only
+    # T = 0.1 takes the halving pass (two ``_te_panels`` calls, the others
+    # one each).
+    params = slab.SlabParams(omega_p=1.0, L=0.3)
+    tight = QuadSettings(1e-16, 1e-13)
+    Ts = np.array([1e-3, 0.1, 10.0])
+    L_TE = Part.named(slab.PARTS, "L_TE")
+    panels, calls = slab._te_panels, []
+
+    def counted(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(slab, "_te_panels", counted)
+    (F, F_err), (S, S_err) = L_TE.evaluate(Ts, params, tight)
+    assert len(calls) == 4
+    passes = []
+    for i, T in enumerate(Ts):
+        calls.clear()
+        (f, f_err), (s, s_err) = L_TE.evaluate(T, params, tight)
+        assert (f, f_err, s, s_err) == (F[i], F_err[i], S[i], S_err[i])
+        passes.append(len(calls))
+    assert passes == [1, 2, 1]
+
+
 def _te_log_D(kappa, L):
     # log D_TE at omega_p = 1: rho^2 = (Q - kappa)^4, Q = sqrt(kappa^2 + 1)
     Q = mpmath.sqrt(kappa * kappa + 1)

@@ -134,13 +134,9 @@ def test_validate_channel_derivative_sheet():
     pts = [(0.3, 0.5), (1.2, 2.0), (0.05, 0.9), (4.0, 0.1)]
     for name in (Channel.TE, Channel.TM):
         ch = plasma_sheet.scattering_channel(name, params)
-        for p, k in pts:
-            assert ch.deriv(p, k) == plasma_sheet.phase_shift_deriv(
-                name, p, k, params)
         worst = validate_channel_derivative(
             lambda p, k: plasma_sheet.phase_shift(name, p, k, params),
-            lambda p, k: plasma_sheet.phase_shift_deriv(name, p, k, params),
-            pts, scale=ch.scale)
+            ch.deriv, pts, scale=ch.scale)
         assert worst < 1e-5
 
 
